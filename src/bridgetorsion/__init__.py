@@ -2,9 +2,9 @@
 
 For a two-bridge knot b(p, q) the package computes, per metabelian character
 index k, the product tau_k = |P(1)^2 * F| from the knot group alone (twisted
-Alexander polynomial plus a limit on the SL2(C) character variety) and
-verifies the multiset {tau_k} against the closed-form torsion of the lens
-space L(p, q)."""
+Alexander polynomial plus a Taylor coefficient on the SL2(C) character
+variety) and verifies the multiset {tau_k} against the closed-form torsion
+of the lens space L(p, q)."""
 
 __version__ = "0.1.0"
 
@@ -16,9 +16,9 @@ from .errors import (
     IndexOutOfRange,
     InexactDivision,
     InvalidFraction,
+    LongitudeNotIdentity,
     NewtonDivergence,
     ParseError,
-    RootCollision,
     SingularPoint,
     TorsionError,
     ZeroAtNegativeExponent,
@@ -43,9 +43,11 @@ from .reps import (
     Rep2,
     abelianization,
     evaluate_word,
+    fox_image,
     metabelian_rep,
     metabelian_u,
     phi_map,
+    riley_images,
     riley_rep,
 )
 from .alexander import (
@@ -59,12 +61,15 @@ from .alexander import (
 from .curve import (
     Dual,
     FEstimate,
+    Jet2,
     LimitConfig,
     RileyPoint,
-    TraceSample,
+    Series,
     continue_riley_curve,
     evaluate_F,
     fitted_local_form,
+    implicit_local_form,
+    longitude_series,
     metabelian_pairing,
     riley_residual,
     trace_longitude,

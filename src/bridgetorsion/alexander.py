@@ -9,7 +9,7 @@ from typing import Optional
 from .errors import DeterminantMismatch, InexactDivision
 from .numerics import LaurentPoly
 from .precision import DOUBLE
-from .reps import phi_map
+from .reps import fox_image, phi_map
 from .words import GroupRingElement, Word, fox_derivative
 
 #: Exactness tolerance for the polynomial divisions below.
@@ -65,16 +65,13 @@ def wada_twisted_alexander(k, rep, by="x", tol=DIVISION_TOL):
     denominator det(t rho(y) - 1), the y-derivative with det(t rho(x) - 1);
     both yield the same reduced polynomial up to a unit.
     """
-    rel = k.relator()
     if by == "x":
-        num_elem = fox_derivative(rel, "x")
         den_gen = Word((("y", 1),))
     elif by == "y":
-        num_elem = fox_derivative(rel, "y")
         den_gen = Word((("x", 1),))
     else:
         raise ValueError(f"by = {by!r}")
-    numerator = phi_map(rep, num_elem).det()
+    numerator = fox_image(rep, k.relator(), by).det()
     den_elem = GroupRingElement({den_gen: 1, Word(): -1})
     denominator = phi_map(rep, den_elem).det()
     try:

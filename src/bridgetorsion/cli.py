@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: invariants, compare, oracle, catalog, selftest.
-Exit codes: 0 success, 1 usage error, 2 any record or row error.
+Exit codes: 0 success, 1 usage error, 2 any record or row error (an
+undetermined comparison included).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .pipeline import (
     Config,
     compare_knots,
     compute_invariants,
+    format_deviation,
     knot_report,
     parse_fraction,
     run_catalog,
@@ -48,7 +50,6 @@ def _build_parser():
     inv.add_argument("fraction", help="two-bridge fraction p/q, e.g. 5/3")
     inv.add_argument("--json", action="store_true", help="emit the JSON report")
     inv.add_argument("--precision", choices=("double", "extended"), default="double")
-    inv.add_argument("--h0", type=float, default=None, help="largest continuation step")
     inv.add_argument("--tol", type=float, default=None, help="coefficient zero tolerance")
     inv.add_argument("--force-generic", action="store_true",
                      help="skip torus closed-form shortcuts")
@@ -81,8 +82,6 @@ def _config(args):
     kwargs = {}
     if getattr(args, "precision", None):
         kwargs["precision"] = args.precision
-    if getattr(args, "h0", None) is not None:
-        kwargs["h0"] = args.h0
     if getattr(args, "tol", None) is not None:
         kwargs["zero_tol"] = args.tol
     if getattr(args, "force_generic", False):
@@ -128,9 +127,9 @@ def _cmd_compare(args):
         )
     else:
         print(f"{a.label} vs {b.label}: {verdict.verdict}")
-        print(f"  max multiset deviation: {verdict.max_multiset_deviation:.3e}")
+        print(f"  max multiset deviation: {format_deviation(verdict.max_multiset_deviation, '.3e')}")
         print(f"  congruence q' = +/-q^(+/-1) mod p: {verdict.congruence_match}")
-    return 0
+    return 2 if verdict.verdict == "undetermined" else 0
 
 
 def _cmd_oracle(args):
@@ -169,7 +168,7 @@ def _cmd_catalog(args):
     for v in report["verdicts"]:
         (pa, qa), (pb, qb) = v["knots"]
         print(f"  b({pa},{qa}) vs b({pb},{qb}): {v['verdict']}"
-              f" (dev {v['maxMultisetDeviation']:.2e})")
+              f" (dev {format_deviation(v['maxMultisetDeviation'], '.2e')})")
     if args.out:
         print(f"report written to {args.out}")
     return 2 if (n_errors or record_errors) else 0

@@ -1,29 +1,94 @@
 """The Riley curve through a metabelian point: residual and derivatives,
-Newton continuation, trace functions, and the limit defining the rational
-function F on the character variety.
+Newton continuation, trace functions, and the rational function F on the
+character variety as a Taylor coefficient along the curve.
 
 The curve is parametrized by s (hence by s + 1/s), which keeps every
-quantity of record independent of the sqrt(s) branch.
+quantity of record independent of the sqrt(s) branch.  Near the metabelian
+point s = -1 + h, and -(I_muhat + 2) = h^2 + O(h^3) while I_lam - 2 has a
+double zero; so F = 1 / [h^2] I_lam.  The longitude image L is the identity
+at the metabelian point and tr L - 2 = -det(L - I) on SL2, so
+[h^2] I_lam = -det([h^1] L): first-order Taylor arithmetic pushed through
+the word products gives the coefficient exactly, and far better
+conditioned than the h^2 coefficient of the trace itself.  The cross-check
+reads that h^2 coefficient of the trace off second-order partials instead,
+so it shares neither the solve nor the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     EstimateDisagreement,
+    LongitudeNotIdentity,
     NewtonDivergence,
-    RootCollision,
     SingularPoint,
     ZeroParameter,
 )
-from .numerics import RingMatrix, richardson_limit
+from .numerics import RingMatrix
 from .precision import DOUBLE
-from .reps import evaluate_word, metabelian_u, riley_rep, word_product
+from .reps import evaluate_word, metabelian_u, riley_images, riley_rep, word_product
 from .words import longitude_word
 
+#: Identifies how evaluate_F computes F; part of the cache fingerprint.
+F_METHOD = "taylor-h2"
 
-class Dual:
+#: Largest max|[h^0] L - I| accepted for the longitude image L at the
+#: metabelian point, the precondition of the determinant identity; rounding
+#: leaves below 1e-12 through p = 101.
+IDENTITY_TOL = 1e-8
+
+
+class _Jet:
+    """Arithmetic shared by the jets below: a scalar value plus a nilpotent
+    part n with n^3 = 0.  Subclasses list the value and then the higher
+    coefficients in ``__slots__`` and supply __init__, __add__ and __mul__
+    (which accept plain scalars too); with r = n/v, reciprocals and square
+    roots follow from 1/(v + n) = (1 - r + r^2)/v and
+    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8), where r^2 vanishes for the
+    first-order jets."""
+
+    __slots__ = ()
+
+    def coeffs(self):
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __radd__(self, o):
+        return self + o
+
+    def __rmul__(self, o):
+        return self * o
+
+    def __neg__(self):
+        return type(self)(*(-c for c in self.coeffs()))
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __truediv__(self, o):
+        return self * (o.reciprocal() if isinstance(o, _Jet) else 1 / o)
+
+    def __rtruediv__(self, o):
+        return self.reciprocal() * o
+
+    def _nilpotent_ratio(self):
+        v, *rest = self.coeffs()
+        r = 1 / v
+        return type(self)(v * 0, *(c * r for c in rest))
+
+    def reciprocal(self):
+        r = self._nilpotent_ratio()
+        return (1 - r + r * r) * (1 / self.val)
+
+    def sqrt(self, scalar_sqrt):
+        r = self._nilpotent_ratio()
+        return (1 + r * 0.5 - r * r * 0.125) * scalar_sqrt(self.val)
+
+
+class Dual(_Jet):
     """First-order jet a + b*eps_u + c*eps_s carrying partials in (u, s)."""
 
     __slots__ = ("val", "du", "ds")
@@ -33,51 +98,87 @@ class Dual:
         self.du = du
         self.ds = ds
 
-    @staticmethod
-    def _lift(x):
-        return x if isinstance(x, Dual) else Dual(x)
-
     def __add__(self, o):
-        o = Dual._lift(o)
-        return Dual(self.val + o.val, self.du + o.du, self.ds + o.ds)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.val, -self.du, -self.ds)
-
-    def __sub__(self, o):
-        return self + (-Dual._lift(o))
-
-    def __rsub__(self, o):
-        return (-self) + o
+        if isinstance(o, Dual):
+            return Dual(self.val + o.val, self.du + o.du, self.ds + o.ds)
+        return Dual(self.val + o, self.du, self.ds)
 
     def __mul__(self, o):
-        o = Dual._lift(o)
-        return Dual(
-            self.val * o.val,
-            self.val * o.du + self.du * o.val,
-            self.val * o.ds + self.ds * o.val,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = Dual._lift(o)
-        inv = 1 / o.val
-        q = self.val * inv
-        return Dual(q, (self.du - q * o.du) * inv, (self.ds - q * o.ds) * inv)
-
-    def __rtruediv__(self, o):
-        return Dual._lift(o) / self
-
-    def sqrt(self, scalar_sqrt):
-        r = scalar_sqrt(self.val)
-        half = 1 / (2 * r)
-        return Dual(r, self.du * half, self.ds * half)
+        if isinstance(o, Dual):
+            return Dual(
+                self.val * o.val,
+                self.val * o.du + self.du * o.val,
+                self.val * o.ds + self.ds * o.val,
+            )
+        return Dual(self.val * o, self.du * o, self.ds * o)
 
     def __repr__(self):
         return f"Dual({self.val!r}, du={self.du!r}, ds={self.ds!r})"
+
+
+class Series(_Jet):
+    """Power series val + h1*h truncated mod h^2, in the step h along the
+    curve."""
+
+    __slots__ = ("val", "h1")
+
+    def __init__(self, val, h1=0.0):
+        self.val = val
+        self.h1 = h1
+
+    def __add__(self, o):
+        if isinstance(o, Series):
+            return Series(self.val + o.val, self.h1 + o.h1)
+        return Series(self.val + o, self.h1)
+
+    def __mul__(self, o):
+        if isinstance(o, Series):
+            return Series(self.val * o.val, self.val * o.h1 + self.h1 * o.val)
+        return Series(self.val * o, self.h1 * o)
+
+    def __repr__(self):
+        return f"Series({self.val!r}, h1={self.h1!r})"
+
+
+class Jet2(_Jet):
+    """Second-order jet in (u, s): the value, then the Taylor coefficients
+    of du, ds, du^2, du ds and ds^2; terms of total degree 3 are dropped."""
+
+    __slots__ = ("val", "u", "s", "uu", "us", "ss")
+
+    def __init__(self, val, u=0.0, s=0.0, uu=0.0, us=0.0, ss=0.0):
+        self.val = val
+        self.u = u
+        self.s = s
+        self.uu = uu
+        self.us = us
+        self.ss = ss
+
+    def __add__(self, o):
+        if isinstance(o, Jet2):
+            return Jet2(
+                self.val + o.val, self.u + o.u, self.s + o.s,
+                self.uu + o.uu, self.us + o.us, self.ss + o.ss,
+            )
+        return Jet2(self.val + o, self.u, self.s, self.uu, self.us, self.ss)
+
+    def __mul__(self, o):
+        a0, au, as_ = self.val, self.u, self.s
+        if isinstance(o, Jet2):
+            b0, bu, bs = o.val, o.u, o.s
+            return Jet2(
+                a0 * b0,
+                a0 * bu + au * b0,
+                a0 * bs + as_ * b0,
+                a0 * o.uu + au * bu + self.uu * b0,
+                a0 * o.us + au * bs + as_ * bu + self.us * b0,
+                a0 * o.ss + as_ * bs + self.ss * b0,
+            )
+        return Jet2(a0 * o, au * o, as_ * o, self.uu * o, self.us * o, self.ss * o)
+
+    def __repr__(self):
+        parts = (f"{n}={c!r}" for n, c in zip(self.__slots__, self.coeffs()))
+        return f"Jet2({', '.join(parts)})"
 
 
 @dataclass(frozen=True)
@@ -90,65 +191,51 @@ class RileyPoint:
 
 
 @dataclass(frozen=True)
-class TraceSample:
-    """Trace data at a curve point: i_mu_hat = s + 1/s, i_lambda = tr rho(lambda)."""
-
-    i_mu_hat: complex
-    i_lambda: complex
-
-
-@dataclass(frozen=True)
 class LimitConfig:
-    """Knobs of the continuation-and-limit machinery.
+    """Knobs of the curve solves and of the F cross-check."""
 
-    h0 = 2e-2 keeps the smallest grid step at 1.25e-3: below that,
-    cancellation noise in I_lambda - 2 (a double zero) dominates the
-    Richardson columns whenever H_hat(-2) is small."""
-
-    h0: float = 2e-2
-    levels: int = 5
-    step_ratio: float = 2.0
     newton_tol: float = 1e-12
     singular_tol: float = 1e-8
     cross_tol: float = 1e-5
-    fd_fraction: float = 0.25
-    min_h0: float = 1e-6
     max_newton_iter: int = 50
 
 
 @dataclass(frozen=True)
 class FEstimate:
-    """Result of the F evaluation: the ratio estimate is the value of record,
-    the direct finite-difference estimate is its independent cross-check."""
+    """Result of the F evaluation.
+
+    ``value`` (the value of record) comes from the series solve, ``direct``
+    (its independent cross-check) from the implicit-function formula.  The
+    double zero of I_lam - 2 shows in ``lam_gap0`` = |[h^0] I_lam - 2| and
+    ``lam_gap1`` = |[h^1] I_lam|, and ``lon_gap0`` = max|[h^0] L - I| is the
+    precondition of the determinant identity; ``max_residual`` is the
+    largest coefficient of phi left by the series Newton solve."""
 
     value: complex
     direct: complex
     rel_disagreement: float
-    error_estimate: float
-    direct_error_estimate: float
     max_residual: float
-    h0_used: float
-    diagnostics: dict = field(default_factory=dict)
+    lam_gap0: float
+    lam_gap1: float
+    lon_gap0: float
+
+
+def _relator_terms(knot, s, img_x, img_y):
+    """(W11, (1-s) W12) for the image W of the relator word; phi is their
+    sum, and their magnitudes set the scale phi is evaluated at."""
+    w = word_product(img_x, img_y, knot.word)
+    return w.entries[0], (1 - s) * w.entries[1]
 
 
 def _dual_phi(knot, s, u, prec=DOUBLE, branch=1):
-    """phi = W11 + (1-s) W12 with forward-mode partials; also returns the
-    pre-cancellation magnitude of the two summands (the evaluation scale)."""
+    """phi = W11 + (1-s) W12 with forward-mode partials, and its evaluation
+    scale."""
     if s == 0:
         raise ZeroParameter("Riley residual needs s != 0")
     sd = Dual(s, 0.0, 1.0)
-    ud = Dual(u, 1.0, 0.0)
-    rs = sd.sqrt(prec.sqrt) * branch
-    inv = 1 / rs
-    zero = Dual(rs.val * 0)
-    img_x = RingMatrix(2, (rs, inv, zero, inv))
-    img_y = RingMatrix(2, (rs, zero, -(ud * rs), inv))
-    w = word_product(img_x, img_y, knot.word)
-    w11, w12 = w.entries[0], w.entries[1]
-    one_minus_s = Dual(1 - s, 0.0, -1.0)
-    phi = w11 + one_minus_s * w12
-    scale = abs(w11.val) + abs(one_minus_s.val * w12.val) + 1.0
-    return phi, float(scale)
+    images = riley_images(sd.sqrt(prec.sqrt) * branch, Dual(u, 1.0, 0.0))
+    w11, second = _relator_terms(knot, sd, *images)
+    return w11 + second, float(abs(w11.val) + abs(second.val) + 1.0)
 
 
 def riley_residual(knot, s, u, prec=DOUBLE, branch=1):
@@ -175,6 +262,19 @@ def trace_longitude(knot, s, u, prec=DOUBLE, branch=1):
     """Trace of the longitude image under the Riley representation."""
     rep = riley_rep(s, u, prec, branch)
     return evaluate_word(rep, longitude_word(knot)).trace()
+
+
+def _metabelian_point(knot, kprime, prec, cfg):
+    """(u_{k'}, phi, dphi/du) at the metabelian point s = -1; raises
+    SingularPoint where the curve through it is not smooth."""
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    val, du, _ = riley_residual(knot, -1.0, u_meta, prec)
+    if abs(du) < cfg.singular_tol:
+        raise SingularPoint(
+            f"curve through u_{kprime} of {knot.label} is singular: "
+            f"|dphi/du| = {float(abs(du)):.3e}"
+        )
+    return u_meta, val, du
 
 
 def _newton_u(knot, s, u0, prec, cfg):
@@ -205,13 +305,7 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, cfg=LimitConfig(), seed=N
     Checks smoothness |dphi/du| at the seed point (-1, u_{k'}) first; h = 0
     returns the metabelian point itself.
     """
-    u_meta = metabelian_u(knot.p, kprime, prec)
-    val0, du0, _ = riley_residual(knot, -1.0, u_meta, prec)
-    if abs(du0) < cfg.singular_tol:
-        raise SingularPoint(
-            f"curve through u_{kprime} of {knot.label} is singular: "
-            f"|dphi/du| = {float(abs(du0)):.3e}"
-        )
+    u_meta, val0, _ = _metabelian_point(knot, kprime, prec, cfg)
     if h == 0:
         return RileyPoint(-1.0, u_meta, float(abs(val0)))
     u0 = u_meta if seed is None else seed
@@ -219,147 +313,110 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, cfg=LimitConfig(), seed=N
     return RileyPoint(-1.0 + h, u, resid)
 
 
-def _solve_grid(knot, kprime, hs, prec, cfg):
-    """Points at every h in ascending order, each seeded from the previous.
+def longitude_series(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
+    """The longitude image along the Riley curve at s = -1 + h, as a matrix
+    of Series, and the residual of the series solve.
 
-    At the smallest h the solution must sit closer to u_{k'} than to any
-    other metabelian root; landing elsewhere means the branches were not
-    separated at this step size."""
-    pts = {}
-    seed = None
-    for h in hs:
-        pt = continue_riley_curve(knot, kprime, h, prec, cfg, seed=seed)
-        pts[h] = pt
-        seed = pt.u
-    half = (knot.p - 1) // 2
-    u_first = pts[hs[0]].u
-    dists = [abs(u_first - metabelian_u(knot.p, j, prec)) for j in range(1, half + 1)]
-    if min(range(half), key=lambda j: dists[j]) != kprime - 1:
-        raise RootCollision(
-            f"root at h={hs[0]:.2e} is nearer to a different metabelian point"
+    u(h) solves phi(-1 + h, u(h)) = 0 by Newton on series, started at u_{k'}
+    with the slope dphi/du of the metabelian point; each step fixes one more
+    coefficient, so two evaluations of phi usually suffice.  The stopping
+    rule is the scalar one, applied to the largest coefficient."""
+    u_meta, _, slope = _metabelian_point(knot, kprime, prec, cfg)
+    zero = u_meta * 0
+    s = Series(zero - 1, zero + 1)
+    rs = s.sqrt(prec.sqrt)
+    u = Series(u_meta, zero)
+    step = 1 / slope
+    for _ in range(cfg.max_newton_iter):
+        images = riley_images(rs, u)
+        w11, second = _relator_terms(knot, s, *images)
+        phi = w11 + second
+        resid = max(float(abs(c)) for c in phi.coeffs())
+        scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
+        if resid <= cfg.newton_tol * (scale + 1.0):
+            return word_product(*images, longitude_word(knot)), resid
+        u = u - phi * step
+    raise NewtonDivergence(
+        f"series solve through u_{kprime} of {knot.label} did not converge "
+        f"in {cfg.max_newton_iter} iterations"
+    )
+
+
+def _identity_gap(lon):
+    """max|[h^0] L - I| for the longitude series L."""
+    return max(float(abs(e.val - i)) for e, i in zip(lon.entries, (1, 0, 0, 1)))
+
+
+def _h2_of_trace(knot, kprime, lon):
+    """[h^2] tr L from [h^1] L, for L in SL2 with L(0) = I:
+    tr L - 2 = -det(L - I) = -h^2 det([h^1] L) + O(h^3).  Raises
+    LongitudeNotIdentity where L(0) = I fails beyond IDENTITY_TOL."""
+    gap = _identity_gap(lon)
+    if gap > IDENTITY_TOL:
+        raise LongitudeNotIdentity(
+            f"longitude image at u_{kprime} of {knot.label} is not the identity: "
+            f"max|L - I| = {gap:.3e} (> {IDENTITY_TOL:.1e})"
         )
-    return pts
+    return -RingMatrix(2, [e.h1 for e in lon.entries]).det()
 
 
-def _i_mu_hat_parts(h):
-    """(i_mu_hat - 2, i_mu_hat + 2) at s = -1 + h, via the cancellation-free
-    closed forms (s-1)^2/s and (s+1)^2/s."""
-    s = -1.0 + h
-    return (s - 1.0) ** 2 / s, h * h / s
+def fitted_local_form(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
+    """H_hat(-2) = [h^2] I_lam, where I_lam - 2 = -(I_muhat + 2) * H_hat(I_muhat)
+    locally; equals 1/F and for the figure-eight knot comes out 5."""
+    lon, _ = longitude_series(knot, kprime, cfg, prec)
+    return _h2_of_trace(knot, kprime, lon)
 
 
-def _curve_traces(knot, kprime, prec, cfg):
-    """Solve the full h-grid (base levels plus finite-difference companions)
-    and collect longitude traces.  Halves h0 and retries on branch trouble;
-    below min_h0 the roots are reported as colliding."""
-    h0 = cfg.h0
-    while True:
-        base = [h0 / cfg.step_ratio ** j for j in range(cfg.levels - 1, -1, -1)]
-        fd = []
-        for h in base:
-            fd.extend((h * (1 - cfg.fd_fraction), h * (1 + cfg.fd_fraction)))
-        all_h = sorted(set(base) | set(fd))
-        try:
-            pts = _solve_grid(knot, kprime, all_h, prec, cfg)
-            break
-        except (NewtonDivergence, RootCollision):
-            h0 /= 2
-            if h0 < cfg.min_h0:
-                raise RootCollision(
-                    f"could not separate Riley roots above h = {cfg.min_h0:.1e} "
-                    f"for {knot.label}, k' = {kprime}"
-                )
-    traces = {}
-    for h, pt in pts.items():
-        traces[h] = trace_longitude(knot, pt.s, pt.u, prec)
-    max_resid = max(pt.residual for pt in pts.values())
-    return base, traces, max_resid, h0
+def implicit_local_form(knot, kprime, prec=DOUBLE):
+    """[h^2] I_lam again, by the implicit function theorem from the
+    second-order partials of phi and of the longitude trace at the
+    metabelian point (-1, u_{k'}), with no solve and without the
+    determinant identity of ``fitted_local_form``.
+
+    In Taylor coefficients, with s = -1 + h and u = u_{k'} + u' h + u'' h^2,
+    u' = -phi_s/phi_u, u'' = -(phi_ss + phi_su u' + phi_uu u'^2)/phi_u and
+    [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''."""
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    zero = u_meta * 0
+    s = Jet2(zero - 1, zero, zero + 1, zero, zero, zero)
+    images = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero, zero, zero))
+    w11, second = _relator_terms(knot, s, *images)
+    phi = w11 + second
+    lam = word_product(*images, longitude_word(knot)).trace()
+    u1 = -phi.s / phi.u
+    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
+    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
 
 
 def evaluate_F(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
-    at the metabelian character chi_{rho_{k'}}, by two independent limits.
+    at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
-    (a) ratio estimate: F = lim -(I_muhat + 2)/(I_lam - 2) along the curve;
-    (b) direct estimate of the defining expression with dI_lam/dI_muhat by
-        centered finite differences along the curve.
-    Both are Richardson-extrapolated over the geometric h-grid; (a) is the
-    value of record and a disagreement beyond cross_tol raises.
+    (a) the value of record takes [h^2] I_lam from the series solve
+        (``fitted_local_form``);
+    (b) the cross-check takes it from the implicit-function formula
+        (``implicit_local_form``), which shares neither the solve nor the
+        determinant identity with (a).
+    A relative disagreement beyond cross_tol raises.
     """
-    base, traces, max_resid, h0 = _curve_traces(knot, kprime, prec, cfg)
-
-    ratio_samples = []
-    direct_samples = []
-    for h in base:
-        minus2, plus2 = _i_mu_hat_parts(h)
-        lam = traces[h]
-        ratio_samples.append((h, -plus2 / (lam - 2.0)))
-
-        hm, hp = h * (1 - cfg.fd_fraction), h * (1 + cfg.fd_fraction)
-        d_mu_hat = _i_mu_hat_parts(hp)[1] - _i_mu_hat_parts(hm)[1]
-        d_lam = traces[hp] - traces[hm]
-        dmu_dlam = d_mu_hat / d_lam
-        lam_sq_m4 = (lam - 2.0) * (lam + 2.0)
-        mu_sq_m4 = minus2 * plus2
-        direct_samples.append((h, lam_sq_m4 / mu_sq_m4 * dmu_dlam * dmu_dlam))
-
-    value, err = richardson_limit(ratio_samples, ratio=cfg.step_ratio)
-    direct, derr = richardson_limit(direct_samples, ratio=cfg.step_ratio)
+    lon, resid = longitude_series(knot, kprime, cfg, prec)
+    lam = lon.trace()
+    value = 1 / _h2_of_trace(knot, kprime, lon)
+    direct = 1 / implicit_local_form(knot, kprime, prec)
     rel = float(abs(value - direct) / max(abs(value), abs(direct), 1e-300))
-    est = FEstimate(
-        value=value,
-        direct=direct,
-        rel_disagreement=rel,
-        error_estimate=err,
-        direct_error_estimate=derr,
-        max_residual=max_resid,
-        h0_used=h0,
-        diagnostics={"samples": len(base)},
-    )
     if rel > cfg.cross_tol:
-        exc = EstimateDisagreement(
+        raise EstimateDisagreement(
             f"F estimates disagree by {rel:.3e} (> {cfg.cross_tol:.1e}) for "
-            f"{knot.label}, k' = {kprime}: ratio {value!r} vs direct {direct!r}",
+            f"{knot.label}, k' = {kprime}: series {value!r} vs implicit {direct!r}",
             ratio_value=value,
             direct_value=direct,
         )
-        exc.estimate = est
-        raise exc
-    return est
-
-
-def trace_samples(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
-    """(h, TraceSample) rows along the continuation grid, smallest h first;
-    as h -> 0 the samples approach the metabelian values (-2, 2)."""
-    base, traces, _, _ = _curve_traces(knot, kprime, prec, cfg)
-    rows = []
-    for h in base:
-        _, plus2 = _i_mu_hat_parts(h)
-        rows.append((h, TraceSample(i_mu_hat=plus2 - 2.0, i_lambda=traces[h])))
-    return rows
-
-
-def fitted_local_form(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
-    """H_hat(-2) where I_lam - 2 = -(I_muhat + 2) * H_hat(I_muhat) locally;
-    equals 1/F and for the figure-eight knot comes out 5."""
-    base, traces, _, _ = _curve_traces(knot, kprime, prec, cfg)
-    samples = []
-    for h in base:
-        _, plus2 = _i_mu_hat_parts(h)
-        samples.append((h, -(traces[h] - 2.0) / plus2))
-    value, _ = richardson_limit(samples, ratio=cfg.step_ratio)
-    return value
-
-
-def double_zero_profile(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
-    """(h, I_lam - 2, (I_lam - 2)/(I_muhat + 2)) rows along the curve; the
-    second column tends to 0 while the third converges to a nonzero limit,
-    the executable form of the double zero of I_lam - 2 at the metabelian
-    point."""
-    base, traces, _, _ = _curve_traces(knot, kprime, prec, cfg)
-    rows = []
-    for h in base:
-        _, plus2 = _i_mu_hat_parts(h)
-        lam = traces[h]
-        rows.append((h, lam - 2.0, (lam - 2.0) / plus2))
-    return rows
+    return FEstimate(
+        value=value,
+        direct=direct,
+        rel_disagreement=rel,
+        max_residual=resid,
+        lam_gap0=float(abs(lam.val - 2)),
+        lam_gap1=float(abs(lam.h1)),
+        lon_gap0=_identity_gap(lon),
+    )

@@ -49,17 +49,18 @@ class NewtonDivergence(TorsionError):
     """Newton iteration failed to converge on the Riley curve."""
 
 
-class RootCollision(TorsionError):
-    """Nearby Riley roots could not be separated even at tiny step sizes."""
-
-
 class EstimateDisagreement(TorsionError):
-    """The two independent limit estimates disagree beyond tolerance."""
+    """The two independent estimates of F disagree beyond tolerance."""
 
     def __init__(self, message, ratio_value=None, direct_value=None):
         super().__init__(message)
         self.ratio_value = ratio_value
         self.direct_value = direct_value
+
+
+class LongitudeNotIdentity(TorsionError):
+    """The longitude image at a metabelian point is not the identity, so the
+    determinant identity for [h^2] I_lam does not apply."""
 
 
 class ParseError(TorsionError):

@@ -17,13 +17,13 @@ from .alexander import (
     p_polynomial,
     wada_twisted_alexander,
 )
-from .curve import LimitConfig, evaluate_F, metabelian_pairing
+from .curve import F_METHOD, LimitConfig, evaluate_F, metabelian_pairing
 from .errors import (
     EstimateDisagreement,
     InexactDivision,
+    LongitudeNotIdentity,
     NewtonDivergence,
     ParseError,
-    RootCollision,
     SingularPoint,
     TorsionError,
 )
@@ -35,9 +35,9 @@ from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bri
 _RECORD_ERRORS = (
     SingularPoint,
     NewtonDivergence,
-    RootCollision,
     EstimateDisagreement,
     InexactDivision,
+    LongitudeNotIdentity,
 )
 
 
@@ -47,8 +47,6 @@ class Config:
 
     precision: str = "double"
     zero_tol: float = 1e-9
-    h0: float = 2e-2
-    levels: int = 5
     newton_tol: float = 1e-12
     singular_tol: float = 1e-8
     cross_tol: float = 1e-5
@@ -57,8 +55,6 @@ class Config:
 
     def limit_config(self):
         return LimitConfig(
-            h0=self.h0,
-            levels=self.levels,
             newton_tol=self.newton_tol,
             singular_tol=self.singular_tol,
             cross_tol=self.cross_tol,
@@ -67,10 +63,9 @@ class Config:
     def fingerprint(self):
         payload = {
             "version": __version__,
+            "f_method": F_METHOD,
             "precision": self.precision,
             "zero_tol": self.zero_tol,
-            "h0": self.h0,
-            "levels": self.levels,
             "newton_tol": self.newton_tol,
             "singular_tol": self.singular_tol,
             "cross_tol": self.cross_tol,
@@ -107,8 +102,8 @@ class InvariantRecord:
 class ComparisonVerdict:
     knot_a: TwoBridgeKnot
     knot_b: TwoBridgeKnot
-    verdict: str  # "equivalent-up-to-mirror" | "distinct"
-    max_multiset_deviation: float
+    verdict: str  # "equivalent-up-to-mirror" | "distinct" | "undetermined"
+    max_multiset_deviation: float | None  # None when undetermined
     congruence_match: bool
     determinants_match: bool
 
@@ -145,10 +140,10 @@ def _generic_record(knot, idx, cfg, prec, lens):
     diag = {
         "f_direct": [complex(est.direct).real, complex(est.direct).imag],
         "f_rel_disagreement": est.rel_disagreement,
-        "richardson_error": est.error_estimate,
-        "richardson_error_direct": est.direct_error_estimate,
         "newton_residual_max": est.max_residual,
-        "h0_used": est.h0_used,
+        "lam_gap0": est.lam_gap0,
+        "lam_gap1": est.lam_gap1,
+        "lon_gap0": est.lon_gap0,
         "path": "generic",
     }
     return InvariantRecord(
@@ -232,7 +227,7 @@ def tau_multiset(records):
 
 
 def _multiset_deviation(taus_a, taus_b):
-    if taus_a is None or taus_b is None or len(taus_a) != len(taus_b):
+    if len(taus_a) != len(taus_b):
         return float("inf")
     dev = 0.0
     for a, b in zip(taus_a, taus_b):
@@ -240,18 +235,29 @@ def _multiset_deviation(taus_a, taus_b):
     return dev
 
 
+def format_deviation(value, spec):
+    """A multiset deviation for display; "n/a" for an undetermined verdict."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def compare_knots(a, b, cfg=Config(), records_a=None, records_b=None):
     """Verdict per the torsion multisets, with the arithmetic congruence
-    q' = +/- q^{+/-1} mod p reported as independent confirmation."""
+    q' = +/- q^{+/-1} mod p reported as independent confirmation.  Any error
+    record on either side makes the verdict "undetermined", with no
+    deviation."""
     records_a = records_a if records_a is not None else compute_invariants(a, cfg)
     records_b = records_b if records_b is not None else compute_invariants(b, cfg)
     det_match = a.p == b.p
-    deviation = _multiset_deviation(tau_multiset(records_a), tau_multiset(records_b))
+    taus_a, taus_b = tau_multiset(records_a), tau_multiset(records_b)
     congruence = det_match and fractions_mirror_equivalent(a.p, a.q, b.q)
-    if det_match and deviation <= cfg.compare_tol:
-        verdict = "equivalent-up-to-mirror"
+    if taus_a is None or taus_b is None:
+        verdict, deviation = "undetermined", None
     else:
-        verdict = "distinct"
+        deviation = _multiset_deviation(taus_a, taus_b)
+        if det_match and deviation <= cfg.compare_tol:
+            verdict = "equivalent-up-to-mirror"
+        else:
+            verdict = "distinct"
     return ComparisonVerdict(
         knot_a=a,
         knot_b=b,

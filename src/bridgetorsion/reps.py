@@ -64,12 +64,18 @@ def riley_rep(s, u, prec=DOUBLE, branch=1):
     """
     if s == 0:
         raise ZeroParameter("riley_rep needs s != 0")
-    rs = prec.sqrt(s) * branch
+    img_x, img_y = riley_images(prec.sqrt(s) * branch, u)
+    return Rep2(img_x, img_y, "riley", (s, u))
+
+
+def riley_images(rs, u):
+    """Riley's images of x and y from sqrt(s) and u, in whatever ring rs and
+    u live in (scalars, or the jets of the curve module)."""
     inv = 1 / rs
     zero = rs * 0
     img_x = RingMatrix(2, (rs, inv, zero, inv))
-    img_y = RingMatrix(2, (rs, zero, -u * rs, inv))
-    return Rep2(img_x, img_y, "riley", (s, u))
+    img_y = RingMatrix(2, (rs, zero, -(u * rs), inv))
+    return img_x, img_y
 
 
 def word_product(img_x, img_y, w):
@@ -104,9 +110,35 @@ def phi_map(rep, element):
         element = GroupRingElement.from_word(element)
     acc = [{} for _ in range(4)]
     for w, c in element.terms.items():
-        a = abelianization(w)
-        m = evaluate_word(rep, w)
-        for pos in range(4):
-            d = acc[pos]
-            d[a] = d.get(a, 0) + c * m.entries[pos]
+        _accumulate(acc, abelianization(w), c, evaluate_word(rep, w))
     return RingMatrix(2, tuple(LaurentPoly(d) for d in acc))
+
+
+def fox_image(rep, w, gen):
+    """Phi(dw/dgen), equal to phi_map(rep, fox_derivative(w, gen)).
+
+    Walks w once with a running prefix product, so it costs O(len w) 2x2
+    products where phi_map multiplies every Fox term's word from scratch.
+    Fox's rules give the terms: +prefix before each letter gen, -prefix
+    after each letter gen^-1."""
+    images = {"x": rep.img_x, "y": rep.img_y}
+    prefix = RingMatrix.identity_like(rep.img_x.entries[0])
+    acc = [{} for _ in range(4)]
+    a = 0
+    for g, e in w.letters:
+        m = images[g] if e > 0 else images[g].adjugate()
+        step = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if g == gen and e > 0:
+                _accumulate(acc, a, 1, prefix)
+            prefix = prefix * m
+            a += step
+            if g == gen and e < 0:
+                _accumulate(acc, a, -1, prefix)
+    return RingMatrix(2, tuple(LaurentPoly(d) for d in acc))
+
+
+def _accumulate(acc, exponent, coeff, m):
+    """Add coeff * t^exponent * m into the four coefficient maps."""
+    for d, entry in zip(acc, m.entries):
+        d[exponent] = d.get(exponent, 0) + coeff * entry

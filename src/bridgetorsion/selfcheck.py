@@ -13,7 +13,7 @@ from .alexander import wada_twisted_alexander
 from .curve import fitted_local_form, riley_residual
 from .numerics import LaurentPoly, units_equal
 from .oracles import LensSpace, lens_torsion_magnitude, torus_F, torus_P1_squared
-from .pipeline import Config, compare_knots, compute_invariants
+from .pipeline import Config, compare_knots, compute_invariants, format_deviation
 from .reps import metabelian_rep, metabelian_u
 from .words import normalize_two_bridge
 
@@ -245,8 +245,8 @@ class AcceptanceSuite:
             9,
             "classification verdicts b(7,3)~b(7,5), b(11,3)!=b(11,5)",
             ok,
-            f"7: {v1.verdict} (dev {v1.max_multiset_deviation:.1e}), "
-            f"11: {v2.verdict} (dev {v2.max_multiset_deviation:.1e})",
+            f"7: {v1.verdict} (dev {format_deviation(v1.max_multiset_deviation, '.1e')}), "
+            f"11: {v2.verdict} (dev {format_deviation(v2.max_multiset_deviation, '.1e')})",
         )
 
     def criterion_10(self):
@@ -266,7 +266,7 @@ class AcceptanceSuite:
         ok = ok and worst <= 1e-5
         return CriterionResult(
             10,
-            "limit estimates (a) and (b) agree on every record",
+            "F estimates (a) and (b) agree on every record",
             ok,
             f"max rel disagreement {worst:.2e}",
         )

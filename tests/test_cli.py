@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from bridgetorsion import curve
 from bridgetorsion.cli import main
 
 
@@ -57,6 +58,23 @@ def test_compare(capsys):
     code, out, _ = run_cli(capsys, ["compare", "11/3", "11/5"])
     assert code == 0
     assert "distinct" in out
+
+
+def test_compare_equivalent_fractions_of_one_knot(capsys):
+    # 21/8 names the mirror of b(21,13); this pair once failed a record
+    code, out, _ = run_cli(capsys, ["compare", "21/13", "21/8", "--json"])
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["verdict"] == "equivalent-up-to-mirror"
+    assert verdict["maxMultisetDeviation"] <= 1e-6
+
+
+def test_compare_with_record_errors_is_undetermined(capsys, monkeypatch):
+    exact = curve.implicit_local_form
+    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    code, out, _ = run_cli(capsys, ["compare", "7/3", "7/5"])
+    assert code == 2
+    assert "undetermined" in out
 
 
 def test_oracle_tables(capsys):

@@ -4,26 +4,30 @@ import random
 
 import pytest
 
+from bridgetorsion import curve
 from bridgetorsion.curve import (
     Dual,
+    Jet2,
     LimitConfig,
+    Series,
     continue_riley_curve,
-    double_zero_profile,
     evaluate_F,
     fitted_local_form,
+    implicit_local_form,
+    longitude_series,
     metabelian_pairing,
     riley_residual,
     trace_longitude,
-    trace_samples,
 )
 from bridgetorsion.errors import (
     EstimateDisagreement,
+    LongitudeNotIdentity,
     NewtonDivergence,
     SingularPoint,
     ZeroParameter,
 )
 from bridgetorsion.reps import metabelian_u
-from bridgetorsion.words import normalize_two_bridge
+from bridgetorsion.words import Word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
@@ -47,6 +51,41 @@ def test_dual_sqrt_derivative():
     r = x.sqrt(cmath.sqrt)
     assert abs(r.val - 2.0) < 1e-15
     assert abs(r.du - 0.25) < 1e-15
+
+
+# -- truncated series ----------------------------------------------------------------
+
+
+def test_series_arithmetic():
+    a = Series(2.0, 3.0)
+    b = Series(4.0, 5.0)
+    prod = a * b  # (2 + 3h)(4 + 5h) mod h^2
+    assert (prod.val, prod.h1) == (8.0, 22.0)
+    quot = a / b
+    assert abs(quot.val - 0.5) < 1e-15
+    assert abs(quot.h1 - (3 * 4 - 2 * 5) / 16) < 1e-15
+    assert (1 - a).coeffs() == [-1.0, -3.0]
+
+
+def test_series_sqrt_at_metabelian_parameter():
+    # sqrt(-1 + h) = i sqrt(1 - h) = i (1 - h/2 + ...)
+    r = Series(-1.0, 1.0).sqrt(cmath.sqrt)
+    assert abs(r.val - 1j) < 1e-15
+    assert abs(r.h1 + 0.5j) < 1e-15
+    sq = r * r
+    assert abs(sq.val + 1) < 1e-15 and abs(sq.h1 - 1) < 1e-15
+
+
+def test_jet2_arithmetic():
+    u = Jet2(2.0, 1.0)  # 2 + du
+    s = Jet2(3.0, 0.0, 1.0)  # 3 + ds
+    assert (u * s).coeffs() == [6.0, 3.0, 2.0, 0.0, 1.0, 0.0]
+    # 1/(1 + x) = 1 - x + x^2 with x = du + ds
+    inv = (u + s - 4).reciprocal()
+    assert inv.coeffs() == [1.0, -1.0, -1.0, 1.0, 2.0, 1.0]
+    # sqrt(-1 + ds) = i (1 - ds/2 - ds^2/8)
+    r = Jet2(-1.0, 0.0, 1.0).sqrt(cmath.sqrt)
+    assert r.coeffs() == [1j, 0j, -0.5j, 0j, 0j, -0.125j]
 
 
 # -- Riley residual -------------------------------------------------------------------
@@ -192,32 +231,47 @@ def test_singular_guard_and_newton_budget():
         continue_riley_curve(knot, 1, 1e-2, cfg=LimitConfig(max_newton_iter=1))
 
 
-# -- the double zero and the limit F -----------------------------------------------------
+# -- the double zero and F as a Taylor coefficient ------------------------------------
 
 
 def test_double_zero_structure():
-    knot = normalize_two_bridge(7, 3)
-    rows = double_zero_profile(knot, 2)
-    gaps = [abs(row[1]) for row in rows]  # I_lambda - 2 -> 0, quadratically in h
-    assert all(a < b for a, b in zip(gaps, gaps[1:]))
-    assert gaps[0] < 1e-4
-    assert gaps[0] < gaps[-1] / 100  # four halvings of h: factor ~256
-    ratios = [row[2] for row in rows]  # converges to a finite nonzero limit
-    assert abs(ratios[0]) > 1e-3
-    assert abs(ratios[0] - ratios[1]) < abs(ratios[-1] - ratios[-2])
+    # I_lambda - 2 vanishes to second order at every metabelian point of the
+    # census, and its h^2 coefficient (= 1/F) is finite and nonzero
+    for p, q in CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for kp in range(1, (p - 1) // 2 + 1):
+            lon, resid = longitude_series(knot, kp)
+            lam = lon.trace()
+            h2 = fitted_local_form(knot, kp)
+            assert abs(lam.val - 2) < 1e-10, (p, q, kp)
+            assert abs(lam.h1) < 1e-10 * max(1, abs(h2)), (p, q, kp)
+            assert 1e-3 < abs(h2) < 1e6, (p, q, kp)
+            assert resid < 1e-10
 
 
-def test_trace_samples_approach_metabelian_values():
+def test_longitude_series_matches_point_solves():
+    # 2 + [h^2] I_lam h^2 agrees with scalar Newton solves on the curve up to
+    # O(h^3), so both the series and the determinant identity hold
     knot = normalize_two_bridge(9, 5)
-    rows = trace_samples(knot, 3)
-    h0, first = rows[0]
-    assert h0 == min(h for h, _ in rows)
-    assert abs(first.i_mu_hat + 2) < 1e-5
-    assert abs(first.i_lambda - 2) < 1e-3
-    gaps_mu = [abs(s.i_mu_hat + 2) for _, s in rows]
-    gaps_lam = [abs(s.i_lambda - 2) for _, s in rows]
-    assert all(a < b for a, b in zip(gaps_mu, gaps_mu[1:]))
-    assert all(a < b for a, b in zip(gaps_lam, gaps_lam[1:]))
+    h2 = fitted_local_form(knot, 3)
+    errors = []
+    for h in (1e-2, 5e-3):
+        pt = continue_riley_curve(knot, 3, h)
+        exact = trace_longitude(knot, pt.s, pt.u)
+        errors.append(abs(2 + h2 * h * h - exact))
+    assert errors[0] < 0.05 * abs(h2) * 1e-2 ** 2  # small beside the h^2 term
+    assert 6 < errors[0] / errors[1] < 10  # one halving of h: factor ~8
+
+
+def test_series_and_implicit_estimates_agree_on_census():
+    # (a) is -det([h^1] L) from the series solve; (b) is the h^2 coefficient
+    # of the trace itself, from second-order partials and no solve
+    for p, q in CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for kp in range(1, (p - 1) // 2 + 1):
+            a = fitted_local_form(knot, kp)
+            b = implicit_local_form(knot, kp)
+            assert abs(a - b) <= 1e-9 * abs(a), (p, q, kp)
 
 
 def test_evaluate_F_figure_eight():
@@ -243,12 +297,32 @@ def test_fitted_local_form_figure_eight():
         assert abs(h - 5.0) < 1e-4
 
 
-def test_estimate_disagreement_raises():
+def test_estimate_disagreement_raises(monkeypatch):
+    # the two estimates agree far inside cross_tol, so skew the cross-check
+    exact = curve.implicit_local_form
+    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
     knot = normalize_two_bridge(5, 3)
     with pytest.raises(EstimateDisagreement) as info:
-        evaluate_F(knot, 1, LimitConfig(cross_tol=1e-18))
+        evaluate_F(knot, 1)
     assert info.value.ratio_value is not None
     assert info.value.direct_value is not None
+
+
+def test_longitude_not_identity_raises(monkeypatch):
+    # the determinant identity needs L = I at the metabelian point; a word
+    # whose image is not the identity there must be refused, not evaluated
+    monkeypatch.setattr(curve, "longitude_word", lambda knot: Word.parse("x"))
+    with pytest.raises(LongitudeNotIdentity):
+        evaluate_F(normalize_two_bridge(5, 3), 1)
+
+
+def test_evaluate_F_extended_precision():
+    from bridgetorsion.precision import get_precision
+
+    est = evaluate_F(normalize_two_bridge(7, 3), 2, prec=get_precision("extended"))
+    double = evaluate_F(normalize_two_bridge(7, 3), 2)
+    assert est.rel_disagreement < 1e-20
+    assert abs(complex(est.value) - double.value) < 1e-12 * abs(double.value)
 
 
 def test_mu_muhat_change_of_variable_identity():

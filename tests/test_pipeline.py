@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from bridgetorsion.oracles import LensSpace, lens_torsion_magnitude
+from bridgetorsion import curve, pipeline
+from bridgetorsion.oracles import LensSpace, lens_torsion_magnitude, lens_torsion_multiset
 from bridgetorsion.pipeline import (
     Config,
     cached_invariant_report,
@@ -17,6 +18,7 @@ from bridgetorsion.pipeline import (
     tau_multiset,
 )
 from bridgetorsion.errors import ParseError
+from bridgetorsion.selfcheck import AcceptanceSuite
 from bridgetorsion.words import normalize_two_bridge
 
 
@@ -70,6 +72,29 @@ def test_multiset_matches_lens_oracle():
         oracle = sorted(lens_torsion_magnitude(lens, k) for k in range(1, (p - 1) // 2 + 1))
         for a, b in zip(taus, oracle):
             assert abs(a - b) <= 1e-6 * max(a, b)
+
+
+# fractions where the step-grid limit used to fail or miss the oracle
+@pytest.mark.parametrize(
+    "p, q",
+    [(21, 13), (23, 7), (23, 11), (23, 13), (23, 21), (25, 13), (25, 23), (61, 17), (101, 31)],
+)
+def test_former_failures_match_lens_oracle(p, q):
+    taus = tau_multiset(compute_invariants(normalize_two_bridge(p, q)))
+    assert taus is not None
+    oracle = lens_torsion_multiset(LensSpace.of(p, q))
+    for a, b in zip(taus, oracle):
+        assert abs(a - b) <= 1e-6 * max(a, b)
+
+
+def test_multiset_invariant_under_inverse_fraction():
+    # q -> q^-1 mod p names the same knot up to mirror image
+    for p, q in ((7, 3), (11, 3), (13, 3), (17, 5), (19, 7)):
+        qinv = pow(q, -1, p)
+        assert qinv not in (q, p - q)
+        a = tau_multiset(compute_invariants(normalize_two_bridge(p, q)))
+        b = tau_multiset(compute_invariants(normalize_two_bridge(p, qinv)))
+        assert all(abs(x - y) <= 1e-9 * max(x, y) for x, y in zip(a, b)), (p, q)
 
 
 def test_mirror_input_normalizes_to_same_records():
@@ -129,10 +154,13 @@ def test_cache_bit_for_bit(tmp_path):
     assert report2 == report1 == fresh
 
 
-def test_fingerprint_sensitivity():
-    assert Config().fingerprint() != Config(h0=5e-3).fingerprint()
+def test_fingerprint_sensitivity(monkeypatch):
     assert Config().fingerprint() != Config(precision="extended").fingerprint()
     assert Config().fingerprint() == Config().fingerprint()
+    # a cache written by another method of computing F is never served
+    current = Config().fingerprint()
+    monkeypatch.setattr(pipeline, "F_METHOD", "richardson-grid")
+    assert Config().fingerprint() != current
 
 
 def test_catalog_run(tmp_path):
@@ -180,9 +208,11 @@ def test_parse_fraction():
         parse_fraction("a/b")
 
 
-def test_partial_results_on_record_errors():
-    # an impossible cross-estimate tolerance marks every record, not raises
-    cfg = Config(cross_tol=1e-18)
+def test_partial_results_on_record_errors(monkeypatch):
+    # a skewed cross-check estimate marks every record, not raises
+    exact = curve.implicit_local_form
+    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    cfg = Config()
     records = compute_invariants(normalize_two_bridge(5, 3), cfg)
     assert len(records) == 2
     assert all(not r.ok for r in records)
@@ -193,12 +223,21 @@ def test_partial_results_on_record_errors():
     v = compare_knots(
         normalize_two_bridge(5, 3), normalize_two_bridge(5, 3), cfg, records, records
     )
-    assert v.verdict == "distinct"
-    assert v.max_multiset_deviation == float("inf")
+    assert v.verdict == "undetermined"
+    assert v.max_multiset_deviation is None
+
+
+def test_criterion_9_fails_on_record_errors(monkeypatch):
+    # undetermined verdicts have no deviation; the criterion reports FAIL
+    exact = curve.implicit_local_form
+    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    result = AcceptanceSuite().criterion_9()
+    assert not result.ok
+    assert "undetermined (dev n/a)" in result.line
 
 
 def test_extended_precision():
-    cfg = Config(precision="extended", h0=1e-3)
+    cfg = Config(precision="extended")
     records = compute_invariants(normalize_two_bridge(5, 3), cfg)
     for r in records:
         assert r.ok

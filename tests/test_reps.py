@@ -8,12 +8,19 @@ from bridgetorsion.numerics import LaurentPoly, RingMatrix
 from bridgetorsion.reps import (
     abelianization,
     evaluate_word,
+    fox_image,
     metabelian_rep,
     metabelian_u,
     phi_map,
     riley_rep,
 )
-from bridgetorsion.words import GroupRingElement, Word, longitude_word, normalize_two_bridge
+from bridgetorsion.words import (
+    GroupRingElement,
+    Word,
+    fox_derivative,
+    longitude_word,
+    normalize_two_bridge,
+)
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
@@ -191,3 +198,16 @@ def test_phi_additive_random():
         rhs = phi_map(rho, e1) + phi_map(rho, e2)
         for pos in range(4):
             assert lhs.entries[pos].close_to(rhs.entries[pos], 1e-12)
+
+
+def test_fox_image_matches_phi_of_fox_derivative():
+    rng = random.Random(43)
+    rho = metabelian_rep(11, 3)
+    words = [rand_word(rng, 8) for _ in range(10)]
+    words.append(normalize_two_bridge(13, 5).relator())
+    for w in words:
+        for gen in ("x", "y"):
+            got = fox_image(rho, w, gen)
+            expected = phi_map(rho, fox_derivative(w, gen))
+            for pos in range(4):
+                assert got.entries[pos].close_to(expected.entries[pos], 1e-10), (w, gen)
