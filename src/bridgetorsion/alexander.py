@@ -1,16 +1,19 @@
 """Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
-Alexander polynomial, and the derived quantities P(t), P(1)."""
+Alexander polynomial, and the derived quantities P(t), P(1).
+
+``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
+``normalize_two_bridge`` checks it against p; it is re-exported here."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DeterminantMismatch, InexactDivision
+from .errors import InexactDivision
 from .numerics import LaurentPoly
 from .precision import DOUBLE
 from .reps import fox_image, phi_map
-from .words import GroupRingElement, Word, fox_derivative
+from .words import GroupRingElement, Word, fox_derivative, knot_determinant  # noqa: F401
 
 #: Exactness tolerance for the polynomial divisions below.
 DIVISION_TOL = 1e-8
@@ -47,15 +50,6 @@ def classical_alexander(k):
         e = w.exponent_sum()
         coeffs[e] = coeffs.get(e, 0) + c
     return LaurentPoly(coeffs).canonical_unit()
-
-
-def knot_determinant(k):
-    """Nearest integer to |Delta(-1)|; must reproduce p."""
-    v = abs(classical_alexander(k).evaluate(-1))
-    n = round(float(v))
-    if abs(float(v) - n) > 1e-6 or n != k.p:
-        raise DeterminantMismatch(f"|Delta(-1)| = {float(v)!r} but p = {k.p}")
-    return n
 
 
 def wada_twisted_alexander(k, rep, by="x", tol=DIVISION_TOL):

@@ -51,8 +51,6 @@ def _build_parser():
     inv.add_argument("--json", action="store_true", help="emit the JSON report")
     inv.add_argument("--precision", choices=("double", "extended"), default="double")
     inv.add_argument("--tol", type=float, default=None, help="coefficient zero tolerance")
-    inv.add_argument("--force-generic", action="store_true",
-                     help="skip torus closed-form shortcuts")
 
     cmp_ = sub.add_parser("compare", help="compare two knots up to mirror image")
     cmp_.add_argument("fraction_a")
@@ -84,8 +82,6 @@ def _config(args):
         kwargs["precision"] = args.precision
     if getattr(args, "tol", None) is not None:
         kwargs["zero_tol"] = args.tol
-    if getattr(args, "force_generic", False):
-        kwargs["force_generic"] = True
     return Config(**kwargs)
 
 

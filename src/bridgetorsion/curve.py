@@ -357,7 +357,7 @@ def _h2_of_trace(knot, kprime, lon):
             f"longitude image at u_{kprime} of {knot.label} is not the identity: "
             f"max|L - I| = {gap:.3e} (> {IDENTITY_TOL:.1e})"
         )
-    return -RingMatrix(2, [e.h1 for e in lon.entries]).det()
+    return -RingMatrix(e.h1 for e in lon.entries).det()
 
 
 def fitted_local_form(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):

@@ -1,4 +1,4 @@
-"""Laurent polynomials, small matrices over commutative rings, and
+"""Laurent polynomials, 2x2 matrices over commutative rings, and
 Richardson extrapolation.
 
 Coefficient arithmetic is duck-typed on purpose: builtin complex, ints,
@@ -274,91 +274,52 @@ def ring_constants(sample):
 
 
 class RingMatrix:
-    """Square matrix of dimension 2 or 3 over a commutative coefficient ring.
+    """2x2 matrix over a commutative coefficient ring, entries row-major."""
 
-    Entries are stored row-major; all pipeline matrices are 2x2, the 3x3
-    case exists only for the direct cofactor determinant.
-    """
+    __slots__ = ("entries",)
 
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n, entries):
-        if n not in (2, 3):
-            raise DimensionMismatch(f"dimension {n} not supported (want 2 or 3)")
+    def __init__(self, entries):
         entries = tuple(entries)
-        if len(entries) != n * n:
-            raise DimensionMismatch(f"{len(entries)} entries for a {n}x{n} matrix")
-        self.n = n
+        if len(entries) != 4:
+            raise DimensionMismatch(f"{len(entries)} entries for a 2x2 matrix")
         self.entries = entries
 
     @classmethod
-    def identity(cls, n, one=1.0, zero=0.0):
-        return cls(n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+    def identity(cls, one=1.0, zero=0.0):
+        return cls((one, zero, zero, one))
 
     @classmethod
-    def identity_like(cls, sample_entry, n=2):
-        one, zero = ring_constants(sample_entry)
-        return cls.identity(n, one, zero)
-
-    def entry(self, i, j):
-        return self.entries[i * self.n + j]
-
-    def _check(self, other):
-        if not isinstance(other, RingMatrix) or other.n != self.n:
-            raise DimensionMismatch("matrix dimensions differ")
+    def identity_like(cls, sample_entry):
+        return cls.identity(*ring_constants(sample_entry))
 
     def __mul__(self, other):
-        self._check(other)
-        n = self.n
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            for j in range(n):
-                acc = a[i * n] * b[j]
-                for k in range(1, n):
-                    acc = acc + a[i * n + k] * b[k * n + j]
-                out.append(acc)
-        return RingMatrix(n, out)
+        a0, a1, a2, a3 = self.entries
+        b0, b1, b2, b3 = other.entries
+        return RingMatrix((
+            a0 * b0 + a1 * b2,
+            a0 * b1 + a1 * b3,
+            a2 * b0 + a3 * b2,
+            a2 * b1 + a3 * b3,
+        ))
 
     def __add__(self, other):
-        self._check(other)
-        return RingMatrix(self.n, tuple(x + y for x, y in zip(self.entries, other.entries)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return RingMatrix(self.n, tuple(x - y for x, y in zip(self.entries, other.entries)))
-
-    def scale(self, c):
-        return RingMatrix(self.n, tuple(c * x for x in self.entries))
+        return RingMatrix(x + y for x, y in zip(self.entries, other.entries))
 
     def det(self):
         e = self.entries
-        if self.n == 2:
-            return e[0] * e[3] - e[1] * e[2]
-        return (
-            e[0] * (e[4] * e[8] - e[5] * e[7])
-            - e[1] * (e[3] * e[8] - e[5] * e[6])
-            + e[2] * (e[3] * e[7] - e[4] * e[6])
-        )
+        return e[0] * e[3] - e[1] * e[2]
 
     def trace(self):
-        acc = self.entries[0]
-        for i in range(1, self.n):
-            acc = acc + self.entries[i * self.n + i]
-        return acc
+        return self.entries[0] + self.entries[3]
 
     def adjugate(self):
-        """Adjugate of a 2x2 matrix; the inverse when the determinant is one."""
-        if self.n != 2:
-            raise DimensionMismatch("adjugate implemented for 2x2 only")
+        """The inverse when the determinant is one."""
         a, b, c, d = self.entries
-        return RingMatrix(2, (d, -b, -c, a))
+        return RingMatrix((d, -b, -c, a))
 
     def __repr__(self):
-        rows = []
-        for i in range(self.n):
-            rows.append("[" + ", ".join(repr(self.entry(i, j)) for j in range(self.n)) + "]")
-        return "RingMatrix(" + "; ".join(rows) + ")"
+        a, b, c, d = self.entries
+        return f"RingMatrix([{a!r}, {b!r}]; [{c!r}, {d!r}])"
 
 
 def richardson_limit(samples, ratio=None):

@@ -11,12 +11,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 
 from . import __version__
-from .alexander import (
-    knot_determinant,
-    p_at_one,
-    p_polynomial,
-    wada_twisted_alexander,
-)
+from .alexander import p_at_one, p_polynomial, wada_twisted_alexander
 from .curve import F_METHOD, LimitConfig, evaluate_F, metabelian_pairing
 from .errors import (
     EstimateDisagreement,
@@ -27,7 +22,7 @@ from .errors import (
     SingularPoint,
     TorsionError,
 )
-from .oracles import LensSpace, lens_torsion_magnitude, torus_F, torus_P1_squared
+from .oracles import LensSpace, lens_torsion_magnitude
 from .precision import get_precision
 from .reps import metabelian_rep
 from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
@@ -51,7 +46,6 @@ class Config:
     singular_tol: float = 1e-8
     cross_tol: float = 1e-5
     compare_tol: float = 1e-6
-    force_generic: bool = False
 
     def limit_config(self):
         return LimitConfig(
@@ -70,7 +64,6 @@ class Config:
             "singular_tol": self.singular_tol,
             "cross_tol": self.cross_tol,
             "compare_tol": self.compare_tol,
-            "force_generic": self.force_generic,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -157,55 +150,16 @@ def _generic_record(knot, idx, cfg, prec, lens):
     )
 
 
-def _torus_record(knot, idx, cfg, prec, lens):
-    """Closed-form primary path for b(q, 1); the generic pipeline runs as a
-    cross-check and any disagreement beyond cross_tol marks the record."""
-    q = knot.p
-    p1sq = complex(torus_P1_squared(q, idx))
-    f_val = complex(torus_F(q))
-    tau = abs(p1sq * f_val)
-    diag = {"path": "torus-closed-form"}
-    error = None
-    try:
-        generic = _generic_record(knot, idx, cfg, prec, lens)
-        dev = abs(generic.tau - tau) / max(tau, 1e-300)
-        diag["generic_tau"] = generic.tau
-        diag["generic_rel_deviation"] = dev
-        diag["f_rel_disagreement"] = generic.diagnostics["f_rel_disagreement"]
-        diag["newton_residual_max"] = generic.diagnostics["newton_residual_max"]
-        if dev > cfg.cross_tol:
-            error = f"generic cross-check deviates by {dev:.3e} from closed form"
-    except _RECORD_ERRORS as exc:
-        error = f"generic cross-check failed: {exc}"
-    return InvariantRecord(
-        k=idx,
-        kprime=metabelian_pairing(q, idx),
-        p1_squared=p1sq,
-        f_value=f_val,
-        tau=tau,
-        cross_check=lens_torsion_magnitude(lens, idx),
-        diagnostics=diag,
-        error=error,
-    )
-
-
 def compute_invariants(knot, cfg=Config()):
-    """One InvariantRecord per k = 1..(p-1)/2.
-
-    Torus-type fractions (the b(p, 1) class) use the closed forms as the
-    primary path unless ``force_generic`` is set; per-record failures are
-    recorded rather than raised, so partial results survive."""
+    """One InvariantRecord per k = 1..(p-1)/2, torus knots b(p, 1) included;
+    per-record failures are recorded rather than raised, so partial results
+    survive."""
     prec = get_precision(cfg.precision)
-    knot_determinant(knot)
     lens = LensSpace.of(knot.p, knot.q)
-    torus = knot.q == 1 and not cfg.force_generic
     records = []
     for idx in range(1, (knot.p - 1) // 2 + 1):
         try:
-            if torus:
-                rec = _torus_record(knot, idx, cfg, prec, lens)
-            else:
-                rec = _generic_record(knot, idx, cfg, prec, lens)
+            rec = _generic_record(knot, idx, cfg, prec, lens)
         except _RECORD_ERRORS as exc:
             rec = InvariantRecord(
                 k=idx,

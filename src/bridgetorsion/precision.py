@@ -13,7 +13,7 @@ class Precision:
 
     __slots__ = ("name", "sqrt", "exp", "sin", "cos", "pi", "imag_unit")
 
-    def __init__(self, name="double", dps=None):
+    def __init__(self, name="double"):
         self.name = name
         if name == "double":
             self.sqrt = cmath.sqrt
@@ -25,17 +25,16 @@ class Precision:
         elif name == "extended":
             import mpmath
 
-            # mpmath precision is a process-global setting; never lower it.
-            if dps is not None:
-                mpmath.mp.dps = dps
-            elif mpmath.mp.dps < 30:
-                mpmath.mp.dps = 30
-            self.sqrt = mpmath.sqrt
-            self.exp = mpmath.exp
-            self.sin = mpmath.sin
-            self.cos = mpmath.cos
-            self.pi = +mpmath.pi
-            self.imag_unit = mpmath.mpc(0, 1)
+            # A private context: the numbers it creates keep its 30 digits
+            # in arithmetic, and the process-global mpmath.mp is untouched.
+            ctx = mpmath.MPContext()
+            ctx.dps = 30
+            self.sqrt = ctx.sqrt
+            self.exp = ctx.exp
+            self.sin = ctx.sin
+            self.cos = ctx.cos
+            self.pi = +ctx.pi
+            self.imag_unit = ctx.mpc(0, 1)
         else:
             raise ValueError(f"unknown precision {name!r} (want 'double' or 'extended')")
 
@@ -46,7 +45,7 @@ class Precision:
 DOUBLE = Precision("double")
 
 
-def get_precision(name, dps=None):
+def get_precision(name):
     if name == "double":
         return DOUBLE
-    return Precision(name, dps)
+    return Precision(name)

@@ -51,8 +51,8 @@ def metabelian_rep(p, k, prec=DOUBLE):
     idx = metabelian_index(p, k, prec)
     i = prec.imag_unit
     zero = i * 0
-    img_x = RingMatrix(2, (i, -i, zero, -i))
-    img_y = RingMatrix(2, (i, zero, -i * idx.u_k, -i))
+    img_x = RingMatrix((i, -i, zero, -i))
+    img_y = RingMatrix((i, zero, -i * idx.u_k, -i))
     return Rep2(img_x, img_y, "metabelian", (k, p))
 
 
@@ -73,15 +73,15 @@ def riley_images(rs, u):
     u live in (scalars, or the jets of the curve module)."""
     inv = 1 / rs
     zero = rs * 0
-    img_x = RingMatrix(2, (rs, inv, zero, inv))
-    img_y = RingMatrix(2, (rs, zero, -(u * rs), inv))
+    img_x = RingMatrix((rs, inv, zero, inv))
+    img_y = RingMatrix((rs, zero, -(u * rs), inv))
     return img_x, img_y
 
 
 def word_product(img_x, img_y, w):
     """Product of generator images along a word; negative exponents use the
     adjugate, which is the inverse because the images have determinant one."""
-    result = RingMatrix.identity_like(img_x.entries[0], img_x.n)
+    result = RingMatrix.identity_like(img_x.entries[0])
     images = {"x": img_x, "y": img_y}
     for g, e in w.letters:
         m = images[g] if e > 0 else images[g].adjugate()
@@ -111,7 +111,7 @@ def phi_map(rep, element):
     acc = [{} for _ in range(4)]
     for w, c in element.terms.items():
         _accumulate(acc, abelianization(w), c, evaluate_word(rep, w))
-    return RingMatrix(2, tuple(LaurentPoly(d) for d in acc))
+    return RingMatrix(LaurentPoly(d) for d in acc)
 
 
 def fox_image(rep, w, gen):
@@ -135,7 +135,7 @@ def fox_image(rep, w, gen):
             a += step
             if g == gen and e < 0:
                 _accumulate(acc, a, -1, prefix)
-    return RingMatrix(2, tuple(LaurentPoly(d) for d in acc))
+    return RingMatrix(LaurentPoly(d) for d in acc)
 
 
 def _accumulate(acc, exponent, coeff, m):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alexander import wada_twisted_alexander
 from .curve import fitted_local_form, riley_residual
@@ -51,12 +51,10 @@ class AcceptanceSuite:
         self._records = {}
         self.census_seconds = None
 
-    def records(self, p, q, force_generic=False):
-        key = (p, q, force_generic)
-        if key not in self._records:
-            cfg = replace(self.cfg, force_generic=force_generic)
-            self._records[key] = compute_invariants(normalize_two_bridge(p, q), cfg)
-        return self._records[key]
+    def records(self, p, q):
+        if (p, q) not in self._records:
+            self._records[p, q] = compute_invariants(normalize_two_bridge(p, q), self.cfg)
+        return self._records[p, q]
 
     def _census_records(self):
         t0 = time.perf_counter()
@@ -136,7 +134,7 @@ class AcceptanceSuite:
         worst_tau, worst_f = 0.0, 0.0
         ok = True
         for q in (3, 5, 7):
-            recs = self.records(q, 1, force_generic=True)
+            recs = self.records(q, 1)
             ok = ok and all(r.ok for r in recs)
             for r in recs:
                 expected = 1.0 / (4 * math.sin(r.k * math.pi / q) ** 2) ** 2

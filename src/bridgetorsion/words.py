@@ -212,8 +212,9 @@ def longitude_word(knot):
     return rev * knot.word * Word((("x", -2 * knot.sigma),))
 
 
-def _alexander_at_minus_one(knot):
-    """|Delta(-1)| by exact integer Fox calculus (the knot determinant)."""
+def knot_determinant(knot):
+    """|Delta(-1)| by exact integer Fox calculus: the knot determinant, which
+    for b(p, q) is p."""
     d = fox_derivative(knot.relator(), "x")
     total = sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items())
     return abs(total)
@@ -244,7 +245,7 @@ def normalize_two_bridge(p, q):
         raise InvalidFraction(f"q = {q} has no odd representative modulo {2 * p}")
     w = build_relator_word(p, q0)
     knot = TwoBridgeKnot(p, q0, w, w.exponent_sum(), mirror)
-    det = _alexander_at_minus_one(knot)
+    det = knot_determinant(knot)
     if det != p:
         raise DeterminantMismatch(
             f"|Delta(-1)| = {det} != p = {p} for fraction {p}/{q}"

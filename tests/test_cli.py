@@ -6,6 +6,7 @@ import pytest
 
 from bridgetorsion import curve
 from bridgetorsion.cli import main
+from bridgetorsion.oracles import torus_F, torus_P1_squared
 
 
 def run_cli(capsys, argv):
@@ -24,6 +25,19 @@ def test_invariants_json(capsys):
     assert len(taus) == 2
     assert all(abs(t - 0.2) < 1e-6 for t in taus)
     assert all(r["error"] is None for r in report["records"])
+
+
+def test_invariants_json_torus_knot(capsys):
+    # b(7,1) takes the same path as every knot and meets the closed forms
+    code, out, _ = run_cli(capsys, ["invariants", "7/1", "--json"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 3
+    for r in records:
+        assert r["diagnostics"]["path"] == "generic"
+        p1sq, f = torus_P1_squared(7, r["k"]), torus_F(7)
+        assert abs(complex(*r["p1_squared"]) - p1sq) <= 1e-6 * p1sq
+        assert abs(complex(*r["F"]) - f) <= 1e-6 * f
 
 
 def test_invariants_table(capsys):

@@ -26,6 +26,7 @@ from bridgetorsion.errors import (
     SingularPoint,
     ZeroParameter,
 )
+from bridgetorsion.precision import Precision
 from bridgetorsion.reps import metabelian_u
 from bridgetorsion.words import Word, normalize_two_bridge
 
@@ -138,6 +139,19 @@ def test_branch_independence():
     t1 = trace_longitude(knot, s, u, branch=1)
     t2 = trace_longitude(knot, s, u, branch=-1)
     assert abs(t1 - t2) < 1e-10 * max(1, abs(t1))
+
+
+def test_F_independent_of_sqrt_branch():
+    # F is a function on the character variety, so the other square root of
+    # s along the curve must give the same value
+    flipped = Precision("double")
+    flipped.sqrt = lambda z: -cmath.sqrt(z)
+    for p, q in CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for kp in range(1, (p - 1) // 2 + 1):
+            a = evaluate_F(knot, kp).value
+            b = evaluate_F(knot, kp, prec=flipped).value
+            assert abs(a - b) <= 1e-12 * abs(a), (p, q, kp)
 
 
 # -- pairing ---------------------------------------------------------------------------

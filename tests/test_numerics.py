@@ -148,42 +148,28 @@ def test_canonical_unit():
 
 
 def test_matrix_identity_and_product():
-    a = RingMatrix(2, (1 + 2j, 0.5, -1j, 3))
-    ident = RingMatrix.identity(2, 1 + 0j, 0j)
+    a = RingMatrix((1 + 2j, 0.5, -1j, 3))
+    ident = RingMatrix.identity(1 + 0j, 0j)
     assert (ident * a).entries == a.entries
 
 
 def test_matrix_det_multiplicative():
     rng = random.Random(23)
     for _ in range(50):
-        a = RingMatrix(2, tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
-        b = RingMatrix(2, tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+        a = RingMatrix(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+        b = RingMatrix(tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
         lhs = (a * b).det()
         rhs = a.det() * b.det()
         assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1)
 
 
-def test_matrix_3x3_det():
-    m = RingMatrix(3, (2, 0, 1, 0, 3, 0, 1, 0, 2))
-    assert m.det() == 9
-    assert RingMatrix.identity(3).det() == 1.0
-
-
 def test_matrix_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        RingMatrix(4, tuple(range(16)))
-    with pytest.raises(DimensionMismatch):
-        RingMatrix(2, (1, 2, 3))
-    a = RingMatrix(2, (1, 0, 0, 1))
-    b = RingMatrix(3, tuple(range(9)))
-    with pytest.raises(DimensionMismatch):
-        a * b
-    with pytest.raises(DimensionMismatch):
-        b.adjugate()
+        RingMatrix((1, 2, 3))
 
 
 def test_adjugate_inverts_sl2():
-    a = RingMatrix(2, (1j, -1j, 0j, -1j))  # det = 1
+    a = RingMatrix((1j, -1j, 0j, -1j))  # det = 1
     prod = a * a.adjugate()
     assert abs(prod.entries[0] - 1) < 1e-15
     assert abs(prod.entries[1]) < 1e-15

@@ -1,11 +1,17 @@
 import json
-import math
 import os
 
+import mpmath
 import pytest
 
 from bridgetorsion import curve, pipeline
-from bridgetorsion.oracles import LensSpace, lens_torsion_magnitude, lens_torsion_multiset
+from bridgetorsion.oracles import (
+    LensSpace,
+    lens_torsion_magnitude,
+    lens_torsion_multiset,
+    torus_F,
+    torus_P1_squared,
+)
 from bridgetorsion.pipeline import (
     Config,
     cached_invariant_report,
@@ -37,24 +43,19 @@ def test_figure_eight_records():
         assert r.diagnostics["path"] == "generic"
 
 
-def test_trefoil_uses_closed_form_with_generic_crosscheck():
-    records = compute_invariants(normalize_two_bridge(3, 1))
-    assert len(records) == 1
-    r = records[0]
-    assert r.ok
-    assert abs(r.tau - 1 / 9) <= 1e-9
-    assert r.diagnostics["path"] == "torus-closed-form"
-    assert r.diagnostics["generic_rel_deviation"] <= 1e-5
-
-
-def test_force_generic_on_torus():
-    cfg = Config(force_generic=True)
-    records = compute_invariants(normalize_two_bridge(5, 1), cfg)
-    for r in records:
-        assert r.ok
-        assert r.diagnostics["path"] == "generic"
-        expected = 1 / (4 * math.sin(r.k * math.pi / 5) ** 2) ** 2
-        assert abs(r.tau - expected) <= 1e-6 * expected
+def test_torus_records_match_closed_forms():
+    # b(p, 1) goes through the same path as every other knot, and matches
+    # the (2, p) torus closed forms record by record; the trefoil's tau is 1/9
+    for p in range(3, 26, 2):
+        for r in compute_invariants(normalize_two_bridge(p, 1)):
+            assert r.ok, (p, r.k, r.error)
+            assert r.diagnostics["path"] == "generic"
+            p1sq, f = torus_P1_squared(p, r.k), torus_F(p)
+            assert abs(r.p1_squared - p1sq) <= 1e-6 * p1sq, (p, r.k)
+            assert abs(r.f_value - f) <= 1e-6 * f, (p, r.k)
+            assert abs(r.tau - p1sq * f) <= 1e-6 * p1sq * f, (p, r.k)
+            if p == 3:
+                assert abs(r.tau - 1 / 9) <= 1e-9
 
 
 def test_record_count_census_sample():
@@ -242,6 +243,14 @@ def test_extended_precision():
     for r in records:
         assert r.ok
         assert abs(r.tau - 0.2) <= 1e-10 * 0.2
+
+
+def test_extended_precision_leaves_global_mpmath_alone():
+    # the extended run keeps its 30 digits in a private mpmath context
+    with mpmath.workdps(15):
+        records = compute_invariants(normalize_two_bridge(5, 3), Config(precision="extended"))
+        assert mpmath.mp.dps == 15
+    assert all(r.diagnostics["f_rel_disagreement"] < 1e-20 for r in records)
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):

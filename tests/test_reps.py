@@ -109,7 +109,7 @@ def test_riley_parabolic_corner_and_dets():
 def test_empty_word_is_identity():
     rho = metabelian_rep(5, 2)
     m = evaluate_word(rho, Word())
-    assert mat_close(m, RingMatrix.identity(2, 1 + 0j, 0j), 1e-15)
+    assert mat_close(m, RingMatrix.identity(1 + 0j, 0j), 1e-15)
 
 
 def test_homomorphism_property():
@@ -123,7 +123,7 @@ def test_homomorphism_property():
 
 
 def test_relator_maps_to_identity_census():
-    ident = RingMatrix.identity(2, 1 + 0j, 0j)
+    ident = RingMatrix.identity(1 + 0j, 0j)
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for k in range(1, (p - 1) // 2 + 1):
@@ -133,7 +133,7 @@ def test_relator_maps_to_identity_census():
 
 
 def test_metabelian_sends_longitude_to_identity():
-    ident = RingMatrix.identity(2, 1 + 0j, 0j)
+    ident = RingMatrix.identity(1 + 0j, 0j)
     for p, q in ((5, 3), (7, 3), (11, 7)):
         knot = normalize_two_bridge(p, q)
         for k in range(1, (p - 1) // 2 + 1):
