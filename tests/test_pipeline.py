@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import mpmath
@@ -56,6 +57,30 @@ def test_torus_records_match_closed_forms():
             assert abs(r.tau - p1sq * f) <= 1e-6 * p1sq * f, (p, r.k)
             if p == 3:
                 assert abs(r.tau - 1 / 9) <= 1e-9
+
+
+def test_trefoil_uses_closed_form_with_generic_crosscheck():
+    # the trefoil's one record comes from the generic path; the (2, 3) closed
+    # form tau = 1/9 checks it, and its own cross-check estimate agrees
+    records = compute_invariants(normalize_two_bridge(3, 1))
+    assert len(records) == 1
+    r = records[0]
+    assert r.ok
+    assert abs(r.tau - 1 / 9) <= 1e-9
+    assert r.diagnostics["path"] == "generic"
+    assert abs(r.tau - r.cross_check) <= 1e-5 * r.tau
+
+
+def test_force_generic_on_torus():
+    # no knob is needed any more: the default config sends b(5, 1) through the
+    # generic path, and its records match the closed form
+    records = compute_invariants(normalize_two_bridge(5, 1), Config())
+    assert len(records) == 2
+    for r in records:
+        assert r.ok
+        assert r.diagnostics["path"] == "generic"
+        expected = 1 / (4 * math.sin(r.k * math.pi / 5) ** 2) ** 2
+        assert abs(r.tau - expected) <= 1e-6 * expected
 
 
 def test_record_count_census_sample():
