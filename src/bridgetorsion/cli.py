@@ -50,7 +50,6 @@ def _build_parser():
     inv.add_argument("fraction", help="two-bridge fraction p/q, e.g. 5/3")
     inv.add_argument("--json", action="store_true", help="emit the JSON report")
     inv.add_argument("--precision", choices=("double", "extended"), default="double")
-    inv.add_argument("--tol", type=float, default=None, help="coefficient zero tolerance")
 
     cmp_ = sub.add_parser("compare", help="compare two knots up to mirror image")
     cmp_.add_argument("fraction_a")
@@ -80,8 +79,6 @@ def _config(args):
     kwargs = {}
     if getattr(args, "precision", None):
         kwargs["precision"] = args.precision
-    if getattr(args, "tol", None) is not None:
-        kwargs["zero_tol"] = args.tol
     return Config(**kwargs)
 
 

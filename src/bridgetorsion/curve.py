@@ -11,7 +11,10 @@ at the metabelian point and tr L - 2 = -det(L - I) on SL2, so
 the word products gives the coefficient exactly, and far better
 conditioned than the h^2 coefficient of the trace itself.  The cross-check
 reads that h^2 coefficient of the trace off second-order partials instead,
-so it shares neither the solve nor the identity.
+so it shares neither the solve nor the identity.  Both build the longitude
+image from the image of the relator word w that phi already needs: the
+value of record takes the image of the reversed word from the x <-> y
+symmetry of Riley's representations, the cross-check from a direct product.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .reps import evaluate_word, metabelian_u, riley_images, riley_rep, word_pro
 from .words import longitude_word
 
 #: Identifies how evaluate_F computes F; part of the cache fingerprint.
-F_METHOD = "taylor-h2"
+F_METHOD = "taylor-h2-mirror"
 
 #: Largest max|[h^0] L - I| accepted for the longitude image L at the
 #: metabelian point, the precondition of the determinant identity; rounding
@@ -221,10 +224,11 @@ class FEstimate:
 
 
 def _relator_terms(knot, s, img_x, img_y):
-    """(W11, (1-s) W12) for the image W of the relator word; phi is their
-    sum, and their magnitudes set the scale phi is evaluated at."""
+    """(W, W11, (1-s) W12) for the image W of the relator word w; phi is the
+    sum of the last two, and their magnitudes set the scale phi is evaluated
+    at."""
     w = word_product(img_x, img_y, knot.word)
-    return w.entries[0], (1 - s) * w.entries[1]
+    return w, w.entries[0], (1 - s) * w.entries[1]
 
 
 def _dual_phi(knot, s, u, prec=DOUBLE, branch=1):
@@ -234,7 +238,7 @@ def _dual_phi(knot, s, u, prec=DOUBLE, branch=1):
         raise ZeroParameter("Riley residual needs s != 0")
     sd = Dual(s, 0.0, 1.0)
     images = riley_images(sd.sqrt(prec.sqrt) * branch, Dual(u, 1.0, 0.0))
-    w11, second = _relator_terms(knot, sd, *images)
+    _, w11, second = _relator_terms(knot, sd, *images)
     return w11 + second, float(abs(w11.val) + abs(second.val) + 1.0)
 
 
@@ -264,16 +268,51 @@ def trace_longitude(knot, s, u, prec=DOUBLE, branch=1):
     return evaluate_word(rep, longitude_word(knot)).trace()
 
 
-def _metabelian_point(knot, kprime, prec, cfg):
-    """(u_{k'}, phi, dphi/du) at the metabelian point s = -1; raises
-    SingularPoint where the curve through it is not smooth."""
-    u_meta = metabelian_u(knot.p, kprime, prec)
-    val, du, _ = riley_residual(knot, -1.0, u_meta, prec)
+def swap_generators(w, s, u):
+    """The image of a word with x and y swapped, from the image W of the
+    word: M W M^-1 with M = [[s-1, 1], [-u s, 1-s]], which conjugates
+    Riley's image of x to that of y and back.  M^2 = ((s-1)^2 - u s) I
+    gives the inverse.  For a normalized two-bridge word the exponents
+    satisfy e_{p-i} = e_i, so the reversed word <-w is w with x and y
+    swapped.  At s = -1 the conditioning of M is about 1/(4 + u), which
+    grows like p^2 as u_{k'} approaches -4."""
+    m = RingMatrix((s - 1, s * 0 + 1, -(u * s), 1 - s))
+    d = 1 / ((s - 1) * (s - 1) - u * s)
+    return RingMatrix(e * d for e in (m * w * m).entries)
+
+
+def longitude_image(knot, rev, w, img_x):
+    """The longitude image rho(<-w) W x^(-2 sigma) from rev = rho(<-w) and
+    W = rho(w); the peripheral power comes from binary powering."""
+    lon = rev * w
+    n = 2 * knot.sigma
+    base = img_x.adjugate() if n > 0 else img_x
+    n = abs(n)
+    while n:
+        if n & 1:
+            lon = lon * base
+        n >>= 1
+        if n:
+            base = base * base
+    return lon
+
+
+def _check_smooth(knot, kprime, du, cfg):
+    """Raise SingularPoint where |dphi/du| at the metabelian point says the
+    curve through it is not smooth."""
     if abs(du) < cfg.singular_tol:
         raise SingularPoint(
             f"curve through u_{kprime} of {knot.label} is singular: "
             f"|dphi/du| = {float(abs(du)):.3e}"
         )
+
+
+def _metabelian_point(knot, kprime, prec, cfg):
+    """(u_{k'}, phi, dphi/du) at the metabelian point s = -1; raises
+    SingularPoint where the curve through it is not smooth."""
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    val, du, _ = riley_residual(knot, -1.0, u_meta, prec)
+    _check_smooth(knot, kprime, du, cfg)
     return u_meta, val, du
 
 
@@ -315,26 +354,32 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, cfg=LimitConfig(), seed=N
 
 def longitude_series(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
     """The longitude image along the Riley curve at s = -1 + h, as a matrix
-    of Series, and the residual of the series solve.
-
-    u(h) solves phi(-1 + h, u(h)) = 0 by Newton on series, started at u_{k'}
-    with the slope dphi/du of the metabelian point; each step fixes one more
-    coefficient, so two evaluations of phi usually suffice.  The stopping
-    rule is the scalar one, applied to the largest coefficient."""
+    of Series, and the residual of the series solve; the Newton slope comes
+    from a dual-number pass at the metabelian point."""
     u_meta, _, slope = _metabelian_point(knot, kprime, prec, cfg)
+    return _longitude_series(knot, kprime, u_meta, slope, cfg, prec)
+
+
+def _longitude_series(knot, kprime, u_meta, slope, cfg, prec):
+    """u(h) solves phi(-1 + h, u(h)) = 0 by Newton on series, started at
+    u_{k'} with the slope dphi/du of the metabelian point; each step fixes
+    one more coefficient, so two evaluations of phi usually suffice.  The
+    stopping rule is the scalar one, applied to the largest coefficient.
+    The longitude is assembled from the last relator image W, with
+    rho(<-w) = M W M^-1 (``swap_generators``)."""
     zero = u_meta * 0
     s = Series(zero - 1, zero + 1)
     rs = s.sqrt(prec.sqrt)
     u = Series(u_meta, zero)
     step = 1 / slope
     for _ in range(cfg.max_newton_iter):
-        images = riley_images(rs, u)
-        w11, second = _relator_terms(knot, s, *images)
+        img_x, img_y = riley_images(rs, u)
+        w, w11, second = _relator_terms(knot, s, img_x, img_y)
         phi = w11 + second
         resid = max(float(abs(c)) for c in phi.coeffs())
         scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
         if resid <= cfg.newton_tol * (scale + 1.0):
-            return word_product(*images, longitude_word(knot)), resid
+            return longitude_image(knot, swap_generators(w, s, u), w, img_x), resid
         u = u - phi * step
     raise NewtonDivergence(
         f"series solve through u_{kprime} of {knot.label} did not converge "
@@ -367,6 +412,30 @@ def fitted_local_form(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
     return _h2_of_trace(knot, kprime, lon)
 
 
+def _implicit_jets(knot, kprime, prec):
+    """u_{k'}, and phi and the longitude trace as second-order jets in
+    (u, s) at the metabelian point (-1, u_{k'}).  rho(<-w) is a direct
+    product over the reversed word: the conjugation of ``swap_generators``
+    would add its conditioning to the small coefficient that
+    ``implicit_local_form`` reads off large ones."""
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    zero = u_meta * 0
+    s = Jet2(zero - 1, zero, zero + 1, zero, zero, zero)
+    img_x, img_y = riley_images(
+        s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero, zero, zero)
+    )
+    w, w11, second = _relator_terms(knot, s, img_x, img_y)
+    rev = word_product(img_x, img_y, knot.word.reversed_word())
+    return u_meta, w11 + second, longitude_image(knot, rev, w, img_x).trace()
+
+
+def _implicit_h2(phi, lam):
+    """[h^2] I_lam from the jets of phi and of the longitude trace."""
+    u1 = -phi.s / phi.u
+    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
+    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
+
+
 def implicit_local_form(knot, kprime, prec=DOUBLE):
     """[h^2] I_lam again, by the implicit function theorem from the
     second-order partials of phi and of the longitude trace at the
@@ -376,33 +445,28 @@ def implicit_local_form(knot, kprime, prec=DOUBLE):
     In Taylor coefficients, with s = -1 + h and u = u_{k'} + u' h + u'' h^2,
     u' = -phi_s/phi_u, u'' = -(phi_ss + phi_su u' + phi_uu u'^2)/phi_u and
     [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''."""
-    u_meta = metabelian_u(knot.p, kprime, prec)
-    zero = u_meta * 0
-    s = Jet2(zero - 1, zero, zero + 1, zero, zero, zero)
-    images = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero, zero, zero))
-    w11, second = _relator_terms(knot, s, *images)
-    phi = w11 + second
-    lam = word_product(*images, longitude_word(knot)).trace()
-    u1 = -phi.s / phi.u
-    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
-    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
+    _, phi, lam = _implicit_jets(knot, kprime, prec)
+    return _implicit_h2(phi, lam)
 
 
 def evaluate_F(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
-    (a) the value of record takes [h^2] I_lam from the series solve
-        (``fitted_local_form``);
-    (b) the cross-check takes it from the implicit-function formula
-        (``implicit_local_form``), which shares neither the solve nor the
-        determinant identity with (a).
+    (b) the cross-check takes [h^2] I_lam from the implicit-function formula
+        (``implicit_local_form``); its phi_u is the smoothness check and
+        the Newton slope of (a);
+    (a) the value of record takes it from the series solve
+        (``fitted_local_form``), which shares neither the solve nor the
+        determinant identity with (b).
     A relative disagreement beyond cross_tol raises.
     """
-    lon, resid = longitude_series(knot, kprime, cfg, prec)
+    u_meta, phi, lam2 = _implicit_jets(knot, kprime, prec)
+    _check_smooth(knot, kprime, phi.u, cfg)
+    direct = 1 / _implicit_h2(phi, lam2)
+    lon, resid = _longitude_series(knot, kprime, u_meta, phi.u, cfg, prec)
     lam = lon.trace()
     value = 1 / _h2_of_trace(knot, kprime, lon)
-    direct = 1 / implicit_local_form(knot, kprime, prec)
     rel = float(abs(value - direct) / max(abs(value), abs(direct), 1e-300))
     if rel > cfg.cross_tol:
         raise EstimateDisagreement(

@@ -41,7 +41,6 @@ class Config:
     """All numeric knobs of a run; the fingerprint keys the cache."""
 
     precision: str = "double"
-    zero_tol: float = 1e-9
     newton_tol: float = 1e-12
     singular_tol: float = 1e-8
     cross_tol: float = 1e-5
@@ -59,7 +58,6 @@ class Config:
             "version": __version__,
             "f_method": F_METHOD,
             "precision": self.precision,
-            "zero_tol": self.zero_tol,
             "newton_tol": self.newton_tol,
             "singular_tol": self.singular_tol,
             "cross_tol": self.cross_tol,
@@ -118,7 +116,7 @@ def _check_record(rec):
 
 def _generic_record(knot, idx, cfg, prec, lens):
     rho = metabelian_rep(knot.p, idx, prec)
-    wada = wada_twisted_alexander(knot, rho, tol=max(cfg.zero_tol, 1e-9) * 10)
+    wada = wada_twisted_alexander(knot, rho)
     if wada.reduced is None:
         raise InexactDivision(
             f"twisted Alexander fraction did not reduce for {knot.label}, k={idx}"

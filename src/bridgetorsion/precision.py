@@ -11,15 +11,13 @@ import math
 class Precision:
     """Bundle of the scalar constructors the pipeline needs."""
 
-    __slots__ = ("name", "sqrt", "exp", "sin", "cos", "pi", "imag_unit")
+    __slots__ = ("name", "sqrt", "sin", "pi", "imag_unit")
 
     def __init__(self, name="double"):
         self.name = name
         if name == "double":
             self.sqrt = cmath.sqrt
-            self.exp = cmath.exp
             self.sin = math.sin
-            self.cos = math.cos
             self.pi = math.pi
             self.imag_unit = 1j
         elif name == "extended":
@@ -30,9 +28,7 @@ class Precision:
             ctx = mpmath.MPContext()
             ctx.dps = 30
             self.sqrt = ctx.sqrt
-            self.exp = ctx.exp
             self.sin = ctx.sin
-            self.cos = ctx.cos
             self.pi = +ctx.pi
             self.imag_unit = ctx.mpc(0, 1)
         else:

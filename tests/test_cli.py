@@ -84,8 +84,8 @@ def test_compare_equivalent_fractions_of_one_knot(capsys):
 
 
 def test_compare_with_record_errors_is_undetermined(capsys, monkeypatch):
-    exact = curve.implicit_local_form
-    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    exact = curve._implicit_h2
+    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
     code, out, _ = run_cli(capsys, ["compare", "7/3", "7/5"])
     assert code == 2
     assert "undetermined" in out

@@ -26,9 +26,9 @@ from bridgetorsion.errors import (
     SingularPoint,
     ZeroParameter,
 )
-from bridgetorsion.precision import Precision
-from bridgetorsion.reps import metabelian_u
-from bridgetorsion.words import Word, normalize_two_bridge
+from bridgetorsion.precision import DOUBLE, Precision
+from bridgetorsion.reps import metabelian_u, riley_images, word_product
+from bridgetorsion.words import Word, longitude_word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
@@ -210,6 +210,58 @@ def test_torus_longitude_closed_form_along_curve():
             assert abs(lam - expected) < 1e-9 * max(1, abs(expected)), (q, k)
 
 
+def _coeffs(m):
+    return [c for e in m.entries for c in (e.coeffs() if hasattr(e, "coeffs") else [e])]
+
+
+def _max_coeff(m):
+    return max(abs(c) for c in _coeffs(m))
+
+
+def _gap(a, b):
+    return max(abs(x - y) for x, y in zip(_coeffs(a), _coeffs(b)))
+
+
+def _symmetry_points(p, kp, prec):
+    """(sqrt(s), s, u) at a scalar point off the curve, as Series in h along
+    s = -1 + h and as Jet2 in (u, s), each near the metabelian point u_{k'}."""
+    u_meta = metabelian_u(p, kp, prec)
+    zero = u_meta * 0
+    s = zero - 0.9 + 0.2j
+    yield prec.sqrt(s), s, u_meta + 0.1 - 0.3j
+    for s, u in (
+        (Series(zero - 1, zero + 1), Series(u_meta, zero + 0.7)),
+        (Jet2(zero - 1, zero, zero + 1), Jet2(u_meta, zero + 1)),
+    ):
+        yield s.sqrt(prec.sqrt), s, u
+
+
+def _check_longitude_symmetry(knot, kp, prec, rel):
+    for rs, s, u in _symmetry_points(knot.p, kp, prec):
+        img_x, img_y = riley_images(rs, u)
+        w = word_product(img_x, img_y, knot.word)
+        rev = curve.swap_generators(w, s, u)
+        direct = word_product(img_x, img_y, knot.word.reversed_word())
+        assert _gap(rev, direct) <= rel * _max_coeff(direct)
+        # L is close to I where its factors are large, so rounding is
+        # measured against the product of the factors' scales
+        lon = curve.longitude_image(knot, rev, w, img_x)
+        periph = word_product(img_x, img_y, Word((("x", -2 * knot.sigma),)))
+        scale = _max_coeff(rev) * _max_coeff(w) * _max_coeff(periph)
+        assert _gap(lon, word_product(img_x, img_y, longitude_word(knot))) <= rel * scale
+
+
+def test_longitude_from_swapped_relator_image():
+    # rho(<-w) = M W M^-1 because <-w is w with x and y swapped, and the
+    # assembled rho(<-w) W x^(-2 sigma) is the image of the longitude word,
+    # for scalar, series and jet entries alike
+    for p, q in CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for kp in range(1, (p - 1) // 2 + 1):
+            _check_longitude_symmetry(knot, kp, DOUBLE, 1e-12)
+    _check_longitude_symmetry(normalize_two_bridge(13, 5), 3, Precision("extended"), 1e-25)
+
+
 # -- continuation ---------------------------------------------------------------------
 
 
@@ -313,8 +365,8 @@ def test_fitted_local_form_figure_eight():
 
 def test_estimate_disagreement_raises(monkeypatch):
     # the two estimates agree far inside cross_tol, so skew the cross-check
-    exact = curve.implicit_local_form
-    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    exact = curve._implicit_h2
+    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
     knot = normalize_two_bridge(5, 3)
     with pytest.raises(EstimateDisagreement) as info:
         evaluate_F(knot, 1)
@@ -323,9 +375,16 @@ def test_estimate_disagreement_raises(monkeypatch):
 
 
 def test_longitude_not_identity_raises(monkeypatch):
-    # the determinant identity needs L = I at the metabelian point; a word
-    # whose image is not the identity there must be refused, not evaluated
-    monkeypatch.setattr(curve, "longitude_word", lambda knot: Word.parse("x"))
+    # the determinant identity needs L = I at the metabelian point; a
+    # longitude whose image is not the identity there must be refused, not
+    # evaluated.  (a) takes rho(<-w) from swap_generators, so skew that.
+    swap = curve.swap_generators
+
+    def skewed(w, s, u):
+        img_x, _ = riley_images(s.sqrt(cmath.sqrt), u)
+        return swap(w, s, u) * img_x
+
+    monkeypatch.setattr(curve, "swap_generators", skewed)
     with pytest.raises(LongitudeNotIdentity):
         evaluate_F(normalize_two_bridge(5, 3), 1)
 

@@ -113,6 +113,20 @@ def test_former_failures_match_lens_oracle(p, q):
         assert abs(a - b) <= 1e-6 * max(a, b)
 
 
+@pytest.mark.slow
+def test_census_through_61_matches_lens_oracle():
+    # every normalized fraction with p <= 61 (394 of them): no error record,
+    # and the sorted multiset within the acceptance bound of the lens oracle
+    fractions = [(p, q) for p in range(3, 62, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(fractions) == 394
+    for p, q in fractions:
+        records = compute_invariants(normalize_two_bridge(p, q))
+        assert all(r.ok for r in records), (p, q, [r.error for r in records if not r.ok])
+        oracle = lens_torsion_multiset(LensSpace.of(p, q))
+        for a, b in zip(tau_multiset(records), oracle):
+            assert abs(a - b) <= 1e-6 * max(a, b), (p, q)
+
+
 def test_multiset_invariant_under_inverse_fraction():
     # q -> q^-1 mod p names the same knot up to mirror image
     for p, q in ((7, 3), (11, 3), (13, 3), (17, 5), (19, 7)):
@@ -236,8 +250,8 @@ def test_parse_fraction():
 
 def test_partial_results_on_record_errors(monkeypatch):
     # a skewed cross-check estimate marks every record, not raises
-    exact = curve.implicit_local_form
-    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    exact = curve._implicit_h2
+    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
     cfg = Config()
     records = compute_invariants(normalize_two_bridge(5, 3), cfg)
     assert len(records) == 2
@@ -255,8 +269,8 @@ def test_partial_results_on_record_errors(monkeypatch):
 
 def test_criterion_9_fails_on_record_errors(monkeypatch):
     # undetermined verdicts have no deviation; the criterion reports FAIL
-    exact = curve.implicit_local_form
-    monkeypatch.setattr(curve, "implicit_local_form", lambda *a: exact(*a) * 1.001)
+    exact = curve._implicit_h2
+    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
     result = AcceptanceSuite().criterion_9()
     assert not result.ok
     assert "undetermined (dev n/a)" in result.line
