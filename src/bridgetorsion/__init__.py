@@ -26,7 +26,7 @@ from .errors import (
     ZeroScale,
 )
 from .numerics import LaurentPoly, RingMatrix, richardson_limit, units_equal
-from .precision import DOUBLE, Precision, get_precision
+from .precision import DOUBLE, Precision
 from .words import (
     GroupRingElement,
     TwoBridgeKnot,
@@ -59,10 +59,8 @@ from .alexander import (
     wada_twisted_alexander,
 )
 from .curve import (
-    Dual,
     FEstimate,
     Jet2,
-    LimitConfig,
     RileyPoint,
     Series,
     continue_riley_curve,
@@ -85,7 +83,6 @@ from .oracles import (
 )
 from .pipeline import (
     ComparisonVerdict,
-    Config,
     InvariantRecord,
     compare_knots,
     compute_invariants,

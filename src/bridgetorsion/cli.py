@@ -13,7 +13,6 @@ import sys
 from .errors import TorsionError
 from .oracles import LensSpace, lens_torsion_magnitude, torus_F, torus_P1_squared
 from .pipeline import (
-    Config,
     compare_knots,
     compute_invariants,
     format_deviation,
@@ -49,13 +48,11 @@ def _build_parser():
     inv = sub.add_parser("invariants", help="invariant records for one knot")
     inv.add_argument("fraction", help="two-bridge fraction p/q, e.g. 5/3")
     inv.add_argument("--json", action="store_true", help="emit the JSON report")
-    inv.add_argument("--precision", choices=("double", "extended"), default="double")
 
     cmp_ = sub.add_parser("compare", help="compare two knots up to mirror image")
     cmp_.add_argument("fraction_a")
     cmp_.add_argument("fraction_b")
     cmp_.add_argument("--json", action="store_true")
-    cmp_.add_argument("--precision", choices=("double", "extended"), default="double")
 
     ora = sub.add_parser("oracle", help="closed-form oracle tables")
     ora_sub = ora.add_subparsers(dest="oracle_kind", required=True)
@@ -69,17 +66,9 @@ def _build_parser():
     cat.add_argument("path", help="CSV rows p,q[,label]")
     cat.add_argument("--out", default=None, help="write the JSON report here")
     cat.add_argument("--cache", default=None, help="cache directory")
-    cat.add_argument("--precision", choices=("double", "extended"), default="double")
 
     sub.add_parser("selftest", help="run the acceptance suite")
     return parser
-
-
-def _config(args):
-    kwargs = {}
-    if getattr(args, "precision", None):
-        kwargs["precision"] = args.precision
-    return Config(**kwargs)
 
 
 def _print_records(knot, records):
@@ -101,7 +90,7 @@ def _print_records(knot, records):
 
 def _cmd_invariants(args):
     knot = normalize_two_bridge(*parse_fraction(args.fraction))
-    records = compute_invariants(knot, _config(args))
+    records = compute_invariants(knot)
     if args.json:
         sys.stdout.write(serialize_report(knot_report(knot, records)).decode() + "\n")
     else:
@@ -110,10 +99,9 @@ def _cmd_invariants(args):
 
 
 def _cmd_compare(args):
-    cfg = _config(args)
     a = normalize_two_bridge(*parse_fraction(args.fraction_a))
     b = normalize_two_bridge(*parse_fraction(args.fraction_b))
-    verdict = compare_knots(a, b, cfg)
+    verdict = compare_knots(a, b)
     if args.json:
         sys.stdout.write(
             serialize_report(verdict_to_dict(verdict)).decode() + "\n"
@@ -148,7 +136,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_catalog(args):
-    report = run_catalog(args.path, _config(args), out_path=args.out, cache_dir=args.cache)
+    report = run_catalog(args.path, out_path=args.out, cache_dir=args.cache)
     n_knots = len(report["knots"])
     n_errors = len(report["errors"])
     record_errors = sum(

@@ -41,6 +41,15 @@ F_METHOD = "taylor-h2-mirror"
 #: leaves below 1e-12 through p = 101.
 IDENTITY_TOL = 1e-8
 
+#: Newton stops once |phi| is below NEWTON_TOL times its evaluation scale.
+NEWTON_TOL = 1e-12
+#: Smallest |dphi/du| at which the curve counts as smooth.
+SINGULAR_TOL = 1e-8
+#: Largest relative disagreement accepted between the two estimates of F.
+CROSS_TOL = 1e-5
+#: Newton iterations allowed per solve.
+MAX_NEWTON_ITER = 50
+
 
 class _Jet:
     """Arithmetic shared by the jets below: a scalar value plus a nilpotent
@@ -48,8 +57,8 @@ class _Jet:
     coefficients in ``__slots__`` and supply __init__, __add__ and __mul__
     (which accept plain scalars too); with r = n/v, reciprocals and square
     roots follow from 1/(v + n) = (1 - r + r^2)/v and
-    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8), where r^2 vanishes for the
-    first-order jets."""
+    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8), where r^2 vanishes for
+    Series."""
 
     __slots__ = ()
 
@@ -89,34 +98,6 @@ class _Jet:
     def sqrt(self, scalar_sqrt):
         r = self._nilpotent_ratio()
         return (1 + r * 0.5 - r * r * 0.125) * scalar_sqrt(self.val)
-
-
-class Dual(_Jet):
-    """First-order jet a + b*eps_u + c*eps_s carrying partials in (u, s)."""
-
-    __slots__ = ("val", "du", "ds")
-
-    def __init__(self, val, du=0.0, ds=0.0):
-        self.val = val
-        self.du = du
-        self.ds = ds
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.du + o.du, self.ds + o.ds)
-        return Dual(self.val + o, self.du, self.ds)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(
-                self.val * o.val,
-                self.val * o.du + self.du * o.val,
-                self.val * o.ds + self.ds * o.val,
-            )
-        return Dual(self.val * o, self.du * o, self.ds * o)
-
-    def __repr__(self):
-        return f"Dual({self.val!r}, du={self.du!r}, ds={self.ds!r})"
 
 
 class Series(_Jet):
@@ -194,16 +175,6 @@ class RileyPoint:
 
 
 @dataclass(frozen=True)
-class LimitConfig:
-    """Knobs of the curve solves and of the F cross-check."""
-
-    newton_tol: float = 1e-12
-    singular_tol: float = 1e-8
-    cross_tol: float = 1e-5
-    max_newton_iter: int = 50
-
-
-@dataclass(frozen=True)
 class FEstimate:
     """Result of the F evaluation.
 
@@ -231,22 +202,22 @@ def _relator_terms(knot, s, img_x, img_y):
     return w, w.entries[0], (1 - s) * w.entries[1]
 
 
-def _dual_phi(knot, s, u, prec=DOUBLE, branch=1):
-    """phi = W11 + (1-s) W12 with forward-mode partials, and its evaluation
+def _jet_phi(knot, s, u, prec=DOUBLE, branch=1):
+    """phi = W11 + (1-s) W12 as a jet in (u, s), and its evaluation
     scale."""
     if s == 0:
         raise ZeroParameter("Riley residual needs s != 0")
-    sd = Dual(s, 0.0, 1.0)
-    images = riley_images(sd.sqrt(prec.sqrt) * branch, Dual(u, 1.0, 0.0))
-    _, w11, second = _relator_terms(knot, sd, *images)
+    sj = Jet2(s, 0.0, 1.0)
+    images = riley_images(sj.sqrt(prec.sqrt) * branch, Jet2(u, 1.0))
+    _, w11, second = _relator_terms(knot, sj, *images)
     return w11 + second, float(abs(w11.val) + abs(second.val) + 1.0)
 
 
 def riley_residual(knot, s, u, prec=DOUBLE, branch=1):
     """phi(s, u) = W11 + (1-s) W12 and its partials (d/du, d/ds), all three
-    computed in one dual-number pass through the word product."""
-    phi, _ = _dual_phi(knot, s, u, prec, branch)
-    return phi.val, phi.du, phi.ds
+    read off one jet pass through the word product."""
+    phi, _ = _jet_phi(knot, s, u, prec, branch)
+    return phi.val, phi.u, phi.s
 
 
 def metabelian_pairing(p, k):
@@ -297,70 +268,70 @@ def longitude_image(knot, rev, w, img_x):
     return lon
 
 
-def _check_smooth(knot, kprime, du, cfg):
+def _check_smooth(knot, kprime, du):
     """Raise SingularPoint where |dphi/du| at the metabelian point says the
     curve through it is not smooth."""
-    if abs(du) < cfg.singular_tol:
+    if abs(du) < SINGULAR_TOL:
         raise SingularPoint(
             f"curve through u_{kprime} of {knot.label} is singular: "
             f"|dphi/du| = {float(abs(du)):.3e}"
         )
 
 
-def _metabelian_point(knot, kprime, prec, cfg):
+def _metabelian_point(knot, kprime, prec):
     """(u_{k'}, phi, dphi/du) at the metabelian point s = -1; raises
     SingularPoint where the curve through it is not smooth."""
     u_meta = metabelian_u(knot.p, kprime, prec)
     val, du, _ = riley_residual(knot, -1.0, u_meta, prec)
-    _check_smooth(knot, kprime, du, cfg)
+    _check_smooth(knot, kprime, du)
     return u_meta, val, du
 
 
-def _newton_u(knot, s, u0, prec, cfg):
+def _newton_u(knot, s, u0, prec):
     """Newton in u at fixed s.  The stopping rule is relative to the
     evaluation scale of phi: the absolute floor eps*scale is what double
     precision can reach near a simple root."""
     u = u0
-    for _ in range(cfg.max_newton_iter):
-        phi, scale = _dual_phi(knot, s, u, prec)
+    for _ in range(MAX_NEWTON_ITER):
+        phi, scale = _jet_phi(knot, s, u, prec)
         resid = abs(phi.val)
-        if float(resid) <= cfg.newton_tol * scale:
+        if float(resid) <= NEWTON_TOL * scale:
             return u, float(resid)
-        if abs(phi.du) < cfg.singular_tol:
+        if abs(phi.u) < SINGULAR_TOL:
             raise SingularPoint(
-                f"|dphi/du| = {float(abs(phi.du)):.3e} below {cfg.singular_tol:.1e} at s={s!r}"
+                f"|dphi/du| = {float(abs(phi.u)):.3e} below {SINGULAR_TOL:.1e} at s={s!r}"
             )
-        u = u - phi.val / phi.du
+        u = u - phi.val / phi.u
         if abs(u - u0) > 10 * (1 + abs(u0)):
             raise NewtonDivergence(f"iterate ran away from seed {u0!r} at s={s!r}")
     raise NewtonDivergence(
-        f"no convergence in {cfg.max_newton_iter} iterations at s={s!r}"
+        f"no convergence in {MAX_NEWTON_ITER} iterations at s={s!r}"
     )
 
 
-def continue_riley_curve(knot, kprime, h, prec=DOUBLE, cfg=LimitConfig(), seed=None):
+def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
     """Solve phi(-1+h, u) = 0 near the metabelian point u_{k'}.
 
     Checks smoothness |dphi/du| at the seed point (-1, u_{k'}) first; h = 0
     returns the metabelian point itself.
     """
-    u_meta, val0, _ = _metabelian_point(knot, kprime, prec, cfg)
+    u_meta, val0, _ = _metabelian_point(knot, kprime, prec)
     if h == 0:
         return RileyPoint(-1.0, u_meta, float(abs(val0)))
     u0 = u_meta if seed is None else seed
-    u, resid = _newton_u(knot, -1.0 + h, u0, prec, cfg)
+    u, resid = _newton_u(knot, -1.0 + h, u0, prec)
     return RileyPoint(-1.0 + h, u, resid)
 
 
-def longitude_series(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
+def longitude_series(knot, kprime, prec=DOUBLE):
     """The longitude image along the Riley curve at s = -1 + h, as a matrix
     of Series, and the residual of the series solve; the Newton slope comes
-    from a dual-number pass at the metabelian point."""
-    u_meta, _, slope = _metabelian_point(knot, kprime, prec, cfg)
-    return _longitude_series(knot, kprime, u_meta, slope, cfg, prec)
+    from a jet pass at the metabelian point."""
+    u_meta, _, slope = _metabelian_point(knot, kprime, prec)
+    return _longitude_series(knot, kprime, u_meta, slope, prec)
 
 
-def _longitude_series(knot, kprime, u_meta, slope, cfg, prec):
+def _longitude_series(knot, kprime, u_meta, slope, prec):
     """u(h) solves phi(-1 + h, u(h)) = 0 by Newton on series, started at
     u_{k'} with the slope dphi/du of the metabelian point; each step fixes
     one more coefficient, so two evaluations of phi usually suffice.  The
@@ -372,18 +343,18 @@ def _longitude_series(knot, kprime, u_meta, slope, cfg, prec):
     rs = s.sqrt(prec.sqrt)
     u = Series(u_meta, zero)
     step = 1 / slope
-    for _ in range(cfg.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         img_x, img_y = riley_images(rs, u)
         w, w11, second = _relator_terms(knot, s, img_x, img_y)
         phi = w11 + second
         resid = max(float(abs(c)) for c in phi.coeffs())
         scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
-        if resid <= cfg.newton_tol * (scale + 1.0):
+        if resid <= NEWTON_TOL * (scale + 1.0):
             return longitude_image(knot, swap_generators(w, s, u), w, img_x), resid
         u = u - phi * step
     raise NewtonDivergence(
         f"series solve through u_{kprime} of {knot.label} did not converge "
-        f"in {cfg.max_newton_iter} iterations"
+        f"in {MAX_NEWTON_ITER} iterations"
     )
 
 
@@ -405,10 +376,10 @@ def _h2_of_trace(knot, kprime, lon):
     return -RingMatrix(e.h1 for e in lon.entries).det()
 
 
-def fitted_local_form(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
+def fitted_local_form(knot, kprime, prec=DOUBLE):
     """H_hat(-2) = [h^2] I_lam, where I_lam - 2 = -(I_muhat + 2) * H_hat(I_muhat)
     locally; equals 1/F and for the figure-eight knot comes out 5."""
-    lon, _ = longitude_series(knot, kprime, cfg, prec)
+    lon, _ = longitude_series(knot, kprime, prec)
     return _h2_of_trace(knot, kprime, lon)
 
 
@@ -449,7 +420,7 @@ def implicit_local_form(knot, kprime, prec=DOUBLE):
     return _implicit_h2(phi, lam)
 
 
-def evaluate_F(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
+def evaluate_F(knot, kprime, prec=DOUBLE):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
@@ -459,18 +430,18 @@ def evaluate_F(knot, kprime, cfg=LimitConfig(), prec=DOUBLE):
     (a) the value of record takes it from the series solve
         (``fitted_local_form``), which shares neither the solve nor the
         determinant identity with (b).
-    A relative disagreement beyond cross_tol raises.
+    A relative disagreement beyond CROSS_TOL raises.
     """
     u_meta, phi, lam2 = _implicit_jets(knot, kprime, prec)
-    _check_smooth(knot, kprime, phi.u, cfg)
+    _check_smooth(knot, kprime, phi.u)
     direct = 1 / _implicit_h2(phi, lam2)
-    lon, resid = _longitude_series(knot, kprime, u_meta, phi.u, cfg, prec)
+    lon, resid = _longitude_series(knot, kprime, u_meta, phi.u, prec)
     lam = lon.trace()
     value = 1 / _h2_of_trace(knot, kprime, lon)
     rel = float(abs(value - direct) / max(abs(value), abs(direct), 1e-300))
-    if rel > cfg.cross_tol:
+    if rel > CROSS_TOL:
         raise EstimateDisagreement(
-            f"F estimates disagree by {rel:.3e} (> {cfg.cross_tol:.1e}) for "
+            f"F estimates disagree by {rel:.3e} (> {CROSS_TOL:.1e}) for "
             f"{knot.label}, k' = {kprime}: series {value!r} vs implicit {direct!r}",
             ratio_value=value,
             direct_value=direct,

@@ -2,7 +2,7 @@
 Richardson extrapolation.
 
 Coefficient arithmetic is duck-typed on purpose: builtin complex, ints,
-mpmath numbers and the dual numbers used for curve derivatives all flow
+mpmath numbers and the Taylor jets used for curve derivatives all flow
 through the same polynomial and matrix code.
 """
 

@@ -9,10 +9,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
+from functools import cache
 
-from . import __version__
-from .alexander import p_at_one, p_polynomial, wada_twisted_alexander
-from .curve import F_METHOD, LimitConfig, evaluate_F, metabelian_pairing
+from . import __version__, curve
+from .alexander import DIVISION_TOL, p_at_one, p_polynomial, wada_twisted_alexander
+from .curve import evaluate_F, metabelian_pairing
 from .errors import (
     EstimateDisagreement,
     InexactDivision,
@@ -23,7 +24,7 @@ from .errors import (
     TorsionError,
 )
 from .oracles import LensSpace, lens_torsion_magnitude
-from .precision import get_precision
+from .precision import DOUBLE, Precision
 from .reps import metabelian_rep
 from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
 
@@ -36,35 +37,34 @@ _RECORD_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    """All numeric knobs of a run; the fingerprint keys the cache."""
+#: Largest multiset deviation at which two knots of one determinant are
+#: reported equivalent up to mirror image.
+COMPARE_TOL = 1e-6
 
-    precision: str = "double"
-    newton_tol: float = 1e-12
-    singular_tol: float = 1e-8
-    cross_tol: float = 1e-5
-    compare_tol: float = 1e-6
 
-    def limit_config(self):
-        return LimitConfig(
-            newton_tol=self.newton_tol,
-            singular_tol=self.singular_tol,
-            cross_tol=self.cross_tol,
-        )
+def fingerprint():
+    """Hash of the package version, the method that computes F and every
+    tolerance a record depends on; keys the cache."""
+    payload = {
+        "version": __version__,
+        "f_method": curve.F_METHOD,
+        "newton_tol": curve.NEWTON_TOL,
+        "singular_tol": curve.SINGULAR_TOL,
+        "cross_tol": curve.CROSS_TOL,
+        "max_newton_iter": curve.MAX_NEWTON_ITER,
+        "identity_tol": curve.IDENTITY_TOL,
+        "division_tol": DIVISION_TOL,
+        "compare_tol": COMPARE_TOL,
+    }
+    blob = json.dumps(payload, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
-    def fingerprint(self):
-        payload = {
-            "version": __version__,
-            "f_method": F_METHOD,
-            "precision": self.precision,
-            "newton_tol": self.newton_tol,
-            "singular_tol": self.singular_tol,
-            "cross_tol": self.cross_tol,
-            "compare_tol": self.compare_tol,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+
+@cache
+def _extended():
+    """The 30-digit backend, built on the first record that needs it, so a
+    run whose records all pass in double never imports mpmath."""
+    return Precision("extended")
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _check_record(rec):
     return rec
 
 
-def _generic_record(knot, idx, cfg, prec, lens):
+def _generic_record(knot, idx, prec, lens):
     rho = metabelian_rep(knot.p, idx, prec)
     wada = wada_twisted_alexander(knot, rho)
     if wada.reduced is None:
@@ -124,7 +124,7 @@ def _generic_record(knot, idx, cfg, prec, lens):
     poly_p = p_polynomial(wada.reduced, prec)
     p1 = complex(p_at_one(poly_p))
     kprime = metabelian_pairing(knot.p, idx)
-    est = evaluate_F(knot, kprime, cfg.limit_config(), prec)
+    est = evaluate_F(knot, kprime, prec)
     f_val = complex(est.value)
     p1sq = p1 * p1
     tau = abs(p1sq * f_val)
@@ -136,6 +136,7 @@ def _generic_record(knot, idx, cfg, prec, lens):
         "lam_gap1": est.lam_gap1,
         "lon_gap0": est.lon_gap0,
         "path": "generic",
+        "precision": prec.name,
     }
     return InvariantRecord(
         k=idx,
@@ -148,28 +149,39 @@ def _generic_record(knot, idx, cfg, prec, lens):
     )
 
 
-def compute_invariants(knot, cfg=Config()):
+def _record(knot, idx, lens):
+    """The record of index idx in double precision; a record whose checks
+    fail there is computed again, by the same code with the same
+    tolerances, at 30 digits, and keeps an error only if it fails there
+    too."""
+    try:
+        return _generic_record(knot, idx, DOUBLE, lens)
+    except _RECORD_ERRORS:
+        pass
+    try:
+        return _generic_record(knot, idx, _extended(), lens)
+    except _RECORD_ERRORS as exc:
+        return InvariantRecord(
+            k=idx,
+            kprime=metabelian_pairing(knot.p, idx),
+            p1_squared=0j,
+            f_value=0j,
+            tau=float("nan"),
+            cross_check=lens_torsion_magnitude(lens, idx),
+            diagnostics={"precision": "extended"},
+            error=f"{type(exc).__name__}: {exc}",
+        )
+
+
+def compute_invariants(knot):
     """One InvariantRecord per k = 1..(p-1)/2, torus knots b(p, 1) included;
     per-record failures are recorded rather than raised, so partial results
     survive."""
-    prec = get_precision(cfg.precision)
     lens = LensSpace.of(knot.p, knot.q)
-    records = []
-    for idx in range(1, (knot.p - 1) // 2 + 1):
-        try:
-            rec = _generic_record(knot, idx, cfg, prec, lens)
-        except _RECORD_ERRORS as exc:
-            rec = InvariantRecord(
-                k=idx,
-                kprime=metabelian_pairing(knot.p, idx),
-                p1_squared=0j,
-                f_value=0j,
-                tau=float("nan"),
-                cross_check=lens_torsion_magnitude(lens, idx),
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        records.append(_check_record(rec))
-    return records
+    return [
+        _check_record(_record(knot, idx, lens))
+        for idx in range(1, (knot.p - 1) // 2 + 1)
+    ]
 
 
 def tau_multiset(records):
@@ -192,13 +204,13 @@ def format_deviation(value, spec):
     return "n/a" if value is None else format(value, spec)
 
 
-def compare_knots(a, b, cfg=Config(), records_a=None, records_b=None):
+def compare_knots(a, b, records_a=None, records_b=None):
     """Verdict per the torsion multisets, with the arithmetic congruence
     q' = +/- q^{+/-1} mod p reported as independent confirmation.  Any error
     record on either side makes the verdict "undetermined", with no
     deviation."""
-    records_a = records_a if records_a is not None else compute_invariants(a, cfg)
-    records_b = records_b if records_b is not None else compute_invariants(b, cfg)
+    records_a = records_a if records_a is not None else compute_invariants(a)
+    records_b = records_b if records_b is not None else compute_invariants(b)
     det_match = a.p == b.p
     taus_a, taus_b = tau_multiset(records_a), tau_multiset(records_b)
     congruence = det_match and fractions_mirror_equivalent(a.p, a.q, b.q)
@@ -206,7 +218,7 @@ def compare_knots(a, b, cfg=Config(), records_a=None, records_b=None):
         verdict, deviation = "undetermined", None
     else:
         deviation = _multiset_deviation(taus_a, taus_b)
-        if det_match and deviation <= cfg.compare_tol:
+        if det_match and deviation <= COMPARE_TOL:
             verdict = "equivalent-up-to-mirror"
         else:
             verdict = "distinct"
@@ -288,15 +300,15 @@ def _atomic_write(path, data):
         raise
 
 
-def cached_invariant_report(knot, cfg=Config(), cache_dir=None):
-    """Per-knot report, served from the directory cache when the config
+def cached_invariant_report(knot, cache_dir=None):
+    """Per-knot report, served from the directory cache when the code
     fingerprint matches; returns (report, hit)."""
     base = cache_dir or default_cache_dir()
-    path = os.path.join(base, cfg.fingerprint()[:16], f"{knot.p}_{knot.q}.json")
+    path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
     if os.path.exists(path):
         with open(path, "rb") as f:
             return json.loads(f.read().decode()), True
-    records = compute_invariants(knot, cfg)
+    records = compute_invariants(knot)
     report = knot_report(knot, records)
     _atomic_write(path, serialize_report(report))
     return report, False
@@ -334,7 +346,7 @@ def read_catalog(path):
     return rows
 
 
-def run_catalog(input_path, cfg=Config(), out_path=None, cache_dir=None):
+def run_catalog(input_path, out_path=None, cache_dir=None):
     """Compute every catalog row, compare same-determinant pairs, and write
     the JSON report; per-row failures are recorded, not fatal."""
     entries = []
@@ -348,7 +360,7 @@ def run_catalog(input_path, cfg=Config(), out_path=None, cache_dir=None):
         except TorsionError as exc:
             errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        report, hit = cached_invariant_report(knot, cfg, cache_dir)
+        report, hit = cached_invariant_report(knot, cache_dir)
         entries.append({"row": row_no, "label": label, "knot": knot, "report": report, "cache_hit": hit})
 
     verdicts = []
@@ -359,10 +371,10 @@ def run_catalog(input_path, cfg=Config(), out_path=None, cache_dir=None):
                 continue
             recs_a = _records_from_report(entries[i]["report"])
             recs_b = _records_from_report(entries[j]["report"])
-            verdicts.append(compare_knots(a, b, cfg, recs_a, recs_b))
+            verdicts.append(compare_knots(a, b, recs_a, recs_b))
 
     report = {
-        "config": cfg.fingerprint(),
+        "config": fingerprint(),
         "knots": [e["report"] for e in entries],
         "labels": [e["label"] for e in entries],
         "verdicts": [verdict_to_dict(v) for v in verdicts],

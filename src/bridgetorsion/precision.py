@@ -1,6 +1,6 @@
 """Scalar backends: IEEE double via cmath/math, or mpmath extended precision.
 
-Everything downstream (polynomials, matrices, dual numbers) is duck-typed,
+Everything downstream (polynomials, matrices, Taylor jets) is duck-typed,
 so mpmath values flow through the same code paths as builtin complex.
 """
 
@@ -39,9 +39,3 @@ class Precision:
 
 
 DOUBLE = Precision("double")
-
-
-def get_precision(name):
-    if name == "double":
-        return DOUBLE
-    return Precision(name)

@@ -13,7 +13,7 @@ from .alexander import wada_twisted_alexander
 from .curve import fitted_local_form, riley_residual
 from .numerics import LaurentPoly, units_equal
 from .oracles import LensSpace, lens_torsion_magnitude, torus_F, torus_P1_squared
-from .pipeline import Config, compare_knots, compute_invariants, format_deviation
+from .pipeline import compare_knots, compute_invariants, format_deviation
 from .reps import metabelian_rep, metabelian_u
 from .words import normalize_two_bridge
 
@@ -46,14 +46,13 @@ def _rel(a, b):
 class AcceptanceSuite:
     """Runs the criteria with shared, memoized pipeline results."""
 
-    def __init__(self, cfg=Config()):
-        self.cfg = cfg
+    def __init__(self):
         self._records = {}
         self.census_seconds = None
 
     def records(self, p, q):
         if (p, q) not in self._records:
-            self._records[p, q] = compute_invariants(normalize_two_bridge(p, q), self.cfg)
+            self._records[p, q] = compute_invariants(normalize_two_bridge(p, q))
         return self._records[p, q]
 
     def _census_records(self):
@@ -67,7 +66,7 @@ class AcceptanceSuite:
 
     def criterion_1(self):
         t0 = time.perf_counter()
-        recs = compute_invariants(normalize_two_bridge(5, 3), self.cfg)
+        recs = compute_invariants(normalize_two_bridge(5, 3))
         elapsed = time.perf_counter() - t0
         devs = [_rel(r.tau, 0.2) for r in recs]
         ok = (
@@ -102,10 +101,7 @@ class AcceptanceSuite:
 
     def criterion_3(self):
         knot = normalize_two_bridge(5, 3)
-        values = [
-            complex(fitted_local_form(knot, kp, self.cfg.limit_config()))
-            for kp in (1, 2)
-        ]
+        values = [complex(fitted_local_form(knot, kp)) for kp in (1, 2)]
         dev = max(abs(v - 5.0) for v in values)
         return CriterionResult(
             3,
@@ -221,14 +217,12 @@ class AcceptanceSuite:
         v1 = compare_knots(
             normalize_two_bridge(7, 3),
             normalize_two_bridge(7, 5),
-            self.cfg,
             self.records(7, 3),
             self.records(7, 5),
         )
         v2 = compare_knots(
             normalize_two_bridge(11, 3),
             normalize_two_bridge(11, 5),
-            self.cfg,
             self.records(11, 3),
             self.records(11, 5),
         )
@@ -273,9 +267,9 @@ class AcceptanceSuite:
         return [getattr(self, f"criterion_{i}")() for i in range(1, 11)]
 
 
-def run_acceptance(cfg=Config(), stream=None):
+def run_acceptance(stream=None):
     """Run all criteria, printing one pass/fail line each; returns results."""
-    suite = AcceptanceSuite(cfg)
+    suite = AcceptanceSuite()
     results = suite.run_all()
     for res in results:
         if stream is not None:

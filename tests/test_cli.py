@@ -40,6 +40,16 @@ def test_invariants_json_torus_knot(capsys):
         assert abs(complex(*r["F"]) - f) <= 1e-6 * f
 
 
+def test_invariants_json_with_extended_fallback(capsys):
+    # one record of 91/57 fails its double-precision cross-check and is
+    # recomputed at 30 digits, so the knot has no error record
+    code, out, _ = run_cli(capsys, ["invariants", "91/57", "--json"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert all(r["error"] is None for r in records)
+    assert [r["k"] for r in records if r["diagnostics"]["precision"] == "extended"] == [1]
+
+
 def test_invariants_table(capsys):
     code, out, _ = run_cli(capsys, ["invariants", "3/1"])
     assert code == 0
@@ -59,6 +69,10 @@ def test_usage_error_exit_code(capsys):
     assert info.value.code == 1
     with pytest.raises(SystemExit) as info:
         main(["invariants"])
+    assert info.value.code == 1
+    # precision is chosen per record, not by the user
+    with pytest.raises(SystemExit) as info:
+        main(["invariants", "5/3", "--precision", "extended"])
     assert info.value.code == 1
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from bridgetorsion import curve
 from bridgetorsion.curve import (
-    Dual,
     Jet2,
-    LimitConfig,
     Series,
     continue_riley_curve,
     evaluate_F,
@@ -31,27 +29,6 @@ from bridgetorsion.reps import metabelian_u, riley_images, word_product
 from bridgetorsion.words import Word, longitude_word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-
-
-# -- dual numbers -----------------------------------------------------------------
-
-
-def test_dual_arithmetic():
-    a = Dual(2.0, 1.0, 0.0)  # u-variable
-    b = Dual(3.0, 0.0, 1.0)  # s-variable
-    prod = a * b
-    assert (prod.val, prod.du, prod.ds) == (6.0, 3.0, 2.0)
-    quot = a / b
-    assert abs(quot.val - 2 / 3) < 1e-15
-    assert abs(quot.du - 1 / 3) < 1e-15
-    assert abs(quot.ds + 2 / 9) < 1e-15
-
-
-def test_dual_sqrt_derivative():
-    x = Dual(4.0, 1.0, 0.0)
-    r = x.sqrt(cmath.sqrt)
-    assert abs(r.val - 2.0) < 1e-15
-    assert abs(r.du - 0.25) < 1e-15
 
 
 # -- truncated series ----------------------------------------------------------------
@@ -289,12 +266,16 @@ def test_torus_curves_smooth_at_metabelian_points():
             assert abs(du) > 1e-8
 
 
-def test_singular_guard_and_newton_budget():
+def test_singular_guard_and_newton_budget(monkeypatch):
     knot = normalize_two_bridge(5, 3)
-    with pytest.raises(SingularPoint):
-        continue_riley_curve(knot, 1, 1e-3, cfg=LimitConfig(singular_tol=1e3))
-    with pytest.raises(NewtonDivergence):
-        continue_riley_curve(knot, 1, 1e-2, cfg=LimitConfig(max_newton_iter=1))
+    with monkeypatch.context() as m:
+        m.setattr(curve, "SINGULAR_TOL", 1e3)
+        with pytest.raises(SingularPoint):
+            continue_riley_curve(knot, 1, 1e-3)
+    with monkeypatch.context() as m:
+        m.setattr(curve, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(NewtonDivergence):
+            continue_riley_curve(knot, 1, 1e-2)
 
 
 # -- the double zero and F as a Taylor coefficient ------------------------------------
@@ -364,7 +345,7 @@ def test_fitted_local_form_figure_eight():
 
 
 def test_estimate_disagreement_raises(monkeypatch):
-    # the two estimates agree far inside cross_tol, so skew the cross-check
+    # the two estimates agree far inside CROSS_TOL, so skew the cross-check
     exact = curve._implicit_h2
     monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
     knot = normalize_two_bridge(5, 3)
@@ -390,9 +371,7 @@ def test_longitude_not_identity_raises(monkeypatch):
 
 
 def test_evaluate_F_extended_precision():
-    from bridgetorsion.precision import get_precision
-
-    est = evaluate_F(normalize_two_bridge(7, 3), 2, prec=get_precision("extended"))
+    est = evaluate_F(normalize_two_bridge(7, 3), 2, prec=Precision("extended"))
     double = evaluate_F(normalize_two_bridge(7, 3), 2)
     assert est.rel_disagreement < 1e-20
     assert abs(complex(est.value) - double.value) < 1e-12 * abs(double.value)

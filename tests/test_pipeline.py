@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
-from bridgetorsion import curve, pipeline
+from bridgetorsion import curve
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -14,10 +16,10 @@ from bridgetorsion.oracles import (
     torus_P1_squared,
 )
 from bridgetorsion.pipeline import (
-    Config,
     cached_invariant_report,
     compare_knots,
     compute_invariants,
+    fingerprint,
     knot_report,
     parse_fraction,
     run_catalog,
@@ -72,9 +74,9 @@ def test_trefoil_uses_closed_form_with_generic_crosscheck():
 
 
 def test_force_generic_on_torus():
-    # no knob is needed any more: the default config sends b(5, 1) through the
-    # generic path, and its records match the closed form
-    records = compute_invariants(normalize_two_bridge(5, 1), Config())
+    # no knob is needed any more: b(5, 1) goes through the generic path, and
+    # its records match the closed form
+    records = compute_invariants(normalize_two_bridge(5, 1))
     assert len(records) == 2
     for r in records:
         assert r.ok
@@ -100,10 +102,15 @@ def test_multiset_matches_lens_oracle():
             assert abs(a - b) <= 1e-6 * max(a, b)
 
 
-# fractions where the step-grid limit used to fail or miss the oracle
+# fractions where the step-grid limit used to fail or miss the oracle, and
+# two whose double-precision checks fail on one record each: the cross-check
+# of F on 91/57 and the division of P(t) on 79/1
 @pytest.mark.parametrize(
     "p, q",
-    [(21, 13), (23, 7), (23, 11), (23, 13), (23, 21), (25, 13), (25, 23), (61, 17), (101, 31)],
+    [
+        (21, 13), (23, 7), (23, 11), (23, 13), (23, 21), (25, 13), (25, 23), (61, 17),
+        (101, 31), (91, 57), (79, 1),
+    ],
 )
 def test_former_failures_match_lens_oracle(p, q):
     taus = tau_multiset(compute_invariants(normalize_two_bridge(p, q)))
@@ -113,12 +120,51 @@ def test_former_failures_match_lens_oracle(p, q):
         assert abs(a - b) <= 1e-6 * max(a, b)
 
 
+def test_only_the_failing_record_falls_back_to_extended():
+    # a record is recomputed at 30 digits only where its own double-precision
+    # checks fail; every other record of the knot stays in double
+    for p, q, k in ((91, 57, 1), (79, 1, 39)):
+        records = compute_invariants(normalize_two_bridge(p, q))
+        assert all(r.ok for r in records), (p, q)
+        for r in records:
+            expected = "extended" if r.k == k else "double"
+            assert r.diagnostics["precision"] == expected, (p, q, r.k)
+
+
+_MPMATH_PROBE = """
+import sys
+from bridgetorsion.pipeline import compute_invariants
+from bridgetorsion.selfcheck import CENSUS_FRACTIONS
+from bridgetorsion.words import normalize_two_bridge
+for p, q in [(101, 31)] + CENSUS_FRACTIONS:
+    recs = compute_invariants(normalize_two_bridge(p, q))
+    assert all(r.diagnostics["precision"] == "double" for r in recs), (p, q)
+print("mpmath" in sys.modules)
+"""
+
+
+def test_mpmath_stays_unloaded_when_double_suffices():
+    # no record of these knots needs the 30-digit backend, so mpmath is
+    # never imported
+    src = os.path.dirname(os.path.dirname(curve.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.slow
-def test_census_through_61_matches_lens_oracle():
-    # every normalized fraction with p <= 61 (394 of them): no error record,
-    # and the sorted multiset within the acceptance bound of the lens oracle
-    fractions = [(p, q) for p in range(3, 62, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(fractions) == 394
+def test_census_through_101_matches_lens_oracle():
+    # every normalized fraction with p <= 101 (1,053 of them): no error
+    # record, and the sorted multiset within the acceptance bound of the
+    # lens oracle
+    fractions = [(p, q) for p in range(3, 102, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    assert len(fractions) == 1053
     for p, q in fractions:
         records = compute_invariants(normalize_two_bridge(p, q))
         assert all(r.ok for r in records), (p, q, [r.error for r in records if not r.ok])
@@ -180,27 +226,31 @@ def test_compare_distinct_same_determinant():
 
 def test_cache_bit_for_bit(tmp_path):
     knot = normalize_two_bridge(5, 3)
-    cfg = Config()
     cache = str(tmp_path / "cache")
-    report1, hit1 = cached_invariant_report(knot, cfg, cache)
+    report1, hit1 = cached_invariant_report(knot, cache)
     assert not hit1
-    path = os.path.join(cache, cfg.fingerprint()[:16], "5_3.json")
+    path = os.path.join(cache, fingerprint()[:16], "5_3.json")
     with open(path, "rb") as f:
         cached_bytes = f.read()
-    fresh = knot_report(knot, compute_invariants(knot, cfg))
+    fresh = knot_report(knot, compute_invariants(knot))
     assert serialize_report(fresh) == cached_bytes
-    report2, hit2 = cached_invariant_report(knot, cfg, cache)
+    report2, hit2 = cached_invariant_report(knot, cache)
     assert hit2
     assert report2 == report1 == fresh
 
 
 def test_fingerprint_sensitivity(monkeypatch):
-    assert Config().fingerprint() != Config(precision="extended").fingerprint()
-    assert Config().fingerprint() == Config().fingerprint()
-    # a cache written by another method of computing F is never served
-    current = Config().fingerprint()
-    monkeypatch.setattr(pipeline, "F_METHOD", "richardson-grid")
-    assert Config().fingerprint() != current
+    current = fingerprint()
+    assert fingerprint() == current
+    # a cache written by another method of computing F, or under another
+    # tolerance, is never served
+    with monkeypatch.context() as m:
+        m.setattr(curve, "F_METHOD", "richardson-grid")
+        assert fingerprint() != current
+    with monkeypatch.context() as m:
+        m.setattr(curve, "CROSS_TOL", 1e-6)
+        assert fingerprint() != current
+    assert fingerprint() == current
 
 
 def test_catalog_run(tmp_path):
@@ -209,7 +259,7 @@ def test_catalog_run(tmp_path):
         "p,q,label\n3,1,trefoil\n5,1,\n5,3,figure-eight\n7,1,\n7,3,\n7,5,\n"
     )
     out_path = tmp_path / "report.json"
-    report = run_catalog(str(csv_path), Config(), str(out_path), str(tmp_path / "cache"))
+    report = run_catalog(str(csv_path), str(out_path), str(tmp_path / "cache"))
     assert len(report["knots"]) == 6
     assert not report["errors"]
     pair_verdicts = {
@@ -222,19 +272,19 @@ def test_catalog_run(tmp_path):
         on_disk = json.load(f)
     assert on_disk == report
     # a second run is served from the cache and produces the identical report
-    report2 = run_catalog(str(csv_path), Config(), None, str(tmp_path / "cache"))
+    report2 = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
     assert report2["knots"] == report["knots"]
 
 
 def test_catalog_empty_and_bad_rows(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    report = run_catalog(str(empty), Config())
+    report = run_catalog(str(empty))
     assert report["knots"] == [] and report["errors"] == []
 
     bad = tmp_path / "bad.csv"
     bad.write_text("4,1\n5,3\nnot,a,row\n")
-    report = run_catalog(str(bad), Config(), None, str(tmp_path / "cache2"))
+    report = run_catalog(str(bad), None, str(tmp_path / "cache2"))
     assert len(report["knots"]) == 1
     assert len(report["errors"]) == 2
     assert report["knots"][0]["knot"] == {"p": 5, "q": 3}
@@ -252,8 +302,7 @@ def test_partial_results_on_record_errors(monkeypatch):
     # a skewed cross-check estimate marks every record, not raises
     exact = curve._implicit_h2
     monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
-    cfg = Config()
-    records = compute_invariants(normalize_two_bridge(5, 3), cfg)
+    records = compute_invariants(normalize_two_bridge(5, 3))
     assert len(records) == 2
     assert all(not r.ok for r in records)
     assert all("EstimateDisagreement" in r.error for r in records)
@@ -261,7 +310,7 @@ def test_partial_results_on_record_errors(monkeypatch):
     report = knot_report(normalize_two_bridge(5, 3), records)
     assert all(r["tau"] is None and r["error"] for r in report["records"])
     v = compare_knots(
-        normalize_two_bridge(5, 3), normalize_two_bridge(5, 3), cfg, records, records
+        normalize_two_bridge(5, 3), normalize_two_bridge(5, 3), records, records
     )
     assert v.verdict == "undetermined"
     assert v.max_multiset_deviation is None
@@ -277,27 +326,33 @@ def test_criterion_9_fails_on_record_errors(monkeypatch):
 
 
 def test_extended_precision():
-    cfg = Config(precision="extended")
-    records = compute_invariants(normalize_two_bridge(5, 3), cfg)
-    for r in records:
+    # b(79, 1), k = 39: the division of P(t) is inexact in double and exact
+    # at 30 digits, and the record meets the (2, 79) torus closed form
+    records = compute_invariants(normalize_two_bridge(79, 1))
+    extended = [r for r in records if r.diagnostics["precision"] == "extended"]
+    assert [r.k for r in extended] == [39]
+    for r in extended:
         assert r.ok
-        assert abs(r.tau - 0.2) <= 1e-10 * 0.2
+        expected = torus_P1_squared(79, r.k) * torus_F(79)
+        assert abs(r.tau - expected) <= 1e-10 * expected
 
 
 def test_extended_precision_leaves_global_mpmath_alone():
-    # the extended run keeps its 30 digits in a private mpmath context
+    # the extended record of 91/57 keeps its 30 digits in a private mpmath
+    # context, where its two F estimates agree far beyond double precision
     with mpmath.workdps(15):
-        records = compute_invariants(normalize_two_bridge(5, 3), Config(precision="extended"))
+        records = compute_invariants(normalize_two_bridge(91, 57))
         assert mpmath.mp.dps == 15
-    assert all(r.diagnostics["f_rel_disagreement"] < 1e-20 for r in records)
+    extended = [r for r in records if r.diagnostics["precision"] == "extended"]
+    assert extended
+    assert all(r.diagnostics["f_rel_disagreement"] < 1e-20 for r in extended)
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("TORSION_CACHE_DIR", str(tmp_path / "envcache"))
     knot = normalize_two_bridge(3, 1)
-    cfg = Config()
-    _, hit = cached_invariant_report(knot, cfg)
+    _, hit = cached_invariant_report(knot)
     assert not hit
     assert os.path.isdir(str(tmp_path / "envcache"))
-    _, hit = cached_invariant_report(knot, cfg)
+    _, hit = cached_invariant_report(knot)
     assert hit
