@@ -36,13 +36,9 @@ from .words import (
     fractions_mirror_equivalent,
     longitude_word,
     normalize_two_bridge,
-    word_exponent_sum,
 )
 from .reps import (
-    MetabelianIndex,
     Rep2,
-    abelianization,
-    evaluate_word,
     fox_image,
     metabelian_rep,
     metabelian_u,
@@ -54,7 +50,6 @@ from .alexander import (
     TwistedAlexResult,
     classical_alexander,
     knot_determinant,
-    p_at_one,
     p_polynomial,
     wada_twisted_alexander,
 )
@@ -65,9 +60,6 @@ from .curve import (
     Series,
     continue_riley_curve,
     evaluate_F,
-    fitted_local_form,
-    implicit_local_form,
-    longitude_series,
     metabelian_pairing,
     riley_residual,
     trace_longitude,

@@ -1,5 +1,5 @@
 """Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
-Alexander polynomial, and the derived quantities P(t), P(1).
+Alexander polynomial, and the derived polynomial P(t).
 
 ``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
 ``normalize_two_bridge`` checks it against p; it is re-exported here."""
@@ -12,8 +12,8 @@ from typing import Optional
 from .errors import InexactDivision
 from .numerics import LaurentPoly
 from .precision import DOUBLE
-from .reps import fox_image, phi_map
-from .words import GroupRingElement, Word, fox_derivative, knot_determinant  # noqa: F401
+from .reps import fox_image
+from .words import fox_derivative, knot_determinant  # noqa: F401
 
 #: Exactness tolerance for the polynomial divisions below.
 DIVISION_TOL = 1e-8
@@ -52,45 +52,39 @@ def classical_alexander(k):
     return LaurentPoly(coeffs).canonical_unit()
 
 
-def wada_twisted_alexander(k, rep, by="x", tol=DIVISION_TOL):
+def wada_twisted_alexander(k, rep, by="x"):
     """Wada's twisted Alexander polynomial for the knot and representation.
 
     ``by`` selects the differentiation route: the x-derivative pairs with the
     denominator det(t rho(y) - 1), the y-derivative with det(t rho(x) - 1);
-    both yield the same reduced polynomial up to a unit.
+    both yield the same reduced polynomial up to a unit.  For a 2x2 matrix
+    M, det(t M - 1) = t^2 det M - t tr M + 1.
     """
     if by == "x":
-        den_gen = Word((("y", 1),))
+        m = rep.img_y
     elif by == "y":
-        den_gen = Word((("x", 1),))
+        m = rep.img_x
     else:
         raise ValueError(f"by = {by!r}")
     numerator = fox_image(rep, k.relator(), by).det()
-    den_elem = GroupRingElement({den_gen: 1, Word(): -1})
-    denominator = phi_map(rep, den_elem).det()
+    denominator = LaurentPoly({2: m.det(), 1: -m.trace(), 0: 1})
     try:
-        reduced = numerator.divide_exact(denominator, tol).canonical_unit()
+        reduced = numerator.divide_exact(denominator, DIVISION_TOL).canonical_unit()
     except InexactDivision:
         reduced = None
     return TwistedAlexResult(numerator, denominator, reduced)
 
 
-def p_polynomial(delta, prec=DOUBLE, tol=DIVISION_TOL):
+def p_polynomial(delta, prec=DOUBLE):
     """P(t) = Delta(sqrt(-1) * t) / (t^2 - 1) for a metabelian twisted
     Alexander polynomial; comes out even, P(t) = P(-t)."""
     num = delta.rescale_variable(prec.imag_unit)
     den = LaurentPoly({2: 1, 0: -1})
-    p = num.divide_exact(den, tol)
+    p = num.divide_exact(den, DIVISION_TOL)
     odd_mag = max((abs(c) for e, c in p.coeffs.items() if e % 2), default=0.0)
-    if float(odd_mag) > tol * max(p.max_mag(), 1e-300):
+    if float(odd_mag) > DIVISION_TOL * max(p.max_mag(), 1e-300):
         raise InexactDivision(
             "P(t) acquired odd-degree terms; the input polynomial does not "
             "come from a metabelian representation"
         )
     return p
-
-
-def p_at_one(p):
-    """P evaluated at 1.  Only |P(1)| and P(1)^2 are canonical; the sign is a
-    unit artifact and never asserted."""
-    return p.evaluate(1)

@@ -2,7 +2,7 @@
 
 Subcommands: invariants, compare, oracle, catalog, selftest.
 Exit codes: 0 success, 1 usage error, 2 any record or row error (an
-undetermined comparison included).
+undetermined comparison included) or an input file that cannot be read.
 """
 
 from __future__ import annotations
@@ -122,12 +122,12 @@ def _cmd_oracle(args):
             print(f"{k:>3} {lens_torsion_magnitude(lens, k):>16.10g}")
     else:
         q = args.q
+        f = torus_F(q)  # validates q before anything is printed
         lens = LensSpace.of(q, 1)
         print(f"(2,{q}) torus knot  (double branched cover {lens.label})")
         print(f"{'j':>3} {'P(1)^2':>16} {'F':>12} {'product':>16} {'lens':>16}")
         for j in range(1, (q - 1) // 2 + 1):
             p1sq = torus_P1_squared(q, j)
-            f = torus_F(q)
             print(
                 f"{j:>3} {p1sq:>16.10g} {f:>12.8g} {p1sq * f:>16.10g} "
                 f"{lens_torsion_magnitude(lens, j):>16.10g}"
@@ -172,10 +172,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except TorsionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (TorsionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .numerics import RingMatrix
 from .precision import DOUBLE
-from .reps import evaluate_word, metabelian_u, riley_images, riley_rep, word_product
+from .reps import metabelian_u, riley_images, riley_rep, word_product
 from .words import longitude_word
 
 #: Identifies how evaluate_F computes F; part of the cache fingerprint.
@@ -236,7 +236,7 @@ def metabelian_pairing(p, k):
 def trace_longitude(knot, s, u, prec=DOUBLE, branch=1):
     """Trace of the longitude image under the Riley representation."""
     rep = riley_rep(s, u, prec, branch)
-    return evaluate_word(rep, longitude_word(knot)).trace()
+    return word_product(rep.img_x, rep.img_y, longitude_word(knot)).trace()
 
 
 def swap_generators(w, s, u):
@@ -278,15 +278,6 @@ def _check_smooth(knot, kprime, du):
         )
 
 
-def _metabelian_point(knot, kprime, prec):
-    """(u_{k'}, phi, dphi/du) at the metabelian point s = -1; raises
-    SingularPoint where the curve through it is not smooth."""
-    u_meta = metabelian_u(knot.p, kprime, prec)
-    val, du, _ = riley_residual(knot, -1.0, u_meta, prec)
-    _check_smooth(knot, kprime, du)
-    return u_meta, val, du
-
-
 def _newton_u(knot, s, u0, prec):
     """Newton in u at fixed s.  The stopping rule is relative to the
     evaluation scale of phi: the absolute floor eps*scale is what double
@@ -315,20 +306,14 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
     Checks smoothness |dphi/du| at the seed point (-1, u_{k'}) first; h = 0
     returns the metabelian point itself.
     """
-    u_meta, val0, _ = _metabelian_point(knot, kprime, prec)
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    phi, _ = _jet_phi(knot, -1.0, u_meta, prec)
+    _check_smooth(knot, kprime, phi.u)
     if h == 0:
-        return RileyPoint(-1.0, u_meta, float(abs(val0)))
+        return RileyPoint(-1.0, u_meta, float(abs(phi.val)))
     u0 = u_meta if seed is None else seed
     u, resid = _newton_u(knot, -1.0 + h, u0, prec)
     return RileyPoint(-1.0 + h, u, resid)
-
-
-def longitude_series(knot, kprime, prec=DOUBLE):
-    """The longitude image along the Riley curve at s = -1 + h, as a matrix
-    of Series, and the residual of the series solve; the Newton slope comes
-    from a jet pass at the metabelian point."""
-    u_meta, _, slope = _metabelian_point(knot, kprime, prec)
-    return _longitude_series(knot, kprime, u_meta, slope, prec)
 
 
 def _longitude_series(knot, kprime, u_meta, slope, prec):
@@ -376,19 +361,12 @@ def _h2_of_trace(knot, kprime, lon):
     return -RingMatrix(e.h1 for e in lon.entries).det()
 
 
-def fitted_local_form(knot, kprime, prec=DOUBLE):
-    """H_hat(-2) = [h^2] I_lam, where I_lam - 2 = -(I_muhat + 2) * H_hat(I_muhat)
-    locally; equals 1/F and for the figure-eight knot comes out 5."""
-    lon, _ = longitude_series(knot, kprime, prec)
-    return _h2_of_trace(knot, kprime, lon)
-
-
 def _implicit_jets(knot, kprime, prec):
     """u_{k'}, and phi and the longitude trace as second-order jets in
     (u, s) at the metabelian point (-1, u_{k'}).  rho(<-w) is a direct
     product over the reversed word: the conjugation of ``swap_generators``
     would add its conditioning to the small coefficient that
-    ``implicit_local_form`` reads off large ones."""
+    ``_implicit_h2`` reads off large ones."""
     u_meta = metabelian_u(knot.p, kprime, prec)
     zero = u_meta * 0
     s = Jet2(zero - 1, zero, zero + 1, zero, zero, zero)
@@ -401,23 +379,17 @@ def _implicit_jets(knot, kprime, prec):
 
 
 def _implicit_h2(phi, lam):
-    """[h^2] I_lam from the jets of phi and of the longitude trace."""
-    u1 = -phi.s / phi.u
-    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
-    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
-
-
-def implicit_local_form(knot, kprime, prec=DOUBLE):
-    """[h^2] I_lam again, by the implicit function theorem from the
-    second-order partials of phi and of the longitude trace at the
-    metabelian point (-1, u_{k'}), with no solve and without the
-    determinant identity of ``fitted_local_form``.
+    """[h^2] I_lam by the implicit function theorem from the second-order
+    partials of phi and of the longitude trace at the metabelian point
+    (-1, u_{k'}), with no solve and without the determinant identity of
+    ``_h2_of_trace``.
 
     In Taylor coefficients, with s = -1 + h and u = u_{k'} + u' h + u'' h^2,
     u' = -phi_s/phi_u, u'' = -(phi_ss + phi_su u' + phi_uu u'^2)/phi_u and
     [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''."""
-    _, phi, lam = _implicit_jets(knot, kprime, prec)
-    return _implicit_h2(phi, lam)
+    u1 = -phi.s / phi.u
+    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
+    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
 
 
 def evaluate_F(knot, kprime, prec=DOUBLE):
@@ -425,11 +397,13 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
     (b) the cross-check takes [h^2] I_lam from the implicit-function formula
-        (``implicit_local_form``); its phi_u is the smoothness check and
-        the Newton slope of (a);
-    (a) the value of record takes it from the series solve
-        (``fitted_local_form``), which shares neither the solve nor the
-        determinant identity with (b).
+        (``_implicit_h2``); its phi_u is the smoothness check and the Newton
+        slope of (a);
+    (a) the value of record takes it from the series solve and the
+        determinant identity (``_h2_of_trace``), neither of which (b)
+        shares.  1/value is H_hat(-2), where I_lam - 2 =
+        -(I_muhat + 2) H_hat(I_muhat) locally; for the figure-eight knot it
+        comes out 5.
     A relative disagreement beyond CROSS_TOL raises.
     """
     u_meta, phi, lam2 = _implicit_jets(knot, kprime, prec)

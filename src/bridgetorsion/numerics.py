@@ -34,14 +34,14 @@ class LaurentPoly:
     """Finitely supported exponent -> coefficient map, kept in canonical form.
 
     Canonical form drops every coefficient whose magnitude is at or below
-    ``tol`` times the largest coefficient magnitude.  The threshold is
-    relative, so rescaling a polynomial never changes which terms survive,
-    and the zero polynomial has empty support.
+    ``DEFAULT_ZERO_TOL`` times the largest coefficient magnitude.  The
+    threshold is relative, so rescaling a polynomial never changes which
+    terms survive, and the zero polynomial has empty support.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, tol=DEFAULT_ZERO_TOL):
+    def __init__(self, coeffs=None):
         if coeffs is None:
             coeffs = {}
         maxmag = 0.0
@@ -49,7 +49,7 @@ class LaurentPoly:
             m = _mag(c)
             if m > maxmag:
                 maxmag = m
-        cutoff = maxmag * tol
+        cutoff = maxmag * DEFAULT_ZERO_TOL
         self.coeffs = {int(e): c for e, c in coeffs.items() if _mag(c) > cutoff}
 
     # -- constructors ------------------------------------------------------
@@ -65,14 +65,6 @@ class LaurentPoly:
     @classmethod
     def constant(cls, c):
         return cls({0: c})
-
-    @classmethod
-    def term(cls, exponent, coeff=1):
-        return cls({exponent: coeff})
-
-    @classmethod
-    def variable(cls):
-        return cls({1: 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -218,7 +210,7 @@ class LaurentPoly:
             )
         return LaurentPoly(quot)
 
-    def canonical_unit(self, tol=DEFAULT_ZERO_TOL):
+    def canonical_unit(self):
         """Normalize away the unit ambiguity +/- t^k.
 
         Shifts the lowest exponent to 0 and fixes the sign so the lowest-degree
@@ -228,7 +220,7 @@ class LaurentPoly:
             return self
         emin = self.min_exp
         c0 = complex(self.coeffs[emin])
-        if abs(c0.real) > tol * abs(c0):
+        if abs(c0.real) > DEFAULT_ZERO_TOL * abs(c0):
             sign = 1 if c0.real > 0 else -1
         else:
             sign = 1 if c0.imag >= 0 else -1
@@ -265,14 +257,6 @@ def units_equal(a, b, tol=1e-8):
     return a.canonical_unit().close_to(b.canonical_unit(), tol)
 
 
-def ring_constants(sample):
-    """(one, zero) of the coefficient ring containing ``sample``."""
-    if isinstance(sample, LaurentPoly):
-        return LaurentPoly.one(), LaurentPoly.zero()
-    zero = sample * 0
-    return zero + 1, zero
-
-
 class RingMatrix:
     """2x2 matrix over a commutative coefficient ring, entries row-major."""
 
@@ -287,10 +271,6 @@ class RingMatrix:
     @classmethod
     def identity(cls, one=1.0, zero=0.0):
         return cls((one, zero, zero, one))
-
-    @classmethod
-    def identity_like(cls, sample_entry):
-        return cls.identity(*ring_constants(sample_entry))
 
     def __mul__(self, other):
         a0, a1, a2, a3 = self.entries

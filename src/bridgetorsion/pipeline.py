@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache
 
 from . import __version__, curve
-from .alexander import DIVISION_TOL, p_at_one, p_polynomial, wada_twisted_alexander
+from .alexander import DIVISION_TOL, p_polynomial, wada_twisted_alexander
 from .curve import evaluate_F, metabelian_pairing
 from .errors import (
     EstimateDisagreement,
@@ -122,7 +122,8 @@ def _generic_record(knot, idx, prec, lens):
             f"twisted Alexander fraction did not reduce for {knot.label}, k={idx}"
         )
     poly_p = p_polynomial(wada.reduced, prec)
-    p1 = complex(p_at_one(poly_p))
+    # only |P(1)| and P(1)^2 are canonical; the sign is a unit artifact
+    p1 = complex(poly_p.evaluate(1))
     kprime = metabelian_pairing(knot.p, idx)
     est = evaluate_F(knot, kprime, prec)
     f_val = complex(est.value)
@@ -326,19 +327,22 @@ def parse_fraction(text):
 
 
 def read_catalog(path):
-    """Rows 'p,q[,label]' with an optional header; yields (row_no, p, q, label)
-    or (row_no, None, None, message) for malformed rows."""
+    """Rows 'p,q[,label]' with an optional header, a row 1 whose first cell
+    is not an integer; yields (row_no, p, q, label) or
+    (row_no, None, None, message) for malformed rows."""
     rows = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         for row_no, row in enumerate(csv.reader(f), start=1):
             cells = [c.strip() for c in row if c.strip() != ""]
             if not cells:
                 continue
+            p = None
             try:
-                p, q = int(cells[0]), int(cells[1])
+                p = int(cells[0])
+                q = int(cells[1])
             except (ValueError, IndexError):
-                if row_no == 1:
-                    continue  # header
+                if row_no == 1 and p is None:
+                    continue  # a header: its first cell is not an integer
                 rows.append((row_no, None, None, f"row {row_no}: cannot parse {row!r}"))
                 continue
             label = cells[2] if len(cells) > 2 else f"b({p},{q})"

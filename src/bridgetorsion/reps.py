@@ -21,17 +21,6 @@ class Rep2:
 
     img_x: RingMatrix
     img_y: RingMatrix
-    kind: str  # "metabelian" or "riley"
-    params: tuple
-
-
-@dataclass(frozen=True)
-class MetabelianIndex:
-    """Index data of the k-th metabelian class: u_k = -4 sin^2(k*pi/p)."""
-
-    k: int
-    p: int
-    u_k: complex
 
 
 def metabelian_u(p, k, prec=DOUBLE):
@@ -40,20 +29,16 @@ def metabelian_u(p, k, prec=DOUBLE):
     return -4 * s * s
 
 
-def metabelian_index(p, k, prec=DOUBLE):
+def metabelian_rep(p, k, prec=DOUBLE):
+    """The representative rho_k of the k-th irreducible metabelian class,
+    k = 1..(p-1)/2."""
     if not 1 <= k <= (p - 1) // 2:
         raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
-    return MetabelianIndex(k, p, metabelian_u(p, k, prec))
-
-
-def metabelian_rep(p, k, prec=DOUBLE):
-    """The representative rho_k of the k-th irreducible metabelian class."""
-    idx = metabelian_index(p, k, prec)
     i = prec.imag_unit
     zero = i * 0
     img_x = RingMatrix((i, -i, zero, -i))
-    img_y = RingMatrix((i, zero, -i * idx.u_k, -i))
-    return Rep2(img_x, img_y, "metabelian", (k, p))
+    img_y = RingMatrix((i, zero, -i * metabelian_u(p, k, prec), -i))
+    return Rep2(img_x, img_y)
 
 
 def riley_rep(s, u, prec=DOUBLE, branch=1):
@@ -64,8 +49,7 @@ def riley_rep(s, u, prec=DOUBLE, branch=1):
     """
     if s == 0:
         raise ZeroParameter("riley_rep needs s != 0")
-    img_x, img_y = riley_images(prec.sqrt(s) * branch, u)
-    return Rep2(img_x, img_y, "riley", (s, u))
+    return Rep2(*riley_images(prec.sqrt(s) * branch, u))
 
 
 def riley_images(rs, u):
@@ -81,23 +65,14 @@ def riley_images(rs, u):
 def word_product(img_x, img_y, w):
     """Product of generator images along a word; negative exponents use the
     adjugate, which is the inverse because the images have determinant one."""
-    result = RingMatrix.identity_like(img_x.entries[0])
+    zero = img_x.entries[0] * 0
+    result = RingMatrix.identity(zero + 1, zero)
     images = {"x": img_x, "y": img_y}
     for g, e in w.letters:
         m = images[g] if e > 0 else images[g].adjugate()
         for _ in range(abs(e)):
             result = result * m
     return result
-
-
-def evaluate_word(rep, w):
-    """Image of a word under the representation; the empty word maps to 1."""
-    return word_product(rep.img_x, rep.img_y, w)
-
-
-def abelianization(w):
-    """x, y -> t; returns the exponent of t, i.e. the total exponent sum."""
-    return w.exponent_sum()
 
 
 def phi_map(rep, element):
@@ -110,7 +85,7 @@ def phi_map(rep, element):
         element = GroupRingElement.from_word(element)
     acc = [{} for _ in range(4)]
     for w, c in element.terms.items():
-        _accumulate(acc, abelianization(w), c, evaluate_word(rep, w))
+        _accumulate(acc, w.exponent_sum(), c, word_product(rep.img_x, rep.img_y, w))
     return RingMatrix(LaurentPoly(d) for d in acc)
 
 
@@ -122,7 +97,8 @@ def fox_image(rep, w, gen):
     Fox's rules give the terms: +prefix before each letter gen, -prefix
     after each letter gen^-1."""
     images = {"x": rep.img_x, "y": rep.img_y}
-    prefix = RingMatrix.identity_like(rep.img_x.entries[0])
+    zero = rep.img_x.entries[0] * 0
+    prefix = RingMatrix.identity(zero + 1, zero)
     acc = [{} for _ in range(4)]
     a = 0
     for g, e in w.letters:

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 
 from .alexander import wada_twisted_alexander
-from .curve import fitted_local_form, riley_residual
+from .curve import evaluate_F, riley_residual
 from .numerics import LaurentPoly, units_equal
 from .oracles import LensSpace, lens_torsion_magnitude, torus_F, torus_P1_squared
 from .pipeline import compare_knots, compute_invariants, format_deviation
@@ -101,7 +101,7 @@ class AcceptanceSuite:
 
     def criterion_3(self):
         knot = normalize_two_bridge(5, 3)
-        values = [complex(fitted_local_form(knot, kp)) for kp in (1, 2)]
+        values = [complex(1 / evaluate_F(knot, kp).value) for kp in (1, 2)]
         dev = max(abs(v - 5.0) for v in values)
         return CriterionResult(
             3,

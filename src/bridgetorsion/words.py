@@ -60,6 +60,7 @@ class Word:
         return Word(tuple(reversed(self.letters)))
 
     def exponent_sum(self):
+        """Total exponent sum, i.e. the abelianization image x, y -> t."""
         return sum(e for _, e in self.letters)
 
     def letter_count(self):
@@ -80,11 +81,6 @@ class Word:
 
 X = Word((("x", 1),))
 Y = Word((("y", 1),))
-
-
-def word_exponent_sum(w):
-    """Total exponent sum, i.e. the abelianization image of the word."""
-    return w.exponent_sum()
 
 
 class GroupRingElement:

@@ -5,15 +5,14 @@ import pytest
 from bridgetorsion.alexander import (
     classical_alexander,
     knot_determinant,
-    p_at_one,
     p_polynomial,
     wada_twisted_alexander,
 )
 from bridgetorsion.errors import InexactDivision
 from bridgetorsion.numerics import LaurentPoly, units_equal
 from bridgetorsion.oracles import torus_twisted_alexander
-from bridgetorsion.reps import metabelian_rep
-from bridgetorsion.words import normalize_two_bridge
+from bridgetorsion.reps import metabelian_rep, phi_map, riley_rep
+from bridgetorsion.words import GroupRingElement, Word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
@@ -59,12 +58,31 @@ def test_figure_eight_twisted_alexander():
         assert units_equal(res.reduced, expected, 1e-8)
 
 
+def _phi_denominator(rho, by):
+    """det Phi(g - 1) for the generator g that the route does not
+    differentiate by, straight from the group ring."""
+    g = Word.parse("y" if by == "x" else "x")
+    return phi_map(rho, GroupRingElement({g: 1, Word(): -1})).det()
+
+
 def test_metabelian_denominator_is_t2_plus_1():
     for p, q in ((5, 3), (7, 3), (9, 5), (11, 7)):
         k = normalize_two_bridge(p, q)
         for idx in range(1, (p - 1) // 2 + 1):
-            res = wada_twisted_alexander(k, metabelian_rep(p, idx))
+            rho = metabelian_rep(p, idx)
+            res = wada_twisted_alexander(k, rho)
             assert res.denominator.close_to(LaurentPoly({2: 1, 0: 1}), 1e-10)
+            for by in ("x", "y"):
+                den = wada_twisted_alexander(k, rho, by=by).denominator
+                assert den.close_to(_phi_denominator(rho, by), 1e-12), (p, q, idx, by)
+    # a Riley representation has tr rho(y) != 0, so the closed form's t^1
+    # term -t tr M is exercised too
+    rho = riley_rep(-0.9 + 0.2j, 1.3 - 0.4j)
+    k = normalize_two_bridge(7, 3)
+    for by in ("x", "y"):
+        den = wada_twisted_alexander(k, rho, by=by).denominator
+        assert abs(den.coeff(1)) > 0.1
+        assert den.close_to(_phi_denominator(rho, by), 1e-12), by
 
 
 def test_reduced_times_denominator_recovers_numerator():
@@ -102,7 +120,7 @@ def test_wada_well_definedness_sample():
 def test_p_polynomial_figure_eight():
     p = p_polynomial(LaurentPoly({2: 1, 0: 1}))
     assert p.close_to(LaurentPoly({0: -1}), 1e-12)
-    assert abs(p_at_one(p) - (-1)) < 1e-12
+    assert abs(p.evaluate(1) - (-1)) < 1e-12
 
 
 def test_p_polynomial_trefoil_value():
@@ -110,7 +128,7 @@ def test_p_polynomial_trefoil_value():
     res = wada_twisted_alexander(k, metabelian_rep(3, 1))
     p = p_polynomial(res.reduced)
     # paper's torus formula: |P(1)| = q / (4 sin^2(j pi / q)) = 3/3 = 1
-    assert abs(abs(p_at_one(p)) - 1.0) < 1e-10
+    assert abs(abs(p.evaluate(1)) - 1.0) < 1e-10
 
 
 def test_p_polynomial_even_and_never_inexact_on_census():

@@ -112,6 +112,11 @@ def test_oracle_tables(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "torus", "5"])
     assert code == 0
     assert "L(5,1)" in out
+    # an invalid q is refused before any table line is printed
+    code, out, err = run_cli(capsys, ["oracle", "torus", "4"])
+    assert code == 2
+    assert out == ""
+    assert "q = 4" in err
 
 
 def test_catalog_cli(tmp_path, capsys):
@@ -133,6 +138,24 @@ def test_catalog_cli(tmp_path, capsys):
         capsys, ["catalog", str(good), "--cache", str(tmp_path / "c")]
     )
     assert code == 0
+
+
+def test_catalog_unreadable_input(tmp_path, capsys):
+    # an input that cannot be read is an error of the run (exit 2), not a
+    # traceback, which would exit 1 like a usage error
+    code, out, err = run_cli(capsys, ["catalog", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_catalog_non_utf8_input(tmp_path, capsys):
+    cp1252 = tmp_path / "cp1252.csv"
+    cp1252.write_bytes("5,3,n\u0153ud\n".encode("cp1252"))
+    code, out, err = run_cli(capsys, ["catalog", str(cp1252), "--cache", str(tmp_path / "c")])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_module_entry_point():

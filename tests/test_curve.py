@@ -10,9 +10,6 @@ from bridgetorsion.curve import (
     Series,
     continue_riley_curve,
     evaluate_F,
-    fitted_local_form,
-    implicit_local_form,
-    longitude_series,
     metabelian_pairing,
     riley_residual,
     trace_longitude,
@@ -287,20 +284,19 @@ def test_double_zero_structure():
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
-            lon, resid = longitude_series(knot, kp)
-            lam = lon.trace()
-            h2 = fitted_local_form(knot, kp)
-            assert abs(lam.val - 2) < 1e-10, (p, q, kp)
-            assert abs(lam.h1) < 1e-10 * max(1, abs(h2)), (p, q, kp)
+            est = evaluate_F(knot, kp)
+            h2 = 1 / est.value
+            assert est.lam_gap0 < 1e-10, (p, q, kp)
+            assert est.lam_gap1 < 1e-10 * max(1, abs(h2)), (p, q, kp)
             assert 1e-3 < abs(h2) < 1e6, (p, q, kp)
-            assert resid < 1e-10
+            assert est.max_residual < 1e-10
 
 
 def test_longitude_series_matches_point_solves():
     # 2 + [h^2] I_lam h^2 agrees with scalar Newton solves on the curve up to
     # O(h^3), so both the series and the determinant identity hold
     knot = normalize_two_bridge(9, 5)
-    h2 = fitted_local_form(knot, 3)
+    h2 = 1 / evaluate_F(knot, 3).value
     errors = []
     for h in (1e-2, 5e-3):
         pt = continue_riley_curve(knot, 3, h)
@@ -316,8 +312,8 @@ def test_series_and_implicit_estimates_agree_on_census():
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
-            a = fitted_local_form(knot, kp)
-            b = implicit_local_form(knot, kp)
+            est = evaluate_F(knot, kp)
+            a, b = 1 / est.value, 1 / est.direct
             assert abs(a - b) <= 1e-9 * abs(a), (p, q, kp)
 
 
@@ -340,7 +336,7 @@ def test_evaluate_F_torus():
 def test_fitted_local_form_figure_eight():
     knot = normalize_two_bridge(5, 3)
     for kp in (1, 2):
-        h = fitted_local_form(knot, kp)
+        h = 1 / evaluate_F(knot, kp).value
         assert abs(h - 5.0) < 1e-4
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bridgetorsion.alexander import p_at_one, p_polynomial
+from bridgetorsion.alexander import p_polynomial
 from bridgetorsion.errors import IndexOutOfRange, InvalidFraction
 from bridgetorsion.numerics import LaurentPoly
 from bridgetorsion.oracles import (
@@ -118,7 +118,7 @@ def test_torus_polynomial_reproduces_p1_squared():
         for b in range(1, q, 2):
             j = (q - b) // 2
             poly = p_polynomial(torus_twisted_alexander(q, b).canonical_unit())
-            p1 = p_at_one(poly)
+            p1 = poly.evaluate(1)
             assert abs(abs(p1) ** 2 - torus_P1_squared(q, j)) <= 1e-8 * torus_P1_squared(q, j)
 
 

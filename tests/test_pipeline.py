@@ -289,6 +289,14 @@ def test_catalog_empty_and_bad_rows(tmp_path):
     assert len(report["errors"]) == 2
     assert report["knots"][0]["knot"] == {"p": 5, "q": 3}
 
+    # only a row 1 whose first cell is not an integer is a header
+    for first in ("5", "5,x"):
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text(f"{first}\n7,3\n")
+        report = run_catalog(str(unlabeled), None, str(tmp_path / "cache2"))
+        assert [kr["knot"] for kr in report["knots"]] == [{"p": 7, "q": 3}]
+        assert [e["row"] for e in report["errors"]] == [1], first
+
 
 def test_parse_fraction():
     assert parse_fraction("5/3") == (5, 3)

@@ -12,7 +12,6 @@ from bridgetorsion.words import (
     fractions_mirror_equivalent,
     longitude_word,
     normalize_two_bridge,
-    word_exponent_sum,
 )
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
@@ -91,7 +90,7 @@ def test_word_shape_census():
         assert k.word.letter_count() == p - 1
         assert all(abs(e) == 1 for _, e in k.word.letters)
         assert k.word.letters[0][0] == "x"
-        assert k.sigma == word_exponent_sum(k.word)
+        assert k.sigma == k.word.exponent_sum()
 
 
 def test_build_word_examples():
@@ -164,7 +163,7 @@ def test_longitude_examples():
 def test_longitude_null_homologous():
     for p, q in CENSUS:
         k = normalize_two_bridge(p, q)
-        assert word_exponent_sum(longitude_word(k)) == 0
+        assert longitude_word(k).exponent_sum() == 0
 
 
 def test_mirror_fraction_normalizes_to_same_knot():
