@@ -33,9 +33,6 @@ from .precision import DOUBLE
 from .reps import metabelian_u, riley_images, riley_rep, word_product
 from .words import longitude_word
 
-#: Identifies how evaluate_F computes F; part of the cache fingerprint.
-F_METHOD = "taylor-h2-mirror"
-
 #: Largest max|[h^0] L - I| accepted for the longitude image L at the
 #: metabelian point, the precondition of the determinant identity; rounding
 #: leaves below 1e-12 through p = 101.
@@ -221,16 +218,11 @@ def riley_residual(knot, s, u, prec=DOUBLE, branch=1):
 
 
 def metabelian_pairing(p, k):
-    """The unique k' in 1..(p-1)/2 with 2k' = +/- k mod p; rho_{k'} is the
-    companion representation at whose character F is evaluated."""
-    matches = [
-        kp
-        for kp in range(1, (p - 1) // 2 + 1)
-        if (2 * kp - k) % p == 0 or (2 * kp + k) % p == 0
-    ]
-    if len(matches) != 1:
-        raise AssertionError(f"pairing not unique for p={p}, k={k}: {matches}")
-    return matches[0]
+    """The unique k' in 1..(p-1)/2 with 2k' = +/- k mod p, from the inverse
+    (p+1)/2 of 2 mod p; rho_{k'} is the companion representation at whose
+    character F is evaluated."""
+    kp = k * ((p + 1) // 2) % p
+    return min(kp, p - kp)
 
 
 def trace_longitude(knot, s, u, prec=DOUBLE, branch=1):

@@ -13,7 +13,12 @@ class ZeroScale(TorsionError):
     """Variable rescaling t -> c*t with c = 0."""
 
 
-class InexactDivision(TorsionError):
+class RecordError(TorsionError):
+    """A check of one invariant record failed.  The record is computed again
+    at 30 digits, and keeps the error only if the check fails there too."""
+
+
+class InexactDivision(RecordError):
     """Polynomial division left a remainder above tolerance."""
 
 
@@ -41,15 +46,15 @@ class DeterminantMismatch(TorsionError):
     """|Delta(-1)| disagrees with the bridge number p of the input fraction."""
 
 
-class SingularPoint(TorsionError):
+class SingularPoint(RecordError):
     """|d(phi)/du| vanishes at a continuation seed; the curve is not smooth there."""
 
 
-class NewtonDivergence(TorsionError):
+class NewtonDivergence(RecordError):
     """Newton iteration failed to converge on the Riley curve."""
 
 
-class EstimateDisagreement(TorsionError):
+class EstimateDisagreement(RecordError):
     """The two independent estimates of F disagree beyond tolerance."""
 
     def __init__(self, message, ratio_value=None, direct_value=None):
@@ -58,7 +63,7 @@ class EstimateDisagreement(TorsionError):
         self.direct_value = direct_value
 
 
-class LongitudeNotIdentity(TorsionError):
+class LongitudeNotIdentity(RecordError):
     """The longitude image at a metabelian point is not the identity, so the
     determinant identity for [h^2] I_lam does not apply."""
 

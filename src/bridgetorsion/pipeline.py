@@ -8,56 +8,34 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
+from pathlib import Path
 
-from . import __version__, curve
-from .alexander import DIVISION_TOL, p_polynomial, wada_twisted_alexander
+from .alexander import p_polynomial, wada_twisted_alexander
 from .curve import evaluate_F, metabelian_pairing
-from .errors import (
-    EstimateDisagreement,
-    InexactDivision,
-    LongitudeNotIdentity,
-    NewtonDivergence,
-    ParseError,
-    SingularPoint,
-    TorsionError,
-)
+from .errors import InexactDivision, ParseError, RecordError, TorsionError
 from .oracles import LensSpace, lens_torsion_magnitude
 from .precision import DOUBLE, Precision
 from .reps import metabelian_rep
 from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
-
-_RECORD_ERRORS = (
-    SingularPoint,
-    NewtonDivergence,
-    EstimateDisagreement,
-    InexactDivision,
-    LongitudeNotIdentity,
-)
-
 
 #: Largest multiset deviation at which two knots of one determinant are
 #: reported equivalent up to mirror image.
 COMPARE_TOL = 1e-6
 
 
+@cache
 def fingerprint():
-    """Hash of the package version, the method that computes F and every
-    tolerance a record depends on; keys the cache."""
-    payload = {
-        "version": __version__,
-        "f_method": curve.F_METHOD,
-        "newton_tol": curve.NEWTON_TOL,
-        "singular_tol": curve.SINGULAR_TOL,
-        "cross_tol": curve.CROSS_TOL,
-        "max_newton_iter": curve.MAX_NEWTON_ITER,
-        "identity_tol": curve.IDENTITY_TOL,
-        "division_tol": DIVISION_TOL,
-        "compare_tol": COMPARE_TOL,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 over the name and bytes of every module of the package, in
+    sorted order; keys the cache, so any change to the source, be it a
+    method, a tolerance or the report schema, gives a new key."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 @cache
@@ -99,21 +77,6 @@ class ComparisonVerdict:
     determinants_match: bool
 
 
-def _check_record(rec):
-    """The assembled product must be essentially real and positive in
-    magnitude; violations mark the record instead of crashing the run."""
-    if rec.error is not None:
-        return rec
-    prod = rec.p1_squared * rec.f_value
-    if not rec.tau > 0:
-        return replace(rec, error="tau is not positive")
-    if abs(prod.imag) > 1e-6 * rec.tau:
-        return replace(
-            rec, error=f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau"
-        )
-    return rec
-
-
 def _generic_record(knot, idx, prec, lens):
     rho = metabelian_rep(knot.p, idx, prec)
     wada = wada_twisted_alexander(knot, rho)
@@ -128,7 +91,14 @@ def _generic_record(knot, idx, prec, lens):
     est = evaluate_F(knot, kprime, prec)
     f_val = complex(est.value)
     p1sq = p1 * p1
-    tau = abs(p1sq * f_val)
+    prod = p1sq * f_val
+    tau = abs(prod)
+    # the assembled product must be essentially real, and positive in
+    # magnitude
+    if not tau > 0:
+        raise RecordError("tau is not positive")
+    if abs(prod.imag) > 1e-6 * tau:
+        raise RecordError(f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau")
     diag = {
         "f_direct": [complex(est.direct).real, complex(est.direct).imag],
         "f_rel_disagreement": est.rel_disagreement,
@@ -157,11 +127,11 @@ def _record(knot, idx, lens):
     too."""
     try:
         return _generic_record(knot, idx, DOUBLE, lens)
-    except _RECORD_ERRORS:
+    except RecordError:
         pass
     try:
         return _generic_record(knot, idx, _extended(), lens)
-    except _RECORD_ERRORS as exc:
+    except RecordError as exc:
         return InvariantRecord(
             k=idx,
             kprime=metabelian_pairing(knot.p, idx),
@@ -179,10 +149,7 @@ def compute_invariants(knot):
     per-record failures are recorded rather than raised, so partial results
     survive."""
     lens = LensSpace.of(knot.p, knot.q)
-    return [
-        _check_record(_record(knot, idx, lens))
-        for idx in range(1, (knot.p - 1) // 2 + 1)
-    ]
+    return [_record(knot, idx, lens) for idx in range(1, (knot.p - 1) // 2 + 1)]
 
 
 def tau_multiset(records):
@@ -259,12 +226,12 @@ def record_to_dict(rec):
     }
 
 
-def knot_report(knot, records, verdicts=()):
+def knot_report(knot, records):
     return {
         "knot": {"p": knot.p, "q": knot.q},
         "determinant": knot.p,
         "records": [record_to_dict(r) for r in records],
-        "verdicts": list(verdicts),
+        "verdicts": [],
     }
 
 
@@ -327,21 +294,24 @@ def parse_fraction(text):
 
 
 def read_catalog(path):
-    """Rows 'p,q[,label]' with an optional header, a row 1 whose first cell
-    is not an integer; yields (row_no, p, q, label) or
-    (row_no, None, None, message) for malformed rows."""
+    """Rows 'p,q[,label]' with an optional header, a first non-blank row
+    whose first cell is not an integer; yields (row_no, p, q, label) or
+    (row_no, None, None, message) for malformed rows, numbered as in the
+    file."""
     rows = []
+    header_allowed = True
     with open(path, newline="", encoding="utf-8") as f:
         for row_no, row in enumerate(csv.reader(f), start=1):
             cells = [c.strip() for c in row if c.strip() != ""]
             if not cells:
                 continue
+            first, header_allowed = header_allowed, False
             p = None
             try:
                 p = int(cells[0])
                 q = int(cells[1])
             except (ValueError, IndexError):
-                if row_no == 1 and p is None:
+                if first and p is None:
                     continue  # a header: its first cell is not an integer
                 rows.append((row_no, None, None, f"row {row_no}: cannot parse {row!r}"))
                 continue

@@ -62,14 +62,22 @@ def riley_images(rs, u):
     return img_x, img_y
 
 
+def _letter_images(img_x, img_y):
+    """The image of each letter, keyed (generator, sign); an inverse is the
+    adjugate, which inverts because the images have determinant one."""
+    return {
+        ("x", 1): img_x, ("x", -1): img_x.adjugate(),
+        ("y", 1): img_y, ("y", -1): img_y.adjugate(),
+    }
+
+
 def word_product(img_x, img_y, w):
-    """Product of generator images along a word; negative exponents use the
-    adjugate, which is the inverse because the images have determinant one."""
+    """Product of generator images along a word."""
+    steps = _letter_images(img_x, img_y)
     zero = img_x.entries[0] * 0
     result = RingMatrix.identity(zero + 1, zero)
-    images = {"x": img_x, "y": img_y}
     for g, e in w.letters:
-        m = images[g] if e > 0 else images[g].adjugate()
+        m = steps[g, 1 if e > 0 else -1]
         for _ in range(abs(e)):
             result = result * m
     return result
@@ -96,14 +104,14 @@ def fox_image(rep, w, gen):
     products where phi_map multiplies every Fox term's word from scratch.
     Fox's rules give the terms: +prefix before each letter gen, -prefix
     after each letter gen^-1."""
-    images = {"x": rep.img_x, "y": rep.img_y}
+    steps = _letter_images(rep.img_x, rep.img_y)
     zero = rep.img_x.entries[0] * 0
     prefix = RingMatrix.identity(zero + 1, zero)
     acc = [{} for _ in range(4)]
     a = 0
     for g, e in w.letters:
-        m = images[g] if e > 0 else images[g].adjugate()
         step = 1 if e > 0 else -1
+        m = steps[g, step]
         for _ in range(abs(e)):
             if g == gen and e > 0:
                 _accumulate(acc, a, 1, prefix)

@@ -141,7 +141,7 @@ def test_pairing_examples():
 
 
 def test_pairing_is_a_bijection():
-    for p in range(3, 16, 2):
+    for p in range(3, 102, 2):
         images = [metabelian_pairing(p, k) for k in range(1, (p - 1) // 2 + 1)]
         assert sorted(images) == list(range(1, (p - 1) // 2 + 1))
         for k, kp in zip(range(1, (p - 1) // 2 + 1), images):

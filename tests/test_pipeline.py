@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
 
-from bridgetorsion import curve
+from bridgetorsion import curve, pipeline
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -27,6 +29,7 @@ from bridgetorsion.pipeline import (
     tau_multiset,
 )
 from bridgetorsion.errors import ParseError
+from bridgetorsion.precision import DOUBLE
 from bridgetorsion.selfcheck import AcceptanceSuite
 from bridgetorsion.words import normalize_two_bridge
 
@@ -133,12 +136,13 @@ def test_only_the_failing_record_falls_back_to_extended():
 
 _MPMATH_PROBE = """
 import sys
-from bridgetorsion.pipeline import compute_invariants
+from bridgetorsion.pipeline import compute_invariants, fingerprint
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS
 from bridgetorsion.words import normalize_two_bridge
 for p, q in [(101, 31)] + CENSUS_FRACTIONS:
     recs = compute_invariants(normalize_two_bridge(p, q))
     assert all(r.diagnostics["precision"] == "double" for r in recs), (p, q)
+fingerprint()
 print("mpmath" in sys.modules)
 """
 
@@ -239,17 +243,52 @@ def test_cache_bit_for_bit(tmp_path):
     assert report2 == report1 == fresh
 
 
-def test_fingerprint_sensitivity(monkeypatch):
+# source edits that must each change the cache key: another method of
+# computing F, another tolerance of the F cross-check, another working
+# precision of the 30-digit backend, and another zero tolerance of the
+# polynomial arithmetic
+_SOURCE_EDITS = [
+    ("curve.py", "value = 1 / _h2_of_trace(knot, kprime, lon)", "value = direct"),
+    ("curve.py", "CROSS_TOL = 1e-5", "CROSS_TOL = 1e-6"),
+    ("precision.py", "ctx.dps = 30", "ctx.dps = 40"),
+    ("numerics.py", "DEFAULT_ZERO_TOL = 1e-9", "DEFAULT_ZERO_TOL = 1e-10"),
+]
+
+_FINGERPRINT_PROBE = "from bridgetorsion.pipeline import fingerprint; print(fingerprint())"
+
+
+def _fresh_fingerprint(src_root):
+    """The key computed by a fresh interpreter that sees only src_root."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src_root)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_fingerprint_sensitivity(tmp_path):
+    # the key is the package source: an unedited copy reproduces it in two
+    # fresh interpreters, and a cache written by code with another method
+    # or another constant is never served
+    package = os.path.dirname(curve.__file__)
+    ignore = shutil.ignore_patterns("__pycache__")
     current = fingerprint()
-    assert fingerprint() == current
-    # a cache written by another method of computing F, or under another
-    # tolerance, is never served
-    with monkeypatch.context() as m:
-        m.setattr(curve, "F_METHOD", "richardson-grid")
-        assert fingerprint() != current
-    with monkeypatch.context() as m:
-        m.setattr(curve, "CROSS_TOL", 1e-6)
-        assert fingerprint() != current
+    clean = tmp_path / "clean"
+    shutil.copytree(package, clean / "bridgetorsion", ignore=ignore)
+    assert _fresh_fingerprint(clean) == current
+    assert _fresh_fingerprint(clean) == current
+    for i, (name, old, new) in enumerate(_SOURCE_EDITS):
+        root = tmp_path / f"edit{i}"
+        shutil.copytree(package, root / "bridgetorsion", ignore=ignore)
+        path = root / "bridgetorsion" / name
+        text = path.read_text()
+        assert text.count(old) == 1, (name, old)
+        path.write_text(text.replace(old, new))
+        assert _fresh_fingerprint(root) != current, (name, new)
     assert fingerprint() == current
 
 
@@ -297,6 +336,13 @@ def test_catalog_empty_and_bad_rows(tmp_path):
         assert [kr["knot"] for kr in report["knots"]] == [{"p": 7, "q": 3}]
         assert [e["row"] for e in report["errors"]] == [1], first
 
+    # the header may follow blank rows, which still count in row numbers
+    for text, rows in (("\np,q\n5,3\n", []), ("\n5\n7,3\n", [2])):
+        blank_first = tmp_path / "blank_first.csv"
+        blank_first.write_text(text)
+        report = run_catalog(str(blank_first), None, str(tmp_path / "cache2"))
+        assert [e["row"] for e in report["errors"]] == rows, text
+
 
 def test_parse_fraction():
     assert parse_fraction("5/3") == (5, 3)
@@ -322,6 +368,27 @@ def test_partial_results_on_record_errors(monkeypatch):
     )
     assert v.verdict == "undetermined"
     assert v.max_multiset_deviation is None
+
+
+def test_failed_product_check_is_retried_at_30_digits(monkeypatch):
+    # a double value of F skewed off the real axis fails the check that
+    # P(1)^2 F is essentially real; the record is computed again at 30
+    # digits, where it passes
+    exact = pipeline.evaluate_F
+
+    def skewed(knot, kprime, prec=DOUBLE):
+        est = exact(knot, kprime, prec)
+        if prec is DOUBLE:
+            est = replace(est, value=est.value * (1 + 1e-3j))
+        return est
+
+    monkeypatch.setattr(pipeline, "evaluate_F", skewed)
+    records = compute_invariants(normalize_two_bridge(5, 3))
+    assert len(records) == 2
+    for r in records:
+        assert r.ok, r.error
+        assert r.diagnostics["precision"] == "extended"
+        assert abs(r.tau - 0.2) <= 1e-6 * 0.2
 
 
 def test_criterion_9_fails_on_record_errors(monkeypatch):
