@@ -5,18 +5,19 @@ character variety as a Taylor coefficient along the curve.
 The curve is parametrized by s (hence by s + 1/s), which keeps every
 quantity of record independent of the sqrt(s) branch.  Near the metabelian
 point s = -1 + h, and -(I_muhat + 2) = h^2 + O(h^3) while I_lam - 2 has a
-double zero; so F = 1 / [h^2] I_lam.  The longitude image L is the identity
-at the metabelian point and tr L - 2 = -det(L - I) on SL2, so
-[h^2] I_lam = -det([h^1] L): first-order Taylor arithmetic pushed through
-the word products gives the coefficient exactly, and far better
-conditioned than the h^2 coefficient of the trace itself.  The cross-check
-reads that h^2 coefficient of the trace off second-order partials instead,
-so it shares neither the solve nor the identity.  Both build the longitude
-image from the image of the relator word w that phi already needs: the
-value of record takes the image of the reversed word from the x <-> y
-symmetry of Riley's representations, the cross-check from a direct product.
+double zero; so F = 1 / [h^2] I_lam.  As s + 1/s is stationary at s = -1,
+u = u_{k'} + O(h^2) along the curve, so no solve is needed mod h^2.  The
+longitude image L is the identity at the metabelian point and
+tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L):
+first-order Taylor arithmetic pushed through the word products gives the
+coefficient exactly, and far better conditioned than the h^2 coefficient
+of the trace itself.  The cross-check reads that h^2 coefficient of the
+trace off second-order partials instead, so it shares neither the series
+nor the identity.  Both build the longitude image from the image of the
+relator word w that phi already needs: the value of record takes the image
+of the reversed word from the x <-> y symmetry of Riley's representations,
+the cross-check from a direct product.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .errors import (
     EstimateDisagreement,
     LongitudeNotIdentity,
     NewtonDivergence,
+    RecordError,
     SingularPoint,
     ZeroParameter,
 )
@@ -38,13 +40,14 @@ from .words import longitude_word
 #: leaves below 1e-12 through p = 101.
 IDENTITY_TOL = 1e-8
 
-#: Newton stops once |phi| is below NEWTON_TOL times its evaluation scale.
+#: Largest |phi| (scalar Newton's stopping rule), or coefficient of phi mod
+#: h^2 at the metabelian point, accepted relative to its evaluation scale.
 NEWTON_TOL = 1e-12
 #: Smallest |dphi/du| at which the curve counts as smooth.
 SINGULAR_TOL = 1e-8
 #: Largest relative disagreement accepted between the two estimates of F.
 CROSS_TOL = 1e-5
-#: Newton iterations allowed per solve.
+#: Newton iterations allowed per scalar solve.
 MAX_NEWTON_ITER = 50
 
 
@@ -122,26 +125,22 @@ class Series(_Jet):
 
 
 class Jet2(_Jet):
-    """Second-order jet in (u, s): the value, then the Taylor coefficients
-    of du, ds, du^2, du ds and ds^2; terms of total degree 3 are dropped."""
+    """Jet in R[u, s]/(du^2, du ds, ds^3): the value, then the coefficients
+    of du, ds and ds^2.  It gives first-order partials exactly, and all that
+    ``_implicit_h2`` needs: its dropped terms carry a factor u' = 0."""
 
-    __slots__ = ("val", "u", "s", "uu", "us", "ss")
+    __slots__ = ("val", "u", "s", "ss")
 
-    def __init__(self, val, u=0.0, s=0.0, uu=0.0, us=0.0, ss=0.0):
+    def __init__(self, val, u=0.0, s=0.0, ss=0.0):
         self.val = val
         self.u = u
         self.s = s
-        self.uu = uu
-        self.us = us
         self.ss = ss
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(
-                self.val + o.val, self.u + o.u, self.s + o.s,
-                self.uu + o.uu, self.us + o.us, self.ss + o.ss,
-            )
-        return Jet2(self.val + o, self.u, self.s, self.uu, self.us, self.ss)
+            return Jet2(self.val + o.val, self.u + o.u, self.s + o.s, self.ss + o.ss)
+        return Jet2(self.val + o, self.u, self.s, self.ss)
 
     def __mul__(self, o):
         a0, au, as_ = self.val, self.u, self.s
@@ -151,11 +150,9 @@ class Jet2(_Jet):
                 a0 * b0,
                 a0 * bu + au * b0,
                 a0 * bs + as_ * b0,
-                a0 * o.uu + au * bu + self.uu * b0,
-                a0 * o.us + au * bs + as_ * bu + self.us * b0,
                 a0 * o.ss + as_ * bs + self.ss * b0,
             )
-        return Jet2(a0 * o, au * o, as_ * o, self.uu * o, self.us * o, self.ss * o)
+        return Jet2(a0 * o, au * o, as_ * o, self.ss * o)
 
     def __repr__(self):
         parts = (f"{n}={c!r}" for n, c in zip(self.__slots__, self.coeffs()))
@@ -175,12 +172,12 @@ class RileyPoint:
 class FEstimate:
     """Result of the F evaluation.
 
-    ``value`` (the value of record) comes from the series solve, ``direct``
+    ``value`` (the value of record) comes from the longitude series, ``direct``
     (its independent cross-check) from the implicit-function formula.  The
     double zero of I_lam - 2 shows in ``lam_gap0`` = |[h^0] I_lam - 2| and
     ``lam_gap1`` = |[h^1] I_lam|, and ``lon_gap0`` = max|[h^0] L - I| is the
     precondition of the determinant identity; ``max_residual`` is the
-    largest coefficient of phi left by the series Newton solve."""
+    largest coefficient of phi mod h^2 at s = -1 + h, u = u_{k'}."""
 
     value: complex
     direct: complex
@@ -308,31 +305,23 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
     return RileyPoint(-1.0 + h, u, resid)
 
 
-def _longitude_series(knot, kprime, u_meta, slope, prec):
-    """u(h) solves phi(-1 + h, u(h)) = 0 by Newton on series, started at
-    u_{k'} with the slope dphi/du of the metabelian point; each step fixes
-    one more coefficient, so two evaluations of phi usually suffice.  The
-    stopping rule is the scalar one, applied to the largest coefficient.
-    The longitude is assembled from the last relator image W, with
-    rho(<-w) = M W M^-1 (``swap_generators``)."""
+def _longitude_series(knot, kprime, u_meta, prec):
+    """The longitude image mod h^2 at s = -1 + h, u = u_{k'}, where the
+    curve is tangent to u = u_{k'}, and the largest coefficient of phi
+    there; RecordError if it fails the NEWTON_TOL rule, as it does off the
+    curve.  rho(<-w) = M W M^-1 (``swap_generators``)."""
     zero = u_meta * 0
     s = Series(zero - 1, zero + 1)
-    rs = s.sqrt(prec.sqrt)
-    u = Series(u_meta, zero)
-    step = 1 / slope
-    for _ in range(MAX_NEWTON_ITER):
-        img_x, img_y = riley_images(rs, u)
-        w, w11, second = _relator_terms(knot, s, img_x, img_y)
-        phi = w11 + second
-        resid = max(float(abs(c)) for c in phi.coeffs())
-        scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
-        if resid <= NEWTON_TOL * (scale + 1.0):
-            return longitude_image(knot, swap_generators(w, s, u), w, img_x), resid
-        u = u - phi * step
-    raise NewtonDivergence(
-        f"series solve through u_{kprime} of {knot.label} did not converge "
-        f"in {MAX_NEWTON_ITER} iterations"
-    )
+    img_x, img_y = riley_images(s.sqrt(prec.sqrt), u_meta)
+    w, w11, second = _relator_terms(knot, s, img_x, img_y)
+    resid = max(float(abs(c)) for c in (w11 + second).coeffs())
+    scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
+    if resid > NEWTON_TOL * (scale + 1.0):
+        raise RecordError(
+            f"u_{kprime} of {knot.label} does not solve phi = 0 mod h^2: "
+            f"max|[h^i] phi| = {resid:.3e} at scale {scale:.3e}"
+        )
+    return longitude_image(knot, swap_generators(w, s, u_meta), w, img_x), resid
 
 
 def _identity_gap(lon):
@@ -361,10 +350,8 @@ def _implicit_jets(knot, kprime, prec):
     ``_implicit_h2`` reads off large ones."""
     u_meta = metabelian_u(knot.p, kprime, prec)
     zero = u_meta * 0
-    s = Jet2(zero - 1, zero, zero + 1, zero, zero, zero)
-    img_x, img_y = riley_images(
-        s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero, zero, zero)
-    )
+    s = Jet2(zero - 1, zero, zero + 1, zero)
+    img_x, img_y = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
     w, w11, second = _relator_terms(knot, s, img_x, img_y)
     rev = word_product(img_x, img_y, knot.word.reversed_word())
     return u_meta, w11 + second, longitude_image(knot, rev, w, img_x).trace()
@@ -378,10 +365,10 @@ def _implicit_h2(phi, lam):
 
     In Taylor coefficients, with s = -1 + h and u = u_{k'} + u' h + u'' h^2,
     u' = -phi_s/phi_u, u'' = -(phi_ss + phi_su u' + phi_uu u'^2)/phi_u and
-    [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''."""
-    u1 = -phi.s / phi.u
-    u2 = -(phi.ss + phi.us * u1 + phi.uu * u1 * u1) / phi.u
-    return lam.ss + lam.us * u1 + lam.uu * u1 * u1 + lam.u * u2
+    [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''.  At a metabelian
+    point u' = 0 (``_longitude_series`` refuses a point where it is not),
+    which leaves u'' = -phi_ss/phi_u and [h^2] I_lam = L_ss + L_u u''."""
+    return lam.ss - lam.u * phi.ss / phi.u
 
 
 def evaluate_F(knot, kprime, prec=DOUBLE):
@@ -389,11 +376,11 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
     (b) the cross-check takes [h^2] I_lam from the implicit-function formula
-        (``_implicit_h2``); its phi_u is the smoothness check and the Newton
-        slope of (a);
-    (a) the value of record takes it from the series solve and the
-        determinant identity (``_h2_of_trace``), neither of which (b)
-        shares.  1/value is H_hat(-2), where I_lam - 2 =
+        (``_implicit_h2``); its phi_u is the smoothness check;
+    (a) the value of record takes it from the longitude series at u_{k'}
+        (``_longitude_series``) and the determinant identity
+        (``_h2_of_trace``), neither of which (b) shares; only u_{k'} passes
+        from (b) to (a).  1/value is H_hat(-2), where I_lam - 2 =
         -(I_muhat + 2) H_hat(I_muhat) locally; for the figure-eight knot it
         comes out 5.
     A relative disagreement beyond CROSS_TOL raises.
@@ -401,7 +388,7 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
     u_meta, phi, lam2 = _implicit_jets(knot, kprime, prec)
     _check_smooth(knot, kprime, phi.u)
     direct = 1 / _implicit_h2(phi, lam2)
-    lon, resid = _longitude_series(knot, kprime, u_meta, phi.u, prec)
+    lon, resid = _longitude_series(knot, kprime, u_meta, prec)
     lam = lon.trace()
     value = 1 / _h2_of_trace(knot, kprime, lon)
     rel = float(abs(value - direct) / max(abs(value), abs(direct), 1e-300))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -236,10 +237,13 @@ def knot_report(knot, records):
 
 
 def verdict_to_dict(v):
+    """JSON form of a verdict; JSON has no infinity, so a deviation that is
+    not finite is written as null."""
+    dev = v.max_multiset_deviation
     return {
         "knots": [[v.knot_a.p, v.knot_a.q], [v.knot_b.p, v.knot_b.q]],
         "verdict": v.verdict,
-        "maxMultisetDeviation": v.max_multiset_deviation,
+        "maxMultisetDeviation": dev if dev is not None and math.isfinite(dev) else None,
         "congruenceMatch": v.congruence_match,
         "determinantsMatch": v.determinants_match,
     }
@@ -295,14 +299,17 @@ def parse_fraction(text):
 
 def read_catalog(path):
     """Rows 'p,q[,label]' with an optional header, a first non-blank row
-    whose first cell is not an integer; yields (row_no, p, q, label) or
-    (row_no, None, None, message) for malformed rows, numbered as in the
-    file."""
+    whose first cell is neither empty nor an integer; yields
+    (row_no, p, q, label) or (row_no, None, None, message) for malformed
+    rows, numbered as in the file."""
     rows = []
     header_allowed = True
     with open(path, newline="", encoding="utf-8") as f:
         for row_no, row in enumerate(csv.reader(f), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
+            # cells keep their positions; only trailing empty ones go
+            cells = [c.strip() for c in row]
+            while cells and not cells[-1]:
+                cells.pop()
             if not cells:
                 continue
             first, header_allowed = header_allowed, False
@@ -311,11 +318,11 @@ def read_catalog(path):
                 p = int(cells[0])
                 q = int(cells[1])
             except (ValueError, IndexError):
-                if first and p is None:
+                if first and p is None and cells[0]:
                     continue  # a header: its first cell is not an integer
                 rows.append((row_no, None, None, f"row {row_no}: cannot parse {row!r}"))
                 continue
-            label = cells[2] if len(cells) > 2 else f"b({p},{q})"
+            label = cells[2] if len(cells) > 2 and cells[2] else f"b({p},{q})"
             rows.append((row_no, p, q, label))
     return rows
 

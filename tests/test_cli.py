@@ -97,6 +97,21 @@ def test_compare_equivalent_fractions_of_one_knot(capsys):
     assert verdict["maxMultisetDeviation"] <= 1e-6
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compare_json_is_strict_json(capsys):
+    # different determinants give multisets of different sizes, whose
+    # deviation is infinite; JSON has no Infinity, so it is written as null
+    code, out, _ = run_cli(capsys, ["compare", "5/3", "7/3", "--json"])
+    assert code == 0
+    verdict = json.loads(out, parse_constant=_reject_constant)
+    assert verdict["verdict"] == "distinct"
+    assert verdict["maxMultisetDeviation"] is None
+    assert verdict["determinantsMatch"] is False
+
+
 def test_compare_with_record_errors_is_undetermined(capsys, monkeypatch):
     exact = curve._implicit_h2
     monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)

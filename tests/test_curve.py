@@ -18,6 +18,7 @@ from bridgetorsion.errors import (
     EstimateDisagreement,
     LongitudeNotIdentity,
     NewtonDivergence,
+    RecordError,
     SingularPoint,
     ZeroParameter,
 )
@@ -52,15 +53,16 @@ def test_series_sqrt_at_metabelian_parameter():
 
 
 def test_jet2_arithmetic():
+    # the ring R[u, s]/(du^2, du ds, ds^3), slots (val, u, s, ss)
     u = Jet2(2.0, 1.0)  # 2 + du
     s = Jet2(3.0, 0.0, 1.0)  # 3 + ds
-    assert (u * s).coeffs() == [6.0, 3.0, 2.0, 0.0, 1.0, 0.0]
-    # 1/(1 + x) = 1 - x + x^2 with x = du + ds
+    assert (u * s).coeffs() == [6.0, 3.0, 2.0, 0.0]
+    # 1/(1 + x) = 1 - x + x^2 with x = du + ds, where x^2 = ds^2
     inv = (u + s - 4).reciprocal()
-    assert inv.coeffs() == [1.0, -1.0, -1.0, 1.0, 2.0, 1.0]
+    assert inv.coeffs() == [1.0, -1.0, -1.0, 1.0]
     # sqrt(-1 + ds) = i (1 - ds/2 - ds^2/8)
     r = Jet2(-1.0, 0.0, 1.0).sqrt(cmath.sqrt)
-    assert r.coeffs() == [1j, 0j, -0.5j, 0j, 0j, -0.125j]
+    assert r.coeffs() == [1j, 0j, -0.5j, -0.125j]
 
 
 # -- Riley residual -------------------------------------------------------------------
@@ -76,6 +78,21 @@ def test_residual_vanishes_at_metabelian_points():
         for k in range(1, (p - 1) // 2 + 1):
             val, _, _ = riley_residual(knot, -1.0, metabelian_u(p, k))
             assert abs(val) < 1e-8, (p, q, k)
+
+
+def test_metabelian_points_are_tangent():
+    # phi depends on s only through s + 1/s, stationary at s = -1, so
+    # phi_s = 0 at every metabelian point and the curve has u'(0) = 0
+    for p, q in CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for kp in range(1, (p - 1) // 2 + 1):
+            phi, scale = curve._jet_phi(knot, -1.0, metabelian_u(p, kp))
+            assert abs(phi.s) <= 1e-12 * scale, (p, q, kp)
+    ext = Precision("extended")
+    knot = normalize_two_bridge(13, 5)
+    for kp in range(1, 7):
+        phi, scale = curve._jet_phi(knot, -1.0, metabelian_u(13, kp, ext), ext)
+        assert abs(phi.s) <= 1e-25 * scale, kp
 
 
 def test_residual_nonzero_off_variety():
@@ -307,8 +324,8 @@ def test_longitude_series_matches_point_solves():
 
 
 def test_series_and_implicit_estimates_agree_on_census():
-    # (a) is -det([h^1] L) from the series solve; (b) is the h^2 coefficient
-    # of the trace itself, from second-order partials and no solve
+    # (a) is -det([h^1] L) from the longitude series at u = u_{k'}; (b) is
+    # the h^2 coefficient of the trace itself, from second-order partials
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
@@ -349,6 +366,16 @@ def test_estimate_disagreement_raises(monkeypatch):
         evaluate_F(knot, 1)
     assert info.value.ratio_value is not None
     assert info.value.direct_value is not None
+
+
+def test_off_curve_metabelian_point_is_refused(monkeypatch):
+    # (a) evaluates the longitude series at u = u_{k'} with no solve, so a
+    # point that does not solve phi = 0 mod h^2 must be refused, not
+    # evaluated off the curve
+    exact = curve.metabelian_u
+    monkeypatch.setattr(curve, "metabelian_u", lambda *a: exact(*a) + 1e-9)
+    with pytest.raises(RecordError, match="does not solve phi = 0"):
+        evaluate_F(normalize_two_bridge(5, 3), 1)
 
 
 def test_longitude_not_identity_raises(monkeypatch):

@@ -30,8 +30,8 @@ from bridgetorsion.pipeline import (
 )
 from bridgetorsion.errors import ParseError
 from bridgetorsion.precision import DOUBLE
-from bridgetorsion.selfcheck import AcceptanceSuite
-from bridgetorsion.words import normalize_two_bridge
+from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
+from bridgetorsion.words import TwoBridgeKnot, build_relator_word, normalize_two_bridge
 
 
 def test_figure_eight_records():
@@ -185,6 +185,21 @@ def test_multiset_invariant_under_inverse_fraction():
         a = tau_multiset(compute_invariants(normalize_two_bridge(p, q)))
         b = tau_multiset(compute_invariants(normalize_two_bridge(p, qinv)))
         assert all(abs(x - y) <= 1e-9 * max(x, y) for x, y in zip(a, b)), (p, q)
+
+
+def test_mirror_image_has_the_same_multiset():
+    # the mirror of b(p, q) is b(p, 2p - q): its word has every exponent
+    # negated.  Built directly, bypassing normalization, its torsion
+    # multiset must equal that of the normalized knot
+    for p, q in CENSUS_FRACTIONS:
+        knot = normalize_two_bridge(p, q)
+        mw = build_relator_word(p, 2 * p - q)
+        assert [e for _, e in mw.letters] == [-e for _, e in knot.word.letters]
+        mirror = TwoBridgeKnot(p, q, mw, mw.exponent_sum(), True)
+        a = tau_multiset(compute_invariants(knot))
+        b = tau_multiset(compute_invariants(mirror))
+        assert a is not None and b is not None, (p, q)
+        assert all(abs(x - y) <= 1e-8 * max(x, y) for x, y in zip(a, b)), (p, q)
 
 
 def test_mirror_input_normalizes_to_same_records():
@@ -342,6 +357,15 @@ def test_catalog_empty_and_bad_rows(tmp_path):
         blank_first.write_text(text)
         report = run_catalog(str(blank_first), None, str(tmp_path / "cache2"))
         assert [e["row"] for e in report["errors"]] == rows, text
+
+    # cells keep their positions: an empty p or q cell is a bad row, also
+    # on row 1, while an empty label cell gives the default label
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text(",5,3\n5,,3\n7,3,\n7,3,,x\n")
+    report = run_catalog(str(gaps), None, str(tmp_path / "cache2"))
+    assert [e["row"] for e in report["errors"]] == [1, 2]
+    assert [kr["knot"] for kr in report["knots"]] == [{"p": 7, "q": 3}] * 2
+    assert report["labels"] == ["b(7,3)"] * 2
 
 
 def test_parse_fraction():
