@@ -54,9 +54,11 @@ MAX_NEWTON_ITER = 50
 class _Jet:
     """Arithmetic shared by the jets below: a scalar value plus a nilpotent
     part n with n^3 = 0.  Subclasses list the value and then the higher
-    coefficients in ``__slots__`` and supply __init__, __add__ and __mul__
-    (which accept plain scalars too); with r = n/v, reciprocals and square
-    roots follow from 1/(v + n) = (1 - r + r^2)/v and
+    coefficients in ``__slots__`` and supply __init__, the sum and the
+    truncated product on coefficient tuples (``coeff_add``, ``coeff_mul``,
+    which ``reps.word_product`` uses too), and __add__ and __mul__ on top of
+    them (which accept plain scalars too).  With r = n/v, reciprocals and
+    square roots follow from 1/(v + n) = (1 - r + r^2)/v and
     sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8), where r^2 vanishes for
     Series."""
 
@@ -112,13 +114,25 @@ class Series(_Jet):
 
     def __add__(self, o):
         if isinstance(o, Series):
-            return Series(self.val + o.val, self.h1 + o.h1)
+            return Series(*self.coeff_add((self.val, self.h1), (o.val, o.h1)))
         return Series(self.val + o, self.h1)
 
     def __mul__(self, o):
         if isinstance(o, Series):
-            return Series(self.val * o.val, self.val * o.h1 + self.h1 * o.val)
+            return Series(*self.coeff_mul((self.val, self.h1), (o.val, o.h1)))
         return Series(self.val * o, self.h1 * o)
+
+    @staticmethod
+    def coeff_add(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        return a0 + b0, a1 + b1
+
+    @staticmethod
+    def coeff_mul(a, b):
+        a0, a1 = a
+        b0, b1 = b
+        return a0 * b0, a0 * b1 + a1 * b0
 
     def __repr__(self):
         return f"Series({self.val!r}, h1={self.h1!r})"
@@ -139,20 +153,32 @@ class Jet2(_Jet):
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(self.val + o.val, self.u + o.u, self.s + o.s, self.ss + o.ss)
+            return Jet2(*self.coeff_add(
+                (self.val, self.u, self.s, self.ss), (o.val, o.u, o.s, o.ss)))
         return Jet2(self.val + o, self.u, self.s, self.ss)
 
     def __mul__(self, o):
-        a0, au, as_ = self.val, self.u, self.s
         if isinstance(o, Jet2):
-            b0, bu, bs = o.val, o.u, o.s
-            return Jet2(
-                a0 * b0,
-                a0 * bu + au * b0,
-                a0 * bs + as_ * b0,
-                a0 * o.ss + as_ * bs + self.ss * b0,
-            )
-        return Jet2(a0 * o, au * o, as_ * o, self.ss * o)
+            return Jet2(*self.coeff_mul(
+                (self.val, self.u, self.s, self.ss), (o.val, o.u, o.s, o.ss)))
+        return Jet2(self.val * o, self.u * o, self.s * o, self.ss * o)
+
+    @staticmethod
+    def coeff_add(a, b):
+        a0, au, as_, ass = a
+        b0, bu, bs, bss = b
+        return a0 + b0, au + bu, as_ + bs, ass + bss
+
+    @staticmethod
+    def coeff_mul(a, b):
+        a0, au, as_, ass = a
+        b0, bu, bs, bss = b
+        return (
+            a0 * b0,
+            a0 * bu + au * b0,
+            a0 * bs + as_ * b0,
+            a0 * bss + as_ * bs + ass * b0,
+        )
 
     def __repr__(self):
         parts = (f"{n}={c!r}" for n, c in zip(self.__slots__, self.coeffs()))
@@ -353,7 +379,7 @@ def _implicit_jets(knot, kprime, prec):
     s = Jet2(zero - 1, zero, zero + 1, zero)
     img_x, img_y = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
     w, w11, second = _relator_terms(knot, s, img_x, img_y)
-    rev = word_product(img_x, img_y, knot.word.reversed_word())
+    rev = word_product(img_x, img_y, knot.reversed_word)
     return u_meta, w11 + second, longitude_image(knot, rev, w, img_x).trace()
 
 

@@ -272,14 +272,28 @@ def _atomic_write(path, data):
         raise
 
 
+def _cached_report(path, knot):
+    """The report cached at path, or None where there is none or it does
+    not parse, has no records or names another knot."""
+    try:
+        with open(path, "rb") as f:
+            report = json.loads(f.read().decode())
+    except (FileNotFoundError, ValueError):
+        return None
+    if not isinstance(report, dict) or "records" not in report:
+        return None
+    return report if report.get("knot") == {"p": knot.p, "q": knot.q} else None
+
+
 def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, served from the directory cache when the code
-    fingerprint matches; returns (report, hit)."""
+    fingerprint matches; returns (report, hit).  A damaged entry is a miss,
+    and is computed and written again."""
     base = cache_dir or default_cache_dir()
     path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
-    if os.path.exists(path):
-        with open(path, "rb") as f:
-            return json.loads(f.read().decode()), True
+    report = _cached_report(path, knot)
+    if report is not None:
+        return report, True
     records = compute_invariants(knot)
     report = knot_report(knot, records)
     _atomic_write(path, serialize_report(report))
@@ -344,15 +358,14 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
         report, hit = cached_invariant_report(knot, cache_dir)
         entries.append({"row": row_no, "label": label, "knot": knot, "report": report, "cache_hit": hit})
 
+    records = [_records_from_report(e["report"]) for e in entries]
     verdicts = []
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i]["knot"], entries[j]["knot"]
             if a.p != b.p or (a.p, a.q) == (b.p, b.q):
                 continue
-            recs_a = _records_from_report(entries[i]["report"])
-            recs_b = _records_from_report(entries[j]["report"])
-            verdicts.append(compare_knots(a, b, recs_a, recs_b))
+            verdicts.append(compare_knots(a, b, records[i], records[j]))
 
     report = {
         "config": fingerprint(),

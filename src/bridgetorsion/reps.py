@@ -3,10 +3,14 @@
 Two families matter here: the discrete metabelian representatives rho_k
 (one per character of the double branched cover) and the continuous Riley
 family rho_{sqrt(s),u} that deforms them along the character variety.
+Both send x to an upper and y to a lower triangular matrix (Riley 1984),
+and word products rely on that form: ``word_product`` multiplies by one
+triangular letter image at a time and refuses images of any other form.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ZeroParameter
@@ -71,16 +75,54 @@ def _letter_images(img_x, img_y):
     }
 
 
+def _is_zero(c):
+    return all(v == 0 for v in (c.coeffs() if hasattr(c, "coeffs") else (c,)))
+
+
 def word_product(img_x, img_y, w):
-    """Product of generator images along a word."""
-    steps = _letter_images(img_x, img_y)
-    zero = img_x.entries[0] * 0
-    result = RingMatrix.identity(zero + 1, zero)
-    for g, e in w.letters:
-        m = steps[g, 1 if e > 0 else -1]
-        for _ in range(abs(e)):
-            result = result * m
-    return result
+    """Product of generator images along a word.
+
+    The images must have Riley's triangular form, x upper and y lower
+    triangular; so have their inverses, the adjugates, and each letter
+    right-multiplies the running product with 6 products and 2 sums.  The
+    product is kept as four flat coefficient tuples: a jet ring supplies
+    its sum and truncated product on tuples (``coeff_add``, ``coeff_mul``),
+    and plain scalars (complex, mpmath) use the operators.  Images of any
+    other form raise ValueError rather than lose an entry."""
+    a, b, zx, d = img_x.entries
+    e, zy, g, h = img_y.entries
+    if not (_is_zero(zx) and _is_zero(zy)):
+        raise ValueError("word_product needs x upper and y lower triangular")
+    ring = type(a)
+    jet = hasattr(ring, "coeff_mul")
+    if jet:
+        mul, add, flat = ring.coeff_mul, ring.coeff_add, ring.coeffs
+    else:
+        mul, add, flat = operator.mul, operator.add, lambda c: c
+    zero = a * 0
+    one = zero + 1
+    # (generator, exponent > 0) -> (upper, p, q, r) for the letter's image
+    # [[p, q], [0, r]] (upper) or [[p, 0], [q, r]]
+    steps = {
+        ("x", True): (True, *map(flat, (a, b, d))),
+        ("x", False): (True, *map(flat, (d, -b, a))),
+        ("y", True): (False, *map(flat, (e, g, h))),
+        ("y", False): (False, *map(flat, (h, -g, e))),
+    }
+    r0, r1, r2, r3 = map(flat, (one, zero, zero, one))
+    for upper, p, q, r in [steps[gen, n > 0] for gen, n in w.letters for _ in range(abs(n))]:
+        if upper:
+            r0, r1, r2, r3 = (
+                mul(r0, p), add(mul(r0, q), mul(r1, r)),
+                mul(r2, p), add(mul(r2, q), mul(r3, r)),
+            )
+        else:
+            r0, r1, r2, r3 = (
+                add(mul(r0, p), mul(r1, q)), mul(r1, r),
+                add(mul(r2, p), mul(r3, q)), mul(r3, r),
+            )
+    product = (r0, r1, r2, r3)
+    return RingMatrix(ring(*c) for c in product) if jet else RingMatrix(product)
 
 
 def phi_map(rep, element):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DeterminantMismatch, InvalidFraction
 
@@ -189,7 +190,16 @@ class TwoBridgeKnot:
 
     def relator(self):
         """The relator w x w^-1 y^-1 of <x, y | w x = y w>."""
+        return self._relator
+
+    @cached_property
+    def _relator(self):
         return self.word * X * self.word.inverse() * Y.inverse()
+
+    @cached_property
+    def reversed_word(self):
+        """The word <-w, built once per knot."""
+        return self.word.reversed_word()
 
 
 def build_relator_word(p, q):
@@ -204,15 +214,21 @@ def build_relator_word(p, q):
 
 def longitude_word(knot):
     """Preferred longitude <-w * w * x^(-2*sigma); null-homologous by construction."""
-    rev = knot.word.reversed_word()
-    return rev * knot.word * Word((("x", -2 * knot.sigma),))
+    return knot.reversed_word * knot.word * Word((("x", -2 * knot.sigma),))
 
 
 def knot_determinant(knot):
-    """|Delta(-1)| by exact integer Fox calculus: the knot determinant, which
-    for b(p, q) is p."""
-    d = fox_derivative(knot.relator(), "x")
-    total = sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items())
+    """|Delta(-1)|, the knot determinant, which for b(p, q) is p: the Fox
+    derivative of the relator by x at t = -1, in exact integers and one
+    walk over the relator.  With a the exponent sum of the letters before
+    it, a letter x^e contributes sum_{i<e} (-1)^(a+i) for e > 0 and
+    -sum_{i=1..-e} (-1)^(a-i) for e < 0; both are (-1)^a for odd e and 0
+    for even e."""
+    total = a = 0
+    for g, e in knot.relator().letters:
+        if g == "x" and e % 2:
+            total += -1 if a % 2 else 1
+        a += e
     return abs(total)
 
 

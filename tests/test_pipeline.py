@@ -258,6 +258,35 @@ def test_cache_bit_for_bit(tmp_path):
     assert report2 == report1 == fresh
 
 
+@pytest.mark.parametrize(
+    "damaged",
+    [b'{"knot": ', b"{}", b'{"knot": {"p": 5, "q": 1}, "records": []}'],
+    ids=["truncated", "empty", "other-knot"],
+)
+def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
+    # an entry that does not parse, has no records or names another knot
+    # is a miss: the report is computed again and rewritten, and a catalog
+    # over that entry runs
+    knot = normalize_two_bridge(5, 3)
+    cache = str(tmp_path / "cache")
+    path = os.path.join(cache, fingerprint()[:16], "5_3.json")
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as f:
+        f.write(damaged)
+    report, hit = cached_invariant_report(knot, cache)
+    assert not hit
+    fresh = serialize_report(knot_report(knot, compute_invariants(knot)))
+    assert serialize_report(report) == fresh
+    with open(path, "rb") as f:
+        assert f.read() == fresh
+    with open(path, "wb") as f:
+        f.write(damaged)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("5,3\n")
+    catalog = run_catalog(str(csv_path), None, cache)
+    assert catalog["knots"] == [report]
+
+
 # source edits that must each change the cache key: another method of
 # computing F, another tolerance of the F cross-check, another working
 # precision of the 30-digit backend, and another zero tolerance of the

@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+from bridgetorsion.curve import Jet2, Series
 from bridgetorsion.errors import IndexOutOfRange, ZeroParameter
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
+from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import (
+    Rep2,
     fox_image,
     metabelian_rep,
     metabelian_u,
     phi_map,
+    riley_images,
     riley_rep,
     word_product,
 )
@@ -22,6 +26,7 @@ from bridgetorsion.words import (
 )
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+KERNEL_CENSUS = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
 def rand_word(rng, n=5):
@@ -211,3 +216,77 @@ def test_fox_image_matches_phi_of_fox_derivative():
             expected = phi_map(rho, fox_derivative(w, gen))
             for pos in range(4):
                 assert got.entries[pos].close_to(expected.entries[pos], 1e-10), (w, gen)
+
+
+# -- the triangular kernel ------------------------------------------------------------
+
+
+def _fold(img_x, img_y, w):
+    """Reference product: full 2x2 products of the letter images, one
+    letter at a time, with an inverse taken as the adjugate."""
+    steps = {
+        ("x", 1): img_x, ("x", -1): img_x.adjugate(),
+        ("y", 1): img_y, ("y", -1): img_y.adjugate(),
+    }
+    zero = img_x.entries[0] * 0
+    result = RingMatrix.identity(zero + 1, zero)
+    for g, e in w.letters:
+        for _ in range(abs(e)):
+            result = result * steps[g, 1 if e > 0 else -1]
+    return result
+
+
+def _entry_coeffs(m):
+    return [c for e in m.entries for c in (e.coeffs() if hasattr(e, "coeffs") else [e])]
+
+
+def _kernel_images(p, k, prec):
+    """Images of x and y at a metabelian point with complex entries, and
+    at the Riley point s = -1 + h, u = u_k with Series and Jet2 entries."""
+    u = metabelian_u(p, k, prec)
+    zero = u * 0
+    rho = metabelian_rep(p, k, prec)
+    yield rho.img_x, rho.img_y
+    s = Series(zero - 1, zero + 1)
+    yield riley_images(s.sqrt(prec.sqrt), u)
+    s = Jet2(zero - 1, zero, zero + 1, zero)
+    yield riley_images(s.sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
+
+
+def test_word_product_matches_reference_fold():
+    # the triangular kernel computes every coefficient of every entry
+    # exactly as the full 2x2 fold does: complex, Series, Jet2 and 30-digit
+    # images, over every census word (p <= 25) and its reverse, and random
+    # words with runs |e| > 1.  Equality is exact; only the sign of an
+    # exact zero may differ, as the fold adds zero terms the kernel skips
+    rng = random.Random(53)
+    extended = Precision("extended")
+    for p, q in KERNEL_CENSUS:
+        knot = normalize_two_bridge(p, q)
+        k = 1 + q % ((p - 1) // 2)
+        words = [knot.word, knot.reversed_word]
+        words += [Word([(rng.choice("xy"), rng.choice((-3, -2, 2, 3))) for _ in range(6)])]
+        for prec in (DOUBLE, extended):
+            for img_x, img_y in _kernel_images(p, k, prec):
+                for w in words:
+                    got = _entry_coeffs(word_product(img_x, img_y, w))
+                    assert got == _entry_coeffs(_fold(img_x, img_y, w)), (p, q, prec.name, w)
+
+
+def test_word_product_refuses_non_triangular_images():
+    # Rep2 is public: an image of another form raises instead of losing
+    # its entry
+    rho = metabelian_rep(7, 2)
+    a, b, _, d = rho.img_x.entries
+    e, _, g, h = rho.img_y.entries
+    w = normalize_two_bridge(7, 3).word
+    lower_x = Rep2(RingMatrix((a, b, 1e-300 + 0j, d)), rho.img_y)
+    upper_y = Rep2(rho.img_x, RingMatrix((e, 0.5j, g, h)))
+    for rep in (lower_x, upper_y):
+        with pytest.raises(ValueError):
+            word_product(rep.img_x, rep.img_y, w)
+    s = Jet2(-1 + 0j, 0j, 1 + 0j, 0j)
+    img_x, img_y = riley_images(s.sqrt(DOUBLE.sqrt), Jet2(metabelian_u(7, 2), 1 + 0j))
+    jet_x = RingMatrix(img_x.entries[:2] + (Jet2(0j, 0j, 0j, 1e-300 + 0j), img_x.entries[3]))
+    with pytest.raises(ValueError):
+        word_product(jet_x, img_y, w)

@@ -10,6 +10,7 @@ from bridgetorsion.words import (
     build_relator_word,
     fox_derivative,
     fractions_mirror_equivalent,
+    knot_determinant,
     longitude_word,
     normalize_two_bridge,
 )
@@ -182,3 +183,26 @@ def test_mirror_congruence():
     assert fractions_mirror_equivalent(7, 3, 4)  # 4 = -3
     assert not fractions_mirror_equivalent(11, 3, 5)
     assert fractions_mirror_equivalent(5, 3, 3)
+
+
+def test_knot_determinant_matches_fox_sum():
+    # the one-pass integer walk equals |sum of the Fox terms of dr/dx at
+    # t = -1| for every normalized fraction with p <= 61
+    fractions = [(p, q) for p in range(3, 62, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+    for p, q in fractions:
+        k = normalize_two_bridge(p, q)
+        d = fox_derivative(k.relator(), "x")
+        fox = abs(sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items()))
+        assert knot_determinant(k) == fox == p, (p, q)
+
+
+def test_knot_words_built_once():
+    # the relator and <-w are built once per knot and equal the words built
+    # from scratch
+    k = normalize_two_bridge(13, 5)
+    w = k.word
+    assert k.relator() is k.relator()
+    assert k.relator() == w * Word.parse("x") * w.inverse() * Word.parse("Y")
+    assert k.reversed_word is k.reversed_word
+    assert k.reversed_word == w.reversed_word()
+    assert longitude_word(k) == w.reversed_word() * w * Word((("x", -2 * k.sigma),))
