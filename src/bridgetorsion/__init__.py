@@ -57,7 +57,6 @@ from .curve import (
     FEstimate,
     Jet2,
     RileyPoint,
-    Series,
     continue_riley_curve,
     evaluate_F,
     metabelian_pairing,

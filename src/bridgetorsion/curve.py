@@ -11,12 +11,15 @@ longitude image L is the identity at the metabelian point and
 tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L):
 first-order Taylor arithmetic pushed through the word products gives the
 coefficient exactly, and far better conditioned than the h^2 coefficient
-of the trace itself.  The cross-check reads that h^2 coefficient of the
-trace off second-order partials instead, so it shares neither the series
-nor the identity.  Both build the longitude image from the image of the
-relator word w that phi already needs: the value of record takes the image
-of the reversed word from the x <-> y symmetry of Riley's representations,
-the cross-check from a direct product.
+of the trace itself.
+
+One pass of jets in (u, s) through the relator word w, at the metabelian
+point, serves both estimates of F.  The value of record reads the jets'
+quotient by (du, ds^2), the series mod h^2 at fixed u = u_{k'}, and takes
+the image of the reversed word from the x <-> y symmetry of Riley's
+representations.  The cross-check reads the h^2 coefficient of the trace
+off second-order partials instead, with the reversed word from a direct
+product; the two share the relator image W and nothing after it.
 """
 from __future__ import annotations
 
@@ -51,97 +54,18 @@ CROSS_TOL = 1e-5
 MAX_NEWTON_ITER = 50
 
 
-class _Jet:
-    """Arithmetic shared by the jets below: a scalar value plus a nilpotent
-    part n with n^3 = 0.  Subclasses list the value and then the higher
-    coefficients in ``__slots__`` and supply __init__, the sum and the
-    truncated product on coefficient tuples (``coeff_add``, ``coeff_mul``,
-    which ``reps.word_product`` uses too), and __add__ and __mul__ on top of
-    them (which accept plain scalars too).  With r = n/v, reciprocals and
-    square roots follow from 1/(v + n) = (1 - r + r^2)/v and
-    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8), where r^2 vanishes for
-    Series."""
-
-    __slots__ = ()
-
-    def coeffs(self):
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __radd__(self, o):
-        return self + o
-
-    def __rmul__(self, o):
-        return self * o
-
-    def __neg__(self):
-        return type(self)(*(-c for c in self.coeffs()))
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __truediv__(self, o):
-        return self * (o.reciprocal() if isinstance(o, _Jet) else 1 / o)
-
-    def __rtruediv__(self, o):
-        return self.reciprocal() * o
-
-    def _nilpotent_ratio(self):
-        v, *rest = self.coeffs()
-        r = 1 / v
-        return type(self)(v * 0, *(c * r for c in rest))
-
-    def reciprocal(self):
-        r = self._nilpotent_ratio()
-        return (1 - r + r * r) * (1 / self.val)
-
-    def sqrt(self, scalar_sqrt):
-        r = self._nilpotent_ratio()
-        return (1 + r * 0.5 - r * r * 0.125) * scalar_sqrt(self.val)
-
-
-class Series(_Jet):
-    """Power series val + h1*h truncated mod h^2, in the step h along the
-    curve."""
-
-    __slots__ = ("val", "h1")
-
-    def __init__(self, val, h1=0.0):
-        self.val = val
-        self.h1 = h1
-
-    def __add__(self, o):
-        if isinstance(o, Series):
-            return Series(*self.coeff_add((self.val, self.h1), (o.val, o.h1)))
-        return Series(self.val + o, self.h1)
-
-    def __mul__(self, o):
-        if isinstance(o, Series):
-            return Series(*self.coeff_mul((self.val, self.h1), (o.val, o.h1)))
-        return Series(self.val * o, self.h1 * o)
-
-    @staticmethod
-    def coeff_add(a, b):
-        a0, a1 = a
-        b0, b1 = b
-        return a0 + b0, a1 + b1
-
-    @staticmethod
-    def coeff_mul(a, b):
-        a0, a1 = a
-        b0, b1 = b
-        return a0 * b0, a0 * b1 + a1 * b0
-
-    def __repr__(self):
-        return f"Series({self.val!r}, h1={self.h1!r})"
-
-
-class Jet2(_Jet):
+class Jet2:
     """Jet in R[u, s]/(du^2, du ds, ds^3): the value, then the coefficients
     of du, ds and ds^2.  It gives first-order partials exactly, and all that
-    ``_implicit_h2`` needs: its dropped terms carry a factor u' = 0."""
+    ``_implicit_h2`` needs: its dropped terms carry a factor u' = 0.  No
+    operation reads the u or ss slots into the val and s slots, which thus
+    form the quotient by (du, ds^2): the series mod h^2 along s = -1 + h
+    at fixed u.
+
+    ``coeff_add`` and ``coeff_mul``, the sum and the truncated product on
+    coefficient tuples, serve ``reps.word_product`` too.  With r = n/v for
+    the nilpotent part n, 1/(v + n) = (1 - r + r^2)/v and
+    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8)."""
 
     __slots__ = ("val", "u", "s", "ss")
 
@@ -150,6 +74,9 @@ class Jet2(_Jet):
         self.u = u
         self.s = s
         self.ss = ss
+
+    def coeffs(self):
+        return [self.val, self.u, self.s, self.ss]
 
     def __add__(self, o):
         if isinstance(o, Jet2):
@@ -162,6 +89,27 @@ class Jet2(_Jet):
             return Jet2(*self.coeff_mul(
                 (self.val, self.u, self.s, self.ss), (o.val, o.u, o.s, o.ss)))
         return Jet2(self.val * o, self.u * o, self.s * o, self.ss * o)
+
+    def __radd__(self, o):
+        return self + o
+
+    def __rmul__(self, o):
+        return self * o
+
+    def __neg__(self):
+        return Jet2(-self.val, -self.u, -self.s, -self.ss)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __truediv__(self, o):
+        return self * (o.reciprocal() if isinstance(o, Jet2) else 1 / o)
+
+    def __rtruediv__(self, o):
+        return self.reciprocal() * o
 
     @staticmethod
     def coeff_add(a, b):
@@ -179,6 +127,18 @@ class Jet2(_Jet):
             a0 * bs + as_ * b0,
             a0 * bss + as_ * bs + ass * b0,
         )
+
+    def _nilpotent_ratio(self):
+        r = 1 / self.val
+        return Jet2(self.val * 0, self.u * r, self.s * r, self.ss * r)
+
+    def reciprocal(self):
+        r = self._nilpotent_ratio()
+        return (1 - r + r * r) * (1 / self.val)
+
+    def sqrt(self, scalar_sqrt):
+        r = self._nilpotent_ratio()
+        return (1 + r * 0.5 - r * r * 0.125) * scalar_sqrt(self.val)
 
     def __repr__(self):
         parts = (f"{n}={c!r}" for n, c in zip(self.__slots__, self.coeffs()))
@@ -198,12 +158,14 @@ class RileyPoint:
 class FEstimate:
     """Result of the F evaluation.
 
-    ``value`` (the value of record) comes from the longitude series, ``direct``
-    (its independent cross-check) from the implicit-function formula.  The
-    double zero of I_lam - 2 shows in ``lam_gap0`` = |[h^0] I_lam - 2| and
-    ``lam_gap1`` = |[h^1] I_lam|, and ``lon_gap0`` = max|[h^0] L - I| is the
-    precondition of the determinant identity; ``max_residual`` is the
-    largest coefficient of phi mod h^2 at s = -1 + h, u = u_{k'}."""
+    ``value`` (the value of record) comes from the longitude series mod h^2,
+    ``direct`` (its cross-check) from the implicit-function formula; both
+    start from one jet image of the relator word and share nothing after
+    it.  The double zero of I_lam - 2 shows in ``lam_gap0`` =
+    |[h^0] I_lam - 2| and ``lam_gap1`` = |[h^1] I_lam|, and ``lon_gap0`` =
+    max|[h^0] L - I| is the precondition of the determinant identity;
+    ``max_residual`` is the largest coefficient of phi mod h^2 at
+    s = -1 + h, u = u_{k'}."""
 
     value: complex
     direct: complex
@@ -214,22 +176,25 @@ class FEstimate:
     lon_gap0: float
 
 
-def _relator_terms(knot, s, img_x, img_y):
-    """(W, W11, (1-s) W12) for the image W of the relator word w; phi is the
-    sum of the last two, and their magnitudes set the scale phi is evaluated
+def _relator_jets(knot, s, u, prec, branch=1):
+    """s and Riley's images of x and y as jets in (u, s) at the point
+    (s, u), the image W of the relator word w, and the two terms W11 and
+    (1-s) W12 of phi, whose magnitudes set the scale phi is evaluated
     at."""
+    if s == 0:
+        raise ZeroParameter("Riley residual needs s != 0")
+    zero = u * 0
+    sj = Jet2(zero + s, zero, zero + 1, zero)
+    rs = sj.sqrt(prec.sqrt)
+    img_x, img_y = riley_images(rs if branch == 1 else -rs, Jet2(u, zero + 1, zero, zero))
     w = word_product(img_x, img_y, knot.word)
-    return w, w.entries[0], (1 - s) * w.entries[1]
+    return sj, img_x, img_y, w, (w.entries[0], (1 - sj) * w.entries[1])
 
 
 def _jet_phi(knot, s, u, prec=DOUBLE, branch=1):
     """phi = W11 + (1-s) W12 as a jet in (u, s), and its evaluation
     scale."""
-    if s == 0:
-        raise ZeroParameter("Riley residual needs s != 0")
-    sj = Jet2(s, 0.0, 1.0)
-    images = riley_images(sj.sqrt(prec.sqrt) * branch, Jet2(u, 1.0))
-    _, w11, second = _relator_terms(knot, sj, *images)
+    *_, (w11, second) = _relator_jets(knot, s, u, prec, branch)
     return w11 + second, float(abs(w11.val) + abs(second.val) + 1.0)
 
 
@@ -331,32 +296,29 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
     return RileyPoint(-1.0 + h, u, resid)
 
 
-def _longitude_series(knot, kprime, u_meta, prec):
-    """The longitude image mod h^2 at s = -1 + h, u = u_{k'}, where the
-    curve is tangent to u = u_{k'}, and the largest coefficient of phi
-    there; RecordError if it fails the NEWTON_TOL rule, as it does off the
-    curve.  rho(<-w) = M W M^-1 (``swap_generators``)."""
-    zero = u_meta * 0
-    s = Series(zero - 1, zero + 1)
-    img_x, img_y = riley_images(s.sqrt(prec.sqrt), u_meta)
-    w, w11, second = _relator_terms(knot, s, img_x, img_y)
-    resid = max(float(abs(c)) for c in (w11 + second).coeffs())
-    scale = max(float(abs(a) + abs(b)) for a, b in zip(w11.coeffs(), second.coeffs()))
+def _check_tangent(knot, kprime, w11, second):
+    """The largest coefficient of phi = W11 + (1-s) W12 mod h^2 at
+    s = -1 + h, u = u_{k'}, where the curve is tangent to u = u_{k'}, read
+    off the val and s slots; RecordError if it fails the NEWTON_TOL rule,
+    as it does off the curve."""
+    slots = [(w11.val, second.val), (w11.s, second.s)]
+    resid = max(float(abs(a + b)) for a, b in slots)
+    scale = max(float(abs(a) + abs(b)) for a, b in slots)
     if resid > NEWTON_TOL * (scale + 1.0):
         raise RecordError(
             f"u_{kprime} of {knot.label} does not solve phi = 0 mod h^2: "
             f"max|[h^i] phi| = {resid:.3e} at scale {scale:.3e}"
         )
-    return longitude_image(knot, swap_generators(w, s, u_meta), w, img_x), resid
+    return resid
 
 
 def _identity_gap(lon):
-    """max|[h^0] L - I| for the longitude series L."""
+    """max|[h^0] L - I| for the longitude image L."""
     return max(float(abs(e.val - i)) for e, i in zip(lon.entries, (1, 0, 0, 1)))
 
 
 def _h2_of_trace(knot, kprime, lon):
-    """[h^2] tr L from [h^1] L, for L in SL2 with L(0) = I:
+    """[h^2] tr L from [h^1] L (the s slots), for L in SL2 with L(0) = I:
     tr L - 2 = -det(L - I) = -h^2 det([h^1] L) + O(h^3).  Raises
     LongitudeNotIdentity where L(0) = I fails beyond IDENTITY_TOL."""
     gap = _identity_gap(lon)
@@ -365,22 +327,7 @@ def _h2_of_trace(knot, kprime, lon):
             f"longitude image at u_{kprime} of {knot.label} is not the identity: "
             f"max|L - I| = {gap:.3e} (> {IDENTITY_TOL:.1e})"
         )
-    return -RingMatrix(e.h1 for e in lon.entries).det()
-
-
-def _implicit_jets(knot, kprime, prec):
-    """u_{k'}, and phi and the longitude trace as second-order jets in
-    (u, s) at the metabelian point (-1, u_{k'}).  rho(<-w) is a direct
-    product over the reversed word: the conjugation of ``swap_generators``
-    would add its conditioning to the small coefficient that
-    ``_implicit_h2`` reads off large ones."""
-    u_meta = metabelian_u(knot.p, kprime, prec)
-    zero = u_meta * 0
-    s = Jet2(zero - 1, zero, zero + 1, zero)
-    img_x, img_y = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
-    w, w11, second = _relator_terms(knot, s, img_x, img_y)
-    rev = word_product(img_x, img_y, knot.reversed_word)
-    return u_meta, w11 + second, longitude_image(knot, rev, w, img_x).trace()
+    return -RingMatrix(e.s for e in lon.entries).det()
 
 
 def _implicit_h2(phi, lam):
@@ -392,7 +339,7 @@ def _implicit_h2(phi, lam):
     In Taylor coefficients, with s = -1 + h and u = u_{k'} + u' h + u'' h^2,
     u' = -phi_s/phi_u, u'' = -(phi_ss + phi_su u' + phi_uu u'^2)/phi_u and
     [h^2] I_lam = L_ss + L_su u' + L_uu u'^2 + L_u u''.  At a metabelian
-    point u' = 0 (``_longitude_series`` refuses a point where it is not),
+    point u' = 0 (``_check_tangent`` refuses a point where it is not),
     which leaves u'' = -phi_ss/phi_u and [h^2] I_lam = L_ss + L_u u''."""
     return lam.ss - lam.u * phi.ss / phi.u
 
@@ -401,20 +348,29 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam.
 
-    (b) the cross-check takes [h^2] I_lam from the implicit-function formula
-        (``_implicit_h2``); its phi_u is the smoothness check;
-    (a) the value of record takes it from the longitude series at u_{k'}
-        (``_longitude_series``) and the determinant identity
-        (``_h2_of_trace``), neither of which (b) shares; only u_{k'} passes
-        from (b) to (a).  1/value is H_hat(-2), where I_lam - 2 =
-        -(I_muhat + 2) H_hat(I_muhat) locally; for the figure-eight knot it
-        comes out 5.
+    One jet pass in (u, s) at (-1, u_{k'}) gives phi and the relator image
+    W; the two estimates share W and nothing after it.
+    (b) the cross-check takes rho(<-w) from a product over the reversed
+        word, as the conditioning of ``swap_generators`` would spoil the
+        small coefficient it reads off large ones, and [h^2] I_lam from the
+        implicit-function formula (``_implicit_h2``); its phi_u is the
+        smoothness check;
+    (a) the value of record reads the (val, s) slots alone, the series mod
+        h^2 at u = u_{k'}: the tangency check, rho(<-w) = M W M^-1
+        (``swap_generators``) and the determinant identity
+        (``_h2_of_trace``).  1/value is H_hat(-2), where I_lam - 2 =
+        -(I_muhat + 2) H_hat(I_muhat) locally; for the figure-eight knot
+        it comes out 5.
     A relative disagreement beyond CROSS_TOL raises.
     """
-    u_meta, phi, lam2 = _implicit_jets(knot, kprime, prec)
+    u_meta = metabelian_u(knot.p, kprime, prec)
+    s, img_x, img_y, w, (w11, second) = _relator_jets(knot, -1.0, u_meta, prec)
+    phi = w11 + second
     _check_smooth(knot, kprime, phi.u)
-    direct = 1 / _implicit_h2(phi, lam2)
-    lon, resid = _longitude_series(knot, kprime, u_meta, prec)
+    rev = word_product(img_x, img_y, knot.reversed_word)
+    direct = 1 / _implicit_h2(phi, longitude_image(knot, rev, w, img_x).trace())
+    resid = _check_tangent(knot, kprime, w11, second)
+    lon = longitude_image(knot, swap_generators(w, s, u_meta), w, img_x)
     lam = lon.trace()
     value = 1 / _h2_of_trace(knot, kprime, lon)
     rel = float(abs(value - direct) / max(abs(value), abs(direct), 1e-300))
@@ -431,6 +387,6 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
         rel_disagreement=rel,
         max_residual=resid,
         lam_gap0=float(abs(lam.val - 2)),
-        lam_gap1=float(abs(lam.h1)),
+        lam_gap1=float(abs(lam.s)),
         lon_gap0=_identity_gap(lon),
     )

@@ -274,15 +274,20 @@ def _atomic_write(path, data):
 
 def _cached_report(path, knot):
     """The report cached at path, or None where there is none or it does
-    not parse, has no records or names another knot."""
+    not parse, names another knot, or has records that do not rebuild with
+    k = 1..(p-1)/2 in order."""
     try:
         with open(path, "rb") as f:
             report = json.loads(f.read().decode())
     except (FileNotFoundError, ValueError):
         return None
-    if not isinstance(report, dict) or "records" not in report:
+    if not isinstance(report, dict) or report.get("knot") != {"p": knot.p, "q": knot.q}:
         return None
-    return report if report.get("knot") == {"p": knot.p, "q": knot.q} else None
+    try:
+        ks = [r.k for r in _records_from_report(report)]
+    except (KeyError, TypeError, ValueError):
+        return None
+    return report if ks == list(range(1, (knot.p - 1) // 2 + 1)) else None
 
 
 def cached_invariant_report(knot, cache_dir=None):

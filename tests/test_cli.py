@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -174,8 +175,11 @@ def test_catalog_non_utf8_input(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # run the package this suite imports, not whichever copy the inherited
+    # environment would find
     proc = subprocess.run(
         [sys.executable, "-m", "bridgetorsion", "oracle", "lens", "5", "3"],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curve.__file__))),
         capture_output=True,
         text=True,
         timeout=120,

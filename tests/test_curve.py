@@ -7,7 +7,6 @@ import pytest
 from bridgetorsion import curve
 from bridgetorsion.curve import (
     Jet2,
-    Series,
     continue_riley_curve,
     evaluate_F,
     metabelian_pairing,
@@ -22,34 +21,16 @@ from bridgetorsion.errors import (
     SingularPoint,
     ZeroParameter,
 )
+from bridgetorsion.numerics import RingMatrix
 from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import metabelian_u, riley_images, word_product
 from bridgetorsion.words import Word, longitude_word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+WIDE_CENSUS = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
-# -- truncated series ----------------------------------------------------------------
-
-
-def test_series_arithmetic():
-    a = Series(2.0, 3.0)
-    b = Series(4.0, 5.0)
-    prod = a * b  # (2 + 3h)(4 + 5h) mod h^2
-    assert (prod.val, prod.h1) == (8.0, 22.0)
-    quot = a / b
-    assert abs(quot.val - 0.5) < 1e-15
-    assert abs(quot.h1 - (3 * 4 - 2 * 5) / 16) < 1e-15
-    assert (1 - a).coeffs() == [-1.0, -3.0]
-
-
-def test_series_sqrt_at_metabelian_parameter():
-    # sqrt(-1 + h) = i sqrt(1 - h) = i (1 - h/2 + ...)
-    r = Series(-1.0, 1.0).sqrt(cmath.sqrt)
-    assert abs(r.val - 1j) < 1e-15
-    assert abs(r.h1 + 0.5j) < 1e-15
-    sq = r * r
-    assert abs(sq.val + 1) < 1e-15 and abs(sq.h1 - 1) < 1e-15
+# -- jets ----------------------------------------------------------------------------
 
 
 def test_jet2_arithmetic():
@@ -214,17 +195,14 @@ def _gap(a, b):
 
 
 def _symmetry_points(p, kp, prec):
-    """(sqrt(s), s, u) at a scalar point off the curve, as Series in h along
-    s = -1 + h and as Jet2 in (u, s), each near the metabelian point u_{k'}."""
+    """(sqrt(s), s, u) at a scalar point off the curve, and as Jet2 in
+    (u, s) at the metabelian point u_{k'}."""
     u_meta = metabelian_u(p, kp, prec)
     zero = u_meta * 0
     s = zero - 0.9 + 0.2j
     yield prec.sqrt(s), s, u_meta + 0.1 - 0.3j
-    for s, u in (
-        (Series(zero - 1, zero + 1), Series(u_meta, zero + 0.7)),
-        (Jet2(zero - 1, zero, zero + 1), Jet2(u_meta, zero + 1)),
-    ):
-        yield s.sqrt(prec.sqrt), s, u
+    s = Jet2(zero - 1, zero, zero + 1)
+    yield s.sqrt(prec.sqrt), s, Jet2(u_meta, zero + 1)
 
 
 def _check_longitude_symmetry(knot, kp, prec, rel):
@@ -245,12 +223,54 @@ def _check_longitude_symmetry(knot, kp, prec, rel):
 def test_longitude_from_swapped_relator_image():
     # rho(<-w) = M W M^-1 because <-w is w with x and y swapped, and the
     # assembled rho(<-w) W x^(-2 sigma) is the image of the longitude word,
-    # for scalar, series and jet entries alike
+    # for scalar and jet entries alike
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
             _check_longitude_symmetry(knot, kp, DOUBLE, 1e-12)
     _check_longitude_symmetry(normalize_two_bridge(13, 5), 3, Precision("extended"), 1e-25)
+
+
+def _with_noise(c, rng):
+    """The jet c with its u and ss slots overwritten at random; a zero jet
+    (an off-triangle entry) stays zero."""
+    if all(v == 0 for v in c.coeffs()):
+        return c
+    u, ss = (c.val * 0 + complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+    return Jet2(c.val, u, c.s, ss)
+
+
+def _val_s_slots(m):
+    return [repr((e.val, e.s)) for e in m.entries]
+
+
+def test_val_and_s_slots_ignore_u_and_ss_slots():
+    # the value of record reads the (val, s) slots of the jets that the
+    # cross-check pushes through the relator word, as the series mod h^2
+    # at fixed u; that holds because no operation reads a u or ss slot
+    # into them.  Random u and ss slots in s and the images leave every
+    # val and s slot of W, M W M^-1 and the longitude image bit-identical
+    rng = random.Random(67)
+    extended = Precision("extended")
+    for p, q in WIDE_CENSUS:
+        knot = normalize_two_bridge(p, q)
+        kp = 1 + q % ((p - 1) // 2)
+        for prec in (DOUBLE, extended):
+            u_meta = metabelian_u(p, kp, prec)
+            zero = u_meta * 0
+            s = Jet2(zero - 1, zero, zero + 1, zero)
+            images = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
+            noisy = [RingMatrix(_with_noise(c, rng) for c in m.entries) for m in images]
+            runs = []
+            for sj, (img_x, img_y) in ((s, images), (_with_noise(s, rng), noisy)):
+                w = word_product(img_x, img_y, knot.word)
+                rev = curve.swap_generators(w, sj, u_meta)
+                lon = curve.longitude_image(knot, rev, w, img_x)
+                runs.append((w, rev, lon))
+            before, after = runs
+            assert list(map(_val_s_slots, before)) == list(map(_val_s_slots, after)), (p, q, prec.name)
+            # the noise did reach the ss slots
+            assert [e.ss for e in before[2].entries] != [e.ss for e in after[2].entries], (p, q)
 
 
 # -- continuation ---------------------------------------------------------------------
@@ -339,6 +359,7 @@ def test_evaluate_F_figure_eight():
     for kp in (1, 2):
         est = evaluate_F(knot, kp)
         assert abs(est.value - 0.2) < 1e-6
+        assert abs(1 / est.value - 5.0) < 1e-4  # the local multiplier
         assert est.rel_disagreement < 1e-5
 
 
@@ -348,13 +369,6 @@ def test_evaluate_F_torus():
         for kp in range(1, (q - 1) // 2 + 1):
             est = evaluate_F(knot, kp)
             assert abs(est.value - 1 / q ** 2) < 1e-5 / q ** 2, (q, kp)
-
-
-def test_fitted_local_form_figure_eight():
-    knot = normalize_two_bridge(5, 3)
-    for kp in (1, 2):
-        h = 1 / evaluate_F(knot, kp).value
-        assert abs(h - 5.0) < 1e-4
 
 
 def test_estimate_disagreement_raises(monkeypatch):

@@ -260,13 +260,19 @@ def test_cache_bit_for_bit(tmp_path):
 
 @pytest.mark.parametrize(
     "damaged",
-    [b'{"knot": ', b"{}", b'{"knot": {"p": 5, "q": 1}, "records": []}'],
-    ids=["truncated", "empty", "other-knot"],
+    [
+        b'{"knot": ',
+        b"{}",
+        b'{"knot": {"p": 5, "q": 1}, "records": []}',
+        b'{"knot": {"p": 5, "q": 3}, "records": [{"k": 1}]}',
+        b'{"knot": {"p": 5, "q": 3}, "records": []}',
+    ],
+    ids=["truncated", "empty", "other-knot", "partial-record", "no-records"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
-    # an entry that does not parse, has no records or names another knot
-    # is a miss: the report is computed again and rewritten, and a catalog
-    # over that entry runs
+    # an entry that does not parse, names another knot, or has records that
+    # do not rebuild with k = 1..(p-1)/2 is a miss: the report is computed
+    # again and rewritten, and a catalog over that entry runs
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
     path = os.path.join(cache, fingerprint()[:16], "5_3.json")

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bridgetorsion.curve import Jet2, Series
+from bridgetorsion.curve import Jet2
 from bridgetorsion.errors import IndexOutOfRange, ZeroParameter
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
 from bridgetorsion.precision import DOUBLE, Precision
@@ -242,20 +242,18 @@ def _entry_coeffs(m):
 
 def _kernel_images(p, k, prec):
     """Images of x and y at a metabelian point with complex entries, and
-    at the Riley point s = -1 + h, u = u_k with Series and Jet2 entries."""
+    as jets in (u, s) at the Riley point (-1, u_k)."""
     u = metabelian_u(p, k, prec)
     zero = u * 0
     rho = metabelian_rep(p, k, prec)
     yield rho.img_x, rho.img_y
-    s = Series(zero - 1, zero + 1)
-    yield riley_images(s.sqrt(prec.sqrt), u)
     s = Jet2(zero - 1, zero, zero + 1, zero)
     yield riley_images(s.sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
 
 
 def test_word_product_matches_reference_fold():
     # the triangular kernel computes every coefficient of every entry
-    # exactly as the full 2x2 fold does: complex, Series, Jet2 and 30-digit
+    # exactly as the full 2x2 fold does: complex, Jet2 and 30-digit
     # images, over every census word (p <= 25) and its reverse, and random
     # words with runs |e| > 1.  Equality is exact; only the sign of an
     # exact zero may differ, as the fold adds zero terms the kernel skips
