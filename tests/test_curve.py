@@ -359,7 +359,6 @@ def test_evaluate_F_figure_eight():
     for kp in (1, 2):
         est = evaluate_F(knot, kp)
         assert abs(est.value - 0.2) < 1e-6
-        assert abs(1 / est.value - 5.0) < 1e-4  # the local multiplier
         assert est.rel_disagreement < 1e-5
 
 
@@ -369,6 +368,13 @@ def test_evaluate_F_torus():
         for kp in range(1, (q - 1) // 2 + 1):
             est = evaluate_F(knot, kp)
             assert abs(est.value - 1 / q ** 2) < 1e-5 / q ** 2, (q, kp)
+
+
+def test_fitted_local_form_figure_eight():
+    knot = normalize_two_bridge(5, 3)
+    for kp in (1, 2):
+        h = 1 / evaluate_F(knot, kp).value
+        assert abs(h - 5.0) < 1e-4
 
 
 def test_estimate_disagreement_raises(monkeypatch):
