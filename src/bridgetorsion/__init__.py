@@ -50,6 +50,7 @@ from .alexander import (
     TwistedAlexResult,
     classical_alexander,
     knot_determinant,
+    p_at_one,
     p_polynomial,
     wada_twisted_alexander,
 )

@@ -1,5 +1,6 @@
-"""Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
-Alexander polynomial, and the derived polynomial P(t).
+"""P(1) of record from Wada's numerator with no division (``p_at_one``);
+Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
+Alexander polynomial and P(t), which tests use as the reference for P(1).
 
 ``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
 ``normalize_two_bridge`` checks it against p; it is re-exported here."""
@@ -9,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .curve import Jet2
 from .errors import InexactDivision
-from .numerics import LaurentPoly
+from .numerics import LaurentPoly, RingMatrix
 from .precision import DOUBLE
 from .reps import fox_image
 from .words import fox_derivative, knot_determinant  # noqa: F401
 
-#: Exactness tolerance for the polynomial divisions below.
+#: Exactness tolerance for the polynomial divisions and the double zero below.
 DIVISION_TOL = 1e-8
 
 
@@ -66,13 +68,34 @@ def wada_twisted_alexander(k, rep, by="x"):
         m = rep.img_x
     else:
         raise ValueError(f"by = {by!r}")
-    numerator = fox_image(rep, k.relator(), by).det()
+    numerator = RingMatrix(map(LaurentPoly, fox_image(rep, k.relator(), by))).det()
     denominator = LaurentPoly({2: m.det(), 1: -m.trace(), 0: 1})
     try:
         reduced = numerator.divide_exact(denominator, DIVISION_TOL).canonical_unit()
     except InexactDivision:
         reduced = None
     return TwistedAlexResult(numerator, denominator, reduced)
+
+
+def p_at_one(knot, rep):
+    """P(1) for the metabelian rep = rho_k from Wada's numerator N, which has
+    N(i(1 + e)) = -4 P(1) e^2 + O(e^3), and the gap of that double zero,
+    max(|[e^0] N|, |[e^1] N|) / (|[e^2] N| + 1); above DIVISION_TOL, as off
+    rho_k, it raises InexactDivision.  Each entry of Phi(dr/dx) is a Jet2 in
+    its (val, s, ss) slots, with t^a = i^a (1, a, a(a-1)/2)."""
+    entries = []
+    for d in fox_image(rep, knot.relator(), "x"):
+        terms = [(a, c * (1, 1j, -1, -1j)[a % 4]) for a, c in d.items()]
+        entries.append(Jet2(
+            sum(c for _, c in terms),
+            s=sum(a * c for a, c in terms),
+            ss=sum(a * (a - 1) // 2 * c for a, c in terms),
+        ))
+    n = RingMatrix(entries).det()
+    gap = float(max(abs(n.val), abs(n.s)) / (abs(n.ss) + 1))
+    if gap > DIVISION_TOL:
+        raise InexactDivision(f"N(i(1 + e)) of {knot.label} has no double zero: gap {gap:.3e}")
+    return -n.ss / 4, gap
 
 
 def p_polynomial(delta, prec=DOUBLE):

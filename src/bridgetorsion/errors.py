@@ -19,7 +19,8 @@ class RecordError(TorsionError):
 
 
 class InexactDivision(RecordError):
-    """Polynomial division left a remainder above tolerance."""
+    """Polynomial division left a remainder above tolerance, or Wada's
+    numerator N lacks its double zero at t = i (``alexander.p_at_one``)."""
 
 
 class DimensionMismatch(TorsionError):

@@ -18,7 +18,9 @@ from .numerics import LaurentPoly
 
 @dataclass(frozen=True)
 class LensSpace:
-    """L(p, q) together with the inverse residue r, q*r = 1 mod p."""
+    """L(p, q) together with the inverse residue r, q*r = 1 mod p.  p is
+    odd: L(p, q) is the double branched cover of b(p, q), and the
+    determinant p of a knot is odd."""
 
     p: int
     q: int
@@ -27,8 +29,8 @@ class LensSpace:
     @classmethod
     def of(cls, p, q):
         p, q = int(p), int(q)
-        if p < 2:
-            raise InvalidFraction(f"lens space needs p >= 2, got {p}")
+        if p < 3 or p % 2 == 0:
+            raise InvalidFraction(f"lens space needs odd p >= 3, got {p}")
         if math.gcd(p, q % p) != 1:
             raise InvalidFraction(f"gcd({p}, {q}) != 1")
         return cls(p, q % p, pow(q, -1, p))

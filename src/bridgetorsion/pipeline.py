@@ -1,4 +1,5 @@
-"""End-to-end assembly of the torsion invariant multiset, knot comparison,
+"""End-to-end assembly of the torsion invariant multiset from P(1)
+(``alexander.p_at_one``) and F (``curve.evaluate_F``), knot comparison,
 batch catalogs and the per-knot result cache."""
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-from .alexander import p_polynomial, wada_twisted_alexander
+from .alexander import p_at_one
 from .curve import evaluate_F, metabelian_pairing
-from .errors import InexactDivision, ParseError, RecordError, TorsionError
+from .errors import ParseError, RecordError, TorsionError
 from .oracles import LensSpace, lens_torsion_magnitude
 from .precision import DOUBLE, Precision
 from .reps import metabelian_rep
@@ -79,19 +80,12 @@ class ComparisonVerdict:
 
 
 def _generic_record(knot, idx, prec, lens):
-    rho = metabelian_rep(knot.p, idx, prec)
-    wada = wada_twisted_alexander(knot, rho)
-    if wada.reduced is None:
-        raise InexactDivision(
-            f"twisted Alexander fraction did not reduce for {knot.label}, k={idx}"
-        )
-    poly_p = p_polynomial(wada.reduced, prec)
+    p1, p1_gap = p_at_one(knot, metabelian_rep(knot.p, idx, prec))
     # only |P(1)| and P(1)^2 are canonical; the sign is a unit artifact
-    p1 = complex(poly_p.evaluate(1))
+    p1sq = complex(p1) ** 2
     kprime = metabelian_pairing(knot.p, idx)
     est = evaluate_F(knot, kprime, prec)
     f_val = complex(est.value)
-    p1sq = p1 * p1
     prod = p1sq * f_val
     tau = abs(prod)
     # the assembled product must be essentially real, and positive in
@@ -101,6 +95,7 @@ def _generic_record(knot, idx, prec, lens):
     if abs(prod.imag) > 1e-6 * tau:
         raise RecordError(f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau")
     diag = {
+        "p1_gap": p1_gap,
         "f_direct": [complex(est.direct).real, complex(est.direct).imag],
         "f_rel_disagreement": est.rel_disagreement,
         "newton_residual_max": est.max_residual,

@@ -35,14 +35,10 @@ def metabelian_u(p, k, prec=DOUBLE):
 
 def metabelian_rep(p, k, prec=DOUBLE):
     """The representative rho_k of the k-th irreducible metabelian class,
-    k = 1..(p-1)/2."""
+    k = 1..(p-1)/2: Riley's pair at sqrt(s) = i, u = u_k."""
     if not 1 <= k <= (p - 1) // 2:
         raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
-    i = prec.imag_unit
-    zero = i * 0
-    img_x = RingMatrix((i, -i, zero, -i))
-    img_y = RingMatrix((i, zero, -i * metabelian_u(p, k, prec), -i))
-    return Rep2(img_x, img_y)
+    return Rep2(*riley_images(prec.imag_unit, metabelian_u(p, k, prec)))
 
 
 def riley_rep(s, u, prec=DOUBLE, branch=1):
@@ -66,21 +62,13 @@ def riley_images(rs, u):
     return img_x, img_y
 
 
-def _letter_images(img_x, img_y):
-    """The image of each letter, keyed (generator, sign); an inverse is the
-    adjugate, which inverts because the images have determinant one."""
-    return {
-        ("x", 1): img_x, ("x", -1): img_x.adjugate(),
-        ("y", 1): img_y, ("y", -1): img_y.adjugate(),
-    }
-
-
 def _is_zero(c):
     return all(v == 0 for v in (c.coeffs() if hasattr(c, "coeffs") else (c,)))
 
 
-def word_product(img_x, img_y, w):
-    """Product of generator images along a word.
+def _walk(img_x, img_y, w):
+    """The running product along a word: yields (generator, sign, product)
+    at the start, as (None, 0, identity), and after each letter.
 
     The images must have Riley's triangular form, x upper and y lower
     triangular; so have their inverses, the adjugates, and each letter
@@ -94,23 +82,24 @@ def word_product(img_x, img_y, w):
     if not (_is_zero(zx) and _is_zero(zy)):
         raise ValueError("word_product needs x upper and y lower triangular")
     ring = type(a)
-    jet = hasattr(ring, "coeff_mul")
-    if jet:
+    if hasattr(ring, "coeff_mul"):
         mul, add, flat = ring.coeff_mul, ring.coeff_add, ring.coeffs
     else:
         mul, add, flat = operator.mul, operator.add, lambda c: c
     zero = a * 0
     one = zero + 1
-    # (generator, exponent > 0) -> (upper, p, q, r) for the letter's image
+    # (generator, sign) -> (upper, p, q, r) for the letter's image
     # [[p, q], [0, r]] (upper) or [[p, 0], [q, r]]
     steps = {
-        ("x", True): (True, *map(flat, (a, b, d))),
-        ("x", False): (True, *map(flat, (d, -b, a))),
-        ("y", True): (False, *map(flat, (e, g, h))),
-        ("y", False): (False, *map(flat, (h, -g, e))),
+        ("x", 1): (True, *map(flat, (a, b, d))),
+        ("x", -1): (True, *map(flat, (d, -b, a))),
+        ("y", 1): (False, *map(flat, (e, g, h))),
+        ("y", -1): (False, *map(flat, (h, -g, e))),
     }
     r0, r1, r2, r3 = map(flat, (one, zero, zero, one))
-    for upper, p, q, r in [steps[gen, n > 0] for gen, n in w.letters for _ in range(abs(n))]:
+    yield None, 0, (r0, r1, r2, r3)
+    for gen, sign in [(g, 1 if n > 0 else -1) for g, n in w.letters for _ in range(abs(n))]:
+        upper, p, q, r = steps[gen, sign]
         if upper:
             r0, r1, r2, r3 = (
                 mul(r0, p), add(mul(r0, q), mul(r1, r)),
@@ -121,8 +110,16 @@ def word_product(img_x, img_y, w):
                 add(mul(r0, p), mul(r1, q)), mul(r1, r),
                 add(mul(r2, p), mul(r3, q)), mul(r3, r),
             )
-    product = (r0, r1, r2, r3)
-    return RingMatrix(ring(*c) for c in product) if jet else RingMatrix(product)
+        yield gen, sign, (r0, r1, r2, r3)
+
+
+def word_product(img_x, img_y, w):
+    """Product of generator images along a word: the last one of ``_walk``."""
+    *_, (_, _, product) = _walk(img_x, img_y, w)
+    ring = type(img_x.entries[0])
+    if hasattr(ring, "coeff_mul"):
+        product = [ring(*c) for c in product]
+    return RingMatrix(product)
 
 
 def phi_map(rep, element):
@@ -135,36 +132,30 @@ def phi_map(rep, element):
         element = GroupRingElement.from_word(element)
     acc = [{} for _ in range(4)]
     for w, c in element.terms.items():
-        _accumulate(acc, w.exponent_sum(), c, word_product(rep.img_x, rep.img_y, w))
+        _accumulate(acc, w.exponent_sum(), c, word_product(rep.img_x, rep.img_y, w).entries)
     return RingMatrix(LaurentPoly(d) for d in acc)
 
 
 def fox_image(rep, w, gen):
-    """Phi(dw/dgen), equal to phi_map(rep, fox_derivative(w, gen)).
-
-    Walks w once with a running prefix product, so it costs O(len w) 2x2
-    products where phi_map multiplies every Fox term's word from scratch.
-    Fox's rules give the terms: +prefix before each letter gen, -prefix
-    after each letter gen^-1."""
-    steps = _letter_images(rep.img_x, rep.img_y)
-    zero = rep.img_x.entries[0] * 0
-    prefix = RingMatrix.identity(zero + 1, zero)
+    """The entries of phi_map(rep, fox_derivative(w, gen)) as four raw maps
+    exponent -> coefficient, for scalar images, from one walk of w with a
+    running prefix product (``_walk``): O(len w) letter steps, where phi_map
+    multiplies every Fox term's word from scratch.  Fox's rules give the
+    terms: +prefix before each letter gen, -prefix after each letter gen^-1."""
     acc = [{} for _ in range(4)]
     a = 0
-    for g, e in w.letters:
-        step = 1 if e > 0 else -1
-        m = steps[g, step]
-        for _ in range(abs(e)):
-            if g == gen and e > 0:
-                _accumulate(acc, a, 1, prefix)
-            prefix = prefix * m
-            a += step
-            if g == gen and e < 0:
+    for g, sign, prefix in _walk(rep.img_x, rep.img_y, w):
+        a += sign
+        if g == gen:
+            if sign > 0:
+                _accumulate(acc, a - 1, 1, before)
+            else:
                 _accumulate(acc, a, -1, prefix)
-    return RingMatrix(LaurentPoly(d) for d in acc)
+        before = prefix
+    return acc
 
 
-def _accumulate(acc, exponent, coeff, m):
-    """Add coeff * t^exponent * m into the four coefficient maps."""
-    for d, entry in zip(acc, m.entries):
+def _accumulate(acc, exponent, coeff, entries):
+    """Add coeff * t^exponent * entry into each entry's coefficient map."""
+    for d, entry in zip(acc, entries):
         d[exponent] = d.get(exponent, 0) + coeff * entry

@@ -5,6 +5,7 @@ import pytest
 from bridgetorsion.alexander import (
     classical_alexander,
     knot_determinant,
+    p_at_one,
     p_polynomial,
     wada_twisted_alexander,
 )
@@ -144,3 +145,29 @@ def test_p_polynomial_even_and_never_inexact_on_census():
 def test_p_polynomial_rejects_non_metabelian_input():
     with pytest.raises(InexactDivision):
         p_polynomial(LaurentPoly({2: 1, 1: 1, 0: 1}))
+
+
+# -- P(1) from the double zero of Wada's numerator ------------------------------------
+
+
+def test_p_at_one_matches_p_polynomial_on_census():
+    # P(1)^2 from the Taylor coefficient at t = i equals P(1)^2 of the
+    # division route on every record with p <= 25, sign included
+    for p_ in range(3, 26, 2):
+        for q in range(1, p_, 2):
+            if math.gcd(p_, q) != 1:
+                continue
+            k = normalize_two_bridge(p_, q)
+            for idx in range(1, (p_ - 1) // 2 + 1):
+                rho = metabelian_rep(p_, idx)
+                p1, gap = p_at_one(k, rho)
+                ref = p_polynomial(wada_twisted_alexander(k, rho).reduced).evaluate(1) ** 2
+                assert abs(p1 * p1 - ref) <= 1e-9 * abs(ref), (p_, q, idx)
+                assert gap <= 1e-12, (p_, q, idx)
+
+
+def test_p_at_one_refuses_non_metabelian_rep():
+    # at a generic Riley point Wada's denominator is not t^2 + 1, so the
+    # numerator has no double zero at t = i
+    with pytest.raises(InexactDivision):
+        p_at_one(normalize_two_bridge(7, 3), riley_rep(-0.9 + 0.2j, 1.3 - 0.4j))

@@ -135,6 +135,16 @@ def test_oracle_tables(capsys):
     assert "q = 4" in err
 
 
+def test_oracle_lens_refuses_even_p(capsys):
+    # a double branched cover of a knot has odd order p; an even p would
+    # leave the order-2 character out of the table, or print none at all
+    for p, q in (("8", "3"), ("2", "1")):
+        code, out, err = run_cli(capsys, ["oracle", "lens", p, q])
+        assert code == 2
+        assert out == ""
+        assert f"odd p >= 3, got {p}" in err
+
+
 def test_catalog_cli(tmp_path, capsys):
     csv_path = tmp_path / "cat.csv"
     csv_path.write_text("3,1\n5,3\n4,1\n")

@@ -24,8 +24,9 @@ def test_lens_construction():
     lens = LensSpace.of(5, 3)
     assert lens.r == 2
     assert (lens.q * lens.r) % lens.p == 1
-    with pytest.raises(InvalidFraction):
-        LensSpace.of(9, 3)
+    for p, q in ((9, 3), (8, 3), (2, 1)):
+        with pytest.raises(InvalidFraction):
+            LensSpace.of(p, q)
 
 
 def test_lens_torsion_values():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from bridgetorsion import curve, pipeline
+from bridgetorsion import curve, numerics, pipeline
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -31,7 +32,12 @@ from bridgetorsion.pipeline import (
 from bridgetorsion.errors import ParseError
 from bridgetorsion.precision import DOUBLE
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
-from bridgetorsion.words import TwoBridgeKnot, build_relator_word, normalize_two_bridge
+from bridgetorsion.words import (
+    TwoBridgeKnot,
+    build_relator_word,
+    fractions_mirror_equivalent,
+    normalize_two_bridge,
+)
 
 
 def test_figure_eight_records():
@@ -105,9 +111,9 @@ def test_multiset_matches_lens_oracle():
             assert abs(a - b) <= 1e-6 * max(a, b)
 
 
-# fractions where the step-grid limit used to fail or miss the oracle, and
-# two whose double-precision checks fail on one record each: the cross-check
-# of F on 91/57 and the division of P(t) on 79/1
+# fractions where the step-grid limit used to fail or miss the oracle; 91/57,
+# one of whose records fails the cross-check of F in double; and 79/1, one of
+# whose records failed the division of P(t) in double
 @pytest.mark.parametrize(
     "p, q",
     [
@@ -125,13 +131,13 @@ def test_former_failures_match_lens_oracle(p, q):
 
 def test_only_the_failing_record_falls_back_to_extended():
     # a record is recomputed at 30 digits only where its own double-precision
-    # checks fail; every other record of the knot stays in double
-    for p, q, k in ((91, 57, 1), (79, 1, 39)):
+    # checks fail; every other record of the knot stays in double.  On 79/1
+    # no check fails: P(1) needs no polynomial division
+    for p, q, extended in ((91, 57, [1]), (79, 1, [])):
         records = compute_invariants(normalize_two_bridge(p, q))
         assert all(r.ok for r in records), (p, q)
-        for r in records:
-            expected = "extended" if r.k == k else "double"
-            assert r.diagnostics["precision"] == expected, (p, q, r.k)
+        got = [r.k for r in records if r.diagnostics["precision"] == "extended"]
+        assert got == extended, (p, q)
 
 
 _MPMATH_PROBE = """
@@ -139,7 +145,7 @@ import sys
 from bridgetorsion.pipeline import compute_invariants, fingerprint
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS
 from bridgetorsion.words import normalize_two_bridge
-for p, q in [(101, 31)] + CENSUS_FRACTIONS:
+for p, q in [(101, 31), (79, 1)] + CENSUS_FRACTIONS:
     recs = compute_invariants(normalize_two_bridge(p, q))
     assert all(r.diagnostics["precision"] == "double" for r in recs), (p, q)
 fingerprint()
@@ -162,19 +168,34 @@ def test_mpmath_stays_unloaded_when_double_suffices():
     assert proc.stdout.strip() == "False"
 
 
-@pytest.mark.slow
-def test_census_through_101_matches_lens_oracle():
-    # every normalized fraction with p <= 101 (1,053 of them): no error
-    # record, and the sorted multiset within the acceptance bound of the
-    # lens oracle
-    fractions = [(p, q) for p in range(3, 102, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-    assert len(fractions) == 1053
+def _fractions(lo, hi):
+    """The normalized fractions p/q (q odd, prime to p) with lo <= p <= hi."""
+    return [(p, q) for p in range(lo, hi + 1, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+def _assert_census_matches_lens_oracle(fractions):
+    # no error record, and the sorted multiset within the acceptance bound
+    # of the lens oracle
     for p, q in fractions:
         records = compute_invariants(normalize_two_bridge(p, q))
         assert all(r.ok for r in records), (p, q, [r.error for r in records if not r.ok])
         oracle = lens_torsion_multiset(LensSpace.of(p, q))
         for a, b in zip(tau_multiset(records), oracle):
             assert abs(a - b) <= 1e-6 * max(a, b), (p, q)
+
+
+@pytest.mark.slow
+def test_census_through_101_matches_lens_oracle():
+    fractions = _fractions(3, 101)
+    assert len(fractions) == 1053
+    _assert_census_matches_lens_oracle(fractions)
+
+
+@pytest.mark.slow
+def test_census_103_through_131_matches_lens_oracle():
+    fractions = _fractions(103, 131)
+    assert len(fractions) == 717
+    _assert_census_matches_lens_oracle(fractions)
 
 
 def test_multiset_invariant_under_inverse_fraction():
@@ -231,6 +252,25 @@ def test_compare_different_determinants():
     assert v.verdict == "distinct"
     assert not v.determinants_match
     assert v.max_multiset_deviation == float("inf")
+
+
+def test_census_classes_are_the_mirror_classes():
+    # grouped by tau multiset under COMPARE_TOL, the 68 normalized fractions
+    # with p <= 25 fall into exactly the classes q' = +/- q^{+/-1} mod p
+    fractions = _fractions(3, 25)
+    assert len(fractions) == 68
+    taus = {f: tau_multiset(compute_invariants(normalize_two_bridge(*f))) for f in fractions}
+    within, between = 0.0, math.inf
+    for (p, qa), (pb, qb) in itertools.combinations(fractions, 2):
+        if p != pb:
+            continue
+        dev = pipeline._multiset_deviation(taus[p, qa], taus[p, qb])
+        if fractions_mirror_equivalent(p, qa, qb):
+            within = max(within, dev)
+        else:
+            between = min(between, dev)
+    print(f"largest deviation within a class {within:.2e}, smallest between {between:.3f}")
+    assert within <= pipeline.COMPARE_TOL < between
 
 
 def test_compare_distinct_same_determinant():
@@ -460,15 +500,40 @@ def test_criterion_9_fails_on_record_errors(monkeypatch):
 
 
 def test_extended_precision():
-    # b(79, 1), k = 39: the division of P(t) is inexact in double and exact
-    # at 30 digits, and the record meets the (2, 79) torus closed form
-    records = compute_invariants(normalize_two_bridge(79, 1))
+    # b(79, 1) runs all in double and meets the (2, 79) torus closed form;
+    # the record of 91/57 that falls back to 30 digits meets the lens oracle
+    for r in compute_invariants(normalize_two_bridge(79, 1)):
+        assert r.ok and r.diagnostics["precision"] == "double", r.k
+        expected = torus_P1_squared(79, r.k) * torus_F(79)
+        assert abs(r.tau - expected) <= 1e-10 * expected, r.k
+    records = compute_invariants(normalize_two_bridge(91, 57))
     extended = [r for r in records if r.diagnostics["precision"] == "extended"]
-    assert [r.k for r in extended] == [39]
+    assert [r.k for r in extended] == [1]
     for r in extended:
         assert r.ok
-        expected = torus_P1_squared(79, r.k) * torus_F(79)
-        assert abs(r.tau - expected) <= 1e-10 * expected
+        assert abs(r.tau - r.cross_check) <= 1e-10 * r.cross_check
+
+
+def test_value_path_builds_no_laurent_polynomial(monkeypatch):
+    # P(1) of record is a Taylor coefficient of Wada's numerator: no
+    # polynomial is built, divided or normalized on the way to a record
+    def refuse(*args):
+        raise AssertionError("a LaurentPoly on the value path")
+
+    monkeypatch.setattr(numerics.LaurentPoly, "__init__", refuse)
+    for p, q in ((5, 3), (41, 11), (91, 57)):
+        assert all(r.ok for r in compute_invariants(normalize_two_bridge(p, q))), (p, q)
+
+
+@pytest.mark.parametrize("q", [79, 101, 131, 201])
+def test_large_torus_knots_run_in_double(q):
+    # P(1) from the double zero of Wada's numerator: no record of b(q, 1)
+    # falls back to 30 digits, and each meets the (2, q) closed forms
+    for r in compute_invariants(normalize_two_bridge(q, 1)):
+        assert r.ok and r.diagnostics["precision"] == "double", r.k
+        expected = torus_P1_squared(q, r.k) * torus_F(q)
+        assert abs(r.tau - expected) <= 1e-9 * expected, r.k
+        assert r.diagnostics["p1_gap"] <= 1e-10, r.k
 
 
 def test_extended_precision_leaves_global_mpmath_alone():
