@@ -44,7 +44,6 @@ from .reps import (
     metabelian_u,
     phi_map,
     riley_images,
-    riley_rep,
 )
 from .alexander import (
     TwistedAlexResult,
@@ -66,7 +65,6 @@ from .curve import (
 )
 from .oracles import (
     LensSpace,
-    fox_formula_order,
     lens_torsion_magnitude,
     lens_torsion_multiset,
     torus_F,

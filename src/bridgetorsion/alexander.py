@@ -12,7 +12,7 @@ from typing import Optional
 
 from .curve import Jet2
 from .errors import InexactDivision
-from .numerics import LaurentPoly, RingMatrix
+from .numerics import LaurentPoly, RingMatrix, nan_max
 from .precision import DOUBLE
 from .reps import fox_image
 from .words import fox_derivative, knot_determinant  # noqa: F401
@@ -92,8 +92,8 @@ def p_at_one(knot, rep):
             ss=sum(a * (a - 1) // 2 * c for a, c in terms),
         ))
     n = RingMatrix(entries).det()
-    gap = float(max(abs(n.val), abs(n.s)) / (abs(n.ss) + 1))
-    if gap > DIVISION_TOL:
+    gap = float(nan_max((abs(n.val), abs(n.s))) / (abs(n.ss) + 1))
+    if not gap <= DIVISION_TOL:
         raise InexactDivision(f"N(i(1 + e)) of {knot.label} has no double zero: gap {gap:.3e}")
     return -n.ss / 4, gap
 
@@ -101,7 +101,7 @@ def p_at_one(knot, rep):
 def p_polynomial(delta, prec=DOUBLE):
     """P(t) = Delta(sqrt(-1) * t) / (t^2 - 1) for a metabelian twisted
     Alexander polynomial; comes out even, P(t) = P(-t)."""
-    num = delta.rescale_variable(prec.imag_unit)
+    num = delta.rescale_variable(prec.sqrt(-1))
     den = LaurentPoly({2: 1, 0: -1})
     p = num.divide_exact(den, DIVISION_TOL)
     odd_mag = max((abs(c) for e, c in p.coeffs.items() if e % 2), default=0.0)

@@ -58,11 +58,6 @@ class NewtonDivergence(RecordError):
 class EstimateDisagreement(RecordError):
     """The two independent estimates of F disagree beyond tolerance."""
 
-    def __init__(self, message, ratio_value=None, direct_value=None):
-        super().__init__(message)
-        self.ratio_value = ratio_value
-        self.direct_value = direct_value
-
 
 class LongitudeNotIdentity(RecordError):
     """The longitude image at a metabelian point is not the identity, so the

@@ -22,6 +22,13 @@ from .errors import (
 DEFAULT_ZERO_TOL = 1e-9
 
 
+def nan_max(values):
+    """The largest of values, or NaN if any is NaN, so a check ``x <= tol``
+    on the result fails; the builtin max keeps a NaN only in first place."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
 def _mag(c):
     # no NaN/Inf may escape a ring operation; overflow is an error
     m = float(abs(c))
@@ -130,9 +137,6 @@ class LaurentPoly:
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted((e, complex(c)) for e, c in self.coeffs.items())))
 
     # -- evaluation and substitution ----------------------------------------
 

@@ -1,5 +1,5 @@
 """Closed-form oracles used to verify the main pipeline: torus-knot
-formulas, lens-space torsion magnitudes, and the homology-order product.
+formulas and lens-space torsion magnitudes.
 
 Everything here is straight trigonometric evaluation with no Fox calculus,
 so agreement with the generic pipeline is evidence rather than tautology.
@@ -11,8 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .alexander import classical_alexander
-from .errors import DeterminantMismatch, IndexOutOfRange, InvalidFraction
+from .errors import IndexOutOfRange, InvalidFraction
 from .numerics import LaurentPoly
 
 
@@ -95,15 +94,3 @@ def lens_torsion_multiset(lens):
     """Sorted torsion magnitudes over k = 1..(p-1)/2."""
     return sorted(lens_torsion_magnitude(lens, k) for k in range(1, (lens.p - 1) // 2 + 1))
 
-
-def fox_formula_order(knot):
-    """|Delta(1) * Delta(-1)| rounded: the order of H_1 of the double
-    branched cover, which for b(p, q) is p."""
-    delta = classical_alexander(knot)
-    v = abs(delta.evaluate(1) * delta.evaluate(-1))
-    n = round(float(v))
-    if abs(float(v) - n) > 1e-6 or n != knot.p:
-        raise DeterminantMismatch(
-            f"|Delta(1)Delta(-1)| = {float(v)!r} but p = {knot.p} for {knot.label}"
-        )
-    return n

@@ -92,7 +92,7 @@ def _generic_record(knot, idx, prec, lens):
     # magnitude
     if not tau > 0:
         raise RecordError("tau is not positive")
-    if abs(prod.imag) > 1e-6 * tau:
+    if not abs(prod.imag) <= 1e-6 * tau:
         raise RecordError(f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau")
     diag = {
         "p1_gap": p1_gap,
@@ -318,7 +318,7 @@ def read_catalog(path):
     rows, numbered as in the file."""
     rows = []
     header_allowed = True
-    with open(path, newline="", encoding="utf-8") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         for row_no, row in enumerate(csv.reader(f), start=1):
             # cells keep their positions; only trailing empty ones go
             cells = [c.strip() for c in row]
@@ -379,20 +379,44 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
     return report
 
 
+def _is_number(x):
+    """True for a finite JSON number; a bool does not count."""
+    return type(x) is float and math.isfinite(x) or type(x) is int
+
+
+def _is_pair(z):
+    return type(z) is list and len(z) == 2 and _is_number(z[0]) and _is_number(z[1])
+
+
 def _records_from_report(report):
-    """Rebuild just enough of the records (tau, error) for comparisons."""
+    """Rebuild just enough of the records (tau, error) for comparisons.
+    A field of the wrong type raises TypeError: k and kprime integers,
+    p1_squared and F pairs of numbers, the oracle a number or null, the
+    diagnostics an object, and either a finite tau and no error or an error
+    string and no tau."""
     out = []
     for r in report["records"]:
+        tau, error, oracle = r["tau"], r.get("error"), r["oracle"]
+        if not (
+            type(r["k"]) is int
+            and type(r["kprime"]) is int
+            and _is_pair(r["p1_squared"])
+            and _is_pair(r["F"])
+            and (oracle is None or _is_number(oracle))
+            and type(r.get("diagnostics", {})) is dict
+            and (error is None and _is_number(tau) or tau is None and type(error) is str)
+        ):
+            raise TypeError(f"record with a field of the wrong type: {r!r}")
         out.append(
             InvariantRecord(
                 k=r["k"],
                 kprime=r["kprime"],
                 p1_squared=complex(*r["p1_squared"]),
                 f_value=complex(*r["F"]),
-                tau=r["tau"] if r["tau"] is not None else float("nan"),
-                cross_check=r["oracle"],
+                tau=tau if tau is not None else float("nan"),
+                cross_check=oracle,
                 diagnostics=r.get("diagnostics", {}),
-                error=r.get("error"),
+                error=error,
             )
         )
     return out

@@ -11,7 +11,7 @@ import math
 class Precision:
     """Bundle of the scalar constructors the pipeline needs."""
 
-    __slots__ = ("name", "sqrt", "sin", "pi", "imag_unit")
+    __slots__ = ("name", "sqrt", "sin", "pi")
 
     def __init__(self, name="double"):
         self.name = name
@@ -19,7 +19,6 @@ class Precision:
             self.sqrt = cmath.sqrt
             self.sin = math.sin
             self.pi = math.pi
-            self.imag_unit = 1j
         elif name == "extended":
             import mpmath
 
@@ -30,7 +29,6 @@ class Precision:
             self.sqrt = ctx.sqrt
             self.sin = ctx.sin
             self.pi = +ctx.pi
-            self.imag_unit = ctx.mpc(0, 1)
         else:
             raise ValueError(f"unknown precision {name!r} (want 'double' or 'extended')")
 

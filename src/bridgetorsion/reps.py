@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, ZeroParameter
+from .errors import IndexOutOfRange
 from .numerics import LaurentPoly, RingMatrix
 from .precision import DOUBLE
 from .words import GroupRingElement, Word
@@ -35,21 +35,11 @@ def metabelian_u(p, k, prec=DOUBLE):
 
 def metabelian_rep(p, k, prec=DOUBLE):
     """The representative rho_k of the k-th irreducible metabelian class,
-    k = 1..(p-1)/2: Riley's pair at sqrt(s) = i, u = u_k."""
+    k = 1..(p-1)/2: Riley's pair at s = -1, sqrt(s) = prec.sqrt(-1) = i,
+    and u = u_k."""
     if not 1 <= k <= (p - 1) // 2:
         raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
-    return Rep2(*riley_images(prec.imag_unit, metabelian_u(p, k, prec)))
-
-
-def riley_rep(s, u, prec=DOUBLE, branch=1):
-    """Riley's parametrized non-abelian pair; principal branch of sqrt(s).
-
-    ``branch=-1`` flips the square root; every quantity of record downstream
-    is branch-independent (verified by the invariant suite).
-    """
-    if s == 0:
-        raise ZeroParameter("riley_rep needs s != 0")
-    return Rep2(*riley_images(prec.sqrt(s) * branch, u))
+    return Rep2(*riley_images(prec.sqrt(-1), metabelian_u(p, k, prec)))
 
 
 def riley_images(rs, u):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -10,12 +11,15 @@ from bridgetorsion.alexander import (
     wada_twisted_alexander,
 )
 from bridgetorsion.errors import InexactDivision
-from bridgetorsion.numerics import LaurentPoly, units_equal
+from bridgetorsion.numerics import LaurentPoly, RingMatrix, units_equal
 from bridgetorsion.oracles import torus_twisted_alexander
-from bridgetorsion.reps import metabelian_rep, phi_map, riley_rep
+from bridgetorsion.reps import Rep2, metabelian_rep, phi_map, riley_images
 from bridgetorsion.words import GroupRingElement, Word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+# Riley's pair at a generic point (s, u) = (-0.9 + 0.2i, 1.3 - 0.4i), off
+# the metabelian ones
+GENERIC_RILEY = Rep2(*riley_images(cmath.sqrt(-0.9 + 0.2j), 1.3 - 0.4j))
 
 
 # -- classical Alexander polynomial ------------------------------------------------
@@ -78,7 +82,7 @@ def test_metabelian_denominator_is_t2_plus_1():
                 assert den.close_to(_phi_denominator(rho, by), 1e-12), (p, q, idx, by)
     # a Riley representation has tr rho(y) != 0, so the closed form's t^1
     # term -t tr M is exercised too
-    rho = riley_rep(-0.9 + 0.2j, 1.3 - 0.4j)
+    rho = GENERIC_RILEY
     k = normalize_two_bridge(7, 3)
     for by in ("x", "y"):
         den = wada_twisted_alexander(k, rho, by=by).denominator
@@ -170,4 +174,10 @@ def test_p_at_one_refuses_non_metabelian_rep():
     # at a generic Riley point Wada's denominator is not t^2 + 1, so the
     # numerator has no double zero at t = i
     with pytest.raises(InexactDivision):
-        p_at_one(normalize_two_bridge(7, 3), riley_rep(-0.9 + 0.2j, 1.3 - 0.4j))
+        p_at_one(normalize_two_bridge(7, 3), GENERIC_RILEY)
+    # nor has a numerator of NaNs: the gap is NaN, and a NaN fails the check
+    rho = metabelian_rep(7, 2)
+    e, zero, _, h = rho.img_y.entries
+    nan_y = Rep2(rho.img_x, RingMatrix((e, zero, complex(math.nan, 0), h)))
+    with pytest.raises(InexactDivision):
+        p_at_one(normalize_two_bridge(7, 3), nan_y)

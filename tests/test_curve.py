@@ -100,24 +100,33 @@ def test_residual_derivatives_match_finite_differences():
 def test_residual_zero_parameter():
     with pytest.raises(ZeroParameter):
         riley_residual(normalize_two_bridge(5, 3), 0.0, 1.0)
+    with pytest.raises(ZeroParameter):
+        trace_longitude(normalize_two_bridge(5, 3), 0.0, 1.0)
+
+
+def _flipped():
+    """The double backend with the other branch of sqrt."""
+    flipped = Precision("double")
+    flipped.sqrt = lambda z: -cmath.sqrt(z)
+    return flipped
 
 
 def test_branch_independence():
     knot = normalize_two_bridge(7, 5)
     s, u = -0.97, metabelian_u(7, 1) + 0.02
-    v1 = riley_residual(knot, s, u, branch=1)[0]
-    v2 = riley_residual(knot, s, u, branch=-1)[0]
+    flipped = _flipped()
+    v1 = riley_residual(knot, s, u)[0]
+    v2 = riley_residual(knot, s, u, flipped)[0]
     assert abs(v1 - v2) < 1e-10 * max(1, abs(v1))
-    t1 = trace_longitude(knot, s, u, branch=1)
-    t2 = trace_longitude(knot, s, u, branch=-1)
+    t1 = trace_longitude(knot, s, u)
+    t2 = trace_longitude(knot, s, u, flipped)
     assert abs(t1 - t2) < 1e-10 * max(1, abs(t1))
 
 
 def test_F_independent_of_sqrt_branch():
     # F is a function on the character variety, so the other square root of
     # s along the curve must give the same value
-    flipped = Precision("double")
-    flipped.sqrt = lambda z: -cmath.sqrt(z)
+    flipped = _flipped()
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
@@ -384,8 +393,21 @@ def test_estimate_disagreement_raises(monkeypatch):
     knot = normalize_two_bridge(5, 3)
     with pytest.raises(EstimateDisagreement) as info:
         evaluate_F(knot, 1)
-    assert info.value.ratio_value is not None
-    assert info.value.direct_value is not None
+    assert "series" in str(info.value) and "implicit" in str(info.value)
+
+
+def test_checks_fail_on_nan():
+    # a NaN fails every check, also where it is not the first of the
+    # values the builtin max would compare
+    nan = float("nan")
+    knot = normalize_two_bridge(5, 3)
+    with pytest.raises(SingularPoint):
+        curve._check_smooth(knot, 1, complex(nan, 0))
+    with pytest.raises(RecordError):
+        curve._check_tangent(knot, 1, Jet2(1.0, s=0.0), Jet2(-1.0, s=nan))
+    lon = RingMatrix((Jet2(1.0), Jet2(0.0), Jet2(nan), Jet2(1.0)))
+    with pytest.raises(LongitudeNotIdentity):
+        curve._h2_of_trace(knot, 1, lon)
 
 
 def test_off_curve_metabelian_point_is_refused(monkeypatch):

@@ -7,14 +7,12 @@ from bridgetorsion.errors import IndexOutOfRange, InvalidFraction
 from bridgetorsion.numerics import LaurentPoly
 from bridgetorsion.oracles import (
     LensSpace,
-    fox_formula_order,
     lens_torsion_magnitude,
     lens_torsion_multiset,
     torus_F,
     torus_P1_squared,
     torus_twisted_alexander,
 )
-from bridgetorsion.words import normalize_two_bridge
 
 
 # -- lens spaces -------------------------------------------------------------------
@@ -122,11 +120,3 @@ def test_torus_polynomial_reproduces_p1_squared():
             p1 = poly.evaluate(1)
             assert abs(abs(p1) ** 2 - torus_P1_squared(q, j)) <= 1e-8 * torus_P1_squared(q, j)
 
-
-# -- Fox's formula --------------------------------------------------------------------
-
-
-def test_fox_formula_order():
-    assert fox_formula_order(normalize_two_bridge(5, 3)) == 5
-    assert fox_formula_order(normalize_two_bridge(3, 1)) == 3
-    assert fox_formula_order(normalize_two_bridge(15, 11)) == 15

@@ -298,6 +298,14 @@ def test_cache_bit_for_bit(tmp_path):
     assert report2 == report1 == fresh
 
 
+# records of 5/3 that rebuild in order, but with tau "0.5" a string
+_WRONG_TYPED = (
+    b'{"knot": {"p": 5, "q": 3}, "records": ['
+    b'{"k": 1, "kprime": 2, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": "0.5", "oracle": 0.2}, '
+    b'{"k": 2, "kprime": 1, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": 0.2, "oracle": 0.2}]}'
+)
+
+
 @pytest.mark.parametrize(
     "damaged",
     [
@@ -306,13 +314,15 @@ def test_cache_bit_for_bit(tmp_path):
         b'{"knot": {"p": 5, "q": 1}, "records": []}',
         b'{"knot": {"p": 5, "q": 3}, "records": [{"k": 1}]}',
         b'{"knot": {"p": 5, "q": 3}, "records": []}',
+        _WRONG_TYPED,
     ],
-    ids=["truncated", "empty", "other-knot", "partial-record", "no-records"],
+    ids=["truncated", "empty", "other-knot", "partial-record", "no-records", "wrong-type"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     # an entry that does not parse, names another knot, or has records that
-    # do not rebuild with k = 1..(p-1)/2 is a miss: the report is computed
-    # again and rewritten, and a catalog over that entry runs
+    # do not rebuild, each field with its type, with k = 1..(p-1)/2 is a
+    # miss: the report is computed again and rewritten, and a catalog over
+    # that entry runs
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
     path = os.path.join(cache, fingerprint()[:16], "5_3.json")
@@ -405,6 +415,23 @@ def test_catalog_run(tmp_path):
     assert report2["knots"] == report["knots"]
 
 
+def test_nan_estimate_gives_error_records(monkeypatch):
+    # a NaN fails the cross-check like any disagreement: every record is an
+    # error record, and the report is strict JSON, with no NaN token
+    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: math.nan)
+    knot = normalize_two_bridge(7, 3)
+    records = compute_invariants(knot)
+    assert len(records) == 3
+    assert all("EstimateDisagreement" in r.error for r in records)
+
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    data = serialize_report(knot_report(knot, records))
+    assert b"NaN" not in data
+    json.loads(data, parse_constant=refuse)
+
+
 def test_catalog_empty_and_bad_rows(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -432,6 +459,15 @@ def test_catalog_empty_and_bad_rows(tmp_path):
         blank_first.write_text(text)
         report = run_catalog(str(blank_first), None, str(tmp_path / "cache2"))
         assert [e["row"] for e in report["errors"]] == rows, text
+
+    # a file saved with a UTF-8 byte-order mark keeps its first row, with a
+    # header and without one
+    for text in ("p,q\n5,3\n7,3\n", "5,3\n7,3\n"):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        report = run_catalog(str(bom), None, str(tmp_path / "cache2"))
+        assert [kr["knot"] for kr in report["knots"]] == [{"p": 5, "q": 3}, {"p": 7, "q": 3}], text
+        assert report["errors"] == [], text
 
     # cells keep their positions: an empty p or q cell is a bad row, also
     # on row 1, while an empty label cell gives the default label

@@ -1,10 +1,11 @@
+import cmath
 import math
 import random
 
 import pytest
 
-from bridgetorsion.curve import Jet2
-from bridgetorsion.errors import IndexOutOfRange, ZeroParameter
+from bridgetorsion.curve import Jet2, _relator_jets
+from bridgetorsion.errors import IndexOutOfRange
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
 from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import (
@@ -14,7 +15,6 @@ from bridgetorsion.reps import (
     metabelian_u,
     phi_map,
     riley_images,
-    riley_rep,
     word_product,
 )
 from bridgetorsion.words import (
@@ -27,6 +27,7 @@ from bridgetorsion.words import (
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 KERNEL_CENSUS = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+FRACTIONS_41 = [(p, q) for p in range(3, 42, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
 def rand_word(rng, n=5):
@@ -81,30 +82,32 @@ def test_trefoil_trace_identities():
 
 
 def test_riley_matches_metabelian_at_s_minus_one():
-    for p, k in ((5, 1), (5, 2), (7, 3)):
-        meta = metabelian_rep(p, k)
-        riley = riley_rep(-1, metabelian_u(p, k))
-        for w in (Word.parse("x"), Word.parse("y"), Word.parse("xy")):
-            tm = word_product(meta.img_x, meta.img_y, w).trace()
-            tr = word_product(riley.img_x, riley.img_y, w).trace()
-            assert abs(tm - tr) < 1e-12
+    # P(1) and F use one representation: rho_k equals, bit for bit, the
+    # value slots of the jet images F's relator pass builds at (-1, u_k)
+    extended = Precision("extended")
+    for prec, top in ((DOUBLE, 41), (extended, 13)):
+        for p, q in [(p, q) for p, q in FRACTIONS_41 if p <= top]:
+            knot = normalize_two_bridge(p, q)
+            for k in range(1, (p - 1) // 2 + 1):
+                rho = metabelian_rep(p, k, prec)
+                _, img_x, img_y, *_ = _relator_jets(knot, -1.0, metabelian_u(p, k, prec), prec)
+                for meta, jets in ((rho.img_x, img_x), (rho.img_y, img_y)):
+                    assert list(meta.entries) == [e.val for e in jets.entries], (p, q, k, prec)
 
 
 def test_riley_parabolic_corner_and_dets():
-    r = riley_rep(1, 0)
-    assert abs(r.img_x.trace() - 2) < 1e-15
-    assert abs(r.img_y.trace() - 2) < 1e-15
+    img_x, img_y = riley_images(1, 0)
+    assert abs(img_x.trace() - 2) < 1e-15
+    assert abs(img_y.trace() - 2) < 1e-15
     rng = random.Random(2)
     for _ in range(20):
         s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(s) < 0.1:
             continue
         u = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r = riley_rep(s, u)
-        assert abs(r.img_x.det() - 1) < 1e-12
-        assert abs(r.img_y.det() - 1) < 1e-12
-    with pytest.raises(ZeroParameter):
-        riley_rep(0, 1.0)
+        img_x, img_y = riley_images(cmath.sqrt(s), u)
+        assert abs(img_x.det() - 1) < 1e-12
+        assert abs(img_y.det() - 1) < 1e-12
 
 
 # -- word evaluation -----------------------------------------------------------------
