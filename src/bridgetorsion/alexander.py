@@ -34,10 +34,6 @@ class TwistedAlexResult:
     denominator: LaurentPoly
     reduced: Optional[LaurentPoly]
 
-    @property
-    def exact(self):
-        return self.reduced is not None
-
 
 def classical_alexander(k):
     """Alexander polynomial via alpha(dr/dx), canonicalized.

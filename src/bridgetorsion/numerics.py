@@ -59,20 +59,6 @@ class LaurentPoly:
         cutoff = maxmag * DEFAULT_ZERO_TOL
         self.coeffs = {int(e): c for e, c in coeffs.items() if _mag(c) > cutoff}
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({0: c})
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -104,7 +90,7 @@ class LaurentPoly:
 
     def __add__(self, other):
         if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(other)
+            other = LaurentPoly({0: other})
         merged = dict(self.coeffs)
         for e, c in other.coeffs.items():
             merged[e] = merged.get(e, 0) + c
@@ -116,8 +102,6 @@ class LaurentPoly:
         return LaurentPoly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            other = LaurentPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -141,30 +125,10 @@ class LaurentPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, z):
-        """Sum c_e z^e via a Horner split over non-negative and negative parts."""
-        if not self.coeffs:
-            return 0
+        """Sum c_e z^e."""
         if z == 0 and any(e < 0 for e in self.coeffs):
             raise ZeroAtNegativeExponent("evaluation at 0 with negative-exponent terms")
-        total = 0
-        pos = sorted((e for e in self.coeffs if e >= 0), reverse=True)
-        if pos:
-            acc = self.coeffs[pos[0]]
-            prev = pos[0]
-            for e in pos[1:]:
-                acc = acc * z ** (prev - e) + self.coeffs[e]
-                prev = e
-            total = acc * z ** prev
-        neg = sorted((-e for e in self.coeffs if e < 0), reverse=True)
-        if neg:
-            w = 1 / z
-            acc = self.coeffs[-neg[0]]
-            prev = neg[0]
-            for m in neg[1:]:
-                acc = acc * w ** (prev - m) + self.coeffs[-m]
-                prev = m
-            total = total + acc * w ** prev
-        return total
+        return sum(c * z ** e for e, c in self.coeffs.items())
 
     def rescale_variable(self, c):
         """Return q with q(t) = p(c*t)."""
@@ -184,11 +148,11 @@ class LaurentPoly:
         actually a multiple of ``den``.
         """
         if not isinstance(den, LaurentPoly):
-            den = LaurentPoly.constant(den)
+            den = LaurentPoly({0: den})
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
-            return LaurentPoly.zero()
+            return LaurentPoly()
         num_scale = self.max_mag()
         dmax = den.max_exp
         dlead = den.coeffs[dmax]
@@ -271,10 +235,6 @@ class RingMatrix:
         if len(entries) != 4:
             raise DimensionMismatch(f"{len(entries)} entries for a 2x2 matrix")
         self.entries = entries
-
-    @classmethod
-    def identity(cls, one=1.0, zero=0.0):
-        return cls((one, zero, zero, one))
 
     def __mul__(self, other):
         a0, a1, a2, a3 = self.entries

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -250,7 +251,7 @@ def serialize_report(report):
 
 
 def default_cache_dir():
-    return os.environ.get("TORSION_CACHE_DIR", ".torsion_cache")
+    return os.environ.get("TORSION_CACHE_DIR") or ".torsion_cache"
 
 
 def _atomic_write(path, data):
@@ -319,7 +320,16 @@ def read_catalog(path):
     rows = []
     header_allowed = True
     with open(path, newline="", encoding="utf-8-sig") as f:
-        for row_no, row in enumerate(csv.reader(f), start=1):
+        reader = csv.reader(f)
+        for row_no in itertools.count(1):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+                header_allowed = False
+                rows.append((row_no, None, None, f"row {row_no}: {exc}"))
+                continue
             # cells keep their positions; only trailing empty ones go
             cells = [c.strip() for c in row]
             while cells and not cells[-1]:

@@ -88,7 +88,7 @@ def _walk(img_x, img_y, w):
     }
     r0, r1, r2, r3 = map(flat, (one, zero, zero, one))
     yield None, 0, (r0, r1, r2, r3)
-    for gen, sign in [(g, 1 if n > 0 else -1) for g, n in w.letters for _ in range(abs(n))]:
+    for gen, sign in w.letters:
         upper, p, q, r = steps[gen, sign]
         if upper:
             r0, r1, r2, r3 = (

@@ -1,8 +1,9 @@
 """Free-group words on the generators x, y; Fox free-differential calculus;
 and the normalized two-bridge presentation <x, y | w x = y w>.
 
-Words are stored run-length as (generator, exponent) pairs in freely reduced
-form, so peripheral factors like x^(-2*sigma) stay compact.
+Words are stored as freely reduced unit letters (generator, +/-1).  A
+peripheral power such as x^(-2*sigma) is taken on matrices, by binary
+powering in ``curve.longitude_image``, not letter by letter.
 """
 
 from __future__ import annotations
@@ -16,25 +17,25 @@ from .errors import DeterminantMismatch, InvalidFraction
 GENERATORS = ("x", "y")
 
 
-def _free_reduce(letters):
+def _free_reduce(pairs):
+    """Unit letters of the pairs (generator, exponent), freely reduced."""
     stack = []
-    for g, e in letters:
+    for g, e in pairs:
         if g not in GENERATORS:
             raise ValueError(f"unknown generator {g!r}")
         e = int(e)
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == g:
-            g0, e0 = stack.pop()
-            e += e0
-            if e == 0:
-                continue
-        stack.append((g, e))
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if stack and stack[-1] == (g, -sign):
+                stack.pop()
+            else:
+                stack.append((g, sign))
     return tuple(stack)
 
 
 class Word:
-    """Freely reduced word in x and y, stored as run-length letters."""
+    """Freely reduced word in x and y, stored as unit letters (g, +/-1);
+    the constructor also takes (g, e) pairs and expands them."""
 
     __slots__ = ("letters",)
 
@@ -45,10 +46,6 @@ class Word:
     def parse(cls, text):
         """Compact form: lowercase = generator, uppercase = inverse ('xYXy')."""
         return cls([(ch.lower(), 1 if ch.islower() else -1) for ch in text if not ch.isspace()])
-
-    @property
-    def is_identity(self):
-        return not self.letters
 
     def __mul__(self, other):
         return Word(self.letters + other.letters)
@@ -64,9 +61,6 @@ class Word:
         """Total exponent sum, i.e. the abelianization image x, y -> t."""
         return sum(e for _, e in self.letters)
 
-    def letter_count(self):
-        return sum(abs(e) for _, e in self.letters)
-
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters
 
@@ -76,7 +70,7 @@ class Word:
     def __repr__(self):
         if not self.letters:
             return "Word(1)"
-        bits = [g if e == 1 else f"{g}^{e}" for g, e in self.letters]
+        bits = [g if e == 1 else f"{g}^-1" for g, e in self.letters]
         return "Word(" + " ".join(bits) + ")"
 
 
@@ -97,14 +91,6 @@ class GroupRingElement:
                 if c:
                     cleaned[w] = c
         self.terms = cleaned
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({Word(): 1})
 
     @classmethod
     def from_word(cls, w, coeff=1):
@@ -148,25 +134,16 @@ def fox_derivative(w, gen):
     """Fox differential d(w)/d(gen) in Z[F].
 
     Satisfies dg/dg = 1, d(g^-1)/dg = -g^-1, dh/dg = 0 for h != g, and the
-    product rule d(uv)/dg = du/dg + u * dv/dg.
+    product rule d(uv)/dg = du/dg + u * dv/dg: a letter g adds the prefix
+    before it, a letter g^-1 subtracts the prefix after it.
     """
     if gen not in GENERATORS:
         raise ValueError(f"unknown generator {gen!r}")
     acc = {}
-    prefix = Word()
-    for g, e in w.letters:
+    for i, (g, e) in enumerate(w.letters):
         if g == gen:
-            # d(g^e)/dg = sum_{i=0..e-1} g^i   (e > 0)
-            #           = -sum_{i=1..|e|} g^-i (e < 0)
-            if e > 0:
-                for i in range(e):
-                    term = prefix * Word(((g, i),))
-                    acc[term] = acc.get(term, 0) + 1
-            else:
-                for i in range(1, -e + 1):
-                    term = prefix * Word(((g, -i),))
-                    acc[term] = acc.get(term, 0) - 1
-        prefix = prefix * Word(((g, e),))
+            term = Word(w.letters[:i] if e > 0 else w.letters[:i + 1])
+            acc[term] = acc.get(term, 0) + e
     return GroupRingElement(acc)
 
 
@@ -221,12 +198,11 @@ def knot_determinant(knot):
     """|Delta(-1)|, the knot determinant, which for b(p, q) is p: the Fox
     derivative of the relator by x at t = -1, in exact integers and one
     walk over the relator.  With a the exponent sum of the letters before
-    it, a letter x^e contributes sum_{i<e} (-1)^(a+i) for e > 0 and
-    -sum_{i=1..-e} (-1)^(a-i) for e < 0; both are (-1)^a for odd e and 0
-    for even e."""
+    it, a letter x contributes (-1)^a and a letter x^-1 contributes
+    -(-1)^(a-1) = (-1)^a."""
     total = a = 0
     for g, e in knot.relator().letters:
-        if g == "x" and e % 2:
+        if g == "x":
             total += -1 if a % 2 else 1
         a += e
     return abs(total)

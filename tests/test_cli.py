@@ -166,6 +166,16 @@ def test_catalog_cli(tmp_path, capsys):
     assert code == 0
 
 
+def test_catalog_oversized_field(tmp_path, capsys):
+    # a field the csv module refuses is a bad row (exit 2), not a traceback
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text("5,3\n7," + "a" * 200_000 + "\n")
+    code, out, err = run_cli(capsys, ["catalog", str(csv_path), "--cache", str(tmp_path / "c")])
+    assert code == 2
+    assert "1 knots, 1 bad rows" in out
+    assert err == ""
+
+
 def test_catalog_unreadable_input(tmp_path, capsys):
     # an input that cannot be read is an error of the run (exit 2), not a
     # traceback, which would exit 1 like a usage error

@@ -174,21 +174,40 @@ def _fractions(lo, hi):
 
 
 def _assert_census_matches_lens_oracle(fractions):
-    # no error record, and the sorted multiset within the acceptance bound
-    # of the lens oracle
+    """No error record, and the sorted multiset within the acceptance bound
+    of the lens oracle; returns the tau multisets by fraction."""
+    taus = {}
     for p, q in fractions:
         records = compute_invariants(normalize_two_bridge(p, q))
         assert all(r.ok for r in records), (p, q, [r.error for r in records if not r.ok])
+        taus[p, q] = tau_multiset(records)
         oracle = lens_torsion_multiset(LensSpace.of(p, q))
-        for a, b in zip(tau_multiset(records), oracle):
+        for a, b in zip(taus[p, q], oracle):
             assert abs(a - b) <= 1e-6 * max(a, b), (p, q)
+    return taus
+
+
+def _assert_classes_are_mirror_classes(taus):
+    """Grouped by tau multiset under COMPARE_TOL, the fractions fall into
+    exactly the classes q' = +/- q^{+/-1} mod p; prints both margins."""
+    within, between = 0.0, math.inf
+    for (p, qa), (pb, qb) in itertools.combinations(taus, 2):
+        if p != pb:
+            continue
+        dev = pipeline._multiset_deviation(taus[p, qa], taus[p, qb])
+        if fractions_mirror_equivalent(p, qa, qb):
+            within = max(within, dev)
+        else:
+            between = min(between, dev)
+    print(f"largest deviation within a class {within:.2e}, smallest between {between:.3f}")
+    assert within <= pipeline.COMPARE_TOL < between
 
 
 @pytest.mark.slow
 def test_census_through_101_matches_lens_oracle():
     fractions = _fractions(3, 101)
     assert len(fractions) == 1053
-    _assert_census_matches_lens_oracle(fractions)
+    _assert_classes_are_mirror_classes(_assert_census_matches_lens_oracle(fractions))
 
 
 @pytest.mark.slow
@@ -259,18 +278,9 @@ def test_census_classes_are_the_mirror_classes():
     # with p <= 25 fall into exactly the classes q' = +/- q^{+/-1} mod p
     fractions = _fractions(3, 25)
     assert len(fractions) == 68
-    taus = {f: tau_multiset(compute_invariants(normalize_two_bridge(*f))) for f in fractions}
-    within, between = 0.0, math.inf
-    for (p, qa), (pb, qb) in itertools.combinations(fractions, 2):
-        if p != pb:
-            continue
-        dev = pipeline._multiset_deviation(taus[p, qa], taus[p, qb])
-        if fractions_mirror_equivalent(p, qa, qb):
-            within = max(within, dev)
-        else:
-            between = min(between, dev)
-    print(f"largest deviation within a class {within:.2e}, smallest between {between:.3f}")
-    assert within <= pipeline.COMPARE_TOL < between
+    _assert_classes_are_mirror_classes(
+        {f: tau_multiset(compute_invariants(normalize_two_bridge(*f))) for f in fractions}
+    )
 
 
 def test_compare_distinct_same_determinant():
@@ -478,6 +488,14 @@ def test_catalog_empty_and_bad_rows(tmp_path):
     assert [kr["knot"] for kr in report["knots"]] == [{"p": 7, "q": 3}] * 2
     assert report["labels"] == ["b(7,3)"] * 2
 
+    # a field over the csv module's size limit is a bad row, numbered as in
+    # the file, and reading goes on
+    long_field = tmp_path / "long_field.csv"
+    long_field.write_text("5,3\n7," + "a" * 200_000 + "\n9,5\n")
+    report = run_catalog(str(long_field), None, str(tmp_path / "cache2"))
+    assert [e["row"] for e in report["errors"]] == [2]
+    assert [kr["knot"] for kr in report["knots"]] == [{"p": 5, "q": 3}, {"p": 9, "q": 5}]
+
 
 def test_parse_fraction():
     assert parse_fraction("5/3") == (5, 3)
@@ -591,3 +609,11 @@ def test_env_cache_dir(tmp_path, monkeypatch):
     assert os.path.isdir(str(tmp_path / "envcache"))
     _, hit = cached_invariant_report(knot)
     assert hit
+
+    # an empty value counts as unset: the cache goes to .torsion_cache, not
+    # to the working directory itself
+    monkeypatch.setenv("TORSION_CACHE_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    _, hit = cached_invariant_report(knot)
+    assert not hit
+    assert sorted(os.listdir(tmp_path)) == [".torsion_cache", "envcache"]

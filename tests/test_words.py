@@ -27,7 +27,7 @@ def rand_word(rng, n=6):
 
 def test_reduction_merges_and_cancels():
     w = Word([("x", 1), ("x", 2), ("y", 1), ("y", -1), ("x", -3)])
-    assert w.is_identity
+    assert w == Word()
     assert Word.parse("xYXy").letters == (("x", 1), ("y", -1), ("x", -1), ("y", 1))
 
 
@@ -44,7 +44,7 @@ def test_reduction_idempotent_and_assembly_invariant():
 
 def test_inverse_and_reverse():
     w = Word.parse("xYXy")
-    assert (w * w.inverse()).is_identity
+    assert w * w.inverse() == Word()
     assert w.reversed_word() == Word.parse("yXYx")
 
 
@@ -88,7 +88,7 @@ def test_normalization_moves():
 def test_word_shape_census():
     for p, q in CENSUS:
         k = normalize_two_bridge(p, q)
-        assert k.word.letter_count() == p - 1
+        assert len(k.word.letters) == p - 1
         assert all(abs(e) == 1 for _, e in k.word.letters)
         assert k.word.letters[0][0] == "x"
         assert k.sigma == k.word.exponent_sum()
@@ -104,10 +104,10 @@ def test_build_word_examples():
 
 def test_fox_axioms():
     x = Word.parse("x")
-    assert fox_derivative(x, "x") == GroupRingElement.one()
+    assert fox_derivative(x, "x") == GroupRingElement.from_word(Word())
     assert fox_derivative(x.inverse(), "x") == GroupRingElement.from_word(x.inverse(), -1)
-    assert fox_derivative(Word.parse("y"), "x") == GroupRingElement.zero()
-    assert fox_derivative(Word.parse("xy"), "x") == GroupRingElement.one()
+    assert fox_derivative(Word.parse("y"), "x") == GroupRingElement()
+    assert fox_derivative(Word.parse("xy"), "x") == GroupRingElement.from_word(Word())
 
 
 def test_fox_product_rule_random():
@@ -128,7 +128,7 @@ def test_fox_relator_expansion():
         wxw = w * Word.parse("x") * w.inverse()
         rhs = (
             GroupRingElement.from_word(w)
-            + (GroupRingElement.one() - GroupRingElement.from_word(wxw))
+            + (GroupRingElement.from_word(Word()) - GroupRingElement.from_word(wxw))
             * fox_derivative(w, "x")
         )
         assert lhs == rhs
