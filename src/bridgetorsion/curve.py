@@ -62,10 +62,9 @@ class Jet2:
     form the quotient by (du, ds^2): the series mod h^2 along s = -1 + h
     at fixed u.
 
-    ``coeff_add`` and ``coeff_mul``, the sum and the truncated product on
-    coefficient tuples, serve ``reps.word_product`` too.  With r = n/v for
-    the nilpotent part n, 1/(v + n) = (1 - r + r^2)/v and
-    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8)."""
+    With r = n/v for the nilpotent part n, 1/(v + n) = (1 - r + r^2)/v and
+    sqrt(v + n) = sqrt(v) (1 + r/2 - r^2/8).  ``triangular_product`` is
+    the ring's kernel for ``reps.word_product``."""
 
     __slots__ = ("val", "u", "s", "ss")
 
@@ -80,14 +79,19 @@ class Jet2:
 
     def __add__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(*self.coeff_add(
-                (self.val, self.u, self.s, self.ss), (o.val, o.u, o.s, o.ss)))
+            return Jet2(self.val + o.val, self.u + o.u, self.s + o.s, self.ss + o.ss)
         return Jet2(self.val + o, self.u, self.s, self.ss)
 
     def __mul__(self, o):
         if isinstance(o, Jet2):
-            return Jet2(*self.coeff_mul(
-                (self.val, self.u, self.s, self.ss), (o.val, o.u, o.s, o.ss)))
+            a0, au, as_, ass = self.val, self.u, self.s, self.ss
+            b0, bu, bs, bss = o.val, o.u, o.s, o.ss
+            return Jet2(
+                a0 * b0,
+                a0 * bu + au * b0,
+                a0 * bs + as_ * b0,
+                a0 * bss + as_ * bs + ass * b0,
+            )
         return Jet2(self.val * o, self.u * o, self.s * o, self.ss * o)
 
     def __radd__(self, o):
@@ -109,21 +113,53 @@ class Jet2:
         return self.reciprocal() * o
 
     @staticmethod
-    def coeff_add(a, b):
-        a0, au, as_, ass = a
-        b0, bu, bs, bss = b
-        return a0 + b0, au + bu, as_ + bs, ass + bss
+    def triangular_product(steps, identity, letters):
+        """The product of triangular letter images along ``letters``, for
+        ``reps.word_product``: ``steps`` maps a letter to (upper, p, q, r)
+        for its image [[p, q], [0, r]] (upper) or [[p, 0], [q, r]].
 
-    @staticmethod
-    def coeff_mul(a, b):
-        a0, au, as_, ass = a
-        b0, bu, bs, bss = b
-        return (
-            a0 * b0,
-            a0 * bu + au * b0,
-            a0 * bs + as_ * b0,
-            a0 * bss + as_ * bs + ass * b0,
-        )
+        The running product [[a, b], [c, d]] is kept as 16 local scalars,
+        and each letter updates them in one assignment, slot by slot as
+        ``__mul__`` and ``__add__`` would: (A p)_slot + (B q)_slot, with
+        ``__mul__``'s term order inside each.  Only -u sqrt(s) carries du,
+        so the products by the u slots of x's entries and of y's diagonal
+        are left out; an image where such a slot is not zero raises
+        ValueError."""
+        flat = {}
+        for key, (upper, p, q, r) in steps.items():
+            if any(e.u != 0 for e in ((p, q, r) if upper else (p, r))):
+                raise ValueError("word_product needs du on y's off-diagonal entry alone")
+            flat[key] = (upper, p.val, p.s, p.ss, q.val, q.u, q.s, q.ss, r.val, r.s, r.ss)
+        (a0, au, as_, ass), (b0, bu, bs, bss), (c0, cu, cs, css), (d0, du, ds, dss) = (
+            (e.val, e.u, e.s, e.ss) for e in identity)
+        for key in letters:
+            upper, p0, ps, pss, q0, qu, qs, qss, r0, rs, rss = flat[key]
+            if upper:  # (a, b) -> (a p, a q + b r), and (c, d) alike
+                (a0, au, as_, ass, b0, bu, bs, bss,
+                 c0, cu, cs, css, d0, du, ds, dss) = (
+                    a0 * p0, au * p0, a0 * ps + as_ * p0, a0 * pss + as_ * ps + ass * p0,
+                    a0 * q0 + b0 * r0, au * q0 + bu * r0,
+                    (a0 * qs + as_ * q0) + (b0 * rs + bs * r0),
+                    (a0 * qss + as_ * qs + ass * q0) + (b0 * rss + bs * rs + bss * r0),
+                    c0 * p0, cu * p0, c0 * ps + cs * p0, c0 * pss + cs * ps + css * p0,
+                    c0 * q0 + d0 * r0, cu * q0 + du * r0,
+                    (c0 * qs + cs * q0) + (d0 * rs + ds * r0),
+                    (c0 * qss + cs * qs + css * q0) + (d0 * rss + ds * rs + dss * r0),
+                )
+            else:  # (a, b) -> (a p + b q, b r), and (c, d) alike
+                (a0, au, as_, ass, b0, bu, bs, bss,
+                 c0, cu, cs, css, d0, du, ds, dss) = (
+                    a0 * p0 + b0 * q0, au * p0 + (b0 * qu + bu * q0),
+                    (a0 * ps + as_ * p0) + (b0 * qs + bs * q0),
+                    (a0 * pss + as_ * ps + ass * p0) + (b0 * qss + bs * qs + bss * q0),
+                    b0 * r0, bu * r0, b0 * rs + bs * r0, b0 * rss + bs * rs + bss * r0,
+                    c0 * p0 + d0 * q0, cu * p0 + (d0 * qu + du * q0),
+                    (c0 * ps + cs * p0) + (d0 * qs + ds * q0),
+                    (c0 * pss + cs * ps + css * p0) + (d0 * qss + ds * qs + dss * q0),
+                    d0 * r0, du * r0, d0 * rs + ds * r0, d0 * rss + ds * rs + dss * r0,
+                )
+        return [Jet2(a0, au, as_, ass), Jet2(b0, bu, bs, bss),
+                Jet2(c0, cu, cs, css), Jet2(d0, du, ds, dss)]
 
     def _nilpotent_ratio(self):
         r = 1 / self.val

@@ -10,7 +10,6 @@ triangular letter image at a time and refuses images of any other form.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
@@ -56,59 +55,53 @@ def _is_zero(c):
     return all(v == 0 for v in (c.coeffs() if hasattr(c, "coeffs") else (c,)))
 
 
-def _walk(img_x, img_y, w):
-    """The running product along a word: yields (generator, sign, product)
-    at the start, as (None, 0, identity), and after each letter.
+def _letter_steps(img_x, img_y):
+    """(generator, sign) -> (upper, p, q, r) for the letter's image
+    [[p, q], [0, r]] (upper) or [[p, 0], [q, r]], and the identity's entries.
 
     The images must have Riley's triangular form, x upper and y lower
-    triangular; so have their inverses, the adjugates, and each letter
-    right-multiplies the running product with 6 products and 2 sums.  The
-    product is kept as four flat coefficient tuples: a jet ring supplies
-    its sum and truncated product on tuples (``coeff_add``, ``coeff_mul``),
-    and plain scalars (complex, mpmath) use the operators.  Images of any
-    other form raise ValueError rather than lose an entry."""
+    triangular; so have their inverses, the adjugates.  Images of any other
+    form raise ValueError rather than lose an entry."""
     a, b, zx, d = img_x.entries
     e, zy, g, h = img_y.entries
     if not (_is_zero(zx) and _is_zero(zy)):
         raise ValueError("word_product needs x upper and y lower triangular")
-    ring = type(a)
-    if hasattr(ring, "coeff_mul"):
-        mul, add, flat = ring.coeff_mul, ring.coeff_add, ring.coeffs
-    else:
-        mul, add, flat = operator.mul, operator.add, lambda c: c
     zero = a * 0
-    one = zero + 1
-    # (generator, sign) -> (upper, p, q, r) for the letter's image
-    # [[p, q], [0, r]] (upper) or [[p, 0], [q, r]]
     steps = {
-        ("x", 1): (True, *map(flat, (a, b, d))),
-        ("x", -1): (True, *map(flat, (d, -b, a))),
-        ("y", 1): (False, *map(flat, (e, g, h))),
-        ("y", -1): (False, *map(flat, (h, -g, e))),
+        ("x", 1): (True, a, b, d),
+        ("x", -1): (True, d, -b, a),
+        ("y", 1): (False, e, g, h),
+        ("y", -1): (False, h, -g, e),
     }
-    r0, r1, r2, r3 = map(flat, (one, zero, zero, one))
+    return steps, (zero + 1, zero, zero, zero + 1)
+
+
+def _walk(img_x, img_y, w):
+    """The running product along a word, for scalar images (complex,
+    mpmath): yields (generator, sign, product) at the start, as
+    (None, 0, identity), and after each letter, which right-multiplies the
+    product with 6 products and 2 sums (``_letter_steps``)."""
+    steps, (r0, r1, r2, r3) = _letter_steps(img_x, img_y)
     yield None, 0, (r0, r1, r2, r3)
     for gen, sign in w.letters:
         upper, p, q, r = steps[gen, sign]
         if upper:
-            r0, r1, r2, r3 = (
-                mul(r0, p), add(mul(r0, q), mul(r1, r)),
-                mul(r2, p), add(mul(r2, q), mul(r3, r)),
-            )
+            r0, r1, r2, r3 = r0 * p, r0 * q + r1 * r, r2 * p, r2 * q + r3 * r
         else:
-            r0, r1, r2, r3 = (
-                add(mul(r0, p), mul(r1, q)), mul(r1, r),
-                add(mul(r2, p), mul(r3, q)), mul(r3, r),
-            )
+            r0, r1, r2, r3 = r0 * p + r1 * q, r1 * r, r2 * p + r3 * q, r3 * r
         yield gen, sign, (r0, r1, r2, r3)
 
 
 def word_product(img_x, img_y, w):
-    """Product of generator images along a word: the last one of ``_walk``."""
-    *_, (_, _, product) = _walk(img_x, img_y, w)
-    ring = type(img_x.entries[0])
-    if hasattr(ring, "coeff_mul"):
-        product = [ring(*c) for c in product]
+    """Product of generator images along a word.  A jet ring that has a
+    fused kernel for triangular letters (``curve.Jet2.triangular_product``)
+    gets the letter steps of ``_letter_steps``; scalar images take the last
+    product of ``_walk``."""
+    kernel = getattr(type(img_x.entries[0]), "triangular_product", None)
+    if kernel is None:
+        *_, (_, _, product) = _walk(img_x, img_y, w)
+    else:
+        product = kernel(*_letter_steps(img_x, img_y), w.letters)
     return RingMatrix(product)
 
 
@@ -122,7 +115,9 @@ def phi_map(rep, element):
         element = GroupRingElement.from_word(element)
     acc = [{} for _ in range(4)]
     for w, c in element.terms.items():
-        _accumulate(acc, w.exponent_sum(), c, word_product(rep.img_x, rep.img_y, w).entries)
+        e = w.exponent_sum()
+        for d, entry in zip(acc, word_product(rep.img_x, rep.img_y, w).entries):
+            d[e] = d.get(e, 0) + c * entry
     return RingMatrix(LaurentPoly(d) for d in acc)
 
 
@@ -131,21 +126,17 @@ def fox_image(rep, w, gen):
     exponent -> coefficient, for scalar images, from one walk of w with a
     running prefix product (``_walk``): O(len w) letter steps, where phi_map
     multiplies every Fox term's word from scratch.  Fox's rules give the
-    terms: +prefix before each letter gen, -prefix after each letter gen^-1."""
-    acc = [{} for _ in range(4)]
+    terms: +prefix before each letter gen, -prefix after each letter gen^-1;
+    each is added into the four maps in place."""
+    acc = m0, m1, m2, m3 = [{} for _ in range(4)]
     a = 0
     for g, sign, prefix in _walk(rep.img_x, rep.img_y, w):
         a += sign
         if g == gen:
-            if sign > 0:
-                _accumulate(acc, a - 1, 1, before)
-            else:
-                _accumulate(acc, a, -1, prefix)
+            e, c, (r0, r1, r2, r3) = (a - 1, 1, before) if sign > 0 else (a, -1, prefix)
+            m0[e], m1[e], m2[e], m3[e] = (
+                m0.get(e, 0) + c * r0, m1.get(e, 0) + c * r1,
+                m2.get(e, 0) + c * r2, m3.get(e, 0) + c * r3,
+            )
         before = prefix
     return acc
-
-
-def _accumulate(acc, exponent, coeff, entries):
-    """Add coeff * t^exponent * entry into each entry's coefficient map."""
-    for d, entry in zip(acc, entries):
-        d[exponent] = d.get(exponent, 0) + coeff * entry

@@ -240,13 +240,13 @@ def test_longitude_from_swapped_relator_image():
     _check_longitude_symmetry(normalize_two_bridge(13, 5), 3, Precision("extended"), 1e-25)
 
 
-def _with_noise(c, rng):
-    """The jet c with its u and ss slots overwritten at random; a zero jet
-    (an off-triangle entry) stays zero."""
+def _with_noise(c, rng, u_slot=True):
+    """The jet c with its ss slot, and its u slot if u_slot, overwritten at
+    random; a zero jet (an off-triangle entry) stays zero."""
     if all(v == 0 for v in c.coeffs()):
         return c
     u, ss = (c.val * 0 + complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
-    return Jet2(c.val, u, c.s, ss)
+    return Jet2(c.val, u if u_slot else c.u, c.s, ss)
 
 
 def _val_s_slots(m):
@@ -257,8 +257,10 @@ def test_val_and_s_slots_ignore_u_and_ss_slots():
     # the value of record reads the (val, s) slots of the jets that the
     # cross-check pushes through the relator word, as the series mod h^2
     # at fixed u; that holds because no operation reads a u or ss slot
-    # into them.  Random u and ss slots in s and the images leave every
-    # val and s slot of W, M W M^-1 and the longitude image bit-identical
+    # into them.  Random ss slots in s and the images, and random u slots
+    # wherever a jet may carry du (s and y's lower-left entry: the word
+    # product refuses du in any other entry of an image), leave every val
+    # and s slot of W, M W M^-1 and the longitude image bit-identical
     rng = random.Random(67)
     extended = Precision("extended")
     for p, q in WIDE_CENSUS:
@@ -269,7 +271,10 @@ def test_val_and_s_slots_ignore_u_and_ss_slots():
             zero = u_meta * 0
             s = Jet2(zero - 1, zero, zero + 1, zero)
             images = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
-            noisy = [RingMatrix(_with_noise(c, rng) for c in m.entries) for m in images]
+            noisy = [
+                RingMatrix(_with_noise(c, rng, (m, i) == (1, 2)) for i, c in enumerate(img.entries))
+                for m, img in enumerate(images)
+            ]
             runs = []
             for sj, (img_x, img_y) in ((s, images), (_with_noise(s, rng), noisy)):
                 w = word_product(img_x, img_y, knot.word)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -175,15 +176,22 @@ def _fractions(lo, hi):
 
 def _assert_census_matches_lens_oracle(fractions):
     """No error record, and the sorted multiset within the acceptance bound
-    of the lens oracle; returns the tau multisets by fraction."""
+    of the lens oracle; returns the tau multisets by fraction.  Prints the
+    SHA-256 over the serialized reports in sorted (p, q) order, the check
+    that report bytes are unchanged (not asserted: libm may differ between
+    platforms)."""
     taus = {}
-    for p, q in fractions:
-        records = compute_invariants(normalize_two_bridge(p, q))
+    digest = hashlib.sha256()
+    for p, q in sorted(fractions):
+        knot = normalize_two_bridge(p, q)
+        records = compute_invariants(knot)
+        digest.update(serialize_report(knot_report(knot, records)))
         assert all(r.ok for r in records), (p, q, [r.error for r in records if not r.ok])
         taus[p, q] = tau_multiset(records)
         oracle = lens_torsion_multiset(LensSpace.of(p, q))
         for a, b in zip(taus[p, q], oracle):
             assert abs(a - b) <= 1e-6 * max(a, b), (p, q)
+    print(f"report SHA-256 over {len(fractions)} fractions: {digest.hexdigest()}")
     return taus
 
 

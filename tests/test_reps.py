@@ -1,12 +1,15 @@
 import cmath
+import json
 import math
 import random
 
 import pytest
 
+from bridgetorsion import curve
 from bridgetorsion.curve import Jet2, _relator_jets
 from bridgetorsion.errors import IndexOutOfRange
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
+from bridgetorsion.pipeline import compute_invariants, knot_report, serialize_report
 from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import (
     Rep2,
@@ -291,3 +294,35 @@ def test_word_product_refuses_non_triangular_images():
     jet_x = RingMatrix(img_x.entries[:2] + (Jet2(0j, 0j, 0j, 1e-300 + 0j), img_x.entries[3]))
     with pytest.raises(ValueError):
         word_product(jet_x, img_y, w)
+    # the jet kernel skips the products by the u slots of x's entries and of
+    # y's diagonal; a du there raises instead of being dropped
+    def with_du(c):
+        return Jet2(c.val, c.u + 1e-300, c.s, c.ss)
+
+    x, y = list(img_x.entries), list(img_y.entries)
+    for pos in (0, 1, 3):
+        du_x = RingMatrix(x[:pos] + [with_du(x[pos])] + x[pos + 1:])
+        with pytest.raises(ValueError):
+            word_product(du_x, img_y, w)
+    for pos in (0, 3):
+        du_y = RingMatrix(y[:pos] + [with_du(y[pos])] + y[pos + 1:])
+        with pytest.raises(ValueError):
+            word_product(img_x, du_y, w)
+
+
+def test_compute_invariants_matches_reference_fold(monkeypatch):
+    # the whole record path, with every word product of curve taken by the
+    # full 2x2 fold instead of the kernel, gives equal reports for the 68
+    # census fractions p <= 25; == on the parsed reports, so only the sign
+    # of an exact zero may differ
+    def reports():
+        out = []
+        for p, q in KERNEL_CENSUS:
+            knot = normalize_two_bridge(p, q)
+            out.append(json.loads(serialize_report(knot_report(knot, compute_invariants(knot)))))
+        return out
+
+    assert len(KERNEL_CENSUS) == 68
+    kernel = reports()
+    monkeypatch.setattr(curve, "word_product", _fold)
+    assert reports() == kernel
