@@ -40,6 +40,7 @@ from .words import (
 from .reps import (
     Rep2,
     fox_image,
+    metabelian_pair,
     metabelian_rep,
     metabelian_u,
     phi_map,

@@ -1,4 +1,5 @@
-"""P(1) of record from Wada's numerator with no division (``p_at_one``);
+"""P(1) of record from Wada's numerator with no division, in real
+arithmetic on the real pair of rho_k (``p_at_one``);
 Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
 Alexander polynomial and P(t), which tests use as the reference for P(1).
 
@@ -74,14 +75,19 @@ def wada_twisted_alexander(k, rep, by="x"):
 
 
 def p_at_one(knot, rep):
-    """P(1) for the metabelian rep = rho_k from Wada's numerator N, which has
+    """P(1) for rho_k from Wada's numerator N, which has
     N(i(1 + e)) = -4 P(1) e^2 + O(e^3), and the gap of that double zero,
     max(|[e^0] N|, |[e^1] N|) / (|[e^2] N| + 1); above DIVISION_TOL, as off
-    rho_k, it raises InexactDivision.  Each entry of Phi(dr/dx) is a Jet2 in
-    its (val, s, ss) slots, with t^a = i^a (1, a, a(a-1)/2)."""
+    rho_k, it raises InexactDivision.
+
+    rep is the real pair of rho_k (``reps.metabelian_pair``).  On a word of
+    exponent sum a, rho_k is i^a times the real pair, so Wada's weight t^a
+    at t = i(1 + e) times that phase is (-(1 + e))^a, and each entry of
+    Phi(dr/dx) is a real Jet2 in its (val, s, ss) slots, with
+    (-1)^a (1, a, a(a-1)/2)."""
     entries = []
     for d in fox_image(rep, knot.relator(), "x"):
-        terms = [(a, c * (1, 1j, -1, -1j)[a % 4]) for a, c in d.items()]
+        terms = [(a, -c if a % 2 else c) for a, c in d.items()]
         entries.append(Jet2(
             sum(c for _, c in terms),
             s=sum(a * c for a, c in terms),

@@ -20,6 +20,13 @@ the image of the reversed word from the x <-> y symmetry of Riley's
 representations.  The cross-check reads the h^2 coefficient of the trace
 off second-order partials instead, with the reversed word from a direct
 product; the two share the relator image W and nothing after it.
+
+The jets run on the real pair of ``reps.riley_images``, at r = sqrt(-s) =
+1 - h/2 - h^2/8, so at a metabelian point every slot is real.  Riley's
+image of a word of exponent sum a is i^a times the real one.  F reads only
+phase-free quantities: magnitudes, the ratio phi_ss / phi_u, and the
+longitude image, whose exponent sum is 0.  So nothing on F's path puts
+the phase back.
 """
 from __future__ import annotations
 
@@ -121,7 +128,7 @@ class Jet2:
         The running product [[a, b], [c, d]] is kept as 16 local scalars,
         and each letter updates them in one assignment, slot by slot as
         ``__mul__`` and ``__add__`` would: (A p)_slot + (B q)_slot, with
-        ``__mul__``'s term order inside each.  Only -u sqrt(s) carries du,
+        ``__mul__``'s term order inside each.  Only -u r carries du,
         so the products by the u slots of x's entries and of y's diagonal
         are left out; an image where such a slot is not zero raises
         ValueError."""
@@ -166,8 +173,11 @@ class Jet2:
         return Jet2(self.val * 0, self.u * r, self.s * r, self.ss * r)
 
     def reciprocal(self):
-        r = self._nilpotent_ratio()
-        return (1 - r + r * r) * (1 / self.val)
+        """(1 - r + r^2)/v in straight-line code: r^2 has the ss slot
+        (s/v)^2 alone."""
+        iv = 1 / self.val
+        ru, rs, rss = self.u * iv, self.s * iv, self.ss * iv
+        return Jet2(iv, -ru * iv, -rs * iv, (rs * rs - rss) * iv)
 
     def sqrt(self, scalar_sqrt):
         r = self._nilpotent_ratio()
@@ -200,8 +210,8 @@ class FEstimate:
     ``max_residual`` is the largest coefficient of phi mod h^2 at
     s = -1 + h, u = u_{k'}."""
 
-    value: complex
-    direct: complex
+    value: float
+    direct: float
     rel_disagreement: float
     max_residual: float
     lam_gap0: float
@@ -210,32 +220,33 @@ class FEstimate:
 
 
 def _relator_jets(knot, s, u, prec):
-    """s and Riley's images of x and y as jets in (u, s) at the point
-    (s, u), the image W of the relator word w, and the two terms W11 and
-    (1-s) W12 of phi, whose magnitudes set the scale phi is evaluated
-    at."""
+    """s and the real pair of x and y as jets in (u, s) at the point (s, u),
+    with r = sqrt(-s), the real image W of the relator word w, and the two
+    terms W11 and (1-s) W12 of phi, whose magnitudes set the scale phi is
+    evaluated at.  Riley's W, and so phi, is i^alpha(w) times these."""
     if s == 0:
         raise ZeroParameter("Riley residual needs s != 0")
     zero = u * 0
     sj = Jet2(zero + s, zero, zero + 1, zero)
-    rs = sj.sqrt(prec.sqrt)
-    img_x, img_y = riley_images(rs, Jet2(u, zero + 1, zero, zero))
+    img_x, img_y = riley_images((-sj).sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
     w = word_product(img_x, img_y, knot.word)
     return sj, img_x, img_y, w, (w.entries[0], (1 - sj) * w.entries[1])
 
 
 def _jet_phi(knot, s, u, prec=DOUBLE):
-    """phi = W11 + (1-s) W12 as a jet in (u, s), and its evaluation
-    scale."""
+    """phi = W11 + (1-s) W12 of the real pair as a jet in (u, s), Riley's
+    phi up to its phase, and its evaluation scale."""
     *_, (w11, second) = _relator_jets(knot, s, u, prec)
     return w11 + second, float(abs(w11.val) + abs(second.val) + 1.0)
 
 
 def riley_residual(knot, s, u, prec=DOUBLE):
-    """phi(s, u) = W11 + (1-s) W12 and its partials (d/du, d/ds), all three
-    read off one jet pass through the word product."""
+    """phi(s, u) = W11 + (1-s) W12 for Riley's images and its partials
+    (d/du, d/ds), all three read off one jet pass through the word product
+    of the real pair, times the phase i^alpha(w)."""
     phi, _ = _jet_phi(knot, s, u, prec)
-    return phi.val, phi.u, phi.s
+    phase = prec.sqrt(-1) ** (knot.word.exponent_sum() % 4)
+    return phi.val * phase, phi.u * phase, phi.s * phase
 
 
 def metabelian_pairing(p, k):
@@ -247,10 +258,11 @@ def metabelian_pairing(p, k):
 
 
 def trace_longitude(knot, s, u, prec=DOUBLE):
-    """Trace of the longitude image under Riley's pair at (s, u)."""
+    """Trace of the longitude image under Riley's pair at (s, u), read off
+    the real pair: the longitude has exponent sum 0, so no phase."""
     if s == 0:
         raise ZeroParameter("trace_longitude needs s != 0")
-    img_x, img_y = riley_images(prec.sqrt(s), u)
+    img_x, img_y = riley_images(prec.sqrt(-s), u)
     return word_product(img_x, img_y, longitude_word(knot)).trace()
 
 
@@ -258,7 +270,8 @@ def swap_generators(w, s, u):
     """The image of a word with x and y swapped, from the image W of the
     word: M W M^-1 with M = [[s-1, 1], [-u s, 1-s]], which conjugates
     Riley's image of x to that of y and back.  M^2 = ((s-1)^2 - u s) I
-    gives the inverse.  For a normalized two-bridge word the exponents
+    gives the inverse.  M conjugates the real pair alike, as it is Riley's
+    pair divided by i.  For a normalized two-bridge word the exponents
     satisfy e_{p-i} = e_i, so the reversed word <-w is w with x and y
     swapped.  At s = -1 the conditioning of M is about 1/(4 + u), which
     grows like p^2 as u_{k'} approaches -4."""
@@ -269,7 +282,9 @@ def swap_generators(w, s, u):
 
 def longitude_image(knot, rev, w, img_x):
     """The longitude image rho(<-w) W x^(-2 sigma) from rev = rho(<-w) and
-    W = rho(w); the peripheral power comes from binary powering."""
+    W = rho(w); the peripheral power comes from binary powering.  The
+    power is even, so the adjugate serves as the inverse of x for a
+    determinant of 1 (Riley's pair) or -1 (the real pair)."""
     lon = rev * w
     n = 2 * knot.sigma
     base = img_x.adjugate() if n > 0 else img_x

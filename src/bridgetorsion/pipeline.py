@@ -20,7 +20,7 @@ from .curve import evaluate_F, metabelian_pairing
 from .errors import ParseError, RecordError, TorsionError
 from .oracles import LensSpace, lens_torsion_magnitude
 from .precision import DOUBLE, Precision
-from .reps import metabelian_rep
+from .reps import metabelian_pair
 from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
 
 #: Largest multiset deviation at which two knots of one determinant are
@@ -81,7 +81,7 @@ class ComparisonVerdict:
 
 
 def _generic_record(knot, idx, prec, lens):
-    p1, p1_gap = p_at_one(knot, metabelian_rep(knot.p, idx, prec))
+    p1, p1_gap = p_at_one(knot, metabelian_pair(knot.p, idx, prec))
     # only |P(1)| and P(1)^2 are canonical; the sign is a unit artifact
     p1sq = complex(p1) ** 2
     kprime = metabelian_pairing(knot.p, idx)
@@ -89,10 +89,10 @@ def _generic_record(knot, idx, prec, lens):
     f_val = complex(est.value)
     prod = p1sq * f_val
     tau = abs(prod)
-    # the assembled product must be essentially real, and positive in
-    # magnitude
-    if not tau > 0:
-        raise RecordError("tau is not positive")
+    # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0: the assembled product
+    # must be positive, and essentially real
+    if not prod.real > 0:
+        raise RecordError(f"P(1)^2 F has real part {prod.real:.3e}, not positive")
     if not abs(prod.imag) <= 1e-6 * tau:
         raise RecordError(f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau")
     diag = {

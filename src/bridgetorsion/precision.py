@@ -1,11 +1,21 @@
 """Scalar backends: IEEE double via cmath/math, or mpmath extended precision.
 
 Everything downstream (polynomials, matrices, Taylor jets) is duck-typed,
-so mpmath values flow through the same code paths as builtin complex.
+so mpmath values flow through the same code paths as builtin floats and
+complex numbers.  Both backends take the square root of a non-negative
+real to a real (a float, or an mpf), so a value path that starts from real
+numbers, as the one at the metabelian point does, stays real.
 """
 
 import cmath
 import math
+
+
+def _sqrt(z):
+    """math.sqrt for a non-negative real, cmath.sqrt for anything else."""
+    if isinstance(z, (int, float)) and z >= 0:
+        return math.sqrt(z)
+    return cmath.sqrt(z)
 
 
 class Precision:
@@ -16,7 +26,7 @@ class Precision:
     def __init__(self, name="double"):
         self.name = name
         if name == "double":
-            self.sqrt = cmath.sqrt
+            self.sqrt = _sqrt
             self.sin = math.sin
             self.pi = math.pi
         elif name == "extended":

@@ -1,4 +1,5 @@
-"""SL2(C) representation families of the two-bridge knot group.
+"""SL2(C) representation families of the two-bridge knot group, and the
+real form in which the value path multiplies them.
 
 Two families matter here: the discrete metabelian representatives rho_k
 (one per character of the double branched cover) and the continuous Riley
@@ -6,6 +7,16 @@ family rho_{sqrt(s),u} that deforms them along the character variety.
 Both send x to an upper and y to a lower triangular matrix (Riley 1984),
 and word products rely on that form: ``word_product`` multiplies by one
 triangular letter image at a time and refuses images of any other form.
+
+``riley_images`` builds the real pair, Riley's images divided by i:
+x = [[r, -1/r], [0, -1/r]] and y = [[r, 0], [-u r, -1/r]] with r = sqrt(-s),
+so that sqrt(s) = i r.  Its determinants are -1, and a word product takes
+an inverse letter's image as its adjugate over its determinant.  So a word
+v has Riley image i^alpha(v) times its real image, alpha the exponent sum
+(the phase law).  At the metabelian point s = -1 the pair is real, with
+r = 1 for scalars and r = 1 - h/2 - h^2/8 for jets along s = -1 + h, and
+the value path runs on real numbers: F reads only phase-free quantities,
+and P(1) folds the phase into Wada's weight (``alexander.p_at_one``).
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from .words import GroupRingElement, Word
 
 @dataclass(frozen=True)
 class Rep2:
-    """Pair of SL2 images for the generators x and y."""
+    """Pair of images for the generators x and y."""
 
     img_x: RingMatrix
     img_y: RingMatrix
@@ -32,22 +43,31 @@ def metabelian_u(p, k, prec=DOUBLE):
     return -4 * s * s
 
 
-def metabelian_rep(p, k, prec=DOUBLE):
-    """The representative rho_k of the k-th irreducible metabelian class,
-    k = 1..(p-1)/2: Riley's pair at s = -1, sqrt(s) = prec.sqrt(-1) = i,
-    and u = u_k."""
+def metabelian_pair(p, k, prec=DOUBLE):
+    """The real pair of rho_k, the k-th irreducible metabelian class,
+    k = 1..(p-1)/2: ``riley_images`` at s = -1, r = sqrt(-s) =
+    prec.sqrt(1), and u = u_k.  Every entry is real."""
     if not 1 <= k <= (p - 1) // 2:
         raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
-    return Rep2(*riley_images(prec.sqrt(-1), metabelian_u(p, k, prec)))
+    return Rep2(*riley_images(prec.sqrt(1), metabelian_u(p, k, prec)))
 
 
-def riley_images(rs, u):
-    """Riley's images of x and y from sqrt(s) and u, in whatever ring rs and
-    u live in (scalars, or the jets of the curve module)."""
-    inv = 1 / rs
-    zero = rs * 0
-    img_x = RingMatrix((rs, inv, zero, inv))
-    img_y = RingMatrix((rs, zero, -(u * rs), inv))
+def metabelian_rep(p, k, prec=DOUBLE):
+    """The SL2 representative rho_k: Riley's pair at s = -1, sqrt(s) = i =
+    prec.sqrt(-1) and u = u_k, that is, i times ``metabelian_pair``."""
+    i = prec.sqrt(-1)
+    pair = metabelian_pair(p, k, prec)
+    return Rep2(*(RingMatrix(i * e for e in img.entries) for img in (pair.img_x, pair.img_y)))
+
+
+def riley_images(r, u):
+    """The real pair at r = sqrt(-s) and u, Riley's images of x and y
+    divided by i, in whatever ring r and u live in (scalars, or the jets of
+    the curve module)."""
+    inv = -1 / r
+    zero = r * 0
+    img_x = RingMatrix((r, inv, zero, inv))
+    img_y = RingMatrix((r, zero, -(u * r), inv))
     return img_x, img_y
 
 
@@ -58,48 +78,66 @@ def _is_zero(c):
 def _letter_steps(img_x, img_y):
     """(generator, sign) -> (upper, p, q, r) for the letter's image
     [[p, q], [0, r]] (upper) or [[p, 0], [q, r]], and the identity's entries.
+    An inverse letter's image is the adjugate over the determinant; that
+    is 1 for SL2 images and -1 for the real pair, so the division is exact
+    there.
 
     The images must have Riley's triangular form, x upper and y lower
-    triangular; so have their inverses, the adjugates.  Images of any other
-    form raise ValueError rather than lose an entry."""
+    triangular; so have their inverses.  Images of any other form raise
+    ValueError rather than lose an entry."""
     a, b, zx, d = img_x.entries
     e, zy, g, h = img_y.entries
     if not (_is_zero(zx) and _is_zero(zy)):
         raise ValueError("word_product needs x upper and y lower triangular")
     zero = a * 0
+    dx, dy = 1 / (a * d), 1 / (e * h)
     steps = {
         ("x", 1): (True, a, b, d),
-        ("x", -1): (True, d, -b, a),
+        ("x", -1): (True, d * dx, -b * dx, a * dx),
         ("y", 1): (False, e, g, h),
-        ("y", -1): (False, h, -g, e),
+        ("y", -1): (False, h * dy, -g * dy, e * dy),
     }
     return steps, (zero + 1, zero, zero, zero + 1)
 
 
-def _walk(img_x, img_y, w):
-    """The running product along a word, for scalar images (complex,
-    mpmath): yields (generator, sign, product) at the start, as
-    (None, 0, identity), and after each letter, which right-multiplies the
-    product with 6 products and 2 sums (``_letter_steps``)."""
+def _walk(img_x, img_y, w, gen=None):
+    """The product of scalar images along w, and the raw maps of
+    ``fox_image`` for the generator gen (empty for None), in one loop.
+
+    Each letter right-multiplies the running product with 6 products and 2
+    sums (``_letter_steps``).  Fox's rules give the terms of the maps:
+    +prefix before each letter gen and -prefix after each letter gen^-1,
+    added in place at the exponent sum of that prefix."""
     steps, (r0, r1, r2, r3) = _letter_steps(img_x, img_y)
-    yield None, 0, (r0, r1, r2, r3)
-    for gen, sign in w.letters:
-        upper, p, q, r = steps[gen, sign]
+    maps = m0, m1, m2, m3 = [{} for _ in range(4)]
+    a = 0
+    for key in w.letters:
+        g, sign = key
+        if g == gen and sign > 0:
+            m0[a], m1[a], m2[a], m3[a] = (
+                m0.get(a, 0) + r0, m1.get(a, 0) + r1, m2.get(a, 0) + r2, m3.get(a, 0) + r3,
+            )
+        upper, p, q, r = steps[key]
         if upper:
             r0, r1, r2, r3 = r0 * p, r0 * q + r1 * r, r2 * p, r2 * q + r3 * r
         else:
             r0, r1, r2, r3 = r0 * p + r1 * q, r1 * r, r2 * p + r3 * q, r3 * r
-        yield gen, sign, (r0, r1, r2, r3)
+        a += sign
+        if g == gen and sign < 0:
+            m0[a], m1[a], m2[a], m3[a] = (
+                m0.get(a, 0) - r0, m1.get(a, 0) - r1, m2.get(a, 0) - r2, m3.get(a, 0) - r3,
+            )
+    return (r0, r1, r2, r3), maps
 
 
 def word_product(img_x, img_y, w):
     """Product of generator images along a word.  A jet ring that has a
     fused kernel for triangular letters (``curve.Jet2.triangular_product``)
-    gets the letter steps of ``_letter_steps``; scalar images take the last
+    gets the letter steps of ``_letter_steps``; scalar images take the
     product of ``_walk``."""
     kernel = getattr(type(img_x.entries[0]), "triangular_product", None)
     if kernel is None:
-        *_, (_, _, product) = _walk(img_x, img_y, w)
+        product, _ = _walk(img_x, img_y, w)
     else:
         product = kernel(*_letter_steps(img_x, img_y), w.letters)
     return RingMatrix(product)
@@ -125,18 +163,5 @@ def fox_image(rep, w, gen):
     """The entries of phi_map(rep, fox_derivative(w, gen)) as four raw maps
     exponent -> coefficient, for scalar images, from one walk of w with a
     running prefix product (``_walk``): O(len w) letter steps, where phi_map
-    multiplies every Fox term's word from scratch.  Fox's rules give the
-    terms: +prefix before each letter gen, -prefix after each letter gen^-1;
-    each is added into the four maps in place."""
-    acc = m0, m1, m2, m3 = [{} for _ in range(4)]
-    a = 0
-    for g, sign, prefix in _walk(rep.img_x, rep.img_y, w):
-        a += sign
-        if g == gen:
-            e, c, (r0, r1, r2, r3) = (a - 1, 1, before) if sign > 0 else (a, -1, prefix)
-            m0[e], m1[e], m2[e], m3[e] = (
-                m0.get(e, 0) + c * r0, m1.get(e, 0) + c * r1,
-                m2.get(e, 0) + c * r2, m3.get(e, 0) + c * r3,
-            )
-        before = prefix
-    return acc
+    multiplies every Fox term's word from scratch."""
+    return _walk(rep.img_x, rep.img_y, w, gen)[1]

@@ -13,13 +13,13 @@ from bridgetorsion.alexander import (
 from bridgetorsion.errors import InexactDivision
 from bridgetorsion.numerics import LaurentPoly, RingMatrix, units_equal
 from bridgetorsion.oracles import torus_twisted_alexander
-from bridgetorsion.reps import Rep2, metabelian_rep, phi_map, riley_images
+from bridgetorsion.reps import Rep2, metabelian_pair, metabelian_rep, phi_map, riley_images
 from bridgetorsion.words import GroupRingElement, Word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
-# Riley's pair at a generic point (s, u) = (-0.9 + 0.2i, 1.3 - 0.4i), off
-# the metabelian ones
-GENERIC_RILEY = Rep2(*riley_images(cmath.sqrt(-0.9 + 0.2j), 1.3 - 0.4j))
+# the real pair, Riley's divided by i, at a generic point
+# (s, u) = (-0.9 + 0.2i, 1.3 - 0.4i), off the metabelian ones: r = sqrt(-s)
+GENERIC_RILEY = Rep2(*riley_images(cmath.sqrt(0.9 - 0.2j), 1.3 - 0.4j))
 
 
 # -- classical Alexander polynomial ------------------------------------------------
@@ -80,8 +80,10 @@ def test_metabelian_denominator_is_t2_plus_1():
             for by in ("x", "y"):
                 den = wada_twisted_alexander(k, rho, by=by).denominator
                 assert den.close_to(_phi_denominator(rho, by), 1e-12), (p, q, idx, by)
-    # a Riley representation has tr rho(y) != 0, so the closed form's t^1
-    # term -t tr M is exercised too
+    # the real pair at a generic point, a representation too (Riley's
+    # twisted by the character i^-alpha), has tr rho(y) != 0 and
+    # det rho(y) = -1, so the closed form's terms -t tr M and t^2 det M
+    # are exercised too
     rho = GENERIC_RILEY
     k = normalize_two_bridge(7, 3)
     for by in ("x", "y"):
@@ -164,7 +166,7 @@ def test_p_at_one_matches_p_polynomial_on_census():
             k = normalize_two_bridge(p_, q)
             for idx in range(1, (p_ - 1) // 2 + 1):
                 rho = metabelian_rep(p_, idx)
-                p1, gap = p_at_one(k, rho)
+                p1, gap = p_at_one(k, metabelian_pair(p_, idx))
                 ref = p_polynomial(wada_twisted_alexander(k, rho).reduced).evaluate(1) ** 2
                 assert abs(p1 * p1 - ref) <= 1e-9 * abs(ref), (p_, q, idx)
                 assert gap <= 1e-12, (p_, q, idx)
@@ -176,8 +178,8 @@ def test_p_at_one_refuses_non_metabelian_rep():
     with pytest.raises(InexactDivision):
         p_at_one(normalize_two_bridge(7, 3), GENERIC_RILEY)
     # nor has a numerator of NaNs: the gap is NaN, and a NaN fails the check
-    rho = metabelian_rep(7, 2)
+    rho = metabelian_pair(7, 2)
     e, zero, _, h = rho.img_y.entries
-    nan_y = Rep2(rho.img_x, RingMatrix((e, zero, complex(math.nan, 0), h)))
+    nan_y = Rep2(rho.img_x, RingMatrix((e, zero, math.nan, h)))
     with pytest.raises(InexactDivision):
         p_at_one(normalize_two_bridge(7, 3), nan_y)

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from bridgetorsion import curve
+from bridgetorsion import curve, pipeline
 from bridgetorsion.cli import main
 from bridgetorsion.oracles import torus_F, torus_P1_squared
 
@@ -111,6 +112,26 @@ def test_compare_json_is_strict_json(capsys):
     assert verdict["verdict"] == "distinct"
     assert verdict["maxMultisetDeviation"] is None
     assert verdict["determinantsMatch"] is False
+
+
+def test_negative_product_gives_error_records(capsys, monkeypatch):
+    # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0; a value of F with the
+    # wrong sign fails the record at both precisions, and the report is
+    # still strict JSON
+    exact = pipeline.evaluate_F
+
+    def negated(knot, kprime, prec):
+        est = exact(knot, kprime, prec)
+        return replace(est, value=-est.value)
+
+    monkeypatch.setattr(pipeline, "evaluate_F", negated)
+    code, out, _ = run_cli(capsys, ["invariants", "7/3", "--json"])
+    assert code == 2
+    records = json.loads(out, parse_constant=_reject_constant)["records"]
+    assert len(records) == 3
+    for r in records:
+        assert r["tau"] is None and "not positive" in r["error"], r
+        assert r["diagnostics"]["precision"] == "extended"
 
 
 def test_compare_with_record_errors_is_undetermined(capsys, monkeypatch):

@@ -204,19 +204,19 @@ def _gap(a, b):
 
 
 def _symmetry_points(p, kp, prec):
-    """(sqrt(s), s, u) at a scalar point off the curve, and as Jet2 in
+    """(sqrt(-s), s, u) at a scalar point off the curve, and as Jet2 in
     (u, s) at the metabelian point u_{k'}."""
     u_meta = metabelian_u(p, kp, prec)
     zero = u_meta * 0
     s = zero - 0.9 + 0.2j
-    yield prec.sqrt(s), s, u_meta + 0.1 - 0.3j
+    yield prec.sqrt(-s), s, u_meta + 0.1 - 0.3j
     s = Jet2(zero - 1, zero, zero + 1)
-    yield s.sqrt(prec.sqrt), s, Jet2(u_meta, zero + 1)
+    yield (-s).sqrt(prec.sqrt), s, Jet2(u_meta, zero + 1)
 
 
 def _check_longitude_symmetry(knot, kp, prec, rel):
-    for rs, s, u in _symmetry_points(knot.p, kp, prec):
-        img_x, img_y = riley_images(rs, u)
+    for r, s, u in _symmetry_points(knot.p, kp, prec):
+        img_x, img_y = riley_images(r, u)
         w = word_product(img_x, img_y, knot.word)
         rev = curve.swap_generators(w, s, u)
         direct = word_product(img_x, img_y, knot.word.reversed_word())
@@ -270,7 +270,7 @@ def test_val_and_s_slots_ignore_u_and_ss_slots():
             u_meta = metabelian_u(p, kp, prec)
             zero = u_meta * 0
             s = Jet2(zero - 1, zero, zero + 1, zero)
-            images = riley_images(s.sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
+            images = riley_images((-s).sqrt(prec.sqrt), Jet2(u_meta, zero + 1, zero, zero))
             noisy = [
                 RingMatrix(_with_noise(c, rng, (m, i) == (1, 2)) for i, c in enumerate(img.entries))
                 for m, img in enumerate(images)
@@ -432,7 +432,7 @@ def test_longitude_not_identity_raises(monkeypatch):
     swap = curve.swap_generators
 
     def skewed(w, s, u):
-        img_x, _ = riley_images(s.sqrt(cmath.sqrt), u)
+        img_x, _ = riley_images((-s).sqrt(DOUBLE.sqrt), u)
         return swap(w, s, u) * img_x
 
     monkeypatch.setattr(curve, "swap_generators", skewed)

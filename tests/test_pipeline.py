@@ -12,6 +12,8 @@ import mpmath
 import pytest
 
 from bridgetorsion import curve, numerics, pipeline
+from bridgetorsion.alexander import p_at_one
+from bridgetorsion.curve import Jet2, evaluate_F, metabelian_pairing
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -31,7 +33,8 @@ from bridgetorsion.pipeline import (
     tau_multiset,
 )
 from bridgetorsion.errors import ParseError
-from bridgetorsion.precision import DOUBLE
+from bridgetorsion.precision import DOUBLE, Precision
+from bridgetorsion.reps import metabelian_pair
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
 from bridgetorsion.words import (
     TwoBridgeKnot,
@@ -585,6 +588,38 @@ def test_value_path_builds_no_laurent_polynomial(monkeypatch):
     monkeypatch.setattr(numerics.LaurentPoly, "__init__", refuse)
     for p, q in ((5, 3), (41, 11), (91, 57)):
         assert all(r.ok for r in compute_invariants(normalize_two_bridge(p, q))), (p, q)
+
+
+def test_value_path_stays_real(monkeypatch):
+    # at the metabelian point the value path runs on the real pair: P(1),
+    # both F estimates and every coefficient of every image entry that
+    # reaches the jet kernel are float in double, and mpf (not mpc) at 30
+    # digits
+    kernel = Jet2.triangular_product
+    seen = []
+
+    def recording(steps, identity, letters):
+        seen.extend(c for _, *entries in steps.values() for e in entries for c in e.coeffs())
+        seen.extend(c for e in identity for c in e.coeffs())
+        return kernel(steps, identity, letters)
+
+    monkeypatch.setattr(Jet2, "triangular_product", staticmethod(recording))
+    extended = Precision("extended")
+    mpf = type(extended.sqrt(1))
+    assert mpf.__name__ == "mpf"
+    for prec, real, fractions in (
+        (DOUBLE, float, ((5, 3), (41, 11), (61, 17))),
+        (extended, mpf, ((7, 3),)),
+    ):
+        for p, q in fractions:
+            knot = normalize_two_bridge(p, q)
+            for k in range(1, (p - 1) // 2 + 1):
+                seen.clear()
+                p1, _ = p_at_one(knot, metabelian_pair(p, k, prec))
+                est = evaluate_F(knot, metabelian_pairing(p, k), prec)
+                values = [p1, est.value, est.direct]
+                assert {type(c) for c in values} == {real}, (p, q, k, prec.name)
+                assert seen and {type(c) for c in seen} == {real}, (p, q, k, prec.name)
 
 
 @pytest.mark.parametrize("q", [79, 101, 131, 201])

@@ -5,15 +5,17 @@ import random
 
 import pytest
 
-from bridgetorsion import curve
+from bridgetorsion import curve, pipeline
+from bridgetorsion.alexander import DIVISION_TOL
 from bridgetorsion.curve import Jet2, _relator_jets
-from bridgetorsion.errors import IndexOutOfRange
+from bridgetorsion.errors import IndexOutOfRange, InexactDivision
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
 from bridgetorsion.pipeline import compute_invariants, knot_report, serialize_report
 from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import (
     Rep2,
     fox_image,
+    metabelian_pair,
     metabelian_rep,
     metabelian_u,
     phi_map,
@@ -85,32 +87,36 @@ def test_trefoil_trace_identities():
 
 
 def test_riley_matches_metabelian_at_s_minus_one():
-    # P(1) and F use one representation: rho_k equals, bit for bit, the
-    # value slots of the jet images F's relator pass builds at (-1, u_k)
+    # P(1) and F use one representation: the real pair of rho_k equals, bit
+    # for bit, the value slots of the jet images F's relator pass builds at
+    # (-1, u_k)
     extended = Precision("extended")
     for prec, top in ((DOUBLE, 41), (extended, 13)):
         for p, q in [(p, q) for p, q in FRACTIONS_41 if p <= top]:
             knot = normalize_two_bridge(p, q)
             for k in range(1, (p - 1) // 2 + 1):
-                rho = metabelian_rep(p, k, prec)
+                rho = metabelian_pair(p, k, prec)
                 _, img_x, img_y, *_ = _relator_jets(knot, -1.0, metabelian_u(p, k, prec), prec)
                 for meta, jets in ((rho.img_x, img_x), (rho.img_y, img_y)):
                     assert list(meta.entries) == [e.val for e in jets.entries], (p, q, k, prec)
 
 
 def test_riley_parabolic_corner_and_dets():
-    img_x, img_y = riley_images(1, 0)
-    assert abs(img_x.trace() - 2) < 1e-15
-    assert abs(img_y.trace() - 2) < 1e-15
+    # the real pair at r = sqrt(-s) has determinants -1, and i times it is
+    # Riley's pair, parabolic at the corner s = 1, u = 0 (sqrt(s) = i r = 1
+    # at r = -i)
+    img_x, img_y = riley_images(-1j, 0)
+    assert abs(1j * img_x.trace() - 2) < 1e-15
+    assert abs(1j * img_y.trace() - 2) < 1e-15
     rng = random.Random(2)
     for _ in range(20):
         s = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(s) < 0.1:
             continue
         u = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        img_x, img_y = riley_images(cmath.sqrt(s), u)
-        assert abs(img_x.det() - 1) < 1e-12
-        assert abs(img_y.det() - 1) < 1e-12
+        img_x, img_y = riley_images(cmath.sqrt(-s), u)
+        assert abs(img_x.det() + 1) < 1e-12
+        assert abs(img_y.det() + 1) < 1e-12
 
 
 # -- word evaluation -----------------------------------------------------------------
@@ -227,12 +233,19 @@ def test_fox_image_matches_phi_of_fox_derivative():
 # -- the triangular kernel ------------------------------------------------------------
 
 
+def _inverse(m):
+    """The adjugate over the determinant."""
+    d = 1 / m.det()
+    return RingMatrix(e * d for e in m.adjugate().entries)
+
+
 def _fold(img_x, img_y, w):
     """Reference product: full 2x2 products of the letter images, one
-    letter at a time, with an inverse taken as the adjugate."""
+    letter at a time, with an inverse taken as the adjugate over the
+    determinant."""
     steps = {
-        ("x", 1): img_x, ("x", -1): img_x.adjugate(),
-        ("y", 1): img_y, ("y", -1): img_y.adjugate(),
+        ("x", 1): img_x, ("x", -1): _inverse(img_x),
+        ("y", 1): img_y, ("y", -1): _inverse(img_y),
     }
     zero = img_x.entries[0] * 0
     result = RingMatrix((zero + 1, zero, zero, zero + 1))
@@ -247,19 +260,20 @@ def _entry_coeffs(m):
 
 
 def _kernel_images(p, k, prec):
-    """Images of x and y at a metabelian point with complex entries, and
-    as jets in (u, s) at the Riley point (-1, u_k)."""
+    """Images of x and y at a metabelian point: Riley's, with complex
+    entries, and the real pair, with scalar entries and as jets in (u, s)
+    at the Riley point (-1, u_k)."""
     u = metabelian_u(p, k, prec)
     zero = u * 0
-    rho = metabelian_rep(p, k, prec)
-    yield rho.img_x, rho.img_y
+    for rho in (metabelian_rep(p, k, prec), metabelian_pair(p, k, prec)):
+        yield rho.img_x, rho.img_y
     s = Jet2(zero - 1, zero, zero + 1, zero)
-    yield riley_images(s.sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
+    yield riley_images((-s).sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
 
 
 def test_word_product_matches_reference_fold():
     # the triangular kernel computes every coefficient of every entry
-    # exactly as the full 2x2 fold does: complex, Jet2 and 30-digit
+    # exactly as the full 2x2 fold does: complex, real, Jet2 and 30-digit
     # images, over every census word (p <= 25) and its reverse, and random
     # words with runs |e| > 1.  Equality is exact; only the sign of an
     # exact zero may differ, as the fold adds zero terms the kernel skips
@@ -289,9 +303,9 @@ def test_word_product_refuses_non_triangular_images():
     for rep in (lower_x, upper_y):
         with pytest.raises(ValueError):
             word_product(rep.img_x, rep.img_y, w)
-    s = Jet2(-1 + 0j, 0j, 1 + 0j, 0j)
-    img_x, img_y = riley_images(s.sqrt(DOUBLE.sqrt), Jet2(metabelian_u(7, 2), 1 + 0j))
-    jet_x = RingMatrix(img_x.entries[:2] + (Jet2(0j, 0j, 0j, 1e-300 + 0j), img_x.entries[3]))
+    s = Jet2(-1.0, 0.0, 1.0, 0.0)
+    img_x, img_y = riley_images((-s).sqrt(DOUBLE.sqrt), Jet2(metabelian_u(7, 2), 1.0))
+    jet_x = RingMatrix(img_x.entries[:2] + (Jet2(0.0, 0.0, 0.0, 1e-300), img_x.entries[3]))
     with pytest.raises(ValueError):
         word_product(jet_x, img_y, w)
     # the jet kernel skips the products by the u slots of x's entries and of
@@ -310,19 +324,103 @@ def test_word_product_refuses_non_triangular_images():
             word_product(img_x, du_y, w)
 
 
+def _census_reports():
+    """The parsed reports of the 68 census fractions p <= 25."""
+    out = []
+    for p, q in KERNEL_CENSUS:
+        knot = normalize_two_bridge(p, q)
+        out.append(json.loads(serialize_report(knot_report(knot, compute_invariants(knot)))))
+    return out
+
+
 def test_compute_invariants_matches_reference_fold(monkeypatch):
     # the whole record path, with every word product of curve taken by the
     # full 2x2 fold instead of the kernel, gives equal reports for the 68
     # census fractions p <= 25; == on the parsed reports, so only the sign
     # of an exact zero may differ
-    def reports():
-        out = []
-        for p, q in KERNEL_CENSUS:
-            knot = normalize_two_bridge(p, q)
-            out.append(json.loads(serialize_report(knot_report(knot, compute_invariants(knot)))))
-        return out
-
     assert len(KERNEL_CENSUS) == 68
-    kernel = reports()
+    kernel = _census_reports()
     monkeypatch.setattr(curve, "word_product", _fold)
-    assert reports() == kernel
+    assert _census_reports() == kernel
+
+
+# -- the real pair and the phase law -------------------------------------------------
+
+
+def _riley_sl2(rs, u):
+    """Riley's images themselves, from sqrt(s) = rs and u: the reference
+    the real pair of the program is checked against."""
+    inv = 1 / rs
+    zero = rs * 0
+    return RingMatrix((rs, inv, zero, inv)), RingMatrix((rs, zero, -(u * rs), inv))
+
+
+def _phase_law_images(p, k, prec):
+    """(real pair, Riley's pair) at the metabelian point (-1, u_k), with
+    scalar entries and as jets in (u, s)."""
+    u = metabelian_u(p, k, prec)
+    zero = u * 0
+    rho = metabelian_pair(p, k, prec)
+    yield (rho.img_x, rho.img_y), _riley_sl2(prec.sqrt(-1), u)
+    s = Jet2(zero - 1, zero, zero + 1, zero)
+    uj = Jet2(u, zero + 1, zero, zero)
+    yield riley_images((-s).sqrt(prec.sqrt), uj), _riley_sl2(s.sqrt(prec.sqrt), uj)
+
+
+def test_phase_law_bit_for_bit():
+    # a word v has Riley image i^alpha(v) times its image under the real
+    # pair, bit for bit (== on every coefficient, so only the sign of an
+    # exact zero may differ): scalars at u_k and jets at (-1, u_k), in
+    # double for every census fraction p <= 25 and at 30 digits for
+    # p <= 13, over the word, its reverse, the relator and a random word
+    # with inverse letters
+    rng = random.Random(71)
+    extended = Precision("extended")
+    for p, q in KERNEL_CENSUS:
+        knot = normalize_two_bridge(p, q)
+        words = [knot.word, knot.reversed_word, knot.relator(), rand_word(rng, 7)]
+        for prec in (DOUBLE, extended) if p <= 13 else (DOUBLE,):
+            i = prec.sqrt(-1)
+            for k in range(1, (p - 1) // 2 + 1):
+                for real, sl2 in _phase_law_images(p, k, prec):
+                    for w in words:
+                        phase = i ** (w.exponent_sum() % 4)
+                        got = [c * phase for c in _entry_coeffs(word_product(*real, w))]
+                        want = _entry_coeffs(word_product(*sl2, w))
+                        assert got == want, (p, q, k, prec.name, w)
+
+
+def _sl2_p_at_one(knot, rep):
+    """P(1) from Riley's rho_k itself, with Wada's weight
+    t^a = i^a (1, a, a(a-1)/2) at t = i(1 + e): the reference for
+    alexander.p_at_one, which reads the real pair."""
+    entries = []
+    for d in fox_image(rep, knot.relator(), "x"):
+        terms = [(a, c * (1, 1j, -1, -1j)[a % 4]) for a, c in d.items()]
+        entries.append(Jet2(
+            sum(c for _, c in terms),
+            s=sum(a * c for a, c in terms),
+            ss=sum(a * (a - 1) // 2 * c for a, c in terms),
+        ))
+    n = RingMatrix(entries).det()
+    gap = float(max(abs(n.val), abs(n.s)) / (abs(n.ss) + 1))
+    if not gap <= DIVISION_TOL:
+        raise InexactDivision(f"gap {gap:.3e}")
+    return -n.ss / 4, gap
+
+
+def test_compute_invariants_matches_riley_sl2(monkeypatch):
+    # the whole record path, once on the real pair and once on Riley's
+    # pair itself (curve's jets from sqrt(s) = i r, and P(1) from Riley's
+    # rho_k with Wada's weight i^a), gives equal reports for the 68 census
+    # fractions p <= 25; == on the parsed reports, so only the sign of an
+    # exact zero may differ
+    real = _census_reports()
+
+    def riley_rho(p, k, prec):
+        return Rep2(*_riley_sl2(prec.sqrt(-1), metabelian_u(p, k, prec)))
+
+    monkeypatch.setattr(curve, "riley_images", lambda r, u: _riley_sl2(r * 1j, u))
+    monkeypatch.setattr(pipeline, "metabelian_pair", riley_rho)
+    monkeypatch.setattr(pipeline, "p_at_one", _sl2_p_at_one)
+    assert _census_reports() == real
