@@ -12,11 +12,9 @@ from .errors import (
     DeterminantMismatch,
     DimensionMismatch,
     DivergenceDetected,
-    EstimateDisagreement,
     IndexOutOfRange,
     InexactDivision,
     InvalidFraction,
-    LongitudeNotIdentity,
     NewtonDivergence,
     ParseError,
     SingularPoint,
@@ -55,7 +53,6 @@ from .alexander import (
     wada_twisted_alexander,
 )
 from .curve import (
-    FEstimate,
     Jet2,
     RileyPoint,
     continue_riley_curve,

@@ -1,7 +1,8 @@
-"""P(1) of record from Wada's numerator with no division, in real
-arithmetic on the real pair of rho_k (``p_at_one``);
-Wada's twisted Alexander polynomial for <x, y | w x = y w>, the classical
-Alexander polynomial and P(t), which tests use as the reference for P(1).
+"""P(1) from Wada's numerator with no division, in real arithmetic on
+the real pair of rho_k (``p_at_one``, the float form of what ``exact``
+computes for every index at once); Wada's twisted Alexander polynomial for
+<x, y | w x = y w>, the classical Alexander polynomial and P(t), which
+tests use as the reference for P(1).
 
 ``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
 ``normalize_two_bridge`` checks it against p; it is re-exported here."""

@@ -82,8 +82,8 @@ def _print_records(knot, records):
             continue
         err = abs(r.tau - r.cross_check) if r.cross_check is not None else float("nan")
         print(
-            f"{r.k:>3} {r.kprime:>3} {complex(r.p1_squared).real:>14.8g} "
-            f"{complex(r.f_value).real:>14.8g} {r.tau:>14.8g} "
+            f"{r.k:>3} {r.kprime:>3} {r.p1_squared:>14.8g} "
+            f"{r.f_value:>14.8g} {r.tau:>14.8g} "
             f"{r.cross_check:>14.8g} {err:>10.2e}"
         )
 

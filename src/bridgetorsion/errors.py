@@ -14,8 +14,7 @@ class ZeroScale(TorsionError):
 
 
 class RecordError(TorsionError):
-    """A check of one invariant record failed.  The record is computed again
-    at 30 digits, and keeps the error only if the check fails there too."""
+    """A check of one invariant record failed; the record keeps the error."""
 
 
 class InexactDivision(RecordError):
@@ -53,15 +52,6 @@ class SingularPoint(RecordError):
 
 class NewtonDivergence(RecordError):
     """Newton iteration failed to converge on the Riley curve."""
-
-
-class EstimateDisagreement(RecordError):
-    """The two independent estimates of F disagree beyond tolerance."""
-
-
-class LongitudeNotIdentity(RecordError):
-    """The longitude image at a metabelian point is not the identity, so the
-    determinant identity for [h^2] I_lam does not apply."""
 
 
 class ParseError(TorsionError):

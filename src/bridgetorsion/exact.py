@@ -1,0 +1,294 @@
+"""P(1) and F of a two-bridge knot for every index at once, exactly, in
+Z[t]/(t^p - 1), and the records' floats read off at the roots of unity.
+
+At the metabelian point the real pair of ``reps.riley_images`` has entries
+in Z[u], and along s = -1 + 4g so have its jets: r = sqrt(-s) =
+1 - 2g - 2g^2 and 1/r = 1 + 2g + 6g^2 mod g^3.  With u = t + 1/t - 2,
+t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and t^2 gives u_k.  An
+element vanishes at every p-th root of unity but 1 exactly when its p
+coefficients are equal: that zero test replaces every tolerance.
+
+Packing (Kronecker substitution): sum c_e t^e is the int
+sum c_e 2^(B (e + OFF)), signed B-bit digits.  Ring operations on these
+ints are exact integer arithmetic, so an int is its element at t = 2^B
+however large the coefficients grow on the way; unpacking recovers the
+coefficients of an element whose coefficients have fewer than B - 1 bits.
+A word product starts at OFF = p + 1, above any u-degree it reaches, so
+u V = (V << B) + (V >> B) - 2V drops no nonzero digit, and is folded once,
+mod 2^(Bp) - 1, where t^p = 1.
+
+Readout: the elements read are real, so at t = zeta^m an element is
+sum c_e cos(2 pi e m / p), an integer dot product with cosines in
+READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
+within L1 = sum |c_e| units; the margin is log2 of the sum over L1.
+"""
+
+from __future__ import annotations
+
+import operator
+import sys
+from array import array
+from dataclasses import dataclass
+from functools import lru_cache
+
+from .errors import RecordError
+
+#: B, the bits of a packed coefficient.
+DIGIT_BITS = 64
+#: The fixed-point bits of the readout's cosines.
+READOUT_BITS = 128
+#: The least readout margin of a record, in bits: its floats are then off
+#: by less than 2^-64 relative before their final rounding.
+MIN_MARGIN_BITS = 64
+#: The digit guard: an unpacked coefficient has fewer bits.  One that
+#: outgrew its B bits shows as its balanced residue mod 2^B, which passes
+#: only if it lies within 2^GUARD_BITS of 0.
+GUARD_BITS = DIGIT_BITS // 2
+
+_R, _IR = (1, -2, -2), (1, 2, 6)  # r and 1/r as (val, g, g^2)
+_NEG_R, _NEG_IR, _ZERO = (-1, 2, 2), (-1, -2, -6), (0, 0, 0)
+
+#: The real pair along s = -1 + 4g, x = [[r, -1/r], [0, -1/r]] and
+#: y = [[r, 0], [-u r, -1/r]], inverses the adjugate over the determinant
+#: -1: (generator, sign) -> (upper, p, q, r, v) for [[p, q + u v], [0, r]]
+#: (upper) or [[p, 0], [q + u v, r]], each a jet (val, g, g^2) of ints.
+LETTERS = {
+    ("x", 1): (True, _R, _NEG_IR, _NEG_IR, _ZERO),
+    ("x", -1): (True, _IR, _NEG_IR, _NEG_R, _ZERO),
+    ("y", 1): (False, _R, _ZERO, _NEG_IR, _NEG_R),
+    ("y", -1): (False, _IR, _ZERO, _NEG_R, _NEG_R),
+}
+
+
+def _u(x, b):
+    """u x for a packed x whose lowest digit is zero."""
+    return (x << b) + (x >> b) - (x << 1)
+
+
+def _product(row, letters, b):
+    """The row vector (a, b) of jets (val, du, g, g^2) of packed ints times
+    the letters' images, one fused step a letter.  The du slot of the
+    off-diagonal entry q + u v is v's value slot."""
+    a0, ad, as_, ass, b0, bd, bs, bss = row
+    for key in letters:
+        upper, (p0, ps, pss), (q0, qs, qss), (r0, rs, rss), (v0, vs, vss) = LETTERS[key]
+        e0, ed, es, ess = (a0, ad, as_, ass) if upper else (b0, bd, bs, bss)
+        f0 = e0 * q0 + _u(e0 * v0, b)  # e (q + u v), e the entry it meets
+        fd = ed * q0 + _u(ed * v0, b) + e0 * v0
+        fs = e0 * qs + es * q0 + _u(e0 * vs + es * v0, b)
+        fss = e0 * qss + es * qs + ess * q0 + _u(e0 * vss + es * vs + ess * v0, b)
+        if upper:  # (a, b) -> (a p, a q + b r)
+            a0, ad, as_, ass, b0, bd, bs, bss = (
+                a0 * p0, ad * p0, a0 * ps + as_ * p0, a0 * pss + as_ * ps + ass * p0,
+                f0 + b0 * r0, fd + bd * r0, fs + b0 * rs + bs * r0,
+                fss + b0 * rss + bs * rs + bss * r0)
+        else:  # (a, b) -> (a p + b q, b r)
+            a0, ad, as_, ass, b0, bd, bs, bss = (
+                a0 * p0 + f0, ad * p0 + fd, a0 * ps + as_ * p0 + fs,
+                a0 * pss + as_ * ps + ass * p0 + fss,
+                b0 * r0, bd * r0, b0 * rs + bs * r0, b0 * rss + bs * rs + bss * r0)
+    return a0, ad, as_, ass, b0, bd, bs, bss
+
+
+def _image(letters, b, one):
+    """The letters' image as a 2x2 matrix of jets, row-major."""
+    rows = [_product(row, letters, b) for row in ((one, 0, 0, 0, 0, 0, 0, 0),
+                                                  (0, 0, 0, 0, one, 0, 0, 0))]
+    return [row[i:i + 4] for row in rows for i in (0, 4)]
+
+
+def _fox_jets(relator, b, one):
+    """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
+    jets (val, e, e^2) of packed ints, from one walk of the relator at g = 0
+    with a running prefix product.  Fox's rules put +prefix before each x
+    and -prefix after each x^-1, at the prefix's exponent sum a, where
+    Riley's phase i^a times Wada's t^a is (-1)^a (1, a, a(a-1)/2) mod e^3."""
+    rows, terms, a = [one, 0, 0, one], {}, 0
+    for gen, sign in relator.letters:
+        if gen == "x" and sign > 0:
+            terms[a] = [t + c for t, c in zip(terms.get(a, (0,) * 4), rows)]
+        upper, (p0, _, _), (q0, _, _), (r0, _, _), (v0, _, _) = LETTERS[gen, sign]
+        for i in (0, 2):
+            x, y = rows[i], rows[i + 1]
+            if upper:
+                rows[i], rows[i + 1] = x * p0, x * q0 + _u(x * v0, b) + y * r0
+            else:
+                rows[i], rows[i + 1] = x * p0 + y * q0 + _u(y * v0, b), y * r0
+        a += sign
+        if gen == "x" and sign < 0:
+            terms[a] = [t - c for t, c in zip(terms.get(a, (0,) * 4), rows)]
+    weights = {a: [(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)] for a in terms}
+    return [[sum(w[j] * terms[a][i] for a, w in weights.items()) for j in range(3)]
+            for i in range(4)]
+
+
+def _fold(x, bits):
+    """An int in [0, 2^bits) congruent to x mod 2^bits - 1."""
+    while x >> bits:
+        x = (x & ((1 << bits) - 1)) + (x >> bits)
+    return x
+
+
+def _digits(x, p, what):
+    """The p coefficients of x, an element mod 2^(Bp) - 1; RecordError where
+    one fails the digit guard."""
+    b = DIGIT_BITS
+    mask = (1 << b * p) - 1
+    x %= mask
+    x += (mask // ((1 << b) - 1) << (b - 1)) - (mask if x > mask >> 1 else 0)
+    if 0 <= x <= mask:
+        words = array("Q", x.to_bytes(b * p // 8, "little"))
+        if sys.byteorder != "little":
+            words.byteswap()
+        out = [c - (1 << (b - 1)) for c in words]
+        if max(map(abs, out)) < 1 << GUARD_BITS:
+            return out
+    raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+
+
+#: The slot pairs (i, j) of x and y whose products x_i y_j make up each
+#: slot of the jet product x y in (val, du, g, g^2).
+_JET_TERMS = (((0, 0),), ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((0, 3), (2, 2), (3, 0)))
+
+
+def _mat_mul(m, n, fold):
+    """Product of 2x2 matrices of jets (val, du, g, g^2), row-major."""
+    def dot(pairs):
+        return [fold(sum(x[i] * y[j] for x, y in pairs for i, j in terms)) for terms in _JET_TERMS]
+    return [dot([(m[i], n[j]), (m[i + 1], n[j + 2])]) for i in (0, 2) for j in (0, 1)]
+
+
+def knot_elements(knot):
+    """The coefficients of what the knot's records read: n_ss(t^2), where
+    n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k; D = 16/F; and phi_u,
+    the smoothness of the curve through u_{k'}.  They are returned once
+    these hold in Z[t]/(t^p - 1), for every index at once (RecordError
+    names the first that fails):
+    - tangency: phi = W11 + (1 - s) W12 = 0 mod g^2, W the image of w;
+    - the longitude image L = rho(<-w) W x^(-2 sigma) is I at g = 0, and
+      tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
+      16/F (h = 4g is the s + 1 of ``curve``);
+    - estimate (b), the implicit-function formula for [g^2] I_lam along
+      the curve, with no division: phi_u (lam_ss - D) = lam_u phi_ss;
+    - Wada's double zero: n = det Phi(dr/dx) at t_Wada = i(1 + e) is
+      n_ss e^2 + O(e^3), and 4 P(1) = -n_ss;
+    - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
+      n_ss(t^2)^2 u(t^2) u(t^2r) = D."""
+    p, b = knot.p, DIGIT_BITS
+    one = 1 << b * (p + 1)  # 1 at OFF = p + 1
+
+    def fold(x):
+        return _fold(x, b * p)
+
+    def unword(x):  # a word product's element, moved from OFF = p + 1 to 0
+        return fold(x << b * (p - 1))
+
+    def zero_test(x, what):
+        c = _digits(x, p, what)
+        if c.count(c[0]) != p:
+            raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {knot.label}")
+
+    w, rev = ([list(map(unword, jet)) for jet in _image(word.letters, b, one)]
+              for word in (knot.word, knot.reversed_word))
+    (w11_0, w11_d, w11_s, w11_ss), (w12_0, w12_d, w12_s, w12_ss) = w[0], w[1]
+    phi_d, phi_ss = w11_d + 2 * w12_d, w11_ss + 2 * w12_ss - 4 * w12_s  # 1 - s = 2 - 4g
+    zero_test(w11_0 + 2 * w12_0, "phi at g^0")
+    zero_test(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
+
+    # x^(-2 sigma) has no u: its entries are small ints, unpacked
+    periph = _image([("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma), 0, 1)
+    lon = _mat_mul(_mat_mul(rev, w, fold), periph, fold)
+    for entry, i in zip(lon, (1, 0, 0, 1)):
+        zero_test(entry[0] - i, "L = I at g^0")
+    lam_d, lam_s, lam_ss = (lon[0][j] + lon[3][j] for j in (1, 2, 3))
+    zero_test(lam_s, "tr L at g^1")
+    d = fold(lon[1][2] * lon[2][2] - lon[0][2] * lon[3][2])
+    zero_test(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), "estimate (b)")
+
+    a, bb, c, dd = ([unword(x) for x in jet] for jet in _fox_jets(knot.relator(), b, one))
+    zero_test(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
+    zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
+              "Wada's numerator at e^1")
+    n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
+                   - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, "4 P(1)")
+    n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
+    packed = sum(c << (b * e) for e, c in enumerate(n2))
+    u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
+    zero_test(fold(fold(packed * packed) * fold(u2 * u2r)) - d, "P(1)^2 F u_k u_kr = 1")
+
+    elements = n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")
+    for what, c in zip(("4 P(1)", "16/F", "phi_u"), elements):
+        if c[1:] != c[:0:-1]:  # an element of Z[u] is symmetric under t -> 1/t
+            raise RecordError(f"{what} of {knot.label} is not real")
+    return elements
+
+
+def _atan_inv(x, one):
+    """one * atan(1/x), each term of its series truncated."""
+    total, term, k = 0, one // x, 1
+    while term:
+        total += (-1) ** (k // 2) * (term // k)
+        term //= x * x
+        k += 2
+    return total
+
+
+@lru_cache(maxsize=None)
+def _cosines(p):
+    """round(2^READOUT_BITS cos(2 pi j / p)) for j = 0..p-1, from integers
+    only, each within one unit.  It works with G guard bits: pi by Machin's
+    formula and e^(2 pi i/p) by its Taylor series are within 2^12 units of
+    2^-(READOUT_BITS + G), so the j-th power, by fixed-point products, is
+    within j 2^13 units; G = 32 + 2 log2 p puts that far below the half
+    unit of the final rounding."""
+    guard = 32 + 2 * p.bit_length()
+    work = READOUT_BITS + guard
+    one = 1 << work
+    theta = (32 * _atan_inv(5, one) - 8 * _atan_inv(239, one)) // p
+    parts, term, n = [0, 0, 0, 0], one, 0  # cos, sin, -cos, -sin
+    while term:
+        parts[n % 4] += term
+        n += 1
+        term = term * theta // (n << work)
+    c, s = parts[0] - parts[2], parts[1] - parts[3]
+    table, x, y = [0] * p, one, 0
+    for j in range(p // 2 + 1):
+        table[j] = table[-j] = (x + (1 << (guard - 1))) >> guard
+        x, y = (x * c - y * s) >> work, (x * s + y * c) >> work
+    return table
+
+
+@dataclass(frozen=True)
+class Reading:
+    """A record's floats, read off at t = zeta^{k'}, and the least margin of
+    its three readouts in bits."""
+
+    p1_squared: float
+    f_value: float
+    tau: float
+    margin_bits: int
+
+
+def read(elements, kprime):
+    """P(1)^2, F and tau = P(1)^2 F at index k' from the knot's elements,
+    each the correctly rounded quotient of integer readouts; RecordError
+    where the margin is below MIN_MARGIN_BITS, as where phi_u = 0 and the
+    curve is not smooth."""
+    p = len(elements[0])
+    table = _cosines(p)
+    cos = [table[e * kprime % p] for e in range(1, (p + 1) // 2)]
+    sums, margin = [], READOUT_BITS
+    for c in elements:
+        total = c[0] * table[0] + 2 * sum(map(operator.mul, c[1:], cos))
+        margin = min(margin, abs(total).bit_length() - 1 - sum(map(abs, c)).bit_length())
+        sums.append(total)
+    if margin < MIN_MARGIN_BITS:
+        raise RecordError(f"readout margin {margin} bits at k' = {kprime}, "
+                          f"below {MIN_MARGIN_BITS}")
+    n, d, _ = sums  # P(1) = -n/4 and F = 16/D, in units of 2^-READOUT_BITS
+    return Reading(
+        p1_squared=n * n / (1 << (2 * READOUT_BITS + 4)),
+        f_value=(1 << (READOUT_BITS + 4)) / d,
+        tau=n * n / (d << READOUT_BITS),
+        margin_bits=margin,
+    )

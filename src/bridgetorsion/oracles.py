@@ -80,13 +80,15 @@ def torus_F(q):
 def lens_torsion_magnitude(lens, k):
     """|torsion|^2 of L(p, q) for the k-th character pair:
 
-        1 / (|z^k - 1|^2 |z^{kr} - 1|^2) = 1 / (4 sin^2(k pi/p) 4 sin^2(k r pi/p)).
+        1 / (|z^k - 1|^2 |z^{kr} - 1|^2) = 1 / (4 sin^2(k pi/p) 4 sin^2(k r pi/p)),
+
+    with k r reduced mod p first, so the sine's argument stays below pi.
     """
     p = lens.p
     if not 1 <= k <= (p - 1) // 2:
         raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
     a = 4 * math.sin(k * math.pi / p) ** 2
-    b = 4 * math.sin(k * lens.r * math.pi / p) ** 2
+    b = 4 * math.sin(k * lens.r % p * math.pi / p) ** 2
     return 1.0 / (a * b)
 
 

@@ -1,6 +1,6 @@
-"""End-to-end assembly of the torsion invariant multiset from P(1)
-(``alexander.p_at_one``) and F (``curve.evaluate_F``), knot comparison,
-batch catalogs and the per-knot result cache."""
+"""End-to-end assembly of the torsion invariant multiset from P(1) and F,
+read off the knot's exact elements (``exact``), knot comparison, batch
+catalogs and the per-knot result cache."""
 
 from __future__ import annotations
 
@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-from .alexander import p_at_one
-from .curve import evaluate_F, metabelian_pairing
+from .curve import metabelian_pairing
 from .errors import ParseError, RecordError, TorsionError
+from .exact import knot_elements, read
 from .oracles import LensSpace, lens_torsion_magnitude
-from .precision import DOUBLE, Precision
-from .reps import metabelian_pair
 from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
 
 #: Largest multiset deviation at which two knots of one determinant are
@@ -41,13 +39,6 @@ def fingerprint():
     return digest.hexdigest()
 
 
-@cache
-def _extended():
-    """The 30-digit backend, built on the first record that needs it, so a
-    run whose records all pass in double never imports mpmath."""
-    return Precision("extended")
-
-
 @dataclass(frozen=True)
 class InvariantRecord:
     """Per-index invariant data: tau_k = |P(1)^2 * F(chi_{rho_{k'}})|.
@@ -58,8 +49,8 @@ class InvariantRecord:
 
     k: int
     kprime: int
-    p1_squared: complex
-    f_value: complex
+    p1_squared: float
+    f_value: float
     tau: float
     cross_check: float | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -80,73 +71,40 @@ class ComparisonVerdict:
     determinants_match: bool
 
 
-def _generic_record(knot, idx, prec, lens):
-    p1, p1_gap = p_at_one(knot, metabelian_pair(knot.p, idx, prec))
-    # only |P(1)| and P(1)^2 are canonical; the sign is a unit artifact
-    p1sq = complex(p1) ** 2
+def _record(knot, idx, lens, elements):
+    """The record of index idx, read off the knot's exact elements."""
     kprime = metabelian_pairing(knot.p, idx)
-    est = evaluate_F(knot, kprime, prec)
-    f_val = complex(est.value)
-    prod = p1sq * f_val
-    tau = abs(prod)
-    # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0: the assembled product
-    # must be positive, and essentially real
-    if not prod.real > 0:
-        raise RecordError(f"P(1)^2 F has real part {prod.real:.3e}, not positive")
-    if not abs(prod.imag) <= 1e-6 * tau:
-        raise RecordError(f"imaginary part {prod.imag:.3e} exceeds 1e-6 * tau")
-    diag = {
-        "p1_gap": p1_gap,
-        "f_direct": [complex(est.direct).real, complex(est.direct).imag],
-        "f_rel_disagreement": est.rel_disagreement,
-        "newton_residual_max": est.max_residual,
-        "lam_gap0": est.lam_gap0,
-        "lam_gap1": est.lam_gap1,
-        "lon_gap0": est.lon_gap0,
-        "path": "generic",
-        "precision": prec.name,
-    }
-    return InvariantRecord(
-        k=idx,
-        kprime=kprime,
-        p1_squared=p1sq,
-        f_value=f_val,
-        tau=tau,
-        cross_check=lens_torsion_magnitude(lens, idx),
-        diagnostics=diag,
-    )
-
-
-def _record(knot, idx, lens):
-    """The record of index idx in double precision; a record whose checks
-    fail there is computed again, by the same code with the same
-    tolerances, at 30 digits, and keeps an error only if it fails there
-    too."""
     try:
-        return _generic_record(knot, idx, DOUBLE, lens)
-    except RecordError:
-        pass
-    try:
-        return _generic_record(knot, idx, _extended(), lens)
+        reading = read(elements, kprime)
+        # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0
+        if not reading.tau > 0:
+            raise RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive")
     except RecordError as exc:
-        return InvariantRecord(
-            k=idx,
-            kprime=metabelian_pairing(knot.p, idx),
-            p1_squared=0j,
-            f_value=0j,
-            tau=float("nan"),
-            cross_check=lens_torsion_magnitude(lens, idx),
-            diagnostics={"precision": "extended"},
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _failed(knot, idx, lens, exc)
+    # knot_elements holds estimate (b) equal to F exactly
+    diagnostics = {"exact": True, "margin_bits": reading.margin_bits,
+                   "f_direct": [reading.f_value, 0.0], "f_rel_disagreement": 0.0}
+    return InvariantRecord(idx, kprime, reading.p1_squared, reading.f_value, reading.tau,
+                           lens_torsion_magnitude(lens, idx), diagnostics)
+
+
+def _failed(knot, idx, lens, exc):
+    return InvariantRecord(idx, metabelian_pairing(knot.p, idx), 0.0, 0.0, float("nan"),
+                           lens_torsion_magnitude(lens, idx), error=f"{type(exc).__name__}: {exc}")
 
 
 def compute_invariants(knot):
-    """One InvariantRecord per k = 1..(p-1)/2, torus knots b(p, 1) included;
-    per-record failures are recorded rather than raised, so partial results
-    survive."""
+    """One InvariantRecord per k = 1..(p-1)/2, torus knots b(p, 1) included,
+    from one exact pass over the knot; a failed check of that pass fails
+    every record, and a failed readout its own record.  Failures are
+    recorded rather than raised, so partial results survive."""
     lens = LensSpace.of(knot.p, knot.q)
-    return [_record(knot, idx, lens) for idx in range(1, (knot.p - 1) // 2 + 1)]
+    indices = range(1, (knot.p - 1) // 2 + 1)
+    try:
+        elements = knot_elements(knot)
+    except RecordError as exc:
+        return [_failed(knot, idx, lens, exc) for idx in indices]
+    return [_record(knot, idx, lens, elements) for idx in indices]
 
 
 def tau_multiset(records):
@@ -200,17 +158,13 @@ def compare_knots(a, b, records_a=None, records_b=None):
 # -- reporting and cache -----------------------------------------------------
 
 
-def _pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def record_to_dict(rec):
+    # [x, 0.0] pairs: the report format of complex values, kept for readers
     return {
         "k": rec.k,
         "kprime": rec.kprime,
-        "p1_squared": _pair(rec.p1_squared),
-        "F": _pair(rec.f_value),
+        "p1_squared": [rec.p1_squared, 0.0],
+        "F": [rec.f_value, 0.0],
         "tau": rec.tau if rec.error is None else None,
         "oracle": rec.cross_check,
         "absError": (
@@ -421,8 +375,8 @@ def _records_from_report(report):
             InvariantRecord(
                 k=r["k"],
                 kprime=r["kprime"],
-                p1_squared=complex(*r["p1_squared"]),
-                f_value=complex(*r["F"]),
+                p1_squared=r["p1_squared"][0],
+                f_value=r["F"][0],
                 tau=tau if tau is not None else float("nan"),
                 cross_check=oracle,
                 diagnostics=r.get("diagnostics", {}),

@@ -3,8 +3,8 @@
 Everything downstream (polynomials, matrices, Taylor jets) is duck-typed,
 so mpmath values flow through the same code paths as builtin floats and
 complex numbers.  Both backends take the square root of a non-negative
-real to a real (a float, or an mpf), so a value path that starts from real
-numbers, as the one at the metabelian point does, stays real.
+real to a real (a float, or an mpf), so arithmetic that starts from real
+numbers, as it does at the metabelian point, stays real.
 """
 
 import cmath

@@ -1,5 +1,5 @@
-"""SL2(C) representation families of the two-bridge knot group, and the
-real form in which the value path multiplies them.
+"""SL2(C) representation families of the two-bridge knot group, and their
+real form.
 
 Two families matter here: the discrete metabelian representatives rho_k
 (one per character of the double branched cover) and the continuous Riley
@@ -14,8 +14,9 @@ so that sqrt(s) = i r.  Its determinants are -1, and a word product takes
 an inverse letter's image as its adjugate over its determinant.  So a word
 v has Riley image i^alpha(v) times its real image, alpha the exponent sum
 (the phase law).  At the metabelian point s = -1 the pair is real, with
-r = 1 for scalars and r = 1 - h/2 - h^2/8 for jets along s = -1 + h, and
-the value path runs on real numbers: F reads only phase-free quantities,
+r = 1 for scalars and r = 1 - h/2 - h^2/8 for jets along s = -1 + h; with
+h = 4g its entries are integer polynomials in u and g, which ``exact``
+multiplies for every index at once.  F reads only phase-free quantities,
 and P(1) folds the phase into Wada's weight (``alexander.p_at_one``).
 """
 
@@ -75,40 +76,32 @@ def _is_zero(c):
     return all(v == 0 for v in (c.coeffs() if hasattr(c, "coeffs") else (c,)))
 
 
-def _letter_steps(img_x, img_y):
-    """(generator, sign) -> (upper, p, q, r) for the letter's image
-    [[p, q], [0, r]] (upper) or [[p, 0], [q, r]], and the identity's entries.
-    An inverse letter's image is the adjugate over the determinant; that
-    is 1 for SL2 images and -1 for the real pair, so the division is exact
-    there.
-
-    The images must have Riley's triangular form, x upper and y lower
-    triangular; so have their inverses.  Images of any other form raise
-    ValueError rather than lose an entry."""
-    a, b, zx, d = img_x.entries
-    e, zy, g, h = img_y.entries
-    if not (_is_zero(zx) and _is_zero(zy)):
-        raise ValueError("word_product needs x upper and y lower triangular")
-    zero = a * 0
-    dx, dy = 1 / (a * d), 1 / (e * h)
-    steps = {
-        ("x", 1): (True, a, b, d),
-        ("x", -1): (True, d * dx, -b * dx, a * dx),
-        ("y", 1): (False, e, g, h),
-        ("y", -1): (False, h * dy, -g * dy, e * dy),
-    }
-    return steps, (zero + 1, zero, zero, zero + 1)
-
-
 def _walk(img_x, img_y, w, gen=None):
-    """The product of scalar images along w, and the raw maps of
+    """The product of the images along w, and the raw maps of
     ``fox_image`` for the generator gen (empty for None), in one loop.
 
-    Each letter right-multiplies the running product with 6 products and 2
-    sums (``_letter_steps``).  Fox's rules give the terms of the maps:
-    +prefix before each letter gen and -prefix after each letter gen^-1,
-    added in place at the exponent sum of that prefix."""
-    steps, (r0, r1, r2, r3) = _letter_steps(img_x, img_y)
+    Each letter right-multiplies the running product by its image
+    [[p, q], [0, r]] (upper) or [[p, 0], [q, r]] with 6 products and 2
+    sums.  An inverse letter's image is the adjugate over the determinant;
+    that is 1 for SL2 images and -1 for the real pair, so the division is
+    exact there.  The images must have Riley's triangular form, x upper and
+    y lower triangular; images of any other form raise ValueError rather
+    than lose an entry.  Fox's rules give the terms of the maps: +prefix
+    before each letter gen and -prefix after each letter gen^-1, added in
+    place at the exponent sum of that prefix."""
+    x0, x1, zx, x3 = img_x.entries
+    y0, zy, y2, y3 = img_y.entries
+    if not (_is_zero(zx) and _is_zero(zy)):
+        raise ValueError("word_product needs x upper and y lower triangular")
+    dx, dy = 1 / (x0 * x3), 1 / (y0 * y3)
+    steps = {
+        ("x", 1): (True, x0, x1, x3),
+        ("x", -1): (True, x3 * dx, -x1 * dx, x0 * dx),
+        ("y", 1): (False, y0, y2, y3),
+        ("y", -1): (False, y3 * dy, -y2 * dy, y0 * dy),
+    }
+    zero = x0 * 0
+    r0, r1, r2, r3 = zero + 1, zero, zero, zero + 1
     maps = m0, m1, m2, m3 = [{} for _ in range(4)]
     a = 0
     for key in w.letters:
@@ -131,15 +124,8 @@ def _walk(img_x, img_y, w, gen=None):
 
 
 def word_product(img_x, img_y, w):
-    """Product of generator images along a word.  A jet ring that has a
-    fused kernel for triangular letters (``curve.Jet2.triangular_product``)
-    gets the letter steps of ``_letter_steps``; scalar images take the
-    product of ``_walk``."""
-    kernel = getattr(type(img_x.entries[0]), "triangular_product", None)
-    if kernel is None:
-        product, _ = _walk(img_x, img_y, w)
-    else:
-        product = kernel(*_letter_steps(img_x, img_y), w.letters)
+    """Product of generator images along a word (``_walk``)."""
+    product, _ = _walk(img_x, img_y, w)
     return RingMatrix(product)
 
 

@@ -107,13 +107,13 @@ class AcceptanceSuite:
 
     def criterion_3(self):
         knot = normalize_two_bridge(5, 3)
-        values = [complex(1 / evaluate_F(knot, kp).value) for kp in (1, 2)]
+        values = [1 / evaluate_F(knot, kp).f_value for kp in (1, 2)]
         dev = max(abs(v - 5.0) for v in values)
         return CriterionResult(
             3,
             "figure-eight local form H_hat(-2) = 5",
             dev <= 1e-4,
-            f"values {[f'{v.real:.6f}' for v in values]}, max dev {dev:.2e}",
+            f"values {[f'{v:.6f}' for v in values]}, max dev {dev:.2e}",
         )
 
     def criterion_4(self):
@@ -141,7 +141,7 @@ class AcceptanceSuite:
             for r in recs:
                 expected = 1.0 / (4 * math.sin(r.k * math.pi / q) ** 2) ** 2
                 worst_tau = max(worst_tau, _rel(r.tau, expected))
-                worst_f = max(worst_f, _rel(complex(r.f_value).real, 1.0 / q ** 2))
+                worst_f = max(worst_f, _rel(r.f_value, 1.0 / q ** 2))
         elapsed = time.perf_counter() - t0
         ok = ok and worst_tau <= 1e-6 and worst_f <= 1e-5 and elapsed < 10.0
         return CriterionResult(

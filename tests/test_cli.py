@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from bridgetorsion import curve, pipeline
+from bridgetorsion import pipeline
 from bridgetorsion.cli import main
 from bridgetorsion.oracles import torus_F, torus_P1_squared
 
@@ -36,20 +36,10 @@ def test_invariants_json_torus_knot(capsys):
     records = json.loads(out)["records"]
     assert len(records) == 3
     for r in records:
-        assert r["diagnostics"]["path"] == "generic"
+        assert r["diagnostics"]["exact"] is True
         p1sq, f = torus_P1_squared(7, r["k"]), torus_F(7)
         assert abs(complex(*r["p1_squared"]) - p1sq) <= 1e-6 * p1sq
         assert abs(complex(*r["F"]) - f) <= 1e-6 * f
-
-
-def test_invariants_json_with_extended_fallback(capsys):
-    # one record of 91/57 fails its double-precision cross-check and is
-    # recomputed at 30 digits, so the knot has no error record
-    code, out, _ = run_cli(capsys, ["invariants", "91/57", "--json"])
-    assert code == 0
-    records = json.loads(out)["records"]
-    assert all(r["error"] is None for r in records)
-    assert [r["k"] for r in records if r["diagnostics"]["precision"] == "extended"] == [1]
 
 
 def test_invariants_table(capsys):
@@ -72,7 +62,7 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["invariants"])
     assert info.value.code == 1
-    # precision is chosen per record, not by the user
+    # there is no precision option: the value path is exact
     with pytest.raises(SystemExit) as info:
         main(["invariants", "5/3", "--precision", "extended"])
     assert info.value.code == 1
@@ -116,27 +106,24 @@ def test_compare_json_is_strict_json(capsys):
 
 def test_negative_product_gives_error_records(capsys, monkeypatch):
     # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0; a value of F with the
-    # wrong sign fails the record at both precisions, and the report is
-    # still strict JSON
-    exact = pipeline.evaluate_F
+    # wrong sign fails the record, and the report is still strict JSON
+    exact_read = pipeline.read
 
-    def negated(knot, kprime, prec):
-        est = exact(knot, kprime, prec)
-        return replace(est, value=-est.value)
+    def negated(elements, kprime):
+        reading = exact_read(elements, kprime)
+        return replace(reading, f_value=-reading.f_value, tau=-reading.tau)
 
-    monkeypatch.setattr(pipeline, "evaluate_F", negated)
+    monkeypatch.setattr(pipeline, "read", negated)
     code, out, _ = run_cli(capsys, ["invariants", "7/3", "--json"])
     assert code == 2
     records = json.loads(out, parse_constant=_reject_constant)["records"]
     assert len(records) == 3
     for r in records:
         assert r["tau"] is None and "not positive" in r["error"], r
-        assert r["diagnostics"]["precision"] == "extended"
 
 
-def test_compare_with_record_errors_is_undetermined(capsys, monkeypatch):
-    exact = curve._implicit_h2
-    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
+def test_compare_with_record_errors_is_undetermined(capsys, break_letter):
+    break_letter()
     code, out, _ = run_cli(capsys, ["compare", "7/3", "7/5"])
     assert code == 2
     assert "undetermined" in out
@@ -220,7 +207,7 @@ def test_module_entry_point():
     # environment would find
     proc = subprocess.run(
         [sys.executable, "-m", "bridgetorsion", "oracle", "lens", "5", "3"],
-        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(curve.__file__))),
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pipeline.__file__))),
         capture_output=True,
         text=True,
         timeout=120,

@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from bridgetorsion import curve
+from bridgetorsion import curve, exact
+from bridgetorsion.alexander import p_at_one
 from bridgetorsion.curve import (
     Jet2,
     continue_riley_curve,
@@ -14,8 +17,6 @@ from bridgetorsion.curve import (
     trace_longitude,
 )
 from bridgetorsion.errors import (
-    EstimateDisagreement,
-    LongitudeNotIdentity,
     NewtonDivergence,
     RecordError,
     SingularPoint,
@@ -23,7 +24,7 @@ from bridgetorsion.errors import (
 )
 from bridgetorsion.numerics import RingMatrix
 from bridgetorsion.precision import DOUBLE, Precision
-from bridgetorsion.reps import metabelian_u, riley_images, word_product
+from bridgetorsion.reps import metabelian_pair, metabelian_u, riley_images, word_product
 from bridgetorsion.words import Word, longitude_word, normalize_two_bridge
 
 CENSUS = [(p, q) for p in range(3, 16, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
@@ -123,16 +124,23 @@ def test_branch_independence():
     assert abs(t1 - t2) < 1e-10 * max(1, abs(t1))
 
 
-def test_F_independent_of_sqrt_branch():
+def _negated(jet):
+    return tuple(-c for c in jet)
+
+
+def test_F_independent_of_sqrt_branch(monkeypatch):
     # F is a function on the character variety, so the other square root of
-    # s along the curve must give the same value
-    flipped = _flipped()
-    for p, q in CENSUS:
-        knot = normalize_two_bridge(p, q)
-        for kp in range(1, (p - 1) // 2 + 1):
-            a = evaluate_F(knot, kp).value
-            b = evaluate_F(knot, kp, prec=flipped).value
-            assert abs(a - b) <= 1e-12 * abs(a), (p, q, kp)
+    # s along the curve must give the same value: the exact route on the
+    # letter images at -r, which are the negated ones, gives the same
+    # elements, bit for bit
+    knots = [normalize_two_bridge(p, q) for p, q in CENSUS]
+    before = [exact.knot_elements(knot) for knot in knots]
+    flipped = {
+        key: (upper, *map(_negated, jets))
+        for key, (upper, *jets) in exact.LETTERS.items()
+    }
+    monkeypatch.setattr(exact, "LETTERS", flipped)
+    assert [exact.knot_elements(knot) for knot in knots] == before
 
 
 # -- pairing ---------------------------------------------------------------------------
@@ -195,51 +203,6 @@ def _coeffs(m):
     return [c for e in m.entries for c in (e.coeffs() if hasattr(e, "coeffs") else [e])]
 
 
-def _max_coeff(m):
-    return max(abs(c) for c in _coeffs(m))
-
-
-def _gap(a, b):
-    return max(abs(x - y) for x, y in zip(_coeffs(a), _coeffs(b)))
-
-
-def _symmetry_points(p, kp, prec):
-    """(sqrt(-s), s, u) at a scalar point off the curve, and as Jet2 in
-    (u, s) at the metabelian point u_{k'}."""
-    u_meta = metabelian_u(p, kp, prec)
-    zero = u_meta * 0
-    s = zero - 0.9 + 0.2j
-    yield prec.sqrt(-s), s, u_meta + 0.1 - 0.3j
-    s = Jet2(zero - 1, zero, zero + 1)
-    yield (-s).sqrt(prec.sqrt), s, Jet2(u_meta, zero + 1)
-
-
-def _check_longitude_symmetry(knot, kp, prec, rel):
-    for r, s, u in _symmetry_points(knot.p, kp, prec):
-        img_x, img_y = riley_images(r, u)
-        w = word_product(img_x, img_y, knot.word)
-        rev = curve.swap_generators(w, s, u)
-        direct = word_product(img_x, img_y, knot.word.reversed_word())
-        assert _gap(rev, direct) <= rel * _max_coeff(direct)
-        # L is close to I where its factors are large, so rounding is
-        # measured against the product of the factors' scales
-        lon = curve.longitude_image(knot, rev, w, img_x)
-        periph = word_product(img_x, img_y, Word((("x", -2 * knot.sigma),)))
-        scale = _max_coeff(rev) * _max_coeff(w) * _max_coeff(periph)
-        assert _gap(lon, word_product(img_x, img_y, longitude_word(knot))) <= rel * scale
-
-
-def test_longitude_from_swapped_relator_image():
-    # rho(<-w) = M W M^-1 because <-w is w with x and y swapped, and the
-    # assembled rho(<-w) W x^(-2 sigma) is the image of the longitude word,
-    # for scalar and jet entries alike
-    for p, q in CENSUS:
-        knot = normalize_two_bridge(p, q)
-        for kp in range(1, (p - 1) // 2 + 1):
-            _check_longitude_symmetry(knot, kp, DOUBLE, 1e-12)
-    _check_longitude_symmetry(normalize_two_bridge(13, 5), 3, Precision("extended"), 1e-25)
-
-
 def _with_noise(c, rng, u_slot=True):
     """The jet c with its ss slot, and its u slot if u_slot, overwritten at
     random; a zero jet (an off-triangle entry) stays zero."""
@@ -254,13 +217,12 @@ def _val_s_slots(m):
 
 
 def test_val_and_s_slots_ignore_u_and_ss_slots():
-    # the value of record reads the (val, s) slots of the jets that the
-    # cross-check pushes through the relator word, as the series mod h^2
-    # at fixed u; that holds because no operation reads a u or ss slot
-    # into them.  Random ss slots in s and the images, and random u slots
-    # wherever a jet may carry du (s and y's lower-left entry: the word
-    # product refuses du in any other entry of an image), leave every val
-    # and s slot of W, M W M^-1 and the longitude image bit-identical
+    # the (val, s) slots of the jets pushed through a word are the series
+    # mod h^2 at fixed u, because no operation reads a u or ss slot into
+    # them.  Random ss slots in s and the images, and random u slots where
+    # a jet of the real pair carries du (s and y's lower-left entry), leave
+    # every val and s slot of W, rho(<-w) and the longitude image
+    # bit-identical
     rng = random.Random(67)
     extended = Precision("extended")
     for p, q in WIDE_CENSUS:
@@ -276,11 +238,9 @@ def test_val_and_s_slots_ignore_u_and_ss_slots():
                 for m, img in enumerate(images)
             ]
             runs = []
-            for sj, (img_x, img_y) in ((s, images), (_with_noise(s, rng), noisy)):
-                w = word_product(img_x, img_y, knot.word)
-                rev = curve.swap_generators(w, sj, u_meta)
-                lon = curve.longitude_image(knot, rev, w, img_x)
-                runs.append((w, rev, lon))
+            for img_x, img_y in (images, noisy):
+                runs.append([word_product(img_x, img_y, word) for word in
+                             (knot.word, knot.reversed_word, longitude_word(knot))])
             before, after = runs
             assert list(map(_val_s_slots, before)) == list(map(_val_s_slots, after)), (p, q, prec.name)
             # the noise did reach the ss slots
@@ -331,40 +291,51 @@ def test_singular_guard_and_newton_budget(monkeypatch):
 
 def test_double_zero_structure():
     # I_lambda - 2 vanishes to second order at every metabelian point of the
-    # census, and its h^2 coefficient (= 1/F) is finite and nonzero
+    # census, exactly (knot_elements zero-tests tr L - 2 at g^0 and g^1),
+    # and its h^2 coefficient (= 1/F) is finite and nonzero
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
+        elements = exact.knot_elements(knot)
         for kp in range(1, (p - 1) // 2 + 1):
-            est = evaluate_F(knot, kp)
-            h2 = 1 / est.value
-            assert est.lam_gap0 < 1e-10, (p, q, kp)
-            assert est.lam_gap1 < 1e-10 * max(1, abs(h2)), (p, q, kp)
+            h2 = 1 / exact.read(elements, kp).f_value
             assert 1e-3 < abs(h2) < 1e6, (p, q, kp)
-            assert est.max_residual < 1e-10
 
 
 def test_longitude_series_matches_point_solves():
     # 2 + [h^2] I_lam h^2 agrees with scalar Newton solves on the curve up to
     # O(h^3), so both the series and the determinant identity hold
     knot = normalize_two_bridge(9, 5)
-    h2 = 1 / evaluate_F(knot, 3).value
+    h2 = 1 / evaluate_F(knot, 3).f_value
     errors = []
     for h in (1e-2, 5e-3):
         pt = continue_riley_curve(knot, 3, h)
-        exact = trace_longitude(knot, pt.s, pt.u)
-        errors.append(abs(2 + h2 * h * h - exact))
+        exact_trace = trace_longitude(knot, pt.s, pt.u)
+        errors.append(abs(2 + h2 * h * h - exact_trace))
     assert errors[0] < 0.05 * abs(h2) * 1e-2 ** 2  # small beside the h^2 term
     assert 6 < errors[0] / errors[1] < 10  # one halving of h: factor ~8
 
 
+def _implicit_h2(knot, kp):
+    """[h^2] I_lam by estimate (b) in double: the implicit function theorem
+    on second-order partials of phi and of the longitude trace at
+    (-1, u_{k'}), from jets in (u, s) pushed through direct word products;
+    u' = 0 there, which leaves L_ss - L_u phi_ss / phi_u."""
+    u = metabelian_u(knot.p, kp)
+    phi, _ = curve._jet_phi(knot, -1.0, u)
+    s = Jet2(-1.0, 0.0, 1.0, 0.0)
+    img_x, img_y = riley_images((-s).sqrt(DOUBLE.sqrt), Jet2(u, 1.0))
+    lam = word_product(img_x, img_y, longitude_word(knot)).trace()
+    return lam.ss - lam.u * phi.ss / phi.u
+
+
 def test_series_and_implicit_estimates_agree_on_census():
-    # (a) is -det([h^1] L) from the longitude series at u = u_{k'}; (b) is
-    # the h^2 coefficient of the trace itself, from second-order partials
+    # (a), the value of record, is -det([h^1] L), read off the exact
+    # elements; (b) is the h^2 coefficient of the trace itself, from
+    # second-order partials in double
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
         for kp in range(1, (p - 1) // 2 + 1):
-            est = evaluate_F(knot, kp)
-            a, b = 1 / est.value, 1 / est.direct
+            a, b = 1 / evaluate_F(knot, kp).f_value, _implicit_h2(knot, kp)
             assert abs(a - b) <= 1e-9 * abs(a), (p, q, kp)
 
 
@@ -372,8 +343,8 @@ def test_evaluate_F_figure_eight():
     knot = normalize_two_bridge(5, 3)
     for kp in (1, 2):
         est = evaluate_F(knot, kp)
-        assert abs(est.value - 0.2) < 1e-6
-        assert est.rel_disagreement < 1e-5
+        assert abs(est.f_value - 0.2) < 1e-6
+        assert est.margin_bits >= exact.MIN_MARGIN_BITS
 
 
 def test_evaluate_F_torus():
@@ -381,70 +352,60 @@ def test_evaluate_F_torus():
         knot = normalize_two_bridge(q, 1)
         for kp in range(1, (q - 1) // 2 + 1):
             est = evaluate_F(knot, kp)
-            assert abs(est.value - 1 / q ** 2) < 1e-5 / q ** 2, (q, kp)
+            assert abs(est.f_value - 1 / q ** 2) < 1e-5 / q ** 2, (q, kp)
 
 
 def test_fitted_local_form_figure_eight():
     knot = normalize_two_bridge(5, 3)
     for kp in (1, 2):
-        h = 1 / evaluate_F(knot, kp).value
+        h = 1 / evaluate_F(knot, kp).f_value
         assert abs(h - 5.0) < 1e-4
 
 
-def test_estimate_disagreement_raises(monkeypatch):
-    # the two estimates agree far inside CROSS_TOL, so skew the cross-check
-    exact = curve._implicit_h2
-    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
-    knot = normalize_two_bridge(5, 3)
-    with pytest.raises(EstimateDisagreement) as info:
-        evaluate_F(knot, 1)
-    assert "series" in str(info.value) and "implicit" in str(info.value)
-
-
-def test_checks_fail_on_nan():
-    # a NaN fails every check, also where it is not the first of the
-    # values the builtin max would compare
-    nan = float("nan")
-    knot = normalize_two_bridge(5, 3)
+def test_checks_fail_on_nan(monkeypatch):
+    # a NaN fails the smoothness check, as it fails every check
+    monkeypatch.setattr(curve, "_jet_phi", lambda *a: (Jet2(0.0, float("nan")), 1.0))
     with pytest.raises(SingularPoint):
-        curve._check_smooth(knot, 1, complex(nan, 0))
-    with pytest.raises(RecordError):
-        curve._check_tangent(knot, 1, Jet2(1.0, s=0.0), Jet2(-1.0, s=nan))
-    lon = RingMatrix((Jet2(1.0), Jet2(0.0), Jet2(nan), Jet2(1.0)))
-    with pytest.raises(LongitudeNotIdentity):
-        curve._h2_of_trace(knot, 1, lon)
+        continue_riley_curve(normalize_two_bridge(5, 3), 1, 0.0)
 
 
-def test_off_curve_metabelian_point_is_refused(monkeypatch):
-    # (a) evaluates the longitude series at u = u_{k'} with no solve, so a
-    # point that does not solve phi = 0 mod h^2 must be refused, not
-    # evaluated off the curve
-    exact = curve.metabelian_u
-    monkeypatch.setattr(curve, "metabelian_u", lambda *a: exact(*a) + 1e-9)
-    with pytest.raises(RecordError, match="does not solve phi = 0"):
-        evaluate_F(normalize_two_bridge(5, 3), 1)
+def test_off_curve_metabelian_point_is_refused():
+    # F is read at u = u_{k'} with no solve, so a word whose Riley curve
+    # does not pass through u_{k'} tangentially must be refused, not
+    # evaluated off the curve: the word of 7/3 with 5/3's q and sigma
+    knot = normalize_two_bridge(5, 3)
+    other = normalize_two_bridge(7, 3)
+    off = replace(knot, word=Word(other.word.letters[:4]))
+    with pytest.raises(RecordError, match="phi at g"):
+        evaluate_F(off, 1)
 
 
-def test_longitude_not_identity_raises(monkeypatch):
+def test_longitude_not_identity_raises():
     # the determinant identity needs L = I at the metabelian point; a
-    # longitude whose image is not the identity there must be refused, not
-    # evaluated.  (a) takes rho(<-w) from swap_generators, so skew that.
-    swap = curve.swap_generators
-
-    def skewed(w, s, u):
-        img_x, _ = riley_images((-s).sqrt(DOUBLE.sqrt), u)
-        return swap(w, s, u) * img_x
-
-    monkeypatch.setattr(curve, "swap_generators", skewed)
-    with pytest.raises(LongitudeNotIdentity):
-        evaluate_F(normalize_two_bridge(5, 3), 1)
+    # longitude whose image is not the identity there, here w w x^(-2 sigma)
+    # in place of <-w w x^(-2 sigma), must be refused, not evaluated
+    knot = normalize_two_bridge(5, 3)
+    skewed = SimpleNamespace(
+        p=knot.p, q=knot.q, word=knot.word, reversed_word=knot.word, sigma=knot.sigma,
+        label=knot.label, relator=knot.relator,
+    )
+    with pytest.raises(RecordError, match="L = I"):
+        evaluate_F(skewed, 1)
 
 
 def test_evaluate_F_extended_precision():
-    est = evaluate_F(normalize_two_bridge(7, 3), 2, prec=Precision("extended"))
-    double = evaluate_F(normalize_two_bridge(7, 3), 2)
-    assert est.rel_disagreement < 1e-20
-    assert abs(complex(est.value) - double.value) < 1e-12 * abs(double.value)
+    # F agrees with its 30-digit reference tau / P(1)^2: the lens value
+    # and P(1) (alexander.p_at_one), both at 30 digits
+    ext = Precision("extended")
+    for p, q in ((7, 3), (13, 5), (25, 7)):
+        knot = normalize_two_bridge(p, q)
+        r = pow(q, -1, p)
+        for k in range(1, (p - 1) // 2 + 1):
+            p1, _ = p_at_one(knot, metabelian_pair(p, k, ext))
+            lens = 1 / (16 * (ext.sin(k * ext.pi / p) * ext.sin(k * r * ext.pi / p)) ** 2)
+            want = lens / p1 ** 2
+            got = evaluate_F(knot, metabelian_pairing(p, k)).f_value
+            assert abs(got - want) <= 1e-14 * abs(want), (p, q, k)
 
 
 def test_mu_muhat_change_of_variable_identity():

@@ -1,0 +1,97 @@
+import math
+from dataclasses import replace
+
+import mpmath
+import pytest
+
+from bridgetorsion import exact
+from bridgetorsion.curve import metabelian_pairing
+from bridgetorsion.errors import RecordError
+from bridgetorsion.pipeline import compare_knots, compute_invariants
+from bridgetorsion.words import normalize_two_bridge
+
+CENSUS_25 = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+def _lens_50(p, q, k):
+    """1/(u_k u_{kr}) = 1/(16 sin^2(k pi/p) sin^2(k r pi/p)) at 50 digits."""
+    r = pow(q, -1, p)
+    with mpmath.workdps(50):
+        s = mpmath.sin(mpmath.pi * k / p) * mpmath.sin(mpmath.pi * (k * r % p) / p)
+        return 1 / (16 * s * s)
+
+
+def test_census_passes_every_zero_test():
+    # every check of the exact pass holds for the 68 fractions p <= 25, and
+    # each tau is the 50-digit lens value to within a rounding or two
+    assert len(CENSUS_25) == 68
+    for p, q in CENSUS_25:
+        elements = exact.knot_elements(normalize_two_bridge(p, q))
+        for k in range(1, (p - 1) // 2 + 1):
+            reading = exact.read(elements, metabelian_pairing(p, k))
+            assert reading.margin_bits >= exact.MIN_MARGIN_BITS, (p, q, k)
+            want = _lens_50(p, q, k)
+            assert abs(reading.tau - want) <= 4e-16 * want, (p, q, k)
+
+
+@pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
+def test_identity_fails_with_the_lens_of_another_fraction(p, q, other):
+    # the identity pairs u_k with u_{kr}, r = q^-1 mod p; the r of an
+    # inequivalent fraction fails it, while every other check still holds
+    knot = normalize_two_bridge(p, q)
+    with pytest.raises(RecordError, match=r"P\(1\)\^2 F u_k u_kr = 1 fails"):
+        exact.knot_elements(replace(knot, q=other))
+
+
+def test_identity_holds_with_the_mirror_fraction():
+    # 41/30 names the mirror of 41/11: its r is -r, and u_{-kr} = u_{kr}
+    knot = normalize_two_bridge(41, 11)
+    assert exact.knot_elements(replace(knot, q=30)) == exact.knot_elements(knot)
+
+
+def test_cosine_table_matches_mpmath():
+    # each entry within its stated bound, one unit of 2^-READOUT_BITS; the
+    # rounding alone leaves 1/2
+    scale = mpmath.mpf(2) ** exact.READOUT_BITS
+    with mpmath.workdps(50):
+        for p in (3, 5, 7, 25, 61, 101, 131, 301):
+            table = exact._cosines(p)
+            assert len(table) == p
+            for j, c in enumerate(table):
+                assert abs(c - scale * mpmath.cos(2 * mpmath.pi * j / p)) <= 0.5 + 1e-3, (p, j)
+
+
+def _pack(digits):
+    return sum(c << (exact.DIGIT_BITS * e) for e, c in enumerate(digits))
+
+
+def test_digits_round_trip():
+    digits = [3, -1, 0, 2 ** 31 - 1, -(2 ** 31) + 1, 5, -7]
+    assert exact._digits(_pack(digits), 7, "x") == digits
+    mask = (1 << exact.DIGIT_BITS * 7) - 1  # 2^(Bp) - 1 = 0
+    assert exact._digits(_pack(digits) - mask, 7, "x") == digits
+    # t^7 = 1: exponents fold mod p
+    assert exact._fold(_pack([0] * 9 + [1]), exact.DIGIT_BITS * 7) == _pack([0, 0, 1])
+    with pytest.raises(RecordError, match="coefficient of 32 bits"):
+        exact._digits(_pack([2 ** 32, 0, 0, 0, 0, 0, 0]), 7, "x")
+
+
+@pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits")])
+def test_broken_letter_image_errors_every_record(break_letter, scale, message):
+    # a letter image that breaks a zero test, or whose products outgrow
+    # their digits, turns every record of the knot into an error, and a
+    # comparison with it is undetermined
+    break_letter(scale)
+    a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
+    records = compute_invariants(a)
+    assert len(records) == 3
+    assert all(not r.ok and message in r.error for r in records)
+    assert compare_knots(a, b, records, compute_invariants(b)).verdict == "undetermined"
+
+
+def test_readout_margin_below_the_bound_is_an_error(monkeypatch):
+    # a record whose readout margin is below MIN_MARGIN_BITS is refused
+    monkeypatch.setattr(exact, "MIN_MARGIN_BITS", exact.READOUT_BITS)
+    records = compute_invariants(normalize_two_bridge(7, 3))
+    assert len(records) == 3
+    assert all(not r.ok and "readout margin" in r.error for r in records)

@@ -11,9 +11,7 @@ from dataclasses import replace
 import mpmath
 import pytest
 
-from bridgetorsion import curve, numerics, pipeline
-from bridgetorsion.alexander import p_at_one
-from bridgetorsion.curve import Jet2, evaluate_F, metabelian_pairing
+from bridgetorsion import curve, exact, numerics, pipeline
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -33,8 +31,7 @@ from bridgetorsion.pipeline import (
     tau_multiset,
 )
 from bridgetorsion.errors import ParseError
-from bridgetorsion.precision import DOUBLE, Precision
-from bridgetorsion.reps import metabelian_pair
+from bridgetorsion.precision import Precision
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
 from bridgetorsion.words import (
     TwoBridgeKnot,
@@ -56,7 +53,7 @@ def test_figure_eight_records():
         assert abs(r.tau - r.cross_check) <= 1e-6
         prod = r.p1_squared * r.f_value
         assert abs(prod.imag) <= 1e-6 * r.tau
-        assert r.diagnostics["path"] == "generic"
+        assert r.diagnostics["exact"]
 
 
 def test_torus_records_match_closed_forms():
@@ -65,7 +62,7 @@ def test_torus_records_match_closed_forms():
     for p in range(3, 26, 2):
         for r in compute_invariants(normalize_two_bridge(p, 1)):
             assert r.ok, (p, r.k, r.error)
-            assert r.diagnostics["path"] == "generic"
+            assert r.diagnostics["exact"]
             p1sq, f = torus_P1_squared(p, r.k), torus_F(p)
             assert abs(r.p1_squared - p1sq) <= 1e-6 * p1sq, (p, r.k)
             assert abs(r.f_value - f) <= 1e-6 * f, (p, r.k)
@@ -82,7 +79,7 @@ def test_trefoil_uses_closed_form_with_generic_crosscheck():
     r = records[0]
     assert r.ok
     assert abs(r.tau - 1 / 9) <= 1e-9
-    assert r.diagnostics["path"] == "generic"
+    assert r.diagnostics["exact"]
     assert abs(r.tau - r.cross_check) <= 1e-5 * r.tau
 
 
@@ -93,7 +90,7 @@ def test_force_generic_on_torus():
     assert len(records) == 2
     for r in records:
         assert r.ok
-        assert r.diagnostics["path"] == "generic"
+        assert r.diagnostics["exact"]
         expected = 1 / (4 * math.sin(r.k * math.pi / 5) ** 2) ** 2
         assert abs(r.tau - expected) <= 1e-6 * expected
 
@@ -133,17 +130,6 @@ def test_former_failures_match_lens_oracle(p, q):
         assert abs(a - b) <= 1e-6 * max(a, b)
 
 
-def test_only_the_failing_record_falls_back_to_extended():
-    # a record is recomputed at 30 digits only where its own double-precision
-    # checks fail; every other record of the knot stays in double.  On 79/1
-    # no check fails: P(1) needs no polynomial division
-    for p, q, extended in ((91, 57, [1]), (79, 1, [])):
-        records = compute_invariants(normalize_two_bridge(p, q))
-        assert all(r.ok for r in records), (p, q)
-        got = [r.k for r in records if r.diagnostics["precision"] == "extended"]
-        assert got == extended, (p, q)
-
-
 _MPMATH_PROBE = """
 import sys
 from bridgetorsion.pipeline import compute_invariants, fingerprint
@@ -151,15 +137,15 @@ from bridgetorsion.selfcheck import CENSUS_FRACTIONS
 from bridgetorsion.words import normalize_two_bridge
 for p, q in [(101, 31), (79, 1)] + CENSUS_FRACTIONS:
     recs = compute_invariants(normalize_two_bridge(p, q))
-    assert all(r.diagnostics["precision"] == "double" for r in recs), (p, q)
+    assert all(r.ok for r in recs), (p, q)
 fingerprint()
 print("mpmath" in sys.modules)
 """
 
 
 def test_mpmath_stays_unloaded_when_double_suffices():
-    # no record of these knots needs the 30-digit backend, so mpmath is
-    # never imported
+    # the value path reads its floats off exact integer elements with an
+    # integer cosine table, so mpmath is never imported
     src = os.path.dirname(os.path.dirname(curve.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _MPMATH_PROBE],
@@ -178,10 +164,11 @@ def _fractions(lo, hi):
 
 
 def _assert_census_matches_lens_oracle(fractions):
-    """No error record, and the sorted multiset within the acceptance bound
-    of the lens oracle; returns the tau multisets by fraction.  Prints the
-    SHA-256 over the serialized reports in sorted (p, q) order, the check
-    that report bytes are unchanged (not asserted: libm may differ between
+    """No error record, the sorted multiset within the acceptance bound of
+    the lens oracle, and every tau within 1e-12 of the lens value at 50
+    digits; returns the tau multisets by fraction.  Prints the SHA-256 over
+    the serialized reports in sorted (p, q) order, the check that report
+    bytes are unchanged (not asserted: libm may differ between
     platforms)."""
     taus = {}
     digest = hashlib.sha256()
@@ -194,6 +181,12 @@ def _assert_census_matches_lens_oracle(fractions):
         oracle = lens_torsion_multiset(LensSpace.of(p, q))
         for a, b in zip(taus[p, q], oracle):
             assert abs(a - b) <= 1e-6 * max(a, b), (p, q)
+        r = pow(q, -1, p)
+        with mpmath.workdps(50):
+            for rec in records:
+                sines = mpmath.sin(mpmath.pi * rec.k / p) * mpmath.sin(mpmath.pi * (rec.k * r % p) / p)
+                want = 1 / (16 * sines ** 2)
+                assert abs(rec.tau - want) <= 1e-12 * want, (p, q, rec.k)
     print(f"report SHA-256 over {len(fractions)} fractions: {digest.hexdigest()}")
     return taus
 
@@ -364,13 +357,13 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     assert catalog["knots"] == [report]
 
 
-# source edits that must each change the cache key: another method of
-# computing F, another tolerance of the F cross-check, another working
+# source edits that must each change the cache key: another digit width
+# of the exact ring, another precision of its readout, another working
 # precision of the 30-digit backend, and another zero tolerance of the
 # polynomial arithmetic
 _SOURCE_EDITS = [
-    ("curve.py", "value = 1 / _h2_of_trace(knot, kprime, lon)", "value = direct"),
-    ("curve.py", "CROSS_TOL = 1e-5", "CROSS_TOL = 1e-6"),
+    ("exact.py", "DIGIT_BITS = 64", "DIGIT_BITS = 128"),
+    ("exact.py", "READOUT_BITS = 128", "READOUT_BITS = 96"),
     ("precision.py", "ctx.dps = 30", "ctx.dps = 40"),
     ("numerics.py", "DEFAULT_ZERO_TOL = 1e-9", "DEFAULT_ZERO_TOL = 1e-10"),
 ]
@@ -437,13 +430,19 @@ def test_catalog_run(tmp_path):
 
 
 def test_nan_estimate_gives_error_records(monkeypatch):
-    # a NaN fails the cross-check like any disagreement: every record is an
-    # error record, and the report is strict JSON, with no NaN token
-    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: math.nan)
+    # a NaN fails the sign check like any value that is not positive: every
+    # record is an error record, and the report is strict JSON, with no
+    # NaN token
+    exact_read = pipeline.read
+
+    def nan_read(elements, kprime):
+        return replace(exact_read(elements, kprime), f_value=math.nan, tau=math.nan)
+
+    monkeypatch.setattr(pipeline, "read", nan_read)
     knot = normalize_two_bridge(7, 3)
     records = compute_invariants(knot)
     assert len(records) == 3
-    assert all("EstimateDisagreement" in r.error for r in records)
+    assert all("not positive" in r.error for r in records)
 
     def refuse(token):
         raise ValueError(f"{token} is not strict JSON")
@@ -516,14 +515,13 @@ def test_parse_fraction():
         parse_fraction("a/b")
 
 
-def test_partial_results_on_record_errors(monkeypatch):
-    # a skewed cross-check estimate marks every record, not raises
-    exact = curve._implicit_h2
-    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
+def test_partial_results_on_record_errors(break_letter):
+    # a letter image that fails an exact check marks every record, not raises
+    break_letter()
     records = compute_invariants(normalize_two_bridge(5, 3))
     assert len(records) == 2
     assert all(not r.ok for r in records)
-    assert all("EstimateDisagreement" in r.error for r in records)
+    assert all(r.error.startswith("RecordError: ") for r in records)
     assert tau_multiset(records) is None
     report = knot_report(normalize_two_bridge(5, 3), records)
     assert all(r["tau"] is None and r["error"] for r in report["records"])
@@ -534,49 +532,28 @@ def test_partial_results_on_record_errors(monkeypatch):
     assert v.max_multiset_deviation is None
 
 
-def test_failed_product_check_is_retried_at_30_digits(monkeypatch):
-    # a double value of F skewed off the real axis fails the check that
-    # P(1)^2 F is essentially real; the record is computed again at 30
-    # digits, where it passes
-    exact = pipeline.evaluate_F
-
-    def skewed(knot, kprime, prec=DOUBLE):
-        est = exact(knot, kprime, prec)
-        if prec is DOUBLE:
-            est = replace(est, value=est.value * (1 + 1e-3j))
-        return est
-
-    monkeypatch.setattr(pipeline, "evaluate_F", skewed)
-    records = compute_invariants(normalize_two_bridge(5, 3))
-    assert len(records) == 2
-    for r in records:
-        assert r.ok, r.error
-        assert r.diagnostics["precision"] == "extended"
-        assert abs(r.tau - 0.2) <= 1e-6 * 0.2
-
-
-def test_criterion_9_fails_on_record_errors(monkeypatch):
+def test_criterion_9_fails_on_record_errors(break_letter):
     # undetermined verdicts have no deviation; the criterion reports FAIL
-    exact = curve._implicit_h2
-    monkeypatch.setattr(curve, "_implicit_h2", lambda *a: exact(*a) * 1.001)
+    break_letter()
     result = AcceptanceSuite().criterion_9()
     assert not result.ok
     assert "undetermined (dev n/a)" in result.line
 
 
 def test_extended_precision():
-    # b(79, 1) runs all in double and meets the (2, 79) torus closed form;
-    # the record of 91/57 that falls back to 30 digits meets the lens oracle
+    # b(79, 1) meets the (2, 79) torus closed forms, and 91/57, whose
+    # record k = 1 once needed 30 digits, meets the lens values computed
+    # at 30 digits within 1e-14
     for r in compute_invariants(normalize_two_bridge(79, 1)):
-        assert r.ok and r.diagnostics["precision"] == "double", r.k
+        assert r.ok, r.k
         expected = torus_P1_squared(79, r.k) * torus_F(79)
         assert abs(r.tau - expected) <= 1e-10 * expected, r.k
-    records = compute_invariants(normalize_two_bridge(91, 57))
-    extended = [r for r in records if r.diagnostics["precision"] == "extended"]
-    assert [r.k for r in extended] == [1]
-    for r in extended:
-        assert r.ok
-        assert abs(r.tau - r.cross_check) <= 1e-10 * r.cross_check
+    ext = Precision("extended")
+    r_inv = pow(57, -1, 91)
+    for r in compute_invariants(normalize_two_bridge(91, 57)):
+        sines = ext.sin(r.k * ext.pi / 91) * ext.sin(r.k * r_inv * ext.pi / 91)
+        want = 1 / (16 * sines ** 2)
+        assert r.ok and abs(r.tau - want) <= 1e-14 * want, r.k
 
 
 def test_value_path_builds_no_laurent_polynomial(monkeypatch):
@@ -590,58 +567,47 @@ def test_value_path_builds_no_laurent_polynomial(monkeypatch):
         assert all(r.ok for r in compute_invariants(normalize_two_bridge(p, q))), (p, q)
 
 
-def test_value_path_stays_real(monkeypatch):
-    # at the metabelian point the value path runs on the real pair: P(1),
-    # both F estimates and every coefficient of every image entry that
-    # reaches the jet kernel are float in double, and mpf (not mpc) at 30
-    # digits
-    kernel = Jet2.triangular_product
-    seen = []
-
-    def recording(steps, identity, letters):
-        seen.extend(c for _, *entries in steps.values() for e in entries for c in e.coeffs())
-        seen.extend(c for e in identity for c in e.coeffs())
-        return kernel(steps, identity, letters)
-
-    monkeypatch.setattr(Jet2, "triangular_product", staticmethod(recording))
-    extended = Precision("extended")
-    mpf = type(extended.sqrt(1))
-    assert mpf.__name__ == "mpf"
-    for prec, real, fractions in (
-        (DOUBLE, float, ((5, 3), (41, 11), (61, 17))),
-        (extended, mpf, ((7, 3),)),
-    ):
-        for p, q in fractions:
-            knot = normalize_two_bridge(p, q)
-            for k in range(1, (p - 1) // 2 + 1):
-                seen.clear()
-                p1, _ = p_at_one(knot, metabelian_pair(p, k, prec))
-                est = evaluate_F(knot, metabelian_pairing(p, k), prec)
-                values = [p1, est.value, est.direct]
-                assert {type(c) for c in values} == {real}, (p, q, k, prec.name)
-                assert seen and {type(c) for c in seen} == {real}, (p, q, k, prec.name)
+def test_value_path_stays_real():
+    # P(1)^2, F and tau are floats, read off elements of Z[u], which are
+    # symmetric under t -> 1/t (knot_elements checks it), and the report
+    # writes P(1)^2 and F with imaginary part 0.0
+    for p, q in ((5, 3), (41, 11), (61, 17)):
+        knot = normalize_two_bridge(p, q)
+        records = compute_invariants(knot)
+        for r in records:
+            assert {type(v) for v in (r.p1_squared, r.f_value, r.tau)} == {float}, (p, q, r.k)
+        for r in knot_report(knot, records)["records"]:
+            assert r["p1_squared"][1] == r["F"][1] == r["diagnostics"]["f_direct"][1] == 0.0
 
 
 @pytest.mark.parametrize("q", [79, 101, 131, 201])
 def test_large_torus_knots_run_in_double(q):
-    # P(1) from the double zero of Wada's numerator: no record of b(q, 1)
-    # falls back to 30 digits, and each meets the (2, q) closed forms
+    # every record of b(q, 1) is read off the exact elements with its full
+    # margin, and meets the (2, q) closed forms
     for r in compute_invariants(normalize_two_bridge(q, 1)):
-        assert r.ok and r.diagnostics["precision"] == "double", r.k
+        assert r.ok and r.diagnostics["exact"], r.k
         expected = torus_P1_squared(q, r.k) * torus_F(q)
         assert abs(r.tau - expected) <= 1e-9 * expected, r.k
-        assert r.diagnostics["p1_gap"] <= 1e-10, r.k
+        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS, r.k
+
+
+def test_b301_1_meets_torus_closed_forms():
+    # every record of b(301, 1), of which one failed its tangency check in
+    # double, is error-free and within 1e-12 of the (2, 301) closed forms
+    for r in compute_invariants(normalize_two_bridge(301, 1)):
+        assert r.ok, (r.k, r.error)
+        p1sq, f = torus_P1_squared(301, r.k), torus_F(301)
+        assert abs(r.p1_squared - p1sq) <= 1e-12 * p1sq, r.k
+        assert abs(r.f_value - f) <= 1e-12 * f, r.k
 
 
 def test_extended_precision_leaves_global_mpmath_alone():
-    # the extended record of 91/57 keeps its 30 digits in a private mpmath
-    # context, where its two F estimates agree far beyond double precision
+    # the 30-digit backend, the tests' reference, keeps its digits in a
+    # private mpmath context
     with mpmath.workdps(15):
-        records = compute_invariants(normalize_two_bridge(91, 57))
+        root = Precision("extended").sqrt(2)
         assert mpmath.mp.dps == 15
-    extended = [r for r in records if r.diagnostics["precision"] == "extended"]
-    assert extended
-    assert all(r.diagnostics["f_rel_disagreement"] < 1e-20 for r in extended)
+    assert abs(root ** 2 - 2) < mpmath.mpf(10) ** -28
 
 
 def test_env_cache_dir(tmp_path, monkeypatch):

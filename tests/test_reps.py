@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from bridgetorsion import curve, pipeline
+from bridgetorsion import exact
 from bridgetorsion.alexander import DIVISION_TOL
-from bridgetorsion.curve import Jet2, _relator_jets
+from bridgetorsion.curve import Jet2
 from bridgetorsion.errors import IndexOutOfRange, InexactDivision
 from bridgetorsion.numerics import LaurentPoly, RingMatrix
 from bridgetorsion.pipeline import compute_invariants, knot_report, serialize_report
@@ -86,19 +86,39 @@ def test_trefoil_trace_identities():
 # -- Riley family -----------------------------------------------------------------
 
 
+def _letter_jets(letter, u):
+    """The coefficients of the entries of an ``exact.LETTERS`` image at u,
+    as jets in (u, h) with h = 4g: a slot c + u v of g^i is read as
+    (c + u v) / 4^i, and the du slot of q + u v is v's value slot."""
+    upper, p, q, r, v = letter
+
+    def jet(c, w=(0, 0, 0)):
+        return [c[0] + u * w[0], w[0], (c[1] + u * w[1]) / 4, (c[2] + u * w[2]) / 16]
+
+    zero = jet((0, 0, 0))
+    return [jet(p), jet(q, v), zero, jet(r)] if upper else [jet(p), zero, jet(q, v), jet(r)]
+
+
 def test_riley_matches_metabelian_at_s_minus_one():
-    # P(1) and F use one representation: the real pair of rho_k equals, bit
-    # for bit, the value slots of the jet images F's relator pass builds at
-    # (-1, u_k)
+    # P(1) and F use one representation: the letter images of the exact
+    # route are, bit for bit, the jets of the real pair at (-1, u_k) along
+    # s = -1 + h, inverses included, and their value slots are the real
+    # pair of rho_k
     extended = Precision("extended")
     for prec, top in ((DOUBLE, 41), (extended, 13)):
-        for p, q in [(p, q) for p, q in FRACTIONS_41 if p <= top]:
-            knot = normalize_two_bridge(p, q)
+        for p in range(3, top + 1, 2):
             for k in range(1, (p - 1) // 2 + 1):
+                u = metabelian_u(p, k, prec)
+                zero = u * 0
+                s = Jet2(zero - 1, zero, zero + 1, zero)
+                jets = riley_images((-s).sqrt(prec.sqrt), Jet2(u, zero + 1, zero, zero))
                 rho = metabelian_pair(p, k, prec)
-                _, img_x, img_y, *_ = _relator_jets(knot, -1.0, metabelian_u(p, k, prec), prec)
-                for meta, jets in ((rho.img_x, img_x), (rho.img_y, img_y)):
-                    assert list(meta.entries) == [e.val for e in jets.entries], (p, q, k, prec)
+                for gen, img, meta in zip("xy", jets, (rho.img_x, rho.img_y)):
+                    inverse = [-e for e in img.adjugate().entries]  # determinant -1
+                    for sign, entries in ((1, img.entries), (-1, inverse)):
+                        want = _letter_jets(exact.LETTERS[gen, sign], u)
+                        assert [e.coeffs() for e in entries] == want, (p, k, gen, sign)
+                    assert list(meta.entries) == [e.val for e in img.entries], (p, k, prec)
 
 
 def test_riley_parabolic_corner_and_dets():
@@ -308,20 +328,6 @@ def test_word_product_refuses_non_triangular_images():
     jet_x = RingMatrix(img_x.entries[:2] + (Jet2(0.0, 0.0, 0.0, 1e-300), img_x.entries[3]))
     with pytest.raises(ValueError):
         word_product(jet_x, img_y, w)
-    # the jet kernel skips the products by the u slots of x's entries and of
-    # y's diagonal; a du there raises instead of being dropped
-    def with_du(c):
-        return Jet2(c.val, c.u + 1e-300, c.s, c.ss)
-
-    x, y = list(img_x.entries), list(img_y.entries)
-    for pos in (0, 1, 3):
-        du_x = RingMatrix(x[:pos] + [with_du(x[pos])] + x[pos + 1:])
-        with pytest.raises(ValueError):
-            word_product(du_x, img_y, w)
-    for pos in (0, 3):
-        du_y = RingMatrix(y[:pos] + [with_du(y[pos])] + y[pos + 1:])
-        with pytest.raises(ValueError):
-            word_product(img_x, du_y, w)
 
 
 def _census_reports():
@@ -333,14 +339,42 @@ def _census_reports():
     return out
 
 
+def _fold_product(row, letters, b):
+    """``exact._product`` by full 2x2 products of the letter images: an
+    entry c + u v, its du slot v's value slot, acts on a jet x as
+    c x + u (v x)."""
+    zero = (0, 0, 0)
+
+    def scale(x, c):
+        x0, xd, xs, xss = x
+        return (x0 * c[0], xd * c[0], x0 * c[1] + xs * c[0], x0 * c[2] + xs * c[1] + xss * c[0])
+
+    def times(x, c, v):
+        out = [a + exact._u(w, b) for a, w in zip(scale(x, c), scale(x, v))]
+        out[1] += x[0] * v[0]
+        return out
+
+    def add(x, y):
+        return [i + j for i, j in zip(x, y)]
+
+    a, bb = row[:4], row[4:]
+    for key in letters:
+        upper, p, q, r, v = exact.LETTERS[key]
+        m = (p, zero), (q, v), (zero, zero), (r, zero)
+        if not upper:
+            m = m[0], m[2], m[1], m[3]
+        a, bb = (add(times(a, *m[0]), times(bb, *m[2])),
+                 add(times(a, *m[1]), times(bb, *m[3])))
+    return tuple(a + bb)
+
+
 def test_compute_invariants_matches_reference_fold(monkeypatch):
-    # the whole record path, with every word product of curve taken by the
-    # full 2x2 fold instead of the kernel, gives equal reports for the 68
-    # census fractions p <= 25; == on the parsed reports, so only the sign
-    # of an exact zero may differ
+    # the whole record path, with every word product of the exact route
+    # taken by the full 2x2 fold instead of the fused letter step, gives
+    # equal report bytes for the 68 census fractions p <= 25
     assert len(KERNEL_CENSUS) == 68
     kernel = _census_reports()
-    monkeypatch.setattr(curve, "word_product", _fold)
+    monkeypatch.setattr(exact, "_product", _fold_product)
     assert _census_reports() == kernel
 
 
@@ -409,18 +443,13 @@ def _sl2_p_at_one(knot, rep):
     return -n.ss / 4, gap
 
 
-def test_compute_invariants_matches_riley_sl2(monkeypatch):
-    # the whole record path, once on the real pair and once on Riley's
-    # pair itself (curve's jets from sqrt(s) = i r, and P(1) from Riley's
-    # rho_k with Wada's weight i^a), gives equal reports for the 68 census
-    # fractions p <= 25; == on the parsed reports, so only the sign of an
-    # exact zero may differ
-    real = _census_reports()
-
-    def riley_rho(p, k, prec):
-        return Rep2(*_riley_sl2(prec.sqrt(-1), metabelian_u(p, k, prec)))
-
-    monkeypatch.setattr(curve, "riley_images", lambda r, u: _riley_sl2(r * 1j, u))
-    monkeypatch.setattr(pipeline, "metabelian_pair", riley_rho)
-    monkeypatch.setattr(pipeline, "p_at_one", _sl2_p_at_one)
-    assert _census_reports() == real
+def test_compute_invariants_matches_riley_sl2():
+    # P(1)^2 of every record of the 68 census fractions p <= 25, read off
+    # the exact elements, matches P(1) of Riley's rho_k itself (sqrt(s) = i)
+    # in double, with Wada's weight i^a
+    for p, q in KERNEL_CENSUS:
+        knot = normalize_two_bridge(p, q)
+        for r in compute_invariants(knot):
+            rho = Rep2(*_riley_sl2(1j, metabelian_u(p, r.k)))
+            p1, _ = _sl2_p_at_one(knot, rho)
+            assert abs(p1 ** 2 - r.p1_squared) <= 1e-9 * r.p1_squared, (p, q, r.k)
