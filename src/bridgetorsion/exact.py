@@ -3,10 +3,18 @@ Z[t]/(t^p - 1), and the records' floats read off at the roots of unity.
 
 At the metabelian point the real pair of ``reps.riley_images`` has entries
 in Z[u], and along s = -1 + 4g so have its jets: r = sqrt(-s) =
-1 - 2g - 2g^2 and 1/r = 1 + 2g + 6g^2 mod g^3.  With u = t + 1/t - 2,
-t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and t^2 gives u_k.  An
-element vanishes at every p-th root of unity but 1 exactly when its p
-coefficients are equal: that zero test replaces every tolerance.
+1 - 2g - 2g^2, with r^2 = -s exactly.  So each letter l is r^-1 times a
+scaled letter r l whose entries are 0, +-1, +-s or +-u s:
+r x = [[-s, -1], [0, -1]], r x^-1 = [[1, -1], [0, s]],
+r y = [[-s, 0], [u s, -1]] and r y^-1 = [[1, 0], [u s, s]].  A word of n
+letters has image r^-n times the product of its scaled letters, with
+r^-n = 1 + 2n g + 2n(n + 2) g^2 mod g^3; multiplying by s is two shifts
+and no multiplication.  P(1)'s Fox walk runs at g = 0, where r = 1 and x
+and y are the involutions [[1, -1], [0, -1]] and [[1, 0], [-u, -1]].
+With u = t + 1/t - 2, t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and
+t^2 gives u_k.  An element vanishes at every p-th root of unity but 1
+exactly when its p coefficients are equal: that zero test replaces every
+tolerance.
 
 Packing (Kronecker substitution): sum c_e t^e is the int
 sum c_e 2^(B (e + OFF)), signed B-bit digits.  Ring operations on these
@@ -20,7 +28,8 @@ mod 2^(Bp) - 1, where t^p = 1.
 Readout: the elements read are real, so at t = zeta^m an element is
 sum c_e cos(2 pi e m / p), an integer dot product with cosines in
 READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
-within L1 = sum |c_e| units; the margin is log2 of the sum over L1.
+within L1 = sum |c_e| units, whose bit length each element carries from
+``knot_elements``; the margin is log2 of the sum over L1.
 """
 
 from __future__ import annotations
@@ -45,19 +54,10 @@ MIN_MARGIN_BITS = 64
 #: only if it lies within 2^GUARD_BITS of 0.
 GUARD_BITS = DIGIT_BITS // 2
 
-_R, _IR = (1, -2, -2), (1, 2, 6)  # r and 1/r as (val, g, g^2)
-_NEG_R, _NEG_IR, _ZERO = (-1, 2, 2), (-1, -2, -6), (0, 0, 0)
-
-#: The real pair along s = -1 + 4g, x = [[r, -1/r], [0, -1/r]] and
-#: y = [[r, 0], [-u r, -1/r]], inverses the adjugate over the determinant
-#: -1: (generator, sign) -> (upper, p, q, r, v) for [[p, q + u v], [0, r]]
-#: (upper) or [[p, 0], [q + u v, r]], each a jet (val, g, g^2) of ints.
-LETTERS = {
-    ("x", 1): (True, _R, _NEG_IR, _NEG_IR, _ZERO),
-    ("x", -1): (True, _IR, _NEG_IR, _NEG_R, _ZERO),
-    ("y", 1): (False, _R, _ZERO, _NEG_IR, _NEG_R),
-    ("y", -1): (False, _IR, _ZERO, _NEG_R, _NEG_R),
-}
+def _inv_r_power(n):
+    """r^-n as (val, g, g^2): 1/r = 1 + 2g + 6g^2, so (1/r)^n =
+    1 + 2n g + 2n(n + 2) g^2 mod g^3."""
+    return 1, 2 * n, 2 * n * (n + 2)
 
 
 def _u(x, b):
@@ -67,56 +67,63 @@ def _u(x, b):
 
 def _product(row, letters, b):
     """The row vector (a, b) of jets (val, du, g, g^2) of packed ints times
-    the letters' images, one fused step a letter.  The du slot of the
-    off-diagonal entry q + u v is v's value slot."""
+    the scaled letters r l, one written-out step a letter.  A jet times
+    s = -1 + 4g is (-e0, -ed, 4 e0 - es, 4 es - ess), and the du slot of
+    u e is u ed + e0."""
     a0, ad, as_, ass, b0, bd, bs, bss = row
-    for key in letters:
-        upper, (p0, ps, pss), (q0, qs, qss), (r0, rs, rss), (v0, vs, vss) = LETTERS[key]
-        e0, ed, es, ess = (a0, ad, as_, ass) if upper else (b0, bd, bs, bss)
-        f0 = e0 * q0 + _u(e0 * v0, b)  # e (q + u v), e the entry it meets
-        fd = ed * q0 + _u(ed * v0, b) + e0 * v0
-        fs = e0 * qs + es * q0 + _u(e0 * vs + es * v0, b)
-        fss = e0 * qss + es * qs + ess * q0 + _u(e0 * vss + es * vs + ess * v0, b)
-        if upper:  # (a, b) -> (a p, a q + b r)
+    for gen, sign in letters:
+        if gen == "x":
+            if sign > 0:  # (a, b) -> (-s a, -a - b)
+                a0, ad, as_, ass, b0, bd, bs, bss = (
+                    a0, ad, as_ - (a0 << 2), ass - (as_ << 2),
+                    -a0 - b0, -ad - bd, -as_ - bs, -ass - bss)
+            else:  # (a, b) -> (a, s b - a)
+                b0, bd, bs, bss = (-b0 - a0, -bd - ad, (b0 << 2) - bs - as_,
+                                   (bs << 2) - bss - ass)
+        elif sign > 0:  # (a, b) -> (s (u b - a), -b)
+            c0, cd, cs, css = _u(b0, b) - a0, _u(bd, b) + b0 - ad, _u(bs, b) - as_, _u(bss, b) - ass
             a0, ad, as_, ass, b0, bd, bs, bss = (
-                a0 * p0, ad * p0, a0 * ps + as_ * p0, a0 * pss + as_ * ps + ass * p0,
-                f0 + b0 * r0, fd + bd * r0, fs + b0 * rs + bs * r0,
-                fss + b0 * rss + bs * rs + bss * r0)
-        else:  # (a, b) -> (a p + b q, b r)
-            a0, ad, as_, ass, b0, bd, bs, bss = (
-                a0 * p0 + f0, ad * p0 + fd, a0 * ps + as_ * p0 + fs,
-                a0 * pss + as_ * ps + ass * p0 + fss,
-                b0 * r0, bd * r0, b0 * rs + bs * r0, b0 * rss + bs * rs + bss * r0)
+                -c0, -cd, (c0 << 2) - cs, (cs << 2) - css, -b0, -bd, -bs, -bss)
+        else:  # (a, b) -> (a + u s b, s b)
+            b0, bd, bs, bss = -b0, -bd, (b0 << 2) - bs, (bs << 2) - bss
+            a0, ad, as_, ass = (a0 + _u(b0, b), ad + _u(bd, b) + b0,
+                                as_ + _u(bs, b), ass + _u(bss, b))
     return a0, ad, as_, ass, b0, bd, bs, bss
 
 
 def _image(letters, b, one):
-    """The letters' image as a 2x2 matrix of jets, row-major."""
+    """The letters' image as a 2x2 matrix of jets, row-major: r^-n times
+    the product of the n scaled letters."""
+    c0, c1, c2 = _inv_r_power(len(letters))
     rows = [_product(row, letters, b) for row in ((one, 0, 0, 0, 0, 0, 0, 0),
                                                   (0, 0, 0, 0, one, 0, 0, 0))]
-    return [row[i:i + 4] for row in rows for i in (0, 4)]
+    return [(c0 * e0, c0 * ed, c0 * es + c1 * e0, c0 * ess + c1 * es + c2 * e0)
+            for row in rows for e0, ed, es, ess in (row[:4], row[4:])]
 
 
 def _fox_jets(relator, b, one):
     """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
     jets (val, e, e^2) of packed ints, from one walk of the relator at g = 0
-    with a running prefix product.  Fox's rules put +prefix before each x
-    and -prefix after each x^-1, at the prefix's exponent sum a, where
-    Riley's phase i^a times Wada's t^a is (-1)^a (1, a, a(a-1)/2) mod e^3."""
-    rows, terms, a = [one, 0, 0, one], {}, 0
+    with a running prefix product.  There r = 1 and x and y are the
+    involutions [[1, -1], [0, -1]] and [[1, 0], [-u, -1]].  Fox's rules put
+    +prefix before each x and -prefix after each x^-1, at the prefix's
+    exponent sum a, where Riley's phase i^a times Wada's t^a is
+    (-1)^a (1, a, a(a-1)/2) mod e^3."""
+    r0, r1, r2, r3 = one, 0, 0, one  # the prefix, row-major
+    terms, a = {}, 0
     for gen, sign in relator.letters:
-        if gen == "x" and sign > 0:
-            terms[a] = [t + c for t, c in zip(terms.get(a, (0,) * 4), rows)]
-        upper, (p0, _, _), (q0, _, _), (r0, _, _), (v0, _, _) = LETTERS[gen, sign]
-        for i in (0, 2):
-            x, y = rows[i], rows[i + 1]
-            if upper:
-                rows[i], rows[i + 1] = x * p0, x * q0 + _u(x * v0, b) + y * r0
-            else:
-                rows[i], rows[i + 1] = x * p0 + y * q0 + _u(y * v0, b), y * r0
-        a += sign
-        if gen == "x" and sign < 0:
-            terms[a] = [t - c for t, c in zip(terms.get(a, (0,) * 4), rows)]
+        if gen == "x":
+            if sign > 0:
+                t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
+                terms[a] = t0 + r0, t1 + r1, t2 + r2, t3 + r3
+            r1, r3 = -r0 - r1, -r2 - r3  # (a, b) -> (a, -a - b)
+            a += sign
+            if sign < 0:
+                t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
+                terms[a] = t0 - r0, t1 - r1, t2 - r2, t3 - r3
+        else:  # (a, b) -> (a - u b, -b)
+            r0, r1, r2, r3 = r0 - _u(r1, b), -r1, r2 - _u(r3, b), -r3
+            a += sign
     weights = {a: [(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)] for a in terms}
     return [[sum(w[j] * terms[a][i] for a, w in weights.items()) for j in range(3)]
             for i in range(4)]
@@ -159,11 +166,12 @@ def _mat_mul(m, n, fold):
 
 
 def knot_elements(knot):
-    """The coefficients of what the knot's records read: n_ss(t^2), where
-    n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k; D = 16/F; and phi_u,
-    the smoothness of the curve through u_{k'}.  They are returned once
-    these hold in Z[t]/(t^p - 1), for every index at once (RecordError
-    names the first that fails):
+    """The elements the knot's records read, each as its p coefficients
+    and the bit length of their L1 norm, which bounds its readout error:
+    n_ss(t^2), where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k;
+    D = 16/F; and phi_u, the smoothness of the curve through u_{k'}.
+    They are returned once these hold in Z[t]/(t^p - 1), for every index
+    at once (RecordError names the first that fails):
     - tangency: phi = W11 + (1 - s) W12 = 0 mod g^2, W the image of w;
     - the longitude image L = rho(<-w) W x^(-2 sigma) is I at g = 0, and
       tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
@@ -216,11 +224,11 @@ def knot_elements(knot):
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
     zero_test(fold(fold(packed * packed) * fold(u2 * u2r)) - d, "P(1)^2 F u_k u_kr = 1")
 
-    elements = n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")
-    for what, c in zip(("4 P(1)", "16/F", "phi_u"), elements):
+    coeffs = n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")
+    for what, c in zip(("4 P(1)", "16/F", "phi_u"), coeffs):
         if c[1:] != c[:0:-1]:  # an element of Z[u] is symmetric under t -> 1/t
             raise RecordError(f"{what} of {knot.label} is not real")
-    return elements
+    return tuple((c, sum(map(abs, c)).bit_length()) for c in coeffs)
 
 
 def _atan_inv(x, one):
@@ -274,13 +282,13 @@ def read(elements, kprime):
     each the correctly rounded quotient of integer readouts; RecordError
     where the margin is below MIN_MARGIN_BITS, as where phi_u = 0 and the
     curve is not smooth."""
-    p = len(elements[0])
+    p = len(elements[0][0])
     table = _cosines(p)
     cos = [table[e * kprime % p] for e in range(1, (p + 1) // 2)]
     sums, margin = [], READOUT_BITS
-    for c in elements:
+    for c, l1_bits in elements:
         total = c[0] * table[0] + 2 * sum(map(operator.mul, c[1:], cos))
-        margin = min(margin, abs(total).bit_length() - 1 - sum(map(abs, c)).bit_length())
+        margin = min(margin, abs(total).bit_length() - 1 - l1_bits)
         sums.append(total)
     if margin < MIN_MARGIN_BITS:
         raise RecordError(f"readout margin {margin} bits at k' = {kprime}, "

@@ -124,22 +124,19 @@ def test_branch_independence():
     assert abs(t1 - t2) < 1e-10 * max(1, abs(t1))
 
 
-def _negated(jet):
-    return tuple(-c for c in jet)
-
-
 def test_F_independent_of_sqrt_branch(monkeypatch):
-    # F is a function on the character variety, so the other square root of
-    # s along the curve must give the same value: the exact route on the
-    # letter images at -r, which are the negated ones, gives the same
-    # elements, bit for bit
+    # F is a function on the character variety, so the other square root
+    # -r of -s must give the same value.  The scaled letters r l of the
+    # exact route are the same at -r, so the branch enters only through
+    # the scale r^-n, which becomes (-r)^-n = (-1)^n r^-n: an odd word's
+    # image is negated, and the elements stay the same, bit for bit
     knots = [normalize_two_bridge(p, q) for p, q in CENSUS]
     before = [exact.knot_elements(knot) for knot in knots]
-    flipped = {
-        key: (upper, *map(_negated, jets))
-        for key, (upper, *jets) in exact.LETTERS.items()
-    }
-    monkeypatch.setattr(exact, "LETTERS", flipped)
+    b, odd = exact.DIGIT_BITS, [("x", 1), ("y", -1), ("y", -1)]
+    image = exact._image(odd, b, 1 << 3 * b)
+    scale = exact._inv_r_power
+    monkeypatch.setattr(exact, "_inv_r_power", lambda n: tuple((-1) ** n * c for c in scale(n)))
+    assert exact._image(odd, b, 1 << 3 * b) == [tuple(-c for c in jet) for jet in image]
     assert [exact.knot_elements(knot) for knot in knots] == before
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from bridgetorsion.pipeline import compare_knots, compute_invariants
 from bridgetorsion.words import normalize_two_bridge
 
 CENSUS_25 = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+LADDER = [(5, 3), (15, 7), (41, 11), (61, 17), (101, 31)]
 
 
 def _lens_50(p, q, k):
@@ -49,6 +51,38 @@ def test_identity_holds_with_the_mirror_fraction():
     assert exact.knot_elements(replace(knot, q=30)) == exact.knot_elements(knot)
 
 
+def test_value_fields_are_pinned():
+    # the record fields that come from integer arithmetic and correctly
+    # rounded int/int division alone are the same on every platform
+    # (unlike the report bytes, whose oracle field reads libm): a SHA-256
+    # over them, census p <= 25 and the ladder
+    digest = hashlib.sha256()
+    for p, q in CENSUS_25 + LADDER:
+        for rec in compute_invariants(normalize_two_bridge(p, q)):
+            fields = (p, q, rec.k, rec.kprime, rec.p1_squared, rec.f_value, rec.tau,
+                      rec.diagnostics["margin_bits"])
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == "2b41ca9aad54f24db6066a68ea5a792b4c62e0eee3ddc40ad3e04af9bad605f0"
+
+
+def _jet_mul(x, y):
+    """The product of jets (val, g, g^2) mod g^3."""
+    return x[0] * y[0], x[0] * y[1] + x[1] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0]
+
+
+def test_scale_closed_forms():
+    # along s = -1 + 4g, r = sqrt(-s) = 1 - 2g - 2g^2 squares to -s
+    # exactly, 1/r = 1 + 2g + 6g^2, and the kernel's closed form r^-n =
+    # 1 + 2n g + 2n(n + 2) g^2 is the n-fold product of 1/r
+    r, inv_r, minus_s = (1, -2, -2), (1, 2, 6), (1, -4, 0)
+    assert _jet_mul(r, r) == minus_s
+    assert _jet_mul(r, inv_r) == (1, 0, 0)
+    power = (1, 0, 0)
+    for n in range(701):
+        assert exact._inv_r_power(n) == power, n
+        power = _jet_mul(power, inv_r)
+
+
 def test_cosine_table_matches_mpmath():
     # each entry within its stated bound, one unit of 2^-READOUT_BITS; the
     # rounding alone leaves 1/2
@@ -78,7 +112,7 @@ def test_digits_round_trip():
 
 @pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits")])
 def test_broken_letter_image_errors_every_record(break_letter, scale, message):
-    # a letter image that breaks a zero test, or whose products outgrow
+    # a letter kernel that breaks a zero test, or whose products outgrow
     # their digits, turns every record of the knot into an error, and a
     # comparison with it is undetermined
     break_letter(scale)

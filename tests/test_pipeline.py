@@ -516,7 +516,7 @@ def test_parse_fraction():
 
 
 def test_partial_results_on_record_errors(break_letter):
-    # a letter image that fails an exact check marks every record, not raises
+    # a letter kernel that fails an exact check marks every record, not raises
     break_letter()
     records = compute_invariants(normalize_two_bridge(5, 3))
     assert len(records) == 2

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -86,24 +87,26 @@ def test_trefoil_trace_identities():
 # -- Riley family -----------------------------------------------------------------
 
 
-def _letter_jets(letter, u):
-    """The coefficients of the entries of an ``exact.LETTERS`` image at u,
-    as jets in (u, h) with h = 4g: a slot c + u v of g^i is read as
-    (c + u v) / 4^i, and the du slot of q + u v is v's value slot."""
-    upper, p, q, r, v = letter
+def _letter_jets(image, u):
+    """The entries of a one-letter ``exact._image`` at OFF = 1 read at u, as
+    jets in (u, h) with h = 4g: each slot is a packed c + u v, with digits
+    (v, c - 2v, v) for t^-1, 1 and t, read as (c + u v) / 4^i at g^i."""
+    def at_u(x):
+        v, c_minus_2v, w = exact._digits(x, 3, "a letter's slot")
+        assert v == w
+        return c_minus_2v + 2 * v + u * v
 
-    def jet(c, w=(0, 0, 0)):
-        return [c[0] + u * w[0], w[0], (c[1] + u * w[1]) / 4, (c[2] + u * w[2]) / 16]
-
-    zero = jet((0, 0, 0))
-    return [jet(p), jet(q, v), zero, jet(r)] if upper else [jet(p), zero, jet(q, v), jet(r)]
+    return [[at_u(e0), at_u(ed), at_u(es) / 4, at_u(ess) / 16] for e0, ed, es, ess in image]
 
 
 def test_riley_matches_metabelian_at_s_minus_one():
-    # P(1) and F use one representation: the letter images of the exact
-    # route are, bit for bit, the jets of the real pair at (-1, u_k) along
-    # s = -1 + h, inverses included, and their value slots are the real
-    # pair of rho_k
+    # P(1) and F use one representation: the exact route's image of each
+    # single letter, r^-1 times its scaled letter, is, bit for bit, the
+    # jets of the real pair at (-1, u_k) along s = -1 + h, inverses
+    # included, and their value slots are the real pair of rho_k
+    b = exact.DIGIT_BITS
+    images = {(gen, sign): exact._image([(gen, sign)], b, 1 << b)
+              for gen in "xy" for sign in (1, -1)}
     extended = Precision("extended")
     for prec, top in ((DOUBLE, 41), (extended, 13)):
         for p in range(3, top + 1, 2):
@@ -116,7 +119,7 @@ def test_riley_matches_metabelian_at_s_minus_one():
                 for gen, img, meta in zip("xy", jets, (rho.img_x, rho.img_y)):
                     inverse = [-e for e in img.adjugate().entries]  # determinant -1
                     for sign, entries in ((1, img.entries), (-1, inverse)):
-                        want = _letter_jets(exact.LETTERS[gen, sign], u)
+                        want = _letter_jets(images[gen, sign], u)
                         assert [e.coeffs() for e in entries] == want, (p, k, gen, sign)
                     assert list(meta.entries) == [e.val for e in img.entries], (p, k, prec)
 
@@ -339,42 +342,30 @@ def _census_reports():
     return out
 
 
-def _fold_product(row, letters, b):
-    """``exact._product`` by full 2x2 products of the letter images: an
-    entry c + u v, its du slot v's value slot, acts on a jet x as
-    c x + u (v x)."""
-    zero = (0, 0, 0)
-
-    def scale(x, c):
-        x0, xd, xs, xss = x
-        return (x0 * c[0], xd * c[0], x0 * c[1] + xs * c[0], x0 * c[2] + xs * c[1] + xss * c[0])
-
-    def times(x, c, v):
-        out = [a + exact._u(w, b) for a, w in zip(scale(x, c), scale(x, v))]
-        out[1] += x[0] * v[0]
-        return out
-
-    def add(x, y):
-        return [i + j for i, j in zip(x, y)]
-
-    a, bb = row[:4], row[4:]
-    for key in letters:
-        upper, p, q, r, v = exact.LETTERS[key]
-        m = (p, zero), (q, v), (zero, zero), (r, zero)
-        if not upper:
-            m = m[0], m[2], m[1], m[3]
-        a, bb = (add(times(a, *m[0]), times(bb, *m[2])),
-                 add(times(a, *m[1]), times(bb, *m[3])))
-    return tuple(a + bb)
+def _reference_image(letters, b, one):
+    """``exact._image`` by full 2x2 products of ``riley_images`` at
+    r = sqrt(-s), s = -1 + 4g, over exact jets in (u, g) at t = 2^b
+    (``Jet2`` with Fraction slots, g in its s slot), each slot packed as
+    one times its value."""
+    u = Jet2(Fraction(2 ** b) + Fraction(1, 2 ** b) - 2, 1, 0, 0)
+    h = Jet2(0, 0, 4, 0)  # s + 1 = 4g
+    r = 1 - h * Fraction(1, 2) - h * h * Fraction(1, 8)  # sqrt(1 - h)
+    out = []
+    for entry in _fold(*riley_images(r, u), Word(letters)).entries:
+        slots = [Fraction(c) * one for c in entry.coeffs()]
+        assert all(c.denominator == 1 for c in slots)
+        out.append(tuple(map(int, slots)))
+    return out
 
 
 def test_compute_invariants_matches_reference_fold(monkeypatch):
-    # the whole record path, with every word product of the exact route
-    # taken by the full 2x2 fold instead of the fused letter step, gives
-    # equal report bytes for the 68 census fractions p <= 25
+    # the whole record path, with every word image of the exact route
+    # taken by the full 2x2 fold of Riley's real pair instead of the
+    # scaled-letter kernel, gives equal report bytes for the 68 census
+    # fractions p <= 25
     assert len(KERNEL_CENSUS) == 68
     kernel = _census_reports()
-    monkeypatch.setattr(exact, "_product", _fold_product)
+    monkeypatch.setattr(exact, "_image", _reference_image)
     assert _census_reports() == kernel
 
 
