@@ -16,14 +16,19 @@ t^2 gives u_k.  An element vanishes at every p-th root of unity but 1
 exactly when its p coefficients are equal: that zero test replaces every
 tolerance.
 
-Packing (Kronecker substitution): sum c_e t^e is the int
-sum c_e 2^(B (e + OFF)), signed B-bit digits.  Ring operations on these
-ints are exact integer arithmetic, so an int is its element at t = 2^B
-however large the coefficients grow on the way; unpacking recovers the
-coefficients of an element whose coefficients have fewer than B - 1 bits.
-A word product starts at OFF = p + 1, above any u-degree it reaches, so
-u V = (V << B) + (V >> B) - 2V drops no nonzero digit, and is folded once,
-mod 2^(Bp) - 1, where t^p = 1.
+Packing (Kronecker substitution): sum c_e t^e is the int sum c_e 2^(B e),
+signed B-bit digits.  Ring operations on these ints are exact integer
+arithmetic, so an int is its element at t = 2^B however large the
+coefficients grow on the way; unpacking recovers the coefficients of an
+element whose coefficients have fewer than B - 1 bits.  A word product is
+homogenized: it carries a factor t for each letter y^+-1, so u enters as
+t u = (t - 1)^2 and no power of t is negative.  It starts at the int 1,
+holds about j digits after j letters, and is moved back by t^-m =
+t^(p - m) for its m letters y^+-1, folded once mod 2^(Bp) - 1, where
+t^p = 1.  P(1)'s Fox walk is not homogenized: its prefix's u-degree falls
+again over w^-1, while t^m would keep rising.  Its 1 sits at
+OFF = p + 1, above any u-degree it reaches, so
+u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
 
 Readout: the elements read are real, so at t = zeta^m an element is
 sum c_e cos(2 pi e m / p), an integer dot product with cosines in
@@ -65,11 +70,18 @@ def _u(x, b):
     return (x << b) + (x >> b) - (x << 1)
 
 
+def _tu(x, y, b):
+    """t (u x + y) = (t - 1)^2 x + t y, packed."""
+    return (((x << b) - (x << 1) + y) << b) + x
+
+
 def _product(row, letters, b):
     """The row vector (a, b) of jets (val, du, g, g^2) of packed ints times
-    the scaled letters r l, one written-out step a letter.  A jet times
-    s = -1 + 4g is (-e0, -ed, 4 e0 - es, 4 es - ess), and the du slot of
-    u e is u ed + e0."""
+    the scaled letters r l, homogenized: one written-out step a letter, and
+    a factor t for each letter y^+-1, so u enters as t u = (t - 1)^2 and
+    terms with no u as t.  A jet times s = -1 + 4g is
+    (-e0, -ed, 4 e0 - es, 4 es - ess), and the du slot of t u e is
+    (t - 1)^2 ed + t e0."""
     a0, ad, as_, ass, b0, bd, bs, bss = row
     for gen, sign in letters:
         if gen == "x":
@@ -80,25 +92,38 @@ def _product(row, letters, b):
             else:  # (a, b) -> (a, s b - a)
                 b0, bd, bs, bss = (-b0 - a0, -bd - ad, (b0 << 2) - bs - as_,
                                    (bs << 2) - bss - ass)
-        elif sign > 0:  # (a, b) -> (s (u b - a), -b)
-            c0, cd, cs, css = _u(b0, b) - a0, _u(bd, b) + b0 - ad, _u(bs, b) - as_, _u(bss, b) - ass
+        elif sign > 0:  # (a, b) -> t (s (u b - a), -b)
+            c0, cd, cs, css = (_tu(b0, -a0, b), _tu(bd, b0 - ad, b), _tu(bs, -as_, b),
+                               _tu(bss, -ass, b))
             a0, ad, as_, ass, b0, bd, bs, bss = (
-                -c0, -cd, (c0 << 2) - cs, (cs << 2) - css, -b0, -bd, -bs, -bss)
-        else:  # (a, b) -> (a + u s b, s b)
+                -c0, -cd, (c0 << 2) - cs, (cs << 2) - css,
+                -(b0 << b), -(bd << b), -(bs << b), -(bss << b))
+        else:  # (a, b) -> t (a + u s b, s b)
             b0, bd, bs, bss = -b0, -bd, (b0 << 2) - bs, (bs << 2) - bss
-            a0, ad, as_, ass = (a0 + _u(b0, b), ad + _u(bd, b) + b0,
-                                as_ + _u(bs, b), ass + _u(bss, b))
+            a0, ad, as_, ass, b0, bd, bs, bss = (
+                _tu(b0, a0, b), _tu(bd, ad + b0, b), _tu(bs, as_, b), _tu(bss, ass, b),
+                b0 << b, bd << b, bs << b, bss << b)
     return a0, ad, as_, ass, b0, bd, bs, bss
 
 
-def _image(letters, b, one):
-    """The letters' image as a 2x2 matrix of jets, row-major: r^-n times
-    the product of the n scaled letters."""
-    c0, c1, c2 = _inv_r_power(len(letters))
-    rows = [_product(row, letters, b) for row in ((one, 0, 0, 0, 0, 0, 0, 0),
-                                                  (0, 0, 0, 0, one, 0, 0, 0))]
+def _scaled(rows, n):
+    """The rows of a product of n scaled letters, times r^-n, as a 2x2
+    matrix of jets, row-major."""
+    c0, c1, c2 = _inv_r_power(n)
     return [(c0 * e0, c0 * ed, c0 * es + c1 * e0, c0 * ess + c1 * es + c2 * e0)
             for row in rows for e0, ed, es, ess in (row[:4], row[4:])]
+
+
+def _image(letters, b, tail=()):
+    """The images of the letters and of the letters followed by tail: r^-n
+    times the product of their n scaled letters, times t^m for the m
+    letters y^+-1 among them.  The tail walks on from the letters' rows."""
+    rows = [_product(row, letters, b) for row in ((1, 0, 0, 0, 0, 0, 0, 0),
+                                                  (0, 0, 0, 0, 1, 0, 0, 0))]
+    head = _scaled(rows, len(letters))
+    if not tail:
+        return head, head
+    return head, _scaled([_product(row, tail, b) for row in rows], len(letters) + len(tail))
 
 
 def _fox_jets(relator, b, one):
@@ -153,16 +178,32 @@ def _digits(x, p, what):
     raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
 
 
-#: The slot pairs (i, j) of x and y whose products x_i y_j make up each
-#: slot of the jet product x y in (val, du, g, g^2).
-_JET_TERMS = (((0, 0),), ((0, 1), (1, 0)), ((0, 2), (2, 0)), ((0, 3), (2, 2), (3, 0)))
+def _zero_test(x, p, what, label):
+    """RecordError unless the element x mod 2^(Bp) - 1 vanishes at every
+    p-th root of unity but 1: its coefficients are equal, and within the
+    digit guard.  They are equal exactly when x is a multiple of the packed
+    N = 1 + t + ... + t^(p-1), and then the quotient, balanced mod
+    2^B - 1, is their value; the coefficients are unpacked only to name a
+    failure."""
+    b = DIGIT_BITS
+    bits, digit = b * p, (1 << b) - 1
+    c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
+    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << GUARD_BITS:
+        return
+    _digits(x, p, what)
+    raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
 
 
-def _mat_mul(m, n, fold):
-    """Product of 2x2 matrices of jets (val, du, g, g^2), row-major."""
-    def dot(pairs):
-        return [fold(sum(x[i] * y[j] for x, y in pairs for i, j in terms)) for terms in _JET_TERMS]
-    return [dot([(m[i], n[j]), (m[i + 1], n[j + 2])]) for i in (0, 2) for j in (0, 1)]
+def _dot(x, y, z, w, fold, full=True):
+    """The jet x y + z w of jets (val, du, g, g^2) of packed ints, each slot
+    folded; with full false its val and g slots only."""
+    val = fold(x[0] * y[0] + z[0] * w[0])
+    g = fold(x[0] * y[2] + x[2] * y[0] + z[0] * w[2] + z[2] * w[0])
+    if not full:
+        return val, g
+    du = fold(x[0] * y[1] + x[1] * y[0] + z[0] * w[1] + z[1] * w[0])
+    gg = fold(x[0] * y[3] + x[2] * y[2] + x[3] * y[0] + z[0] * w[3] + z[2] * w[2] + z[3] * w[0])
+    return val, du, g, gg
 
 
 def knot_elements(knot):
@@ -183,37 +224,42 @@ def knot_elements(knot):
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
       n_ss(t^2)^2 u(t^2) u(t^2r) = D."""
     p, b = knot.p, DIGIT_BITS
-    one = 1 << b * (p + 1)  # 1 at OFF = p + 1
 
     def fold(x):
         return _fold(x, b * p)
 
-    def unword(x):  # a word product's element, moved from OFF = p + 1 to 0
-        return fold(x << b * (p - 1))
+    def unword(x):  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
+        return fold(x << b * ((p + 1) // 2))
 
     def zero_test(x, what):
-        c = _digits(x, p, what)
-        if c.count(c[0]) != p:
-            raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {knot.label}")
+        _zero_test(x, p, what, knot.label)
 
-    w, rev = ([list(map(unword, jet)) for jet in _image(word.letters, b, one)]
-              for word in (knot.word, knot.reversed_word))
+    tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
+    w, v = _image(knot.word.letters, b, tail)
     (w11_0, w11_d, w11_s, w11_ss), (w12_0, w12_d, w12_s, w12_ss) = w[0], w[1]
-    phi_d, phi_ss = w11_d + 2 * w12_d, w11_ss + 2 * w12_ss - 4 * w12_s  # 1 - s = 2 - 4g
+    # a zero test does not see the factor t^m, which permutes coefficients
     zero_test(w11_0 + 2 * w12_0, "phi at g^0")
     zero_test(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
+    phi_d, phi_ss = map(unword, (w11_d + 2 * w12_d,
+                                 w11_ss + 2 * w12_ss - 4 * w12_s))  # 1 - s = 2 - 4g
 
-    # x^(-2 sigma) has no u: its entries are small ints, unpacked
-    periph = _image([("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma), 0, 1)
-    lon = _mat_mul(_mat_mul(rev, w, fold), periph, fold)
-    for entry, i in zip(lon, (1, 0, 0, 1)):
-        zero_test(entry[0] - i, "L = I at g^0")
-    lam_d, lam_s, lam_ss = (lon[0][j] + lon[3][j] for j in (1, 2, 3))
+    # the slots of L = rev v, v = W x^(-2 sigma), that the checks read
+    (r00, r01, r10, r11), (v00, v01, v10, v11) = (
+        [list(map(unword, jet)) for jet in image]
+        for image in (_image(knot.reversed_word.letters, b)[0], v))
+    l00, l11 = _dot(r00, v00, r01, v10, fold), _dot(r10, v01, r11, v11, fold)
+    (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
+                                      _dot(r10, v00, r11, v10, fold, False))
+    for x in (l00[0] - 1, l01_0, l10_0, l11[0] - 1):
+        zero_test(x, "L = I at g^0")
+    lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
     zero_test(lam_s, "tr L at g^1")
-    d = fold(lon[1][2] * lon[2][2] - lon[0][2] * lon[3][2])
+    d = fold(l01_s * l10_s - l00[2] * l11[2])
     zero_test(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), "estimate (b)")
 
-    a, bb, c, dd = ([unword(x) for x in jet] for jet in _fox_jets(knot.relator(), b, one))
+    one = 1 << b * (p + 1)  # the Fox walk's 1, at OFF = p + 1
+    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from OFF to 0
+                    for jet in _fox_jets(knot.relator(), b, one))
     zero_test(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
     zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
               "Wada's numerator at e^1")

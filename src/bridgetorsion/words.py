@@ -1,9 +1,10 @@
 """Free-group words on the generators x, y; Fox free-differential calculus;
 and the normalized two-bridge presentation <x, y | w x = y w>.
 
-Words are stored as freely reduced unit letters (generator, +/-1).  A
-peripheral power such as x^(-2*sigma) is taken on matrices, by binary
-powering in ``curve.longitude_image``, not letter by letter.
+Words are stored as freely reduced unit letters (generator, +/-1), so a
+peripheral power such as x^(-2*sigma) is |2 sigma| letters, and every word
+walk (``reps.word_product``, the exact route's ``exact._image``) takes it
+letter by letter.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class Word:
             return "Word(1)"
         bits = [g if e == 1 else f"{g}^-1" for g, e in self.letters]
         return "Word(" + " ".join(bits) + ")"
-
-
-X = Word((("x", 1),))
-Y = Word((("y", 1),))
 
 
 class GroupRingElement:
@@ -171,7 +168,10 @@ class TwoBridgeKnot:
 
     @cached_property
     def _relator(self):
-        return self.word * X * self.word.inverse() * Y.inverse()
+        # freely reduced as it stands: w alternates x and y, starts with x
+        # and ends with y
+        w = self.word.letters
+        return Word(w + (("x", 1),) + tuple((g, -e) for g, e in reversed(w)) + (("y", -1),))
 
     @cached_property
     def reversed_word(self):

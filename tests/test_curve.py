@@ -129,14 +129,21 @@ def test_F_independent_of_sqrt_branch(monkeypatch):
     # -r of -s must give the same value.  The scaled letters r l of the
     # exact route are the same at -r, so the branch enters only through
     # the scale r^-n, which becomes (-r)^-n = (-1)^n r^-n: an odd word's
-    # image is negated, and the elements stay the same, bit for bit
+    # image is negated, and so is the image of a word and a tail of odd
+    # total length, while the elements stay the same, bit for bit
     knots = [normalize_two_bridge(p, q) for p, q in CENSUS]
     before = [exact.knot_elements(knot) for knot in knots]
     b, odd = exact.DIGIT_BITS, [("x", 1), ("y", -1), ("y", -1)]
-    image = exact._image(odd, b, 1 << 3 * b)
+    even_tail, odd_tail = [("x", -1)], [("x", 1), ("x", 1)]  # 4 and 5 letters in all
+    (head, even_whole), (_, odd_whole) = (exact._image(odd, b, tail) for tail in (even_tail, odd_tail))
     scale = exact._inv_r_power
     monkeypatch.setattr(exact, "_inv_r_power", lambda n: tuple((-1) ** n * c for c in scale(n)))
-    assert exact._image(odd, b, 1 << 3 * b) == [tuple(-c for c in jet) for jet in image]
+
+    def negated(image):
+        return [tuple(-c for c in jet) for jet in image]
+
+    assert exact._image(odd, b, even_tail) == (negated(head), even_whole)
+    assert exact._image(odd, b, odd_tail) == (negated(head), negated(odd_whole))
     assert [exact.knot_elements(knot) for knot in knots] == before
 
 

@@ -65,6 +65,16 @@ def test_value_fields_are_pinned():
     assert digest.hexdigest() == "2b41ca9aad54f24db6066a68ea5a792b4c62e0eee3ddc40ad3e04af9bad605f0"
 
 
+def test_large_knot_elements_are_pinned():
+    # the packed ints and the peripheral tail x^(-2 sigma) are longest at
+    # large p (the tail of 301/1 has 600 letters): a SHA-256 over the
+    # elements, coefficients and L1 bit lengths, of four large knots
+    digest = hashlib.sha256()
+    for p, q in ((101, 31), (131, 55), (301, 25), (301, 1)):
+        digest.update(repr((p, q, exact.knot_elements(normalize_two_bridge(p, q)))).encode())
+    assert digest.hexdigest() == "450ae1e4e1efb754d8f50e80c99ed43a6e40f18bbaeb679b72e68dbc6ad766df"
+
+
 def _jet_mul(x, y):
     """The product of jets (val, g, g^2) mod g^3."""
     return x[0] * y[0], x[0] * y[1] + x[1] * y[0], x[0] * y[2] + x[1] * y[1] + x[2] * y[0]
@@ -108,6 +118,29 @@ def test_digits_round_trip():
     assert exact._fold(_pack([0] * 9 + [1]), exact.DIGIT_BITS * 7) == _pack([0, 0, 1])
     with pytest.raises(RecordError, match="coefficient of 32 bits"):
         exact._digits(_pack([2 ** 32, 0, 0, 0, 0, 0, 0]), 7, "x")
+
+
+@pytest.mark.parametrize("digits, message", [
+    ([0] * 7, None),
+    ([5] * 7, None),
+    ([2 ** 32 - 1] * 7, None),
+    ([-(2 ** 32) + 1] * 7, None),
+    ([2 ** 32] * 7, "coefficient of 32 bits"),
+    ([-(2 ** 32)] * 7, "coefficient of 32 bits"),
+    ([5, 5, 5, 6, 5, 5, 5], r"fails in Z\[t\]/\(t\^7 - 1\) for b\(7,3\)"),
+    ([5, 5, 5, 2 ** 32, 5, 5, 5], "coefficient of 32 bits"),
+])
+def test_zero_test_outcomes(digits, message):
+    # an element passes exactly when its coefficients are equal and within
+    # the digit guard, whatever multiple of 2^(Bp) - 1 its int carries; a
+    # failure names the guard where a coefficient is beyond it
+    mask = (1 << exact.DIGIT_BITS * 7) - 1
+    for x in (_pack(digits), _pack(digits) - mask, _pack(digits) + 3 * mask):
+        if message is None:
+            exact._zero_test(x, 7, "x", "b(7,3)")
+        else:
+            with pytest.raises(RecordError, match=message):
+                exact._zero_test(x, 7, "x", "b(7,3)")
 
 
 @pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits")])

@@ -87,12 +87,15 @@ def test_trefoil_trace_identities():
 # -- Riley family -----------------------------------------------------------------
 
 
-def _letter_jets(image, u):
-    """The entries of a one-letter ``exact._image`` at OFF = 1 read at u, as
-    jets in (u, h) with h = 4g: each slot is a packed c + u v, with digits
-    (v, c - 2v, v) for t^-1, 1 and t, read as (c + u v) / 4^i at g^i."""
+def _letter_jets(image, m, u):
+    """The entries of a one-letter ``exact._image`` read at u, as jets in
+    (u, h) with h = 4g.  The image carries t^m, m = 1 for y^+-1 and 0 for
+    x^+-1; each slot is t^m (c + u v), which, with t^-m taken out, has
+    digits (v, c - 2v, v) for t^-1, 1 and t, read as (c + u v) / 4^i at
+    g^i."""
     def at_u(x):
-        v, c_minus_2v, w = exact._digits(x, 3, "a letter's slot")
+        digits = exact._digits(x, 3, "a letter's slot")
+        v, c_minus_2v, w = (digits[(e + m) % 3] for e in (-1, 0, 1))
         assert v == w
         return c_minus_2v + 2 * v + u * v
 
@@ -101,11 +104,12 @@ def _letter_jets(image, u):
 
 def test_riley_matches_metabelian_at_s_minus_one():
     # P(1) and F use one representation: the exact route's image of each
-    # single letter, r^-1 times its scaled letter, is, bit for bit, the
-    # jets of the real pair at (-1, u_k) along s = -1 + h, inverses
-    # included, and their value slots are the real pair of rho_k
+    # single letter, r^-1 times its scaled letter (times t for y^+-1), is,
+    # bit for bit, the jets of the real pair at (-1, u_k) along
+    # s = -1 + h, inverses included, and their value slots are the real
+    # pair of rho_k
     b = exact.DIGIT_BITS
-    images = {(gen, sign): exact._image([(gen, sign)], b, 1 << b)
+    images = {(gen, sign): exact._image([(gen, sign)], b)[0]
               for gen in "xy" for sign in (1, -1)}
     extended = Precision("extended")
     for prec, top in ((DOUBLE, 41), (extended, 13)):
@@ -119,7 +123,7 @@ def test_riley_matches_metabelian_at_s_minus_one():
                 for gen, img, meta in zip("xy", jets, (rho.img_x, rho.img_y)):
                     inverse = [-e for e in img.adjugate().entries]  # determinant -1
                     for sign, entries in ((1, img.entries), (-1, inverse)):
-                        want = _letter_jets(images[gen, sign], u)
+                        want = _letter_jets(images[gen, sign], int(gen == "y"), u)
                         assert [e.coeffs() for e in entries] == want, (p, k, gen, sign)
                     assert list(meta.entries) == [e.val for e in img.entries], (p, k, prec)
 
@@ -342,27 +346,32 @@ def _census_reports():
     return out
 
 
-def _reference_image(letters, b, one):
+def _reference_image(letters, b, tail=()):
     """``exact._image`` by full 2x2 products of ``riley_images`` at
     r = sqrt(-s), s = -1 + 4g, over exact jets in (u, g) at t = 2^b
-    (``Jet2`` with Fraction slots, g in its s slot), each slot packed as
-    one times its value."""
+    (``Jet2`` with Fraction slots, g in its s slot): the images of the
+    letters and of the letters followed by tail, each slot packed as
+    t^m = 2^(b m) times its value, m the word's letters y^+-1."""
     u = Jet2(Fraction(2 ** b) + Fraction(1, 2 ** b) - 2, 1, 0, 0)
     h = Jet2(0, 0, 4, 0)  # s + 1 = 4g
     r = 1 - h * Fraction(1, 2) - h * h * Fraction(1, 8)  # sqrt(1 - h)
-    out = []
-    for entry in _fold(*riley_images(r, u), Word(letters)).entries:
-        slots = [Fraction(c) * one for c in entry.coeffs()]
-        assert all(c.denominator == 1 for c in slots)
-        out.append(tuple(map(int, slots)))
-    return out
+    images = []
+    for word in (tuple(letters), tuple(letters) + tuple(tail)):
+        scale = 2 ** (b * sum(gen == "y" for gen, _ in word))
+        image = []
+        for entry in _fold(*riley_images(r, u), Word(word)).entries:
+            slots = [Fraction(c) * scale for c in entry.coeffs()]
+            assert all(c.denominator == 1 for c in slots)
+            image.append(tuple(map(int, slots)))
+        images.append(image)
+    return images
 
 
 def test_compute_invariants_matches_reference_fold(monkeypatch):
-    # the whole record path, with every word image of the exact route
-    # taken by the full 2x2 fold of Riley's real pair instead of the
-    # scaled-letter kernel, gives equal report bytes for the 68 census
-    # fractions p <= 25
+    # the whole record path, with every word image of the exact route,
+    # the peripheral tail x^(-2 sigma) included, taken by the full 2x2 fold
+    # of Riley's real pair instead of the homogenized scaled-letter kernel,
+    # gives equal report bytes for the 68 census fractions p <= 25
     assert len(KERNEL_CENSUS) == 68
     kernel = _census_reports()
     monkeypatch.setattr(exact, "_image", _reference_image)

@@ -206,3 +206,18 @@ def test_knot_words_built_once():
     assert k.reversed_word is k.reversed_word
     assert k.reversed_word == w.reversed_word()
     assert longitude_word(k) == w.reversed_word() * w * Word((("x", -2 * k.sigma),))
+
+
+def test_relator_equals_the_chained_product():
+    # the relator, built in one construction, is the freely reduced
+    # product w x w^-1 y^-1 for every normalized fraction p <= 41
+    count = 0
+    for p in range(3, 42, 2):
+        for q in range(1, p, 2):
+            if math.gcd(p, q) == 1:
+                knot = normalize_two_bridge(p, q)
+                w = knot.word
+                want = w * Word.parse("x") * w.inverse() * Word.parse("Y")
+                assert knot.relator().letters == want.letters, (p, q)
+                count += 1
+    assert count == 178
