@@ -242,17 +242,19 @@ def _cached_report(path, knot):
 
 def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, served from the directory cache when the code
-    fingerprint matches; returns (report, hit).  A damaged entry is a miss,
-    and is computed and written again."""
+    fingerprint matches; returns (report, hit, data), data the bytes written
+    on a miss and None on a hit.  A damaged entry is a miss, and is computed
+    and written again."""
     base = cache_dir or default_cache_dir()
     path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
     report = _cached_report(path, knot)
     if report is not None:
-        return report, True
+        return report, True, None
     records = compute_invariants(knot)
     report = knot_report(knot, records)
-    _atomic_write(path, serialize_report(report))
-    return report, False
+    data = serialize_report(report)
+    _atomic_write(path, data)
+    return report, False, data
 
 
 def parse_fraction(text):
@@ -307,7 +309,8 @@ def read_catalog(path):
 
 def run_catalog(input_path, out_path=None, cache_dir=None):
     """Compute every catalog row, compare same-determinant pairs, and write
-    the JSON report; per-row failures are recorded, not fatal."""
+    the JSON report, exactly serialize_report of the returned one; per-row
+    failures are recorded, not fatal."""
     entries = []
     errors = []
     for row_no, p, q, label in read_catalog(input_path):
@@ -319,8 +322,8 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
         except TorsionError as exc:
             errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        report, hit = cached_invariant_report(knot, cache_dir)
-        entries.append({"row": row_no, "label": label, "knot": knot, "report": report, "cache_hit": hit})
+        report, _, data = cached_invariant_report(knot, cache_dir)
+        entries.append({"label": label, "knot": knot, "report": report, "data": data})
 
     records = [_records_from_report(e["report"]) for e in entries]
     verdicts = []
@@ -339,7 +342,19 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
         "errors": errors,
     }
     if out_path:
-        _atomic_write(out_path, serialize_report(report))
+        # each knot's bytes once, from its cache write where it had one,
+        # indented two levels deeper in place of a second encoding:
+        # json.dumps writes no raw newline inside a string
+        encoded = {}
+        for e in entries:
+            key = e["knot"].p, e["knot"].q
+            if key not in encoded:
+                encoded[key] = (e["data"] or serialize_report(e["report"])).replace(b"\n", b"\n  ")
+        data = serialize_report({**report, "knots": []})
+        if entries:
+            knots = b",\n  ".join(encoded[e["knot"].p, e["knot"].q] for e in entries)
+            data = data.replace(b'\n "knots": []', b'\n "knots": [\n  ' + knots + b"\n ]", 1)
+        _atomic_write(out_path, data)
     return report
 
 

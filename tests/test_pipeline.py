@@ -300,15 +300,16 @@ def test_compare_distinct_same_determinant():
 def test_cache_bit_for_bit(tmp_path):
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
-    report1, hit1 = cached_invariant_report(knot, cache)
+    report1, hit1, data1 = cached_invariant_report(knot, cache)
     assert not hit1
     path = os.path.join(cache, fingerprint()[:16], "5_3.json")
     with open(path, "rb") as f:
         cached_bytes = f.read()
     fresh = knot_report(knot, compute_invariants(knot))
-    assert serialize_report(fresh) == cached_bytes
-    report2, hit2 = cached_invariant_report(knot, cache)
-    assert hit2
+    assert serialize_report(fresh) == cached_bytes == data1
+    # a hit hands back no bytes: the entry on disk need not be canonical
+    report2, hit2, data2 = cached_invariant_report(knot, cache)
+    assert hit2 and data2 is None
     assert report2 == report1 == fresh
 
 
@@ -343,7 +344,7 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         f.write(damaged)
-    report, hit = cached_invariant_report(knot, cache)
+    report, hit, _ = cached_invariant_report(knot, cache)
     assert not hit
     fresh = serialize_report(knot_report(knot, compute_invariants(knot)))
     assert serialize_report(report) == fresh
@@ -427,6 +428,41 @@ def test_catalog_run(tmp_path):
     # a second run is served from the cache and produces the identical report
     report2 = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
     assert report2["knots"] == report["knots"]
+
+
+def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
+    # the --out file splices in each knot's cache bytes, re-indented; it
+    # must equal serialize_report of the returned report, cold and warm,
+    # with a hit inside the cold run (7/11 normalizes to 7/3), a bad row, an
+    # unnormalizable one and a label with non-ASCII text and a newline
+    assert normalize_two_bridge(7, 11).q == normalize_two_bridge(7, 3).q
+    hits = []
+    lookup = pipeline.cached_invariant_report
+
+    def spy(knot, cache_dir=None):
+        result = lookup(knot, cache_dir)
+        hits.append(result[1])
+        return result
+
+    monkeypatch.setattr(pipeline, "cached_invariant_report", spy)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text('p,q,label\n7,3,"5₂ — zwei\nKnoten"\n7,11,\nx,1\n4,1\n5,3\n', encoding="utf-8")
+    out_path = tmp_path / "report.json"
+    cache = str(tmp_path / "cache")
+    for expected_hits in ([False, True, False], [True, True, True]):
+        hits.clear()
+        report = run_catalog(str(csv_path), str(out_path), cache)
+        assert hits == expected_hits
+        assert len(report["knots"]) == 3 and len(report["errors"]) == 2
+        assert report["labels"][0] == "5₂ — zwei\nKnoten"
+        assert out_path.read_bytes() == serialize_report(report)
+
+    # a header-only catalog keeps an empty knots list
+    csv_path.write_text("p,q,label\n")
+    report = run_catalog(str(csv_path), str(out_path), cache)
+    assert report["knots"] == []
+    assert b'\n "knots": [],\n' in out_path.read_bytes()
+    assert out_path.read_bytes() == serialize_report(report)
 
 
 def test_nan_estimate_gives_error_records(monkeypatch):
@@ -613,16 +649,16 @@ def test_extended_precision_leaves_global_mpmath_alone():
 def test_env_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("TORSION_CACHE_DIR", str(tmp_path / "envcache"))
     knot = normalize_two_bridge(3, 1)
-    _, hit = cached_invariant_report(knot)
+    _, hit, _ = cached_invariant_report(knot)
     assert not hit
     assert os.path.isdir(str(tmp_path / "envcache"))
-    _, hit = cached_invariant_report(knot)
+    _, hit, _ = cached_invariant_report(knot)
     assert hit
 
     # an empty value counts as unset: the cache goes to .torsion_cache, not
     # to the working directory itself
     monkeypatch.setenv("TORSION_CACHE_DIR", "")
     monkeypatch.chdir(tmp_path)
-    _, hit = cached_invariant_report(knot)
+    _, hit, _ = cached_invariant_report(knot)
     assert not hit
     assert sorted(os.listdir(tmp_path)) == [".torsion_cache", "envcache"]
