@@ -196,7 +196,7 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
     return RileyPoint(-1.0 + h, u, resid)
 
 
-def evaluate_F(knot, kprime, prec=DOUBLE):
+def evaluate_F(knot, kprime):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam: the
     ``exact.Reading`` of index k', whose f_value is F.  The knot's exact
@@ -205,5 +205,5 @@ def evaluate_F(knot, kprime, prec=DOUBLE):
     implicit-function formula L_ss - L_u phi_ss / phi_u.  1/F is
     H_hat(-2), where I_lam - 2 = -(I_muhat + 2) H_hat(I_muhat) locally; for
     the figure-eight knot it comes out 5.  The readout is exact to its
-    margin, so no working precision applies: prec is not read."""
+    margin."""
     return read(knot_elements(knot), kprime)

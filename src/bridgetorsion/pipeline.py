@@ -200,8 +200,9 @@ def verdict_to_dict(v):
 
 
 def serialize_report(report):
-    """Canonical byte form; identical computations serialize bit-for-bit."""
-    return json.dumps(report, sort_keys=True, indent=1).encode()
+    """Canonical byte form, compact JSON with sorted keys; identical
+    computations serialize bit-for-bit."""
+    return json.dumps(report, sort_keys=True).encode()
 
 
 def default_cache_dir():
@@ -223,9 +224,9 @@ def _atomic_write(path, data):
 
 
 def _cached_report(path, knot):
-    """The report cached at path, or None where there is none or it does
-    not parse, names another knot, or has records that do not rebuild with
-    k = 1..(p-1)/2 in order."""
+    """(report, records) cached at path, or None where there is none or it
+    does not parse, names another knot, or has records that do not rebuild
+    with k = 1..(p-1)/2 in order."""
     try:
         with open(path, "rb") as f:
             report = json.loads(f.read().decode())
@@ -234,27 +235,28 @@ def _cached_report(path, knot):
     if not isinstance(report, dict) or report.get("knot") != {"p": knot.p, "q": knot.q}:
         return None
     try:
-        ks = [r.k for r in _records_from_report(report)]
+        records = _records_from_report(report)
     except (KeyError, TypeError, ValueError):
         return None
-    return report if ks == list(range(1, (knot.p - 1) // 2 + 1)) else None
+    if [r.k for r in records] != list(range(1, (knot.p - 1) // 2 + 1)):
+        return None
+    return report, records
 
 
 def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, served from the directory cache when the code
-    fingerprint matches; returns (report, hit, data), data the bytes written
-    on a miss and None on a hit.  A damaged entry is a miss, and is computed
-    and written again."""
+    fingerprint matches; returns (report, hit, records), the records
+    computed on a miss or rebuilt from the entry on a hit.  A damaged entry
+    is a miss, and is computed and written again."""
     base = cache_dir or default_cache_dir()
     path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
-    report = _cached_report(path, knot)
-    if report is not None:
-        return report, True, None
+    cached = _cached_report(path, knot)
+    if cached is not None:
+        return cached[0], True, cached[1]
     records = compute_invariants(knot)
     report = knot_report(knot, records)
-    data = serialize_report(report)
-    _atomic_write(path, data)
-    return report, False, data
+    _atomic_write(path, serialize_report(report))
+    return report, False, records
 
 
 def parse_fraction(text):
@@ -309,8 +311,8 @@ def read_catalog(path):
 
 def run_catalog(input_path, out_path=None, cache_dir=None):
     """Compute every catalog row, compare same-determinant pairs, and write
-    the JSON report, exactly serialize_report of the returned one; per-row
-    failures are recorded, not fatal."""
+    serialize_report of the returned report to out_path; per-row failures
+    are recorded, not fatal."""
     entries = []
     errors = []
     for row_no, p, q, label in read_catalog(input_path):
@@ -322,39 +324,23 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
         except TorsionError as exc:
             errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        report, _, data = cached_invariant_report(knot, cache_dir)
-        entries.append({"label": label, "knot": knot, "report": report, "data": data})
+        report, _, records = cached_invariant_report(knot, cache_dir)
+        entries.append((label, knot, report, records))
 
-    records = [_records_from_report(e["report"]) for e in entries]
     verdicts = []
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            a, b = entries[i]["knot"], entries[j]["knot"]
-            if a.p != b.p or (a.p, a.q) == (b.p, b.q):
-                continue
-            verdicts.append(compare_knots(a, b, records[i], records[j]))
+    for (_, a, _, records_a), (_, b, _, records_b) in itertools.combinations(entries, 2):
+        if a.p == b.p and (a.p, a.q) != (b.p, b.q):
+            verdicts.append(compare_knots(a, b, records_a, records_b))
 
     report = {
         "config": fingerprint(),
-        "knots": [e["report"] for e in entries],
-        "labels": [e["label"] for e in entries],
+        "knots": [knot_rep for _, _, knot_rep, _ in entries],
+        "labels": [label for label, _, _, _ in entries],
         "verdicts": [verdict_to_dict(v) for v in verdicts],
         "errors": errors,
     }
     if out_path:
-        # each knot's bytes once, from its cache write where it had one,
-        # indented two levels deeper in place of a second encoding:
-        # json.dumps writes no raw newline inside a string
-        encoded = {}
-        for e in entries:
-            key = e["knot"].p, e["knot"].q
-            if key not in encoded:
-                encoded[key] = (e["data"] or serialize_report(e["report"])).replace(b"\n", b"\n  ")
-        data = serialize_report({**report, "knots": []})
-        if entries:
-            knots = b",\n  ".join(encoded[e["knot"].p, e["knot"].q] for e in entries)
-            data = data.replace(b'\n "knots": []', b'\n "knots": [\n  ' + knots + b"\n ]", 1)
-        _atomic_write(out_path, data)
+        _atomic_write(out_path, serialize_report(report))
     return report
 
 

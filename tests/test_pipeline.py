@@ -300,17 +300,21 @@ def test_compare_distinct_same_determinant():
 def test_cache_bit_for_bit(tmp_path):
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
-    report1, hit1, data1 = cached_invariant_report(knot, cache)
+    report1, hit1, records1 = cached_invariant_report(knot, cache)
     assert not hit1
     path = os.path.join(cache, fingerprint()[:16], "5_3.json")
     with open(path, "rb") as f:
         cached_bytes = f.read()
-    fresh = knot_report(knot, compute_invariants(knot))
-    assert serialize_report(fresh) == cached_bytes == data1
-    # a hit hands back no bytes: the entry on disk need not be canonical
-    report2, hit2, data2 = cached_invariant_report(knot, cache)
-    assert hit2 and data2 is None
+    computed = compute_invariants(knot)
+    fresh = knot_report(knot, computed)
+    assert serialize_report(fresh) == cached_bytes
+    # a miss returns the records it computed, a hit those rebuilt from the
+    # entry, equal in what comparisons read
+    assert records1 == computed
+    report2, hit2, records2 = cached_invariant_report(knot, cache)
+    assert hit2
     assert report2 == report1 == fresh
+    assert [(r.k, r.tau, r.error) for r in records2] == [(r.k, r.tau, r.error) for r in computed]
 
 
 # records of 5/3 that rebuild in order, but with tau "0.5" a string
@@ -344,9 +348,11 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         f.write(damaged)
-    report, hit, _ = cached_invariant_report(knot, cache)
+    report, hit, records = cached_invariant_report(knot, cache)
     assert not hit
-    fresh = serialize_report(knot_report(knot, compute_invariants(knot)))
+    computed = compute_invariants(knot)
+    assert records == computed
+    fresh = serialize_report(knot_report(knot, computed))
     assert serialize_report(report) == fresh
     with open(path, "rb") as f:
         assert f.read() == fresh
@@ -430,12 +436,8 @@ def test_catalog_run(tmp_path):
     assert report2["knots"] == report["knots"]
 
 
-def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
-    # the --out file splices in each knot's cache bytes, re-indented; it
-    # must equal serialize_report of the returned report, cold and warm,
-    # with a hit inside the cold run (7/11 normalizes to 7/3), a bad row, an
-    # unnormalizable one and a label with non-ASCII text and a newline
-    assert normalize_two_bridge(7, 11).q == normalize_two_bridge(7, 3).q
+def _spy_hits(monkeypatch):
+    """The hit flag of each cached_invariant_report call run_catalog makes."""
     hits = []
     lookup = pipeline.cached_invariant_report
 
@@ -445,6 +447,15 @@ def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "cached_invariant_report", spy)
+    return hits
+
+
+def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
+    # the --out file is serialize_report of the returned report, cold and warm,
+    # with a hit inside the cold run (7/11 normalizes to 7/3), a bad row, an
+    # unnormalizable one and a label with non-ASCII text and a newline
+    assert normalize_two_bridge(7, 11).q == normalize_two_bridge(7, 3).q
+    hits = _spy_hits(monkeypatch)
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text('p,q,label\n7,3,"5₂ — zwei\nKnoten"\n7,11,\nx,1\n4,1\n5,3\n', encoding="utf-8")
     out_path = tmp_path / "report.json"
@@ -461,8 +472,29 @@ def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
     csv_path.write_text("p,q,label\n")
     report = run_catalog(str(csv_path), str(out_path), cache)
     assert report["knots"] == []
-    assert b'\n "knots": [],\n' in out_path.read_bytes()
+    assert json.loads(out_path.read_bytes())["knots"] == []
     assert out_path.read_bytes() == serialize_report(report)
+
+
+def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
+    # a valid entry in another layout, the same report written with
+    # indent=1, is a hit; the --out file is still exactly serialize_report
+    # of the returned report, and the verdicts are those of the cold run
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n7,5\n7,1\n")
+    out_path = tmp_path / "report.json"
+    cache = str(tmp_path / "cache")
+    cold = run_catalog(str(csv_path), str(out_path), cache)
+    for entry in cold["knots"]:
+        name = f"{entry['knot']['p']}_{entry['knot']['q']}.json"
+        with open(os.path.join(cache, fingerprint()[:16], name), "wb") as f:
+            f.write(json.dumps(entry, sort_keys=True, indent=1).encode())
+    hits = _spy_hits(monkeypatch)
+    warm = run_catalog(str(csv_path), str(out_path), cache)
+    assert hits == [True, True, True]
+    assert out_path.read_bytes() == serialize_report(warm)
+    assert warm["verdicts"] == cold["verdicts"]
+    assert warm == cold
 
 
 def test_nan_estimate_gives_error_records(monkeypatch):
