@@ -50,6 +50,7 @@ from .alexander import (
     knot_determinant,
     p_at_one,
     p_polynomial,
+    torus_twisted_alexander,
     wada_twisted_alexander,
 )
 from .curve import (
@@ -57,7 +58,6 @@ from .curve import (
     RileyPoint,
     continue_riley_curve,
     evaluate_F,
-    metabelian_pairing,
     riley_residual,
     trace_longitude,
 )
@@ -67,13 +67,13 @@ from .oracles import (
     lens_torsion_multiset,
     torus_F,
     torus_P1_squared,
-    torus_twisted_alexander,
 )
 from .pipeline import (
     ComparisonVerdict,
     InvariantRecord,
     compare_knots,
     compute_invariants,
+    metabelian_pairing,
     run_catalog,
     tau_multiset,
 )

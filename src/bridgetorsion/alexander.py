@@ -1,19 +1,20 @@
 """P(1) from Wada's numerator with no division, in real arithmetic on
 the real pair of rho_k (``p_at_one``, the float form of what ``exact``
 computes for every index at once); Wada's twisted Alexander polynomial for
-<x, y | w x = y w>, the classical Alexander polynomial and P(t), which
-tests use as the reference for P(1).
+<x, y | w x = y w> and its (2, q) torus closed form, the classical
+Alexander polynomial and P(t), which tests use as the reference for P(1).
 
 ``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
 ``normalize_two_bridge`` checks it against p; it is re-exported here."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
 from .curve import Jet2
-from .errors import InexactDivision
+from .errors import IndexOutOfRange, InexactDivision
 from .numerics import LaurentPoly, RingMatrix, nan_max
 from .precision import DOUBLE
 from .reps import fox_image
@@ -73,6 +74,27 @@ def wada_twisted_alexander(k, rep, by="x"):
     except InexactDivision:
         reduced = None
     return TwistedAlexResult(numerator, denominator, reduced)
+
+
+def torus_twisted_alexander(q, b):
+    """Twisted Alexander polynomial of the (2, q) torus knot at the
+    metabelian character in the component X_{1,b}:
+
+        (t^2 + 1) * prod_{l != (q-b)/2} (t^2 + z^l)(t^2 + z^(-l)),
+
+    z = e^{2 pi i / q}; conjugate pairing leaves the coefficients real."""
+    if q < 3 or q % 2 == 0:
+        raise IndexOutOfRange(f"q = {q} must be odd >= 3")
+    if not (0 < b < q) or b % 2 == 0:
+        raise IndexOutOfRange(f"b = {b} must be odd with 0 < b < q")
+    skip = (q - b) // 2
+    poly = LaurentPoly({2: 1, 0: 1})
+    for ell in range(1, (q - 1) // 2 + 1):
+        if ell == skip:
+            continue
+        z = cmath.exp(2j * cmath.pi * ell / q)
+        poly = poly * LaurentPoly({2: 1, 0: z}) * LaurentPoly({2: 1, 0: 1 / z})
+    return poly
 
 
 def p_at_one(knot, rep):

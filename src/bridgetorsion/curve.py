@@ -137,14 +137,6 @@ def riley_residual(knot, s, u, prec=DOUBLE):
     return phi.val * phase, phi.u * phase, phi.s * phase
 
 
-def metabelian_pairing(p, k):
-    """The unique k' in 1..(p-1)/2 with 2k' = +/- k mod p, from the inverse
-    (p+1)/2 of 2 mod p; rho_{k'} is the companion representation at whose
-    character F is evaluated."""
-    kp = k * ((p + 1) // 2) % p
-    return min(kp, p - kp)
-
-
 def trace_longitude(knot, s, u, prec=DOUBLE):
     """Trace of the longitude image under Riley's pair at (s, u), read off
     the real pair: the longitude has exponent sum 0, so no phase."""

@@ -7,12 +7,10 @@ so agreement with the generic pipeline is evidence rather than tautology.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, InvalidFraction
-from .numerics import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -37,27 +35,6 @@ class LensSpace:
     @property
     def label(self):
         return f"L({self.p},{self.q})"
-
-
-def torus_twisted_alexander(q, b):
-    """Twisted Alexander polynomial of the (2, q) torus knot at the
-    metabelian character in the component X_{1,b}:
-
-        (t^2 + 1) * prod_{l != (q-b)/2} (t^2 + z^l)(t^2 + z^(-l)),
-
-    z = e^{2 pi i / q}; conjugate pairing leaves the coefficients real."""
-    if q < 3 or q % 2 == 0:
-        raise IndexOutOfRange(f"q = {q} must be odd >= 3")
-    if not (0 < b < q) or b % 2 == 0:
-        raise IndexOutOfRange(f"b = {b} must be odd with 0 < b < q")
-    skip = (q - b) // 2
-    poly = LaurentPoly({2: 1, 0: 1})
-    for ell in range(1, (q - 1) // 2 + 1):
-        if ell == skip:
-            continue
-        z = cmath.exp(2j * cmath.pi * ell / q)
-        poly = poly * LaurentPoly({2: 1, 0: z}) * LaurentPoly({2: 1, 0: 1 / z})
-    return poly
 
 
 def torus_P1_squared(q, j):

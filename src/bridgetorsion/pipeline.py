@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 
-from .curve import metabelian_pairing
 from .errors import ParseError, RecordError, TorsionError
 from .exact import knot_elements, read
 from .oracles import LensSpace, lens_torsion_magnitude
@@ -37,6 +36,14 @@ def fingerprint():
         digest.update(f"{path.name}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
+
+
+def metabelian_pairing(p, k):
+    """The unique k' in 1..(p-1)/2 with 2k' = +/- k mod p, from the inverse
+    (p+1)/2 of 2 mod p; rho_{k'} is the companion representation at whose
+    character F is evaluated."""
+    kp = k * ((p + 1) // 2) % p
+    return min(kp, p - kp)
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,8 @@ def _record(knot, idx, lens, elements):
             raise RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive")
     except RecordError as exc:
         return _failed(knot, idx, lens, exc)
-    # knot_elements holds estimate (b) equal to F exactly
-    diagnostics = {"exact": True, "margin_bits": reading.margin_bits,
-                   "f_direct": [reading.f_value, 0.0], "f_rel_disagreement": 0.0}
     return InvariantRecord(idx, kprime, reading.p1_squared, reading.f_value, reading.tau,
-                           lens_torsion_magnitude(lens, idx), diagnostics)
+                           lens_torsion_magnitude(lens, idx), {"margin_bits": reading.margin_bits})
 
 
 def _failed(knot, idx, lens, exc):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .alexander import wada_twisted_alexander
 from .curve import evaluate_F, riley_residual
+from .errors import RecordError
+from .exact import knot_elements
 from .numerics import LaurentPoly, units_equal
 from .oracles import (
     LensSpace,
@@ -245,26 +247,16 @@ class AcceptanceSuite:
         )
 
     def criterion_10(self):
-        census = self._census_records()
-        worst = 0.0
-        ok = True
-        for recs in census.values():
-            for r in recs:
-                if not r.ok:
-                    ok = False
-                    continue
-                rel = r.diagnostics.get("f_rel_disagreement")
-                if rel is None:
-                    ok = False
-                    continue
-                worst = max(worst, rel)
-        ok = ok and worst <= 1e-5
-        return CriterionResult(
-            10,
-            "F estimates (a) and (b) agree on every record",
-            ok,
-            f"max rel disagreement {worst:.2e}",
-        )
+        # knot_elements holds estimate (b) of [g^2] I_lam equal to D = 16/F,
+        # estimate (a), by an exact zero test, raising on the first failed check
+        failed = []
+        for p, q in CENSUS_FRACTIONS:
+            try:
+                knot_elements(normalize_two_bridge(p, q))
+            except RecordError as exc:
+                failed.append(f"b({p},{q}): {exc}")
+        detail = failed[0] if failed else f"exact on {len(CENSUS_FRACTIONS)} census fractions"
+        return CriterionResult(10, "F estimates (a) and (b) agree on every record", not failed, detail)
 
     def run_all(self):
         return [getattr(self, f"criterion_{i}")() for i in range(1, 11)]

@@ -12,14 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import DeterminantMismatch, InvalidFraction
 
 GENERATORS = ("x", "y")
+#: The unit letters, and the adjacent pairs of them that cancel.
+_UNITS = frozenset((g, e) for g in GENERATORS for e in (1, -1))
+_CANCELLING = frozenset(((g, e), (g, -e)) for g, e in _UNITS)
 
 
 def _free_reduce(pairs):
-    """Unit letters of the pairs (generator, exponent), freely reduced."""
+    """Unit letters of the pairs (generator, exponent), freely reduced.
+    Reduced unit letters with int exponents come back after set checks alone."""
+    pairs = tuple(map(tuple, pairs))
+    if (_UNITS.issuperset(pairs) and _CANCELLING.isdisjoint(zip(pairs, pairs[1:]))
+            and {int}.issuperset(map(type, map(itemgetter(1), pairs)))):
+        return pairs
     stack = []
     for g, e in pairs:
         if g not in GENERATORS:

@@ -8,11 +8,11 @@ from bridgetorsion.alexander import (
     knot_determinant,
     p_at_one,
     p_polynomial,
+    torus_twisted_alexander,
     wada_twisted_alexander,
 )
 from bridgetorsion.errors import InexactDivision
 from bridgetorsion.numerics import LaurentPoly, RingMatrix, units_equal
-from bridgetorsion.oracles import torus_twisted_alexander
 from bridgetorsion.reps import Rep2, metabelian_pair, metabelian_rep, phi_map, riley_images
 from bridgetorsion.words import GroupRingElement, Word, normalize_two_bridge
 

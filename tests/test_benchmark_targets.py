@@ -5,12 +5,16 @@ the counters its ``_EXTRA`` readers take off their results must read."""
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 from bridgetorsion.pipeline import cached_invariant_report, knot_report, serialize_report
 from bridgetorsion.words import normalize_two_bridge
 
-MEASURE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "measure.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+MEASURE = ROOT / "perfbench" / "measure.py"
 
 
 def _measure():
@@ -45,3 +49,42 @@ def test_extra_readers_read_real_results(tmp_path):
     assert extra["hits"](miss) == 0
     assert extra["hits"](cached_invariant_report(knot, cache)) == 1
     assert extra["bytes"](serialize_report(knot_report(knot, miss[2]))) > 0
+
+
+_TRACER_PROBE = """
+import sys
+import bridgetorsion
+from bridgetorsion import pipeline
+from measure import Tracer
+
+def attributes():
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bridgetorsion"):
+            for key, value in vars(module).items():
+                out[name, key] = value
+                if isinstance(value, type):
+                    out.update(((name, key, k), v) for k, v in vars(value).items())
+    return out
+
+before, original = attributes(), pipeline.compute_invariants
+tracer = Tracer()
+tracer.install()
+assert pipeline.compute_invariants is not original
+tracer.uninstall()
+after = attributes()
+assert after.keys() == before.keys()
+assert [key for key, value in before.items() if after[key] is not value] == []
+assert pipeline.compute_invariants is original
+print("restored")
+"""
+
+
+def test_tracer_installs_on_the_package():
+    # in a fresh interpreter that has imported only the package, the tracer
+    # finds every module it patches, and uninstall puts every attribute back
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACER_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "restored"

@@ -12,7 +12,6 @@ from bridgetorsion.curve import (
     Jet2,
     continue_riley_curve,
     evaluate_F,
-    metabelian_pairing,
     riley_residual,
     trace_longitude,
 )
@@ -23,6 +22,7 @@ from bridgetorsion.errors import (
     ZeroParameter,
 )
 from bridgetorsion.numerics import RingMatrix
+from bridgetorsion.pipeline import metabelian_pairing
 from bridgetorsion.precision import DOUBLE, Precision
 from bridgetorsion.reps import metabelian_pair, metabelian_u, riley_images, word_product
 from bridgetorsion.words import Word, longitude_word, normalize_two_bridge

@@ -6,9 +6,8 @@ import mpmath
 import pytest
 
 from bridgetorsion import exact
-from bridgetorsion.curve import metabelian_pairing
 from bridgetorsion.errors import RecordError
-from bridgetorsion.pipeline import compare_knots, compute_invariants
+from bridgetorsion.pipeline import compare_knots, compute_invariants, metabelian_pairing
 from bridgetorsion.words import normalize_two_bridge
 
 CENSUS_25 = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]

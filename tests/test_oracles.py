@@ -3,7 +3,7 @@ import math
 import mpmath
 import pytest
 
-from bridgetorsion.alexander import p_polynomial
+from bridgetorsion.alexander import p_polynomial, torus_twisted_alexander
 from bridgetorsion.errors import IndexOutOfRange, InvalidFraction
 from bridgetorsion.numerics import LaurentPoly
 from bridgetorsion.oracles import (
@@ -12,7 +12,6 @@ from bridgetorsion.oracles import (
     lens_torsion_multiset,
     torus_F,
     torus_P1_squared,
-    torus_twisted_alexander,
 )
 
 

@@ -53,7 +53,7 @@ def test_figure_eight_records():
         assert abs(r.tau - r.cross_check) <= 1e-6
         prod = r.p1_squared * r.f_value
         assert abs(prod.imag) <= 1e-6 * r.tau
-        assert r.diagnostics["exact"]
+        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
 
 
 def test_torus_records_match_closed_forms():
@@ -62,7 +62,7 @@ def test_torus_records_match_closed_forms():
     for p in range(3, 26, 2):
         for r in compute_invariants(normalize_two_bridge(p, 1)):
             assert r.ok, (p, r.k, r.error)
-            assert r.diagnostics["exact"]
+            assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
             p1sq, f = torus_P1_squared(p, r.k), torus_F(p)
             assert abs(r.p1_squared - p1sq) <= 1e-6 * p1sq, (p, r.k)
             assert abs(r.f_value - f) <= 1e-6 * f, (p, r.k)
@@ -79,7 +79,7 @@ def test_trefoil_uses_closed_form_with_generic_crosscheck():
     r = records[0]
     assert r.ok
     assert abs(r.tau - 1 / 9) <= 1e-9
-    assert r.diagnostics["exact"]
+    assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
     assert abs(r.tau - r.cross_check) <= 1e-5 * r.tau
 
 
@@ -90,7 +90,7 @@ def test_force_generic_on_torus():
     assert len(records) == 2
     for r in records:
         assert r.ok
-        assert r.diagnostics["exact"]
+        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
         expected = 1 / (4 * math.sin(r.k * math.pi / 5) ** 2) ** 2
         assert abs(r.tau - expected) <= 1e-6 * expected
 
@@ -645,7 +645,8 @@ def test_value_path_stays_real():
         for r in records:
             assert {type(v) for v in (r.p1_squared, r.f_value, r.tau)} == {float}, (p, q, r.k)
         for r in knot_report(knot, records)["records"]:
-            assert r["p1_squared"][1] == r["F"][1] == r["diagnostics"]["f_direct"][1] == 0.0
+            assert r["p1_squared"][1] == r["F"][1] == 0.0
+            assert list(r["diagnostics"]) == ["margin_bits"]
 
 
 @pytest.mark.parametrize("q", [79, 101, 131, 201])
@@ -653,7 +654,7 @@ def test_large_torus_knots_run_in_double(q):
     # every record of b(q, 1) is read off the exact elements with its full
     # margin, and meets the (2, q) closed forms
     for r in compute_invariants(normalize_two_bridge(q, 1)):
-        assert r.ok and r.diagnostics["exact"], r.k
+        assert r.ok, r.k
         expected = torus_P1_squared(q, r.k) * torus_F(q)
         assert abs(r.tau - expected) <= 1e-9 * expected, r.k
         assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS, r.k

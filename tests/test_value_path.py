@@ -1,0 +1,71 @@
+"""The value path (errors, words, exact, oracles, pipeline, cli) imports,
+at module level, only the standard library and itself: the float
+references (numerics, precision, reps, alexander, curve) and the
+acceptance suite (selfcheck) stay out of it."""
+
+import ast
+import pathlib
+
+import pytest
+
+import bridgetorsion
+
+PACKAGE = pathlib.Path(bridgetorsion.__file__).parent
+VALUE_PATH = {"errors", "words", "exact", "oracles", "pipeline", "cli"}
+
+#: The package's public names, each of which the package namespace keeps.
+EXPORTS = """
+__version__ DeterminantMismatch DimensionMismatch DivergenceDetected IndexOutOfRange
+InexactDivision InvalidFraction NewtonDivergence ParseError SingularPoint TorsionError
+ZeroAtNegativeExponent ZeroParameter ZeroScale LaurentPoly RingMatrix richardson_limit
+units_equal DOUBLE Precision GroupRingElement TwoBridgeKnot Word build_relator_word
+fox_derivative fractions_mirror_equivalent longitude_word normalize_two_bridge Rep2
+fox_image metabelian_pair metabelian_rep metabelian_u phi_map riley_images
+TwistedAlexResult classical_alexander knot_determinant p_at_one p_polynomial
+wada_twisted_alexander Jet2 RileyPoint continue_riley_curve evaluate_F
+metabelian_pairing riley_residual trace_longitude LensSpace lens_torsion_magnitude
+lens_torsion_multiset torus_F torus_P1_squared torus_twisted_alexander
+ComparisonVerdict InvariantRecord compare_knots compute_invariants run_catalog
+tau_multiset
+""".split()
+
+
+def _module_level_imports(name):
+    """The package modules that module name imports outside any function."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if child.level == 0 and module.split(".")[0] != "bridgetorsion":
+                    continue
+                if child.level == 0:
+                    module = module.partition(".")[2]
+                if module:
+                    found.add(module.split(".")[0])
+                else:  # from . import a, b
+                    found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.Import):
+                for alias in child.names:
+                    head, _, rest = alias.name.partition(".")
+                    if head == "bridgetorsion" and rest:
+                        found.add(rest.split(".")[0])
+            visit(child)
+
+    visit(ast.parse((PACKAGE / f"{name}.py").read_text()))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_PATH))
+def test_value_path_imports_only_the_value_path(name):
+    assert _module_level_imports(name) <= VALUE_PATH, name
+
+
+def test_package_keeps_every_export():
+    missing = [name for name in EXPORTS if not hasattr(bridgetorsion, name)]
+    assert missing == []
+    assert bridgetorsion.metabelian_pairing is bridgetorsion.pipeline.metabelian_pairing
+    assert bridgetorsion.torus_twisted_alexander is bridgetorsion.alexander.torus_twisted_alexander

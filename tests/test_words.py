@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from bridgetorsion.errors import InvalidFraction
+from bridgetorsion import words
+from bridgetorsion.errors import DeterminantMismatch, InvalidFraction
 from bridgetorsion.words import (
     GroupRingElement,
     Word,
@@ -40,6 +41,36 @@ def test_reduction_idempotent_and_assembly_invariant():
         split = Word(letters[:i]) * Word(letters[i:])
         assert whole == split
         assert Word(whole.letters) == whole
+
+
+def _reduce_letter_by_letter(pairs):
+    """Free reduction with no shortcut, one unit letter at a time."""
+    stack = []
+    for g, e in pairs:
+        e = int(e)
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            if stack and stack[-1] == (g, -sign):
+                stack.pop()
+            else:
+                stack.append((g, sign))
+    return tuple(stack)
+
+
+def test_reduction_shortcut_matches_the_letter_loop():
+    # reduced unit letters come back as they are; every other input,
+    # exponents True or 1.0 included, reduces to the same int letters
+    rng = random.Random(21)
+    exponents = (1, -1, 1, -1, 2, -3, 0, True, False, 1.0, -1.0, 2.0)
+    for _ in range(2000):
+        pairs = [(rng.choice("xy"), rng.choice(exponents)) for _ in range(rng.randint(0, 10))]
+        want = _reduce_letter_by_letter(pairs)
+        for form in (pairs, tuple(pairs), iter(pairs), [list(pair) for pair in pairs]):
+            letters = Word(form).letters
+            assert letters == want, pairs
+            assert all(type(e) is int for _, e in letters), pairs
+    with pytest.raises(ValueError):
+        Word([("z", 1)])
 
 
 def test_inverse_and_reverse():
@@ -194,6 +225,13 @@ def test_knot_determinant_matches_fox_sum():
         d = fox_derivative(k.relator(), "x")
         fox = abs(sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items()))
         assert knot_determinant(k) == fox == p, (p, q)
+
+
+def test_determinant_mismatch_is_raised(monkeypatch):
+    # a word whose determinant is not p is refused, naming both
+    monkeypatch.setattr(words, "knot_determinant", lambda knot: knot.p + 2)
+    with pytest.raises(DeterminantMismatch, match=r"\|Delta\(-1\)\| = 9 != p = 7"):
+        normalize_two_bridge(7, 3)
 
 
 def test_knot_words_built_once():
