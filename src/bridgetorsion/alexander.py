@@ -10,8 +10,7 @@ Alexander polynomial and P(t), which tests use as the reference for P(1).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .curve import Jet2
 from .errors import IndexOutOfRange, InexactDivision
@@ -24,18 +23,16 @@ from .words import fox_derivative, knot_determinant  # noqa: F401
 DIVISION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TwistedAlexResult:
-    """Wada's fraction: numerator det Phi(dr/dg), denominator det(t rho(h) - 1).
+class TwistedAlexResult(namedtuple("TwistedAlexResult", "numerator denominator reduced")):
+    """Wada's fraction: numerator det Phi(dr/dg), denominator det(t rho(h) - 1),
+    each a LaurentPoly.
 
     ``reduced`` carries the quotient, canonicalized so equality up to the
     unit +/- t^k becomes literal equality; it is None when the division is
     not exact (the fraction is then kept as a pair).
     """
 
-    numerator: LaurentPoly
-    denominator: LaurentPoly
-    reduced: Optional[LaurentPoly]
+    __slots__ = ()
 
 
 def classical_alexander(k):

@@ -13,7 +13,7 @@ tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NewtonDivergence, SingularPoint, ZeroParameter
 from .exact import knot_elements, read
@@ -105,13 +105,11 @@ class Jet2:
         return f"Jet2({', '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class RileyPoint:
-    """Accepted point on the Riley curve; residual is |phi(s, u)|."""
+class RileyPoint(namedtuple("RileyPoint", "s u residual")):
+    """Accepted point on the Riley curve: real s, complex u, and the
+    residual |phi(s, u)|."""
 
-    s: float
-    u: complex
-    residual: float
+    __slots__ = ()
 
 
 def _jet_phi(knot, s, u, prec=DOUBLE):

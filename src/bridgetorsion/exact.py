@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import RecordError
@@ -312,15 +312,11 @@ def _cosines(p):
     return table
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
     """A record's floats, read off at t = zeta^{k'}, and the least margin of
     its three readouts in bits."""
 
-    p1_squared: float
-    f_value: float
-    tau: float
-    margin_bits: int
+    __slots__ = ()
 
 
 def read(elements, kprime):

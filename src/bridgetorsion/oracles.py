@@ -8,20 +8,17 @@ so agreement with the generic pipeline is evidence rather than tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexOutOfRange, InvalidFraction
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(namedtuple("LensSpace", "p q r")):
     """L(p, q) together with the inverse residue r, q*r = 1 mod p.  p is
     odd: L(p, q) is the double branched cover of b(p, q), and the
     determinant p of a knot is odd."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
     @classmethod
     def of(cls, p, q):

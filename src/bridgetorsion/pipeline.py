@@ -5,20 +5,19 @@ catalogs and the per-knot result cache."""
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cache
 from pathlib import Path
 
 from .errors import ParseError, RecordError, TorsionError
 from .exact import knot_elements, read
 from .oracles import LensSpace, lens_torsion_magnitude
-from .words import TwoBridgeKnot, fractions_mirror_equivalent, normalize_two_bridge
+from .words import fractions_mirror_equivalent, normalize_two_bridge
 
 #: Largest multiset deviation at which two knots of one determinant are
 #: reported equivalent up to mirror image.
@@ -30,6 +29,8 @@ def fingerprint():
     """SHA-256 over the name and bytes of every module of the package, in
     sorted order; keys the cache, so any change to the source, be it a
     method, a tolerance or the report schema, gives a new key."""
+    import hashlib  # loads OpenSSL, which only the cache needs
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         data = path.read_bytes()
@@ -46,36 +47,34 @@ def metabelian_pairing(p, k):
     return min(kp, p - kp)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(namedtuple("InvariantRecord", "k kprime p1_squared f_value tau "
+                                                   "cross_check diagnostics error")):
     """Per-index invariant data: tau_k = |P(1)^2 * F(chi_{rho_{k'}})|.
 
     ``cross_check`` is the lens-space oracle value at the same index; the
     per-index match is informational (sorted multisets are what the theory
-    pins down), the acceptance equality runs at multiset level."""
+    pins down), the acceptance equality runs at multiset level.
+    ``diagnostics`` defaults to a new empty dict for each record, and
+    ``error`` is None for a record that holds."""
 
-    k: int
-    kprime: int
-    p1_squared: float
-    f_value: float
-    tau: float
-    cross_check: float | None = None
-    diagnostics: dict = field(default_factory=dict)
-    error: str | None = None
+    __slots__ = ()
+
+    def __new__(cls, k, kprime, p1_squared, f_value, tau, cross_check=None,
+                diagnostics=None, error=None):
+        return tuple.__new__(cls, (k, kprime, p1_squared, f_value, tau, cross_check,
+                                   {} if diagnostics is None else diagnostics, error))
 
     @property
     def ok(self):
         return self.error is None
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    knot_a: TwoBridgeKnot
-    knot_b: TwoBridgeKnot
-    verdict: str  # "equivalent-up-to-mirror" | "distinct" | "undetermined"
-    max_multiset_deviation: float | None  # None when undetermined
-    congruence_match: bool
-    determinants_match: bool
+class ComparisonVerdict(namedtuple("ComparisonVerdict", "knot_a knot_b verdict "
+                                   "max_multiset_deviation congruence_match determinants_match")):
+    """``verdict`` is "equivalent-up-to-mirror", "distinct" or
+    "undetermined"; ``max_multiset_deviation`` is None when undetermined."""
+
+    __slots__ = ()
 
 
 def _record(knot, idx, lens, elements):
@@ -94,7 +93,8 @@ def _record(knot, idx, lens, elements):
 
 def _failed(knot, idx, lens, exc):
     return InvariantRecord(idx, metabelian_pairing(knot.p, idx), 0.0, 0.0, float("nan"),
-                           lens_torsion_magnitude(lens, idx), error=f"{type(exc).__name__}: {exc}")
+                           lens_torsion_magnitude(lens, idx), {},
+                           f"{type(exc).__name__}: {exc}")
 
 
 def compute_invariants(knot):
@@ -131,15 +131,18 @@ def format_deviation(value, spec):
     return "n/a" if value is None else format(value, spec)
 
 
-def compare_knots(a, b, records_a=None, records_b=None):
+def compare_knots(a, b, records_a=None, records_b=None, *, taus=None):
     """Verdict per the torsion multisets, with the arithmetic congruence
     q' = +/- q^{+/-1} mod p reported as independent confirmation.  Any error
     record on either side makes the verdict "undetermined", with no
-    deviation."""
-    records_a = records_a if records_a is not None else compute_invariants(a)
-    records_b = records_b if records_b is not None else compute_invariants(b)
+    deviation.  ``taus``, the pair of ``tau_multiset``s of the two sides,
+    stands in for the records where the caller holds them sorted already."""
+    if taus is None:
+        records_a = records_a if records_a is not None else compute_invariants(a)
+        records_b = records_b if records_b is not None else compute_invariants(b)
+        taus = tau_multiset(records_a), tau_multiset(records_b)
+    taus_a, taus_b = taus
     det_match = a.p == b.p
-    taus_a, taus_b = tau_multiset(records_a), tau_multiset(records_b)
     congruence = det_match and fractions_mirror_equivalent(a.p, a.q, b.q)
     if taus_a is None or taus_b is None:
         verdict, deviation = "undetermined", None
@@ -329,12 +332,12 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
             errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
             continue
         report, _, records = cached_invariant_report(knot, cache_dir)
-        entries.append((label, knot, report, records))
+        entries.append((label, knot, report, tau_multiset(records)))
 
     verdicts = []
-    for (_, a, _, records_a), (_, b, _, records_b) in itertools.combinations(entries, 2):
+    for (_, a, _, taus_a), (_, b, _, taus_b) in itertools.combinations(entries, 2):
         if a.p == b.p and (a.p, a.q) != (b.p, b.q):
-            verdicts.append(compare_knots(a, b, records_a, records_b))
+            verdicts.append(compare_knots(a, b, taus=(taus_a, taus_b)))
 
     report = {
         "config": fingerprint(),

@@ -22,7 +22,7 @@ and P(1) folds the phase into Wada's weight (``alexander.p_at_one``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexOutOfRange
 from .numerics import LaurentPoly, RingMatrix
@@ -30,12 +30,10 @@ from .precision import DOUBLE
 from .words import GroupRingElement, Word
 
 
-@dataclass(frozen=True)
-class Rep2:
-    """Pair of images for the generators x and y."""
+class Rep2(namedtuple("Rep2", "img_x img_y")):
+    """Pair of images for the generators x and y, each a RingMatrix."""
 
-    img_x: RingMatrix
-    img_y: RingMatrix
+    __slots__ = ()
 
 
 def metabelian_u(p, k, prec=DOUBLE):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .alexander import wada_twisted_alexander
 from .curve import evaluate_F, riley_residual
@@ -34,12 +34,8 @@ CENSUS_FRACTIONS = [
 ]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    ok: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "number name ok detail")):
+    __slots__ = ()
 
     @property
     def line(self):

@@ -10,7 +10,7 @@ letter by letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
 
@@ -153,19 +153,18 @@ def fox_derivative(w, gen):
     return GroupRingElement(acc)
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
+class TwoBridgeKnot(namedtuple("TwoBridgeKnot", "p q word sigma mirror", defaults=(False,))):
     """Normalized Schubert fraction (p, q) with the derived relator data.
 
     ``mirror`` records that the input fraction named the mirror of the
-    stored representative.
+    stored representative.  Immutable: the instance dict holds only the
+    relator data cached on first use.
     """
 
-    p: int
-    q: int
-    word: Word
-    sigma: int
-    mirror: bool = False
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TwoBridgeKnot is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def label(self):

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -111,7 +110,7 @@ def test_negative_product_gives_error_records(capsys, monkeypatch):
 
     def negated(elements, kprime):
         reading = exact_read(elements, kprime)
-        return replace(reading, f_value=-reading.f_value, tau=-reading.tau)
+        return reading._replace(f_value=-reading.f_value, tau=-reading.tau)
 
     monkeypatch.setattr(pipeline, "read", negated)
     code, out, _ = run_cli(capsys, ["invariants", "7/3", "--json"])

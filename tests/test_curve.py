@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -379,7 +378,7 @@ def test_off_curve_metabelian_point_is_refused():
     # evaluated off the curve: the word of 7/3 with 5/3's q and sigma
     knot = normalize_two_bridge(5, 3)
     other = normalize_two_bridge(7, 3)
-    off = replace(knot, word=Word(other.word.letters[:4]))
+    off = knot._replace(word=Word(other.word.letters[:4]))
     with pytest.raises(RecordError, match="phi at g"):
         evaluate_F(off, 1)
 

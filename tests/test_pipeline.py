@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 
 import mpmath
 import pytest
@@ -20,6 +19,7 @@ from bridgetorsion.oracles import (
     torus_P1_squared,
 )
 from bridgetorsion.pipeline import (
+    InvariantRecord,
     cached_invariant_report,
     compare_knots,
     compute_invariants,
@@ -436,6 +436,40 @@ def test_catalog_run(tmp_path):
     assert report2["knots"] == report["knots"]
 
 
+def test_catalog_sorts_each_row_once(tmp_path, monkeypatch):
+    # 5 rows, 5 comparisons among the four rows of p = 7 (7/3 twice); each
+    # row's multiset is sorted once, and the verdicts are compare_knots'
+    sorts = []
+
+    def counting(records):
+        sorts.append(len(records))
+        return tau_multiset(records)
+
+    monkeypatch.setattr(pipeline, "tau_multiset", counting)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,1\n7,3\n7,5\n5,3\n7,3\n")
+    report = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
+    assert len(sorts) == 5
+    assert len(report["verdicts"]) == 5
+    monkeypatch.undo()
+    for v in report["verdicts"]:
+        a, b = (normalize_two_bridge(*pq) for pq in v["knots"])
+        assert v == pipeline.verdict_to_dict(compare_knots(a, b))
+
+
+def test_failed_records_have_their_own_diagnostics(break_letter):
+    break_letter()
+    records = compute_invariants(normalize_two_bridge(11, 3))
+    assert len(records) == 5 and not any(r.ok for r in records)
+    assert all(r.diagnostics == {} for r in records)
+    assert len({id(r.diagnostics) for r in records}) == len(records)
+    records[0].diagnostics["seen"] = True
+    assert records[1].diagnostics == {}
+    # the default is a new dict per record too
+    a, b = InvariantRecord(1, 1, 0.0, 0.0, 1.0), InvariantRecord(1, 1, 0.0, 0.0, 1.0)
+    assert a.diagnostics == {} and a.diagnostics is not b.diagnostics
+
+
 def _spy_hits(monkeypatch):
     """The hit flag of each cached_invariant_report call run_catalog makes."""
     hits = []
@@ -504,7 +538,7 @@ def test_nan_estimate_gives_error_records(monkeypatch):
     exact_read = pipeline.read
 
     def nan_read(elements, kprime):
-        return replace(exact_read(elements, kprime), f_value=math.nan, tau=math.nan)
+        return exact_read(elements, kprime)._replace(f_value=math.nan, tau=math.nan)
 
     monkeypatch.setattr(pipeline, "read", nan_read)
     knot = normalize_two_bridge(7, 3)

@@ -1,10 +1,14 @@
 """The value path (errors, words, exact, oracles, pipeline, cli) imports,
 at module level, only the standard library and itself: the float
 references (numerics, precision, reps, alexander, curve) and the
-acceptance suite (selfcheck) stay out of it."""
+acceptance suite (selfcheck) stay out of it.  Nor does the package load
+the standard library's heavier modules on import."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +73,33 @@ def test_package_keeps_every_export():
     assert missing == []
     assert bridgetorsion.metabelian_pairing is bridgetorsion.pipeline.metabelian_pairing
     assert bridgetorsion.torus_twisted_alexander is bridgetorsion.alexander.torus_twisted_alexander
+
+
+#: Standard modules the package leaves unloaded until it needs them:
+#: dataclasses pulls in inspect (and ast, dis, tokenize), and hashlib
+#: loads OpenSSL, which only the cache key needs.
+UNLOADED = ("dataclasses", "inspect", "typing", "hashlib")
+
+_DIET = """
+import sys
+import bridgetorsion
+from bridgetorsion import compare_knots, compute_invariants, normalize_two_bridge
+a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
+compute_invariants(a)
+compare_knots(a, b)
+print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
+bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
+print("hashlib" in sys.modules)
+"""
+
+
+def test_import_loads_no_heavy_standard_module(tmp_path):
+    # a fresh interpreter without site, which may preload typing
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n7,5\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _DIET, str(csv_path), str(tmp_path / "cache"), *UNLOADED],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out == ["", "True"]
