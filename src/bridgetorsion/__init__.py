@@ -4,7 +4,10 @@ For a two-bridge knot b(p, q) the package computes, per metabelian character
 index k, the product tau_k = |P(1)^2 * F| from the knot group alone (twisted
 Alexander polynomial plus a Taylor coefficient on the SL2(C) character
 variety) and verifies the multiset {tau_k} against the closed-form torsion
-of the lens space L(p, q)."""
+of the lens space L(p, q).
+
+The float references (numerics, precision, reps, alexander, curve) and
+their exports load on first use; the value path does not run them."""
 
 __version__ = "0.1.0"
 
@@ -23,8 +26,6 @@ from .errors import (
     ZeroParameter,
     ZeroScale,
 )
-from .numerics import LaurentPoly, RingMatrix, richardson_limit, units_equal
-from .precision import DOUBLE, Precision
 from .words import (
     GroupRingElement,
     TwoBridgeKnot,
@@ -32,34 +33,9 @@ from .words import (
     build_relator_word,
     fox_derivative,
     fractions_mirror_equivalent,
+    knot_determinant,
     longitude_word,
     normalize_two_bridge,
-)
-from .reps import (
-    Rep2,
-    fox_image,
-    metabelian_pair,
-    metabelian_rep,
-    metabelian_u,
-    phi_map,
-    riley_images,
-)
-from .alexander import (
-    TwistedAlexResult,
-    classical_alexander,
-    knot_determinant,
-    p_at_one,
-    p_polynomial,
-    torus_twisted_alexander,
-    wada_twisted_alexander,
-)
-from .curve import (
-    Jet2,
-    RileyPoint,
-    continue_riley_curve,
-    evaluate_F,
-    riley_residual,
-    trace_longitude,
 )
 from .oracles import (
     LensSpace,
@@ -77,3 +53,51 @@ from .pipeline import (
     run_catalog,
     tau_multiset,
 )
+
+
+def _lazy(name):
+    # a module in sys.modules (where imports and tracers look for it) that
+    # runs on its first attribute access
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+numerics = _lazy("numerics")
+precision = _lazy("precision")
+reps = _lazy("reps")
+alexander = _lazy("alexander")
+curve = _lazy("curve")
+
+_LAZY_EXPORTS = {
+    name: module
+    for module, names in (
+        ("numerics", "LaurentPoly RingMatrix richardson_limit units_equal"),
+        ("precision", "DOUBLE Precision"),
+        ("reps", "Rep2 fox_image metabelian_pair metabelian_rep metabelian_u phi_map "
+                 "riley_images"),
+        ("alexander", "TwistedAlexResult classical_alexander p_at_one p_polynomial "
+                      "torus_twisted_alexander wada_twisted_alexander"),
+        ("curve", "Jet2 RileyPoint continue_riley_curve evaluate_F riley_residual "
+                  "trace_longitude"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name):
+    """A float-reference export, read from its module (loading it)."""
+    try:
+        module = _LAZY_EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY_EXPORTS.keys())

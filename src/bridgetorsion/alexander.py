@@ -7,8 +7,6 @@ Alexander polynomial and P(t), which tests use as the reference for P(1).
 ``knot_determinant`` = |Delta(-1)| is computed exactly in ``words``, where
 ``normalize_two_bridge`` checks it against p; it is re-exported here."""
 
-from __future__ import annotations
-
 import cmath
 from collections import namedtuple
 

@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 usage error, 2 any record or row error (an
 undetermined comparison included) or an input file that cannot be read.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

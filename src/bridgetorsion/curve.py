@@ -11,8 +11,6 @@ u = u_{k'} + O(h^2) along the curve, so no solve is needed mod h^2.  The
 longitude image L is the identity at the metabelian point and
 tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L).
 """
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import NewtonDivergence, SingularPoint, ZeroParameter

@@ -37,8 +37,6 @@ within L1 = sum |c_e| units, whose bit length each element carries from
 ``knot_elements``; the margin is log2 of the sum over L1.
 """
 
-from __future__ import annotations
-
 import operator
 import sys
 from array import array

@@ -6,8 +6,6 @@ mpmath numbers and the Taylor jets used for curve derivatives all flow
 through the same polynomial and matrix code.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import (

@@ -5,8 +5,6 @@ Everything here is straight trigonometric evaluation with no Fox calculus,
 so agreement with the generic pipeline is evidence rather than tautology.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

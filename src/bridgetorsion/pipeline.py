@@ -2,17 +2,13 @@
 read off the knot's exact elements (``exact``), knot comparison, batch
 catalogs and the per-knot result cache."""
 
-from __future__ import annotations
-
 import csv
 import itertools
 import json
 import math
 import os
-import tempfile
 from collections import namedtuple
 from functools import cache
-from pathlib import Path
 
 from .errors import ParseError, RecordError, TorsionError
 from .exact import knot_elements, read
@@ -31,10 +27,12 @@ def fingerprint():
     method, a tolerance or the report schema, gives a new key."""
     import hashlib  # loads OpenSSL, which only the cache needs
 
+    here = os.path.dirname(os.path.abspath(__file__))
     digest = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        data = path.read_bytes()
-        digest.update(f"{path.name}\0{len(data)}\0".encode())
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as f:
+            data = f.read()
+        digest.update(f"{name}\0{len(data)}\0".encode())
         digest.update(data)
     return digest.hexdigest()
 
@@ -217,6 +215,8 @@ def default_cache_dir():
 
 
 def _atomic_write(path, data):
+    import tempfile  # only a cache or catalog write needs it
+
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")

@@ -20,8 +20,6 @@ multiplies for every index at once.  F reads only phase-free quantities,
 and P(1) folds the phase into Wada's weight (``alexander.p_at_one``).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import IndexOutOfRange

@@ -3,8 +3,6 @@
 Both ``tests/test_acceptance.py`` and the CLI ``selftest`` subcommand run
 these; each criterion returns a result row with a one-line detail."""
 
-from __future__ import annotations
-
 import math
 import time
 from collections import namedtuple

@@ -7,8 +7,6 @@ walk (``reps.word_product``, the exact route's ``exact._image``) takes it
 letter by letter.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property

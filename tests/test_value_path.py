@@ -1,8 +1,9 @@
 """The value path (errors, words, exact, oracles, pipeline, cli) imports,
 at module level, only the standard library and itself: the float
 references (numerics, precision, reps, alexander, curve) and the
-acceptance suite (selfcheck) stay out of it.  Nor does the package load
-the standard library's heavier modules on import."""
+acceptance suite (selfcheck) stay out of it, and the package runs them
+only on first use.  Nor does the package load the standard library's
+heavier modules on import."""
 
 import ast
 import os
@@ -76,9 +77,10 @@ def test_package_keeps_every_export():
 
 
 #: Standard modules the package leaves unloaded until it needs them:
-#: dataclasses pulls in inspect (and ast, dis, tokenize), and hashlib
-#: loads OpenSSL, which only the cache key needs.
-UNLOADED = ("dataclasses", "inspect", "typing", "hashlib")
+#: dataclasses pulls in inspect (and ast, dis, tokenize), hashlib loads
+#: OpenSSL, which only the cache key needs, and tempfile only the cache
+#: writes; pathlib pulls in urllib.parse, ipaddress and fnmatch.
+UNLOADED = ("dataclasses", "inspect", "typing", "hashlib", "pathlib", "tempfile", "__future__")
 
 _DIET = """
 import sys
@@ -89,7 +91,7 @@ compute_invariants(a)
 compare_knots(a, b)
 print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
 bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
-print("hashlib" in sys.modules)
+print("hashlib" in sys.modules, "tempfile" in sys.modules)
 """
 
 
@@ -102,4 +104,56 @@ def test_import_loads_no_heavy_standard_module(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out == ["", "True"]
+    assert out == ["", "True True"]
+
+
+FLOAT_REFERENCES = ("numerics", "precision", "reps", "alexander", "curve", "selfcheck")
+
+_FIRST_USE = """
+import os
+import sys
+
+package = sys.argv[3]
+ran = []
+
+
+def hook(event, args):
+    if event == "exec":
+        filename = getattr(args[0], "co_filename", "")
+        if os.path.dirname(filename) == package:
+            ran.append(os.path.basename(filename)[:-3])
+
+
+def report():
+    print(" ".join(sorted(name for name in ran if name in sys.argv[4:])))
+
+
+sys.addaudithook(hook)
+import bridgetorsion
+from bridgetorsion import cli, compare_knots, compute_invariants, normalize_two_bridge
+a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
+compute_invariants(a)
+compare_knots(a, b)
+bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
+assert cli.main(["invariants", "7/3", "--json"]) == 0
+report()
+assert bridgetorsion.LaurentPoly is bridgetorsion.numerics.LaurentPoly
+assert callable(bridgetorsion.alexander.wada_twisted_alexander)
+from bridgetorsion.curve import riley_residual
+assert riley_residual is bridgetorsion.riley_residual
+report()
+"""
+
+
+def test_value_path_runs_no_float_reference(tmp_path):
+    # the float references sit in sys.modules from the start, unexecuted; an
+    # audit hook sees each module's code run, on first use and only once
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n7,5\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _FIRST_USE, str(csv_path), str(tmp_path / "cache"),
+         str(PACKAGE), *FLOAT_REFERENCES],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[-2:] == ["", "alexander curve numerics precision reps"]
