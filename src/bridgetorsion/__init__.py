@@ -6,8 +6,9 @@ Alexander polynomial plus a Taylor coefficient on the SL2(C) character
 variety) and verifies the multiset {tau_k} against the closed-form torsion
 of the lens space L(p, q).
 
-The float references (numerics, precision, reps, alexander, curve) and
-their exports load on first use; the value path does not run them."""
+The float references (numerics, precision, reps, alexander, curve), the
+batch catalog and result cache (catalog), and their exports load on first
+use; computing and comparing knots runs none of them."""
 
 __version__ = "0.1.0"
 
@@ -50,9 +51,15 @@ from .pipeline import (
     compare_knots,
     compute_invariants,
     metabelian_pairing,
-    run_catalog,
     tau_multiset,
 )
+
+#: what ``from bridgetorsion import *`` brings: the names imported above,
+#: then the lazy exports (below)
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(f"{__name__}.")
+]
 
 
 def _lazy(name):
@@ -73,6 +80,7 @@ precision = _lazy("precision")
 reps = _lazy("reps")
 alexander = _lazy("alexander")
 curve = _lazy("curve")
+catalog = _lazy("catalog")
 
 _LAZY_EXPORTS = {
     name: module
@@ -85,13 +93,15 @@ _LAZY_EXPORTS = {
                       "torus_twisted_alexander wada_twisted_alexander"),
         ("curve", "Jet2 RileyPoint continue_riley_curve evaluate_F riley_residual "
                   "trace_longitude"),
+        ("catalog", "run_catalog"),
     )
     for name in names.split()
 }
+__all__ += _LAZY_EXPORTS
 
 
 def __getattr__(name):
-    """A float-reference export, read from its module (loading it)."""
+    """A lazy export, read from its module (loading it)."""
     try:
         module = _LAZY_EXPORTS[name]
     except KeyError:

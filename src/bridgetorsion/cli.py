@@ -16,7 +16,6 @@ from .pipeline import (
     format_deviation,
     knot_report,
     parse_fraction,
-    run_catalog,
     serialize_report,
     verdict_to_dict,
 )
@@ -133,6 +132,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import run_catalog  # only this command reads the catalog and cache
+
     report = run_catalog(args.path, out_path=args.out, cache_dir=args.cache)
     n_knots = len(report["knots"])
     n_errors = len(report["errors"])

@@ -88,3 +88,32 @@ def test_tracer_installs_on_the_package():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "restored"
+
+
+_ROW_PROBE = """
+import sys
+import bridgetorsion
+from bridgetorsion import pipeline
+from measure import Tracer
+from workloads import ROW_TARGET
+
+(name, _, _, _), = ROW_TARGET
+for run in ("cold", "warm"):
+    with Tracer(ROW_TARGET) as rows:
+        pipeline.run_catalog(sys.argv[1], None, sys.argv[2])
+    print(run, len(rows.durations(name)), rows.counters.get(name + ".hits", 0))
+"""
+
+
+def test_row_spans_reach_the_catalog(tmp_path):
+    # the untraced catalog pass times its rows from ROW_TARGET's spans around
+    # pipeline.cached_invariant_report, which catalog, loaded on first use,
+    # holds: in a fresh interpreter that has imported only the package, each
+    # valid row gives one span, and on the warm run one hit
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("p,q\n7,3\n7,5\nx,1\n4,1\n5,3\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", _ROW_PROBE, str(csv_path), str(tmp_path / "cache")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cold 3 0", "warm 3 3"]

@@ -10,7 +10,7 @@ import sys
 import mpmath
 import pytest
 
-from bridgetorsion import curve, exact, numerics, pipeline
+from bridgetorsion import catalog, curve, exact, numerics, pipeline
 from bridgetorsion.oracles import (
     LensSpace,
     lens_torsion_magnitude,
@@ -445,7 +445,7 @@ def test_catalog_sorts_each_row_once(tmp_path, monkeypatch):
         sorts.append(len(records))
         return tau_multiset(records)
 
-    monkeypatch.setattr(pipeline, "tau_multiset", counting)
+    monkeypatch.setattr(catalog, "tau_multiset", counting)
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text("7,1\n7,3\n7,5\n5,3\n7,3\n")
     report = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
@@ -473,14 +473,14 @@ def test_failed_records_have_their_own_diagnostics(break_letter):
 def _spy_hits(monkeypatch):
     """The hit flag of each cached_invariant_report call run_catalog makes."""
     hits = []
-    lookup = pipeline.cached_invariant_report
+    lookup = catalog.cached_invariant_report
 
     def spy(knot, cache_dir=None):
         result = lookup(knot, cache_dir)
         hits.append(result[1])
         return result
 
-    monkeypatch.setattr(pipeline, "cached_invariant_report", spy)
+    monkeypatch.setattr(catalog, "cached_invariant_report", spy)
     return hits
 
 

@@ -1,9 +1,10 @@
-"""The value path (errors, words, exact, oracles, pipeline, cli) imports,
-at module level, only the standard library and itself: the float
+"""The value path (errors, words, exact, oracles, pipeline, catalog, cli)
+imports, at module level, only the standard library and itself: the float
 references (numerics, precision, reps, alexander, curve) and the
 acceptance suite (selfcheck) stay out of it, and the package runs them
-only on first use.  Nor does the package load the standard library's
-heavier modules on import."""
+only on first use.  So it does the batch catalog and cache (catalog),
+which no module imports at module level.  Nor does the package load the
+standard library's heavier modules on import."""
 
 import ast
 import os
@@ -16,7 +17,7 @@ import pytest
 import bridgetorsion
 
 PACKAGE = pathlib.Path(bridgetorsion.__file__).parent
-VALUE_PATH = {"errors", "words", "exact", "oracles", "pipeline", "cli"}
+VALUE_PATH = {"errors", "words", "exact", "oracles", "pipeline", "catalog", "cli"}
 
 #: The package's public names, each of which the package namespace keeps.
 EXPORTS = """
@@ -69,18 +70,35 @@ def test_value_path_imports_only_the_value_path(name):
     assert _module_level_imports(name) <= VALUE_PATH, name
 
 
+def test_no_module_imports_the_catalog():
+    # the package registers catalog lazily; a module-level import would run it
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert "__init__" in modules and "catalog" in modules
+    assert [name for name in modules if "catalog" in _module_level_imports(name)] == []
+
+
 def test_package_keeps_every_export():
     missing = [name for name in EXPORTS if not hasattr(bridgetorsion, name)]
     assert missing == []
     assert bridgetorsion.metabelian_pairing is bridgetorsion.pipeline.metabelian_pairing
     assert bridgetorsion.torus_twisted_alexander is bridgetorsion.alexander.torus_twisted_alexander
+    assert bridgetorsion.run_catalog is bridgetorsion.pipeline.run_catalog
+
+
+def test_star_import_brings_every_export():
+    namespace = {}
+    exec("from bridgetorsion import *", namespace)
+    assert [name for name in EXPORTS if name not in namespace] == []
+    assert namespace["run_catalog"] is bridgetorsion.run_catalog
 
 
 #: Standard modules the package leaves unloaded until it needs them:
 #: dataclasses pulls in inspect (and ast, dis, tokenize), hashlib loads
-#: OpenSSL, which only the cache key needs, and tempfile only the cache
-#: writes; pathlib pulls in urllib.parse, ipaddress and fnmatch.
-UNLOADED = ("dataclasses", "inspect", "typing", "hashlib", "pathlib", "tempfile", "__future__")
+#: OpenSSL, which only the cache key needs, tempfile only the cache
+#: writes and csv only the catalog reader; pathlib pulls in urllib.parse,
+#: ipaddress and fnmatch.
+UNLOADED = ("dataclasses", "inspect", "typing", "hashlib", "pathlib", "tempfile", "csv",
+            "__future__")
 
 _DIET = """
 import sys
@@ -91,7 +109,7 @@ compute_invariants(a)
 compare_knots(a, b)
 print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
 bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
-print("hashlib" in sys.modules, "tempfile" in sys.modules)
+print("hashlib" in sys.modules, "tempfile" in sys.modules, "csv" in sys.modules)
 """
 
 
@@ -104,10 +122,11 @@ def test_import_loads_no_heavy_standard_module(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out == ["", "True True"]
+    assert out == ["", "True True True"]
 
 
 FLOAT_REFERENCES = ("numerics", "precision", "reps", "alexander", "curve", "selfcheck")
+LAZY = (*FLOAT_REFERENCES, "catalog")
 
 _FIRST_USE = """
 import os
@@ -134,8 +153,10 @@ from bridgetorsion import cli, compare_knots, compute_invariants, normalize_two_
 a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
 compute_invariants(a)
 compare_knots(a, b)
-bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
 assert cli.main(["invariants", "7/3", "--json"]) == 0
+assert cli.main(["compare", "7/3", "7/5", "--json"]) == 0
+report()
+bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
 report()
 assert bridgetorsion.LaurentPoly is bridgetorsion.numerics.LaurentPoly
 assert callable(bridgetorsion.alexander.wada_twisted_alexander)
@@ -146,14 +167,16 @@ report()
 
 
 def test_value_path_runs_no_float_reference(tmp_path):
-    # the float references sit in sys.modules from the start, unexecuted; an
-    # audit hook sees each module's code run, on first use and only once
+    # the float references and catalog sit in sys.modules from the start,
+    # unexecuted; an audit hook sees each module's code run, on first use and
+    # only once: computing and comparing run none of them, a catalog run
+    # runs catalog alone
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text("7,3\n7,5\n")
     out = subprocess.run(
         [sys.executable, "-S", "-c", _FIRST_USE, str(csv_path), str(tmp_path / "cache"),
-         str(PACKAGE), *FLOAT_REFERENCES],
+         str(PACKAGE), *LAZY],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out[-2:] == ["", "alexander curve numerics precision reps"]
+    assert out[-3:] == ["", "catalog", "alexander catalog curve numerics precision reps"]
