@@ -6,9 +6,13 @@ Alexander polynomial plus a Taylor coefficient on the SL2(C) character
 variety) and verifies the multiset {tau_k} against the closed-form torsion
 of the lens space L(p, q).
 
-The float references (numerics, precision, reps, alexander, curve), the
-batch catalog and result cache (catalog), and their exports load on first
-use; computing and comparing knots runs none of them."""
+The package namespace holds what the modules it imports (errors, words,
+oracles, pipeline) export, under one spelling each.  The float references
+(numerics, precision, reps, alexander, curve) and the batch catalog and
+result cache (catalog) load on first use and are reached by module path
+only, for example ``bridgetorsion.curve.evaluate_F`` or
+``bridgetorsion.catalog.run_catalog``; computing and comparing knots, and
+``from bridgetorsion import *``, run none of them."""
 
 __version__ = "0.1.0"
 
@@ -54,8 +58,7 @@ from .pipeline import (
     tau_multiset,
 )
 
-#: what ``from bridgetorsion import *`` brings: the names imported above,
-#: then the lazy exports (below)
+#: what ``from bridgetorsion import *`` brings: the names imported above
 __all__ = ["__version__"] + [
     name for name, value in globals().items()
     if getattr(value, "__module__", "").startswith(f"{__name__}.")
@@ -81,33 +84,3 @@ reps = _lazy("reps")
 alexander = _lazy("alexander")
 curve = _lazy("curve")
 catalog = _lazy("catalog")
-
-_LAZY_EXPORTS = {
-    name: module
-    for module, names in (
-        ("numerics", "LaurentPoly RingMatrix richardson_limit units_equal"),
-        ("precision", "DOUBLE Precision"),
-        ("reps", "Rep2 fox_image metabelian_pair metabelian_rep metabelian_u phi_map "
-                 "riley_images"),
-        ("alexander", "TwistedAlexResult classical_alexander p_at_one p_polynomial "
-                      "torus_twisted_alexander wada_twisted_alexander"),
-        ("curve", "Jet2 RileyPoint continue_riley_curve evaluate_F riley_residual "
-                  "trace_longitude"),
-        ("catalog", "run_catalog"),
-    )
-    for name in names.split()
-}
-__all__ += _LAZY_EXPORTS
-
-
-def __getattr__(name):
-    """A lazy export, read from its module (loading it)."""
-    try:
-        module = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[module], name)
-
-
-def __dir__():
-    return sorted(globals().keys() | _LAZY_EXPORTS.keys())

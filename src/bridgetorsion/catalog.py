@@ -15,6 +15,7 @@ from .pipeline import (
     compare_knots,
     compute_invariants,
     knot_report,
+    metabelian_pairing,
     serialize_report,
     tau_multiset,
     verdict_to_dict,
@@ -61,20 +62,24 @@ def _atomic_write(path, data):
 
 def _cached_report(path, knot):
     """(report, records) cached at path, or None where there is none or it
-    does not parse, names another knot, or has records that do not rebuild
-    with k = 1..(p-1)/2 in order."""
+    does not parse, has records that do not rebuild with k = 1..(p-1)/2 in
+    order and each k's own k', or is not exactly the report of the knot
+    and the rebuilt records: another knot, an extra key or a field the
+    records do not give, such as a second pair entry or an absError, is a
+    miss.  The diagnostics are served as the entry holds them."""
     try:
         with open(path, "rb") as f:
             report = json.loads(f.read().decode())
     except (FileNotFoundError, ValueError):
         return None
-    if not isinstance(report, dict) or report.get("knot") != {"p": knot.p, "q": knot.q}:
-        return None
     try:
         records = _records_from_report(report)
     except (KeyError, TypeError, ValueError):
         return None
-    if [r.k for r in records] != list(range(1, (knot.p - 1) // 2 + 1)):
+    indices = range(1, (knot.p - 1) // 2 + 1)
+    if [(r.k, r.kprime) for r in records] != [(k, metabelian_pairing(knot.p, k)) for k in indices]:
+        return None
+    if report != knot_report(knot, records):
         return None
     return report, records
 
@@ -179,21 +184,21 @@ def _is_pair(z):
 
 
 def _records_from_report(report):
-    """Rebuild just enough of the records (tau, error) for comparisons.
-    A field of the wrong type raises TypeError: k and kprime integers,
+    """Rebuild the records of a report.  A missing field raises KeyError, and
+    a field of the wrong type TypeError: k and kprime integers,
     p1_squared and F pairs of numbers, the oracle a number or null, the
     diagnostics an object, and either a finite tau and no error or an error
     string and no tau."""
     out = []
     for r in report["records"]:
-        tau, error, oracle = r["tau"], r.get("error"), r["oracle"]
+        tau, error, oracle = r["tau"], r["error"], r["oracle"]
         if not (
             type(r["k"]) is int
             and type(r["kprime"]) is int
             and _is_pair(r["p1_squared"])
             and _is_pair(r["F"])
             and (oracle is None or _is_number(oracle))
-            and type(r.get("diagnostics", {})) is dict
+            and type(r["diagnostics"]) is dict
             and (error is None and _is_number(tau) or tau is None and type(error) is str)
         ):
             raise TypeError(f"record with a field of the wrong type: {r!r}")
@@ -205,7 +210,7 @@ def _records_from_report(report):
                 f_value=r["F"][0],
                 tau=tau if tau is not None else float("nan"),
                 cross_check=oracle,
-                diagnostics=r.get("diagnostics", {}),
+                diagnostics=r["diagnostics"],
                 error=error,
             )
         )

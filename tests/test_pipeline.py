@@ -23,13 +23,12 @@ from bridgetorsion.pipeline import (
     cached_invariant_report,
     compare_knots,
     compute_invariants,
-    fingerprint,
     knot_report,
     parse_fraction,
-    run_catalog,
     serialize_report,
     tau_multiset,
 )
+from bridgetorsion.catalog import fingerprint, run_catalog
 from bridgetorsion.errors import ParseError
 from bridgetorsion.precision import Precision
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
@@ -132,7 +131,8 @@ def test_former_failures_match_lens_oracle(p, q):
 
 _MPMATH_PROBE = """
 import sys
-from bridgetorsion.pipeline import compute_invariants, fingerprint
+from bridgetorsion.catalog import fingerprint
+from bridgetorsion.pipeline import compute_invariants
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS
 from bridgetorsion.words import normalize_two_bridge
 for p, q in [(101, 31), (79, 1)] + CENSUS_FRACTIONS:
@@ -320,9 +320,22 @@ def test_cache_bit_for_bit(tmp_path):
 # records of 5/3 that rebuild in order, but with tau "0.5" a string
 _WRONG_TYPED = (
     b'{"knot": {"p": 5, "q": 3}, "records": ['
-    b'{"k": 1, "kprime": 2, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": "0.5", "oracle": 0.2}, '
-    b'{"k": 2, "kprime": 1, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": 0.2, "oracle": 0.2}]}'
+    b'{"k": 1, "kprime": 2, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": "0.5", "oracle": 0.2, '
+    b'"absError": 0.0, "diagnostics": {}, "error": null}, '
+    b'{"k": 2, "kprime": 1, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": 0.2, "oracle": 0.2, '
+    b'"absError": 0.0, "diagnostics": {}, "error": null}]}'
 )
+
+
+def _edited(edit):
+    """The true entry of 5/3 with one field changed by edit(report, record)."""
+
+    def damage(knot):
+        report = knot_report(knot, compute_invariants(knot))
+        edit(report, report["records"][0])
+        return serialize_report(report)
+
+    return damage
 
 
 @pytest.mark.parametrize(
@@ -334,15 +347,27 @@ _WRONG_TYPED = (
         b'{"knot": {"p": 5, "q": 3}, "records": [{"k": 1}]}',
         b'{"knot": {"p": 5, "q": 3}, "records": []}',
         _WRONG_TYPED,
+        _edited(lambda report, rec: report.update(determinant=999)),
+        _edited(lambda report, rec: report.update(note="x")),
+        _edited(lambda report, rec: rec.update(note="x")),
+        _edited(lambda report, rec: rec.update(p1_squared=[rec["p1_squared"][0], 5.0])),
+        _edited(lambda report, rec: rec.update(absError=rec["absError"] + 0.5)),
+        _edited(lambda report, rec: rec.update(tau=rec["tau"] * 1.5)),
+        _edited(lambda report, rec: rec.update(kprime=3 - rec["kprime"])),
     ],
-    ids=["truncated", "empty", "other-knot", "partial-record", "no-records", "wrong-type"],
+    ids=["truncated", "empty", "other-knot", "partial-record", "no-records", "wrong-type",
+         "determinant", "extra-key", "extra-record-key", "second-entry", "abs-error", "tau",
+         "kprime"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
-    # an entry that does not parse, names another knot, or has records that
-    # do not rebuild, each field with its type, with k = 1..(p-1)/2 is a
-    # miss: the report is computed again and rewritten, and a catalog over
-    # that entry runs
+    # an entry that does not parse, names another knot, has records that do
+    # not rebuild, each field with its type, with k = 1..(p-1)/2 and each k's
+    # own k', or is not exactly the report of its rebuilt records is a miss:
+    # the report is computed again and rewritten, and a catalog over that
+    # entry runs
     knot = normalize_two_bridge(5, 3)
+    if callable(damaged):
+        damaged = damaged(knot)
     cache = str(tmp_path / "cache")
     path = os.path.join(cache, fingerprint()[:16], "5_3.json")
     os.makedirs(os.path.dirname(path))
@@ -375,7 +400,7 @@ _SOURCE_EDITS = [
     ("numerics.py", "DEFAULT_ZERO_TOL = 1e-9", "DEFAULT_ZERO_TOL = 1e-10"),
 ]
 
-_FINGERPRINT_PROBE = "from bridgetorsion.pipeline import fingerprint; print(fingerprint())"
+_FINGERPRINT_PROBE = "from bridgetorsion.catalog import fingerprint; print(fingerprint())"
 
 
 def _fresh_fingerprint(src_root):

@@ -19,21 +19,29 @@ import bridgetorsion
 PACKAGE = pathlib.Path(bridgetorsion.__file__).parent
 VALUE_PATH = {"errors", "words", "exact", "oracles", "pipeline", "catalog", "cli"}
 
-#: The package's public names, each of which the package namespace keeps.
+#: The package's public names, each of which the package namespace keeps:
+#: what the modules that ``import bridgetorsion`` runs export.
 EXPORTS = """
 __version__ DeterminantMismatch DimensionMismatch DivergenceDetected IndexOutOfRange
 InexactDivision InvalidFraction NewtonDivergence ParseError SingularPoint TorsionError
-ZeroAtNegativeExponent ZeroParameter ZeroScale LaurentPoly RingMatrix richardson_limit
-units_equal DOUBLE Precision GroupRingElement TwoBridgeKnot Word build_relator_word
-fox_derivative fractions_mirror_equivalent longitude_word normalize_two_bridge Rep2
-fox_image metabelian_pair metabelian_rep metabelian_u phi_map riley_images
-TwistedAlexResult classical_alexander knot_determinant p_at_one p_polynomial
-wada_twisted_alexander Jet2 RileyPoint continue_riley_curve evaluate_F
-metabelian_pairing riley_residual trace_longitude LensSpace lens_torsion_magnitude
-lens_torsion_multiset torus_F torus_P1_squared torus_twisted_alexander
-ComparisonVerdict InvariantRecord compare_knots compute_invariants run_catalog
-tau_multiset
+ZeroAtNegativeExponent ZeroParameter ZeroScale GroupRingElement TwoBridgeKnot Word
+build_relator_word fox_derivative fractions_mirror_equivalent knot_determinant
+longitude_word normalize_two_bridge metabelian_pairing LensSpace lens_torsion_magnitude
+lens_torsion_multiset torus_F torus_P1_squared ComparisonVerdict InvariantRecord
+compare_knots compute_invariants tau_multiset
 """.split()
+
+#: Names of the modules loaded on first use, each reached by its module path
+#: only (``bridgetorsion.curve.evaluate_F``), never as a package attribute.
+MODULE_PATH_ONLY = {
+    "numerics": "LaurentPoly RingMatrix richardson_limit units_equal",
+    "precision": "DOUBLE Precision",
+    "reps": "Rep2 fox_image metabelian_pair metabelian_rep metabelian_u phi_map riley_images",
+    "alexander": "TwistedAlexResult classical_alexander p_at_one p_polynomial "
+                 "torus_twisted_alexander wada_twisted_alexander",
+    "curve": "Jet2 RileyPoint continue_riley_curve evaluate_F riley_residual trace_longitude",
+    "catalog": "run_catalog",
+}
 
 
 def _module_level_imports(name):
@@ -81,15 +89,25 @@ def test_package_keeps_every_export():
     missing = [name for name in EXPORTS if not hasattr(bridgetorsion, name)]
     assert missing == []
     assert bridgetorsion.metabelian_pairing is bridgetorsion.pipeline.metabelian_pairing
-    assert bridgetorsion.torus_twisted_alexander is bridgetorsion.alexander.torus_twisted_alexander
-    assert bridgetorsion.run_catalog is bridgetorsion.pipeline.run_catalog
 
 
 def test_star_import_brings_every_export():
     namespace = {}
     exec("from bridgetorsion import *", namespace)
-    assert [name for name in EXPORTS if name not in namespace] == []
-    assert namespace["run_catalog"] is bridgetorsion.run_catalog
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(EXPORTS)
+
+
+def test_lazy_module_names_have_one_spelling():
+    # each name of a module loaded on first use is that module's own object,
+    # and the package namespace has no second spelling of it
+    for module, names in MODULE_PATH_ONLY.items():
+        owner = getattr(bridgetorsion, module)
+        for name in names.split():
+            assert not hasattr(bridgetorsion, name), name
+            value = getattr(owner, name)
+            assert value.__module__ == owner.__name__ == f"bridgetorsion.{module}", name
+    with pytest.raises(ImportError):
+        exec("from bridgetorsion import evaluate_F", {})
 
 
 #: Standard modules the package leaves unloaded until it needs them:
@@ -108,7 +126,7 @@ a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
 compute_invariants(a)
 compare_knots(a, b)
 print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
-bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
+bridgetorsion.catalog.run_catalog(sys.argv[1], None, sys.argv[2])
 print("hashlib" in sys.modules, "tempfile" in sys.modules, "csv" in sys.modules)
 """
 
@@ -149,6 +167,8 @@ def report():
 
 sys.addaudithook(hook)
 import bridgetorsion
+from bridgetorsion import *
+report()
 from bridgetorsion import cli, compare_knots, compute_invariants, normalize_two_bridge
 a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
 compute_invariants(a)
@@ -156,12 +176,12 @@ compare_knots(a, b)
 assert cli.main(["invariants", "7/3", "--json"]) == 0
 assert cli.main(["compare", "7/3", "7/5", "--json"]) == 0
 report()
-bridgetorsion.run_catalog(sys.argv[1], None, sys.argv[2])
+bridgetorsion.catalog.run_catalog(sys.argv[1], None, sys.argv[2])
 report()
-assert bridgetorsion.LaurentPoly is bridgetorsion.numerics.LaurentPoly
+assert callable(bridgetorsion.numerics.LaurentPoly)
 assert callable(bridgetorsion.alexander.wada_twisted_alexander)
 from bridgetorsion.curve import riley_residual
-assert riley_residual is bridgetorsion.riley_residual
+assert riley_residual is bridgetorsion.curve.riley_residual
 report()
 """
 
@@ -169,8 +189,8 @@ report()
 def test_value_path_runs_no_float_reference(tmp_path):
     # the float references and catalog sit in sys.modules from the start,
     # unexecuted; an audit hook sees each module's code run, on first use and
-    # only once: computing and comparing run none of them, a catalog run
-    # runs catalog alone
+    # only once: a star import, computing and comparing run none of them, a
+    # catalog run runs catalog alone
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text("7,3\n7,5\n")
     out = subprocess.run(
@@ -179,4 +199,5 @@ def test_value_path_runs_no_float_reference(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
+    assert out[0] == ""  # the star import
     assert out[-3:] == ["", "catalog", "alexander catalog curve numerics precision reps"]
