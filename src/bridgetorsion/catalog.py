@@ -10,6 +10,7 @@ import os
 from functools import cache
 
 from .errors import TorsionError
+from .oracles import LensSpace, lens_torsion_magnitude
 from .pipeline import (
     InvariantRecord,
     compare_knots,
@@ -25,13 +26,22 @@ from .words import normalize_two_bridge
 
 @cache
 def fingerprint():
-    """SHA-256 over the name and bytes of every module of the package, in
-    sorted order; keys the cache, so any change to the source, be it a
-    method, a tolerance or the report schema, gives a new key."""
-    import hashlib  # loads OpenSSL, which only the cache needs
+    """SHA-256 over the stream name, NUL, byte length, NUL and bytes of
+    every module of the package, in sorted order; keys the cache, so any
+    change to the source, be it a method, a tolerance or the report schema,
+    gives a new key.  The digest comes from the interpreter's own SHA-256
+    module, the one ``hashlib`` falls back to, so no command loads OpenSSL;
+    ``hashlib`` is imported only on a build without it."""
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
 
     here = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
+    digest = sha256()
     for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
         with open(os.path.join(here, name), "rb") as f:
             data = f.read()
@@ -65,19 +75,17 @@ def _cached_report(path, knot):
     does not parse, has records that do not rebuild with k = 1..(p-1)/2 in
     order and each k's own k', or is not exactly the report of the knot
     and the rebuilt records: another knot, an extra key or a field the
-    records do not give, such as a second pair entry or an absError, is a
-    miss.  The diagnostics are served as the entry holds them."""
+    records do not give, such as a second pair entry, an absError or an
+    oracle other than this build's lens value, is a miss.  The tau and the
+    diagnostics are served as the entry holds them."""
     try:
         with open(path, "rb") as f:
             report = json.loads(f.read().decode())
     except (FileNotFoundError, ValueError):
         return None
     try:
-        records = _records_from_report(report)
+        records = _records_from_report(report, knot)
     except (KeyError, TypeError, ValueError):
-        return None
-    indices = range(1, (knot.p - 1) // 2 + 1)
-    if [(r.k, r.kprime) for r in records] != [(k, metabelian_pairing(knot.p, k)) for k in indices]:
         return None
     if report != knot_report(knot, records):
         return None
@@ -183,33 +191,40 @@ def _is_pair(z):
     return type(z) is list and len(z) == 2 and _is_number(z[0]) and _is_number(z[1])
 
 
-def _records_from_report(report):
-    """Rebuild the records of a report.  A missing field raises KeyError, and
-    a field of the wrong type TypeError: k and kprime integers,
-    p1_squared and F pairs of numbers, the oracle a number or null, the
-    diagnostics an object, and either a finite tau and no error or an error
-    string and no tau."""
+def _records_from_report(report, knot):
+    """Rebuild the records of a report of knot, each with this build's lens
+    oracle, not the stored one.  A missing field raises KeyError, a field
+    of the wrong type TypeError, and records other than k = 1..(p-1)/2 in
+    order, each with its own k', ValueError.  k and kprime are integers,
+    p1_squared and F pairs of numbers, the diagnostics an object, and
+    either tau is finite and there is no error or there is an error string
+    and no tau."""
+    records = report["records"]
+    if len(records) != (knot.p - 1) // 2:
+        raise ValueError(f"{len(records)} records for {knot.label}")
+    lens = LensSpace.of(knot.p, knot.q)
     out = []
-    for r in report["records"]:
-        tau, error, oracle = r["tau"], r["error"], r["oracle"]
+    for k, r in enumerate(records, 1):
+        tau, error = r["tau"], r["error"]
         if not (
             type(r["k"]) is int
             and type(r["kprime"]) is int
             and _is_pair(r["p1_squared"])
             and _is_pair(r["F"])
-            and (oracle is None or _is_number(oracle))
             and type(r["diagnostics"]) is dict
             and (error is None and _is_number(tau) or tau is None and type(error) is str)
         ):
             raise TypeError(f"record with a field of the wrong type: {r!r}")
+        if (r["k"], r["kprime"]) != (k, metabelian_pairing(knot.p, k)):
+            raise ValueError(f"record {k} of {knot.label} has k, k' = {r['k']}, {r['kprime']}")
         out.append(
             InvariantRecord(
-                k=r["k"],
+                k=k,
                 kprime=r["kprime"],
                 p1_squared=r["p1_squared"][0],
                 f_value=r["F"][0],
                 tau=tau if tau is not None else float("nan"),
-                cross_check=oracle,
+                cross_check=lens_torsion_magnitude(lens, k),
                 diagnostics=r["diagnostics"],
                 error=error,
             )

@@ -34,6 +34,26 @@ def test_census_passes_every_zero_test():
             assert abs(reading.tau - want) <= 4e-16 * want, (p, q, k)
 
 
+def test_spot_check_at_1001_375():
+    # every tau of 1001/375 is the 50-digit lens value to within a rounding
+    # or two, and both guards of the exact pass have headroom there: the
+    # least readout margin is above MIN_MARGIN_BITS (92 bits against 64) and
+    # the largest unpacked coefficient below GUARD_BITS (16 bits against 32)
+    p, q = 1001, 375
+    elements = exact.knot_elements(normalize_two_bridge(p, q))
+    margin = exact.READOUT_BITS
+    for k in range(1, (p - 1) // 2 + 1):
+        reading = exact.read(elements, metabelian_pairing(p, k))
+        margin = min(margin, reading.margin_bits)
+        want = _lens_50(p, q, k)
+        assert abs(reading.tau - want) <= 4e-16 * want, k
+    coefficient_bits = max(max(map(abs, c)).bit_length() for c, _ in elements)
+    print(f"1001/375 headroom: margin {margin} bits against {exact.MIN_MARGIN_BITS}, "
+          f"coefficients {coefficient_bits} bits against {exact.GUARD_BITS}")
+    assert margin > exact.MIN_MARGIN_BITS
+    assert coefficient_bits < exact.GUARD_BITS
+
+
 @pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
 def test_identity_fails_with_the_lens_of_another_fraction(p, q, other):
     # the identity pairs u_k with u_{kr}, r = q^-1 mod p; the r of an

@@ -354,15 +354,20 @@ def _edited(edit):
         _edited(lambda report, rec: rec.update(absError=rec["absError"] + 0.5)),
         _edited(lambda report, rec: rec.update(tau=rec["tau"] * 1.5)),
         _edited(lambda report, rec: rec.update(kprime=3 - rec["kprime"])),
+        _edited(lambda report, rec: rec.update(
+            oracle=rec["oracle"] * 1.5, absError=abs(rec["tau"] - rec["oracle"] * 1.5))),
+        _edited(lambda report, rec: rec.update(
+            tau=rec["tau"] * 1.5, oracle=rec["tau"] * 1.5, absError=0.0)),
     ],
     ids=["truncated", "empty", "other-knot", "partial-record", "no-records", "wrong-type",
          "determinant", "extra-key", "extra-record-key", "second-entry", "abs-error", "tau",
-         "kprime"],
+         "kprime", "oracle", "tau-and-oracle"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     # an entry that does not parse, names another knot, has records that do
     # not rebuild, each field with its type, with k = 1..(p-1)/2 and each k's
-    # own k', or is not exactly the report of its rebuilt records is a miss:
+    # own k', or is not exactly the report of its rebuilt records, each with
+    # this build's lens oracle, is a miss:
     # the report is computed again and rewritten, and a catalog over that
     # entry runs
     knot = normalize_two_bridge(5, 3)
@@ -436,6 +441,36 @@ def test_fingerprint_sensitivity(tmp_path):
         path.write_text(text.replace(old, new))
         assert _fresh_fingerprint(root) != current, (name, new)
     assert fingerprint() == current
+
+
+_FALLBACK_PROBE = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from bridgetorsion.catalog import fingerprint
+print(fingerprint(), "hashlib" in sys.modules)
+"""
+
+
+def test_fingerprint_is_the_sha256_of_the_source_stream():
+    # the key is SHA-256 over name NUL length NUL bytes of each module, in
+    # sorted order, as hashlib computes it; a build without the
+    # interpreter's own SHA-256 module gives the same key through hashlib
+    package = os.path.dirname(catalog.__file__)
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as f:
+            data = f.read()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    assert fingerprint() == digest.hexdigest()
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_PROBE],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [digest.hexdigest(), "True"]
 
 
 def test_catalog_run(tmp_path):

@@ -112,9 +112,9 @@ def test_lazy_module_names_have_one_spelling():
 
 #: Standard modules the package leaves unloaded until it needs them:
 #: dataclasses pulls in inspect (and ast, dis, tokenize), hashlib loads
-#: OpenSSL, which only the cache key needs, tempfile only the cache
-#: writes and csv only the catalog reader; pathlib pulls in urllib.parse,
-#: ipaddress and fnmatch.
+#: OpenSSL, which no command loads (the cache key takes the interpreter's
+#: own SHA-256 module), tempfile only the cache writes and csv only the
+#: catalog reader; pathlib pulls in urllib.parse, ipaddress and fnmatch.
 UNLOADED = ("dataclasses", "inspect", "typing", "hashlib", "pathlib", "tempfile", "csv",
             "__future__")
 
@@ -127,7 +127,8 @@ compute_invariants(a)
 compare_knots(a, b)
 print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
 bridgetorsion.catalog.run_catalog(sys.argv[1], None, sys.argv[2])
-print("hashlib" in sys.modules, "tempfile" in sys.modules, "csv" in sys.modules)
+print("hashlib" in sys.modules or "_hashlib" in sys.modules, "tempfile" in sys.modules,
+      "csv" in sys.modules)
 """
 
 
@@ -140,7 +141,7 @@ def test_import_loads_no_heavy_standard_module(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out == ["", "True True True"]
+    assert out == ["", "False True True"]
 
 
 FLOAT_REFERENCES = ("numerics", "precision", "reps", "alexander", "curve", "selfcheck")
