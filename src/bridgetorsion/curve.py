@@ -13,7 +13,7 @@ tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L).
 """
 from collections import namedtuple
 
-from .errors import NewtonDivergence, SingularPoint, ZeroParameter
+from .errors import NewtonDivergence, RecordError, SingularPoint, ZeroParameter
 from .exact import knot_elements, read
 from .precision import DOUBLE
 from .reps import metabelian_u, riley_images, word_product
@@ -193,5 +193,8 @@ def evaluate_F(knot, kprime):
     implicit-function formula L_ss - L_u phi_ss / phi_u.  1/F is
     H_hat(-2), where I_lam - 2 = -(I_muhat + 2) H_hat(I_muhat) locally; for
     the figure-eight knot it comes out 5.  The readout is exact to its
-    margin."""
-    return read(knot_elements(knot), kprime)
+    margin; RecordError where the margin is below its bound."""
+    reading = read(knot_elements(knot))[kprime - 1]
+    if isinstance(reading, RecordError):
+        raise reading
+    return reading

@@ -33,8 +33,13 @@ u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
 Readout: the elements read are real, so at t = zeta^m an element is
 sum c_e cos(2 pi e m / p), an integer dot product with cosines in
 READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
-within L1 = sum |c_e| units, whose bit length each element carries from
-``knot_elements``; the margin is log2 of the sum over L1.
+within L1 = sum |c_e| units, whose bit length l each element carries from
+``knot_elements``; the margin is log2 of the sum over L1.  The three
+elements share one dot product per index, their coefficients packed as
+c + c' 2^K + c'' 2^(2K) with K = READOUT_BITS + max l + 1.  No cosine
+exceeds 2^READOUT_BITS, so each sum has magnitude at most
+L1 2^READOUT_BITS < 2^(K - 1), and balanced residues mod 2^K split the
+packed sum into the three exactly.
 """
 
 import operator
@@ -63,23 +68,13 @@ def _inv_r_power(n):
     return 1, 2 * n, 2 * n * (n + 2)
 
 
-def _u(x, b):
-    """u x for a packed x whose lowest digit is zero."""
-    return (x << b) + (x >> b) - (x << 1)
-
-
-def _tu(x, y, b):
-    """t (u x + y) = (t - 1)^2 x + t y, packed."""
-    return (((x << b) - (x << 1) + y) << b) + x
-
-
 def _product(row, letters, b):
     """The row vector (a, b) of jets (val, du, g, g^2) of packed ints times
     the scaled letters r l, homogenized: one written-out step a letter, and
     a factor t for each letter y^+-1, so u enters as t u = (t - 1)^2 and
     terms with no u as t.  A jet times s = -1 + 4g is
     (-e0, -ed, 4 e0 - es, 4 es - ess), and the du slot of t u e is
-    (t - 1)^2 ed + t e0."""
+    (t - 1)^2 ed + t e0; packed, t (u x + y) is (((x << B) - 2x + y) << B) + x."""
     a0, ad, as_, ass, b0, bd, bs, bss = row
     for gen, sign in letters:
         if gen == "x":
@@ -91,15 +86,20 @@ def _product(row, letters, b):
                 b0, bd, bs, bss = (-b0 - a0, -bd - ad, (b0 << 2) - bs - as_,
                                    (bs << 2) - bss - ass)
         elif sign > 0:  # (a, b) -> t (s (u b - a), -b)
-            c0, cd, cs, css = (_tu(b0, -a0, b), _tu(bd, b0 - ad, b), _tu(bs, -as_, b),
-                               _tu(bss, -ass, b))
+            c0, cd, cs, css = ((((b0 << b) - (b0 << 1) - a0) << b) + b0,
+                               (((bd << b) - (bd << 1) + b0 - ad) << b) + bd,
+                               (((bs << b) - (bs << 1) - as_) << b) + bs,
+                               (((bss << b) - (bss << 1) - ass) << b) + bss)
             a0, ad, as_, ass, b0, bd, bs, bss = (
                 -c0, -cd, (c0 << 2) - cs, (cs << 2) - css,
                 -(b0 << b), -(bd << b), -(bs << b), -(bss << b))
         else:  # (a, b) -> t (a + u s b, s b)
             b0, bd, bs, bss = -b0, -bd, (b0 << 2) - bs, (bs << 2) - bss
             a0, ad, as_, ass, b0, bd, bs, bss = (
-                _tu(b0, a0, b), _tu(bd, ad + b0, b), _tu(bs, as_, b), _tu(bss, ass, b),
+                (((b0 << b) - (b0 << 1) + a0) << b) + b0,
+                (((bd << b) - (bd << 1) + ad + b0) << b) + bd,
+                (((bs << b) - (bs << 1) + as_) << b) + bs,
+                (((bss << b) - (bss << 1) + ass) << b) + bss,
                 b0 << b, bd << b, bs << b, bss << b)
     return a0, ad, as_, ass, b0, bd, bs, bss
 
@@ -144,12 +144,13 @@ def _fox_jets(relator, b, one):
             if sign < 0:
                 t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
                 terms[a] = t0 - r0, t1 - r1, t2 - r2, t3 - r3
-        else:  # (a, b) -> (a - u b, -b)
-            r0, r1, r2, r3 = r0 - _u(r1, b), -r1, r2 - _u(r3, b), -r3
+        else:  # (a, b) -> (a - u b, -b), u x = (x << B) + (x >> B) - 2x
+            r0, r1, r2, r3 = (r0 - (r1 << b) - (r1 >> b) + (r1 << 1), -r1,
+                              r2 - (r3 << b) - (r3 >> b) + (r3 << 1), -r3)
             a += sign
-    weights = {a: [(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)] for a in terms}
-    return [[sum(w[j] * terms[a][i] for a, w in weights.items()) for j in range(3)]
-            for i in range(4)]
+    weights = list(zip(*[[(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)]
+                         for a in terms]))
+    return [[sum(map(operator.mul, w, slot)) for w in weights] for slot in zip(*terms.values())]
 
 
 def _fold(x, bits):
@@ -221,52 +222,50 @@ def knot_elements(knot):
       n_ss e^2 + O(e^3), and 4 P(1) = -n_ss;
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
       n_ss(t^2)^2 u(t^2) u(t^2r) = D."""
-    p, b = knot.p, DIGIT_BITS
+    p, b, label = knot.p, DIGIT_BITS, knot.label
+    bits, mask = b * p, (1 << b * p) - 1
+    unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
 
-    def fold(x):
-        return _fold(x, b * p)
-
-    def unword(x):  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
-        return fold(x << b * ((p + 1) // 2))
-
-    def zero_test(x, what):
-        _zero_test(x, p, what, knot.label)
+    def fold(x):  # _fold(x, bits), its loop inline
+        while x >> bits:
+            x = (x & mask) + (x >> bits)
+        return x
 
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = _image(knot.word.letters, b, tail)
     (w11_0, w11_d, w11_s, w11_ss), (w12_0, w12_d, w12_s, w12_ss) = w[0], w[1]
     # a zero test does not see the factor t^m, which permutes coefficients
-    zero_test(w11_0 + 2 * w12_0, "phi at g^0")
-    zero_test(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
-    phi_d, phi_ss = map(unword, (w11_d + 2 * w12_d,
-                                 w11_ss + 2 * w12_ss - 4 * w12_s))  # 1 - s = 2 - 4g
+    _zero_test(w11_0 + 2 * w12_0, p, "phi at g^0", label)
+    _zero_test(w11_s + 2 * w12_s - 4 * w12_0, p, "phi at g^1", label)
+    phi_d = fold((w11_d + 2 * w12_d) << unword)  # 1 - s = 2 - 4g
+    phi_ss = fold((w11_ss + 2 * w12_ss - 4 * w12_s) << unword)
 
     # the slots of L = rev v, v = W x^(-2 sigma), that the checks read
     (r00, r01, r10, r11), (v00, v01, v10, v11) = (
-        [list(map(unword, jet)) for jet in image]
+        [[fold(x << unword) for x in jet] for jet in image]
         for image in (_image(knot.reversed_word.letters, b)[0], v))
     l00, l11 = _dot(r00, v00, r01, v10, fold), _dot(r10, v01, r11, v11, fold)
     (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
                                       _dot(r10, v00, r11, v10, fold, False))
     for x in (l00[0] - 1, l01_0, l10_0, l11[0] - 1):
-        zero_test(x, "L = I at g^0")
+        _zero_test(x, p, "L = I at g^0", label)
     lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
-    zero_test(lam_s, "tr L at g^1")
+    _zero_test(lam_s, p, "tr L at g^1", label)
     d = fold(l01_s * l10_s - l00[2] * l11[2])
-    zero_test(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), "estimate (b)")
+    _zero_test(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), p, "estimate (b)", label)
 
     one = 1 << b * (p + 1)  # the Fox walk's 1, at OFF = p + 1
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from OFF to 0
                     for jet in _fox_jets(knot.relator(), b, one))
-    zero_test(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
-    zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
-              "Wada's numerator at e^1")
+    _zero_test(a[0] * dd[0] - bb[0] * c[0], p, "Wada's numerator at e^0", label)
+    _zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
+               p, "Wada's numerator at e^1", label)
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
                    - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, "4 P(1)")
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
     packed = sum(c << (b * e) for e, c in enumerate(n2))
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
-    zero_test(fold(fold(packed * packed) * fold(u2 * u2r)) - d, "P(1)^2 F u_k u_kr = 1")
+    _zero_test(fold(fold(packed * packed) * fold(u2 * u2r)) - d, p, "P(1)^2 F u_k u_kr = 1", label)
 
     coeffs = n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")
     for what, c in zip(("4 P(1)", "16/F", "phi_u"), coeffs):
@@ -317,26 +316,33 @@ class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
     __slots__ = ()
 
 
-def read(elements, kprime):
-    """P(1)^2, F and tau = P(1)^2 F at index k' from the knot's elements,
-    each the correctly rounded quotient of integer readouts; RecordError
-    where the margin is below MIN_MARGIN_BITS, as where phi_u = 0 and the
-    curve is not smooth."""
-    p = len(elements[0][0])
-    table = _cosines(p)
-    cos = [table[e * kprime % p] for e in range(1, (p + 1) // 2)]
-    sums, margin = [], READOUT_BITS
-    for c, l1_bits in elements:
-        total = c[0] * table[0] + 2 * sum(map(operator.mul, c[1:], cos))
-        margin = min(margin, abs(total).bit_length() - 1 - l1_bits)
-        sums.append(total)
-    if margin < MIN_MARGIN_BITS:
-        raise RecordError(f"readout margin {margin} bits at k' = {kprime}, "
-                          f"below {MIN_MARGIN_BITS}")
-    n, d, _ = sums  # P(1) = -n/4 and F = 16/D, in units of 2^-READOUT_BITS
-    return Reading(
-        p1_squared=n * n / (1 << (2 * READOUT_BITS + 4)),
-        f_value=(1 << (READOUT_BITS + 4)) / d,
-        tau=n * n / (d << READOUT_BITS),
-        margin_bits=margin,
-    )
+def read(elements):
+    """The Reading of every index k' = 1..(p-1)/2, in order: P(1)^2, F and
+    tau = P(1)^2 F from the knot's elements, each the correctly rounded
+    quotient of integer readouts.  An index whose margin is below
+    MIN_MARGIN_BITS, as where phi_u = 0 and the curve is not smooth, gets
+    its RecordError in place of a Reading."""
+    (n, n_bits), (d, d_bits), (phi, phi_bits) = elements
+    p, half = len(n), (len(n) + 1) // 2
+    width = READOUT_BITS + max(n_bits, d_bits, phi_bits) + 1  # K
+    lane, mask = 1 << (width - 1), (1 << width) - 1
+    packed = [(x + (y << width) + (z << 2 * width)) << (e > 0)  # c_-e = c_e: twice for e > 0
+              for e, x, y, z in zip(range(half), n, d, phi)]
+    table, readings = _cosines(p), []
+    for kprime in range(1, half):
+        cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)
+        total = sum(map(operator.mul, packed, cos))
+        n_t = ((total + lane) & mask) - lane
+        total = (total - n_t) >> width
+        d_t = ((total + lane) & mask) - lane
+        phi_t = (total - d_t) >> width
+        margin = min(READOUT_BITS, abs(n_t).bit_length() - 1 - n_bits,
+                     abs(d_t).bit_length() - 1 - d_bits, abs(phi_t).bit_length() - 1 - phi_bits)
+        if margin < MIN_MARGIN_BITS:
+            readings.append(RecordError(f"readout margin {margin} bits at k' = {kprime}, "
+                                        f"below {MIN_MARGIN_BITS}"))
+        else:  # P(1) = -n/4 and F = 16/D, in units of 2^-READOUT_BITS
+            readings.append(Reading(n_t * n_t / (1 << (2 * READOUT_BITS + 4)),
+                                    (1 << (READOUT_BITS + 4)) / d_t,
+                                    n_t * n_t / (d_t << READOUT_BITS), margin))
+    return readings

@@ -58,16 +58,16 @@ class ComparisonVerdict(namedtuple("ComparisonVerdict", "knot_a knot_b verdict "
     __slots__ = ()
 
 
-def _record(knot, idx, lens, elements):
-    """The record of index idx, read off the knot's exact elements."""
+def _record(knot, idx, lens, readings):
+    """The record of index idx, from the readings of every k'."""
     kprime = metabelian_pairing(knot.p, idx)
-    try:
-        reading = read(elements, kprime)
-        # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0
-        if not reading.tau > 0:
-            raise RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive")
-    except RecordError as exc:
-        return _failed(knot, idx, lens, exc)
+    reading = readings[kprime - 1]
+    if isinstance(reading, RecordError):
+        return _failed(knot, idx, lens, reading)
+    # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0
+    if not reading.tau > 0:
+        return _failed(knot, idx, lens,
+                       RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive"))
     return InvariantRecord(idx, kprime, reading.p1_squared, reading.f_value, reading.tau,
                            lens_torsion_magnitude(lens, idx), {"margin_bits": reading.margin_bits})
 
@@ -89,7 +89,8 @@ def compute_invariants(knot):
         elements = knot_elements(knot)
     except RecordError as exc:
         return [_failed(knot, idx, lens, exc) for idx in indices]
-    return [_record(knot, idx, lens, elements) for idx in indices]
+    readings = read(elements)
+    return [_record(knot, idx, lens, readings) for idx in indices]
 
 
 def tau_multiset(records):

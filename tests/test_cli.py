@@ -108,9 +108,8 @@ def test_negative_product_gives_error_records(capsys, monkeypatch):
     # wrong sign fails the record, and the report is still strict JSON
     exact_read = pipeline.read
 
-    def negated(elements, kprime):
-        reading = exact_read(elements, kprime)
-        return reading._replace(f_value=-reading.f_value, tau=-reading.tau)
+    def negated(elements):
+        return [r._replace(f_value=-r.f_value, tau=-r.tau) for r in exact_read(elements)]
 
     monkeypatch.setattr(pipeline, "read", negated)
     code, out, _ = run_cli(capsys, ["invariants", "7/3", "--json"])

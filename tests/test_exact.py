@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+import random
 
 import mpmath
 import pytest
@@ -26,9 +28,9 @@ def test_census_passes_every_zero_test():
     # each tau is the 50-digit lens value to within a rounding or two
     assert len(CENSUS_25) == 68
     for p, q in CENSUS_25:
-        elements = exact.knot_elements(normalize_two_bridge(p, q))
+        readings = exact.read(exact.knot_elements(normalize_two_bridge(p, q)))
         for k in range(1, (p - 1) // 2 + 1):
-            reading = exact.read(elements, metabelian_pairing(p, k))
+            reading = readings[metabelian_pairing(p, k) - 1]
             assert reading.margin_bits >= exact.MIN_MARGIN_BITS, (p, q, k)
             want = _lens_50(p, q, k)
             assert abs(reading.tau - want) <= 4e-16 * want, (p, q, k)
@@ -41,9 +43,10 @@ def test_spot_check_at_1001_375():
     # the largest unpacked coefficient below GUARD_BITS (16 bits against 32)
     p, q = 1001, 375
     elements = exact.knot_elements(normalize_two_bridge(p, q))
+    readings = exact.read(elements)
     margin = exact.READOUT_BITS
     for k in range(1, (p - 1) // 2 + 1):
-        reading = exact.read(elements, metabelian_pairing(p, k))
+        reading = readings[metabelian_pairing(p, k) - 1]
         margin = min(margin, reading.margin_bits)
         want = _lens_50(p, q, k)
         assert abs(reading.tau - want) <= 4e-16 * want, k
@@ -52,6 +55,63 @@ def test_spot_check_at_1001_375():
           f"coefficients {coefficient_bits} bits against {exact.GUARD_BITS}")
     assert margin > exact.MIN_MARGIN_BITS
     assert coefficient_bits < exact.GUARD_BITS
+
+
+def test_intermediate_digit_headroom_at_1001_375(monkeypatch):
+    # a product of two folded elements whose coefficients have at most a
+    # and b bits has coefficients of at most p 2^(a + b), and a sum of
+    # `terms` such products at most terms p 2^(a + b); below
+    # 2^(DIGIT_BITS - 1) each coefficient fits its signed digit, so no
+    # carry crosses into the next.  At 1001/375 the operands of every
+    # product knot_elements forms are decoded: the 32 unworded walk slots
+    # (images of <-w and of W x^(-2 sigma)) and the 12 Fox jets, then the
+    # longitude slots and phi that estimate (b) and D multiply, and the
+    # identity's n_ss(t^2)^2, whose coefficients are those of n_ss^2 permuted
+    monkeypatch.setattr(exact, "GUARD_BITS", exact.DIGIT_BITS - 1)  # decode only
+    knot = normalize_two_bridge(1001, 375)
+    p, b = knot.p, exact.DIGIT_BITS
+
+    def fold(x):
+        return exact._fold(x, b * p)
+
+    def bits(*xs):
+        return max(max(map(abs, exact._digits(x, p, "operand"))).bit_length() for x in xs)
+
+    unword = b * ((p + 1) // 2)
+    tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
+    w, v = exact._image(knot.word.letters, b, tail)
+    (r00, r01, r10, r11), (v00, v01, v10, v11) = (
+        [[fold(x << unword) for x in jet] for jet in image]
+        for image in (exact._image(knot.reversed_word.letters, b)[0], v))
+    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]
+                    for jet in exact._fox_jets(knot.relator(), b, 1 << b * (p + 1)))
+    walk, fox = r00 + r01 + r10 + r11 + v00 + v01 + v10 + v11, a + bb + c + dd
+    assert (len(walk), len(fox)) == (32, 12)
+
+    l00, l11 = exact._dot(r00, v00, r01, v10, fold), exact._dot(r10, v01, r11, v11, fold)
+    l01 = exact._dot(r00, v01, r01, v11, fold, False)
+    l10 = exact._dot(r10, v00, r11, v10, fold, False)
+    d = fold(l01[1] * l10[1] - l00[2] * l11[2])
+    phi_d, phi_ss = (fold(x << unword) for x in (w[0][1] + 2 * w[1][1],
+                                                 w[0][3] + 2 * w[1][3] - 4 * w[1][2]))
+    n_ss = fold(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
+                - bb[2] * c[0])
+    u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
+    products = {  # the products' operands: (terms, a + b)
+        "walk slots": (6, bits(*walk[:16]) + bits(*walk[16:])),
+        "Fox jets": (6, 2 * bits(*fox)),
+        "D": (2, 2 * bits(l01[1], l10[1], l00[2], l11[2])),
+        "estimate (b)": (2, bits(phi_d, phi_ss) + bits(l00[1] + l11[1], l00[3] + l11[3] - d)),
+        "n_ss^2": (1, 2 * bits(n_ss)),
+        "u_k u_kr": (1, 2 * bits(u2, u2r)),
+        "n_ss^2 u_k u_kr": (1, bits(fold(n_ss * n_ss)) + bits(fold(u2 * u2r))),
+    }
+    print(f"1001/375 operand bits: walk slots {bits(*walk)}, Fox jets {bits(*fox)}")
+    for name, (terms, ab) in products.items():
+        bound = (terms * p << ab).bit_length()  # the products' coefficients are below 2^bound
+        print(f"1001/375 {name}: coefficients below 2^{bound}, headroom "
+              f"{b - 1 - bound} bits against 2^{b - 1}")
+        assert bound <= b - 1, name
 
 
 @pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
@@ -121,6 +181,68 @@ def test_cosine_table_matches_mpmath():
             assert len(table) == p
             for j, c in enumerate(table):
                 assert abs(c - scale * mpmath.cos(2 * mpmath.pi * j / p)) <= 0.5 + 1e-3, (p, j)
+
+
+def _symmetric(head):
+    """The element with coefficients c_0..c_(p-1)/2 = head and c_-e = c_e."""
+    return head + head[:0:-1]
+
+
+def _readout(c, kprime, table):
+    """The readout of the symmetric element c at k', written out."""
+    p = len(c)
+    return c[0] * table[0] + 2 * sum(c[e] * table[e * kprime % p] for e in range(1, (p + 1) // 2))
+
+
+def _peak(p, kprime, sign, rng):
+    """A symmetric element whose readout at k' reaches 2^(READOUT_BITS +
+    l - 1) in magnitude, l the bit length of its L1: c_0 = +-(2^31 - 1),
+    the largest coefficient the digit guard passes, and the others of
+    mixed signs, each with the sign of its cosine at k'."""
+    table, top = exact._cosines(p), 2 ** 31 - 1
+    head = [top] + [rng.randrange(1, 2 ** 24) * (1 if table[e * kprime % p] > 0 else -1)
+                    for e in range(1, (p + 1) // 2)]
+    return [sign * c for c in _symmetric(head)]
+
+
+@pytest.mark.parametrize("p", [3, 7, 25, 101])
+def test_packed_readout_splits_exactly_at_its_bound(p):
+    # read packs the three elements into one int per coefficient, in lanes
+    # of READOUT_BITS + max l + 1 bits; at every k' each lane must give
+    # that element's own dot product, and the Reading, whose fields are
+    # exact functions of the three sums, must match.  The peaks reach the
+    # bound L1 2^READOUT_BITS to within a factor below 2, with either
+    # sign, in every lane; the wide elements have coefficients of both
+    # signs up to 2^31 - 1, and the flat one sums to about 0, so its
+    # margin fails at every index
+    rng, top, half = random.Random(p), 2 ** 31 - 1, (p + 1) // 2
+    table = exact._cosines(p)
+    peaks = [_peak(p, rng.randrange(1, half), sign, rng) for sign in (1, -1, 1)]
+    wide = [_symmetric([rng.randint(-top, top) for _ in range(half)]) for _ in range(2)]
+    flat = [top] * p
+    triples = list(itertools.permutations(peaks)) + [(wide[0], peaks[1], wide[1]),
+                                                     (peaks[0], wide[1], flat)]
+    for triple in triples:
+        elements = tuple((c, sum(map(abs, c)).bit_length()) for c in triple)
+        readings = exact.read(elements)
+        assert len(readings) == half - 1
+        for kprime, reading in enumerate(readings, 1):
+            sums = [_readout(c, kprime, table) for c in triple]
+            margin = min([exact.READOUT_BITS] + [abs(total).bit_length() - 1 - bits
+                                                 for total, (_, bits) in zip(sums, elements)])
+            if margin < exact.MIN_MARGIN_BITS:
+                assert isinstance(reading, RecordError), (p, kprime)
+                assert str(reading) == (f"readout margin {margin} bits at k' = {kprime}, "
+                                        f"below {exact.MIN_MARGIN_BITS}")
+                continue
+            (n, d, _), r = sums, exact.READOUT_BITS
+            assert reading == exact.Reading(n * n / (1 << (2 * r + 4)), (1 << (r + 4)) / d,
+                                            n * n / (d << r), margin), (p, kprime)
+    # the peaks reach 2^(READOUT_BITS + l - 1), where a lane one bit narrower wraps
+    for c in peaks:
+        bits = sum(map(abs, c)).bit_length()
+        peak = max(abs(_readout(c, kprime, table)) for kprime in range(1, half))
+        assert peak >> (exact.READOUT_BITS + bits - 1)
 
 
 def _pack(digits):

@@ -19,7 +19,7 @@ def _instances():
     return [
         knot,
         LensSpace.of(7, 3),
-        exact.read(exact.knot_elements(knot), 1),
+        exact.read(exact.knot_elements(knot))[0],
         compute_invariants(knot)[0],
         compare_knots(knot, normalize_two_bridge(7, 5)),
         metabelian_pair(7, 1),

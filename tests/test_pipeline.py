@@ -597,8 +597,8 @@ def test_nan_estimate_gives_error_records(monkeypatch):
     # NaN token
     exact_read = pipeline.read
 
-    def nan_read(elements, kprime):
-        return exact_read(elements, kprime)._replace(f_value=math.nan, tau=math.nan)
+    def nan_read(elements):
+        return [r._replace(f_value=math.nan, tau=math.nan) for r in exact_read(elements)]
 
     monkeypatch.setattr(pipeline, "read", nan_read)
     knot = normalize_two_bridge(7, 3)
