@@ -5,18 +5,15 @@ that only computes or compares never compiles it."""
 import csv
 import itertools
 import json
-import math
 import os
 from functools import cache
 
-from .errors import TorsionError
-from .oracles import LensSpace, lens_torsion_magnitude
+from .errors import RecordError, TorsionError
+from .exact import checked_elements, knot_elements
 from .pipeline import (
-    InvariantRecord,
     compare_knots,
-    compute_invariants,
+    invariant_records,
     knot_report,
-    metabelian_pairing,
     serialize_report,
     tau_multiset,
     verdict_to_dict,
@@ -70,42 +67,37 @@ def _atomic_write(path, data):
         raise
 
 
-def _cached_report(path, knot):
-    """(report, records) cached at path, or None where there is none or it
-    does not parse, has records that do not rebuild with k = 1..(p-1)/2 in
-    order and each k's own k', or is not exactly the report of the knot
-    and the rebuilt records: another knot, an extra key or a field the
-    records do not give, such as a second pair entry, an absError or an
-    oracle other than this build's lens value, is a miss.  The tau and the
-    diagnostics are served as the entry holds them."""
+def _cached_elements(path, knot):
+    """The knot's elements from the entry at path, or None where there is
+    none or it does not parse (nesting too deep for the decoder included)
+    or fails ``checked_elements``."""
     try:
         with open(path, "rb") as f:
-            report = json.loads(f.read().decode())
-    except (FileNotFoundError, ValueError):
+            return checked_elements(knot, json.loads(f.read().decode()))
+    except (FileNotFoundError, ValueError, RecursionError, RecordError):
         return None
-    try:
-        records = _records_from_report(report, knot)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if report != knot_report(knot, records):
-        return None
-    return report, records
 
 
 def cached_invariant_report(knot, cache_dir=None):
-    """Per-knot report, served from the directory cache when the code
-    fingerprint matches; returns (report, hit, records), the records
-    computed on a miss or rebuilt from the entry on a hit.  A damaged entry
-    is a miss, and is computed and written again."""
+    """Per-knot report, from the knot's elements held in the directory
+    cache when the code fingerprint matches; returns (report, hit, records).
+    An entry is the three coefficient lists of ``knot_elements``, and a hit
+    is one that passes ``checked_elements``; on a miss the elements are
+    computed and written, unless the exact pass fails.  Either way the
+    records are read off the elements by ``invariant_records``."""
     base = cache_dir or default_cache_dir()
     path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
-    cached = _cached_report(path, knot)
-    if cached is not None:
-        return cached[0], True, cached[1]
-    records = compute_invariants(knot)
-    report = knot_report(knot, records)
-    _atomic_write(path, serialize_report(report))
-    return report, False, records
+    elements = _cached_elements(path, knot)
+    hit = elements is not None
+    if not hit:
+        try:
+            elements = knot_elements(knot)
+        except RecordError as exc:
+            elements = exc
+        else:
+            _atomic_write(path, serialize_report([c for c, _ in elements]))
+    records = invariant_records(knot, elements)
+    return knot_report(knot, records), hit, records
 
 
 def read_catalog(path):
@@ -180,53 +172,3 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
     if out_path:
         _atomic_write(out_path, serialize_report(report))
     return report
-
-
-def _is_number(x):
-    """True for a finite JSON number; a bool does not count."""
-    return type(x) is float and math.isfinite(x) or type(x) is int
-
-
-def _is_pair(z):
-    return type(z) is list and len(z) == 2 and _is_number(z[0]) and _is_number(z[1])
-
-
-def _records_from_report(report, knot):
-    """Rebuild the records of a report of knot, each with this build's lens
-    oracle, not the stored one.  A missing field raises KeyError, a field
-    of the wrong type TypeError, and records other than k = 1..(p-1)/2 in
-    order, each with its own k', ValueError.  k and kprime are integers,
-    p1_squared and F pairs of numbers, the diagnostics an object, and
-    either tau is finite and there is no error or there is an error string
-    and no tau."""
-    records = report["records"]
-    if len(records) != (knot.p - 1) // 2:
-        raise ValueError(f"{len(records)} records for {knot.label}")
-    lens = LensSpace.of(knot.p, knot.q)
-    out = []
-    for k, r in enumerate(records, 1):
-        tau, error = r["tau"], r["error"]
-        if not (
-            type(r["k"]) is int
-            and type(r["kprime"]) is int
-            and _is_pair(r["p1_squared"])
-            and _is_pair(r["F"])
-            and type(r["diagnostics"]) is dict
-            and (error is None and _is_number(tau) or tau is None and type(error) is str)
-        ):
-            raise TypeError(f"record with a field of the wrong type: {r!r}")
-        if (r["k"], r["kprime"]) != (k, metabelian_pairing(knot.p, k)):
-            raise ValueError(f"record {k} of {knot.label} has k, k' = {r['k']}, {r['kprime']}")
-        out.append(
-            InvariantRecord(
-                k=k,
-                kprime=r["kprime"],
-                p1_squared=r["p1_squared"][0],
-                f_value=r["F"][0],
-                tau=tau if tau is not None else float("nan"),
-                cross_check=lens_torsion_magnitude(lens, k),
-                diagnostics=r["diagnostics"],
-                error=error,
-            )
-        )
-    return out

@@ -221,7 +221,8 @@ def knot_elements(knot):
     - Wada's double zero: n = det Phi(dr/dx) at t_Wada = i(1 + e) is
       n_ss e^2 + O(e^3), and 4 P(1) = -n_ss;
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
-      n_ss(t^2)^2 u(t^2) u(t^2r) = D."""
+      n_ss(t^2)^2 u(t^2) u(t^2r) = D, with the checks of
+      ``checked_elements``."""
     p, b, label = knot.p, DIGIT_BITS, knot.label
     bits, mask = b * p, (1 << b * p) - 1
     unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
@@ -263,14 +264,30 @@ def knot_elements(knot):
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
                    - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, "4 P(1)")
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
-    packed = sum(c << (b * e) for e, c in enumerate(n2))
-    u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
-    _zero_test(fold(fold(packed * packed) * fold(u2 * u2r)) - d, p, "P(1)^2 F u_k u_kr = 1", label)
+    return checked_elements(knot, [n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")])
 
-    coeffs = n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")
+
+def checked_elements(knot, coeffs):
+    """The elements of ``knot_elements`` from coeffs, the p coefficients of
+    each of n_ss(t^2), D and phi_u, with the bit lengths of their L1 norms.
+    RecordError unless coeffs is a list of three lists of p ints (a bool or
+    a float is not one), each within the digit guard and symmetric under
+    t -> 1/t, as an element of Z[u] is, and the paper's identity
+    n_ss(t^2)^2 u(t^2) u(t^2r) = D holds in Z[t]/(t^p - 1).  Computed
+    elements and cached ones pass this one check."""
+    p, b, label = knot.p, DIGIT_BITS, knot.label
+    if not (type(coeffs) is list and len(coeffs) == 3 and all(
+            type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
+        raise RecordError(f"the elements of {label} are not three lists of {p} ints")
     for what, c in zip(("4 P(1)", "16/F", "phi_u"), coeffs):
-        if c[1:] != c[:0:-1]:  # an element of Z[u] is symmetric under t -> 1/t
-            raise RecordError(f"{what} of {knot.label} is not real")
+        if max(map(abs, c)) >= 1 << GUARD_BITS:
+            raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+        if c[1:] != c[:0:-1]:
+            raise RecordError(f"{what} of {label} is not real")
+    n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs[:2])
+    u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
+    _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p,
+               "P(1)^2 F u_k u_kr = 1", label)
     return tuple((c, sum(map(abs, c)).bit_length()) for c in coeffs)
 
 

@@ -83,12 +83,21 @@ def compute_invariants(knot):
     from one exact pass over the knot; a failed check of that pass fails
     every record, and a failed readout its own record.  Failures are
     recorded rather than raised, so partial results survive."""
-    lens = LensSpace.of(knot.p, knot.q)
-    indices = range(1, (knot.p - 1) // 2 + 1)
     try:
         elements = knot_elements(knot)
     except RecordError as exc:
-        return [_failed(knot, idx, lens, exc) for idx in indices]
+        elements = exc
+    return invariant_records(knot, elements)
+
+
+def invariant_records(knot, elements):
+    """The records of the knot read off its checked elements, as
+    ``knot_elements`` or ``checked_elements`` returns them, or every record
+    failed with elements where it is the RecordError of the exact pass."""
+    lens = LensSpace.of(knot.p, knot.q)
+    indices = range(1, (knot.p - 1) // 2 + 1)
+    if isinstance(elements, RecordError):
+        return [_failed(knot, idx, lens, elements) for idx in indices]
     readings = read(elements)
     return [_record(knot, idx, lens, readings) for idx in indices]
 

@@ -297,38 +297,47 @@ def test_compare_distinct_same_determinant():
 # -- caching and catalog ----------------------------------------------------------
 
 
+def _entry_path(cache, knot):
+    return os.path.join(cache, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
+
+
+def _elements(p, q):
+    """The three coefficient lists of b(p, q) that its cache entry holds."""
+    return [c for c, _ in exact.knot_elements(normalize_two_bridge(p, q))]
+
+
 def test_cache_bit_for_bit(tmp_path):
+    # the entry is the encoding of the knot's three coefficient lists; a
+    # miss returns the records it computed, and a hit those read off the
+    # entry, equal in full, diagnostics and cross-checks included
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
     report1, hit1, records1 = cached_invariant_report(knot, cache)
     assert not hit1
-    path = os.path.join(cache, fingerprint()[:16], "5_3.json")
-    with open(path, "rb") as f:
-        cached_bytes = f.read()
+    with open(_entry_path(cache, knot), "rb") as f:
+        assert f.read() == serialize_report(_elements(5, 3))
     computed = compute_invariants(knot)
-    fresh = knot_report(knot, computed)
-    assert serialize_report(fresh) == cached_bytes
-    # a miss returns the records it computed, a hit those rebuilt from the
-    # entry, equal in what comparisons read
     assert records1 == computed
+    assert report1 == knot_report(knot, computed)
     report2, hit2, records2 = cached_invariant_report(knot, cache)
     assert hit2
-    assert report2 == report1 == fresh
-    assert [(r.k, r.tau, r.error) for r in records2] == [(r.k, r.tau, r.error) for r in computed]
+    assert report2 == report1
+    assert records2 == computed
 
 
-# records of 5/3 that rebuild in order, but with tau "0.5" a string
-_WRONG_TYPED = (
-    b'{"knot": {"p": 5, "q": 3}, "records": ['
-    b'{"k": 1, "kprime": 2, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": "0.5", "oracle": 0.2, '
-    b'"absError": 0.0, "diagnostics": {}, "error": null}, '
-    b'{"k": 2, "kprime": 1, "p1_squared": [1.0, 0.0], "F": [0.2, 0.0], "tau": 0.2, "oracle": 0.2, '
-    b'"absError": 0.0, "diagnostics": {}, "error": null}]}'
-)
+def _coeffs(edit):
+    """The true entry of the knot with its coefficient lists [n2, D, phi_u]
+    replaced by edit(n2, D, phi_u)."""
+
+    def damage(knot):
+        return serialize_report(edit(*_elements(knot.p, knot.q)))
+
+    return damage
 
 
 def _edited(edit):
-    """The true entry of 5/3 with one field changed by edit(report, record)."""
+    """The knot's report, the entry format before the cache held elements,
+    with one field changed by edit(report, record)."""
 
     def damage(knot):
         report = knot_report(knot, compute_invariants(knot))
@@ -338,15 +347,29 @@ def _edited(edit):
     return damage
 
 
+def _replaced(c, e, x):
+    return c[:e] + [x] + c[e + 1:]
+
+
 @pytest.mark.parametrize(
     "damaged",
     [
-        b'{"knot": ',
+        lambda knot: serialize_report(_elements(7, 3))[:40],
+        b"[" * 100000,
         b"{}",
-        b'{"knot": {"p": 5, "q": 1}, "records": []}',
-        b'{"knot": {"p": 5, "q": 3}, "records": [{"k": 1}]}',
-        b'{"knot": {"p": 5, "q": 3}, "records": []}',
-        _WRONG_TYPED,
+        lambda knot: serialize_report(_elements(7, 1)),
+        _coeffs(lambda n2, d, phi: [_replaced(n2, 1, True), d, phi]),
+        _coeffs(lambda n2, d, phi: [_replaced(n2, 2, 1.0), d, phi]),
+        _coeffs(lambda n2, d, phi: [n2, d]),
+        _coeffs(lambda n2, d, phi: [n2, d[:-1], phi]),
+        _coeffs(lambda n2, d, phi: [n2, _replaced(d, 1, d[1] + 1), phi]),
+        _coeffs(lambda n2, d, phi: [n2, [2 * x for x in d], phi]),
+        # passes the packed identity, as it adds 2^(Bp) - 1, and the
+        # symmetry check, and fails the digit guard alone
+        _coeffs(lambda n2, d, phi: [n2, [x + 2 ** 64 - 1 for x in d], phi]),
+        # reports, whole or with a field damaged, are not three lists
+        _edited(lambda report, rec: report.update(records=[{"k": 1}])),
+        _edited(lambda report, rec: report.update(records=[])),
         _edited(lambda report, rec: report.update(determinant=999)),
         _edited(lambda report, rec: report.update(note="x")),
         _edited(lambda report, rec: rec.update(note="x")),
@@ -359,22 +382,21 @@ def _edited(edit):
         _edited(lambda report, rec: rec.update(
             tau=rec["tau"] * 1.5, oracle=rec["tau"] * 1.5, absError=0.0)),
     ],
-    ids=["truncated", "empty", "other-knot", "partial-record", "no-records", "wrong-type",
-         "determinant", "extra-key", "extra-record-key", "second-entry", "abs-error", "tau",
-         "kprime", "oracle", "tau-and-oracle"],
+    ids=["truncated", "nested", "empty", "other-knot", "wrong-type", "float", "two-lists",
+         "short-list", "asymmetric", "doubled", "guard",
+         "partial-record", "no-records", "determinant", "extra-key", "extra-record-key",
+         "second-entry", "abs-error", "tau", "kprime", "oracle", "tau-and-oracle"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
-    # an entry that does not parse, names another knot, has records that do
-    # not rebuild, each field with its type, with k = 1..(p-1)/2 and each k's
-    # own k', or is not exactly the report of its rebuilt records, each with
-    # this build's lens oracle, is a miss:
-    # the report is computed again and rewritten, and a catalog over that
-    # entry runs
-    knot = normalize_two_bridge(5, 3)
+    # an entry that does not parse, or whose elements fail checked_elements
+    # (three lists of p ints within the digit guard, each symmetric, with
+    # the paper's identity holding), is a miss: the elements are computed
+    # again and the entry rewritten, and a catalog over that entry runs
+    knot = normalize_two_bridge(7, 3)
     if callable(damaged):
         damaged = damaged(knot)
     cache = str(tmp_path / "cache")
-    path = os.path.join(cache, fingerprint()[:16], "5_3.json")
+    path = _entry_path(cache, knot)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         f.write(damaged)
@@ -382,16 +404,49 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     assert not hit
     computed = compute_invariants(knot)
     assert records == computed
-    fresh = serialize_report(knot_report(knot, computed))
-    assert serialize_report(report) == fresh
+    assert serialize_report(report) == serialize_report(knot_report(knot, computed))
     with open(path, "rb") as f:
-        assert f.read() == fresh
+        assert f.read() == serialize_report(_elements(7, 3))
     with open(path, "wb") as f:
         f.write(damaged)
     csv_path = tmp_path / "knots.csv"
-    csv_path.write_text("5,3\n")
+    csv_path.write_text("7,3\n")
     catalog = run_catalog(str(csv_path), None, cache)
     assert catalog["knots"] == [report]
+
+
+def test_hit_proves_tau_not_the_scale(tmp_path):
+    # the identity n2^2 u_k u_kr = D holds mod N = 1 + t + ... + t^(p-1):
+    # 3 n2 with 9 D is a hit with every tau of a fresh run, P(1)^2 times 9
+    # and F over 9; D + 1000 N is a hit with a fresh run's floats and
+    # other margins, read off the stored representative
+    knot = normalize_two_bridge(21, 8)
+    fresh = compute_invariants(knot)
+    n2, d, phi = _elements(21, 8)
+    cache = str(tmp_path / "cache")
+    path = _entry_path(cache, knot)
+    os.makedirs(os.path.dirname(path))
+
+    def hit_records(coeffs):
+        with open(path, "wb") as f:
+            f.write(serialize_report(coeffs))
+        _, hit, records = cached_invariant_report(knot, cache)
+        assert hit
+        return records
+
+    records = hit_records([[3 * x for x in n2], [9 * x for x in d], phi])
+    assert [r.tau for r in records] == [f.tau for f in fresh]
+    for r, f in zip(records, fresh):
+        assert math.isclose(r.p1_squared, 9 * f.p1_squared, rel_tol=1e-15)
+        assert math.isclose(r.f_value, f.f_value / 9, rel_tol=1e-15)
+
+    records = hit_records([n2, [x + 1000 for x in d], phi])
+    floats = [(r.p1_squared, r.f_value, r.tau) for r in records]
+    assert floats == [(f.p1_squared, f.f_value, f.tau) for f in fresh]
+    margins = [r.diagnostics["margin_bits"] for r in records]
+    fresh_margins = [f.diagnostics["margin_bits"] for f in fresh]
+    assert margins != fresh_margins
+    assert all(m <= f for m, f in zip(margins, fresh_margins))
 
 
 # source edits that must each change the cache key: another digit width
@@ -571,7 +626,7 @@ def test_catalog_file_is_the_report_bytes(tmp_path, monkeypatch):
 
 
 def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
-    # a valid entry in another layout, the same report written with
+    # a valid entry in another layout, the same elements written with
     # indent=1, is a hit; the --out file is still exactly serialize_report
     # of the returned report, and the verdicts are those of the cold run
     csv_path = tmp_path / "knots.csv"
@@ -580,9 +635,9 @@ def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
     cache = str(tmp_path / "cache")
     cold = run_catalog(str(csv_path), str(out_path), cache)
     for entry in cold["knots"]:
-        name = f"{entry['knot']['p']}_{entry['knot']['q']}.json"
-        with open(os.path.join(cache, fingerprint()[:16], name), "wb") as f:
-            f.write(json.dumps(entry, sort_keys=True, indent=1).encode())
+        knot = normalize_two_bridge(entry["knot"]["p"], entry["knot"]["q"])
+        with open(_entry_path(cache, knot), "wb") as f:
+            f.write(json.dumps(_elements(knot.p, knot.q), indent=1).encode())
     hits = _spy_hits(monkeypatch)
     warm = run_catalog(str(csv_path), str(out_path), cache)
     assert hits == [True, True, True]
@@ -591,16 +646,21 @@ def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
     assert warm == cold
 
 
-def test_nan_estimate_gives_error_records(monkeypatch):
-    # a NaN fails the sign check like any value that is not positive: every
-    # record is an error record, and the report is strict JSON, with no
-    # NaN token
+def _read_nan(monkeypatch):
+    """Patch pipeline.read to give NaN for F and tau at every index."""
     exact_read = pipeline.read
 
     def nan_read(elements):
         return [r._replace(f_value=math.nan, tau=math.nan) for r in exact_read(elements)]
 
     monkeypatch.setattr(pipeline, "read", nan_read)
+
+
+def test_nan_estimate_gives_error_records(monkeypatch):
+    # a NaN fails the sign check like any value that is not positive: every
+    # record is an error record, and the report is strict JSON, with no
+    # NaN token
+    _read_nan(monkeypatch)
     knot = normalize_two_bridge(7, 3)
     records = compute_invariants(knot)
     assert len(records) == 3
@@ -612,6 +672,32 @@ def test_nan_estimate_gives_error_records(monkeypatch):
     data = serialize_report(knot_report(knot, records))
     assert b"NaN" not in data
     json.loads(data, parse_constant=refuse)
+
+
+def test_hit_and_miss_read_the_elements_alike(tmp_path, monkeypatch):
+    # a hit reads its records off the elements as a miss does: with read
+    # giving NaN, the warm hit has the miss's error records
+    _read_nan(monkeypatch)
+    knot = normalize_two_bridge(7, 3)
+    cache = str(tmp_path / "cache")
+    miss = cached_invariant_report(knot, cache)
+    hit = cached_invariant_report(knot, cache)
+    assert (miss[1], hit[1]) == (False, True)
+    assert all("not positive" in r.error for r in hit[2])
+    assert hit[0] == miss[0] == knot_report(knot, compute_invariants(knot))
+
+
+def test_failed_exact_pass_is_not_cached(tmp_path, break_letter):
+    # a knot whose exact pass fails writes no entry: every lookup is a
+    # miss with every record failed
+    break_letter()
+    knot = normalize_two_bridge(7, 3)
+    cache = str(tmp_path / "cache")
+    for _ in range(2):
+        report, hit, records = cached_invariant_report(knot, cache)
+        assert not hit and not any(r.ok for r in records)
+        assert report == knot_report(knot, compute_invariants(knot))
+        assert not os.path.exists(_entry_path(cache, knot))
 
 
 def test_catalog_empty_and_bad_rows(tmp_path):
