@@ -95,7 +95,7 @@ def cached_invariant_report(knot, cache_dir=None):
         except RecordError as exc:
             elements = exc
         else:
-            _atomic_write(path, serialize_report([c for c, _ in elements]))
+            _atomic_write(path, serialize_report(elements))
     records = invariant_records(knot, elements)
     return knot_report(knot, records), hit, records
 

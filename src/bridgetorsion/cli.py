@@ -76,7 +76,7 @@ def _print_records(knot, records):
         if r.error is not None:
             print(f"{r.k:>3} {r.kprime:>3}  ERROR: {r.error}")
             continue
-        err = abs(r.tau - r.cross_check) if r.cross_check is not None else float("nan")
+        err = abs(r.tau - r.cross_check)
         print(
             f"{r.k:>3} {r.kprime:>3} {r.p1_squared:>14.8g} "
             f"{r.f_value:>14.8g} {r.tau:>14.8g} "

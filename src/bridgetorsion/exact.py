@@ -33,8 +33,8 @@ u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
 Readout: the elements read are real, so at t = zeta^m an element is
 sum c_e cos(2 pi e m / p), an integer dot product with cosines in
 READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
-within L1 = sum |c_e| units, whose bit length l each element carries from
-``knot_elements``; the margin is log2 of the sum over L1.  The three
+within L1 = sum |c_e| units, whose bit length l ``read`` works out for
+each element; the margin is log2 of the sum over L1.  The three
 elements share one dot product per index, their coefficients packed as
 c + c' 2^K + c'' 2^(2K) with K = READOUT_BITS + max l + 1.  No cosine
 exceeds 2^READOUT_BITS, so each sum has magnitude at most
@@ -160,21 +160,22 @@ def _fold(x, bits):
     return x
 
 
-def _digits(x, p, what):
-    """The p coefficients of x, an element mod 2^(Bp) - 1; RecordError where
-    one fails the digit guard."""
+def _guard(coeffs, what):
+    """RecordError where a coefficient fails the digit guard."""
+    if max(map(abs, coeffs)) >= 1 << GUARD_BITS:
+        raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+
+
+def _digits(x, p):
+    """The p coefficients of x, an element mod 2^(Bp) - 1: the B-bit digits
+    of x + H mod 2^(Bp) - 1, each less 2^(B-1), H = 2^(B-1) packed N."""
     b = DIGIT_BITS
     mask = (1 << b * p) - 1
-    x %= mask
-    x += (mask // ((1 << b) - 1) << (b - 1)) - (mask if x > mask >> 1 else 0)
-    if 0 <= x <= mask:
-        words = array("Q", x.to_bytes(b * p // 8, "little"))
-        if sys.byteorder != "little":
-            words.byteswap()
-        out = [c - (1 << (b - 1)) for c in words]
-        if max(map(abs, out)) < 1 << GUARD_BITS:
-            return out
-    raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+    x = (x + (mask // ((1 << b) - 1) << (b - 1))) % mask
+    words = array("Q", x.to_bytes(b * p // 8, "little"))
+    if sys.byteorder != "little":
+        words.byteswap()
+    return [c - (1 << (b - 1)) for c in words]
 
 
 def _zero_test(x, p, what, label):
@@ -189,7 +190,7 @@ def _zero_test(x, p, what, label):
     c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
     if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << GUARD_BITS:
         return
-    _digits(x, p, what)
+    _guard(_digits(x, p), what)
     raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
 
 
@@ -206,8 +207,8 @@ def _dot(x, y, z, w, fold, full=True):
 
 
 def knot_elements(knot):
-    """The elements the knot's records read, each as its p coefficients
-    and the bit length of their L1 norm, which bounds its readout error:
+    """The elements the knot's records read, [n_ss(t^2), D, phi_u], each
+    the list of its p coefficients, the object a cache entry holds:
     n_ss(t^2), where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k;
     D = 16/F; and phi_u, the smoothness of the curve through u_{k'}.
     They are returned once these hold in Z[t]/(t^p - 1), for every index
@@ -222,7 +223,7 @@ def knot_elements(knot):
       n_ss e^2 + O(e^3), and 4 P(1) = -n_ss;
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
       n_ss(t^2)^2 u(t^2) u(t^2r) = D, with the checks of
-      ``checked_elements``."""
+      ``checked_elements``, which alone guards their coefficients."""
     p, b, label = knot.p, DIGIT_BITS, knot.label
     bits, mask = b * p, (1 << b * p) - 1
     unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
@@ -262,14 +263,14 @@ def knot_elements(knot):
     _zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
                p, "Wada's numerator at e^1", label)
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
-                   - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, "4 P(1)")
+                   - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p)
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
-    return checked_elements(knot, [n2, _digits(d, p, "16/F"), _digits(phi_d, p, "phi_u")])
+    return checked_elements(knot, [n2, _digits(d, p), _digits(phi_d, p)])
 
 
 def checked_elements(knot, coeffs):
-    """The elements of ``knot_elements`` from coeffs, the p coefficients of
-    each of n_ss(t^2), D and phi_u, with the bit lengths of their L1 norms.
+    """coeffs, the p coefficients of each of n_ss(t^2), D and phi_u, as
+    ``knot_elements`` returns them and a cache entry holds them.
     RecordError unless coeffs is a list of three lists of p ints (a bool or
     a float is not one), each within the digit guard and symmetric under
     t -> 1/t, as an element of Z[u] is, and the paper's identity
@@ -280,15 +281,14 @@ def checked_elements(knot, coeffs):
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
         raise RecordError(f"the elements of {label} are not three lists of {p} ints")
     for what, c in zip(("4 P(1)", "16/F", "phi_u"), coeffs):
-        if max(map(abs, c)) >= 1 << GUARD_BITS:
-            raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+        _guard(c, what)
         if c[1:] != c[:0:-1]:
             raise RecordError(f"{what} of {label} is not real")
     n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs[:2])
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
     _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p,
                "P(1)^2 F u_k u_kr = 1", label)
-    return tuple((c, sum(map(abs, c)).bit_length()) for c in coeffs)
+    return coeffs
 
 
 def _atan_inv(x, one):
@@ -335,16 +335,16 @@ class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
 
 def read(elements):
     """The Reading of every index k' = 1..(p-1)/2, in order: P(1)^2, F and
-    tau = P(1)^2 F from the knot's elements, each the correctly rounded
-    quotient of integer readouts.  An index whose margin is below
-    MIN_MARGIN_BITS, as where phi_u = 0 and the curve is not smooth, gets
-    its RecordError in place of a Reading."""
-    (n, n_bits), (d, d_bits), (phi, phi_bits) = elements
-    p, half = len(n), (len(n) + 1) // 2
+    tau = P(1)^2 F from the knot's elements [n_ss(t^2), D, phi_u], each
+    the correctly rounded quotient of integer readouts.  An index whose
+    margin is below MIN_MARGIN_BITS, as where phi_u = 0 and the curve is
+    not smooth, gets its RecordError in place of a Reading."""
+    n_bits, d_bits, phi_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
+    p, half = len(elements[0]), (len(elements[0]) + 1) // 2
     width = READOUT_BITS + max(n_bits, d_bits, phi_bits) + 1  # K
     lane, mask = 1 << (width - 1), (1 << width) - 1
     packed = [(x + (y << width) + (z << 2 * width)) << (e > 0)  # c_-e = c_e: twice for e > 0
-              for e, x, y, z in zip(range(half), n, d, phi)]
+              for e, x, y, z in zip(range(half), *elements)]
     table, readings = _cosines(p), []
     for kprime in range(1, half):
         cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)

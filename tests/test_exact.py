@@ -50,14 +50,14 @@ def test_spot_check_at_1001_375():
         margin = min(margin, reading.margin_bits)
         want = _lens_50(p, q, k)
         assert abs(reading.tau - want) <= 4e-16 * want, k
-    coefficient_bits = max(max(map(abs, c)).bit_length() for c, _ in elements)
+    coefficient_bits = max(max(map(abs, c)).bit_length() for c in elements)
     print(f"1001/375 headroom: margin {margin} bits against {exact.MIN_MARGIN_BITS}, "
           f"coefficients {coefficient_bits} bits against {exact.GUARD_BITS}")
     assert margin > exact.MIN_MARGIN_BITS
     assert coefficient_bits < exact.GUARD_BITS
 
 
-def test_intermediate_digit_headroom_at_1001_375(monkeypatch):
+def test_intermediate_digit_headroom_at_1001_375():
     # a product of two folded elements whose coefficients have at most a
     # and b bits has coefficients of at most p 2^(a + b), and a sum of
     # `terms` such products at most terms p 2^(a + b); below
@@ -67,7 +67,6 @@ def test_intermediate_digit_headroom_at_1001_375(monkeypatch):
     # (images of <-w and of W x^(-2 sigma)) and the 12 Fox jets, then the
     # longitude slots and phi that estimate (b) and D multiply, and the
     # identity's n_ss(t^2)^2, whose coefficients are those of n_ss^2 permuted
-    monkeypatch.setattr(exact, "GUARD_BITS", exact.DIGIT_BITS - 1)  # decode only
     knot = normalize_two_bridge(1001, 375)
     p, b = knot.p, exact.DIGIT_BITS
 
@@ -75,7 +74,7 @@ def test_intermediate_digit_headroom_at_1001_375(monkeypatch):
         return exact._fold(x, b * p)
 
     def bits(*xs):
-        return max(max(map(abs, exact._digits(x, p, "operand"))).bit_length() for x in xs)
+        return max(max(map(abs, exact._digits(x, p))).bit_length() for x in xs)
 
     unword = b * ((p + 1) // 2)
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
@@ -123,6 +122,22 @@ def test_identity_fails_with_the_lens_of_another_fraction(p, q, other):
         exact.knot_elements(knot._replace(q=other))
 
 
+def test_element_beyond_the_guard_fails_every_record(monkeypatch):
+    # checked_elements alone guards the elements: with the e^2 slots of the
+    # Fox jets shifted left by 40 bits, n_ss has coefficients of 32 bits or
+    # more while every zero test of 7/3 still passes, and each record fails
+    # with that element's name
+    fox_jets = exact._fox_jets
+
+    def shifted(relator, b, one):
+        return [[val, e, ee << 40] for val, e, ee in fox_jets(relator, b, one)]
+
+    monkeypatch.setattr(exact, "_fox_jets", shifted)
+    records = compute_invariants(normalize_two_bridge(7, 3))
+    assert [r.error for r in records] == [
+        "RecordError: 4 P(1) has a coefficient of 32 bits or more"] * 3
+
+
 def test_identity_holds_with_the_mirror_fraction():
     # 41/30 names the mirror of 41/11: its r is -r, and u_{-kr} = u_{kr}
     knot = normalize_two_bridge(41, 11)
@@ -146,10 +161,13 @@ def test_value_fields_are_pinned():
 def test_large_knot_elements_are_pinned():
     # the packed ints and the peripheral tail x^(-2 sigma) are longest at
     # large p (the tail of 301/1 has 600 letters): a SHA-256 over the
-    # elements, coefficients and L1 bit lengths, of four large knots
+    # elements of four large knots, each hashed as the pair of its
+    # coefficients and the bit length of their L1 norm
     digest = hashlib.sha256()
     for p, q in ((101, 31), (131, 55), (301, 25), (301, 1)):
-        digest.update(repr((p, q, exact.knot_elements(normalize_two_bridge(p, q)))).encode())
+        elements = tuple((c, sum(map(abs, c)).bit_length())
+                         for c in exact.knot_elements(normalize_two_bridge(p, q)))
+        digest.update(repr((p, q, elements)).encode())
     assert digest.hexdigest() == "450ae1e4e1efb754d8f50e80c99ed43a6e40f18bbaeb679b72e68dbc6ad766df"
 
 
@@ -223,13 +241,13 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
     triples = list(itertools.permutations(peaks)) + [(wide[0], peaks[1], wide[1]),
                                                      (peaks[0], wide[1], flat)]
     for triple in triples:
-        elements = tuple((c, sum(map(abs, c)).bit_length()) for c in triple)
-        readings = exact.read(elements)
+        readings = exact.read(list(triple))
         assert len(readings) == half - 1
+        bits = [sum(map(abs, c)).bit_length() for c in triple]  # of each L1
         for kprime, reading in enumerate(readings, 1):
             sums = [_readout(c, kprime, table) for c in triple]
-            margin = min([exact.READOUT_BITS] + [abs(total).bit_length() - 1 - bits
-                                                 for total, (_, bits) in zip(sums, elements)])
+            margin = min([exact.READOUT_BITS] + [abs(total).bit_length() - 1 - l
+                                                 for total, l in zip(sums, bits)])
             if margin < exact.MIN_MARGIN_BITS:
                 assert isinstance(reading, RecordError), (p, kprime)
                 assert str(reading) == (f"readout margin {margin} bits at k' = {kprime}, "
@@ -251,13 +269,11 @@ def _pack(digits):
 
 def test_digits_round_trip():
     digits = [3, -1, 0, 2 ** 31 - 1, -(2 ** 31) + 1, 5, -7]
-    assert exact._digits(_pack(digits), 7, "x") == digits
+    assert exact._digits(_pack(digits), 7) == digits
     mask = (1 << exact.DIGIT_BITS * 7) - 1  # 2^(Bp) - 1 = 0
-    assert exact._digits(_pack(digits) - mask, 7, "x") == digits
+    assert exact._digits(_pack(digits) - mask, 7) == digits
     # t^7 = 1: exponents fold mod p
     assert exact._fold(_pack([0] * 9 + [1]), exact.DIGIT_BITS * 7) == _pack([0, 0, 1])
-    with pytest.raises(RecordError, match="coefficient of 32 bits"):
-        exact._digits(_pack([2 ** 32, 0, 0, 0, 0, 0, 0]), 7, "x")
 
 
 @pytest.mark.parametrize("digits, message", [

@@ -130,7 +130,7 @@ def test_former_failures_match_lens_oracle(p, q):
 
 
 _MPMATH_PROBE = """
-import sys
+import contextlib, io, os, sys, tempfile
 from bridgetorsion.catalog import fingerprint
 from bridgetorsion.pipeline import compute_invariants
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS
@@ -140,12 +140,26 @@ for p, q in [(101, 31), (79, 1)] + CENSUS_FRACTIONS:
     assert all(r.ok for r in recs), (p, q)
 fingerprint()
 print("mpmath" in sys.modules)
+sys.modules["mpmath"] = None  # from here on, importing mpmath raises ImportError
+from bridgetorsion.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = os.path.join(tmp, "knots.csv")
+    with open(csv_path, "w") as f:
+        f.write("7,3\\n7,5\\n7,1\\n")
+    commands = [["invariants", "5/3"], ["compare", "7/3", "7/5"], ["oracle", "lens", "7", "3"],
+                ["oracle", "torus", "5"],
+                ["catalog", csv_path, "--cache", os.path.join(tmp, "cache")], ["selftest"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in commands]
+print(codes)
 """
 
 
 def test_mpmath_stays_unloaded_when_double_suffices():
     # the value path reads its floats off exact integer elements with an
-    # integer cosine table, so mpmath is never imported
+    # integer cosine table, so mpmath is never imported; with its import
+    # blocked, every command (invariants, compare, both oracles, catalog
+    # and selftest) still exits 0, as only the tests' references need it
     src = os.path.dirname(os.path.dirname(curve.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", _MPMATH_PROBE],
@@ -155,7 +169,7 @@ def test_mpmath_stays_unloaded_when_double_suffices():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", str([0] * 6)]
 
 
 def _fractions(lo, hi):
@@ -301,11 +315,6 @@ def _entry_path(cache, knot):
     return os.path.join(cache, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
 
 
-def _elements(p, q):
-    """The three coefficient lists of b(p, q) that its cache entry holds."""
-    return [c for c, _ in exact.knot_elements(normalize_two_bridge(p, q))]
-
-
 def test_cache_bit_for_bit(tmp_path):
     # the entry is the encoding of the knot's three coefficient lists; a
     # miss returns the records it computed, and a hit those read off the
@@ -315,7 +324,9 @@ def test_cache_bit_for_bit(tmp_path):
     report1, hit1, records1 = cached_invariant_report(knot, cache)
     assert not hit1
     with open(_entry_path(cache, knot), "rb") as f:
-        assert f.read() == serialize_report(_elements(5, 3))
+        entry = f.read()
+    assert entry == serialize_report(exact.knot_elements(knot))
+    assert json.loads(entry) == exact.knot_elements(knot)
     computed = compute_invariants(knot)
     assert records1 == computed
     assert report1 == knot_report(knot, computed)
@@ -325,12 +336,26 @@ def test_cache_bit_for_bit(tmp_path):
     assert records2 == computed
 
 
+def test_census_elements_are_their_own_cache_entries():
+    # for the 68 fractions p <= 25, what knot_elements returns is the
+    # object an entry holds: checked_elements returns it unchanged, and the
+    # entry's JSON decodes to it, so every entry written on a miss is a hit
+    fractions = _fractions(3, 25)
+    assert len(fractions) == 68
+    for p, q in fractions:
+        knot = normalize_two_bridge(p, q)
+        elements = exact.knot_elements(knot)
+        entry = json.loads(serialize_report(elements))
+        assert exact.checked_elements(knot, elements) is elements, (p, q)
+        assert elements == entry, (p, q)
+
+
 def _coeffs(edit):
     """The true entry of the knot with its coefficient lists [n2, D, phi_u]
     replaced by edit(n2, D, phi_u)."""
 
     def damage(knot):
-        return serialize_report(edit(*_elements(knot.p, knot.q)))
+        return serialize_report(edit(*exact.knot_elements(knot)))
 
     return damage
 
@@ -354,10 +379,10 @@ def _replaced(c, e, x):
 @pytest.mark.parametrize(
     "damaged",
     [
-        lambda knot: serialize_report(_elements(7, 3))[:40],
+        lambda knot: serialize_report(exact.knot_elements(knot))[:40],
         b"[" * 100000,
         b"{}",
-        lambda knot: serialize_report(_elements(7, 1)),
+        lambda knot: serialize_report(exact.knot_elements(normalize_two_bridge(7, 1))),
         _coeffs(lambda n2, d, phi: [_replaced(n2, 1, True), d, phi]),
         _coeffs(lambda n2, d, phi: [_replaced(n2, 2, 1.0), d, phi]),
         _coeffs(lambda n2, d, phi: [n2, d]),
@@ -406,7 +431,7 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     assert records == computed
     assert serialize_report(report) == serialize_report(knot_report(knot, computed))
     with open(path, "rb") as f:
-        assert f.read() == serialize_report(_elements(7, 3))
+        assert f.read() == serialize_report(exact.knot_elements(knot))
     with open(path, "wb") as f:
         f.write(damaged)
     csv_path = tmp_path / "knots.csv"
@@ -422,7 +447,7 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
     # other margins, read off the stored representative
     knot = normalize_two_bridge(21, 8)
     fresh = compute_invariants(knot)
-    n2, d, phi = _elements(21, 8)
+    n2, d, phi = exact.knot_elements(knot)
     cache = str(tmp_path / "cache")
     path = _entry_path(cache, knot)
     os.makedirs(os.path.dirname(path))
@@ -637,7 +662,7 @@ def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
     for entry in cold["knots"]:
         knot = normalize_two_bridge(entry["knot"]["p"], entry["knot"]["q"])
         with open(_entry_path(cache, knot), "wb") as f:
-            f.write(json.dumps(_elements(knot.p, knot.q), indent=1).encode())
+            f.write(json.dumps(exact.knot_elements(knot), indent=1).encode())
     hits = _spy_hits(monkeypatch)
     warm = run_catalog(str(csv_path), str(out_path), cache)
     assert hits == [True, True, True]

@@ -94,7 +94,7 @@ def _letter_jets(image, m, u):
     digits (v, c - 2v, v) for t^-1, 1 and t, read as (c + u v) / 4^i at
     g^i."""
     def at_u(x):
-        digits = exact._digits(x, 3, "a letter's slot")
+        digits = exact._digits(x, 3)
         v, c_minus_2v, w = (digits[(e + m) % 3] for e in (-1, 0, 1))
         assert v == w
         return c_minus_2v + 2 * v + u * v
