@@ -122,16 +122,14 @@ def format_deviation(value, spec):
     return "n/a" if value is None else format(value, spec)
 
 
-def compare_knots(a, b, records_a=None, records_b=None, *, taus=None):
+def compare_knots(a, b, *, taus=None):
     """Verdict per the torsion multisets, with the arithmetic congruence
     q' = +/- q^{+/-1} mod p reported as independent confirmation.  Any error
     record on either side makes the verdict "undetermined", with no
-    deviation.  ``taus``, the pair of ``tau_multiset``s of the two sides,
-    stands in for the records where the caller holds them sorted already."""
+    deviation.  ``taus`` is the pair of ``tau_multiset``s of the two sides
+    where the caller holds them; otherwise both knots are computed."""
     if taus is None:
-        records_a = records_a if records_a is not None else compute_invariants(a)
-        records_b = records_b if records_b is not None else compute_invariants(b)
-        taus = tau_multiset(records_a), tau_multiset(records_b)
+        taus = tau_multiset(compute_invariants(a)), tau_multiset(compute_invariants(b))
     taus_a, taus_b = taus
     det_match = a.p == b.p
     congruence = det_match and fractions_mirror_equivalent(a.p, a.q, b.q)

@@ -3,7 +3,7 @@ pass/fail line (run with -s to see them all)."""
 
 import pytest
 
-from bridgetorsion import exact
+from bridgetorsion import exact, pipeline, selfcheck
 from bridgetorsion.pipeline import compute_invariants
 from bridgetorsion.selfcheck import AcceptanceSuite
 from bridgetorsion.words import normalize_two_bridge
@@ -21,17 +21,33 @@ def test_criterion(suite, number):
     assert result.ok, result.line
 
 
-def test_criterion_10_fails_when_estimate_b_fails(monkeypatch):
-    # estimate (b) off by one, and no other check: every record names it,
-    # and criterion 10 fails, naming a knot
+@pytest.mark.parametrize("number, check", [(10, "estimate (b)"), (7, "phi at g^0")])
+def test_criterion_fails_when_its_zero_test_fails(monkeypatch, number, check):
+    # the criterion's zero test off by one, and no other check: every record
+    # names it, and the criterion fails, naming a knot
     zero_test = exact._zero_test
 
-    def off_at_b(x, p, what, label):
-        zero_test(x + 1 if what == "estimate (b)" else x, p, what, label)
+    def off(x, p, what, label):
+        zero_test(x + 1 if what == check else x, p, what, label)
 
-    monkeypatch.setattr(exact, "_zero_test", off_at_b)
+    monkeypatch.setattr(exact, "_zero_test", off)
     for r in compute_invariants(normalize_two_bridge(7, 3)):
-        assert "estimate (b) fails" in r.error, r.k
-    result = AcceptanceSuite().criterion_10()
+        assert f"{check} fails" in r.error, r.k
+    result = getattr(AcceptanceSuite(), f"criterion_{number}")()
     assert not result.ok
-    assert "estimate (b) fails" in result.detail and "b(3,1)" in result.detail, result.line
+    assert f"{check} fails" in result.detail and "b(3,1)" in result.detail, result.line
+
+
+def test_suite_runs_one_exact_pass_per_knot(monkeypatch):
+    # criterion 1 times its own pass of 5/3; every other criterion reads the
+    # memoized pass of each of the 24 census fractions
+    calls = []
+
+    def counted(knot):
+        calls.append(knot.label)
+        return exact.knot_elements(knot)
+
+    monkeypatch.setattr(pipeline, "knot_elements", counted)
+    monkeypatch.setattr(selfcheck, "knot_elements", counted)
+    assert all(r.ok for r in AcceptanceSuite().run_all())
+    assert len(calls) == 25 and len(set(calls)) == 24 == len(selfcheck.CENSUS_FRACTIONS)

@@ -127,6 +127,20 @@ def test_compare_with_record_errors_is_undetermined(capsys, break_letter):
     assert "undetermined" in out
 
 
+def test_selftest_reports_every_criterion_when_the_exact_pass_fails(capsys, break_letter):
+    # a failed pass fails the criteria that read it, each on its own line,
+    # naming the first knot it fails; the break leaves "phi at g^0" intact
+    break_letter()
+    code, out, err = run_cli(capsys, ["selftest"])
+    lines = out.splitlines()
+    assert code == 2 and err == ""
+    assert len(lines) == 10 and all(line[:6] in ("[PASS]", "[FAIL]") for line in lines)
+    # Wada's criteria, the torus closed forms and Riley's residual still hold
+    assert [n for n, line in enumerate(lines, 1) if line.startswith("[PASS]")] == [2, 4, 7, 8]
+    assert "estimate (b) fails in Z[t]/(t^5 - 1) for b(5,3)" in lines[2]
+    assert "-- b(3,1): RecordError: " in lines[4] and "-- b(3,1): RecordError: " in lines[5]
+
+
 def test_oracle_tables(capsys):
     code, out, _ = run_cli(capsys, ["oracle", "lens", "5", "3"])
     assert code == 0

@@ -8,7 +8,12 @@ import pytest
 
 from bridgetorsion import exact
 from bridgetorsion.errors import RecordError
-from bridgetorsion.pipeline import compare_knots, compute_invariants, metabelian_pairing
+from bridgetorsion.pipeline import (
+    compare_knots,
+    compute_invariants,
+    metabelian_pairing,
+    tau_multiset,
+)
 from bridgetorsion.words import normalize_two_bridge
 
 CENSUS_25 = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
@@ -309,7 +314,8 @@ def test_broken_letter_image_errors_every_record(break_letter, scale, message):
     records = compute_invariants(a)
     assert len(records) == 3
     assert all(not r.ok and message in r.error for r in records)
-    assert compare_knots(a, b, records, compute_invariants(b)).verdict == "undetermined"
+    taus = tau_multiset(records), tau_multiset(compute_invariants(b))
+    assert compare_knots(a, b, taus=taus).verdict == "undetermined"
 
 
 def test_readout_margin_below_the_bound_is_an_error(monkeypatch):

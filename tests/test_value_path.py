@@ -78,6 +78,16 @@ def test_value_path_imports_only_the_value_path(name):
     assert _module_level_imports(name) <= VALUE_PATH, name
 
 
+def test_acceptance_suite_reads_no_curve():
+    # criteria 3 and 7 read the exact pass; Wada's criteria, 2 and 8, are
+    # the suite's only float references
+    from bridgetorsion import selfcheck
+
+    readers = _module_level_imports("selfcheck") & set(FLOAT_REFERENCES)
+    assert readers == {"numerics", "reps", "alexander"}
+    assert not {"evaluate_F", "riley_residual", "metabelian_u"} & vars(selfcheck).keys()
+
+
 def test_no_module_imports_the_catalog():
     # the package registers catalog lazily; a module-level import would run it
     modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
