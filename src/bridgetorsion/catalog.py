@@ -81,7 +81,7 @@ def _cached_elements(path, knot):
 def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, from the knot's elements held in the directory
     cache when the code fingerprint matches; returns (report, hit, records).
-    An entry is the three coefficient lists of ``knot_elements``, and a hit
+    An entry is the two coefficient lists of ``knot_elements``, and a hit
     is one that passes ``checked_elements``; on a miss the elements are
     computed and written, unless the exact pass fails.  Either way the
     records are read off the elements by ``invariant_records``."""

@@ -34,12 +34,12 @@ Readout: the elements read are real, so at t = zeta^m an element is
 sum c_e cos(2 pi e m / p), an integer dot product with cosines in
 READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
 within L1 = sum |c_e| units, whose bit length l ``read`` works out for
-each element; the margin is log2 of the sum over L1.  The three
+each element; the margin is log2 of the sum over L1.  The two
 elements share one dot product per index, their coefficients packed as
-c + c' 2^K + c'' 2^(2K) with K = READOUT_BITS + max l + 1.  No cosine
-exceeds 2^READOUT_BITS, so each sum has magnitude at most
-L1 2^READOUT_BITS < 2^(K - 1), and balanced residues mod 2^K split the
-packed sum into the three exactly.
+c + c' 2^K with K = READOUT_BITS + max l + 1.  No cosine exceeds
+2^READOUT_BITS, so each sum has magnitude at most L1 2^READOUT_BITS <
+2^(K - 1), and the balanced residue mod 2^K splits the packed sum into
+the two exactly.
 """
 
 import operator
@@ -207,13 +207,15 @@ def _dot(x, y, z, w, fold, full=True):
 
 
 def knot_elements(knot):
-    """The elements the knot's records read, [n_ss(t^2), D, phi_u], each
-    the list of its p coefficients, the object a cache entry holds:
-    n_ss(t^2), where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k;
-    D = 16/F; and phi_u, the smoothness of the curve through u_{k'}.
+    """The elements the knot's records read, [n_ss(t^2), D], each the list
+    of its p coefficients, the object a cache entry holds: n_ss(t^2),
+    where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k, and D = 16/F.
     They are returned once these hold in Z[t]/(t^p - 1), for every index
     at once (RecordError names the first that fails):
     - tangency: phi = W11 + (1 - s) W12 = 0 mod g^2, W the image of w;
+    - Riley's smoothness: at g = 0 each scaled letter is one involution
+      whatever its sign, so W = (XY)^((p-1)/2) for every q, and
+      (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, so |phi_u| >= p/4;
     - the longitude image L = rho(<-w) W x^(-2 sigma) is I at g = 0, and
       tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
       16/F (h = 4g is the s + 1 of ``curve``);
@@ -241,6 +243,9 @@ def knot_elements(knot):
     _zero_test(w11_s + 2 * w12_s - 4 * w12_0, p, "phi at g^1", label)
     phi_d = fold((w11_d + 2 * w12_d) << unword)  # 1 - s = 2 - 4g
     phi_ss = fold((w11_ss + 2 * w12_ss - 4 * w12_s) << unword)
+    # Riley's smoothness at every u_k: (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, times t
+    _zero_test((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d
+               - (p << b * ((p + 3) // 2)), p, "phi_u closed form", label)
 
     # the slots of L = rev v, v = W x^(-2 sigma), that the checks read
     (r00, r01, r10, r11), (v00, v01, v10, v11) = (
@@ -265,26 +270,26 @@ def knot_elements(knot):
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
                    - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p)
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
-    return checked_elements(knot, [n2, _digits(d, p), _digits(phi_d, p)])
+    return checked_elements(knot, [n2, _digits(d, p)])
 
 
 def checked_elements(knot, coeffs):
-    """coeffs, the p coefficients of each of n_ss(t^2), D and phi_u, as
+    """coeffs, the p coefficients of each of n_ss(t^2) and D, as
     ``knot_elements`` returns them and a cache entry holds them.
-    RecordError unless coeffs is a list of three lists of p ints (a bool or
+    RecordError unless coeffs is a list of two lists of p ints (a bool or
     a float is not one), each within the digit guard and symmetric under
     t -> 1/t, as an element of Z[u] is, and the paper's identity
     n_ss(t^2)^2 u(t^2) u(t^2r) = D holds in Z[t]/(t^p - 1).  Computed
     elements and cached ones pass this one check."""
     p, b, label = knot.p, DIGIT_BITS, knot.label
-    if not (type(coeffs) is list and len(coeffs) == 3 and all(
+    if not (type(coeffs) is list and len(coeffs) == 2 and all(
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
-        raise RecordError(f"the elements of {label} are not three lists of {p} ints")
-    for what, c in zip(("4 P(1)", "16/F", "phi_u"), coeffs):
+        raise RecordError(f"the elements of {label} are not two lists of {p} ints")
+    for what, c in zip(("4 P(1)", "16/F"), coeffs):
         _guard(c, what)
         if c[1:] != c[:0:-1]:
             raise RecordError(f"{what} of {label} is not real")
-    n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs[:2])
+    n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs)
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
     _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p,
                "P(1)^2 F u_k u_kr = 1", label)
@@ -328,33 +333,31 @@ def _cosines(p):
 
 class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
     """A record's floats, read off at t = zeta^{k'}, and the least margin of
-    its three readouts in bits."""
+    its two readouts in bits."""
 
     __slots__ = ()
 
 
 def read(elements):
     """The Reading of every index k' = 1..(p-1)/2, in order: P(1)^2, F and
-    tau = P(1)^2 F from the knot's elements [n_ss(t^2), D, phi_u], each
-    the correctly rounded quotient of integer readouts.  An index whose
-    margin is below MIN_MARGIN_BITS, as where phi_u = 0 and the curve is
-    not smooth, gets its RecordError in place of a Reading."""
-    n_bits, d_bits, phi_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
+    tau = P(1)^2 F from the knot's elements [n_ss(t^2), D], each the
+    correctly rounded quotient of integer readouts.  An index whose
+    margin is below MIN_MARGIN_BITS gets its RecordError in place of a
+    Reading."""
+    n_bits, d_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
     p, half = len(elements[0]), (len(elements[0]) + 1) // 2
-    width = READOUT_BITS + max(n_bits, d_bits, phi_bits) + 1  # K
+    width = READOUT_BITS + max(n_bits, d_bits) + 1  # K
     lane, mask = 1 << (width - 1), (1 << width) - 1
-    packed = [(x + (y << width) + (z << 2 * width)) << (e > 0)  # c_-e = c_e: twice for e > 0
-              for e, x, y, z in zip(range(half), *elements)]
+    packed = [(x + (y << width)) << (e > 0)  # c_-e = c_e: twice for e > 0
+              for e, x, y in zip(range(half), *elements)]
     table, readings = _cosines(p), []
     for kprime in range(1, half):
         cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)
         total = sum(map(operator.mul, packed, cos))
         n_t = ((total + lane) & mask) - lane
-        total = (total - n_t) >> width
-        d_t = ((total + lane) & mask) - lane
-        phi_t = (total - d_t) >> width
+        d_t = (total - n_t) >> width
         margin = min(READOUT_BITS, abs(n_t).bit_length() - 1 - n_bits,
-                     abs(d_t).bit_length() - 1 - d_bits, abs(phi_t).bit_length() - 1 - phi_bits)
+                     abs(d_t).bit_length() - 1 - d_bits)
         if margin < MIN_MARGIN_BITS:
             readings.append(RecordError(f"readout margin {margin} bits at k' = {kprime}, "
                                         f"below {MIN_MARGIN_BITS}"))

@@ -45,7 +45,7 @@ def test_spot_check_at_1001_375():
     # every tau of 1001/375 is the 50-digit lens value to within a rounding
     # or two, and both guards of the exact pass have headroom there: the
     # least readout margin is above MIN_MARGIN_BITS (92 bits against 64) and
-    # the largest unpacked coefficient below GUARD_BITS (16 bits against 32)
+    # the largest unpacked coefficient below GUARD_BITS (14 bits against 32)
     p, q = 1001, 375
     elements = exact.knot_elements(normalize_two_bridge(p, q))
     readings = exact.read(elements)
@@ -71,7 +71,10 @@ def test_intermediate_digit_headroom_at_1001_375():
     # product knot_elements forms are decoded: the 32 unworded walk slots
     # (images of <-w and of W x^(-2 sigma)) and the 12 Fox jets, then the
     # longitude slots and phi that estimate (b) and D multiply, and the
-    # identity's n_ss(t^2)^2, whose coefficients are those of n_ss^2 permuted
+    # identity's n_ss(t^2)^2, whose coefficients are those of n_ss^2 permuted;
+    # the one zero test that takes no product, phi_u's closed form, sums four
+    # shifts of phi_u and p t^((p+3)/2), so its coefficients are at most
+    # 4 2^bits(phi_u) + p
     knot = normalize_two_bridge(1001, 375)
     p, b = knot.p, exact.DIGIT_BITS
 
@@ -110,9 +113,11 @@ def test_intermediate_digit_headroom_at_1001_375():
         "u_k u_kr": (1, 2 * bits(u2, u2r)),
         "n_ss^2 u_k u_kr": (1, bits(fold(n_ss * n_ss)) + bits(fold(u2 * u2r))),
     }
+    # the products' coefficients are below 2^bound, and so are the closed form's
+    bounds = {name: (terms * p << ab).bit_length() for name, (terms, ab) in products.items()}
+    bounds["phi_u closed form"] = ((4 << bits(phi_d)) + p).bit_length()
     print(f"1001/375 operand bits: walk slots {bits(*walk)}, Fox jets {bits(*fox)}")
-    for name, (terms, ab) in products.items():
-        bound = (terms * p << ab).bit_length()  # the products' coefficients are below 2^bound
+    for name, bound in bounds.items():
         print(f"1001/375 {name}: coefficients below 2^{bound}, headroom "
               f"{b - 1 - bound} bits against 2^{b - 1}")
         assert bound <= b - 1, name
@@ -143,6 +148,30 @@ def test_element_beyond_the_guard_fails_every_record(monkeypatch):
         "RecordError: 4 P(1) has a coefficient of 32 bits or more"] * 3
 
 
+def test_phi_u_off_by_one_fails_its_closed_form(monkeypatch, break_letter):
+    # Riley's smoothness is a zero test of its own: with the du slot of
+    # W11 off by one, every record of 7/3 fails "phi_u closed form", the
+    # check before estimate (b); break_letter, which leaves every du slot
+    # alone, passes it and still fails first at estimate (b)
+    knot = normalize_two_bridge(7, 3)
+    image = exact._image
+
+    def off(letters, b, tail=()):
+        head, rest = image(letters, b, tail)
+        if letters == knot.word.letters:  # W; the other image is of <-w
+            (val, du, g, gg), *others = head
+            head = [(val, du + 1, g, gg), *others]
+        return head, rest
+
+    monkeypatch.setattr(exact, "_image", off)
+    assert [r.error for r in compute_invariants(knot)] == [
+        "RecordError: phi_u closed form fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
+    monkeypatch.setattr(exact, "_image", image)
+    break_letter()
+    assert [r.error for r in compute_invariants(knot)] == [
+        "RecordError: estimate (b) fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
+
+
 def test_identity_holds_with_the_mirror_fraction():
     # 41/30 names the mirror of 41/11: its r is -r, and u_{-kr} = u_{kr}
     knot = normalize_two_bridge(41, 11)
@@ -153,27 +182,28 @@ def test_value_fields_are_pinned():
     # the record fields that come from integer arithmetic and correctly
     # rounded int/int division alone are the same on every platform
     # (unlike the report bytes, whose oracle field reads libm): a SHA-256
-    # over them, census p <= 25 and the ladder
+    # over them, census p <= 25 and the ladder; margin_bits is the least
+    # margin of the n2 and D readouts
     digest = hashlib.sha256()
     for p, q in CENSUS_25 + LADDER:
         for rec in compute_invariants(normalize_two_bridge(p, q)):
             fields = (p, q, rec.k, rec.kprime, rec.p1_squared, rec.f_value, rec.tau,
                       rec.diagnostics["margin_bits"])
             digest.update(repr(fields).encode())
-    assert digest.hexdigest() == "2b41ca9aad54f24db6066a68ea5a792b4c62e0eee3ddc40ad3e04af9bad605f0"
+    assert digest.hexdigest() == "d07c1b7d93dfb88f9ce2d1fe1aa387101a216f13ab8d38404e8fe6f057297dc6"
 
 
 def test_large_knot_elements_are_pinned():
     # the packed ints and the peripheral tail x^(-2 sigma) are longest at
     # large p (the tail of 301/1 has 600 letters): a SHA-256 over the
-    # elements of four large knots, each hashed as the pair of its
+    # elements [n2, D] of four large knots, each hashed as the pair of its
     # coefficients and the bit length of their L1 norm
     digest = hashlib.sha256()
     for p, q in ((101, 31), (131, 55), (301, 25), (301, 1)):
         elements = tuple((c, sum(map(abs, c)).bit_length())
                          for c in exact.knot_elements(normalize_two_bridge(p, q)))
         digest.update(repr((p, q, elements)).encode())
-    assert digest.hexdigest() == "450ae1e4e1efb754d8f50e80c99ed43a6e40f18bbaeb679b72e68dbc6ad766df"
+    assert digest.hexdigest() == "4433ea412277829122cf57cf9120375db7bc9f670e8815268fff4e3c6a579c5d"
 
 
 def _jet_mul(x, y):
@@ -230,37 +260,41 @@ def _peak(p, kprime, sign, rng):
 
 @pytest.mark.parametrize("p", [3, 7, 25, 101])
 def test_packed_readout_splits_exactly_at_its_bound(p):
-    # read packs the three elements into one int per coefficient, in lanes
-    # of READOUT_BITS + max l + 1 bits; at every k' each lane must give
-    # that element's own dot product, and the Reading, whose fields are
-    # exact functions of the three sums, must match.  The peaks reach the
-    # bound L1 2^READOUT_BITS to within a factor below 2, with either
-    # sign, in every lane; the wide elements have coefficients of both
-    # signs up to 2^31 - 1, and the flat one sums to about 0, so its
+    # read packs the two elements [n2, D] into one int per coefficient, in
+    # lanes of READOUT_BITS + max l + 1 bits; at every k' each lane must
+    # give that element's own dot product, and the Reading, whose fields
+    # are exact functions of the two sums, must match, margin_bits the
+    # least of the two margins, each lane setting it somewhere.  The peaks
+    # reach the bound L1 2^READOUT_BITS to within a factor below 2, with
+    # either sign, in either lane; the wide elements have coefficients of
+    # both signs up to 2^31 - 1, and the flat one sums to about 0, so its
     # margin fails at every index
     rng, top, half = random.Random(p), 2 ** 31 - 1, (p + 1) // 2
     table = exact._cosines(p)
-    peaks = [_peak(p, rng.randrange(1, half), sign, rng) for sign in (1, -1, 1)]
+    peaks = [_peak(p, rng.randrange(1, half), sign, rng) for sign in (1, -1)]
     wide = [_symmetric([rng.randint(-top, top) for _ in range(half)]) for _ in range(2)]
     flat = [top] * p
-    triples = list(itertools.permutations(peaks)) + [(wide[0], peaks[1], wide[1]),
-                                                     (peaks[0], wide[1], flat)]
-    for triple in triples:
-        readings = exact.read(list(triple))
+    pairs = list(itertools.permutations(peaks)) + [(wide[0], peaks[1]), (peaks[0], wide[1]),
+                                                   (peaks[0], flat), (flat, wide[0])]
+    setters = set()
+    for pair in pairs:
+        readings = exact.read(list(pair))
         assert len(readings) == half - 1
-        bits = [sum(map(abs, c)).bit_length() for c in triple]  # of each L1
+        bits = [sum(map(abs, c)).bit_length() for c in pair]  # of each L1
         for kprime, reading in enumerate(readings, 1):
-            sums = [_readout(c, kprime, table) for c in triple]
-            margin = min([exact.READOUT_BITS] + [abs(total).bit_length() - 1 - l
-                                                 for total, l in zip(sums, bits)])
+            sums = [_readout(c, kprime, table) for c in pair]
+            margins = [abs(total).bit_length() - 1 - l for total, l in zip(sums, bits)]
+            margin = min([exact.READOUT_BITS] + margins)
             if margin < exact.MIN_MARGIN_BITS:
                 assert isinstance(reading, RecordError), (p, kprime)
                 assert str(reading) == (f"readout margin {margin} bits at k' = {kprime}, "
                                         f"below {exact.MIN_MARGIN_BITS}")
                 continue
-            (n, d, _), r = sums, exact.READOUT_BITS
+            setters.update(lane for lane, m in enumerate(margins) if m == margin)
+            (n, d), r = sums, exact.READOUT_BITS
             assert reading == exact.Reading(n * n / (1 << (2 * r + 4)), (1 << (r + 4)) / d,
                                             n * n / (d << r), margin), (p, kprime)
+    assert setters == {0, 1}, p
     # the peaks reach 2^(READOUT_BITS + l - 1), where a lane one bit narrower wraps
     for c in peaks:
         bits = sum(map(abs, c)).bit_length()

@@ -316,7 +316,7 @@ def _entry_path(cache, knot):
 
 
 def test_cache_bit_for_bit(tmp_path):
-    # the entry is the encoding of the knot's three coefficient lists; a
+    # the entry is the encoding of the knot's two coefficient lists; a
     # miss returns the records it computed, and a hit those read off the
     # entry, equal in full, diagnostics and cross-checks included
     knot = normalize_two_bridge(5, 3)
@@ -351,8 +351,8 @@ def test_census_elements_are_their_own_cache_entries():
 
 
 def _coeffs(edit):
-    """The true entry of the knot with its coefficient lists [n2, D, phi_u]
-    replaced by edit(n2, D, phi_u)."""
+    """The true entry of the knot with its coefficient lists [n2, D]
+    replaced by edit(n2, D)."""
 
     def damage(knot):
         return serialize_report(edit(*exact.knot_elements(knot)))
@@ -383,16 +383,17 @@ def _replaced(c, e, x):
         b"[" * 100000,
         b"{}",
         lambda knot: serialize_report(exact.knot_elements(normalize_two_bridge(7, 1))),
-        _coeffs(lambda n2, d, phi: [_replaced(n2, 1, True), d, phi]),
-        _coeffs(lambda n2, d, phi: [_replaced(n2, 2, 1.0), d, phi]),
-        _coeffs(lambda n2, d, phi: [n2, d]),
-        _coeffs(lambda n2, d, phi: [n2, d[:-1], phi]),
-        _coeffs(lambda n2, d, phi: [n2, _replaced(d, 1, d[1] + 1), phi]),
-        _coeffs(lambda n2, d, phi: [n2, [2 * x for x in d], phi]),
+        _coeffs(lambda n2, d: [_replaced(n2, 1, True), d]),
+        _coeffs(lambda n2, d: [_replaced(n2, 2, 1.0), d]),
+        # the earlier entry [n2, D, phi_u], phi_u that of every p = 7 knot
+        _coeffs(lambda n2, d: [n2, d, [4, 2, 3, 0, 0, 3, 2]]),
+        _coeffs(lambda n2, d: [n2, d[:-1]]),
+        _coeffs(lambda n2, d: [n2, _replaced(d, 1, d[1] + 1)]),
+        _coeffs(lambda n2, d: [n2, [2 * x for x in d]]),
         # passes the packed identity, as it adds 2^(Bp) - 1, and the
         # symmetry check, and fails the digit guard alone
-        _coeffs(lambda n2, d, phi: [n2, [x + 2 ** 64 - 1 for x in d], phi]),
-        # reports, whole or with a field damaged, are not three lists
+        _coeffs(lambda n2, d: [n2, [x + 2 ** 64 - 1 for x in d]]),
+        # reports, whole or with a field damaged, are not two lists
         _edited(lambda report, rec: report.update(records=[{"k": 1}])),
         _edited(lambda report, rec: report.update(records=[])),
         _edited(lambda report, rec: report.update(determinant=999)),
@@ -407,14 +408,14 @@ def _replaced(c, e, x):
         _edited(lambda report, rec: rec.update(
             tau=rec["tau"] * 1.5, oracle=rec["tau"] * 1.5, absError=0.0)),
     ],
-    ids=["truncated", "nested", "empty", "other-knot", "wrong-type", "float", "two-lists",
+    ids=["truncated", "nested", "empty", "other-knot", "wrong-type", "float", "three-lists",
          "short-list", "asymmetric", "doubled", "guard",
          "partial-record", "no-records", "determinant", "extra-key", "extra-record-key",
          "second-entry", "abs-error", "tau", "kprime", "oracle", "tau-and-oracle"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     # an entry that does not parse, or whose elements fail checked_elements
-    # (three lists of p ints within the digit guard, each symmetric, with
+    # (two lists of p ints within the digit guard, each symmetric, with
     # the paper's identity holding), is a miss: the elements are computed
     # again and the entry rewritten, and a catalog over that entry runs
     knot = normalize_two_bridge(7, 3)
@@ -447,7 +448,7 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
     # other margins, read off the stored representative
     knot = normalize_two_bridge(21, 8)
     fresh = compute_invariants(knot)
-    n2, d, phi = exact.knot_elements(knot)
+    n2, d = exact.knot_elements(knot)
     cache = str(tmp_path / "cache")
     path = _entry_path(cache, knot)
     os.makedirs(os.path.dirname(path))
@@ -459,13 +460,13 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
         assert hit
         return records
 
-    records = hit_records([[3 * x for x in n2], [9 * x for x in d], phi])
+    records = hit_records([[3 * x for x in n2], [9 * x for x in d]])
     assert [r.tau for r in records] == [f.tau for f in fresh]
     for r, f in zip(records, fresh):
         assert math.isclose(r.p1_squared, 9 * f.p1_squared, rel_tol=1e-15)
         assert math.isclose(r.f_value, f.f_value / 9, rel_tol=1e-15)
 
-    records = hit_records([n2, [x + 1000 for x in d], phi])
+    records = hit_records([n2, [x + 1000 for x in d]])
     floats = [(r.p1_squared, r.f_value, r.tau) for r in records]
     assert floats == [(f.p1_squared, f.f_value, f.tau) for f in fresh]
     margins = [r.diagnostics["margin_bits"] for r in records]
