@@ -9,8 +9,17 @@ r x = [[-s, -1], [0, -1]], r x^-1 = [[1, -1], [0, s]],
 r y = [[-s, 0], [u s, -1]] and r y^-1 = [[1, 0], [u s, s]].  A word of n
 letters has image r^-n times the product of its scaled letters, with
 r^-n = 1 + 2n g + 2n(n + 2) g^2 mod g^3; multiplying by s is two shifts
-and no multiplication.  P(1)'s Fox walk runs at g = 0, where r = 1 and x
-and y are the involutions [[1, -1], [0, -1]] and [[1, 0], [-u, -1]].
+and no multiplication.
+
+One walk of w serves both factors of tau.  <-w is w with x and y
+swapped, and C = [[s - 1, 1], [-u s, 1 - s]] swaps them: C (r l) C = c r l'
+for each scaled letter r l and its swap r l', with C^2 = c I and
+c = (s - 1)^2 - u s.  So rho(<-w) = C W C / c, where C costs shifts
+alone and c, homogenized, is (t + 1)^2 at g = 0: each slot of the
+quotient is an exact division of a packed int.  P(1)'s Fox walk runs at
+g = 0, where r = 1 and x and y are the involutions [[1, -1], [0, -1]] and
+[[1, 0], [-u, -1]], over w alone: for r = w x w^-1 y^-1, Fox's product
+rule gives Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w).
 With u = t + 1/t - 2, t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and
 t^2 gives u_k.  An element vanishes at every p-th root of unity but 1
 exactly when its p coefficients are equal: that zero test replaces every
@@ -25,9 +34,10 @@ homogenized: it carries a factor t for each letter y^+-1, so u enters as
 t u = (t - 1)^2 and no power of t is negative.  It starts at the int 1,
 holds about j digits after j letters, and is moved back by t^-m =
 t^(p - m) for its m letters y^+-1, folded once mod 2^(Bp) - 1, where
-t^p = 1.  P(1)'s Fox walk is not homogenized: its prefix's u-degree falls
-again over w^-1, while t^m would keep rising.  Its 1 sits at
-OFF = p + 1, above any u-degree it reaches, so
+t^p = 1.  P(1)'s Fox walk is not homogenized: it sums prefixes with
+different numbers of letters y^+-1, to which homogenizing would give
+different powers of t.  Its 1 sits at OFF = p + 1, above any u-degree it
+reaches ((p + 1)/2, after the step by Phi(y)), so
 u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
 
 Readout: the elements read are real, so at t = zeta^m an element is
@@ -124,17 +134,68 @@ def _image(letters, b, tail=()):
     return head, _scaled([_product(row, tail, b) for row in rows], len(letters) + len(tail))
 
 
-def _fox_jets(relator, b, one):
-    """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
-    jets (val, e, e^2) of packed ints, from one walk of the relator at g = 0
-    with a running prefix product.  There r = 1 and x and y are the
-    involutions [[1, -1], [0, -1]] and [[1, 0], [-u, -1]].  Fox's rules put
-    +prefix before each x and -prefix after each x^-1, at the prefix's
-    exponent sum a, where Riley's phase i^a times Wada's t^a is
-    (-1)^a (1, a, a(a-1)/2) mod e^3."""
+def _tv(e, b):
+    """The jet e times t v, v = -u s = u (1 - 4g): (1 - 4g) e times
+    t u = (t - 1)^2, whose du slot is (t - 1)^2 ed + t e0."""
+    tu = (1 << 2 * b) - (1 << b + 1) + 1
+    return e[0] * tu, e[1] * tu + (e[0] << b), (e[2] - (e[0] << 2)) * tu, (e[3] - (e[2] << 2)) * tu
+
+
+def _dividends(image, b):
+    """The two jets whose quotients by t c give rho(<-w) = C W C / c from
+    W = image, a 2x2 matrix of jets, row-major, homogenized as W times t:
+    C = [[a, 1], [v, -a]], a = s - 1 = -2 + 4g and v = -u s, with
+    C^2 = c I, c = a^2 + v.  The scaled letters satisfy
+    P (r l)^T P^-1 = r l' for P = diag(1, v), l' the letter l with x and y
+    swapped, and w with its letters swapped is <-w, so W21 = v W12.  With
+    M = W11 - W22 - a W12, C W C is then
+    [[c W11 + v (a W12 - M), a M + v W12], [v (a M + v W12), c W22 - v (a W12 - M)]],
+    and the dividends are t v (a W12 - M) and t a M + t v W12.  A jet
+    times a is (-2 e0, -2 ed, 4 e0 - 2 es, 4 es - 2 ess)."""
+    (p0, pd, ps, pss), (q0, qd, qs, qss), _, (r0, rd, rs, rss) = image
+    g0, gd, gs, gss = -(q0 << 1), -(qd << 1), (q0 << 2) - (qs << 1), (qs << 2) - (qss << 1)
+    m0, md, ms, mss = p0 - r0 - g0, pd - rd - gd, ps - rs - gs, pss - rss - gss
+    v0, vd, vs, vss = _tv(image[1], b)
+    return [_tv((g0 - m0, gd - md, gs - ms, gss - mss), b),
+            (v0 - (m0 << b + 1), vd - (md << b + 1),
+             vs + ((m0 << 2) - (ms << 1) << b), vss + ((ms << 2) - (mss << 1) << b))]
+
+
+def _divide(jets, b, p, label):
+    """Yields the jets divided by t c, c = (s - 1)^2 - u s =
+    (4 + u)(1 - 4g) + 16g^2, whose homogenized jet is
+    ((t + 1)^2, t, -4 (t + 1)^2, 16 t): slot by slot in g, each an exact
+    division of an unfolded packed int by (t + 1)^2, the du slot by the
+    product rule.  RecordError unless every remainder is 0."""
+    d = (1 << 2 * b) + (1 << b + 1) + 1  # (t + 1)^2
+    for y0, yd, ys, yss in jets:
+        x0, r0 = divmod(y0, d)
+        xd, rd = divmod(yd - (x0 << b), d)
+        xs, rs = divmod(ys, d)
+        xs += x0 << 2
+        xss, rss = divmod(yss - (x0 << b + 4), d)
+        if r0 or rd or rs or rss:
+            for y in (y0, yd, ys, yss):
+                _guard(_digits(y, p), "C W C")
+            raise RecordError(f"rho(<-w) = C W C / c fails in Z[t] for {label}")
+        yield x0, xd, xs, xss + (xs << 2)
+
+
+def _fox_terms(word, b, one):
+    """The entries of Wada's Phi(dr/dx), r = w x w^-1 y^-1, at g = 0 by
+    exponent sum a, from one walk of w with a running prefix product.
+    There r = 1 and x and y are the involutions [[1, -1], [0, -1]] and
+    [[1, 0], [-u, -1]].  Fox's rules put +prefix before each x and -prefix
+    after each x^-1, at the prefix's exponent sum, which gives
+    Phi(dw/dx); then Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w), where
+    Phi(y) moves a term from a to a + 1.  That product rule reads
+    w x w^-1 as y, which holds at every p-th root of unity but 1; at
+    t = 1, u = 0 and every factor is upper triangular, so only the (1, 2)
+    entry can differ there from a walk of r, and as the (2, 1) entry
+    vanishes at t = 1, Wada's determinant is the same."""
     r0, r1, r2, r3 = one, 0, 0, one  # the prefix, row-major
     terms, a = {}, 0
-    for gen, sign in relator.letters:
+    for gen, sign in word.letters:
         if gen == "x":
             if sign > 0:
                 t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
@@ -148,6 +209,20 @@ def _fox_jets(relator, b, one):
             r0, r1, r2, r3 = (r0 - (r1 << b) - (r1 >> b) + (r1 << 1), -r1,
                               r2 - (r3 << b) - (r3 >> b) + (r3 << 1), -r3)
             a += sign
+    fox = {a: (r0, r1, r2, r3)}  # Phi(w)
+    for a, t in terms.items():  # -Phi(y) T = [[-t0, -t1], [u t0 + t2, u t1 + t3]]
+        ut0, ut1 = ((x << b) + (x >> b) - (x << 1) for x in t[:2])
+        for e, term in ((a, t), (a + 1, (-t[0], -t[1], ut0 + t[2], ut1 + t[3]))):
+            fox[e] = tuple(map(operator.add, fox.get(e, (0, 0, 0, 0)), term))
+    return fox
+
+
+def _fox_jets(word, b, one):
+    """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
+    jets (val, e, e^2) of packed ints, from ``_fox_terms``: at exponent sum
+    a, Riley's phase i^a times Wada's t^a is (-1)^a (1, a, a(a-1)/2) mod
+    e^3."""
+    terms = _fox_terms(word, b, one)
     weights = list(zip(*[[(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)]
                          for a in terms]))
     return [[sum(map(operator.mul, w, slot)) for w in weights] for slot in zip(*terms.values())]
@@ -210,12 +285,16 @@ def knot_elements(knot):
     """The elements the knot's records read, [n_ss(t^2), D], each the list
     of its p coefficients, the object a cache entry holds: n_ss(t^2),
     where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k, and D = 16/F.
-    They are returned once these hold in Z[t]/(t^p - 1), for every index
-    at once (RecordError names the first that fails):
+    One walk of w, on through the tail x^(-2 sigma), gives W and
+    W x^(-2 sigma); rho(<-w) is C W C / c, and Wada's Phi(dr/dx) is
+    (I - Phi(y)) Phi(dw/dx) + Phi(w), from a second walk of w alone, at
+    g = 0.  They are returned once these hold in Z[t]/(t^p - 1), for every
+    index at once (RecordError names the first that fails):
     - tangency: phi = W11 + (1 - s) W12 = 0 mod g^2, W the image of w;
     - Riley's smoothness: at g = 0 each scaled letter is one involution
       whatever its sign, so W = (XY)^((p-1)/2) for every q, and
       (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, so |phi_u| >= p/4;
+    - C W C / c, slot by slot, is an exact division in Z[t];
     - the longitude image L = rho(<-w) W x^(-2 sigma) is I at g = 0, and
       tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
       16/F (h = 4g is the s + 1 of ``curve``);
@@ -228,7 +307,7 @@ def knot_elements(knot):
       ``checked_elements``, which alone guards their coefficients."""
     p, b, label = knot.p, DIGIT_BITS, knot.label
     bits, mask = b * p, (1 << b * p) - 1
-    unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w and <-w
+    unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w
 
     def fold(x):  # _fold(x, bits), its loop inline
         while x >> bits:
@@ -247,10 +326,15 @@ def knot_elements(knot):
     _zero_test((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d
                - (p << b * ((p + 3) // 2)), p, "phi_u closed form", label)
 
-    # the slots of L = rev v, v = W x^(-2 sigma), that the checks read
-    (r00, r01, r10, r11), (v00, v01, v10, v11) = (
+    # rho(<-w) = C W C / c: its 11 and 22 entries W11 + k and W22 - k and
+    # its 12 entry, homogenized as W, and its 21 entry v rho(<-w)_12,
+    # which carries t^(m + 1)
+    k, r12 = _divide(_dividends(w, b), b, p, label)
+    r10 = [fold(x << unword - b) for x in _tv(r12, b)]
+    # the slots of L = rho(<-w) v, v = W x^(-2 sigma), that the checks read
+    (r00, r01, r11), (v00, v01, v10, v11) = (
         [[fold(x << unword) for x in jet] for jet in image]
-        for image in (_image(knot.reversed_word.letters, b)[0], v))
+        for image in ((map(operator.add, w[0], k), r12, map(operator.sub, w[3], k)), v))
     l00, l11 = _dot(r00, v00, r01, v10, fold), _dot(r10, v01, r11, v11, fold)
     (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
                                       _dot(r10, v00, r11, v10, fold, False))
@@ -263,7 +347,7 @@ def knot_elements(knot):
 
     one = 1 << b * (p + 1)  # the Fox walk's 1, at OFF = p + 1
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from OFF to 0
-                    for jet in _fox_jets(knot.relator(), b, one))
+                    for jet in _fox_jets(knot.word, b, one))
     _zero_test(a[0] * dd[0] - bb[0] * c[0], p, "Wada's numerator at e^0", label)
     _zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
                p, "Wada's numerator at e^1", label)

@@ -54,10 +54,11 @@ def _rel(a, b):
 
 
 class AcceptanceSuite:
-    """Runs the criteria on one memoized exact pass per census fraction."""
+    """Runs the criteria on one memoized exact pass and one memoized
+    readout per census fraction."""
 
     def __init__(self):
-        self._elements = {}
+        self._elements, self._records = {}, {}
 
     def elements(self, p, q):
         """The fraction's ``knot_elements``, or the RecordError of its pass."""
@@ -69,7 +70,12 @@ class AcceptanceSuite:
         return self._elements[p, q]
 
     def records(self, p, q):
-        return invariant_records(normalize_two_bridge(p, q), self.elements(p, q))
+        """The fraction's records, read once from its memoized pass; every
+        record fails where the pass did."""
+        if (p, q) not in self._records:
+            knot = normalize_two_bridge(p, q)
+            self._records[p, q] = invariant_records(knot, self.elements(p, q))
+        return self._records[p, q]
 
     def _first_error(self, fractions):
         """'b(p,q): error' of the first fraction with an error record, or None."""

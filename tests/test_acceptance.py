@@ -51,3 +51,26 @@ def test_suite_runs_one_exact_pass_per_knot(monkeypatch):
     monkeypatch.setattr(selfcheck, "knot_elements", counted)
     assert all(r.ok for r in AcceptanceSuite().run_all())
     assert len(calls) == len(set(calls)) == 24 == len(selfcheck.CENSUS_FRACTIONS)
+
+
+def test_suite_reads_each_knot_once(monkeypatch, break_letter):
+    # the records are memoized with the elements: one readout per census
+    # fraction for the whole run; a failed pass reads nothing, and its
+    # failed records are memoized as well
+    calls = []
+    read = pipeline.read
+
+    def counted(elements):
+        calls.append(len(elements[0]))
+        return read(elements)
+
+    monkeypatch.setattr(pipeline, "read", counted)
+    suite = AcceptanceSuite()
+    assert all(r.ok for r in suite.run_all())
+    assert len(calls) == 24 == len(selfcheck.CENSUS_FRACTIONS)
+    assert suite.records(5, 3) is suite.records(5, 3) and len(calls) == 24
+    break_letter()
+    failed = AcceptanceSuite()
+    records = failed.records(5, 3)
+    assert not any(r.ok for r in records) and failed.records(5, 3) is records
+    assert len(calls) == 24

@@ -137,8 +137,8 @@ def test_selftest_reports_every_criterion_when_the_exact_pass_fails(capsys, brea
     assert len(lines) == 10 and all(line[:6] in ("[PASS]", "[FAIL]") for line in lines)
     # Wada's criteria, the torus closed forms and Riley's residual still hold
     assert [n for n, line in enumerate(lines, 1) if line.startswith("[PASS]")] == [2, 4, 7, 8]
-    assert "-- b(5,3): RecordError: estimate (b) fails" in lines[0]
-    assert "estimate (b) fails in Z[t]/(t^5 - 1) for b(5,3)" in lines[2]
+    assert "-- b(5,3): RecordError: rho(<-w) = C W C / c fails" in lines[0]
+    assert "rho(<-w) = C W C / c fails in Z[t] for b(5,3)" in lines[2]
     assert "-- b(3,1): RecordError: " in lines[4] and "-- b(3,1): RecordError: " in lines[5]
 
 

@@ -1,7 +1,6 @@
 import cmath
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -382,17 +381,21 @@ def test_off_curve_metabelian_point_is_refused():
         evaluate_F(off, 1)
 
 
-def test_longitude_not_identity_raises():
+def test_longitude_not_identity_raises(monkeypatch):
     # the determinant identity needs L = I at the metabelian point; a
     # longitude whose image is not the identity there, here w w x^(-2 sigma)
-    # in place of <-w w x^(-2 sigma), must be refused, not evaluated
-    knot = normalize_two_bridge(5, 3)
-    skewed = SimpleNamespace(
-        p=knot.p, q=knot.q, word=knot.word, reversed_word=knot.word, sigma=knot.sigma,
-        label=knot.label, relator=knot.relator,
-    )
+    # in place of <-w w x^(-2 sigma), must be refused, not evaluated.  The
+    # dividends 0 and t c W12 (t c = ((t + 1)^2, t, -4 (t + 1)^2, 16 t)
+    # homogenized) make the quotient rho(<-w) read W, since W21 = v W12
+    def skewed(image, b):
+        d = (1 << 2 * b) + (1 << b + 1) + 1
+        q0, qd, qs, qss = image[1]
+        return [(0, 0, 0, 0), (d * q0, d * qd + (q0 << b), d * (qs - 4 * q0),
+                               d * (qss - 4 * qs) + (q0 << b + 4))]
+
+    monkeypatch.setattr(exact, "_dividends", skewed)
     with pytest.raises(RecordError, match="L = I"):
-        evaluate_F(skewed, 1)
+        evaluate_F(normalize_two_bridge(5, 3), 1)
 
 
 def test_evaluate_F_extended_precision():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -68,13 +69,16 @@ def test_intermediate_digit_headroom_at_1001_375():
     # `terms` such products at most terms p 2^(a + b); below
     # 2^(DIGIT_BITS - 1) each coefficient fits its signed digit, so no
     # carry crosses into the next.  At 1001/375 the operands of every
-    # product knot_elements forms are decoded: the 32 unworded walk slots
-    # (images of <-w and of W x^(-2 sigma)) and the 12 Fox jets, then the
-    # longitude slots and phi that estimate (b) and D multiply, and the
-    # identity's n_ss(t^2)^2, whose coefficients are those of n_ss^2 permuted;
-    # the one zero test that takes no product, phi_u's closed form, sums four
-    # shifts of phi_u and p t^((p+3)/2), so its coefficients are at most
-    # 4 2^bits(phi_u) + p
+    # product knot_elements forms are decoded: the 8 slots of the two
+    # dividends of C W C, unfolded, before their division by (t + 1)^2
+    # (while they fit their digits, a zero remainder is a polynomial
+    # division), the 32 unworded slots of rho(<-w) and of W x^(-2 sigma)
+    # after it, and the Fox terms after the (I - Phi(y)) step, whose
+    # weighted sums are the 12 Fox jets; then the longitude slots and phi
+    # that estimate (b) and D multiply, and the identity's n_ss(t^2)^2,
+    # whose coefficients are those of n_ss^2 permuted; the one zero test
+    # that takes no product, phi_u's closed form, sums four shifts of phi_u
+    # and p t^((p+3)/2), so its coefficients are at most 4 2^bits(phi_u) + p
     knot = normalize_two_bridge(1001, 375)
     p, b = knot.p, exact.DIGIT_BITS
 
@@ -84,16 +88,26 @@ def test_intermediate_digit_headroom_at_1001_375():
     def bits(*xs):
         return max(max(map(abs, exact._digits(x, p))).bit_length() for x in xs)
 
+    def unfolded_bits(*xs):  # of ints of degree below p + 2 in t, decoded whole
+        digits = [exact._digits(x, p + 2) for x in xs]
+        assert [sum(c << b * e for e, c in enumerate(ds)) for ds in digits] == list(xs)
+        return max(max(map(abs, ds)).bit_length() for ds in digits)
+
     unword = b * ((p + 1) // 2)
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = exact._image(knot.word.letters, b, tail)
-    (r00, r01, r10, r11), (v00, v01, v10, v11) = (
+    dividends = exact._dividends(w, b)
+    k, r12 = exact._divide(dividends, b, p, knot.label)
+    (r00, r01, r11), (v00, v01, v10, v11) = (
         [[fold(x << unword) for x in jet] for jet in image]
-        for image in (exact._image(knot.reversed_word.letters, b)[0], v))
-    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]
-                    for jet in exact._fox_jets(knot.relator(), b, 1 << b * (p + 1)))
+        for image in (([x + y for x, y in zip(w[0], k)], r12, [x - y for x, y in zip(w[3], k)]), v))
+    r10 = [fold(x << unword - b) for x in exact._tv(r12, b)]
+    one = 1 << b * (p + 1)
+    terms = exact._fox_terms(knot.word, b, one)
+    term_slots = [fold(x << b * (p - 1)) for term in terms.values() for x in term]
+    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
     walk, fox = r00 + r01 + r10 + r11 + v00 + v01 + v10 + v11, a + bb + c + dd
-    assert (len(walk), len(fox)) == (32, 12)
+    assert (len(walk), len(fox), len(term_slots)) == (32, 12, 4 * len(terms))
 
     l00, l11 = exact._dot(r00, v00, r01, v10, fold), exact._dot(r10, v01, r11, v11, fold)
     l01 = exact._dot(r00, v01, r01, v11, fold, False)
@@ -113,10 +127,16 @@ def test_intermediate_digit_headroom_at_1001_375():
         "u_k u_kr": (1, 2 * bits(u2, u2r)),
         "n_ss^2 u_k u_kr": (1, bits(fold(n_ss * n_ss)) + bits(fold(u2 * u2r))),
     }
-    # the products' coefficients are below 2^bound, and so are the closed form's
+    # the products' coefficients are below 2^bound, and so are the closed
+    # form's, the dividends' and the Fox jets', sums of the terms weighted
+    # by at most max(1, |a|, |a(a - 1)/2|) each
     bounds = {name: (terms * p << ab).bit_length() for name, (terms, ab) in products.items()}
     bounds["phi_u closed form"] = ((4 << bits(phi_d)) + p).bit_length()
-    print(f"1001/375 operand bits: walk slots {bits(*walk)}, Fox jets {bits(*fox)}")
+    bounds["C W C dividends"] = unfolded_bits(*(x for jet in dividends for x in jet))
+    weight = sum(max(1, abs(a), abs(a * (a - 1) // 2)) for a in terms)
+    bounds["Fox terms to jets"] = (weight << bits(*term_slots)).bit_length()
+    print(f"1001/375 operand bits: walk slots {bits(*walk)}, Fox terms {bits(*term_slots)}, "
+          f"Fox jets {bits(*fox)}")
     for name, bound in bounds.items():
         print(f"1001/375 {name}: coefficients below 2^{bound}, headroom "
               f"{b - 1 - bound} bits against 2^{b - 1}")
@@ -151,23 +171,38 @@ def test_element_beyond_the_guard_fails_every_record(monkeypatch):
 def test_phi_u_off_by_one_fails_its_closed_form(monkeypatch, break_letter):
     # Riley's smoothness is a zero test of its own: with the du slot of
     # W11 off by one, every record of 7/3 fails "phi_u closed form", the
-    # check before estimate (b); break_letter, which leaves every du slot
-    # alone, passes it and still fails first at estimate (b)
+    # check before the division C W C / c; break_letter, which leaves every
+    # du slot alone, passes it and fails first at that division, whose g^2
+    # slots it breaks
     knot = normalize_two_bridge(7, 3)
     image = exact._image
 
     def off(letters, b, tail=()):
-        head, rest = image(letters, b, tail)
-        if letters == knot.word.letters:  # W; the other image is of <-w
-            (val, du, g, gg), *others = head
-            head = [(val, du + 1, g, gg), *others]
-        return head, rest
+        ((val, du, g, gg), *others), rest = image(letters, b, tail)
+        return [(val, du + 1, g, gg), *others], rest
 
     monkeypatch.setattr(exact, "_image", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: phi_u closed form fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
     monkeypatch.setattr(exact, "_image", image)
     break_letter()
+    assert [r.error for r in compute_invariants(knot)] == [
+        "RecordError: rho(<-w) = C W C / c fails in Z[t] for b(7,3)"] * 3
+
+
+def test_tail_off_in_its_g2_slot_fails_estimate_b(monkeypatch):
+    # a break that no earlier check reads: the g^2 slot of W x^(-2 sigma)
+    # alone, off by its value slot, leaves phi, the division C W C / c,
+    # L = I and tr L at g^1 alone, and every record of 7/3 fails
+    # estimate (b)
+    knot = normalize_two_bridge(7, 3)
+    image = exact._image
+
+    def off(letters, b, tail=()):
+        head, ((val, du, g, gg), *others) = image(letters, b, tail)
+        return head, [(val, du, g, gg + val), *others]
+
+    monkeypatch.setattr(exact, "_image", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: estimate (b) fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
 
@@ -204,6 +239,100 @@ def test_large_knot_elements_are_pinned():
                          for c in exact.knot_elements(normalize_two_bridge(p, q)))
         digest.update(repr((p, q, elements)).encode())
     assert digest.hexdigest() == "4433ea412277829122cf57cf9120375db7bc9f670e8815268fff4e3c6a579c5d"
+
+
+def _mul(m, n):
+    """The product of 2x2 matrices, row-major."""
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def test_c_conjugates_each_scaled_letter_to_its_swap():
+    # C = [[s - 1, 1], [-u s, 1 - s]], with C^2 = c I for
+    # c = (s - 1)^2 - u s, takes each scaled letter r l to c times its swap
+    # r l', so rho(<-w) = C W C / c; and P = diag(1, -u s) takes (r l)^T to
+    # r l', so W21 = -u s W12: exact, in Fractions, at 50 random (s, u)
+    rng, swap = random.Random(32), {"x": "y", "y": "x"}
+    for _ in range(50):
+        s, u = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+                for _ in range(2))
+        c, v = (s - 1) ** 2 - u * s, -u * s
+        letters = {("x", 1): (-s, -1, 0, -1), ("x", -1): (1, -1, 0, s),
+                   ("y", 1): (-s, 0, u * s, -1), ("y", -1): (1, 0, u * s, s)}
+        conj = (s - 1, 1, v, 1 - s)
+        assert _mul(conj, conj) == (c, 0, 0, c)
+        for (gen, sign), m in letters.items():
+            want = letters[swap[gen], sign]
+            assert _mul(_mul(conj, m), conj) == tuple(c * x for x in want), (gen, sign)
+            assert (m[0], m[2] / v, m[1] * v, m[3]) == want, (gen, sign)
+
+
+def test_w21_is_v_w12_on_the_census():
+    # the packed form of W21 = v W12, which the conjugation reads: t W21 is
+    # t v W12, bit for bit, on the 68 census fractions p <= 25
+    b = exact.DIGIT_BITS
+    for p, q in CENSUS_25:
+        w, _ = exact._image(normalize_two_bridge(p, q).word.letters, b)
+        assert tuple(x << b for x in w[2]) == exact._tv(w[1], b), (p, q)
+
+
+def _relator_fox_jets(relator, b, one):
+    """Wada's Phi(dr/dx) as ``exact._fox_jets`` gives it, from one walk of
+    the relator r = w x w^-1 y^-1 itself with a running prefix product at
+    g = 0: +prefix before each x and -prefix after each x^-1, at the
+    prefix's exponent sum a, weighted by (-1)^a (1, a, a(a-1)/2)."""
+    r0, r1, r2, r3 = one, 0, 0, one
+    terms, a = {}, 0
+    for gen, sign in relator.letters:
+        if gen == "x":
+            if sign > 0:
+                t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
+                terms[a] = t0 + r0, t1 + r1, t2 + r2, t3 + r3
+            r1, r3 = -r0 - r1, -r2 - r3
+            a += sign
+            if sign < 0:
+                t0, t1, t2, t3 = terms.get(a, (0, 0, 0, 0))
+                terms[a] = t0 - r0, t1 - r1, t2 - r2, t3 - r3
+        else:
+            r0, r1, r2, r3 = (r0 - (r1 << b) - (r1 >> b) + (r1 << 1), -r1,
+                              r2 - (r3 << b) - (r3 >> b) + (r3 << 1), -r3)
+            a += sign
+    weights = [[(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)] for a in terms]
+    return [[sum(w[j] * x for w, x in zip(weights, slot)) for j in range(3)]
+            for slot in zip(*terms.values())]
+
+
+def test_fox_jets_match_a_relator_walk():
+    # Fox's product rule over w gives Wada's Phi(dr/dx) of a walk of the
+    # whole relator on the 68 census fractions p <= 25: each jet alike at
+    # every p-th root of unity but 1 (their difference passes the zero
+    # test), the (1, 1), (2, 1) and (2, 2) entries alike bit for bit, the
+    # (2, 1) entry zero at t = 1, where only the (1, 2) entry may differ,
+    # and so the determinant's e^2 slot, n_ss, alike bit for bit
+    b = exact.DIGIT_BITS
+    for p, q in CENSUS_25:
+        knot, one, mask = normalize_two_bridge(p, q), 1 << b * (p + 1), (1 << b * p) - 1
+        new, ref = ([[exact._fold(x << b * (p - 1), b * p) % mask for x in jet] for jet in jets]
+                    for jets in (exact._fox_jets(knot.word, b, one),
+                                 _relator_fox_jets(knot.relator(), b, one)))
+        for got, want in zip(new, ref):
+            for x, y in zip(got, want):
+                exact._zero_test(x - y, p, "Fox jets", knot.label)
+        assert [new[0], new[2], new[3]] == [ref[0], ref[2], ref[3]], (p, q)
+        assert all(sum(exact._digits(x, p)) == 0 for x in new[2]), (p, q)
+        n_ss = [(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
+                 - bb[2] * c[0]) % mask for a, bb, c, dd in (new, ref)]
+        assert n_ss[0] == n_ss[1], (p, q)
+
+
+@pytest.mark.slow
+def test_knot_elements_are_pinned_at_1001_375_and_2001_731():
+    # the two largest knots the tests read, whose walks are the longest: a
+    # SHA-256 over repr((p, q, elements)) of each
+    digest = hashlib.sha256()
+    for p, q in ((1001, 375), (2001, 731)):
+        digest.update(repr((p, q, exact.knot_elements(normalize_two_bridge(p, q)))).encode())
+    assert digest.hexdigest() == "54e40b636a574320ff70bd668e0dcf9e4331c754be01daf4e1fff6d10bf65283"
 
 
 def _jet_mul(x, y):

@@ -259,3 +259,19 @@ def test_relator_equals_the_chained_product():
                 assert knot.relator().letters == want.letters, (p, q)
                 count += 1
     assert count == 178
+
+
+def test_reversed_word_is_the_word_with_x_and_y_swapped():
+    # <-w is w with its generators swapped, letter by letter, for every
+    # normalized fraction p <= 131: the exact pass builds rho(<-w) from W
+    # on it
+    swap = {"x": "y", "y": "x"}
+    count = 0
+    for p in range(3, 132, 2):
+        for q in range(1, p, 2):
+            if math.gcd(p, q) == 1:
+                knot = normalize_two_bridge(p, q)
+                swapped = tuple((swap[gen], sign) for gen, sign in knot.word.letters)
+                assert knot.reversed_word.letters == swapped, (p, q)
+                count += 1
+    assert count == 1770
