@@ -6,6 +6,7 @@ so agreement with the generic pipeline is evidence rather than tautology.
 """
 
 import math
+import operator
 from collections import namedtuple
 
 from .errors import IndexOutOfRange, InvalidFraction
@@ -20,7 +21,10 @@ class LensSpace(namedtuple("LensSpace", "p q r")):
 
     @classmethod
     def of(cls, p, q):
-        p, q = int(p), int(q)
+        try:
+            p, q = operator.index(p), operator.index(q)
+        except TypeError:
+            raise InvalidFraction(f"lens space L({p!r}, {q!r}) needs integer p and q") from None
         if p < 3 or p % 2 == 0:
             raise InvalidFraction(f"lens space needs odd p >= 3, got {p}")
         if math.gcd(p, q % p) != 1:

@@ -8,25 +8,17 @@ letter by letter.
 """
 
 import math
+import operator
 from collections import namedtuple
-from functools import cached_property
-from operator import itemgetter
 
 from .errors import DeterminantMismatch, InvalidFraction
 
 GENERATORS = ("x", "y")
-#: The unit letters, and the adjacent pairs of them that cancel.
-_UNITS = frozenset((g, e) for g in GENERATORS for e in (1, -1))
-_CANCELLING = frozenset(((g, e), (g, -e)) for g, e in _UNITS)
 
 
 def _free_reduce(pairs):
-    """Unit letters of the pairs (generator, exponent), freely reduced.
-    Reduced unit letters with int exponents come back after set checks alone."""
-    pairs = tuple(map(tuple, pairs))
-    if (_UNITS.issuperset(pairs) and _CANCELLING.isdisjoint(zip(pairs, pairs[1:]))
-            and {int}.issuperset(map(type, map(itemgetter(1), pairs)))):
-        return pairs
+    """Unit letters of the pairs (generator, exponent), freely reduced, one
+    unit letter at a time, with int exponents."""
     stack = []
     for g, e in pairs:
         if g not in GENERATORS:
@@ -152,17 +144,15 @@ def fox_derivative(w, gen):
 
 
 class TwoBridgeKnot(namedtuple("TwoBridgeKnot", "p q word sigma mirror", defaults=(False,))):
-    """Normalized Schubert fraction (p, q) with the derived relator data.
+    """Normalized Schubert fraction (p, q) with its word w and sigma, the
+    exponent sum of w.
 
     ``mirror`` records that the input fraction named the mirror of the
-    stored representative.  Immutable: the instance dict holds only the
-    relator data cached on first use.
+    stored representative.  Immutable, with no instance dict: the relator
+    and <-w, which only the float routes walk, are built on each use.
     """
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"TwoBridgeKnot is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
 
     @property
     def label(self):
@@ -170,18 +160,14 @@ class TwoBridgeKnot(namedtuple("TwoBridgeKnot", "p q word sigma mirror", default
 
     def relator(self):
         """The relator w x w^-1 y^-1 of <x, y | w x = y w>."""
-        return self._relator
-
-    @cached_property
-    def _relator(self):
         # freely reduced as it stands: w alternates x and y, starts with x
         # and ends with y
         w = self.word.letters
         return Word(w + (("x", 1),) + tuple((g, -e) for g, e in reversed(w)) + (("y", -1),))
 
-    @cached_property
+    @property
     def reversed_word(self):
-        """The word <-w, built once per knot."""
+        """The word <-w."""
         return self.word.reversed_word()
 
 
@@ -201,17 +187,17 @@ def longitude_word(knot):
 
 
 def knot_determinant(knot):
-    """|Delta(-1)|, the knot determinant, which for b(p, q) is p: the Fox
-    derivative of the relator by x at t = -1, in exact integers and one
-    walk over the relator.  With a the exponent sum of the letters before
-    it, a letter x contributes (-1)^a and a letter x^-1 contributes
-    -(-1)^(a-1) = (-1)^a."""
+    """|Delta(-1)|, the knot determinant, which for b(p, q) is p, in exact
+    integers and one walk over w.  Fox's rule dr/dx = (1 - w x w^-1) dw/dx + w
+    maps under x, y -> t to (1 - t) d(t) + t^sigma, d the image of dw/dx:
+    at t = -1, 2 d(-1) + (-1)^sigma.  A letter x^+-1 after letters of
+    exponent sum a adds (-1)^a to d(-1); sigma is the final a."""
     total = a = 0
-    for g, e in knot.relator().letters:
+    for g, e in knot.word.letters:
         if g == "x":
             total += -1 if a % 2 else 1
         a += e
-    return abs(total)
+    return abs(2 * total + (-1 if a % 2 else 1))
 
 
 def normalize_two_bridge(p, q):
@@ -220,9 +206,12 @@ def normalize_two_bridge(p, q):
     The reduction runs modulo 2p; landing above p applies the mirror move
     q -> 2p - q, and an even residue applies q -> p - q (the mod-p mirror
     class move).  Both toggle the mirror flag.  The constructed word is
-    validated against the knot determinant |Delta(-1)| = p.
+    validated against the knot determinant |Delta(-1)| = p, read from w.
     """
-    p, q = int(p), int(q)
+    try:
+        p, q = operator.index(p), operator.index(q)
+    except TypeError:
+        raise InvalidFraction(f"fraction {p!r}/{q!r} must have integer terms") from None
     if p < 3 or p % 2 == 0:
         raise InvalidFraction(f"p = {p} must be an odd integer >= 3")
     if math.gcd(p, q) != 1:

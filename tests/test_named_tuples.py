@@ -1,6 +1,6 @@
 """The package's value types are immutable named tuples: no field can be
-set, ``_replace`` and ``_asdict`` round-trip, and a knot builds its relator
-once."""
+set, ``_replace`` and ``_asdict`` round-trip, and a knot's relator and <-w
+come from its own word."""
 
 import pytest
 
@@ -55,9 +55,6 @@ def test_replace_round_trips(obj):
 
 def test_relator_is_built_once_per_knot():
     knot = normalize_two_bridge(41, 11)
-    assert knot.relator() is knot.relator()
-    assert knot.reversed_word is knot.reversed_word
     # a replaced knot builds its own
     other = knot._replace(word=normalize_two_bridge(41, 3).word)
-    assert other.relator() is other.relator()
     assert other.relator() != knot.relator()

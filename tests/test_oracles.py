@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -22,7 +23,7 @@ def test_lens_construction():
     lens = LensSpace.of(5, 3)
     assert lens.r == 2
     assert (lens.q * lens.r) % lens.p == 1
-    for p, q in ((9, 3), (8, 3), (2, 1)):
+    for p, q in ((9, 3), (8, 3), (2, 1), (7.9, 3.2), (Fraction(15, 2), 3), (7, 3.0), ("7", 3)):
         with pytest.raises(InvalidFraction):
             LensSpace.of(p, q)
 

@@ -856,6 +856,29 @@ def test_value_path_stays_real():
             assert list(r["diagnostics"]) == ["margin_bits"]
 
 
+def test_value_path_builds_no_relator(tmp_path, monkeypatch):
+    # normalization checks |Delta(-1)| = p from w, and the exact pass
+    # walks w alone: neither the relator nor <-w is built on the way to a
+    # record, a verdict or a catalog, cold or warm
+    def refuse(*args):
+        raise AssertionError("the relator or <-w on the value path")
+
+    monkeypatch.setattr(TwoBridgeKnot, "relator", refuse)
+    monkeypatch.setattr(TwoBridgeKnot, "reversed_word", property(refuse))
+    census = [(p, q) for p in range(3, 26, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+    for p, q in census:
+        assert all(r.ok for r in compute_invariants(normalize_two_bridge(p, q))), (p, q)
+    assert compare_knots(normalize_two_bridge(7, 3),
+                         normalize_two_bridge(7, 5)).verdict == "equivalent-up-to-mirror"
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("p,q\n5,3\n7,3\n7,5\n9,2\n")
+    hits = _spy_hits(monkeypatch)
+    cold = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
+    warm = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
+    assert hits == [False] * 4 + [True] * 4
+    assert len(cold["knots"]) == 4 and not cold["errors"] and warm == cold
+
+
 @pytest.mark.parametrize("q", [79, 101, 131, 201])
 def test_large_torus_knots_run_in_double(q):
     # every record of b(q, 1) is read off the exact elements with its full

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,6 +8,7 @@ from bridgetorsion import words
 from bridgetorsion.errors import DeterminantMismatch, InvalidFraction
 from bridgetorsion.words import (
     GroupRingElement,
+    TwoBridgeKnot,
     Word,
     build_relator_word,
     fox_derivative,
@@ -100,6 +102,11 @@ def test_invalid_fractions():
         normalize_two_bridge(9, 3)
     with pytest.raises(InvalidFraction):
         normalize_two_bridge(1, 1)
+    # a non-integral term is refused by name, not truncated
+    for p, q in ((7.5, 3.9), (Fraction(15, 2), 3), (7, 3.0), ("7", 3), (7, Fraction(3))):
+        with pytest.raises(InvalidFraction) as info:
+            normalize_two_bridge(p, q)
+        assert repr(p) in str(info.value) and repr(q) in str(info.value)
 
 
 def test_normalization_moves():
@@ -217,14 +224,32 @@ def test_mirror_congruence():
 
 
 def test_knot_determinant_matches_fox_sum():
-    # the one-pass integer walk equals |sum of the Fox terms of dr/dx at
-    # t = -1| for every normalized fraction with p <= 61
+    # the one-pass integer walk over w equals |sum of the Fox terms of
+    # dr/dx at t = -1| for every normalized fraction with p <= 61, and for
+    # the raw words of every q in 1..2p-1 coprime to odd p <= 41, even q
+    # included, where the reference is the sum alone; those all have even
+    # sigma, so random words of odd sigma check the (-1)^sigma term
+    def fox_at_minus_one(knot):
+        d = fox_derivative(knot.relator(), "x")
+        return abs(sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items()))
+
     fractions = [(p, q) for p in range(3, 62, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
     for p, q in fractions:
         k = normalize_two_bridge(p, q)
-        d = fox_derivative(k.relator(), "x")
-        fox = abs(sum(c * (-1) ** (w.exponent_sum() % 2) for w, c in d.terms.items()))
-        assert knot_determinant(k) == fox == p, (p, q)
+        assert knot_determinant(k) == fox_at_minus_one(k) == p, (p, q)
+    raw = [(p, q) for p in range(3, 42, 2) for q in range(1, 2 * p) if math.gcd(p, q) == 1]
+    for p, q in raw:
+        w = build_relator_word(p, q)
+        k = TwoBridgeKnot(p, q, w, w.exponent_sum())
+        assert knot_determinant(k) == fox_at_minus_one(k), (p, q)
+    rng = random.Random(33)
+    sigmas = set()
+    for _ in range(200):
+        w = rand_word(rng, rng.randint(0, 7))
+        k = TwoBridgeKnot(0, 0, w, w.exponent_sum())
+        assert knot_determinant(k) == fox_at_minus_one(k), w
+        sigmas.add(k.sigma % 2)
+    assert sigmas == {0, 1}
 
 
 def test_determinant_mismatch_is_raised(monkeypatch):
@@ -235,13 +260,10 @@ def test_determinant_mismatch_is_raised(monkeypatch):
 
 
 def test_knot_words_built_once():
-    # the relator and <-w are built once per knot and equal the words built
-    # from scratch
+    # the relator and <-w equal the words built from scratch
     k = normalize_two_bridge(13, 5)
     w = k.word
-    assert k.relator() is k.relator()
     assert k.relator() == w * Word.parse("x") * w.inverse() * Word.parse("Y")
-    assert k.reversed_word is k.reversed_word
     assert k.reversed_word == w.reversed_word()
     assert longitude_word(k) == w.reversed_word() * w * Word((("x", -2 * k.sigma),))
 
