@@ -26,10 +26,12 @@ exactly when its p coefficients are equal: that zero test replaces every
 tolerance.
 
 Packing (Kronecker substitution): sum c_e t^e is the int sum c_e 2^(B e),
-signed B-bit digits.  Ring operations on these ints are exact integer
-arithmetic, so an int is its element at t = 2^B however large the
-coefficients grow on the way; unpacking recovers the coefficients of an
-element whose coefficients have fewer than B - 1 bits.  A word product is
+signed B-bit digits, with B = 32 for p <= 31 and 64 above
+(``_digit_bits``), sized to the coefficients the knot's pass forms.  Ring
+operations on these ints are exact integer arithmetic, so an int is its
+element at t = 2^B however large the coefficients grow on the way;
+unpacking recovers the coefficients of an element whose coefficients
+have fewer than B - 1 bits.  A word product is
 homogenized: it carries a factor t for each letter y^+-1, so u enters as
 t u = (t - 1)^2 and no power of t is negative.  It starts at the int 1,
 holds about j digits after j letters, and is moved back by t^-m =
@@ -53,24 +55,29 @@ the two exactly.
 """
 
 import operator
-import sys
-from array import array
+import struct
 from collections import namedtuple
 from functools import lru_cache
 
 from .errors import RecordError
 
-#: B, the bits of a packed coefficient.
-DIGIT_BITS = 64
 #: The fixed-point bits of the readout's cosines.
 READOUT_BITS = 128
 #: The least readout margin of a record, in bits: its floats are then off
 #: by less than 2^-64 relative before their final rounding.
 MIN_MARGIN_BITS = 64
-#: The digit guard: an unpacked coefficient has fewer bits.  One that
-#: outgrew its B bits shows as its balanced residue mod 2^B, which passes
-#: only if it lies within 2^GUARD_BITS of 0.
-GUARD_BITS = DIGIT_BITS // 2
+
+
+def _digit_bits(p):
+    """B, the bits of a packed coefficient of a knot of determinant p: 32
+    through p = 31, where every coefficient the pass forms is below 2^28
+    and both elements' below 2^14 (a test bounds each product of each
+    knot by |(xy)_e| <= ||x||_inf ||y||_1), and 64 above.  The digit
+    guard is B/2: an unpacked coefficient has fewer bits, and one that
+    outgrew its B bits shows as its balanced residue mod 2^B, which passes
+    only if it lies within 2^(B/2) of 0."""
+    return 32 if p <= 31 else 64
+
 
 def _inv_r_power(n):
     """r^-n as (val, g, g^2): 1/r = 1 + 2g + 6g^2, so (1/r)^n =
@@ -221,11 +228,15 @@ def _fox_jets(word, b, one):
     """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
     jets (val, e, e^2) of packed ints, from ``_fox_terms``: at exponent sum
     a, Riley's phase i^a times Wada's t^a is (-1)^a (1, a, a(a-1)/2) mod
-    e^3."""
-    terms = _fox_terms(word, b, one)
-    weights = list(zip(*[[(-1 if a % 2 else 1) * c for c in (1, a, a * (a - 1) // 2)]
-                         for a in terms]))
-    return [[sum(map(operator.mul, w, slot)) for w in weights] for slot in zip(*terms.values())]
+    e^3, and each entry's three sums are accumulated term by term."""
+    jets = [[0] * 3 for _ in range(4)]
+    for a, term in _fox_terms(word, b, one).items():
+        for jet, x in zip(jets, term):
+            x = -x if a % 2 else x
+            jet[0] += x
+            jet[1] += a * x
+            jet[2] += a * (a - 1) // 2 * x
+    return jets
 
 
 def _fold(x, bits):
@@ -236,21 +247,23 @@ def _fold(x, bits):
 
 
 def _guard(coeffs, what):
-    """RecordError where a coefficient fails the digit guard."""
-    if max(map(abs, coeffs)) >= 1 << GUARD_BITS:
-        raise RecordError(f"{what} has a coefficient of {GUARD_BITS} bits or more")
+    """RecordError where one of a knot's p coefficients fails its digit
+    guard, B/2 bits."""
+    bits = _digit_bits(len(coeffs)) // 2
+    if max(map(abs, coeffs)) >> bits:
+        raise RecordError(f"{what} has a coefficient of {bits} bits or more")
 
 
 def _digits(x, p):
     """The p coefficients of x, an element mod 2^(Bp) - 1: the B-bit digits
-    of x + H mod 2^(Bp) - 1, each less 2^(B-1), H = 2^(B-1) packed N."""
-    b = DIGIT_BITS
+    of x + H mod 2^(Bp) - 1, each less 2^(B-1), H = 2^(B-1) packed N,
+    unpacked as little-endian words of the standard size of B bits, the
+    struct code I or Q."""
+    b = _digit_bits(p)
     mask = (1 << b * p) - 1
     x = (x + (mask // ((1 << b) - 1) << (b - 1))) % mask
-    words = array("Q", x.to_bytes(b * p // 8, "little"))
-    if sys.byteorder != "little":
-        words.byteswap()
-    return [c - (1 << (b - 1)) for c in words]
+    return [c - (1 << (b - 1))
+            for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", x.to_bytes(b * p // 8, "little"))]
 
 
 def _zero_test(x, p, what, label):
@@ -260,10 +273,10 @@ def _zero_test(x, p, what, label):
     N = 1 + t + ... + t^(p-1), and then the quotient, balanced mod
     2^B - 1, is their value; the coefficients are unpacked only to name a
     failure."""
-    b = DIGIT_BITS
+    b = _digit_bits(p)
     bits, digit = b * p, (1 << b) - 1
     c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
-    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << GUARD_BITS:
+    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << b // 2:
         return
     _guard(_digits(x, p), what)
     raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
@@ -305,7 +318,7 @@ def knot_elements(knot):
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
       n_ss(t^2)^2 u(t^2) u(t^2r) = D, with the checks of
       ``checked_elements``, which alone guards their coefficients."""
-    p, b, label = knot.p, DIGIT_BITS, knot.label
+    p, b, label = knot.p, _digit_bits(knot.p), knot.label
     bits, mask = b * p, (1 << b * p) - 1
     unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w
 
@@ -314,17 +327,20 @@ def knot_elements(knot):
             x = (x & mask) + (x >> bits)
         return x
 
+    def zero(x, what):  # _zero_test at this knot
+        _zero_test(x, p, what, label)
+
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = _image(knot.word.letters, b, tail)
     (w11_0, w11_d, w11_s, w11_ss), (w12_0, w12_d, w12_s, w12_ss) = w[0], w[1]
     # a zero test does not see the factor t^m, which permutes coefficients
-    _zero_test(w11_0 + 2 * w12_0, p, "phi at g^0", label)
-    _zero_test(w11_s + 2 * w12_s - 4 * w12_0, p, "phi at g^1", label)
+    zero(w11_0 + 2 * w12_0, "phi at g^0")
+    zero(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
     phi_d = fold((w11_d + 2 * w12_d) << unword)  # 1 - s = 2 - 4g
     phi_ss = fold((w11_ss + 2 * w12_ss - 4 * w12_s) << unword)
     # Riley's smoothness at every u_k: (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, times t
-    _zero_test((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d
-               - (p << b * ((p + 3) // 2)), p, "phi_u closed form", label)
+    zero((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d - (p << b * ((p + 3) // 2)),
+         "phi_u closed form")
 
     # rho(<-w) = C W C / c: its 11 and 22 entries W11 + k and W22 - k and
     # its 12 entry, homogenized as W, and its 21 entry v rho(<-w)_12,
@@ -339,18 +355,17 @@ def knot_elements(knot):
     (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
                                       _dot(r10, v00, r11, v10, fold, False))
     for x in (l00[0] - 1, l01_0, l10_0, l11[0] - 1):
-        _zero_test(x, p, "L = I at g^0", label)
+        zero(x, "L = I at g^0")
     lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
-    _zero_test(lam_s, p, "tr L at g^1", label)
+    zero(lam_s, "tr L at g^1")
     d = fold(l01_s * l10_s - l00[2] * l11[2])
-    _zero_test(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), p, "estimate (b)", label)
+    zero(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), "estimate (b)")
 
     one = 1 << b * (p + 1)  # the Fox walk's 1, at OFF = p + 1
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from OFF to 0
                     for jet in _fox_jets(knot.word, b, one))
-    _zero_test(a[0] * dd[0] - bb[0] * c[0], p, "Wada's numerator at e^0", label)
-    _zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0],
-               p, "Wada's numerator at e^1", label)
+    zero(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
+    zero(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0], "Wada's numerator at e^1")
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
                    - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p)
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
@@ -365,7 +380,7 @@ def checked_elements(knot, coeffs):
     t -> 1/t, as an element of Z[u] is, and the paper's identity
     n_ss(t^2)^2 u(t^2) u(t^2r) = D holds in Z[t]/(t^p - 1).  Computed
     elements and cached ones pass this one check."""
-    p, b, label = knot.p, DIGIT_BITS, knot.label
+    p, b, label = knot.p, _digit_bits(knot.p), knot.label
     if not (type(coeffs) is list and len(coeffs) == 2 and all(
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
         raise RecordError(f"the elements of {label} are not two lists of {p} ints")

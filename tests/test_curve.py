@@ -131,7 +131,7 @@ def test_F_independent_of_sqrt_branch(monkeypatch):
     # total length, while the elements stay the same, bit for bit
     knots = [normalize_two_bridge(p, q) for p, q in CENSUS]
     before = [exact.knot_elements(knot) for knot in knots]
-    b, odd = exact.DIGIT_BITS, [("x", 1), ("y", -1), ("y", -1)]
+    b, odd = exact._digit_bits(3), [("x", 1), ("y", -1), ("y", -1)]
     even_tail, odd_tail = [("x", -1)], [("x", 1), ("x", 1)]  # 4 and 5 letters in all
     (head, even_whole), (_, odd_whole) = (exact._image(odd, b, tail) for tail in (even_tail, odd_tail))
     scale = exact._inv_r_power

@@ -46,8 +46,10 @@ def test_spot_check_at_1001_375():
     # every tau of 1001/375 is the 50-digit lens value to within a rounding
     # or two, and both guards of the exact pass have headroom there: the
     # least readout margin is above MIN_MARGIN_BITS (92 bits against 64) and
-    # the largest unpacked coefficient below GUARD_BITS (14 bits against 32)
+    # the largest unpacked coefficient below the digit guard (14 bits
+    # against 32, half the 64-bit digits of a knot of p > 31)
     p, q = 1001, 375
+    guard = exact._digit_bits(p) // 2
     elements = exact.knot_elements(normalize_two_bridge(p, q))
     readings = exact.read(elements)
     margin = exact.READOUT_BITS
@@ -58,89 +60,186 @@ def test_spot_check_at_1001_375():
         assert abs(reading.tau - want) <= 4e-16 * want, k
     coefficient_bits = max(max(map(abs, c)).bit_length() for c in elements)
     print(f"1001/375 headroom: margin {margin} bits against {exact.MIN_MARGIN_BITS}, "
-          f"coefficients {coefficient_bits} bits against {exact.GUARD_BITS}")
+          f"coefficients {coefficient_bits} bits against {guard}")
     assert margin > exact.MIN_MARGIN_BITS
-    assert coefficient_bits < exact.GUARD_BITS
+    assert coefficient_bits < guard
 
 
-def test_intermediate_digit_headroom_at_1001_375():
-    # a product of two folded elements whose coefficients have at most a
-    # and b bits has coefficients of at most p 2^(a + b), and a sum of
-    # `terms` such products at most terms p 2^(a + b); below
-    # 2^(DIGIT_BITS - 1) each coefficient fits its signed digit, so no
-    # carry crosses into the next.  At 1001/375 the operands of every
-    # product knot_elements forms are decoded: the 8 slots of the two
-    # dividends of C W C, unfolded, before their division by (t + 1)^2
-    # (while they fit their digits, a zero remainder is a polynomial
-    # division), the 32 unworded slots of rho(<-w) and of W x^(-2 sigma)
-    # after it, and the Fox terms after the (I - Phi(y)) step, whose
-    # weighted sums are the 12 Fox jets; then the longitude slots and phi
-    # that estimate (b) and D multiply, and the identity's n_ss(t^2)^2,
-    # whose coefficients are those of n_ss^2 permuted; the one zero test
-    # that takes no product, phi_u's closed form, sums four shifts of phi_u
-    # and p t^((p+3)/2), so its coefficients are at most 4 2^bits(phi_u) + p
-    knot = normalize_two_bridge(1001, 375)
-    p, b = knot.p, exact.DIGIT_BITS
+def _decode(x, n, b):
+    """The n balanced b-bit digits of x mod 2^(bn) - 1, each in
+    [-2^(b-1), 2^(b-1)), at the width b given, whatever the width of the
+    knot's own pass."""
+    mask, half = (1 << b * n) - 1, 1 << (b - 1)
+    raw = ((x + mask // ((1 << b) - 1) * half) % mask).to_bytes(b * n // 8, "little")
+    return [int.from_bytes(raw[i:i + b // 8], "little") - half for i in range(0, len(raw), b // 8)]
+
+
+def _dot_terms(x, y, z, w, full=True):
+    """The (x, y) pairs of each slot of ``exact._dot``'s jet x y + z w,
+    slot by slot in its order: val and g, and, with full, du and g^2."""
+    slots = ([(0, 0)], [(0, 2), (2, 0)], [(0, 1), (1, 0)], [(0, 3), (2, 2), (3, 0)])
+    return [[(f[i], g[j]) for f, g in ((x, y), (z, w)) for i, j in slot]
+            for slot in (slots if full else slots[:2])]
+
+
+def _pass_at_width(knot, b):
+    """knot_elements replayed step by step with packed digits of b bits.
+    Returns (operands, bounds).  operands maps each step to the
+    coefficients, decoded at width b, of every int it multiplies, divides
+    or weights: unfolded ints (the images W and W x^(-2 sigma), the
+    dividends of C W C and their quotients) decoded whole, and each decode
+    checked to give back its int, folded ones mod t^p - 1.  bounds maps each
+    step to a bound on the magnitude of the coefficients it forms, so
+    that while a bound is below 2^(b - 1), every coefficient fits its
+    signed digit and no carry crosses into the next:
+    - a sum of products xy of folded elements, each term by the L1 form
+      |(xy)_e| <= ||x||_inf ||y||_1 (or with x and y swapped, the lesser),
+      and a sum of terms by the sum of their bounds;
+    - the Fox jets, sums of the Fox terms t_a (after the (I - Phi(y))
+      step) weighted by (-1)^a (1, a, a(a-1)/2), by sum |weight| ||t_a||_inf;
+    - phi_u's closed form, which sums four shifts of phi_u and
+      p t^((p+3)/2), by 4 ||phi_u||_inf + p;
+    - an int decoded whole, by its largest coefficient."""
+    p = knot.p
+    decoded = {}
+
+    def dec(x, n=p):
+        if (x, n) not in decoded:
+            decoded[x, n] = _decode(x, n, b)
+        return decoded[x, n]
+
+    def whole(jets):  # unfolded ints of degree below p + 2
+        digits = [dec(x, p + 2) for jet in jets for x in jet]
+        assert [sum(c << b * e for e, c in enumerate(ds)) for ds in digits] == [
+            x for jet in jets for x in jet]
+        return digits
 
     def fold(x):
         return exact._fold(x, b * p)
 
-    def bits(*xs):
-        return max(max(map(abs, exact._digits(x, p))).bit_length() for x in xs)
-
-    def unfolded_bits(*xs):  # of ints of degree below p + 2 in t, decoded whole
-        digits = [exact._digits(x, p + 2) for x in xs]
-        assert [sum(c << b * e for e, c in enumerate(ds)) for ds in digits] == list(xs)
-        return max(max(map(abs, ds)).bit_length() for ds in digits)
+    def term_bound(x, y):
+        (x_inf, x_l1), (y_inf, y_l1) = ((max(map(abs, c)), sum(map(abs, c))) for c in (dec(x), dec(y)))
+        return min(x_inf * y_l1, x_l1 * y_inf)
 
     unword = b * ((p + 1) // 2)
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = exact._image(knot.word.letters, b, tail)
     dividends = exact._dividends(w, b)
     k, r12 = exact._divide(dividends, b, p, knot.label)
-    (r00, r01, r11), (v00, v01, v10, v11) = (
-        [[fold(x << unword) for x in jet] for jet in image]
-        for image in (([x + y for x, y in zip(w[0], k)], r12, [x - y for x, y in zip(w[3], k)]), v))
+    r00, r01, r11, v00, v01, v10, v11 = (
+        [fold(x << unword) for x in jet]
+        for jet in ([x + y for x, y in zip(w[0], k)], r12, [x - y for x, y in zip(w[3], k)], *v))
     r10 = [fold(x << unword - b) for x in exact._tv(r12, b)]
-    one = 1 << b * (p + 1)
-    terms = exact._fox_terms(knot.word, b, one)
-    term_slots = [fold(x << b * (p - 1)) for term in terms.values() for x in term]
-    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
-    walk, fox = r00 + r01 + r10 + r11 + v00 + v01 + v10 + v11, a + bb + c + dd
-    assert (len(walk), len(fox), len(term_slots)) == (32, 12, 4 * len(terms))
-
     l00, l11 = exact._dot(r00, v00, r01, v10, fold), exact._dot(r10, v01, r11, v11, fold)
     l01 = exact._dot(r00, v01, r01, v11, fold, False)
     l10 = exact._dot(r10, v00, r11, v10, fold, False)
     d = fold(l01[1] * l10[1] - l00[2] * l11[2])
     phi_d, phi_ss = (fold(x << unword) for x in (w[0][1] + 2 * w[1][1],
                                                  w[0][3] + 2 * w[1][3] - 4 * w[1][2]))
-    n_ss = fold(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
-                - bb[2] * c[0])
+    lam_d, lam_ss = l00[1] + l11[1], l00[3] + l11[3]
+    one = 1 << b * (p + 1)
+    terms = {a: [fold(x << b * (p - 1)) for x in term]
+             for a, term in exact._fox_terms(knot.word, b, one).items()}
+    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
+    n_ss = dec(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
+               - bb[2] * c[0])
+    n2 = sum(n_ss[e * (p + 1) // 2 % p] << b * e for e in range(p))  # n_ss(t^2), as checked_elements packs it
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
-    products = {  # the products' operands: (terms, a + b)
-        "walk slots": (6, bits(*walk[:16]) + bits(*walk[16:])),
-        "Fox jets": (6, 2 * bits(*fox)),
-        "D": (2, 2 * bits(l01[1], l10[1], l00[2], l11[2])),
-        "estimate (b)": (2, bits(phi_d, phi_ss) + bits(l00[1] + l11[1], l00[3] + l11[3] - d)),
-        "n_ss^2": (1, 2 * bits(n_ss)),
-        "u_k u_kr": (1, 2 * bits(u2, u2r)),
-        "n_ss^2 u_k u_kr": (1, bits(fold(n_ss * n_ss)) + bits(fold(u2 * u2r))),
+
+    sums = {  # each step's folded sums of products, each sum as its (x, y) pairs
+        "L slots": (_dot_terms(r00, v00, r01, v10) + _dot_terms(r10, v01, r11, v11)
+                    + _dot_terms(r00, v01, r01, v11, False) + _dot_terms(r10, v00, r11, v10, False)),
+        "D": [[(l01[1], l10[1]), (l00[2], l11[2])]],
+        "estimate (b)": [[(phi_d, lam_ss - d), (lam_d, phi_ss)]],
+        "Wada's numerator": [
+            [(a[0], dd[0]), (bb[0], c[0])],
+            [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
+            [(a[0], dd[2]), (a[1], dd[1]), (a[2], dd[0]), (bb[0], c[2]), (bb[1], c[1]), (bb[2], c[0])]],
+        "n_ss(t^2)^2": [[(n2, n2)]],
+        "u_k u_kr": [[(u2, u2r)]],
+        "P(1)^2 F u_k u_kr": [[(fold(n2 * n2), fold(u2 * u2r))]],
     }
-    # the products' coefficients are below 2^bound, and so are the closed
-    # form's, the dividends' and the Fox jets', sums of the terms weighted
-    # by at most max(1, |a|, |a(a - 1)/2|) each
-    bounds = {name: (terms * p << ab).bit_length() for name, (terms, ab) in products.items()}
-    bounds["phi_u closed form"] = ((4 << bits(phi_d)) + p).bit_length()
-    bounds["C W C dividends"] = unfolded_bits(*(x for jet in dividends for x in jet))
-    weight = sum(max(1, abs(a), abs(a * (a - 1) // 2)) for a in terms)
-    bounds["Fox terms to jets"] = (weight << bits(*term_slots)).bit_length()
-    print(f"1001/375 operand bits: walk slots {bits(*walk)}, Fox terms {bits(*term_slots)}, "
-          f"Fox jets {bits(*fox)}")
+    bounds = {name: max(sum(term_bound(x, y) for x, y in pairs) for pairs in step)
+              for name, step in sums.items()}
+    operands = {name: [(dec(x), dec(y)) for pairs in step for x, y in pairs]
+                for name, step in sums.items()}
+    weights = [[(-1) ** (a % 2) * m for m in (1, a, a * (a - 1) // 2)] for a in terms]
+    bounds["Fox terms to jets"] = max(
+        sum(abs(weight[i]) * max(map(abs, dec(term[slot]))) for weight, term in zip(weights, terms.values()))
+        for i in range(3) for slot in range(4))
+    operands["Fox terms to jets"] = [dec(x) for term in terms.values() for x in term]
+    bounds["phi_u closed form"] = 4 * max(map(abs, dec(phi_d))) + p
+    operands["phi_u closed form"] = [dec(phi_d)]
+    for name, jets in (("W and W x^(-2 sigma)", w + v), ("C W C dividends", dividends),
+                       ("C W C quotients", (k, r12))):
+        operands[name] = whole(jets)
+        bounds[name] = max(max(map(abs, ds)) for ds in operands[name])
+    return operands, bounds
+
+
+def _check_headroom(p, q):
+    """The bound of every step of the exact pass at p/q below 2^(B - 1),
+    B the knot's digit width; the headroom of each is printed."""
+    knot, b = normalize_two_bridge(p, q), exact._digit_bits(p)
+    _, bounds = _pass_at_width(knot, b)
     for name, bound in bounds.items():
-        print(f"1001/375 {name}: coefficients below 2^{bound}, headroom "
-              f"{b - 1 - bound} bits against 2^{b - 1}")
-        assert bound <= b - 1, name
+        print(f"{p}/{q} {name}: coefficients below 2^{bound.bit_length()}, headroom "
+              f"{b - 1 - bound.bit_length()} bits against 2^{b - 1}")
+        assert bound < 1 << (b - 1), name
+
+
+def test_intermediate_digit_headroom_at_1001_375():
+    # every step of the exact pass at 1001/375 keeps its coefficients
+    # within the 64-bit digits, by the bounds of _pass_at_width: the L1
+    # form bounds the products at 2^33 there, where the largest slot
+    # squared gave 2^55
+    _check_headroom(1001, 375)
+
+
+@pytest.mark.slow
+def test_intermediate_digit_headroom_at_4001_1529():
+    # the same bounds where the largest slot squared would give 2^65,
+    # beyond the 64-bit digits: the L1 form stays near 2^39
+    _check_headroom(4001, 1529)
+
+
+NARROW = [(p, q) for p in range(3, 32, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+def test_narrow_digits_hold_through_p_31(monkeypatch):
+    # the 32-bit digits of every knot with p <= 31, proven knot by knot
+    # over its 106 fractions: the pass at 32 bits decodes every operand
+    # to the coefficients it has at 64 bits, every step's bound is below
+    # 2^31, both elements are within the 16-bit guard, and knot_elements
+    # gives the same elements at both widths, bit for bit; the first
+    # knots past the range, p = 33, take 64-bit digits
+    assert len(NARROW) == 106
+    worst, element_bits, narrow = {}, 0, []
+    for p, q in NARROW:
+        knot = normalize_two_bridge(p, q)
+        operands, bounds = _pass_at_width(knot, 32)
+        assert operands == _pass_at_width(knot, 64)[0], (p, q)
+        for name, bound in bounds.items():
+            worst[name] = max(worst.get(name, 0), bound.bit_length())
+        narrow.append(exact.knot_elements(knot))
+        element_bits = max(element_bits, *(max(map(abs, c)).bit_length() for c in narrow[-1]))
+    print(f"p <= 31: element coefficients below 2^{element_bits}; steps below "
+          + ", ".join(f"{name} 2^{bits}" for name, bits in worst.items()))
+    assert max(worst.values()) <= 31
+    assert element_bits < 16
+
+    widths, image = [], exact._image
+
+    def spy(letters, b, tail=()):
+        widths.append(b)
+        return image(letters, b, tail)
+
+    monkeypatch.setattr(exact, "_image", spy)
+    for p, q in ((31, 3), (33, 1)):
+        exact.knot_elements(normalize_two_bridge(p, q))
+    assert widths == [32, 64]
+    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in NARROW] == narrow
 
 
 @pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
@@ -154,18 +253,20 @@ def test_identity_fails_with_the_lens_of_another_fraction(p, q, other):
 
 def test_element_beyond_the_guard_fails_every_record(monkeypatch):
     # checked_elements alone guards the elements: with the e^2 slots of the
-    # Fox jets shifted left by 40 bits, n_ss has coefficients of 32 bits or
-    # more while every zero test of 7/3 still passes, and each record fails
-    # with that element's name
+    # Fox jets shifted left, n_ss has coefficients beyond the guard, half
+    # the knot's digit, while still within the digit and while every zero
+    # test still passes, and each record fails with that element's name:
+    # at 7/3 (32-bit digits) by 20 bits, past the 16-bit guard, and at
+    # 33/5 (64-bit digits) by 40 bits, past the 32-bit guard
     fox_jets = exact._fox_jets
+    for p, q, shift, guard in ((7, 3, 20, 16), (33, 5, 40, 32)):
+        def shifted(word, b, one):
+            return [[val, e, ee << shift] for val, e, ee in fox_jets(word, b, one)]
 
-    def shifted(relator, b, one):
-        return [[val, e, ee << 40] for val, e, ee in fox_jets(relator, b, one)]
-
-    monkeypatch.setattr(exact, "_fox_jets", shifted)
-    records = compute_invariants(normalize_two_bridge(7, 3))
-    assert [r.error for r in records] == [
-        "RecordError: 4 P(1) has a coefficient of 32 bits or more"] * 3
+        monkeypatch.setattr(exact, "_fox_jets", shifted)
+        records = compute_invariants(normalize_two_bridge(p, q))
+        assert [r.error for r in records] == [
+            f"RecordError: 4 P(1) has a coefficient of {guard} bits or more"] * ((p - 1) // 2)
 
 
 def test_phi_u_off_by_one_fails_its_closed_form(monkeypatch, break_letter):
@@ -269,9 +370,9 @@ def test_c_conjugates_each_scaled_letter_to_its_swap():
 
 def test_w21_is_v_w12_on_the_census():
     # the packed form of W21 = v W12, which the conjugation reads: t W21 is
-    # t v W12, bit for bit, on the 68 census fractions p <= 25
-    b = exact.DIGIT_BITS
-    for p, q in CENSUS_25:
+    # t v W12, bit for bit, on the 68 census fractions p <= 25, at their
+    # own 32-bit digits and at 64 bits
+    for (p, q), b in itertools.product(CENSUS_25, (exact._digit_bits(25), 64)):
         w, _ = exact._image(normalize_two_bridge(p, q).word.letters, b)
         assert tuple(x << b for x in w[2]) == exact._tv(w[1], b), (p, q)
 
@@ -308,9 +409,10 @@ def test_fox_jets_match_a_relator_walk():
     # every p-th root of unity but 1 (their difference passes the zero
     # test), the (1, 1), (2, 1) and (2, 2) entries alike bit for bit, the
     # (2, 1) entry zero at t = 1, where only the (1, 2) entry may differ,
-    # and so the determinant's e^2 slot, n_ss, alike bit for bit
-    b = exact.DIGIT_BITS
+    # and so the determinant's e^2 slot, n_ss, alike bit for bit; at each
+    # knot's own digit width, which its zero tests and unpacking use
     for p, q in CENSUS_25:
+        b = exact._digit_bits(p)
         knot, one, mask = normalize_two_bridge(p, q), 1 << b * (p + 1), (1 << b * p) - 1
         new, ref = ([[exact._fold(x << b * (p - 1), b * p) % mask for x in jet] for jet in jets]
                     for jets in (exact._fox_jets(knot.word, b, one),
@@ -432,50 +534,78 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
 
 
 def _pack(digits):
-    return sum(c << (exact.DIGIT_BITS * e) for e, c in enumerate(digits))
+    """The packed int of an element of a knot of p = len(digits), at the
+    knot's digit width."""
+    b = exact._digit_bits(len(digits))
+    return sum(c << (b * e) for e, c in enumerate(digits))
 
 
 def test_digits_round_trip():
-    digits = [3, -1, 0, 2 ** 31 - 1, -(2 ** 31) + 1, 5, -7]
-    assert exact._digits(_pack(digits), 7) == digits
-    mask = (1 << exact.DIGIT_BITS * 7) - 1  # 2^(Bp) - 1 = 0
-    assert exact._digits(_pack(digits) - mask, 7) == digits
-    # t^7 = 1: exponents fold mod p
-    assert exact._fold(_pack([0] * 9 + [1]), exact.DIGIT_BITS * 7) == _pack([0, 0, 1])
+    # at p = 7 (32-bit digits) and p = 33 (64-bit digits): every signed
+    # digit short of -2^(B-1) comes back, whatever multiple of 2^(Bp) - 1
+    # the int carries, and exponents fold mod p
+    for p in (7, 33):
+        b = exact._digit_bits(p)
+        top = 2 ** (b - 1) - 1
+        digits = ([3, -1, 0, top, -top, 5, -7] * 5)[:p]
+        assert exact._digits(_pack(digits), p) == digits, p
+        mask = (1 << b * p) - 1  # 2^(Bp) - 1 = 0
+        assert exact._digits(_pack(digits) - mask, p) == digits, p
+        # t^p = 1: exponents fold mod p
+        assert exact._fold(1 << b * (p + 2), b * p) == _pack([0, 0, 1] + [0] * (p - 3)), p
 
 
 @pytest.mark.parametrize("digits, message", [
-    ([0] * 7, None),
-    ([5] * 7, None),
-    ([2 ** 32 - 1] * 7, None),
-    ([-(2 ** 32) + 1] * 7, None),
-    ([2 ** 32] * 7, "coefficient of 32 bits"),
-    ([-(2 ** 32)] * 7, "coefficient of 32 bits"),
+    # at p = 33, whose 64-bit digits have the guard 32
+    ([0] * 33, None),
+    ([5] * 33, None),
+    ([2 ** 32 - 1] * 33, None),
+    ([-(2 ** 32) + 1] * 33, None),
+    ([2 ** 32] * 33, "coefficient of 32 bits"),
+    ([-(2 ** 32)] * 33, "coefficient of 32 bits"),
+    # at p = 7, whose 32-bit digits have the guard 16
     ([5, 5, 5, 6, 5, 5, 5], r"fails in Z\[t\]/\(t\^7 - 1\) for b\(7,3\)"),
-    ([5, 5, 5, 2 ** 32, 5, 5, 5], "coefficient of 32 bits"),
+    # at p = 33
+    ([5] * 16 + [2 ** 32] + [5] * 16, "coefficient of 32 bits"),
+    ([5] * 16 + [6] + [5] * 16, r"fails in Z\[t\]/\(t\^33 - 1\) for b\(33,5\)"),
+    # at p = 7
+    ([0] * 7, None),
+    ([2 ** 16 - 1] * 7, None),
+    ([-(2 ** 16) + 1] * 7, None),
+    ([2 ** 16] * 7, "coefficient of 16 bits"),
+    ([-(2 ** 16)] * 7, "coefficient of 16 bits"),
+    ([5, 5, 5, 2 ** 16, 5, 5, 5], "coefficient of 16 bits"),
 ])
 def test_zero_test_outcomes(digits, message):
-    # an element passes exactly when its coefficients are equal and within
-    # the digit guard, whatever multiple of 2^(Bp) - 1 its int carries; a
+    # an element of a knot of p = len(digits) passes exactly when its
+    # coefficients are equal and within the digit guard, half the knot's
+    # digit width, whatever multiple of 2^(Bp) - 1 its int carries; a
     # failure names the guard where a coefficient is beyond it
-    mask = (1 << exact.DIGIT_BITS * 7) - 1
+    p = len(digits)
+    label = {7: "b(7,3)", 33: "b(33,5)"}[p]
+    mask = (1 << exact._digit_bits(p) * p) - 1
     for x in (_pack(digits), _pack(digits) - mask, _pack(digits) + 3 * mask):
         if message is None:
-            exact._zero_test(x, 7, "x", "b(7,3)")
+            exact._zero_test(x, p, "x", label)
         else:
             with pytest.raises(RecordError, match=message):
-                exact._zero_test(x, 7, "x", "b(7,3)")
+                exact._zero_test(x, p, "x", label)
 
 
-@pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits")])
+@pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits"),
+                                            (2 ** 20, "coefficient of 16 bits")])
 def test_broken_letter_image_errors_every_record(break_letter, scale, message):
     # a letter kernel that breaks a zero test, or whose products outgrow
     # their digits, turns every record of the knot into an error, and a
-    # comparison with it is undetermined
+    # comparison with it is undetermined: 7/3 against 7/5, whose 32-bit
+    # digits hold a scale below 2^31, the guard 16 past 2^16, and, for a
+    # scale beyond those digits, 33/5 against 33/7, whose 64-bit digits
+    # have the guard 32
     break_letter(scale)
-    a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
+    p, qa, qb = (7, 3, 5) if scale < 2 ** 31 else (33, 5, 7)
+    a, b = normalize_two_bridge(p, qa), normalize_two_bridge(p, qb)
     records = compute_invariants(a)
-    assert len(records) == 3
+    assert len(records) == (p - 1) // 2
     assert all(not r.ok and message in r.error for r in records)
     taus = tau_multiset(records), tau_multiset(compute_invariants(b))
     assert compare_knots(a, b, taus=taus).verdict == "undetermined"

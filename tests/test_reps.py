@@ -108,7 +108,7 @@ def test_riley_matches_metabelian_at_s_minus_one():
     # bit for bit, the jets of the real pair at (-1, u_k) along
     # s = -1 + h, inverses included, and their value slots are the real
     # pair of rho_k
-    b = exact.DIGIT_BITS
+    b = exact._digit_bits(3)  # the width _letter_jets decodes at
     images = {(gen, sign): exact._image([(gen, sign)], b)[0]
               for gen in "xy" for sign in (1, -1)}
     extended = Precision("extended")
