@@ -26,8 +26,8 @@ exactly when its p coefficients are equal: that zero test replaces every
 tolerance.
 
 Packing (Kronecker substitution): sum c_e t^e is the int sum c_e 2^(B e),
-signed B-bit digits, with B = 32 for p <= 31 and 64 above
-(``_digit_bits``), sized to the coefficients the knot's pass forms.  Ring
+signed B-bit digits, with B = 32 for p <= 31, 40 for p <= 131 and 64
+above (``_digit_bits``), sized to the coefficients the knot's pass forms.  Ring
 operations on these ints are exact integer arithmetic, so an int is its
 element at t = 2^B however large the coefficients grow on the way;
 unpacking recovers the coefficients of an element whose coefficients
@@ -71,12 +71,13 @@ MIN_MARGIN_BITS = 64
 def _digit_bits(p):
     """B, the bits of a packed coefficient of a knot of determinant p: 32
     through p = 31, where every coefficient the pass forms is below 2^28
-    and both elements' below 2^14 (a test bounds each product of each
-    knot by |(xy)_e| <= ||x||_inf ||y||_1), and 64 above.  The digit
-    guard is B/2: an unpacked coefficient has fewer bits, and one that
-    outgrew its B bits shows as its balanced residue mod 2^B, which passes
-    only if it lies within 2^(B/2) of 0."""
-    return 32 if p <= 31 else 64
+    and both elements' below 2^14, 40 through p = 131, where they are
+    below 2^39 and 2^20 (tests bound each product of each knot by
+    |(xy)_e| <= ||x||_inf ||y||_1), and 64 above.  The digit guard is
+    B/2: an unpacked coefficient has fewer bits, and one that outgrew its
+    B bits shows as its balanced residue mod 2^B, which passes only if it
+    lies within 2^(B/2) of 0."""
+    return 32 if p <= 31 else 40 if p <= 131 else 64
 
 
 def _inv_r_power(n):
@@ -136,9 +137,8 @@ def _image(letters, b, tail=()):
     rows = [_product(row, letters, b) for row in ((1, 0, 0, 0, 0, 0, 0, 0),
                                                   (0, 0, 0, 0, 1, 0, 0, 0))]
     head = _scaled(rows, len(letters))
-    if not tail:
-        return head, head
-    return head, _scaled([_product(row, tail, b) for row in rows], len(letters) + len(tail))
+    return head, _scaled([_product(row, tail, b) for row in rows],
+                         len(letters) + len(tail)) if tail else head
 
 
 def _tv(e, b):
@@ -257,13 +257,15 @@ def _guard(coeffs, what):
 def _digits(x, p):
     """The p coefficients of x, an element mod 2^(Bp) - 1: the B-bit digits
     of x + H mod 2^(Bp) - 1, each less 2^(B-1), H = 2^(B-1) packed N,
-    unpacked as little-endian words of the standard size of B bits, the
-    struct code I or Q."""
+    unpacked as little-endian words of B bits: by the struct code I or Q
+    of that standard size, and 40-bit words, which have none, 5 bytes at
+    a time."""
     b = _digit_bits(p)
-    mask = (1 << b * p) - 1
-    x = (x + (mask // ((1 << b) - 1) << (b - 1))) % mask
-    return [c - (1 << (b - 1))
-            for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", x.to_bytes(b * p // 8, "little"))]
+    mask, h = (1 << b * p) - 1, 1 << (b - 1)
+    raw = ((x + mask // ((1 << b) - 1) * h) % mask).to_bytes(b * p // 8, "little")
+    if b == 40:
+        return [int.from_bytes(raw[i:i + 5], "little") - h for i in range(0, 5 * p, 5)]
+    return [c - h for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", raw)]
 
 
 def _zero_test(x, p, what, label):
@@ -312,7 +314,8 @@ def knot_elements(knot):
       tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
       16/F (h = 4g is the s + 1 of ``curve``);
     - estimate (b), the implicit-function formula for [g^2] I_lam along
-      the curve, with no division: phi_u (lam_ss - D) = lam_u phi_ss;
+      the curve, phi_u (lam_ss - D) = lam_u phi_ss, by its two factors:
+      lam_u = 0 and lam_ss = D;
     - Wada's double zero: n = det Phi(dr/dx) at t_Wada = i(1 + e) is
       n_ss e^2 + O(e^3), and 4 P(1) = -n_ss;
     - the paper's identity P(1)^2 F = 1/(u_k u_{kr}), r = q^-1 mod p:
@@ -332,12 +335,11 @@ def knot_elements(knot):
 
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = _image(knot.word.letters, b, tail)
-    (w11_0, w11_d, w11_s, w11_ss), (w12_0, w12_d, w12_s, w12_ss) = w[0], w[1]
+    (w11_0, w11_d, w11_s, _), (w12_0, w12_d, w12_s, _) = w[:2]
     # a zero test does not see the factor t^m, which permutes coefficients
     zero(w11_0 + 2 * w12_0, "phi at g^0")
     zero(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
     phi_d = fold((w11_d + 2 * w12_d) << unword)  # 1 - s = 2 - 4g
-    phi_ss = fold((w11_ss + 2 * w12_ss - 4 * w12_s) << unword)
     # Riley's smoothness at every u_k: (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, times t
     zero((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d - (p << b * ((p + 3) // 2)),
          "phi_u closed form")
@@ -359,11 +361,11 @@ def knot_elements(knot):
     lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
     zero(lam_s, "tr L at g^1")
     d = fold(l01_s * l10_s - l00[2] * l11[2])
-    zero(fold(phi_d * (lam_ss - d) - lam_d * phi_ss), "estimate (b)")
+    zero(lam_d, "tr L at du")
+    zero(lam_ss - d, "estimate (b)")
 
-    one = 1 << b * (p + 1)  # the Fox walk's 1, at OFF = p + 1
-    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from OFF to 0
-                    for jet in _fox_jets(knot.word, b, one))
+    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from the Fox walk's 1, at OFF, to 0
+                    for jet in _fox_jets(knot.word, b, 1 << b * (p + 1)))
     zero(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
     zero(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0], "Wada's numerator at e^1")
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
@@ -444,7 +446,8 @@ def read(elements):
     margin is below MIN_MARGIN_BITS gets its RecordError in place of a
     Reading."""
     n_bits, d_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
-    p, half = len(elements[0]), (len(elements[0]) + 1) // 2
+    p = len(elements[0])
+    half = (p + 1) // 2
     width = READOUT_BITS + max(n_bits, d_bits) + 1  # K
     lane, mask = 1 << (width - 1), (1 << width) - 1
     packed = [(x + (y << width)) << (e > 0)  # c_-e = c_e: twice for e > 0

@@ -47,7 +47,7 @@ def test_spot_check_at_1001_375():
     # or two, and both guards of the exact pass have headroom there: the
     # least readout margin is above MIN_MARGIN_BITS (92 bits against 64) and
     # the largest unpacked coefficient below the digit guard (14 bits
-    # against 32, half the 64-bit digits of a knot of p > 31)
+    # against 32, half the 64-bit digits of a knot of p > 131)
     p, q = 1001, 375
     guard = exact._digit_bits(p) // 2
     elements = exact.knot_elements(normalize_two_bridge(p, q))
@@ -134,9 +134,7 @@ def _pass_at_width(knot, b):
     l01 = exact._dot(r00, v01, r01, v11, fold, False)
     l10 = exact._dot(r10, v00, r11, v10, fold, False)
     d = fold(l01[1] * l10[1] - l00[2] * l11[2])
-    phi_d, phi_ss = (fold(x << unword) for x in (w[0][1] + 2 * w[1][1],
-                                                 w[0][3] + 2 * w[1][3] - 4 * w[1][2]))
-    lam_d, lam_ss = l00[1] + l11[1], l00[3] + l11[3]
+    phi_d = fold((w[0][1] + 2 * w[1][1]) << unword)
     one = 1 << b * (p + 1)
     terms = {a: [fold(x << b * (p - 1)) for x in term]
              for a, term in exact._fox_terms(knot.word, b, one).items()}
@@ -150,7 +148,6 @@ def _pass_at_width(knot, b):
         "L slots": (_dot_terms(r00, v00, r01, v10) + _dot_terms(r10, v01, r11, v11)
                     + _dot_terms(r00, v01, r01, v11, False) + _dot_terms(r10, v00, r11, v10, False)),
         "D": [[(l01[1], l10[1]), (l00[2], l11[2])]],
-        "estimate (b)": [[(phi_d, lam_ss - d), (lam_d, phi_ss)]],
         "Wada's numerator": [
             [(a[0], dd[0]), (bb[0], c[0])],
             [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
@@ -203,6 +200,14 @@ def test_intermediate_digit_headroom_at_4001_1529():
     _check_headroom(4001, 1529)
 
 
+@pytest.mark.slow
+def test_intermediate_digit_headroom_at_the_torus_knot_1001_1():
+    # over all q the largest bound of the pass is the identity step
+    # n_ss(t^2)^2 u_k u_kr at the torus knot b(p,1), about 5 bits more per
+    # doubling of p: below 2^53 at 1001/1, against 2^32 at 1001/375
+    _check_headroom(1001, 1)
+
+
 NARROW = [(p, q) for p in range(3, 32, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
@@ -212,7 +217,8 @@ def test_narrow_digits_hold_through_p_31(monkeypatch):
     # to the coefficients it has at 64 bits, every step's bound is below
     # 2^31, both elements are within the 16-bit guard, and knot_elements
     # gives the same elements at both widths, bit for bit; the first
-    # knots past the range, p = 33, take 64-bit digits
+    # knots past the range, p = 33, take 40-bit digits, through p = 131,
+    # and the knots past p = 131 64-bit digits
     assert len(NARROW) == 106
     worst, element_bits, narrow = {}, 0, []
     for p, q in NARROW:
@@ -235,11 +241,61 @@ def test_narrow_digits_hold_through_p_31(monkeypatch):
         return image(letters, b, tail)
 
     monkeypatch.setattr(exact, "_image", spy)
-    for p, q in ((31, 3), (33, 1)):
+    for p, q in ((31, 3), (33, 1), (131, 1), (133, 1)):
         exact.knot_elements(normalize_two_bridge(p, q))
-    assert widths == [32, 64]
+    assert widths == [32, 40, 40, 64]
     monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
     assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in NARROW] == narrow
+
+
+def _check_40_bit_digits(fractions, replay_at_64):
+    """The 40-bit digits of each knot of fractions, 33 <= p <= 131, proven
+    knot by knot: every step's bound at 40 bits is below 2^39, and both
+    elements are below 2^20, the guard; with replay_at_64, the pass at 40
+    bits also decodes every operand to the coefficients it has at 64
+    bits.  Returns the elements; the worst bound and the largest element
+    are printed."""
+    worst, element_bits, elements = (0, None), 0, []
+    for p, q in fractions:
+        knot = normalize_two_bridge(p, q)
+        assert exact._digit_bits(p) == 40, p
+        operands, bounds = _pass_at_width(knot, 40)
+        if replay_at_64:
+            assert operands == _pass_at_width(knot, 64)[0], (p, q)
+        worst = max(worst, *((bound.bit_length(), f"{p}/{q} {name}") for name, bound in bounds.items()))
+        elements.append(exact.knot_elements(knot))
+        element_bits = max(element_bits, *(max(map(abs, c)).bit_length() for c in elements[-1]))
+    print(f"40-bit digits: steps below 2^{worst[0]} ({worst[1]}), element coefficients "
+          f"below 2^{element_bits}")
+    assert worst[0] <= 39
+    assert element_bits <= 20
+    return elements
+
+
+def test_40_bit_digits_hold_at_the_worst_and_the_ladder_knots(monkeypatch):
+    # the tier's worst knot, b(131,1), whose identity step
+    # n_ss(t^2)^2 u_k u_kr is bounded just below 2^39, and the ladder's
+    # knots of 33 <= p <= 131: bounds and operands at both widths by
+    # _check_40_bit_digits, and knot_elements gives the same elements at
+    # 64 bits, bit for bit
+    fractions = [(131, 1), (41, 11), (61, 17), (101, 31)]
+    elements = _check_40_bit_digits(fractions, True)
+    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in fractions] == elements
+
+
+MIDDLE = [(p, q) for p in range(33, 132, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.slow
+def test_40_bit_digits_hold_for_33_through_131(monkeypatch):
+    # the same over all 1,664 fractions with 33 <= p <= 131, but for the
+    # replay at 64 bits, which the bounds make redundant and which would
+    # double the time
+    assert len(MIDDLE) == 1664
+    elements = _check_40_bit_digits(MIDDLE, False)
+    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in MIDDLE] == elements
 
 
 @pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
@@ -256,10 +312,11 @@ def test_element_beyond_the_guard_fails_every_record(monkeypatch):
     # Fox jets shifted left, n_ss has coefficients beyond the guard, half
     # the knot's digit, while still within the digit and while every zero
     # test still passes, and each record fails with that element's name:
-    # at 7/3 (32-bit digits) by 20 bits, past the 16-bit guard, and at
-    # 33/5 (64-bit digits) by 40 bits, past the 32-bit guard
+    # at 7/3 (32-bit digits) by 20 bits, past the 16-bit guard, at 33/5
+    # (40-bit digits) by 20 bits, past the 20-bit guard, and at 133/5
+    # (64-bit digits) by 40 bits, past the 32-bit guard
     fox_jets = exact._fox_jets
-    for p, q, shift, guard in ((7, 3, 20, 16), (33, 5, 40, 32)):
+    for p, q, shift, guard in ((7, 3, 20, 16), (33, 5, 20, 20), (133, 5, 40, 32)):
         def shifted(word, b, one):
             return [[val, e, ee << shift] for val, e, ee in fox_jets(word, b, one)]
 
@@ -306,6 +363,23 @@ def test_tail_off_in_its_g2_slot_fails_estimate_b(monkeypatch):
     monkeypatch.setattr(exact, "_image", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: estimate (b) fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
+
+
+def test_tail_off_in_its_du_slot_fails_tr_l_at_du(monkeypatch):
+    # estimate (b) is tested as its two factors, lam_u = 0 and
+    # lam_ss = D: the du slot of W x^(-2 sigma) alone, off by its value
+    # slot, leaves every check before them and D alone, and every record
+    # of 7/3 fails the first factor, tr L at du
+    knot = normalize_two_bridge(7, 3)
+    image = exact._image
+
+    def off(letters, b, tail=()):
+        head, ((val, du, g, gg), *others) = image(letters, b, tail)
+        return head, [(val, du + val, g, gg), *others]
+
+    monkeypatch.setattr(exact, "_image", off)
+    assert [r.error for r in compute_invariants(knot)] == [
+        "RecordError: tr L at du fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
 
 
 def test_identity_holds_with_the_mirror_fraction():
@@ -541,13 +615,14 @@ def _pack(digits):
 
 
 def test_digits_round_trip():
-    # at p = 7 (32-bit digits) and p = 33 (64-bit digits): every signed
-    # digit short of -2^(B-1) comes back, whatever multiple of 2^(Bp) - 1
-    # the int carries, and exponents fold mod p
-    for p in (7, 33):
+    # at p = 7 (32-bit digits), p = 33 (40-bit digits) and p = 133
+    # (64-bit digits): every signed digit short of -2^(B-1) comes back,
+    # whatever multiple of 2^(Bp) - 1 the int carries, and exponents fold
+    # mod p
+    for p in (7, 33, 133):
         b = exact._digit_bits(p)
         top = 2 ** (b - 1) - 1
-        digits = ([3, -1, 0, top, -top, 5, -7] * 5)[:p]
+        digits = ([3, -1, 0, top, -top, 5, -7] * 19)[:p]
         assert exact._digits(_pack(digits), p) == digits, p
         mask = (1 << b * p) - 1  # 2^(Bp) - 1 = 0
         assert exact._digits(_pack(digits) - mask, p) == digits, p
@@ -556,17 +631,17 @@ def test_digits_round_trip():
 
 
 @pytest.mark.parametrize("digits, message", [
-    # at p = 33, whose 64-bit digits have the guard 32
-    ([0] * 33, None),
-    ([5] * 33, None),
-    ([2 ** 32 - 1] * 33, None),
-    ([-(2 ** 32) + 1] * 33, None),
-    ([2 ** 32] * 33, "coefficient of 32 bits"),
-    ([-(2 ** 32)] * 33, "coefficient of 32 bits"),
+    # at p = 133, whose 64-bit digits have the guard 32
+    ([0] * 133, None),
+    ([5] * 133, None),
+    ([2 ** 32 - 1] * 133, None),
+    ([-(2 ** 32) + 1] * 133, None),
+    ([2 ** 32] * 133, "coefficient of 32 bits"),
+    ([-(2 ** 32)] * 133, "coefficient of 32 bits"),
     # at p = 7, whose 32-bit digits have the guard 16
     ([5, 5, 5, 6, 5, 5, 5], r"fails in Z\[t\]/\(t\^7 - 1\) for b\(7,3\)"),
-    # at p = 33
-    ([5] * 16 + [2 ** 32] + [5] * 16, "coefficient of 32 bits"),
+    # at p = 133, then p = 33, whose 40-bit digits have the guard 20
+    ([5] * 66 + [2 ** 32] + [5] * 66, "coefficient of 32 bits"),
     ([5] * 16 + [6] + [5] * 16, r"fails in Z\[t\]/\(t\^33 - 1\) for b\(33,5\)"),
     # at p = 7
     ([0] * 7, None),
@@ -575,6 +650,15 @@ def test_digits_round_trip():
     ([2 ** 16] * 7, "coefficient of 16 bits"),
     ([-(2 ** 16)] * 7, "coefficient of 16 bits"),
     ([5, 5, 5, 2 ** 16, 5, 5, 5], "coefficient of 16 bits"),
+    # at p = 33
+    ([0] * 33, None),
+    ([2 ** 20 - 1] * 33, None),
+    ([-(2 ** 20) + 1] * 33, None),
+    ([2 ** 20] * 33, "coefficient of 20 bits"),
+    ([-(2 ** 20)] * 33, "coefficient of 20 bits"),
+    ([5] * 16 + [2 ** 20] + [5] * 16, "coefficient of 20 bits"),
+    # at p = 133
+    ([5] * 66 + [6] + [5] * 66, r"fails in Z\[t\]/\(t\^133 - 1\) for b\(133,5\)"),
 ])
 def test_zero_test_outcomes(digits, message):
     # an element of a knot of p = len(digits) passes exactly when its
@@ -582,7 +666,7 @@ def test_zero_test_outcomes(digits, message):
     # digit width, whatever multiple of 2^(Bp) - 1 its int carries; a
     # failure names the guard where a coefficient is beyond it
     p = len(digits)
-    label = {7: "b(7,3)", 33: "b(33,5)"}[p]
+    label = {7: "b(7,3)", 33: "b(33,5)", 133: "b(133,5)"}[p]
     mask = (1 << exact._digit_bits(p) * p) - 1
     for x in (_pack(digits), _pack(digits) - mask, _pack(digits) + 3 * mask):
         if message is None:
@@ -593,16 +677,18 @@ def test_zero_test_outcomes(digits, message):
 
 
 @pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits"),
-                                            (2 ** 20, "coefficient of 16 bits")])
+                                            (2 ** 20, "coefficient of 16 bits"),
+                                            (2 ** 30, "coefficient of 20 bits")])
 def test_broken_letter_image_errors_every_record(break_letter, scale, message):
     # a letter kernel that breaks a zero test, or whose products outgrow
     # their digits, turns every record of the knot into an error, and a
     # comparison with it is undetermined: 7/3 against 7/5, whose 32-bit
-    # digits hold a scale below 2^31, the guard 16 past 2^16, and, for a
-    # scale beyond those digits, 33/5 against 33/7, whose 64-bit digits
-    # have the guard 32
+    # digits hold a scale below 2^31, the guard 16 past 2^16, for a larger
+    # scale 33/5 against 33/7, whose 40-bit digits have the guard 20, and,
+    # for a scale beyond those digits, 133/5 against 133/9, whose 64-bit
+    # digits have the guard 32
     break_letter(scale)
-    p, qa, qb = (7, 3, 5) if scale < 2 ** 31 else (33, 5, 7)
+    p, qa, qb = (7, 3, 5) if scale < 2 ** 21 else (33, 5, 7) if scale < 2 ** 39 else (133, 5, 9)
     a, b = normalize_two_bridge(p, qa), normalize_two_bridge(p, qb)
     records = compute_invariants(a)
     assert len(records) == (p - 1) // 2

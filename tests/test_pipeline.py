@@ -480,7 +480,7 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
 # precision of the 30-digit backend, and another zero tolerance of the
 # polynomial arithmetic
 _SOURCE_EDITS = [
-    ("exact.py", "return 32 if p <= 31 else 64", "return 64"),
+    ("exact.py", "return 32 if p <= 31 else 40 if p <= 131 else 64", "return 64"),
     ("exact.py", "READOUT_BITS = 128", "READOUT_BITS = 96"),
     ("precision.py", "ctx.dps = 30", "ctx.dps = 40"),
     ("numerics.py", "DEFAULT_ZERO_TOL = 1e-9", "DEFAULT_ZERO_TOL = 1e-10"),
