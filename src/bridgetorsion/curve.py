@@ -1,7 +1,7 @@
 """The Riley curve through a metabelian point: residual and derivatives,
 Newton continuation and trace functions on the real pair of
 ``reps.riley_images``, and the rational function F on the character
-variety, read off the exact elements of ``exact``.
+variety, read off the exact elements of ``exact`` by ``pipeline.read``.
 
 The curve is parametrized by s (hence by s + 1/s), which keeps every
 quantity of record independent of the sqrt(s) branch.  Near the metabelian
@@ -14,7 +14,8 @@ tr L - 2 = -det(L - I) on SL2, so [h^2] I_lam = -det([h^1] L).
 from collections import namedtuple
 
 from .errors import NewtonDivergence, RecordError, SingularPoint, ZeroParameter
-from .exact import knot_elements, read
+from .exact import knot_elements
+from .pipeline import read
 from .precision import DOUBLE
 from .reps import metabelian_u, riley_images, word_product
 from .words import longitude_word
@@ -187,7 +188,7 @@ def continue_riley_curve(knot, kprime, h, prec=DOUBLE, seed=None):
 def evaluate_F(knot, kprime):
     """The rational function (I_lam^2-4)/(I_muhat^2-4) * (dI_muhat/dI_lam)^2
     at the metabelian character chi_{rho_{k'}}, as 1/[h^2] I_lam: the
-    ``exact.Reading`` of index k', whose f_value is F.  The knot's exact
+    ``pipeline.Reading`` of index k', whose f_value is F.  The knot's exact
     elements (``exact.knot_elements``) hold the two estimates equal at
     every index: (a) -det([h^1] L) of the longitude image, and (b) the
     implicit-function formula L_ss - L_u phi_ss / phi_u.  1/F is

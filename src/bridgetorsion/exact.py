@@ -1,5 +1,6 @@
 """P(1) and F of a two-bridge knot for every index at once, exactly, in
-Z[t]/(t^p - 1), and the records' floats read off at the roots of unity.
+Z[t]/(t^p - 1): the two elements that ``pipeline.read`` reads off at the
+roots of unity.
 
 At the metabelian point the real pair of ``reps.riley_images`` has entries
 in Z[u], and along s = -1 + 4g so have its jets: r = sqrt(-s) =
@@ -41,31 +42,12 @@ different numbers of letters y^+-1, to which homogenizing would give
 different powers of t.  Its 1 sits at OFF = p + 1, above any u-degree it
 reaches ((p + 1)/2, after the step by Phi(y)), so
 u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
-
-Readout: the elements read are real, so at t = zeta^m an element is
-sum c_e cos(2 pi e m / p), an integer dot product with cosines in
-READOUT_BITS fixed point.  Each cosine is within one unit, so the sum is
-within L1 = sum |c_e| units, whose bit length l ``read`` works out for
-each element; the margin is log2 of the sum over L1.  The two
-elements share one dot product per index, their coefficients packed as
-c + c' 2^K with K = READOUT_BITS + max l + 1.  No cosine exceeds
-2^READOUT_BITS, so each sum has magnitude at most L1 2^READOUT_BITS <
-2^(K - 1), and the balanced residue mod 2^K splits the packed sum into
-the two exactly.
 """
 
 import operator
 import struct
-from collections import namedtuple
-from functools import lru_cache
 
 from .errors import RecordError
-
-#: The fixed-point bits of the readout's cosines.
-READOUT_BITS = 128
-#: The least readout margin of a record, in bits: its floats are then off
-#: by less than 2^-64 relative before their final rounding.
-MIN_MARGIN_BITS = 64
 
 
 def _digit_bits(p):
@@ -395,76 +377,3 @@ def checked_elements(knot, coeffs):
     _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p,
                "P(1)^2 F u_k u_kr = 1", label)
     return coeffs
-
-
-def _atan_inv(x, one):
-    """one * atan(1/x), each term of its series truncated."""
-    total, term, k = 0, one // x, 1
-    while term:
-        total += (-1) ** (k // 2) * (term // k)
-        term //= x * x
-        k += 2
-    return total
-
-
-@lru_cache(maxsize=None)
-def _cosines(p):
-    """round(2^READOUT_BITS cos(2 pi j / p)) for j = 0..p-1, from integers
-    only, each within one unit.  It works with G guard bits: pi by Machin's
-    formula and e^(2 pi i/p) by its Taylor series are within 2^12 units of
-    2^-(READOUT_BITS + G), so the j-th power, by fixed-point products, is
-    within j 2^13 units; G = 32 + 2 log2 p puts that far below the half
-    unit of the final rounding."""
-    guard = 32 + 2 * p.bit_length()
-    work = READOUT_BITS + guard
-    one = 1 << work
-    theta = (32 * _atan_inv(5, one) - 8 * _atan_inv(239, one)) // p
-    parts, term, n = [0, 0, 0, 0], one, 0  # cos, sin, -cos, -sin
-    while term:
-        parts[n % 4] += term
-        n += 1
-        term = term * theta // (n << work)
-    c, s = parts[0] - parts[2], parts[1] - parts[3]
-    table, x, y = [0] * p, one, 0
-    for j in range(p // 2 + 1):
-        table[j] = table[-j] = (x + (1 << (guard - 1))) >> guard
-        x, y = (x * c - y * s) >> work, (x * s + y * c) >> work
-    return table
-
-
-class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
-    """A record's floats, read off at t = zeta^{k'}, and the least margin of
-    its two readouts in bits."""
-
-    __slots__ = ()
-
-
-def read(elements):
-    """The Reading of every index k' = 1..(p-1)/2, in order: P(1)^2, F and
-    tau = P(1)^2 F from the knot's elements [n_ss(t^2), D], each the
-    correctly rounded quotient of integer readouts.  An index whose
-    margin is below MIN_MARGIN_BITS gets its RecordError in place of a
-    Reading."""
-    n_bits, d_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
-    p = len(elements[0])
-    half = (p + 1) // 2
-    width = READOUT_BITS + max(n_bits, d_bits) + 1  # K
-    lane, mask = 1 << (width - 1), (1 << width) - 1
-    packed = [(x + (y << width)) << (e > 0)  # c_-e = c_e: twice for e > 0
-              for e, x, y in zip(range(half), *elements)]
-    table, readings = _cosines(p), []
-    for kprime in range(1, half):
-        cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)
-        total = sum(map(operator.mul, packed, cos))
-        n_t = ((total + lane) & mask) - lane
-        d_t = (total - n_t) >> width
-        margin = min(READOUT_BITS, abs(n_t).bit_length() - 1 - n_bits,
-                     abs(d_t).bit_length() - 1 - d_bits)
-        if margin < MIN_MARGIN_BITS:
-            readings.append(RecordError(f"readout margin {margin} bits at k' = {kprime}, "
-                                        f"below {MIN_MARGIN_BITS}"))
-        else:  # P(1) = -n/4 and F = 16/D, in units of 2^-READOUT_BITS
-            readings.append(Reading(n_t * n_t / (1 << (2 * READOUT_BITS + 4)),
-                                    (1 << (READOUT_BITS + 4)) / d_t,
-                                    n_t * n_t / (d_t << READOUT_BITS), margin))
-    return readings

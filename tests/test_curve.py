@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bridgetorsion import curve, exact
+from bridgetorsion import curve, exact, pipeline
 from bridgetorsion.alexander import p_at_one
 from bridgetorsion.curve import (
     Jet2,
@@ -297,7 +297,7 @@ def test_double_zero_structure():
     # and its h^2 coefficient (= 1/F) is finite and nonzero
     for p, q in CENSUS:
         knot = normalize_two_bridge(p, q)
-        for kp, reading in enumerate(exact.read(exact.knot_elements(knot)), 1):
+        for kp, reading in enumerate(pipeline.read(exact.knot_elements(knot)), 1):
             h2 = 1 / reading.f_value
             assert 1e-3 < abs(h2) < 1e6, (p, q, kp)
 
@@ -345,7 +345,7 @@ def test_evaluate_F_figure_eight():
     for kp in (1, 2):
         est = evaluate_F(knot, kp)
         assert abs(est.f_value - 0.2) < 1e-6
-        assert est.margin_bits >= exact.MIN_MARGIN_BITS
+        assert est.margin_bits >= pipeline.MIN_MARGIN_BITS
 
 
 def test_evaluate_F_torus():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from bridgetorsion import exact
+from bridgetorsion import exact, pipeline
 from bridgetorsion.errors import RecordError
 from bridgetorsion.pipeline import (
     compare_knots,
@@ -34,10 +34,10 @@ def test_census_passes_every_zero_test():
     # each tau is the 50-digit lens value to within a rounding or two
     assert len(CENSUS_25) == 68
     for p, q in CENSUS_25:
-        readings = exact.read(exact.knot_elements(normalize_two_bridge(p, q)))
+        readings = pipeline.read(exact.knot_elements(normalize_two_bridge(p, q)))
         for k in range(1, (p - 1) // 2 + 1):
             reading = readings[metabelian_pairing(p, k) - 1]
-            assert reading.margin_bits >= exact.MIN_MARGIN_BITS, (p, q, k)
+            assert reading.margin_bits >= pipeline.MIN_MARGIN_BITS, (p, q, k)
             want = _lens_50(p, q, k)
             assert abs(reading.tau - want) <= 4e-16 * want, (p, q, k)
 
@@ -51,17 +51,17 @@ def test_spot_check_at_1001_375():
     p, q = 1001, 375
     guard = exact._digit_bits(p) // 2
     elements = exact.knot_elements(normalize_two_bridge(p, q))
-    readings = exact.read(elements)
-    margin = exact.READOUT_BITS
+    readings = pipeline.read(elements)
+    margin = pipeline.READOUT_BITS
     for k in range(1, (p - 1) // 2 + 1):
         reading = readings[metabelian_pairing(p, k) - 1]
         margin = min(margin, reading.margin_bits)
         want = _lens_50(p, q, k)
         assert abs(reading.tau - want) <= 4e-16 * want, k
     coefficient_bits = max(max(map(abs, c)).bit_length() for c in elements)
-    print(f"1001/375 headroom: margin {margin} bits against {exact.MIN_MARGIN_BITS}, "
+    print(f"1001/375 headroom: margin {margin} bits against {pipeline.MIN_MARGIN_BITS}, "
           f"coefficients {coefficient_bits} bits against {guard}")
-    assert margin > exact.MIN_MARGIN_BITS
+    assert margin > pipeline.MIN_MARGIN_BITS
     assert coefficient_bits < guard
 
 
@@ -532,10 +532,10 @@ def test_scale_closed_forms():
 def test_cosine_table_matches_mpmath():
     # each entry within its stated bound, one unit of 2^-READOUT_BITS; the
     # rounding alone leaves 1/2
-    scale = mpmath.mpf(2) ** exact.READOUT_BITS
+    scale = mpmath.mpf(2) ** pipeline.READOUT_BITS
     with mpmath.workdps(50):
         for p in (3, 5, 7, 25, 61, 101, 131, 301):
-            table = exact._cosines(p)
+            table = pipeline._cosines(p)
             assert len(table) == p
             for j, c in enumerate(table):
                 assert abs(c - scale * mpmath.cos(2 * mpmath.pi * j / p)) <= 0.5 + 1e-3, (p, j)
@@ -557,7 +557,7 @@ def _peak(p, kprime, sign, rng):
     l - 1) in magnitude, l the bit length of its L1: c_0 = +-(2^31 - 1),
     the largest coefficient the digit guard passes, and the others of
     mixed signs, each with the sign of its cosine at k'."""
-    table, top = exact._cosines(p), 2 ** 31 - 1
+    table, top = pipeline._cosines(p), 2 ** 31 - 1
     head = [top] + [rng.randrange(1, 2 ** 24) * (1 if table[e * kprime % p] > 0 else -1)
                     for e in range(1, (p + 1) // 2)]
     return [sign * c for c in _symmetric(head)]
@@ -575,7 +575,7 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
     # both signs up to 2^31 - 1, and the flat one sums to about 0, so its
     # margin fails at every index
     rng, top, half = random.Random(p), 2 ** 31 - 1, (p + 1) // 2
-    table = exact._cosines(p)
+    table = pipeline._cosines(p)
     peaks = [_peak(p, rng.randrange(1, half), sign, rng) for sign in (1, -1)]
     wide = [_symmetric([rng.randint(-top, top) for _ in range(half)]) for _ in range(2)]
     flat = [top] * p
@@ -583,28 +583,28 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
                                                    (peaks[0], flat), (flat, wide[0])]
     setters = set()
     for pair in pairs:
-        readings = exact.read(list(pair))
+        readings = pipeline.read(list(pair))
         assert len(readings) == half - 1
         bits = [sum(map(abs, c)).bit_length() for c in pair]  # of each L1
         for kprime, reading in enumerate(readings, 1):
             sums = [_readout(c, kprime, table) for c in pair]
             margins = [abs(total).bit_length() - 1 - l for total, l in zip(sums, bits)]
-            margin = min([exact.READOUT_BITS] + margins)
-            if margin < exact.MIN_MARGIN_BITS:
+            margin = min([pipeline.READOUT_BITS] + margins)
+            if margin < pipeline.MIN_MARGIN_BITS:
                 assert isinstance(reading, RecordError), (p, kprime)
                 assert str(reading) == (f"readout margin {margin} bits at k' = {kprime}, "
-                                        f"below {exact.MIN_MARGIN_BITS}")
+                                        f"below {pipeline.MIN_MARGIN_BITS}")
                 continue
             setters.update(lane for lane, m in enumerate(margins) if m == margin)
-            (n, d), r = sums, exact.READOUT_BITS
-            assert reading == exact.Reading(n * n / (1 << (2 * r + 4)), (1 << (r + 4)) / d,
-                                            n * n / (d << r), margin), (p, kprime)
+            (n, d), r = sums, pipeline.READOUT_BITS
+            assert reading == pipeline.Reading(n * n / (1 << (2 * r + 4)), (1 << (r + 4)) / d,
+                                               n * n / (d << r), margin), (p, kprime)
     assert setters == {0, 1}, p
     # the peaks reach 2^(READOUT_BITS + l - 1), where a lane one bit narrower wraps
     for c in peaks:
         bits = sum(map(abs, c)).bit_length()
         peak = max(abs(_readout(c, kprime, table)) for kprime in range(1, half))
-        assert peak >> (exact.READOUT_BITS + bits - 1)
+        assert peak >> (pipeline.READOUT_BITS + bits - 1)
 
 
 def _pack(digits):
@@ -699,7 +699,7 @@ def test_broken_letter_image_errors_every_record(break_letter, scale, message):
 
 def test_readout_margin_below_the_bound_is_an_error(monkeypatch):
     # a record whose readout margin is below MIN_MARGIN_BITS is refused
-    monkeypatch.setattr(exact, "MIN_MARGIN_BITS", exact.READOUT_BITS)
+    monkeypatch.setattr(pipeline, "MIN_MARGIN_BITS", pipeline.READOUT_BITS)
     records = compute_invariants(normalize_two_bridge(7, 3))
     assert len(records) == 3
     assert all(not r.ok and "readout margin" in r.error for r in records)

@@ -4,7 +4,7 @@ come from its own word."""
 
 import pytest
 
-from bridgetorsion import exact
+from bridgetorsion import exact, pipeline
 from bridgetorsion.alexander import wada_twisted_alexander
 from bridgetorsion.curve import RileyPoint
 from bridgetorsion.oracles import LensSpace
@@ -19,7 +19,7 @@ def _instances():
     return [
         knot,
         LensSpace.of(7, 3),
-        exact.read(exact.knot_elements(knot))[0],
+        pipeline.read(exact.knot_elements(knot))[0],
         compute_invariants(knot)[0],
         compare_knots(knot, normalize_two_bridge(7, 5)),
         metabelian_pair(7, 1),

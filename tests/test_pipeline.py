@@ -52,7 +52,7 @@ def test_figure_eight_records():
         assert abs(r.tau - r.cross_check) <= 1e-6
         prod = r.p1_squared * r.f_value
         assert abs(prod.imag) <= 1e-6 * r.tau
-        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
+        assert r.diagnostics["margin_bits"] >= pipeline.MIN_MARGIN_BITS
 
 
 def test_torus_records_match_closed_forms():
@@ -61,7 +61,7 @@ def test_torus_records_match_closed_forms():
     for p in range(3, 26, 2):
         for r in compute_invariants(normalize_two_bridge(p, 1)):
             assert r.ok, (p, r.k, r.error)
-            assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
+            assert r.diagnostics["margin_bits"] >= pipeline.MIN_MARGIN_BITS
             p1sq, f = torus_P1_squared(p, r.k), torus_F(p)
             assert abs(r.p1_squared - p1sq) <= 1e-6 * p1sq, (p, r.k)
             assert abs(r.f_value - f) <= 1e-6 * f, (p, r.k)
@@ -78,7 +78,7 @@ def test_trefoil_uses_closed_form_with_generic_crosscheck():
     r = records[0]
     assert r.ok
     assert abs(r.tau - 1 / 9) <= 1e-9
-    assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
+    assert r.diagnostics["margin_bits"] >= pipeline.MIN_MARGIN_BITS
     assert abs(r.tau - r.cross_check) <= 1e-5 * r.tau
 
 
@@ -89,7 +89,7 @@ def test_force_generic_on_torus():
     assert len(records) == 2
     for r in records:
         assert r.ok
-        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS
+        assert r.diagnostics["margin_bits"] >= pipeline.MIN_MARGIN_BITS
         expected = 1 / (4 * math.sin(r.k * math.pi / 5) ** 2) ** 2
         assert abs(r.tau - expected) <= 1e-6 * expected
 
@@ -481,7 +481,7 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
 # polynomial arithmetic
 _SOURCE_EDITS = [
     ("exact.py", "return 32 if p <= 31 else 40 if p <= 131 else 64", "return 64"),
-    ("exact.py", "READOUT_BITS = 128", "READOUT_BITS = 96"),
+    ("pipeline.py", "READOUT_BITS = 128", "READOUT_BITS = 96"),
     ("precision.py", "ctx.dps = 30", "ctx.dps = 40"),
     ("numerics.py", "DEFAULT_ZERO_TOL = 1e-9", "DEFAULT_ZERO_TOL = 1e-10"),
 ]
@@ -887,7 +887,7 @@ def test_large_torus_knots_run_in_double(q):
         assert r.ok, r.k
         expected = torus_P1_squared(q, r.k) * torus_F(q)
         assert abs(r.tau - expected) <= 1e-9 * expected, r.k
-        assert r.diagnostics["margin_bits"] >= exact.MIN_MARGIN_BITS, r.k
+        assert r.diagnostics["margin_bits"] >= pipeline.MIN_MARGIN_BITS, r.k
 
 
 def test_b301_1_meets_torus_closed_forms():
