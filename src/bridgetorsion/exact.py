@@ -55,9 +55,11 @@ def _digit_bits(p):
     through p = 31, where every coefficient the pass forms is below 2^28
     and both elements' below 2^14, 40 through p = 131, where they are
     below 2^39 and 2^20 (tests bound each product of each knot by
-    |(xy)_e| <= ||x||_inf ||y||_1), and 64 above.  The digit guard is
-    B/2: an unpacked coefficient has fewer bits, and one that outgrew its
-    B bits shows as its balanced residue mod 2^B, which passes only if it
+    |(xy)_e| <= ||x||_inf ||y||_1), and 64 above, where the steps of
+    ``knot_elements`` stay below 2^39 through b(2001,1); the identity of
+    ``checked_elements`` sizes its own digits.  The digit guard is B/2:
+    an unpacked coefficient has fewer bits, and one that outgrew its B
+    bits shows as its balanced residue mod 2^B, which passes only if it
     lies within 2^(B/2) of 0."""
     return 32 if p <= 31 else 40 if p <= 131 else 64
 
@@ -165,7 +167,7 @@ def _divide(jets, b, p, label):
         xss, rss = divmod(yss - (x0 << b + 4), d)
         if r0 or rd or rs or rss:
             for y in (y0, yd, ys, yss):
-                _guard(_digits(y, p), "C W C")
+                _guard(_digits(y, p, b), b // 2, "C W C")
             raise RecordError(f"rho(<-w) = C W C / c fails in Z[t] for {label}")
         yield x0, xd, xs, xss + (xs << 2)
 
@@ -228,41 +230,38 @@ def _fold(x, bits):
     return x
 
 
-def _guard(coeffs, what):
+def _guard(coeffs, bits, what):
     """RecordError where one of a knot's p coefficients fails its digit
-    guard, B/2 bits."""
-    bits = _digit_bits(len(coeffs)) // 2
+    guard of bits bits, B/2."""
     if max(map(abs, coeffs)) >> bits:
         raise RecordError(f"{what} has a coefficient of {bits} bits or more")
 
 
-def _digits(x, p):
-    """The p coefficients of x, an element mod 2^(Bp) - 1: the B-bit digits
-    of x + H mod 2^(Bp) - 1, each less 2^(B-1), H = 2^(B-1) packed N,
-    unpacked as little-endian words of B bits: by the struct code I or Q
-    of that standard size, and 40-bit words, which have none, 5 bytes at
-    a time."""
-    b = _digit_bits(p)
-    mask, h = (1 << b * p) - 1, 1 << (b - 1)
-    raw = ((x + mask // ((1 << b) - 1) * h) % mask).to_bytes(b * p // 8, "little")
-    if b == 40:
-        return [int.from_bytes(raw[i:i + 5], "little") - h for i in range(0, 5 * p, 5)]
-    return [c - h for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", raw)]
+def _digits(x, p, b):
+    """The p coefficients of x, an element mod 2^(bp) - 1 packed in b-bit
+    digits, b a multiple of 8: the digits of x + H mod 2^(bp) - 1, each
+    less 2^(b-1), H = 2^(b-1) packed N, unpacked as little-endian words of
+    b bits: by the struct code I or Q of that standard size, and other
+    widths, which have none, b/8 bytes at a time."""
+    mask, h, n = (1 << b * p) - 1, 1 << (b - 1), b // 8
+    raw = ((x + mask // ((1 << b) - 1) * h) % mask).to_bytes(n * p, "little")
+    if b in (32, 64):
+        return [c - h for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", raw)]
+    return [int.from_bytes(raw[i:i + n], "little") - h for i in range(0, n * p, n)]
 
 
-def _zero_test(x, p, what, label):
-    """RecordError unless the element x mod 2^(Bp) - 1 vanishes at every
-    p-th root of unity but 1: its coefficients are equal, and within the
-    digit guard.  They are equal exactly when x is a multiple of the packed
-    N = 1 + t + ... + t^(p-1), and then the quotient, balanced mod
-    2^B - 1, is their value; the coefficients are unpacked only to name a
-    failure."""
-    b = _digit_bits(p)
-    bits, digit = b * p, (1 << b) - 1
+def _zero_test(x, p, b, what, label):
+    """RecordError unless the element x mod 2^(bp) - 1, packed in b-bit
+    digits, vanishes at every p-th root of unity but 1: its coefficients
+    are equal, and within the digit guard of the knot's width B.  They are
+    equal exactly when x is a multiple of the packed N = 1 + t + ... +
+    t^(p-1), and then the quotient, balanced mod 2^b - 1, is their value;
+    the coefficients are unpacked only to name a failure."""
+    bits, digit, guard = b * p, (1 << b) - 1, _digit_bits(p) // 2
     c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
-    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << b // 2:
+    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << guard:
         return
-    _guard(_digits(x, p), what)
+    _guard(_digits(x, p, b), guard, what)
     raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
 
 
@@ -313,7 +312,7 @@ def knot_elements(knot):
         return x
 
     def zero(x, what):  # _zero_test at this knot
-        _zero_test(x, p, what, label)
+        _zero_test(x, p, b, what, label)
 
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = _image(knot.word.letters, b, tail)
@@ -351,9 +350,9 @@ def knot_elements(knot):
     zero(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
     zero(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0], "Wada's numerator at e^1")
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
-                   - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p)
+                   - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, b)
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)
-    return checked_elements(knot, [n2, _digits(d, p)])
+    return checked_elements(knot, [n2, _digits(d, p, b)])
 
 
 def checked_elements(knot, coeffs):
@@ -363,17 +362,26 @@ def checked_elements(knot, coeffs):
     a float is not one), each within the digit guard and symmetric under
     t -> 1/t, as an element of Z[u] is, and the paper's identity
     n_ss(t^2)^2 u(t^2) u(t^2r) = D holds in Z[t]/(t^p - 1).  Computed
-    elements and cached ones pass this one check."""
+    elements and cached ones pass this one check.  u(t^2) u(t^2r) has L1
+    norm 16, so the tested element's coefficients are within
+    16 ||n2||_inf ||n2||_1 + ||D||_inf: the identity is packed at the
+    knot's width B while that bound is below 2^(B-1), and otherwise at the
+    least multiple of 8 bits whose signed digit holds it, so that its zero
+    test is sound for any p and any entry."""
     p, b, label = knot.p, _digit_bits(knot.p), knot.label
     if not (type(coeffs) is list and len(coeffs) == 2 and all(
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
         raise RecordError(f"the elements of {label} are not two lists of {p} ints")
     for what, c in zip(("4 P(1)", "16/F"), coeffs):
-        _guard(c, what)
+        _guard(c, b // 2, what)
         if c[1:] != c[:0:-1]:
             raise RecordError(f"{what} of {label} is not real")
+    n2, d = coeffs
+    bound = 16 * max(map(abs, n2)) * sum(map(abs, n2)) + max(map(abs, d))
+    if bound >> (b - 1):
+        b = bound.bit_length() + 8 & -8
     n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs)
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
-    _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p,
+    _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p, b,
                "P(1)^2 F u_k u_kr = 1", label)
     return coeffs

@@ -154,9 +154,8 @@ class AcceptanceSuite:
         worst_tau, worst_f = 0.0, 0.0
         for q in (3, 5, 7):
             for r in self.records(q, 1):
-                expected = 1.0 / (4 * math.sin(r.k * math.pi / q) ** 2) ** 2
-                worst_tau = max(worst_tau, _rel(r.tau, expected))
-                worst_f = max(worst_f, _rel(r.f_value, 1.0 / q ** 2))
+                worst_tau = max(worst_tau, _rel(r.tau, torus_P1_squared(q, r.k) * torus_F(q)))
+                worst_f = max(worst_f, _rel(r.f_value, torus_F(q)))
         elapsed = time.perf_counter() - t0
         ok = worst_tau <= 1e-6 and worst_f <= 1e-5 and elapsed < 10.0
         return CriterionResult(

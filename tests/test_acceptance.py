@@ -27,8 +27,8 @@ def test_criterion_fails_when_its_zero_test_fails(monkeypatch, number, check):
     # names it, and the criterion fails, naming a knot
     zero_test = exact._zero_test
 
-    def off(x, p, what, label):
-        zero_test(x + 1 if what == check else x, p, what, label)
+    def off(x, p, b, what, label):
+        zero_test(x + 1 if what == check else x, p, b, what, label)
 
     monkeypatch.setattr(exact, "_zero_test", off)
     for r in compute_invariants(normalize_two_bridge(7, 3)):

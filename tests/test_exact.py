@@ -298,6 +298,73 @@ def test_40_bit_digits_hold_for_33_through_131(monkeypatch):
     assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in MIDDLE] == elements
 
 
+IDENTITY = "P(1)^2 F u_k u_kr = 1"
+
+
+def _identity_widths(monkeypatch):
+    """The digit widths at which the identity of checked_elements is
+    packed, call by call, as a spy on its zero test records them."""
+    widths, zero_test = [], exact._zero_test
+
+    def spy(x, p, b, what, label):
+        if what == IDENTITY:
+            widths.append(b)
+        zero_test(x, p, b, what, label)
+
+    monkeypatch.setattr(exact, "_zero_test", spy)
+    return widths
+
+
+def _list_bound(n2, d):
+    """16 ||n2||_inf ||n2||_1 + ||D||_inf, which bounds the coefficients of
+    n2^2 u(t^2) u(t^2r) - D, as u(t^2) u(t^2r) has L1 norm 16."""
+    return 16 * max(map(abs, n2)) * sum(map(abs, n2)) + max(map(abs, d))
+
+
+def test_identity_check_sizes_its_own_digits(monkeypatch):
+    # the identity n_ss(t^2)^2 u(t^2) u(t^2r) = D runs at the knot's own
+    # width on the census, the ladder and the 40-bit tier's worst knot,
+    # 131/1, whose list bound stays below 2^(B-1)
+    widths = _identity_widths(monkeypatch)
+    fractions = CENSUS_25 + LADDER + [(131, 1)]
+    for p, q in fractions:
+        exact.knot_elements(normalize_two_bridge(p, q))
+    assert widths == [exact._digit_bits(p) for p, q in fractions]
+    # a valid entry at 131/1 beyond the tier proofs: n2 + c N, c = 507,322,
+    # within the 20-bit guard and equal to n2 at every root read, as N
+    # vanishes there and N u = 0; its list bound of 50 bits is past the
+    # 40-bit digits, so the identity is packed at 56 bits, and it passes
+    knot = normalize_two_bridge(131, 1)
+    n2, d = exact.knot_elements(knot)
+    shifted = [x + 507_322 for x in n2]
+    assert max(map(abs, shifted)) < 1 << 20
+    assert _list_bound(shifted, d).bit_length() == 50
+    widths.clear()
+    assert exact.checked_elements(knot, [shifted, d]) == [shifted, d]
+    assert widths == [56]
+    # the same entry with one symmetric pair of D's coefficients off by one fails
+    off = list(d)
+    off[1] += 1
+    off[-1] += 1
+    with pytest.raises(RecordError, match=r"P\(1\)\^2 F u_k u_kr = 1 fails .* for b\(131,1\)"):
+        exact.checked_elements(knot, [shifted, off])
+    assert widths == [56, 56]
+
+
+@pytest.mark.slow
+def test_identity_check_widens_itself_at_4001_1(monkeypatch):
+    # the torus knot b(4001,1), whose identity step has a list bound of 64
+    # bits, one more than its 64-bit digits hold: checked_elements packs
+    # the computed elements at 72 bits, and they pass
+    widths = _identity_widths(monkeypatch)
+    knot = normalize_two_bridge(4001, 1)
+    n2, d = exact.knot_elements(knot)
+    bound = _list_bound(n2, d)
+    print(f"4001/1 identity: list bound below 2^{bound.bit_length()}, packed at {widths} bits")
+    assert exact._digit_bits(4001) == 64 and bound >> 63
+    assert widths == [72]
+
+
 @pytest.mark.parametrize("p, q, other", [(11, 3, 5), (41, 11, 3), (21, 13, 5)])
 def test_identity_fails_with_the_lens_of_another_fraction(p, q, other):
     # the identity pairs u_k with u_{kr}, r = q^-1 mod p; the r of an
@@ -493,9 +560,9 @@ def test_fox_jets_match_a_relator_walk():
                                  _relator_fox_jets(knot.relator(), b, one)))
         for got, want in zip(new, ref):
             for x, y in zip(got, want):
-                exact._zero_test(x - y, p, "Fox jets", knot.label)
+                exact._zero_test(x - y, p, b, "Fox jets", knot.label)
         assert [new[0], new[2], new[3]] == [ref[0], ref[2], ref[3]], (p, q)
-        assert all(sum(exact._digits(x, p)) == 0 for x in new[2]), (p, q)
+        assert all(sum(exact._digits(x, p, b)) == 0 for x in new[2]), (p, q)
         n_ss = [(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
                  - bb[2] * c[0]) % mask for a, bb, c, dd in (new, ref)]
         assert n_ss[0] == n_ss[1], (p, q)
@@ -623,11 +690,24 @@ def test_digits_round_trip():
         b = exact._digit_bits(p)
         top = 2 ** (b - 1) - 1
         digits = ([3, -1, 0, top, -top, 5, -7] * 19)[:p]
-        assert exact._digits(_pack(digits), p) == digits, p
+        assert exact._digits(_pack(digits), p, b) == digits, p
         mask = (1 << b * p) - 1  # 2^(Bp) - 1 = 0
-        assert exact._digits(_pack(digits) - mask, p) == digits, p
+        assert exact._digits(_pack(digits) - mask, p, b) == digits, p
         # t^p = 1: exponents fold mod p
         assert exact._fold(1 << b * (p + 2), b * p) == _pack([0, 0, 1] + [0] * (p - 3)), p
+
+
+def test_digits_unpack_any_whole_byte_width():
+    # the identity of checked_elements packs at any multiple of 8 bits its
+    # bound needs, and a failure unpacks at that width: every signed digit
+    # short of -2^(b-1) comes back, whatever multiple of 2^(bp) - 1 the
+    # int carries
+    for b in (32, 40, 48, 56, 64, 72, 96):
+        top = 2 ** (b - 1) - 1
+        digits = [3, -1, 0, top, -top, 5, -7]
+        x = sum(c << (b * e) for e, c in enumerate(digits))
+        assert exact._digits(x, 7, b) == digits, b
+        assert exact._digits(x + 5 * ((1 << b * 7) - 1), 7, b) == digits, b
 
 
 @pytest.mark.parametrize("digits, message", [
@@ -667,13 +747,14 @@ def test_zero_test_outcomes(digits, message):
     # failure names the guard where a coefficient is beyond it
     p = len(digits)
     label = {7: "b(7,3)", 33: "b(33,5)", 133: "b(133,5)"}[p]
-    mask = (1 << exact._digit_bits(p) * p) - 1
+    b = exact._digit_bits(p)
+    mask = (1 << b * p) - 1
     for x in (_pack(digits), _pack(digits) - mask, _pack(digits) + 3 * mask):
         if message is None:
-            exact._zero_test(x, p, "x", label)
+            exact._zero_test(x, p, b, "x", label)
         else:
             with pytest.raises(RecordError, match=message):
-                exact._zero_test(x, p, "x", label)
+                exact._zero_test(x, p, b, "x", label)
 
 
 @pytest.mark.parametrize("scale, message", [(1, "fails in Z"), (2 ** 40, "coefficient of 32 bits"),

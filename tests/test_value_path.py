@@ -4,13 +4,15 @@ references (numerics, precision, reps, alexander, curve) and the
 acceptance suite (selfcheck) stay out of it, and the package runs them
 only on first use.  So it does the batch catalog and cache (catalog),
 which no module imports at module level.  Nor does the package load the
-standard library's heavier modules on import."""
+standard library's heavier modules on import, and each module it
+compiles on import stays below the parser's token step."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -86,6 +88,35 @@ def test_acceptance_suite_reads_no_curve():
     readers = _module_level_imports("selfcheck") & set(FLOAT_REFERENCES)
     assert readers == {"numerics", "reps", "alexander"}
     assert not {"evaluate_F", "riley_residual", "metabelian_u"} & vars(selfcheck).keys()
+
+
+#: The parser tokens of a module past which CPython 3.11's compile peak
+#: steps up about 0.25 MB; the benchmark runs without bytecode, so a module
+#: that ``import bridgetorsion`` compiles would show it in ``peak_rss_mb``.
+PARSER_TOKEN_STEP = 4096
+
+
+def _significant_tokens(name):
+    """The tokens of module name, comments, blank lines and the encoding
+    left out."""
+    with open(PACKAGE / f"{name}.py", "rb") as f:
+        return sum(tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                   for tok in tokenize.tokenize(f.readline))
+
+
+def test_imported_modules_stay_below_the_parser_token_step():
+    # the modules ``import bridgetorsion`` compiles: the package and what
+    # it imports at module level, transitively
+    compiled, todo = set(), ["__init__"]
+    while todo:
+        name = todo.pop()
+        if name not in compiled:
+            compiled.add(name)
+            todo.extend(_module_level_imports(name))
+    assert compiled == {"__init__", "errors", "words", "exact", "oracles", "pipeline"}
+    counts = {name: _significant_tokens(name) for name in sorted(compiled)}
+    print(counts)
+    assert {name: n for name, n in counts.items() if n >= PARSER_TOKEN_STEP} == {}
 
 
 def test_no_module_imports_the_catalog():
