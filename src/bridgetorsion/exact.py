@@ -28,13 +28,14 @@ tolerance.
 
 Packing (Kronecker substitution): sum c_e t^e is the int sum c_e 2^(B e),
 signed B-bit digits, with B = 32 for p <= 31, 40 for p <= 131 and 64
-above (``_digit_bits``), sized to the coefficients the knot's pass forms.  Ring
+above (``_digit_bits``), sized to the coefficients the knot's pass
+forms; the identity check of ``checked_elements`` sizes its own.  Ring
 operations on these ints are exact integer arithmetic, so an int is its
 element at t = 2^B however large the coefficients grow on the way;
 unpacking recovers the coefficients of an element whose coefficients
-have fewer than B - 1 bits.  A word product is
-homogenized: it carries a factor t for each letter y^+-1, so u enters as
-t u = (t - 1)^2 and no power of t is negative.  It starts at the int 1,
+have fewer than B - 1 bits.  A word product is homogenized: it carries
+a factor t for each letter y^+-1, so u enters as t u = (t - 1)^2 and no
+power of t is negative.  It starts at the int 1,
 holds about j digits after j letters, and is moved back by t^-m =
 t^(p - m) for its m letters y^+-1, folded once mod 2^(Bp) - 1, where
 t^p = 1.  P(1)'s Fox walk is not homogenized: it sums prefixes with
@@ -232,7 +233,7 @@ def _fold(x, bits):
 
 def _guard(coeffs, bits, what):
     """RecordError where one of a knot's p coefficients fails its digit
-    guard of bits bits, B/2."""
+    guard, bits = B/2 bits."""
     if max(map(abs, coeffs)) >> bits:
         raise RecordError(f"{what} has a coefficient of {bits} bits or more")
 
@@ -363,7 +364,7 @@ def checked_elements(knot, coeffs):
     t -> 1/t, as an element of Z[u] is, and the paper's identity
     n_ss(t^2)^2 u(t^2) u(t^2r) = D holds in Z[t]/(t^p - 1).  Computed
     elements and cached ones pass this one check.  u(t^2) u(t^2r) has L1
-    norm 16, so the tested element's coefficients are within
+    norm at most 16, so the tested element's coefficients are within
     16 ||n2||_inf ||n2||_1 + ||D||_inf: the identity is packed at the
     knot's width B while that bound is below 2^(B-1), and otherwise at the
     least multiple of 8 bits whose signed digit holds it, so that its zero

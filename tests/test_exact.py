@@ -317,7 +317,7 @@ def _identity_widths(monkeypatch):
 
 def _list_bound(n2, d):
     """16 ||n2||_inf ||n2||_1 + ||D||_inf, which bounds the coefficients of
-    n2^2 u(t^2) u(t^2r) - D, as u(t^2) u(t^2r) has L1 norm 16."""
+    n2^2 u(t^2) u(t^2r) - D, as u(t^2) u(t^2r) has L1 norm at most 16."""
     return 16 * max(map(abs, n2)) * sum(map(abs, n2)) + max(map(abs, d))
 
 
@@ -342,6 +342,12 @@ def test_identity_check_sizes_its_own_digits(monkeypatch):
     widths.clear()
     assert exact.checked_elements(knot, [shifted, d]) == [shifted, d]
     assert widths == [56]
+    # a tested element past its digits can alias: 2^40 - t, which is not
+    # zero, packs at 40 bits to the int 0 and passes there, but not at 56
+    alias = [2 ** 40, -1] + [0] * 129
+    exact._zero_test(sum(c << (40 * e) for e, c in enumerate(alias)), 131, 40, "x", "b(131,1)")
+    with pytest.raises(RecordError, match="coefficient of 20 bits"):
+        exact._zero_test(sum(c << (56 * e) for e, c in enumerate(alias)), 131, 56, "x", "b(131,1)")
     # the same entry with one symmetric pair of D's coefficients off by one fails
     off = list(d)
     off[1] += 1
@@ -699,10 +705,10 @@ def test_digits_round_trip():
 
 def test_digits_unpack_any_whole_byte_width():
     # the identity of checked_elements packs at any multiple of 8 bits its
-    # bound needs, and a failure unpacks at that width: every signed digit
-    # short of -2^(b-1) comes back, whatever multiple of 2^(bp) - 1 the
-    # int carries
-    for b in (32, 40, 48, 56, 64, 72, 96):
+    # bound needs, and a failure unpacks at that width, which may be none
+    # of the knots' own: every signed digit short of -2^(b-1) comes back,
+    # whatever multiple of 2^(bp) - 1 the int carries
+    for b in (48, 56, 72, 96):
         top = 2 ** (b - 1) - 1
         digits = [3, -1, 0, top, -top, 5, -7]
         x = sum(c << (b * e) for e, c in enumerate(digits))
