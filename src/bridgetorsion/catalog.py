@@ -9,10 +9,11 @@ import os
 from functools import cache
 
 from .errors import RecordError, TorsionError
-from .exact import checked_elements, knot_elements
+from .exact import checked_elements
 from .pipeline import (
     compare_knots,
     invariant_records,
+    knot_pass,
     knot_report,
     serialize_report,
     tau_multiset,
@@ -82,19 +83,16 @@ def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, from the knot's elements held in the directory
     cache when the code fingerprint matches; returns (report, hit, records).
     An entry is the two coefficient lists of ``knot_elements``, and a hit
-    is one that passes ``checked_elements``; on a miss the elements are
-    computed and written, unless the exact pass fails.  Either way the
-    records are read off the elements by ``invariant_records``."""
+    is one that passes ``checked_elements``; on a miss ``knot_pass`` gives
+    the elements, which are written, or the failed pass's RecordError,
+    which is not.  Either way ``invariant_records`` reads the records."""
     base = cache_dir or default_cache_dir()
     path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
     elements = _cached_elements(path, knot)
     hit = elements is not None
     if not hit:
-        try:
-            elements = knot_elements(knot)
-        except RecordError as exc:
-            elements = exc
-        else:
+        elements = knot_pass(knot)
+        if not isinstance(elements, RecordError):
             _atomic_write(path, serialize_report(elements))
     records = invariant_records(knot, elements)
     return knot_report(knot, records), hit, records

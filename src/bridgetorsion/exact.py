@@ -168,7 +168,7 @@ def _divide(jets, b, p, label):
         xss, rss = divmod(yss - (x0 << b + 4), d)
         if r0 or rd or rs or rss:
             for y in (y0, yd, ys, yss):
-                _guard(_digits(y, p, b), b // 2, "C W C")
+                _guard(_digits(y, p, b), "C W C")
             raise RecordError(f"rho(<-w) = C W C / c fails in Z[t] for {label}")
         yield x0, xd, xs, xss + (xs << 2)
 
@@ -231,9 +231,11 @@ def _fold(x, bits):
     return x
 
 
-def _guard(coeffs, bits, what):
+def _guard(coeffs, what):
     """RecordError where one of a knot's p coefficients fails its digit
-    guard, bits = B/2 bits."""
+    guard: B/2 bits, B = _digit_bits(p) the knot's width, whatever width
+    the coefficients were unpacked at."""
+    bits = _digit_bits(len(coeffs)) // 2
     if max(map(abs, coeffs)) >> bits:
         raise RecordError(f"{what} has a coefficient of {bits} bits or more")
 
@@ -262,7 +264,7 @@ def _zero_test(x, p, b, what, label):
     c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
     if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << guard:
         return
-    _guard(_digits(x, p, b), guard, what)
+    _guard(_digits(x, p, b), what)
     raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
 
 
@@ -374,7 +376,7 @@ def checked_elements(knot, coeffs):
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
         raise RecordError(f"the elements of {label} are not two lists of {p} ints")
     for what, c in zip(("4 P(1)", "16/F"), coeffs):
-        _guard(c, b // 2, what)
+        _guard(c, what)
         if c[1:] != c[:0:-1]:
             raise RecordError(f"{what} of {label} is not real")
     n2, d = coeffs

@@ -146,48 +146,45 @@ class ComparisonVerdict(namedtuple("ComparisonVerdict", "knot_a knot_b verdict "
     __slots__ = ()
 
 
-def _record(knot, idx, lens, readings):
-    """The record of index idx, from the readings of every k'."""
-    kprime = metabelian_pairing(knot.p, idx)
-    reading = readings[kprime - 1]
+def _record(idx, kprime, lens, reading):
+    """The record of index idx, from the Reading at its k' or the
+    RecordError of the pass or of that readout; a Reading whose tau is not
+    positive fails too, as the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0."""
+    if not isinstance(reading, RecordError) and not reading.tau > 0:
+        reading = RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive")
+    oracle = lens_torsion_magnitude(lens, idx)
     if isinstance(reading, RecordError):
-        return _failed(knot, idx, lens, reading)
-    # the theorem gives P(1)^2 F = 1/(u_k u_{kr}) > 0
-    if not reading.tau > 0:
-        return _failed(knot, idx, lens,
-                       RecordError(f"P(1)^2 F = {reading.tau:.3e} is not positive"))
+        return InvariantRecord(idx, kprime, 0.0, 0.0, float("nan"), oracle,
+                               error=f"{type(reading).__name__}: {reading}")
     return InvariantRecord(idx, kprime, reading.p1_squared, reading.f_value, reading.tau,
-                           lens_torsion_magnitude(lens, idx), {"margin_bits": reading.margin_bits})
+                           oracle, {"margin_bits": reading.margin_bits})
 
 
-def _failed(knot, idx, lens, exc):
-    return InvariantRecord(idx, metabelian_pairing(knot.p, idx), 0.0, 0.0, float("nan"),
-                           lens_torsion_magnitude(lens, idx), {},
-                           f"{type(exc).__name__}: {exc}")
+def knot_pass(knot):
+    """The knot's ``knot_elements``, or the RecordError of its exact pass:
+    the one place where a failed pass becomes a value."""
+    try:
+        return knot_elements(knot)
+    except RecordError as exc:
+        return exc
 
 
 def compute_invariants(knot):
     """One InvariantRecord per k = 1..(p-1)/2, torus knots b(p, 1) included,
-    from one exact pass over the knot; a failed check of that pass fails
-    every record, and a failed readout its own record.  Failures are
-    recorded rather than raised, so partial results survive."""
-    try:
-        elements = knot_elements(knot)
-    except RecordError as exc:
-        elements = exc
-    return invariant_records(knot, elements)
+    read off the knot's ``knot_pass`` by ``invariant_records``.  Failures
+    are recorded rather than raised, so partial results survive."""
+    return invariant_records(knot, knot_pass(knot))
 
 
 def invariant_records(knot, elements):
     """The records of the knot read off its checked elements, as
-    ``knot_elements`` or ``checked_elements`` returns them, or every record
-    failed with elements where it is the RecordError of the exact pass."""
-    lens = LensSpace.of(knot.p, knot.q)
-    indices = range(1, (knot.p - 1) // 2 + 1)
-    if isinstance(elements, RecordError):
-        return [_failed(knot, idx, lens, elements) for idx in indices]
-    readings = read(elements)
-    return [_record(knot, idx, lens, readings) for idx in indices]
+    ``knot_pass`` or ``checked_elements`` returns them.  Where elements is
+    the RecordError of the exact pass, every record fails with it, and a
+    failed readout fails its own record."""
+    lens, half = LensSpace.of(knot.p, knot.q), (knot.p - 1) // 2
+    readings = [elements] * half if isinstance(elements, RecordError) else read(elements)
+    kprimes = [metabelian_pairing(knot.p, idx) for idx in range(1, half + 1)]
+    return [_record(idx, kp, lens, readings[kp - 1]) for idx, kp in enumerate(kprimes, 1)]
 
 
 def tau_multiset(records):

@@ -13,7 +13,6 @@ from collections import namedtuple
 
 from .alexander import wada_twisted_alexander
 from .errors import RecordError
-from .exact import knot_elements
 from .numerics import LaurentPoly, units_equal
 from .oracles import (
     LensSpace,
@@ -26,6 +25,7 @@ from .pipeline import (
     compare_knots,
     format_deviation,
     invariant_records,
+    knot_pass,
     tau_multiset,
 )
 from .reps import metabelian_rep
@@ -61,12 +61,9 @@ class AcceptanceSuite:
         self._elements, self._records = {}, {}
 
     def elements(self, p, q):
-        """The fraction's ``knot_elements``, or the RecordError of its pass."""
+        """The fraction's ``knot_pass``: its elements or its pass's RecordError."""
         if (p, q) not in self._elements:
-            try:
-                self._elements[p, q] = knot_elements(normalize_two_bridge(p, q))
-            except RecordError as exc:
-                self._elements[p, q] = exc
+            self._elements[p, q] = knot_pass(normalize_two_bridge(p, q))
         return self._elements[p, q]
 
     def records(self, p, q):

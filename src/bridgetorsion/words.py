@@ -224,8 +224,6 @@ def normalize_two_bridge(p, q):
     if q0 % 2 == 0:
         q0 = p - q0
         mirror = not mirror
-    if not 0 < q0 < p:
-        raise InvalidFraction(f"q = {q} has no odd representative modulo {2 * p}")
     w = build_relator_word(p, q0)
     knot = TwoBridgeKnot(p, q0, w, w.exponent_sum(), mirror)
     det = knot_determinant(knot)

@@ -48,7 +48,6 @@ def test_suite_runs_one_exact_pass_per_knot(monkeypatch):
         return exact.knot_elements(knot)
 
     monkeypatch.setattr(pipeline, "knot_elements", counted)
-    monkeypatch.setattr(selfcheck, "knot_elements", counted)
     assert all(r.ok for r in AcceptanceSuite().run_all())
     assert len(calls) == len(set(calls)) == 24 == len(selfcheck.CENSUS_FRACTIONS)
 
@@ -74,3 +73,19 @@ def test_suite_reads_each_knot_once(monkeypatch, break_letter):
     records = failed.records(5, 3)
     assert not any(r.ok for r in records) and failed.records(5, 3) is records
     assert len(calls) == 24
+
+
+def test_criterion_8_names_the_pair_whose_routes_disagree(monkeypatch):
+    # Wada's y-route off by the non-unit factor 2 at 7/3 fails the unit
+    # comparison at each of its indices; the criterion names the last
+    wada = selfcheck.wada_twisted_alexander
+
+    def skewed(knot, rho, by="x"):
+        result = wada(knot, rho, by=by)
+        if (knot.p, knot.q, by) == (7, 3, "y"):
+            return result._replace(reduced=result.reduced * 2)
+        return result
+
+    monkeypatch.setattr(selfcheck, "wada_twisted_alexander", skewed)
+    result = AcceptanceSuite().criterion_8()
+    assert not result.ok and result.detail == "mismatch at (7, 3, 3)", result.line

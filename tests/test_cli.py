@@ -227,3 +227,37 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "0.2" in proc.stdout
+
+
+def test_invariants_table_prints_an_error_row_per_record(capsys, break_letter):
+    # a failed exact pass fails every record: the table prints each as one
+    # ERROR row, k and k' kept, and the command exits 2
+    break_letter()
+    code, out, err = run_cli(capsys, ["invariants", "7/3"])
+    error = "ERROR: RecordError: rho(<-w) = C W C / c fails in Z[t] for b(7,3)"
+    assert code == 2 and err == ""
+    assert out.splitlines()[2:] == [f"  1   3  {error}", f"  2   1  {error}",
+                                    f"  3   2  {error}"]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_catalog_prints_each_same_determinant_verdict(tmp_path, capsys, break_letter, broken):
+    # 7/3 and 7/5 are one knot up to mirror, 11/3 and 11/5 two; with the
+    # exact pass broken every record fails and both verdicts are undetermined
+    if broken:
+        break_letter()
+    csv_path = tmp_path / "pairs.csv"
+    csv_path.write_text("7,3\n7,5\n11,3\n11,5\n")
+    code, out, err = run_cli(capsys, ["catalog", str(csv_path), "--cache", str(tmp_path / "c")])
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 3
+    if broken:
+        assert code == 2
+        assert lines == ["computed 4 knots, 0 bad rows, 16 record errors",
+                         "  b(7,3) vs b(7,5): undetermined (dev n/a)",
+                         "  b(11,3) vs b(11,5): undetermined (dev n/a)"]
+    else:
+        assert code == 0
+        assert lines[:2] == ["computed 4 knots, 0 bad rows, 0 record errors",
+                             "  b(7,3) vs b(7,5): equivalent-up-to-mirror (dev 0.00e+00)"]
+        assert lines[2].startswith("  b(11,3) vs b(11,5): distinct (dev ")

@@ -442,3 +442,11 @@ def test_mu_muhat_change_of_variable_identity():
         lhs = 4 * (lam0 ** 2 - 4) / (imu(s0) ** 2 - 4) * (d_mu / d_lam) ** 2
         rhs = (lam0 ** 2 - 4) / (imuhat(s0) ** 2 - 4) * (d_muhat / d_lam) ** 2
         assert abs(lhs - rhs) < 1e-5 * max(abs(lhs), abs(rhs))
+
+
+def test_evaluate_F_raises_its_readout_error(monkeypatch):
+    # a margin bound at the readout's full width fails the readout, and
+    # evaluate_F raises the index's RecordError rather than returning it
+    monkeypatch.setattr(pipeline, "MIN_MARGIN_BITS", pipeline.READOUT_BITS)
+    with pytest.raises(RecordError, match=r"readout margin \d+ bits at k' = 2, below 128"):
+        evaluate_F(normalize_two_bridge(7, 3), 2)

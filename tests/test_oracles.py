@@ -139,3 +139,9 @@ def test_torus_polynomial_reproduces_p1_squared():
             p1 = poly.evaluate(1)
             assert abs(abs(p1) ** 2 - torus_P1_squared(q, j)) <= 1e-8 * torus_P1_squared(q, j)
 
+
+
+def test_torus_p1_squared_refuses_an_even_q():
+    # the CLI checks q in torus_F first, so only a direct call reaches this
+    with pytest.raises(IndexOutOfRange, match="q = 4 must be odd >= 3"):
+        torus_P1_squared(4, 1)

@@ -80,6 +80,21 @@ def test_value_path_imports_only_the_value_path(name):
     assert _module_level_imports(name) <= VALUE_PATH, name
 
 
+def _imports_of_exact(name):
+    """The names module name imports from ``exact``, anywhere in it."""
+    return {alias.name for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module in ("exact", "bridgetorsion.exact")
+            for alias in node.names}
+
+
+def test_only_pipeline_runs_the_exact_pass():
+    # pipeline.knot_pass alone turns a failed pass into a value; catalog
+    # and the acceptance suite call it, and catalog reads only the check
+    importers = {name: _imports_of_exact(name) for name in sorted(VALUE_PATH | {"selfcheck"})}
+    assert [name for name, names in importers.items() if "knot_elements" in names] == ["pipeline"]
+    assert importers["catalog"] == {"checked_elements"} and importers["selfcheck"] == set()
+
+
 def test_acceptance_suite_reads_no_curve():
     # criteria 3 and 7 read the exact pass; Wada's criteria, 2 and 8, are
     # the suite's only float references
