@@ -37,16 +37,17 @@ have fewer than B - 1 bits.  A word product is homogenized: it carries
 a factor t for each letter y^+-1, so u enters as t u = (t - 1)^2 and no
 power of t is negative.  It starts at the int 1,
 holds about j digits after j letters, and is moved back by t^-m =
-t^(p - m) for its m letters y^+-1, folded once mod 2^(Bp) - 1, where
-t^p = 1.  P(1)'s Fox walk is not homogenized: it sums prefixes with
-different numbers of letters y^+-1, to which homogenizing would give
-different powers of t.  Its 1 sits at OFF = p + 1, above any u-degree it
-reaches ((p + 1)/2, after the step by Phi(y)), so
-u V = (V << B) + (V >> B) - 2V drops no nonzero digit.
+t^(p - m) for its m letters y^+-1, reduced in one step mod 2^(Bp) - 1,
+where t^p = 1.  P(1)'s Fox walk is not homogenized: it sums prefixes
+with different numbers of letters y^+-1, to which homogenizing would
+give different powers of t.  Its 1 sits at OFF = p, as t^p = 1, above
+any u-degree it reaches ((p + 1)/2, after the step by Phi(y)), so u V =
+(V << B) + (V >> B) - 2V drops no nonzero digit and its jets reduce as is.
 """
 
 import operator
 import struct
+from functools import lru_cache
 
 from .errors import RecordError
 
@@ -58,11 +59,20 @@ def _digit_bits(p):
     below 2^39 and 2^20 (tests bound each product of each knot by
     |(xy)_e| <= ||x||_inf ||y||_1), and 64 above, where the steps of
     ``knot_elements`` stay below 2^39 through b(2001,1); the identity of
-    ``checked_elements`` sizes its own digits.  The digit guard is B/2:
-    an unpacked coefficient has fewer bits, and one that outgrew its B
-    bits shows as its balanced residue mod 2^B, which passes only if it
-    lies within 2^(B/2) of 0."""
+    ``checked_elements`` sizes its own digits."""
     return 32 if p <= 31 else 40 if p <= 131 else 64
+
+
+def _guard_bits(p):
+    """The digit guard of p, B/2 bits: a coefficient past its B bits shows
+    as its balanced residue mod 2^B, which passes only within 2^(B/2) of 0."""
+    return _digit_bits(p) // 2
+
+
+@lru_cache(maxsize=None)
+def _ring(p, b):
+    """A zero test's constants: bp, the packed N, 2^b - 1 and p's guard bits."""
+    return b * p, ((1 << b * p) - 1) // ((1 << b) - 1), (1 << b) - 1, _guard_bits(p)
 
 
 def _inv_r_power(n):
@@ -203,8 +213,9 @@ def _fox_terms(word, b, one):
             a += sign
     fox = {a: (r0, r1, r2, r3)}  # Phi(w)
     for a, t in terms.items():  # -Phi(y) T = [[-t0, -t1], [u t0 + t2, u t1 + t3]]
-        ut0, ut1 = ((x << b) + (x >> b) - (x << 1) for x in t[:2])
-        for e, term in ((a, t), (a + 1, (-t[0], -t[1], ut0 + t[2], ut1 + t[3]))):
+        t0, t1, t2, t3 = t
+        for e, term in ((a, t), (a + 1, (-t0, -t1, (t0 << b) + (t0 >> b) - (t0 << 1) + t2,
+                                         (t1 << b) + (t1 >> b) - (t1 << 1) + t3))):
             fox[e] = tuple(map(operator.add, fox.get(e, (0, 0, 0, 0)), term))
     return fox
 
@@ -232,10 +243,9 @@ def _fold(x, bits):
 
 
 def _guard(coeffs, what):
-    """RecordError where one of a knot's p coefficients fails its digit
-    guard: B/2 bits, B = _digit_bits(p) the knot's width, whatever width
-    the coefficients were unpacked at."""
-    bits = _digit_bits(len(coeffs)) // 2
+    """RecordError where one of a knot's p coefficients fails the digit
+    guard of the knot's width, whatever width they were unpacked at."""
+    bits = _guard_bits(len(coeffs))
     if max(map(abs, coeffs)) >> bits:
         raise RecordError(f"{what} has a coefficient of {bits} bits or more")
 
@@ -247,7 +257,7 @@ def _digits(x, p, b):
     b bits: by the struct code I or Q of that standard size, and other
     widths, which have none, b/8 bytes at a time."""
     mask, h, n = (1 << b * p) - 1, 1 << (b - 1), b // 8
-    raw = ((x + mask // ((1 << b) - 1) * h) % mask).to_bytes(n * p, "little")
+    raw = ((x + _ring(p, b)[1] * h) % mask).to_bytes(n * p, "little")
     if b in (32, 64):
         return [c - h for c in struct.unpack(f"<{p}{'IQ'[b > 32]}", raw)]
     return [int.from_bytes(raw[i:i + n], "little") - h for i in range(0, n * p, n)]
@@ -257,12 +267,13 @@ def _zero_test(x, p, b, what, label):
     """RecordError unless the element x mod 2^(bp) - 1, packed in b-bit
     digits, vanishes at every p-th root of unity but 1: its coefficients
     are equal, and within the digit guard of the knot's width B.  They are
-    equal exactly when x is a multiple of the packed N = 1 + t + ... +
-    t^(p-1), and then the quotient, balanced mod 2^b - 1, is their value;
-    the coefficients are unpacked only to name a failure."""
-    bits, digit, guard = b * p, (1 << b) - 1, _digit_bits(p) // 2
-    c, rest = divmod(_fold(x, bits), ((1 << bits) - 1) // digit)
-    if not rest and abs(c - digit if c >> (b - 1) else c) < 1 << guard:
+    equal exactly when x, folded into [0, 2^(bp)), is c N, N = 1 + t + ...
+    + t^(p-1) packed, for its low digit c, and then c, balanced mod 2^b - 1,
+    is their value; the coefficients are unpacked only to name a failure."""
+    bits, n, digit, guard = _ring(p, b)
+    x = _fold(x, bits)
+    c = x & digit
+    if c * n == x and abs(c - digit if c >> (b - 1) else c) < 1 << guard:
         return
     _guard(_digits(x, p, b), what)
     raise RecordError(f"{what} fails in Z[t]/(t^{p} - 1) for {label}")
@@ -308,50 +319,50 @@ def knot_elements(knot):
     p, b, label = knot.p, _digit_bits(knot.p), knot.label
     bits, mask = b * p, (1 << b * p) - 1
     unword = b * ((p + 1) // 2)  # times t^-m, m = (p - 1)/2 the letters y^+-1 of w
+    back = bits - unword  # x << s = (x >> bits - s) 2^bits + (x << s & mask): one step
 
     def fold(x):  # _fold(x, bits), its loop inline
         while x >> bits:
             x = (x & mask) + (x >> bits)
         return x
 
-    def zero(x, what):  # _zero_test at this knot
-        _zero_test(x, p, b, what, label)
-
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = _image(knot.word.letters, b, tail)
     (w11_0, w11_d, w11_s, _), (w12_0, w12_d, w12_s, _) = w[:2]
     # a zero test does not see the factor t^m, which permutes coefficients
-    zero(w11_0 + 2 * w12_0, "phi at g^0")
-    zero(w11_s + 2 * w12_s - 4 * w12_0, "phi at g^1")
-    phi_d = fold((w11_d + 2 * w12_d) << unword)  # 1 - s = 2 - 4g
+    _zero_test(w11_0 + 2 * w12_0, p, b, "phi at g^0", label)
+    _zero_test(w11_s + 2 * w12_s - 4 * w12_0, p, b, "phi at g^1", label)
+    phi_d = w11_d + 2 * w12_d  # 1 - s = 2 - 4g
+    phi_d = (phi_d << unword & mask) + (phi_d >> back)
     # Riley's smoothness at every u_k: (t - 1)(t - 1/t) phi_u = p t^((p+1)/2) - N, times t
-    zero((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d - (p << b * ((p + 3) // 2)),
-         "phi_u closed form")
+    _zero_test((phi_d << 3 * b) - (phi_d << 2 * b) - (phi_d << b) + phi_d
+               - (p << b * ((p + 3) // 2)), p, b, "phi_u closed form", label)
 
     # rho(<-w) = C W C / c: its 11 and 22 entries W11 + k and W22 - k and
     # its 12 entry, homogenized as W, and its 21 entry v rho(<-w)_12,
     # which carries t^(m + 1)
     k, r12 = _divide(_dividends(w, b), b, p, label)
-    r10 = [fold(x << unword - b) for x in _tv(r12, b)]
+    r10 = [(x << unword - b & mask) + (x >> back + b) for x in _tv(r12, b)]
     # the slots of L = rho(<-w) v, v = W x^(-2 sigma), that the checks read
     (r00, r01, r11), (v00, v01, v10, v11) = (
-        [[fold(x << unword) for x in jet] for jet in image]
+        [[(x << unword & mask) + (x >> back) for x in jet] for jet in image]
         for image in ((map(operator.add, w[0], k), r12, map(operator.sub, w[3], k)), v))
     l00, l11 = _dot(r00, v00, r01, v10, fold), _dot(r10, v01, r11, v11, fold)
     (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
                                       _dot(r10, v00, r11, v10, fold, False))
     for x in (l00[0] - 1, l01_0, l10_0, l11[0] - 1):
-        zero(x, "L = I at g^0")
+        _zero_test(x, p, b, "L = I at g^0", label)
     lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
-    zero(lam_s, "tr L at g^1")
+    _zero_test(lam_s, p, b, "tr L at g^1", label)
     d = fold(l01_s * l10_s - l00[2] * l11[2])
-    zero(lam_d, "tr L at du")
-    zero(lam_ss - d, "estimate (b)")
+    _zero_test(lam_d, p, b, "tr L at du", label)
+    _zero_test(lam_ss - d, p, b, "estimate (b)", label)
 
-    a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet]  # from the Fox walk's 1, at OFF, to 0
-                    for jet in _fox_jets(knot.word, b, 1 << b * (p + 1)))
-    zero(a[0] * dd[0] - bb[0] * c[0], "Wada's numerator at e^0")
-    zero(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0], "Wada's numerator at e^1")
+    a, bb, c, dd = ([(x & mask) + (x >> bits) for x in jet]  # the walk's 1 at OFF = p
+                    for jet in _fox_jets(knot.word, b, 1 << bits))
+    _zero_test(a[0] * dd[0] - bb[0] * c[0], p, b, "Wada's numerator at e^0", label)
+    _zero_test(a[0] * dd[1] + a[1] * dd[0] - bb[0] * c[1] - bb[1] * c[0], p, b,
+               "Wada's numerator at e^1", label)
     n_ss = _digits(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0]
                    - bb[0] * c[2] - bb[1] * c[1] - bb[2] * c[0], p, b)
     n2 = [n_ss[e * (p + 1) // 2 % p] for e in range(p)]  # n_ss(t^2)

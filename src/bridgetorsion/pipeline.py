@@ -98,7 +98,8 @@ def read(elements):
     lane, mask = 1 << (width - 1), (1 << width) - 1
     packed = [(x + (y << width)) << (e > 0)  # c_-e = c_e: twice for e > 0
               for e, x, y in zip(range(half), *elements)]
-    table, readings = _cosines(p), []
+    table, readings, least = _cosines(p), [], MIN_MARGIN_BITS
+    p_unit, f_unit = 1 << (2 * READOUT_BITS + 4), 1 << (READOUT_BITS + 4)
     for kprime in range(1, half):
         cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)
         total = sum(map(operator.mul, packed, cos))
@@ -106,13 +107,13 @@ def read(elements):
         d_t = (total - n_t) >> width
         margin = min(READOUT_BITS, abs(n_t).bit_length() - 1 - n_bits,
                      abs(d_t).bit_length() - 1 - d_bits)
-        if margin < MIN_MARGIN_BITS:
+        if margin < least:
             readings.append(RecordError(f"readout margin {margin} bits at k' = {kprime}, "
-                                        f"below {MIN_MARGIN_BITS}"))
+                                        f"below {least}"))
         else:  # P(1) = -n/4 and F = 16/D, in units of 2^-READOUT_BITS
-            readings.append(Reading(n_t * n_t / (1 << (2 * READOUT_BITS + 4)),
-                                    (1 << (READOUT_BITS + 4)) / d_t,
-                                    n_t * n_t / (d_t << READOUT_BITS), margin))
+            nn = n_t * n_t
+            readings.append(tuple.__new__(Reading, (nn / p_unit, f_unit / d_t,
+                                                    nn / (d_t << READOUT_BITS), margin)))
     return readings
 
 
@@ -156,8 +157,8 @@ def _record(idx, kprime, lens, reading):
     if isinstance(reading, RecordError):
         return InvariantRecord(idx, kprime, 0.0, 0.0, float("nan"), oracle,
                                error=f"{type(reading).__name__}: {reading}")
-    return InvariantRecord(idx, kprime, reading.p1_squared, reading.f_value, reading.tau,
-                           oracle, {"margin_bits": reading.margin_bits})
+    return tuple.__new__(InvariantRecord, (idx, kprime, *reading[:3], oracle,
+                                           {"margin_bits": reading.margin_bits}, None))
 
 
 def knot_pass(knot):
@@ -177,14 +178,17 @@ def compute_invariants(knot):
 
 
 def invariant_records(knot, elements):
-    """The records of the knot read off its checked elements, as
-    ``knot_pass`` or ``checked_elements`` returns them.  Where elements is
-    the RecordError of the exact pass, every record fails with it, and a
-    failed readout fails its own record."""
-    lens, half = LensSpace.of(knot.p, knot.q), (knot.p - 1) // 2
+    """The records of the knot in k order, read off its checked elements as
+    ``knot_pass`` or ``checked_elements`` returns them, k' at k = 2k' or
+    p - 2k' (``metabelian_pairing`` inverted); a failed pass fails every
+    record with its RecordError, and a failed readout its own record."""
+    p, lens, half = knot.p, LensSpace.of(knot.p, knot.q), (knot.p - 1) // 2
     readings = [elements] * half if isinstance(elements, RecordError) else read(elements)
-    kprimes = [metabelian_pairing(knot.p, idx) for idx in range(1, half + 1)]
-    return [_record(idx, kp, lens, readings[kp - 1]) for idx, kp in enumerate(kprimes, 1)]
+    records = [None] * half
+    for kp, reading in enumerate(readings, 1):
+        idx = 2 * kp if 2 * kp <= half else p - 2 * kp
+        records[idx - 1] = _record(idx, kp, lens, reading)
+    return records
 
 
 def tau_multiset(records):

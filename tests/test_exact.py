@@ -574,6 +574,34 @@ def test_fox_jets_match_a_relator_walk():
         assert n_ss[0] == n_ss[1], (p, q)
 
 
+def test_fox_walk_anchored_at_p_drops_no_digit():
+    # knot_elements starts the Fox walk at OFF = p, which is 1 as t^p = 1:
+    # on the census and the ladder each of its 12 jets, folded, has the
+    # coefficients of the jet of a walk at OFF = p + 1 moved back by
+    # t^(p-1), so the walk's u steps drop no digit at either anchor
+    for p, q in CENSUS_25 + LADDER:
+        word, b = normalize_two_bridge(p, q).word, exact._digit_bits(p)
+        at_p, at_p1 = ([[exact._digits(exact._fold(x << shift, b * p), p, b) for x in jet]
+                        for jet in exact._fox_jets(word, b, 1 << b * off)]
+                       for off, shift in ((p, 0), (p + 1, b * (p - 1))))
+        assert at_p == at_p1, (p, q)
+        assert any(any(coeffs) for jet in at_p for coeffs in jet), (p, q)
+
+
+def test_ring_constants_are_cached_per_p_and_width():
+    # a zero test's constants at p and digit width b: bp, the packed N,
+    # whose p digits are 1, 2^b - 1 and the guard of the knot's own width,
+    # half of _digit_bits(p) whatever b, the guard _guard also reads
+    for p, b in ((7, 32), (7, 48), (33, 40), (131, 56), (133, 64)):
+        bits, n, digit, guard = exact._ring(p, b)
+        assert (bits, digit, guard) == (b * p, (1 << b) - 1, exact._digit_bits(p) // 2)
+        assert guard == exact._guard_bits(p)
+        assert exact._digits(n, p, b) == [1] * p
+        assert exact._ring(p, b) is exact._ring(p, b)
+    with pytest.raises(RecordError, match="has a coefficient of 20 bits"):
+        exact._guard([0] * 32 + [1 << 20], "x")
+
+
 @pytest.mark.slow
 def test_knot_elements_are_pinned_at_1001_375_and_2001_731():
     # the two largest knots the tests read, whose walks are the longest: a

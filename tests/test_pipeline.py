@@ -29,7 +29,7 @@ from bridgetorsion.pipeline import (
     tau_multiset,
 )
 from bridgetorsion.catalog import fingerprint, run_catalog
-from bridgetorsion.errors import ParseError
+from bridgetorsion.errors import ParseError, RecordError
 from bridgetorsion.precision import Precision
 from bridgetorsion.selfcheck import CENSUS_FRACTIONS, AcceptanceSuite
 from bridgetorsion.words import (
@@ -805,6 +805,50 @@ def test_partial_results_on_record_errors(break_letter):
     )
     assert v.verdict == "undetermined"
     assert v.max_multiset_deviation is None
+
+
+def test_records_place_each_reading_by_the_inverse_pairing():
+    # the reading at k' serves k = 2k' or p - 2k', whichever is at most
+    # (p-1)/2: for every odd p <= 131 that fills 1..(p-1)/2 exactly once
+    # and inverts metabelian_pairing, and invariant_records, here fed a
+    # failed pass so that no readout runs, lists its records so
+    for p in range(3, 132, 2):
+        half = (p - 1) // 2
+        placed = {kp: 2 * kp if 2 * kp <= half else p - 2 * kp for kp in range(1, half + 1)}
+        assert sorted(placed.values()) == list(range(1, half + 1)), p
+        assert all(pipeline.metabelian_pairing(p, k) == kp for kp, k in placed.items()), p
+        knot = normalize_two_bridge(p, 1)
+        records = pipeline.invariant_records(knot, RecordError("no pass"))
+        assert [(r.k, r.kprime) for r in records] == [
+            (k, pipeline.metabelian_pairing(p, k)) for k in range(1, half + 1)], p
+        assert all(r.error == "RecordError: no pass" for r in records), p
+
+
+def test_records_keep_k_order_when_the_pass_or_a_readout_fails(monkeypatch, break_letter):
+    # 7/3 reads k' = 1, 2, 3 for k = 2, 3, 1: with the least readout
+    # margin one bit below MIN_MARGIN_BITS only the record of that k'
+    # fails, at its own k, and with a failed pass every record fails, each
+    # in k order with its k'
+    knot = normalize_two_bridge(7, 3)
+    pairs = [(k, pipeline.metabelian_pairing(7, k)) for k in (1, 2, 3)]
+    assert pairs == [(1, 3), (2, 1), (3, 2)]
+    margins = [r.diagnostics["margin_bits"] for r in compute_invariants(knot)]
+    least = min(margins)
+    assert margins.count(least) == 1
+    monkeypatch.setattr(pipeline, "MIN_MARGIN_BITS", least + 1)
+    records = compute_invariants(knot)
+    assert [(r.k, r.kprime) for r in records] == pairs
+    failed = margins.index(least)
+    for i, r in enumerate(records):
+        if i == failed:
+            assert r.error == (f"RecordError: readout margin {least} bits at k' = {r.kprime}, "
+                               f"below {least + 1}")
+        else:
+            assert r.ok and r.diagnostics == {"margin_bits": margins[i]}
+    break_letter()
+    records = compute_invariants(knot)
+    assert [(r.k, r.kprime) for r in records] == pairs
+    assert all(r.error.startswith("RecordError: rho(<-w)") for r in records)
 
 
 def test_criterion_9_fails_on_record_errors(break_letter):
