@@ -20,7 +20,8 @@ alone and c, homogenized, is (t + 1)^2 at g = 0: each slot of the
 quotient is an exact division of a packed int.  P(1)'s Fox walk runs at
 g = 0, where r = 1 and x and y are the involutions [[1, -1], [0, -1]] and
 [[1, 0], [-u, -1]], over w alone: for r = w x w^-1 y^-1, Fox's product
-rule gives Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w).
+rule gives Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w), applied once
+to Wada's weighted sums of the walk's terms, as both are linear.
 With u = t + 1/t - 2, t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and
 t^2 gives u_k.  An element vanishes at every p-th root of unity but 1
 exactly when its p coefficients are equal: that zero test replaces every
@@ -35,14 +36,19 @@ element at t = 2^B however large the coefficients grow on the way;
 unpacking recovers the coefficients of an element whose coefficients
 have fewer than B - 1 bits.  A word product is homogenized: it carries
 a factor t for each letter y^+-1, so u enters as t u = (t - 1)^2 and no
-power of t is negative.  It starts at the int 1,
-holds about j digits after j letters, and is moved back by t^-m =
-t^(p - m) for its m letters y^+-1, reduced in one step mod 2^(Bp) - 1,
-where t^p = 1.  P(1)'s Fox walk is not homogenized: it sums prefixes
-with different numbers of letters y^+-1, to which homogenizing would
-give different powers of t.  Its 1 sits at OFF = p, as t^p = 1, above
-any u-degree it reaches ((p + 1)/2, after the step by Phi(y)), so u V =
-(V << B) + (V >> B) - 2V drops no nonzero digit and its jets reduce as is.
+power of t is negative.  It starts at the int 1 and holds about j
+digits after j letters.  W keeps the factor t^m of its m = (p - 1)/2
+letters y^+-1, which a zero test does not see, as it permutes
+coefficients; the longitude products carry it as t^(2m) = t^(p - 1) in
+every slot of L, taken out only where a value is not invariant under
+it.  phi_u alone is moved back by t^-m = t^(p - m), one shift reduced
+in one step mod 2^(Bp) - 1, where t^p = 1.  P(1)'s Fox walk is not
+homogenized: it sums prefixes with different numbers of letters y^+-1,
+to which homogenizing would give different powers of t.  Its 1 sits at
+OFF = p, as t^p = 1, above any u-degree it reaches ((p + 1)/2, after
+the step by Phi(y)), so every term, and every weighted sum of terms,
+has no nonzero digit below (p + 1)/2: u V = (V << B) + (V >> B) - 2V
+drops none, and the jets reduce as is.
 """
 
 import operator
@@ -184,17 +190,12 @@ def _divide(jets, b, p, label):
 
 
 def _fox_terms(word, b, one):
-    """The entries of Wada's Phi(dr/dx), r = w x w^-1 y^-1, at g = 0 by
-    exponent sum a, from one walk of w with a running prefix product.
-    There r = 1 and x and y are the involutions [[1, -1], [0, -1]] and
-    [[1, 0], [-u, -1]].  Fox's rules put +prefix before each x and -prefix
-    after each x^-1, at the prefix's exponent sum, which gives
-    Phi(dw/dx); then Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w), where
-    Phi(y) moves a term from a to a + 1.  That product rule reads
-    w x w^-1 as y, which holds at every p-th root of unity but 1; at
-    t = 1, u = 0 and every factor is upper triangular, so only the (1, 2)
-    entry can differ there from a walk of r, and as the (2, 1) entry
-    vanishes at t = 1, Wada's determinant is the same."""
+    """The entries of Phi(dw/dx) at g = 0 by exponent sum a, the exponent
+    sum A of w and Phi(w), from one walk of w with a running prefix
+    product.  There r = 1 and x and y are the involutions
+    [[1, -1], [0, -1]] and [[1, 0], [-u, -1]].  Fox's rules put +prefix
+    before each x and -prefix after each x^-1, at the prefix's exponent
+    sum."""
     r0, r1, r2, r3 = one, 0, 0, one  # the prefix, row-major
     terms, a = {}, 0
     for gen, sign in word.letters:
@@ -211,28 +212,40 @@ def _fox_terms(word, b, one):
             r0, r1, r2, r3 = (r0 - (r1 << b) - (r1 >> b) + (r1 << 1), -r1,
                               r2 - (r3 << b) - (r3 >> b) + (r3 << 1), -r3)
             a += sign
-    fox = {a: (r0, r1, r2, r3)}  # Phi(w)
-    for a, t in terms.items():  # -Phi(y) T = [[-t0, -t1], [u t0 + t2, u t1 + t3]]
-        t0, t1, t2, t3 = t
-        for e, term in ((a, t), (a + 1, (-t0, -t1, (t0 << b) + (t0 >> b) - (t0 << 1) + t2,
-                                         (t1 << b) + (t1 >> b) - (t1 << 1) + t3))):
-            fox[e] = tuple(map(operator.add, fox.get(e, (0, 0, 0, 0)), term))
-    return fox
+    return terms, a, (r0, r1, r2, r3)
 
 
 def _fox_jets(word, b, one):
-    """The entries of Wada's Phi(dr/dx) for rho_k at t_Wada = i(1 + e) as
-    jets (val, e, e^2) of packed ints, from ``_fox_terms``: at exponent sum
-    a, Riley's phase i^a times Wada's t^a is (-1)^a (1, a, a(a-1)/2) mod
-    e^3, and each entry's three sums are accumulated term by term."""
-    jets = [[0] * 3 for _ in range(4)]
-    for a, term in _fox_terms(word, b, one).items():
-        for jet, x in zip(jets, term):
+    """The entries of Wada's Phi(dr/dx), r = w x w^-1 y^-1, for rho_k at
+    t_Wada = i(1 + e) as jets (val, e, e^2) of packed ints, from
+    ``_fox_terms``: at exponent sum a, Riley's phase i^a times Wada's t^a
+    is (-1)^a w(a), w(a) = (1, a, a(a-1)/2) mod e^3.  Fox's product rule
+    gives Phi(dr/dx) = (I - Phi(y)) Phi(dw/dx) + Phi(w), where Phi(y)
+    moves a term from a to a + 1; it acts on the weighted sums
+    K_m = sum_a (-1)^a w_m(a) T_a of the terms T_a: as
+    w(a + 1) = (w0, w1 + w0, w2 + w1) and the phase changes sign, the
+    jet's slot m is K_m + Phi(y) S_m, S = (K0, K1 + K0, K2 + K1), plus
+    Phi(w) under its weights at A, the exponent sum of w.  That product
+    rule reads w x w^-1 as y, which holds at every p-th root of unity but
+    1; at t = 1, u = 0 and every factor is upper triangular, so only the
+    (1, 2) entry can differ there from a walk of r, and as the (2, 1)
+    entry vanishes at t = 1, Wada's determinant is the same."""
+    terms, top, phi_w = _fox_terms(word, b, one)
+    ks = [0] * 4, [0] * 4, [0] * 4
+    for a, term in terms.items():
+        h = a * (a - 1) // 2
+        for j, x in enumerate(term):
             x = -x if a % 2 else x
-            jet[0] += x
-            jet[1] += a * x
-            jet[2] += a * (a - 1) // 2 * x
-    return jets
+            ks[0][j] += x
+            ks[1][j] += a * x
+            ks[2][j] += h * x
+    sums = ks[0], [*map(operator.add, ks[1], ks[0])], [*map(operator.add, ks[2], ks[1])]
+    sign = -1 if top % 2 else 1
+    weights = sign, sign * top, sign * (top * (top - 1) // 2)
+    # Phi(y) S = [[S0, S1], [-u S0 - S2, -u S1 - S3]], u x = (x << B) + (x >> B) - 2x
+    return [[k[j] + w * phi_w[j] + (s[j] if j < 2 else
+                                    -s[j] - (s[j - 2] << b) - (s[j - 2] >> b) + (s[j - 2] << 1))
+             for k, s, w in zip(ks, sums, weights)] for j in range(4)]
 
 
 def _fold(x, bits):
@@ -296,10 +309,13 @@ def knot_elements(knot):
     of its p coefficients, the object a cache entry holds: n_ss(t^2),
     where n_ss = -4 P(1), so that t = zeta^{k'} reads rho_k, and D = 16/F.
     One walk of w, on through the tail x^(-2 sigma), gives W and
-    W x^(-2 sigma); rho(<-w) is C W C / c, and Wada's Phi(dr/dx) is
-    (I - Phi(y)) Phi(dw/dx) + Phi(w), from a second walk of w alone, at
-    g = 0.  They are returned once these hold in Z[t]/(t^p - 1), for every
-    index at once (RecordError names the first that fails):
+    W x^(-2 sigma), both with the factor t^m, m = (p - 1)/2; rho(<-w) is
+    C W C / c, and Wada's Phi(dr/dx) is (I - Phi(y)) Phi(dw/dx) + Phi(w),
+    from a second walk of w alone, at g = 0, the product rule applied to
+    the weighted sums of ``_fox_jets``.  The slots of L carry t^(p - 1),
+    which the diagonal of L = I at g^0, D and estimate (b) take out.
+    They are returned once these hold in Z[t]/(t^p - 1), for every index
+    at once (RecordError names the first that fails):
     - tangency: phi = W11 + (1 - s) W12 = 0 mod g^2, W the image of w;
     - Riley's smoothness: at g = 0 each scaled letter is one involution
       whatever its sign, so W = (XY)^((p-1)/2) for every q, and
@@ -340,23 +356,24 @@ def knot_elements(knot):
 
     # rho(<-w) = C W C / c: its 11 and 22 entries W11 + k and W22 - k and
     # its 12 entry, homogenized as W, and its 21 entry v rho(<-w)_12,
-    # which carries t^(m + 1)
+    # which carries t^(m + 1), moved back by t^-1
     k, r12 = _divide(_dividends(w, b), b, p, label)
-    r10 = [(x << unword - b & mask) + (x >> back + b) for x in _tv(r12, b)]
-    # the slots of L = rho(<-w) v, v = W x^(-2 sigma), that the checks read
-    (r00, r01, r11), (v00, v01, v10, v11) = (
-        [[(x << unword & mask) + (x >> back) for x in jet] for jet in image]
-        for image in ((map(operator.add, w[0], k), r12, map(operator.sub, w[3], k)), v))
-    l00, l11 = _dot(r00, v00, r01, v10, fold), _dot(r10, v01, r11, v11, fold)
-    (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r01, v11, fold, False),
+    r10 = [(x << bits - b & mask) + (x >> b) for x in _tv(r12, b)]
+    # the slots of L = rho(<-w) v, v = W x^(-2 sigma), that the checks
+    # read, each with the factor t^(2m) = t^(p - 1) of its two operands
+    r00, r11 = [*map(operator.add, w[0], k)], [*map(operator.sub, w[3], k)]
+    v00, v01, v10, v11 = v
+    l00, l11 = _dot(r00, v00, r12, v10, fold), _dot(r10, v01, r11, v11, fold)
+    (l01_0, l01_s), (l10_0, l10_s) = (_dot(r00, v01, r12, v11, fold, False),
                                       _dot(r10, v00, r11, v10, fold, False))
-    for x in (l00[0] - 1, l01_0, l10_0, l11[0] - 1):
+    one = 1 << bits - b  # t^(p - 1)
+    for x in (l00[0] - one, l01_0, l10_0, l11[0] - one):
         _zero_test(x, p, b, "L = I at g^0", label)
     lam_d, lam_s, lam_ss = (l00[j] + l11[j] for j in (1, 2, 3))
     _zero_test(lam_s, p, b, "tr L at g^1", label)
-    d = fold(l01_s * l10_s - l00[2] * l11[2])
+    d = fold(l01_s * l10_s - l00[2] * l11[2]) << 2 * b  # D, its t^(2(p - 1)) = t^-2 taken out
     _zero_test(lam_d, p, b, "tr L at du", label)
-    _zero_test(lam_ss - d, p, b, "estimate (b)", label)
+    _zero_test((lam_ss << b) - d, p, b, "estimate (b)", label)
 
     a, bb, c, dd = ([(x & mask) + (x >> bits) for x in jet]  # the walk's 1 at OFF = p
                     for jet in _fox_jets(knot.word, b, 1 << bits))

@@ -88,15 +88,20 @@ def _pass_at_width(knot, b):
     coefficients, decoded at width b, of every int it multiplies, divides
     or weights: unfolded ints (the images W and W x^(-2 sigma), the
     dividends of C W C and their quotients) decoded whole, and each decode
-    checked to give back its int, folded ones mod t^p - 1.  bounds maps each
-    step to a bound on the magnitude of the coefficients it forms, so
-    that while a bound is below 2^(b - 1), every coefficient fits its
-    signed digit and no carry crosses into the next:
+    checked to give back its int, the others mod t^p - 1, as the folds
+    that follow their products read them; the longitude's operands keep
+    the factor t^m of W, as knot_elements leaves it, which moves their
+    coefficients and not their norms.  bounds maps each step to a bound
+    on the magnitude of the coefficients it forms, so that while a bound
+    is below 2^(b - 1), every coefficient fits its signed digit and no
+    carry crosses into the next:
     - a sum of products xy of folded elements, each term by the L1 form
       |(xy)_e| <= ||x||_inf ||y||_1 (or with x and y swapped, the lesser),
       and a sum of terms by the sum of their bounds;
-    - the Fox jets, sums of the Fox terms t_a (after the (I - Phi(y))
-      step) weighted by (-1)^a (1, a, a(a-1)/2), by sum |weight| ||t_a||_inf;
+    - the Fox jets, sums of the Fox terms t_a by exponent sum (Fox's
+      product rule (I - Phi(y)) replayed here on the terms of
+      ``exact._fox_terms``, Phi(w) added) weighted by
+      (-1)^a (1, a, a(a-1)/2), by sum |weight| ||t_a||_inf;
     - phi_u's closed form, which sums four shifts of phi_u and
       p t^((p+3)/2), by 4 ||phi_u||_inf + p;
     - an int decoded whole, by its largest coefficient."""
@@ -121,23 +126,27 @@ def _pass_at_width(knot, b):
         (x_inf, x_l1), (y_inf, y_l1) = ((max(map(abs, c)), sum(map(abs, c))) for c in (dec(x), dec(y)))
         return min(x_inf * y_l1, x_l1 * y_inf)
 
-    unword = b * ((p + 1) // 2)
+    def u(x):  # u x = (x << B) + (x >> B) - 2x
+        return (x << b) + (x >> b) - (x << 1)
+
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = exact._image(knot.word.letters, b, tail)
     dividends = exact._dividends(w, b)
     k, r12 = exact._divide(dividends, b, p, knot.label)
-    r00, r01, r11, v00, v01, v10, v11 = (
-        [fold(x << unword) for x in jet]
-        for jet in ([x + y for x, y in zip(w[0], k)], r12, [x - y for x, y in zip(w[3], k)], *v))
-    r10 = [fold(x << unword - b) for x in exact._tv(r12, b)]
-    l00, l11 = exact._dot(r00, v00, r01, v10, fold), exact._dot(r10, v01, r11, v11, fold)
-    l01 = exact._dot(r00, v01, r01, v11, fold, False)
+    r00, r11 = [x + y for x, y in zip(w[0], k)], [x - y for x, y in zip(w[3], k)]
+    v00, v01, v10, v11 = v
+    r10 = [fold(x << b * (p - 1)) for x in exact._tv(r12, b)]
+    l00, l11 = exact._dot(r00, v00, r12, v10, fold), exact._dot(r10, v01, r11, v11, fold)
+    l01 = exact._dot(r00, v01, r12, v11, fold, False)
     l10 = exact._dot(r10, v00, r11, v10, fold, False)
-    d = fold(l01[1] * l10[1] - l00[2] * l11[2])
-    phi_d = fold((w[0][1] + 2 * w[1][1]) << unword)
+    phi_d = fold((w[0][1] + 2 * w[1][1]) << b * ((p + 1) // 2))
     one = 1 << b * (p + 1)
-    terms = {a: [fold(x << b * (p - 1)) for x in term]
-             for a, term in exact._fox_terms(knot.word, b, one).items()}
+    fox_terms, top, phi_w = exact._fox_terms(knot.word, b, one)
+    fox = {top: phi_w}  # (I - Phi(y)) T: T at a and -Phi(y) T at a + 1
+    for a, (t0, t1, t2, t3) in fox_terms.items():
+        for e, term in ((a, (t0, t1, t2, t3)), (a + 1, (-t0, -t1, u(t0) + t2, u(t1) + t3))):
+            fox[e] = [x + y for x, y in zip(fox.get(e, (0, 0, 0, 0)), term)]
+    terms = {a: [fold(x << b * (p - 1)) for x in term] for a, term in fox.items()}
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
     n_ss = dec(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
                - bb[2] * c[0])
@@ -145,8 +154,8 @@ def _pass_at_width(knot, b):
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
 
     sums = {  # each step's folded sums of products, each sum as its (x, y) pairs
-        "L slots": (_dot_terms(r00, v00, r01, v10) + _dot_terms(r10, v01, r11, v11)
-                    + _dot_terms(r00, v01, r01, v11, False) + _dot_terms(r10, v00, r11, v10, False)),
+        "L slots": (_dot_terms(r00, v00, r12, v10) + _dot_terms(r10, v01, r11, v11)
+                    + _dot_terms(r00, v01, r12, v11, False) + _dot_terms(r10, v00, r11, v10, False)),
         "D": [[(l01[1], l10[1]), (l00[2], l11[2])]],
         "Wada's numerator": [
             [(a[0], dd[0]), (bb[0], c[0])],
@@ -211,7 +220,38 @@ def test_intermediate_digit_headroom_at_the_torus_knot_1001_1():
 NARROW = [(p, q) for p in range(3, 32, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
-def test_narrow_digits_hold_through_p_31(monkeypatch):
+def _at_64_bits(monkeypatch):
+    """Yields a function that sets every knot's digits to 64 bits, by
+    patching exact._digit_bits; exact._ring's cache is cleared before the
+    patch and again at teardown, as an entry (p, 64) holds the guard of the
+    width in force when it was filled."""
+    def apply():
+        exact._ring.cache_clear()
+        monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+
+    yield apply
+    exact._ring.cache_clear()
+
+
+at_64_bits = pytest.fixture(_at_64_bits, name="at_64_bits")
+
+
+def test_ring_holds_each_guard_across_a_patched_width(monkeypatch):
+    # the fixture's two clears: the entry (7, 64), filled with 7/3's own
+    # guard, 16, is refilled under the patch with the patched width's, 32,
+    # and after the teardown an unpatched zero test at that key reads 16
+    # again
+    steps = _at_64_bits(monkeypatch)
+    assert exact._ring(7, 64)[3] == exact._guard_bits(7) == 16
+    next(steps)()
+    exact.knot_elements(normalize_two_bridge(7, 3))
+    assert exact._ring(7, 64)[3] == 32
+    next(steps, None)
+    monkeypatch.undo()
+    assert exact._ring(7, 64)[3] == exact._guard_bits(7) == 16
+
+
+def test_narrow_digits_hold_through_p_31(monkeypatch, at_64_bits):
     # the 32-bit digits of every knot with p <= 31, proven knot by knot
     # over its 106 fractions: the pass at 32 bits decodes every operand
     # to the coefficients it has at 64 bits, every step's bound is below
@@ -244,7 +284,7 @@ def test_narrow_digits_hold_through_p_31(monkeypatch):
     for p, q in ((31, 3), (33, 1), (131, 1), (133, 1)):
         exact.knot_elements(normalize_two_bridge(p, q))
     assert widths == [32, 40, 40, 64]
-    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    at_64_bits()
     assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in NARROW] == narrow
 
 
@@ -272,7 +312,7 @@ def _check_40_bit_digits(fractions, replay_at_64):
     return elements
 
 
-def test_40_bit_digits_hold_at_the_worst_and_the_ladder_knots(monkeypatch):
+def test_40_bit_digits_hold_at_the_worst_and_the_ladder_knots(at_64_bits):
     # the tier's worst knot, b(131,1), whose identity step
     # n_ss(t^2)^2 u_k u_kr is bounded just below 2^39, and the ladder's
     # knots of 33 <= p <= 131: bounds and operands at both widths by
@@ -280,7 +320,7 @@ def test_40_bit_digits_hold_at_the_worst_and_the_ladder_knots(monkeypatch):
     # 64 bits, bit for bit
     fractions = [(131, 1), (41, 11), (61, 17), (101, 31)]
     elements = _check_40_bit_digits(fractions, True)
-    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    at_64_bits()
     assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in fractions] == elements
 
 
@@ -288,13 +328,13 @@ MIDDLE = [(p, q) for p in range(33, 132, 2) for q in range(1, p, 2) if math.gcd(
 
 
 @pytest.mark.slow
-def test_40_bit_digits_hold_for_33_through_131(monkeypatch):
+def test_40_bit_digits_hold_for_33_through_131(at_64_bits):
     # the same over all 1,664 fractions with 33 <= p <= 131, but for the
     # replay at 64 bits, which the bounds make redundant and which would
     # double the time
     assert len(MIDDLE) == 1664
     elements = _check_40_bit_digits(MIDDLE, False)
-    monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
+    at_64_bits()
     assert [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in MIDDLE] == elements
 
 
@@ -551,14 +591,16 @@ def _relator_fox_jets(relator, b, one):
 
 
 def test_fox_jets_match_a_relator_walk():
-    # Fox's product rule over w gives Wada's Phi(dr/dx) of a walk of the
-    # whole relator on the 68 census fractions p <= 25: each jet alike at
-    # every p-th root of unity but 1 (their difference passes the zero
-    # test), the (1, 1), (2, 1) and (2, 2) entries alike bit for bit, the
-    # (2, 1) entry zero at t = 1, where only the (1, 2) entry may differ,
-    # and so the determinant's e^2 slot, n_ss, alike bit for bit; at each
-    # knot's own digit width, which its zero tests and unpacking use
-    for p, q in CENSUS_25:
+    # Fox's product rule on the weighted sums over w gives Wada's
+    # Phi(dr/dx) of a walk of the whole relator on the 68 census fractions
+    # p <= 25, the ladder and the torus knots 131/1 and 301/1, whose walks
+    # reach the most exponent sums: each jet alike at every p-th root of
+    # unity but 1 (their difference passes the zero test), the (1, 1),
+    # (2, 1) and (2, 2) entries alike bit for bit, the (2, 1) entry zero
+    # at t = 1, where only the (1, 2) entry may differ, and so the
+    # determinant's e^2 slot, n_ss, alike bit for bit; at each knot's own
+    # digit width, which its zero tests and unpacking use
+    for p, q in CENSUS_25 + LADDER + [(131, 1), (301, 1)]:
         b = exact._digit_bits(p)
         knot, one, mask = normalize_two_bridge(p, q), 1 << b * (p + 1), (1 << b * p) - 1
         new, ref = ([[exact._fold(x << b * (p - 1), b * p) % mask for x in jet] for jet in jets]
@@ -610,6 +652,18 @@ def test_knot_elements_are_pinned_at_1001_375_and_2001_731():
     for p, q in ((1001, 375), (2001, 731)):
         digest.update(repr((p, q, exact.knot_elements(normalize_two_bridge(p, q)))).encode())
     assert digest.hexdigest() == "54e40b636a574320ff70bd668e0dcf9e4331c754be01daf4e1fff6d10bf65283"
+
+
+@pytest.mark.slow
+def test_knot_elements_are_pinned_through_p_131():
+    # every normalized fraction with p <= 131, each tier of digits whole:
+    # a SHA-256 over repr((p, q, elements)) of each, in the order of p
+    # and then q
+    digest = hashlib.sha256()
+    for p, q in NARROW + MIDDLE:
+        digest.update(repr((p, q, exact.knot_elements(normalize_two_bridge(p, q)))).encode())
+    assert len(NARROW + MIDDLE) == 1770
+    assert digest.hexdigest() == "d79de181f876190b3a3546399d952c5850a9dc4b41f8fac6f0894eba9acc0e7b"
 
 
 def _jet_mul(x, y):

@@ -60,3 +60,22 @@ def test_matrix_includes_the_requires_python_floor():
     versions = [v.strip().strip("\"'") for v in matrix.split(",")]
     assert floor == "3.10"
     assert floor in versions, versions
+
+
+def test_benchmark_oracle_checks_run_on_the_benchmark_python():
+    # one step on 3.11, the benchmark host's Python, runs every workload
+    # once, traced, with seed 1, and gates on each result line's
+    # "correct" and "failed" fields
+    steps = re.findall(r"^\s*- name:.*\n((?:\s+(?!- )\S.*\n)*)", WORKFLOW, re.M)
+    runs = [step for step in steps if "perfbench/run.py" in step]
+    assert len(runs) == 1, runs
+    assert re.search(r"^\s*if:\s*matrix\.python-version == '3\.11'\s*$", runs[0], re.M)
+    args = shlex.split(re.search(r"^\s*run:\s*(.+?)\s*$", runs[0], re.M).group(1))
+    bench = args[:args.index("|")]
+    assert bench[:2] == ["python3", "perfbench/run.py"]
+    assert {tuple(bench[i:i + 2]) for i in range(2, len(bench), 2)} == {
+        ("--workload", "all"), ("--trace", "1"), ("--seed", "1")}
+    gate = args[args.index("|") + 1:]
+    assert gate[:2] == ["python3", "-c"]
+    for field in ("'correct'", "'failed'", "len(rows) != 3"):
+        assert field in gate[2], field
