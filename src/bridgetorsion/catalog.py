@@ -3,6 +3,7 @@ the package source.  The package loads this module on first use, so a run
 that only computes or compares never compiles it."""
 
 import csv
+import gc
 import itertools
 import json
 import os
@@ -52,6 +53,11 @@ def default_cache_dir():
     return os.environ.get("TORSION_CACHE_DIR") or ".torsion_cache"
 
 
+def _entry_dir(cache_dir):
+    """The directory of this fingerprint's entries under the cache."""
+    return os.path.join(cache_dir or default_cache_dir(), fingerprint()[:16])
+
+
 def _atomic_write(path, data):
     import tempfile  # only a cache or catalog write needs it
 
@@ -86,8 +92,7 @@ def cached_invariant_report(knot, cache_dir=None):
     is one that passes ``checked_elements``; on a miss ``knot_pass`` gives
     the elements, which are written, or the failed pass's RecordError,
     which is not.  Either way ``invariant_records`` reads the records."""
-    base = cache_dir or default_cache_dir()
-    path = os.path.join(base, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
+    path = os.path.join(_entry_dir(cache_dir), f"{knot.p}_{knot.q}.json")
     elements = _cached_elements(path, knot)
     hit = elements is not None
     if not hit:
@@ -143,17 +148,33 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
     are recorded, not fatal."""
     entries = []
     errors = []
-    for row_no, p, q, label in read_catalog(input_path):
-        if p is None:
-            errors.append({"row": row_no, "error": label})
-            continue
-        try:
-            knot = normalize_two_bridge(p, q)
-        except TorsionError as exc:
-            errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        report, _, records = cached_invariant_report(knot, cache_dir)
-        entries.append((label, knot, report, tau_multiset(records)))
+    # No row's time depends on its place in the file.  The entry directory
+    # is made before the first row, not by the first miss, where a catalog
+    # has a row to look up.  The rows make no reference cycles (a failed
+    # pass's error comes without its traceback), so the cyclic collector
+    # has nothing to free while they run; paused, it no longer scans the
+    # growing list of reports inside whichever row its allocation count
+    # happens to trip, and runs once after the last.
+    rows = read_catalog(input_path)
+    if any(p is not None for _, p, _, _ in rows):
+        os.makedirs(_entry_dir(cache_dir), exist_ok=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for row_no, p, q, label in rows:
+            if p is None:
+                errors.append({"row": row_no, "error": label})
+                continue
+            try:
+                knot = normalize_two_bridge(p, q)
+            except TorsionError as exc:
+                errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            report, _, records = cached_invariant_report(knot, cache_dir)
+            entries.append((label, knot, report, tau_multiset(records)))
+    finally:
+        if enabled:
+            gc.enable()
 
     verdicts = []
     for (_, a, _, taus_a), (_, b, _, taus_b) in itertools.combinations(entries, 2):

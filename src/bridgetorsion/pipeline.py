@@ -163,11 +163,13 @@ def _record(idx, kprime, lens, reading):
 
 def knot_pass(knot):
     """The knot's ``knot_elements``, or the RecordError of its exact pass:
-    the one place where a failed pass becomes a value."""
+    the one place where a failed pass becomes a value.  The error is kept
+    without its traceback, whose frames would otherwise form a reference
+    cycle with the caller's frame that holds the error."""
     try:
         return knot_elements(knot)
     except RecordError as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def compute_invariants(knot):

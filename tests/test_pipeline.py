@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -596,6 +597,61 @@ def test_catalog_sorts_each_row_once(tmp_path, monkeypatch):
     for v in report["verdicts"]:
         a, b = (normalize_two_bridge(*pq) for pq in v["knots"])
         assert v == pipeline.verdict_to_dict(compare_knots(a, b))
+
+
+def test_catalog_rows_share_no_setup(tmp_path, monkeypatch):
+    # every lookup finds the entry directory made and the cyclic collector
+    # paused; the collector's state is restored after the rows, also when
+    # one raises, and a catalog with no row to look up makes no directory
+    seen = []
+    lookup = catalog.cached_invariant_report
+
+    def spy(knot, cache_dir=None):
+        seen.append((os.path.isdir(os.path.dirname(_entry_path(cache_dir, knot))),
+                     gc.isenabled()))
+        if knot.p == 9:
+            raise RuntimeError("stop")
+        return lookup(knot, cache_dir)
+
+    monkeypatch.setattr(catalog, "cached_invariant_report", spy)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\nx,1\n5,3\n")
+    cache = str(tmp_path / "cache")
+    assert gc.isenabled()
+    run_catalog(str(csv_path), None, cache)
+    assert seen == [(True, False)] * 2 and gc.isenabled()
+    csv_path.write_text("5,1\n9,2\n")
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="stop"):
+                run_catalog(str(csv_path), None, cache)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+
+    for text in ("", "p,q\nx,y\n"):
+        csv_path.write_text(text)
+        run_catalog(str(csv_path), None, str(tmp_path / "unused"))
+        assert not os.path.exists(tmp_path / "unused")
+
+
+def test_catalog_rows_make_no_reference_cycles(tmp_path, break_letter):
+    # the premise of pausing the collector: a cold and a warm run, with bad
+    # rows, leave nothing for it, nor does a run whose exact passes fail,
+    # as knot_pass keeps their errors without tracebacks
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n7,5\nx,1\n4,1\n9,3\n5,3\n")
+    cache = str(tmp_path / "cache")
+    for _ in range(2):
+        gc.collect()
+        run_catalog(str(csv_path), str(tmp_path / "report.json"), cache)
+        assert gc.collect() == 0
+    break_letter()
+    gc.collect()
+    report = run_catalog(str(csv_path), None, str(tmp_path / "broken"))
+    assert all(r["error"] for kr in report["knots"] for r in kr["records"])
+    assert gc.collect() == 0
 
 
 def test_failed_records_have_their_own_diagnostics(break_letter):
