@@ -89,18 +89,22 @@ def cached_invariant_report(knot, cache_dir=None):
     """Per-knot report, from the knot's elements held in the directory
     cache when the code fingerprint matches; returns (report, hit, records).
     An entry is the two coefficient lists of ``knot_elements``, and a hit
-    is one that passes ``checked_elements``; on a miss ``knot_pass`` gives
-    the elements, which are written, or the failed pass's RecordError,
-    which is not.  Either way ``invariant_records`` reads the records."""
+    is one that passes ``checked_elements`` and whose records, read by
+    ``invariant_records``, all hold: elements that vanish at a root read
+    pass the identity as 0 = 0 and fail their readout.  On a miss
+    ``knot_pass`` gives the elements, or the failed pass's RecordError,
+    and the entry is written only where every record holds."""
     path = os.path.join(_entry_dir(cache_dir), f"{knot.p}_{knot.q}.json")
     elements = _cached_elements(path, knot)
-    hit = elements is not None
-    if not hit:
-        elements = knot_pass(knot)
-        if not isinstance(elements, RecordError):
-            _atomic_write(path, serialize_report(elements))
+    if elements is not None:
+        records = invariant_records(knot, elements)
+        if all(r.ok for r in records):
+            return knot_report(knot, records), True, records
+    elements = knot_pass(knot)
     records = invariant_records(knot, elements)
-    return knot_report(knot, records), hit, records
+    if all(r.ok for r in records):
+        _atomic_write(path, serialize_report(elements))
+    return knot_report(knot, records), False, records
 
 
 def read_catalog(path):

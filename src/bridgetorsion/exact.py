@@ -29,8 +29,9 @@ tolerance.
 
 Packing (Kronecker substitution): sum c_e t^e is the int sum c_e 2^(B e),
 signed B-bit digits, with B = 32 for p <= 31, 40 for p <= 131 and 64
-above (``_digit_bits``), sized to the coefficients the knot's pass
-forms; the identity check of ``checked_elements`` sizes its own.  Ring
+above (``_digit_bits``), sized to the coefficients the knot's pass forms
+and to its elements, which the guard holds below 2^(B/2); the identity
+check of ``checked_elements`` packs at the width its own bound needs.  Ring
 operations on these ints are exact integer arithmetic, so an int is its
 element at t = 2^B however large the coefficients grow on the way;
 unpacking recovers the coefficients of an element whose coefficients
@@ -60,12 +61,13 @@ from .errors import RecordError
 
 def _digit_bits(p):
     """B, the bits of a packed coefficient of a knot of determinant p: 32
-    through p = 31, where every coefficient the pass forms is below 2^28
-    and both elements' below 2^14, 40 through p = 131, where they are
-    below 2^39 and 2^20 (tests bound each product of each knot by
-    |(xy)_e| <= ||x||_inf ||y||_1), and 64 above, where the steps of
-    ``knot_elements`` stay below 2^39 through b(2001,1); the identity of
-    ``checked_elements`` sizes its own digits."""
+    through p = 31, where every coefficient the pass forms is below 2^19
+    and both elements' below 2^14, within the guard B/2 = 16, 40 through
+    p = 131, where they are below 2^26 and 2^19, within 20 (tests bound
+    each product of each knot by |(xy)_e| <= ||x||_inf ||y||_1), and 64
+    above, where the steps of ``knot_elements`` stay below 2^38 through
+    b(2001,1); the identity of ``checked_elements`` is not a step of the
+    pass and packs at its own width."""
     return 32 if p <= 31 else 40 if p <= 131 else 64
 
 
@@ -396,10 +398,10 @@ def checked_elements(knot, coeffs):
     elements and cached ones pass this one check.  u(t^2) u(t^2r) has L1
     norm at most 16, so the tested element's coefficients are within
     16 ||n2||_inf ||n2||_1 + ||D||_inf: the identity is packed at the
-    knot's width B while that bound is below 2^(B-1), and otherwise at the
-    least multiple of 8 bits whose signed digit holds it, so that its zero
-    test is sound for any p and any entry."""
-    p, b, label = knot.p, _digit_bits(knot.p), knot.label
+    least multiple of 8 bits whose signed digit holds that bound, whatever
+    the knot's width B, so that its zero test is sound for any p and any
+    entry."""
+    p, label = knot.p, knot.label
     if not (type(coeffs) is list and len(coeffs) == 2 and all(
             type(c) is list and len(c) == p and all(type(x) is int for x in c) for c in coeffs)):
         raise RecordError(f"the elements of {label} are not two lists of {p} ints")
@@ -409,8 +411,7 @@ def checked_elements(knot, coeffs):
             raise RecordError(f"{what} of {label} is not real")
     n2, d = coeffs
     bound = 16 * max(map(abs, n2)) * sum(map(abs, n2)) + max(map(abs, d))
-    if bound >> (b - 1):
-        b = bound.bit_length() + 8 & -8
+    b = bound.bit_length() + 8 & -8
     n2, d = (sum(c << (b * e) for e, c in enumerate(x)) for x in coeffs)
     u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
     _zero_test(_fold(n2 * n2, b * p) * _fold(u2 * u2r, b * p) - d, p, b,

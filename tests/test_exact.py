@@ -83,7 +83,9 @@ def _dot_terms(x, y, z, w, full=True):
 
 
 def _pass_at_width(knot, b):
-    """knot_elements replayed step by step with packed digits of b bits.
+    """knot_elements replayed step by step with packed digits of b bits:
+    every step the pass forms, and not the identity of checked_elements,
+    which packs at the width of its own list bound on every call.
     Returns (operands, bounds).  operands maps each step to the
     coefficients, decoded at width b, of every int it multiplies, divides
     or weights: unfolded ints (the images W and W x^(-2 sigma), the
@@ -148,10 +150,6 @@ def _pass_at_width(knot, b):
             fox[e] = [x + y for x, y in zip(fox.get(e, (0, 0, 0, 0)), term)]
     terms = {a: [fold(x << b * (p - 1)) for x in term] for a, term in fox.items()}
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
-    n_ss = dec(a[0] * dd[2] + a[1] * dd[1] + a[2] * dd[0] - bb[0] * c[2] - bb[1] * c[1]
-               - bb[2] * c[0])
-    n2 = sum(n_ss[e * (p + 1) // 2 % p] << b * e for e in range(p))  # n_ss(t^2), as checked_elements packs it
-    u2, u2r = ((1 << b * (m % p)) + (1 << b * (-m % p)) - 2 for m in (2, 2 * pow(knot.q, -1, p)))
 
     sums = {  # each step's folded sums of products, each sum as its (x, y) pairs
         "L slots": (_dot_terms(r00, v00, r12, v10) + _dot_terms(r10, v01, r11, v11)
@@ -161,9 +159,6 @@ def _pass_at_width(knot, b):
             [(a[0], dd[0]), (bb[0], c[0])],
             [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
             [(a[0], dd[2]), (a[1], dd[1]), (a[2], dd[0]), (bb[0], c[2]), (bb[1], c[1]), (bb[2], c[0])]],
-        "n_ss(t^2)^2": [[(n2, n2)]],
-        "u_k u_kr": [[(u2, u2r)]],
-        "P(1)^2 F u_k u_kr": [[(fold(n2 * n2), fold(u2 * u2r))]],
     }
     bounds = {name: max(sum(term_bound(x, y) for x, y in pairs) for pairs in step)
               for name, step in sums.items()}
@@ -211,9 +206,9 @@ def test_intermediate_digit_headroom_at_4001_1529():
 
 @pytest.mark.slow
 def test_intermediate_digit_headroom_at_the_torus_knot_1001_1():
-    # over all q the largest bound of the pass is the identity step
-    # n_ss(t^2)^2 u_k u_kr at the torus knot b(p,1), about 5 bits more per
-    # doubling of p: below 2^53 at 1001/1, against 2^32 at 1001/375
+    # over all q the largest bound of the pass is that of the longitude
+    # slots at the torus knot b(p,1), about 3 bits more per doubling of p:
+    # below 2^35 at 1001/1, against 2^32 at 1001/375
     _check_headroom(1001, 1)
 
 
@@ -313,9 +308,9 @@ def _check_40_bit_digits(fractions, replay_at_64):
 
 
 def test_40_bit_digits_hold_at_the_worst_and_the_ladder_knots(at_64_bits):
-    # the tier's worst knot, b(131,1), whose identity step
-    # n_ss(t^2)^2 u_k u_kr is bounded just below 2^39, and the ladder's
-    # knots of 33 <= p <= 131: bounds and operands at both widths by
+    # the tier's worst knot, b(131,1), whose longitude slots, the largest
+    # step of the tier, are bounded below 2^26, and the ladder's knots of
+    # 33 <= p <= 131: bounds and operands at both widths by
     # _check_40_bit_digits, and knot_elements gives the same elements at
     # 64 bits, bit for bit
     fractions = [(131, 1), (41, 11), (61, 17), (101, 31)]
@@ -362,14 +357,33 @@ def _list_bound(n2, d):
 
 
 def test_identity_check_sizes_its_own_digits(monkeypatch):
-    # the identity n_ss(t^2)^2 u(t^2) u(t^2r) = D runs at the knot's own
-    # width on the census, the ladder and the 40-bit tier's worst knot,
-    # 131/1, whose list bound stays below 2^(B-1)
+    # the identity n_ss(t^2)^2 u(t^2) u(t^2r) = D is packed, call by call,
+    # at the least multiple of 8 bits whose signed digit holds its list
+    # bound, whatever the knot's width, on the census, the ladder and 131/1
     widths = _identity_widths(monkeypatch)
-    fractions = CENSUS_25 + LADDER + [(131, 1)]
-    for p, q in fractions:
-        exact.knot_elements(normalize_two_bridge(p, q))
-    assert widths == [exact._digit_bits(p) for p, q in fractions]
+    want = []
+    for p, q in CENSUS_25 + LADDER + [(131, 1)]:
+        n2, d = exact.knot_elements(normalize_two_bridge(p, q))
+        want.append(_list_bound(n2, d).bit_length() + 8 & -8)
+    assert widths == want
+    # two valid entries at 7/3 whose list bounds straddle a byte: D + c N
+    # passes the identity with n2, as N vanishes at every root read and
+    # N u = 0, and c sets the bound to 2^15 - 1, packed at 16 bits, and
+    # to 2^15, packed at 24; with one symmetric pair of D's coefficients
+    # off by one, not the largest, each fails at its own width
+    knot = normalize_two_bridge(7, 3)
+    n2, d = exact.knot_elements(knot)
+    for bound, width in ((2 ** 15 - 1, 16), (2 ** 15, 24)):
+        c = bound - _list_bound(n2, d)
+        entry = [n2, [x + c for x in d]]
+        assert _list_bound(*entry) == bound
+        widths.clear()
+        assert exact.checked_elements(knot, entry) == entry
+        off = [x + (e in (2, 5)) for e, x in enumerate(entry[1])]
+        assert _list_bound(n2, off) == bound
+        with pytest.raises(RecordError, match=r"P\(1\)\^2 F u_k u_kr = 1 fails .* for b\(7,3\)"):
+            exact.checked_elements(knot, [n2, off])
+        assert widths == [width, width]
     # a valid entry at 131/1 beyond the tier proofs: n2 + c N, c = 507,322,
     # within the 20-bit guard and equal to n2 at every root read, as N
     # vanishes there and N u = 0; its list bound of 50 bits is past the
@@ -786,11 +800,11 @@ def test_digits_round_trip():
 
 
 def test_digits_unpack_any_whole_byte_width():
-    # the identity of checked_elements packs at any multiple of 8 bits its
+    # the identity of checked_elements packs at the multiple of 8 bits its
     # bound needs, and a failure unpacks at that width, which may be none
     # of the knots' own: every signed digit short of -2^(b-1) comes back,
     # whatever multiple of 2^(bp) - 1 the int carries
-    for b in (48, 56, 72, 96):
+    for b in (8, 16, 24, 48, 56, 72, 96):
         top = 2 ** (b - 1) - 1
         digits = [3, -1, 0, top, -top, 5, -7]
         x = sum(c << (b * e) for e, c in enumerate(digits))

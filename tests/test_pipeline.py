@@ -71,9 +71,9 @@ def test_torus_records_match_closed_forms():
                 assert abs(r.tau - 1 / 9) <= 1e-9
 
 
-def test_trefoil_uses_closed_form_with_generic_crosscheck():
-    # the trefoil's one record comes from the generic path; the (2, 3) closed
-    # form tau = 1/9 checks it, and its own cross-check estimate agrees
+def test_trefoil_record_is_one_ninth_and_meets_its_oracle():
+    # the trefoil's one record holds with its full margin, with the (2, 3)
+    # closed form tau = 1/9, and meets its lens oracle value
     records = compute_invariants(normalize_two_bridge(3, 1))
     assert len(records) == 1
     r = records[0]
@@ -83,9 +83,9 @@ def test_trefoil_uses_closed_form_with_generic_crosscheck():
     assert abs(r.tau - r.cross_check) <= 1e-5 * r.tau
 
 
-def test_force_generic_on_torus():
-    # no knob is needed any more: b(5, 1) goes through the generic path, and
-    # its records match the closed form
+def test_torus_knot_5_1_meets_its_closed_form():
+    # both records of b(5, 1) hold with their full margin and meet the
+    # (2, 5) closed form
     records = compute_invariants(normalize_two_bridge(5, 1))
     assert len(records) == 2
     for r in records:
@@ -112,9 +112,10 @@ def test_multiset_matches_lens_oracle():
             assert abs(a - b) <= 1e-6 * max(a, b)
 
 
-# fractions where the step-grid limit used to fail or miss the oracle; 91/57,
-# one of whose records fails the cross-check of F in double; and 79/1, one of
-# whose records failed the division of P(t) in double
+# fractions whose multisets match the lens oracle, each once failed by a
+# float route: the first nine by F's numerical limit, which failed or
+# missed the oracle, 91/57 by the cross-check of F in double and 79/1 by the
+# division of P(t) in double
 @pytest.mark.parametrize(
     "p, q",
     [
@@ -156,7 +157,7 @@ print(codes)
 """
 
 
-def test_mpmath_stays_unloaded_when_double_suffices():
+def test_mpmath_stays_unloaded_by_every_command():
     # the value path reads its floats off exact integer elements with an
     # integer cosine table, so mpmath is never imported; with its import
     # blocked, every command (invariants, compare, both oracles, catalog
@@ -394,6 +395,11 @@ def _replaced(c, e, x):
         # passes the packed identity, as it adds 2^(Bp) - 1, and the
         # symmetry check, and fails the digit guard alone
         _coeffs(lambda n2, d: [n2, [x + 2 ** 64 - 1 for x in d]]),
+        # pass checked_elements, as elements with equal coefficients vanish
+        # at every root read and the identity reads 0 = 0, and fail every
+        # readout
+        serialize_report([[0] * 7, [0] * 7]),
+        serialize_report([[5] * 7, [3] * 7]),
         # reports, whole or with a field damaged, are not two lists
         _edited(lambda report, rec: report.update(records=[{"k": 1}])),
         _edited(lambda report, rec: report.update(records=[])),
@@ -410,15 +416,16 @@ def _replaced(c, e, x):
             tau=rec["tau"] * 1.5, oracle=rec["tau"] * 1.5, absError=0.0)),
     ],
     ids=["truncated", "nested", "empty", "other-knot", "wrong-type", "float", "three-lists",
-         "short-list", "asymmetric", "doubled", "guard",
+         "short-list", "asymmetric", "doubled", "guard", "vanishing", "constant",
          "partial-record", "no-records", "determinant", "extra-key", "extra-record-key",
          "second-entry", "abs-error", "tau", "kprime", "oracle", "tau-and-oracle"],
 )
 def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     # an entry that does not parse, or whose elements fail checked_elements
     # (two lists of p ints within the digit guard, each symmetric, with
-    # the paper's identity holding), is a miss: the elements are computed
-    # again and the entry rewritten, and a catalog over that entry runs
+    # the paper's identity holding) or any record's readout, is a miss:
+    # the elements are computed again and the entry rewritten, and a
+    # catalog over that entry runs
     knot = normalize_two_bridge(7, 3)
     if callable(damaged):
         damaged = damaged(knot)
@@ -758,15 +765,27 @@ def test_nan_estimate_gives_error_records(monkeypatch):
 
 def test_hit_and_miss_read_the_elements_alike(tmp_path, monkeypatch):
     # a hit reads its records off the elements as a miss does: with read
-    # giving NaN, the warm hit has the miss's error records
-    _read_nan(monkeypatch)
+    # giving every tau doubled, the warm hit has the miss's records; with
+    # read giving NaN, the same entry is no hit, as its records fail, and
+    # the lookup gives a fresh run's error records and keeps the entry
+    exact_read = pipeline.read
+    monkeypatch.setattr(pipeline, "read", lambda elements: [
+        r._replace(tau=2 * r.tau) for r in exact_read(elements)])
     knot = normalize_two_bridge(7, 3)
     cache = str(tmp_path / "cache")
     miss = cached_invariant_report(knot, cache)
     hit = cached_invariant_report(knot, cache)
     assert (miss[1], hit[1]) == (False, True)
-    assert all("not positive" in r.error for r in hit[2])
     assert hit[0] == miss[0] == knot_report(knot, compute_invariants(knot))
+    with open(_entry_path(cache, knot), "rb") as f:
+        entry = f.read()
+    _read_nan(monkeypatch)
+    report, hit, records = cached_invariant_report(knot, cache)
+    assert not hit
+    assert all("not positive" in r.error for r in records)
+    assert report == knot_report(knot, compute_invariants(knot))
+    with open(_entry_path(cache, knot), "rb") as f:
+        assert f.read() == entry
 
 
 def test_failed_exact_pass_is_not_cached(tmp_path, break_letter):
@@ -915,7 +934,7 @@ def test_criterion_9_fails_on_record_errors(break_letter):
     assert "undetermined (dev n/a)" in result.line
 
 
-def test_extended_precision():
+def test_79_1_and_91_57_meet_their_reference_values():
     # b(79, 1) meets the (2, 79) torus closed forms, and 91/57, whose
     # record k = 1 once needed 30 digits, meets the lens values computed
     # at 30 digits within 1e-14
@@ -980,7 +999,7 @@ def test_value_path_builds_no_relator(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [79, 101, 131, 201])
-def test_large_torus_knots_run_in_double(q):
+def test_large_torus_knots_meet_closed_forms_with_full_margin(q):
     # every record of b(q, 1) is read off the exact elements with its full
     # margin, and meets the (2, q) closed forms
     for r in compute_invariants(normalize_two_bridge(q, 1)):

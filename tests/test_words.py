@@ -59,7 +59,7 @@ def _reduce_letter_by_letter(pairs):
     return tuple(stack)
 
 
-def test_reduction_shortcut_matches_the_letter_loop():
+def test_word_letters_match_a_letter_by_letter_reduction():
     # reduced unit letters come back as they are; every other input,
     # exponents True or 1.0 included, reduces to the same int letters
     rng = random.Random(21)
@@ -259,7 +259,7 @@ def test_determinant_mismatch_is_raised(monkeypatch):
         normalize_two_bridge(7, 3)
 
 
-def test_knot_words_built_once():
+def test_knot_words_equal_the_words_built_from_scratch():
     # the relator and <-w equal the words built from scratch
     k = normalize_two_bridge(13, 5)
     w = k.word
