@@ -22,15 +22,16 @@ def test_criterion(suite, number):
 
 
 @pytest.mark.parametrize("number, check", [(10, "estimate (b)"), (7, "phi at g^0")])
-def test_criterion_fails_when_its_zero_test_fails(monkeypatch, number, check):
+def test_criterion_fails_when_its_zero_test_fails(patch_exact, number, check):
     # the criterion's zero test off by one, and no other check: every record
-    # names it, and the criterion fails, naming a knot
+    # names it, and the criterion fails, naming a knot; patch_exact clears
+    # the per-p stage's cache, whose entries would not run phi at g^0 again
     zero_test = exact._zero_test
 
     def off(x, p, b, what, label):
         zero_test(x + 1 if what == check else x, p, b, what, label)
 
-    monkeypatch.setattr(exact, "_zero_test", off)
+    patch_exact("_zero_test", off)
     for r in compute_invariants(normalize_two_bridge(7, 3)):
         assert f"{check} fails" in r.error, r.k
     result = getattr(AcceptanceSuite(), f"criterion_{number}")()

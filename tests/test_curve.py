@@ -381,19 +381,13 @@ def test_off_curve_metabelian_point_is_refused():
         evaluate_F(off, 1)
 
 
-def test_longitude_not_identity_raises(monkeypatch):
+def test_longitude_not_identity_raises(patch_exact):
     # the determinant identity needs L = I at the metabelian point; a
     # longitude whose image is not the identity there, here w w x^(-2 sigma)
     # in place of <-w w x^(-2 sigma), must be refused, not evaluated.  The
-    # dividends 0 and t c W12 (t c = ((t + 1)^2, t, -4 (t + 1)^2, 16 t)
-    # homogenized) make the quotient rho(<-w) read W, since W21 = v W12
-    def skewed(image, b):
-        d = (1 << 2 * b) + (1 << b + 1) + 1
-        q0, qd, qs, qss = image[1]
-        return [(0, 0, 0, 0), (d * q0, d * qd + (q0 << b), d * (qs - 4 * q0),
-                               d * (qss - 4 * qs) + (q0 << b + 4))]
-
-    monkeypatch.setattr(exact, "_dividends", skewed)
+    # metabelian stage's quotients k = 0 and rho(<-w)_12 = W12 make its
+    # rho(<-w) read W, since W21 = v W12
+    patch_exact("_swap_at_0", lambda w, b: [(0, 0), w[1]])
     with pytest.raises(RecordError, match="L = I"):
         evaluate_F(normalize_two_bridge(5, 3), 1)
 

@@ -15,7 +15,8 @@ from bridgetorsion.pipeline import (
     metabelian_pairing,
     tau_multiset,
 )
-from bridgetorsion.words import normalize_two_bridge
+from bridgetorsion.words import Word, normalize_two_bridge
+from conftest import clearing_caches
 
 CENSUS_25 = [(p, q) for p in range(3, 26, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 LADDER = [(5, 3), (15, 7), (41, 11), (61, 17), (101, 31)]
@@ -74,29 +75,35 @@ def _decode(x, n, b):
     return [int.from_bytes(raw[i:i + b // 8], "little") - half for i in range(0, len(raw), b // 8)]
 
 
-def _dot_terms(x, y, z, w, full=True):
-    """The (x, y) pairs of each slot of ``exact._dot``'s jet x y + z w,
-    slot by slot in its order: val and g, and, with full, du and g^2."""
-    slots = ([(0, 0)], [(0, 2), (2, 0)], [(0, 1), (1, 0)], [(0, 3), (2, 2), (3, 0)])
-    return [[(f[i], g[j]) for f, g in ((x, y), (z, w)) for i, j in slot]
-            for slot in (slots if full else slots[:2])]
+def _jet_terms(x, y, z, w, slots):
+    """The (x, y) pairs of each slot of the jet x y + z w, one list of
+    pairs per slot of slots, each slot given by its index pairs."""
+    return [[(f[i], g[j]) for f, g in ((x, y), (z, w)) for i, j in slot] for slot in slots]
+
+
+#: The index pairs of the slots of a product of jets: (val, du) at g = 0, as
+#: the metabelian stage forms L (each entry's val, and the du slots of the
+#: diagonal as one sum, tr L at du), and the g and g^2 slots of (val, g, g^2),
+#: as ``exact._dot`` forms them (its g slot alone without full).
+AT_0, IN_G = ([(0, 0)], [(0, 1), (1, 0)]), ([(0, 1), (1, 0)], [(0, 2), (1, 1), (2, 0)])
 
 
 def _pass_at_width(knot, b):
-    """knot_elements replayed step by step with packed digits of b bits:
-    every step the pass forms, and not the identity of checked_elements,
-    which packs at the width of its own list bound on every call.
-    Returns (operands, bounds).  operands maps each step to the
-    coefficients, decoded at width b, of every int it multiplies, divides
-    or weights: unfolded ints (the images W and W x^(-2 sigma), the
-    dividends of C W C and their quotients) decoded whole, and each decode
-    checked to give back its int, the others mod t^p - 1, as the folds
-    that follow their products read them; the longitude's operands keep
-    the factor t^m of W, as knot_elements leaves it, which moves their
-    coefficients and not their norms.  bounds maps each step to a bound
-    on the magnitude of the coefficients it forms, so that while a bound
-    is below 2^(b - 1), every coefficient fits its signed digit and no
-    carry crosses into the next:
+    """knot_elements replayed step by step with packed digits of b bits,
+    both its stages: the metabelian stage of the knot's p, in (val, du),
+    and the knot's own steps, in (val, g, g^2); not the identity of
+    checked_elements, which packs at the width of its own list bound on
+    every call.  Returns (operands, bounds).  operands maps each step to
+    the coefficients, decoded at width b, of every int it multiplies,
+    divides or weights: unfolded ints (the images W and W x^(-2 sigma),
+    the dividends of C W C and their quotients, in either stage) decoded
+    whole, and each decode checked to give back its int, the others mod
+    t^p - 1, as the folds that follow their products read them; the
+    longitude's operands keep the factor t^m of W, as knot_elements leaves
+    it, which moves their coefficients and not their norms.  bounds maps
+    each step to a bound on the magnitude of the coefficients it forms, so
+    that while a bound is below 2^(b - 1), every coefficient fits its
+    signed digit and no carry crosses into the next:
     - a sum of products xy of folded elements, each term by the L1 form
       |(xy)_e| <= ||x||_inf ||y||_1 (or with x and y swapped, the lesser),
       and a sum of terms by the sum of their bounds;
@@ -131,6 +138,21 @@ def _pass_at_width(knot, b):
     def u(x):  # u x = (x << B) + (x >> B) - 2x
         return (x << b) + (x >> b) - (x << 1)
 
+    # the metabelian stage: W = (XY)^m at g = 0, C W C / c and L = rho(<-w) W
+    tu, d = (1 << 2 * b) - (1 << b + 1) + 1, (1 << 2 * b) + (1 << b + 1) + 1
+    w0 = exact._image_at_0("xy" * (p // 2), b)
+    (p0, pd), (q0, qd), _, (r0, rd) = w0
+    m0, md = p0 - r0 + 2 * q0, pd - rd + 2 * qd
+    dividends0 = [(e0 * tu - (f0 << b + 1), ed * tu + (e0 << b) - (fd << b + 1))
+                  for e0, ed, f0, fd in ((-2 * q0 - m0, -2 * qd - md, 0, 0), (q0, qd, m0, md))]
+    k0, r12_0 = exact._swap_at_0(w0, b)
+    assert [(x0 * d, xd * d + (x0 << b)) for x0, xd in (k0, r12_0)] == dividends0
+    r10_0 = [fold(x << b * (p - 1)) for x in (r12_0[0] * tu, r12_0[1] * tu + (r12_0[0] << b))]
+    rows0 = ([x + y for x, y in zip(w0[0], k0)], r12_0), (r10_0, [x - y for x, y in zip(w0[3], k0)])
+    cols0 = w0[::2], w0[1::2]
+    phi_d = fold((w0[0][1] + 2 * w0[1][1]) << b * ((p + 1) // 2))
+
+    # the knot's own steps
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = exact._image(knot.word.letters, b, tail)
     dividends = exact._dividends(w, b)
@@ -141,7 +163,6 @@ def _pass_at_width(knot, b):
     l00, l11 = exact._dot(r00, v00, r12, v10, fold), exact._dot(r10, v01, r11, v11, fold)
     l01 = exact._dot(r00, v01, r12, v11, fold, False)
     l10 = exact._dot(r10, v00, r11, v10, fold, False)
-    phi_d = fold((w[0][1] + 2 * w[1][1]) << b * ((p + 1) // 2))
     one = 1 << b * (p + 1)
     fox_terms, top, phi_w = exact._fox_terms(knot.word, b, one)
     fox = {top: phi_w}  # (I - Phi(y)) T: T at a and -Phi(y) T at a + 1
@@ -152,9 +173,13 @@ def _pass_at_width(knot, b):
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
 
     sums = {  # each step's folded sums of products, each sum as its (x, y) pairs
-        "L slots": (_dot_terms(r00, v00, r12, v10) + _dot_terms(r10, v01, r11, v11)
-                    + _dot_terms(r00, v01, r12, v11, False) + _dot_terms(r10, v00, r11, v10, False)),
-        "D": [[(l01[1], l10[1]), (l00[2], l11[2])]],
+        "metabelian L slots": [pairs for x, z in rows0 for y, v_ in cols0
+                               for pairs in _jet_terms(x, y, z, v_, AT_0[:1])]
+                              + [[pair for (x, z), (y, v_) in zip(rows0, cols0)
+                                  for pair in _jet_terms(x, y, z, v_, AT_0[1:])[0]]],
+        "L slots": (_jet_terms(r00, v00, r12, v10, IN_G) + _jet_terms(r10, v01, r11, v11, IN_G)
+                    + _jet_terms(r00, v01, r12, v11, IN_G[:1]) + _jet_terms(r10, v00, r11, v10, IN_G[:1])),
+        "D": [[(l01, l10), (l00[0], l11[0])]],
         "Wada's numerator": [
             [(a[0], dd[0]), (bb[0], c[0])],
             [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
@@ -171,7 +196,9 @@ def _pass_at_width(knot, b):
     operands["Fox terms to jets"] = [dec(x) for term in terms.values() for x in term]
     bounds["phi_u closed form"] = 4 * max(map(abs, dec(phi_d))) + p
     operands["phi_u closed form"] = [dec(phi_d)]
-    for name, jets in (("W and W x^(-2 sigma)", w + v), ("C W C dividends", dividends),
+    for name, jets in (("(XY)^m", w0), ("metabelian C W C dividends", dividends0),
+                       ("metabelian C W C quotients", (k0, r12_0)),
+                       ("W and W x^(-2 sigma)", w + v), ("C W C dividends", dividends),
                        ("C W C quotients", (k, r12))):
         operands[name] = whole(jets)
         bounds[name] = max(max(map(abs, ds)) for ds in operands[name])
@@ -215,35 +242,30 @@ def test_intermediate_digit_headroom_at_the_torus_knot_1001_1():
 NARROW = [(p, q) for p in range(3, 32, 2) for q in range(1, p, 2) if math.gcd(p, q) == 1]
 
 
-def _at_64_bits(monkeypatch):
-    """Yields a function that sets every knot's digits to 64 bits, by
-    patching exact._digit_bits; exact._ring's cache is cleared before the
-    patch and again at teardown, as an entry (p, 64) holds the guard of the
-    width in force when it was filled."""
-    def apply():
-        exact._ring.cache_clear()
-        monkeypatch.setattr(exact, "_digit_bits", lambda p: 64)
-
-    yield apply
-    exact._ring.cache_clear()
-
-
-at_64_bits = pytest.fixture(_at_64_bits, name="at_64_bits")
+@pytest.fixture
+def at_64_bits(patch_exact):
+    """A function that sets every knot's digits to 64 bits, by patching
+    exact._digit_bits through patch_exact, which clears exact's caches
+    before the patch and again at teardown."""
+    return lambda: patch_exact("_digit_bits", lambda p: 64)
 
 
 def test_ring_holds_each_guard_across_a_patched_width(monkeypatch):
-    # the fixture's two clears: the entry (7, 64), filled with 7/3's own
-    # guard, 16, is refilled under the patch with the patched width's, 32,
-    # and after the teardown an unpatched zero test at that key reads 16
-    # again
-    steps = _at_64_bits(monkeypatch)
+    # the two clears of patch_exact: the entry (7, 64) of _ring, filled
+    # with 7/3's own guard, 16, is refilled under the patch with the
+    # patched width's, 32, and the per-p stage's entry (7, 64) is filled
+    # under it; after the teardown an unpatched zero test at that key reads
+    # 16 again, and the per-p stage holds no entry of the patch
+    steps = clearing_caches(monkeypatch)
     assert exact._ring(7, 64)[3] == exact._guard_bits(7) == 16
-    next(steps)()
+    next(steps)("_digit_bits", lambda p: 64)
     exact.knot_elements(normalize_two_bridge(7, 3))
     assert exact._ring(7, 64)[3] == 32
+    assert exact._metabelian.cache_info().currsize == 1
     next(steps, None)
     monkeypatch.undo()
     assert exact._ring(7, 64)[3] == exact._guard_bits(7) == 16
+    assert exact._metabelian.cache_info().currsize == 0
 
 
 def test_narrow_digits_hold_through_p_31(monkeypatch, at_64_bits):
@@ -336,7 +358,7 @@ def test_40_bit_digits_hold_for_33_through_131(at_64_bits):
 IDENTITY = "P(1)^2 F u_k u_kr = 1"
 
 
-def _identity_widths(monkeypatch):
+def _identity_widths(patch_exact):
     """The digit widths at which the identity of checked_elements is
     packed, call by call, as a spy on its zero test records them."""
     widths, zero_test = [], exact._zero_test
@@ -346,7 +368,7 @@ def _identity_widths(monkeypatch):
             widths.append(b)
         zero_test(x, p, b, what, label)
 
-    monkeypatch.setattr(exact, "_zero_test", spy)
+    patch_exact("_zero_test", spy)
     return widths
 
 
@@ -356,11 +378,11 @@ def _list_bound(n2, d):
     return 16 * max(map(abs, n2)) * sum(map(abs, n2)) + max(map(abs, d))
 
 
-def test_identity_check_sizes_its_own_digits(monkeypatch):
+def test_identity_check_sizes_its_own_digits(patch_exact):
     # the identity n_ss(t^2)^2 u(t^2) u(t^2r) = D is packed, call by call,
     # at the least multiple of 8 bits whose signed digit holds its list
     # bound, whatever the knot's width, on the census, the ladder and 131/1
-    widths = _identity_widths(monkeypatch)
+    widths = _identity_widths(patch_exact)
     want = []
     for p, q in CENSUS_25 + LADDER + [(131, 1)]:
         n2, d = exact.knot_elements(normalize_two_bridge(p, q))
@@ -412,11 +434,11 @@ def test_identity_check_sizes_its_own_digits(monkeypatch):
 
 
 @pytest.mark.slow
-def test_identity_check_widens_itself_at_4001_1(monkeypatch):
+def test_identity_check_widens_itself_at_4001_1(patch_exact):
     # the torus knot b(4001,1), whose identity step has a list bound of 64
     # bits, one more than its 64-bit digits hold: checked_elements packs
     # the computed elements at 72 bits, and they pass
-    widths = _identity_widths(monkeypatch)
+    widths = _identity_widths(patch_exact)
     knot = normalize_two_bridge(4001, 1)
     n2, d = exact.knot_elements(knot)
     bound = _list_bound(n2, d)
@@ -453,23 +475,24 @@ def test_element_beyond_the_guard_fails_every_record(monkeypatch):
             f"RecordError: 4 P(1) has a coefficient of {guard} bits or more"] * ((p - 1) // 2)
 
 
-def test_phi_u_off_by_one_fails_its_closed_form(monkeypatch, break_letter):
-    # Riley's smoothness is a zero test of its own: with the du slot of
-    # W11 off by one, every record of 7/3 fails "phi_u closed form", the
-    # check before the division C W C / c; break_letter, which leaves every
-    # du slot alone, passes it and fails first at that division, whose g^2
-    # slots it breaks
+def test_phi_u_off_by_one_fails_its_closed_form(patch_exact, break_letter):
+    # Riley's smoothness is a zero test of its own, in the metabelian
+    # stage: with the du slot of W11 of (XY)^m off by one, every record of
+    # 7/3 fails "phi_u closed form", the check before the division
+    # C W C / c; break_letter, which breaks the knot's own g^2 slots and no
+    # du slot, passes it and fails first at the knot's own division, whose
+    # g^2 slots it breaks
     knot = normalize_two_bridge(7, 3)
-    image = exact._image
+    image = exact._image_at_0
 
-    def off(letters, b, tail=()):
-        ((val, du, g, gg), *others), rest = image(letters, b, tail)
-        return [(val, du + 1, g, gg), *others], rest
+    def off(gens, b):
+        (val, du), *others = image(gens, b)
+        return [(val, du + 1), *others]
 
-    monkeypatch.setattr(exact, "_image", off)
+    patch_exact("_image_at_0", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: phi_u closed form fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
-    monkeypatch.setattr(exact, "_image", image)
+    patch_exact("_image_at_0", image)
     break_letter()
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: rho(<-w) = C W C / c fails in Z[t] for b(7,3)"] * 3
@@ -477,36 +500,90 @@ def test_phi_u_off_by_one_fails_its_closed_form(monkeypatch, break_letter):
 
 def test_tail_off_in_its_g2_slot_fails_estimate_b(monkeypatch):
     # a break that no earlier check reads: the g^2 slot of W x^(-2 sigma)
-    # alone, off by its value slot, leaves phi, the division C W C / c,
-    # L = I and tr L at g^1 alone, and every record of 7/3 fails
-    # estimate (b)
+    # alone, off by its value slot, leaves the metabelian stage, the
+    # comparison of the value slots, phi at g^1, the division C W C / c
+    # and tr L at g^1 alone, and every record of 7/3 fails estimate (b)
     knot = normalize_two_bridge(7, 3)
     image = exact._image
 
     def off(letters, b, tail=()):
-        head, ((val, du, g, gg), *others) = image(letters, b, tail)
-        return head, [(val, du, g, gg + val), *others]
+        head, ((val, g, gg), *others) = image(letters, b, tail)
+        return head, [(val, g, gg + val), *others]
 
     monkeypatch.setattr(exact, "_image", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: estimate (b) fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
 
 
-def test_tail_off_in_its_du_slot_fails_tr_l_at_du(monkeypatch):
-    # estimate (b) is tested as its two factors, lam_u = 0 and
-    # lam_ss = D: the du slot of W x^(-2 sigma) alone, off by its value
-    # slot, leaves every check before them and D alone, and every record
-    # of 7/3 fails the first factor, tr L at du
+def test_tail_off_in_its_du_slot_fails_tr_l_at_du(patch_exact):
+    # estimate (b) is tested as its two factors, lam_u = 0, in the
+    # metabelian stage, and lam_ss = D: there W x^(-2 sigma) is W, as
+    # X^2 = I, and the du slot of W21 alone, off by its value slot, is read
+    # by L alone (phi reads the first row of W, and C W C / c reads
+    # W21 = v W12 from W12), so it leaves phi, the division and L = I at g^0
+    # alone, and every record of 7/3 fails the first factor, tr L at du
     knot = normalize_two_bridge(7, 3)
-    image = exact._image
+    image = exact._image_at_0
 
-    def off(letters, b, tail=()):
-        head, ((val, du, g, gg), *others) = image(letters, b, tail)
-        return head, [(val, du + val, g, gg), *others]
+    def off(gens, b):
+        w00, w01, (val, du), w11 = image(gens, b)
+        return [w00, w01, (val, du + val), w11]
 
-    monkeypatch.setattr(exact, "_image", off)
+    patch_exact("_image_at_0", off)
     assert [r.error for r in compute_invariants(knot)] == [
         "RecordError: tr L at du fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
+
+
+def test_value_slots_must_be_those_of_the_metabelian_stage(monkeypatch):
+    # the checks of the metabelian stage test a knot's own values only
+    # where the knot's value slots are the stage's, so each knot's are
+    # compared with them: 7/3 with one letter's generator swapped, whose W
+    # at g = 0 is no longer (XY)^3, fails the comparison of W, and the
+    # knot's own dividends skewed so that its rho(<-w) reads W (0 and
+    # t c W12, as W21 = v W12) fail the comparison of C W C / c, each
+    # before any check of the knot's own; a flipped sign is no control, as
+    # at g = 0 each scaled letter is one involution whatever its sign: it
+    # passes the comparison and fails phi at g^1
+    knot = normalize_two_bridge(7, 3)
+    letters = list(knot.word.letters)
+    swapped = knot._replace(word=Word([("y", 1)] + letters[1:]))
+    with pytest.raises(RecordError, match=r"^W at g\^0 is not \(XY\)\^m for b\(7,3\)$"):
+        exact.knot_elements(swapped)
+    flipped = knot._replace(word=Word([("x", -1)] + letters[1:]))
+    with pytest.raises(RecordError, match=r"^phi at g\^1 fails"):
+        exact.knot_elements(flipped)
+
+    def skewed(image, b):
+        d = (1 << 2 * b) + (1 << b + 1) + 1
+        q0, qs, qss = image[1]
+        return [(0, 0, 0), (d * q0, d * (qs - 4 * q0), d * (qss - 4 * qs) + (q0 << b + 4))]
+
+    monkeypatch.setattr(exact, "_dividends", skewed)
+    with pytest.raises(RecordError, match=r"^C W C / c at g\^0 is not that of \(XY\)\^m for b\(7,3\)$"):
+        exact.knot_elements(knot)
+
+
+def test_census_runs_the_metabelian_stage_once_per_p(patch_exact):
+    # the checks that read only g^0 and du run once per (p, b): 12 times
+    # for the 68 census fractions, whose 12 determinants each have one
+    # entry at the knot's own width, which every later knot of that p and
+    # any later call at that key reads
+    calls, image = [], exact._image_at_0
+
+    def counted(gens, b):
+        calls.append((len(gens) + 1, b))
+        return image(gens, b)
+
+    patch_exact("_image_at_0", counted)
+    for p, q in CENSUS_25:
+        compute_invariants(normalize_two_bridge(p, q))
+    keys = [(p, exact._digit_bits(p)) for p in range(3, 26, 2)]
+    assert calls == keys and len(CENSUS_25) == 68
+    info = exact._metabelian.cache_info()
+    assert (info.misses, info.currsize) == (12, 12)
+    for key in keys:
+        exact._metabelian(*key)
+    assert exact._metabelian.cache_info().hits == info.hits + 12 and len(calls) == 12
 
 
 def test_identity_holds_with_the_mirror_fraction():

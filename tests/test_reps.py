@@ -87,30 +87,35 @@ def test_trefoil_trace_identities():
 # -- Riley family -----------------------------------------------------------------
 
 
-def _letter_jets(image, m, u):
-    """The entries of a one-letter ``exact._image`` read at u, as jets in
-    (u, h) with h = 4g.  The image carries t^m, m = 1 for y^+-1 and 0 for
-    x^+-1; each slot is t^m (c + u v), which, with t^-m taken out, has
-    digits (v, c - 2v, v) for t^-1, 1 and t, read as (c + u v) / 4^i at
-    g^i."""
+def _letter_jets(image, m, u, scales):
+    """The entries of a one-letter image of the exact route read at u, each
+    slot divided by its scale, as jets in (u, h) with h = 4g: the knot's
+    own, in (val, g, g^2), at scales (1, 4, 16), and the metabelian
+    stage's, in (val, du), at scales (1, 1).  The image carries t^m, m = 1
+    for y^+-1 and 0 for x^+-1; each slot is t^m (c + u v), which, with
+    t^-m taken out, has digits (v, c - 2v, v) for t^-1, 1 and t, read as
+    c + u v."""
     def at_u(x):
         digits = exact._digits(x, 3, exact._digit_bits(3))
         v, c_minus_2v, w = (digits[(e + m) % 3] for e in (-1, 0, 1))
         assert v == w
         return c_minus_2v + 2 * v + u * v
 
-    return [[at_u(e0), at_u(ed), at_u(es) / 4, at_u(ess) / 16] for e0, ed, es, ess in image]
+    return [[at_u(x) / scale for x, scale in zip(jet, scales)] for jet in image]
 
 
 def test_riley_matches_metabelian_at_s_minus_one():
     # P(1) and F use one representation: the exact route's image of each
     # single letter, r^-1 times its scaled letter (times t for y^+-1), is,
     # bit for bit, the jets of the real pair at (-1, u_k) along
-    # s = -1 + h, inverses included, and their value slots are the real
-    # pair of rho_k
+    # s = -1 + h, inverses included: its (val, g, g^2) slots are the
+    # knot's own letter, its (val, du) slots the metabelian stage's step X
+    # or Y, which is the same for either sign; and their value slots are
+    # the real pair of rho_k
     b = exact._digit_bits(3)  # the width _letter_jets decodes at
     images = {(gen, sign): exact._image([(gen, sign)], b)[0]
               for gen in "xy" for sign in (1, -1)}
+    steps = {gen: exact._image_at_0(gen, b) for gen in "xy"}
     extended = Precision("extended")
     for prec, top in ((DOUBLE, 41), (extended, 13)):
         for p in range(3, top + 1, 2):
@@ -122,9 +127,13 @@ def test_riley_matches_metabelian_at_s_minus_one():
                 rho = metabelian_pair(p, k, prec)
                 for gen, img, meta in zip("xy", jets, (rho.img_x, rho.img_y)):
                     inverse = [-e for e in img.adjugate().entries]  # determinant -1
+                    m = int(gen == "y")
                     for sign, entries in ((1, img.entries), (-1, inverse)):
-                        want = _letter_jets(images[gen, sign], int(gen == "y"), u)
-                        assert [e.coeffs() for e in entries] == want, (p, k, gen, sign)
+                        coeffs = [e.coeffs() for e in entries]
+                        want = _letter_jets(images[gen, sign], m, u, (1, 4, 16))
+                        assert [[c[0], c[2], c[3]] for c in coeffs] == want, (p, k, gen, sign)
+                        want = _letter_jets(steps[gen], m, u, (1, 1))
+                        assert [c[:2] for c in coeffs] == want, (p, k, gen, sign)
                     assert list(meta.entries) == [e.val for e in img.entries], (p, k, prec)
 
 
@@ -346,12 +355,13 @@ def _census_reports():
     return out
 
 
-def _reference_image(letters, b, tail=()):
-    """``exact._image`` by full 2x2 products of ``riley_images`` at
-    r = sqrt(-s), s = -1 + 4g, over exact jets in (u, g) at t = 2^b
-    (``Jet2`` with Fraction slots, g in its s slot): the images of the
-    letters and of the letters followed by tail, each slot packed as
-    t^m = 2^(b m) times its value, m the word's letters y^+-1."""
+def _reference_fold(letters, b, tail, slots):
+    """The images of the letters and of the letters followed by tail by
+    full 2x2 products of ``riley_images`` at r = sqrt(-s), s = -1 + 4g,
+    over exact jets in (u, g) at t = 2^b (``Jet2`` with Fraction slots, g
+    in its s slot), each entry the given slots of its jet (val, du, g,
+    g^2), each slot packed as t^m = 2^(b m) times its value, m the word's
+    letters y^+-1."""
     u = Jet2(Fraction(2 ** b) + Fraction(1, 2 ** b) - 2, 1, 0, 0)
     h = Jet2(0, 0, 4, 0)  # s + 1 = 4g
     r = 1 - h * Fraction(1, 2) - h * h * Fraction(1, 8)  # sqrt(1 - h)
@@ -360,21 +370,34 @@ def _reference_image(letters, b, tail=()):
         scale = 2 ** (b * sum(gen == "y" for gen, _ in word))
         image = []
         for entry in _fold(*riley_images(r, u), Word(word)).entries:
-            slots = [Fraction(c) * scale for c in entry.coeffs()]
-            assert all(c.denominator == 1 for c in slots)
-            image.append(tuple(map(int, slots)))
+            packed = [Fraction(c) * scale for c in entry.coeffs()]
+            assert all(c.denominator == 1 for c in packed)
+            image.append(tuple(int(packed[i]) for i in slots))
         images.append(image)
     return images
 
 
-def test_compute_invariants_matches_reference_fold(monkeypatch):
+def _reference_image(letters, b, tail=()):
+    """``exact._image``, the knot's own (val, g, g^2), by ``_reference_fold``."""
+    return _reference_fold(letters, b, tail, (0, 2, 3))
+
+
+def _reference_image_at_0(gens, b):
+    """``exact._image_at_0``, the metabelian stage's (val, du) of a word in
+    x and y, by ``_reference_fold``, whose slots (val, du) hold at g = 0."""
+    return _reference_fold([(gen, 1) for gen in gens], b, (), (0, 1))[0]
+
+
+def test_compute_invariants_matches_reference_fold(patch_exact):
     # the whole record path, with every word image of the exact route,
     # the peripheral tail x^(-2 sigma) included, taken by the full 2x2 fold
     # of Riley's real pair instead of the homogenized scaled-letter kernel,
-    # gives equal report bytes for the 68 census fractions p <= 25
+    # and the metabelian stage's (XY)^m too, gives equal report bytes for
+    # the 68 census fractions p <= 25
     assert len(KERNEL_CENSUS) == 68
     kernel = _census_reports()
-    monkeypatch.setattr(exact, "_image", _reference_image)
+    patch_exact("_image", _reference_image)
+    patch_exact("_image_at_0", _reference_image_at_0)
     assert _census_reports() == kernel
 
 
