@@ -25,11 +25,12 @@ to Wada's weighted sums of the walk's terms, as both are linear.
 The pass has two stages, split by what depends on q.  At g = 0, r = 1
 and each scaled letter is one involution whatever its sign, X or Y, so
 W = (XY)^m, m = (p - 1)/2, for every q, and so is W x^(-2 sigma), as
-X^2 = I.  The checks that read only g^0 and the u-derivative du run once
-per (p, B) on jets (val, du) of (XY)^m (``_metabelian``, cached); each knot
-walks its own w on jets (val, g, g^2) only, and its val slots must equal
-the stage's, which makes each check of the stage a check of the knot's
-own values, as equal polynomials in u have equal derivatives.
+X^2 = I.  The stage of p (``_metabelian``, cached) owns g^0 and the
+u-derivative du: on jets (val, du) of (XY)^m it runs the checks that
+read only those and forms the val slots of C W C / c.  Each knot owns g
+and g^2, and its val slots of W and W x^(-2 sigma) must equal the
+stage's, which makes each check of the stage a check of the knot's own
+values, as equal polynomials in u have equal derivatives.
 With u = t + 1/t - 2, t = zeta^{k'} (zeta = e^{2 pi i/p}) gives u_{k'} and
 t^2 gives u_k.  An element vanishes at every p-th root of unity but 1
 exactly when its p coefficients are equal: that zero test replaces every
@@ -149,10 +150,10 @@ def _image(letters, b, tail=()):
 
 
 def _tv(e, b):
-    """The jet e times t v, v = -u s = u (1 - 4g): (1 - 4g) e times
-    t u = (t - 1)^2."""
+    """The g and g^2 slots of the jet e times t v, v = -u s = u (1 - 4g):
+    (1 - 4g) e times t u = (t - 1)^2."""
     tu = (1 << 2 * b) - (1 << b + 1) + 1
-    return e[0] * tu, (e[1] - (e[0] << 2)) * tu, (e[2] - (e[1] << 2)) * tu
+    return (e[1] - (e[0] << 2)) * tu, (e[2] - (e[1] << 2)) * tu
 
 
 def _dividends(image, b):
@@ -164,31 +165,29 @@ def _dividends(image, b):
     swapped, and w with its letters swapped is <-w, so W21 = v W12.  With
     M = W11 - W22 - a W12, C W C is then
     [[c W11 + v (a W12 - M), a M + v W12], [v (a M + v W12), c W22 - v (a W12 - M)]],
-    and the dividends are t v (a W12 - M) and t a M + t v W12.  A jet
-    times a is (-2 e0, 4 e0 - 2 es, 4 es - 2 ess)."""
+    and the dividends are t v (a W12 - M) and t a M + t v W12, their g and
+    g^2 slots.  A jet times a is (-2 e0, 4 e0 - 2 es, 4 es - 2 ess)."""
     (p0, ps, pss), (q0, qs, qss), _, (r0, rs, rss) = image
     g0, gs, gss = -(q0 << 1), (q0 << 2) - (qs << 1), (qs << 2) - (qss << 1)
     m0, ms, mss = p0 - r0 - g0, ps - rs - gs, pss - rss - gss
-    v0, vs, vss = _tv(image[1], b)
+    vs, vss = _tv(image[1], b)
     return [_tv((g0 - m0, gs - ms, gss - mss), b),
-            (v0 - (m0 << b + 1), vs + ((m0 << 2) - (ms << 1) << b),
-             vss + ((ms << 2) - (mss << 1) << b))]
+            (vs + ((m0 << 2) - (ms << 1) << b), vss + ((ms << 2) - (mss << 1) << b))]
 
 
-def _divide(jets, b, p, label):
-    """Yields the jets divided by t c, c = (s - 1)^2 - u s =
-    (4 + u)(1 - 4g) + 16g^2, whose homogenized jet is
-    ((t + 1)^2, -4 (t + 1)^2, 16 t): slot by slot in g, each an exact
-    division of an unfolded packed int by (t + 1)^2.  RecordError unless
-    every remainder is 0."""
+def _divide(values, jets, b, p, label):
+    """Yields the jets (values, g, g^2) of the quotients by t c of the g and
+    g^2 slots of the dividends, jets; c = (s - 1)^2 - u s = (4 + u)(1 - 4g)
+    + 16g^2 has the homogenized jet ((t + 1)^2, -4 (t + 1)^2, 16 t), so each
+    slot is an exact division of an unfolded packed int by (t + 1)^2 that
+    reads the value slot's.  RecordError unless every remainder is 0."""
     d = (1 << 2 * b) + (1 << b + 1) + 1  # (t + 1)^2
-    for y0, ys, yss in jets:
-        x0, r0 = divmod(y0, d)
+    for x0, (ys, yss) in zip(values, jets):
         xs, rs = divmod(ys, d)
         xs += x0 << 2
         xss, rss = divmod(yss - (x0 << b + 4), d)
-        if r0 or rs or rss:
-            for y in (y0, ys, yss):
+        if rs or rss:
+            for y in (ys, yss):
                 _guard(_digits(y, p, b), "C W C")
             raise RecordError(f"rho(<-w) = C W C / c fails in Z[t] for {label}")
         yield x0, xs, xss + (xs << 2)
@@ -327,8 +326,8 @@ def _image_at_0(gens, b):
 
 
 def _swap_at_0(w, b):
-    """Yields k and rho(<-w)_12 of ``_dividends`` and ``_divide`` at
-    g = 0, as jets (val, du), from W = w of ``_image_at_0``: there a = -2
+    """Yields k and rho(<-w)_12 of C W C / c at g = 0 as jets (val, du),
+    from W = w of ``_image_at_0``: there a = -2
     and v = u, t v e has du slot (t - 1)^2 ed + t e0, and t c = (t + 1)^2
     has du slot t.  RecordError unless every remainder is 0, its knot
     left as {} for ``knot_elements`` to name."""
@@ -349,9 +348,9 @@ def _metabelian(p, b):
     per (p, b) on W = (XY)^m, m = (p - 1)/2, which every w of determinant p
     has at g = 0, where the tail x^(-2 sigma) is I as X^2 = I: phi at g^0,
     phi_u's closed form, rho(<-w) = C W C / c in du, L = I at g^0 and tr L
-    at du.  Returns the val slots of W and of k and rho(<-w)_12, which
-    each knot's own must equal; a RecordError leaves its knot as {}, for
-    ``knot_elements`` to name, and so is not cached."""
+    at du.  Returns the val slots of W, which each knot's must equal, and of
+    k, rho(<-w)_12 and _21, which it reads; a RecordError leaves its knot
+    as {}, for ``knot_elements`` to name, and so is not cached."""
     bits = b * p
     w = _image_at_0("xy" * (p // 2), b)
     (w11, w11_d), (w12, w12_d) = w[:2]
@@ -373,7 +372,7 @@ def _metabelian(p, b):
         _zero_test(x, p, b, "L = I at g^0", "{}")
     _zero_test(sum(_dot(x, y, z, v, int, False) for (x, z), (y, v) in zip(rows, cols)),
                p, b, "tr L at du", "{}")
-    return [*zip(*w)][0], [k[0], r12[0]]
+    return [*zip(*w)][0], (k[0], r12[0], r10[0])
 
 
 def knot_elements(knot):
@@ -398,11 +397,10 @@ def knot_elements(knot):
       g = 0 (four zero tests), and tr L at du is 0, lam_u = 0, the first
       factor of estimate (b) below.
     Per knot, on its own w, in (val, g, g^2):
-    - its val slots of W, of W x^(-2 sigma) and of k and rho(<-w)_12 in
-      C W C / c are those of the stage, so the stage's checks hold for
-      them;
+    - its val slots of W and W x^(-2 sigma) are the stage's, so its checks
+      hold for them and for the val slots of C W C / c read from it;
     - tangency at g^1: phi = 0 mod g^2;
-    - C W C / c, slot by slot in g, is an exact division in Z[t];
+    - C W C / c in its g and g^2 slots is an exact division in Z[t];
     - tr L = 2 + 0 g + D g^2 with D = -det([g^1] L) = 16 [h^2] I_lam =
       16/F (h = 4g is the s + 1 of ``curve``): tr L at g^1 is 0;
     - estimate (b), the implicit-function formula for [g^2] I_lam along
@@ -416,7 +414,7 @@ def knot_elements(knot):
     p, b, label = knot.p, _digit_bits(knot.p), knot.label
     bits, mask = b * p, (1 << b * p) - 1
     try:
-        w0, kr0 = _metabelian(p, b)
+        w0, values = _metabelian(p, b)
     except RecordError as e:
         raise RecordError(str(e).format(label)) from None
 
@@ -434,11 +432,9 @@ def knot_elements(knot):
 
     # rho(<-w) = C W C / c: its 11 and 22 entries W11 + k and W22 - k and
     # its 12 entry, homogenized as W, and its 21 entry v rho(<-w)_12,
-    # which carries t^(m + 1), moved back by t^-1
-    k, r12 = _divide(_dividends(w, b), b, p, label)
-    if [k[0], r12[0]] != kr0:
-        raise RecordError(f"C W C / c at g^0 is not that of (XY)^m for {label}")
-    r10 = [(x << bits - b & mask) + (x >> b) for x in _tv(r12, b)]
+    # which carries t^(m + 1), moved back by t^-1; value slots the stage's
+    k, r12 = _divide(values, _dividends(w, b), b, p, label)
+    r10 = [values[2], *((x << bits - b & mask) + (x >> b) for x in _tv(r12, b))]
     # the g and g^2 slots of L = rho(<-w) v, v = W x^(-2 sigma), that the
     # checks read, each with the factor t^(2m) = t^(p - 1) of its operands
     r00, r11 = [*map(operator.add, w[0], k)], [*map(operator.sub, w[3], k)]

@@ -12,7 +12,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .errors import ParseError, RecordError
+from .errors import IndexOutOfRange, InvalidFraction, ParseError, RecordError
 from .exact import knot_elements
 from .oracles import LensSpace, lens_torsion_magnitude
 from .words import fractions_mirror_equivalent
@@ -30,7 +30,12 @@ MIN_MARGIN_BITS = 64
 def metabelian_pairing(p, k):
     """The unique k' in 1..(p-1)/2 with 2k' = +/- k mod p, from the inverse
     (p+1)/2 of 2 mod p; rho_{k'} is the companion representation at whose
-    character F is evaluated."""
+    character F is evaluated.  InvalidFraction unless p is odd and at
+    least 3, IndexOutOfRange unless k is in 1..(p-1)/2."""
+    if p < 3 or p % 2 == 0:
+        raise InvalidFraction(f"metabelian pairing needs odd p >= 3, got {p}")
+    if not 1 <= k <= (p - 1) // 2:
+        raise IndexOutOfRange(f"k = {k} outside 1..{(p - 1) // 2}")
     kp = k * ((p + 1) // 2) % p
     return min(kp, p - kp)
 

@@ -14,6 +14,8 @@ from bridgetorsion.curve import (
     trace_longitude,
 )
 from bridgetorsion.errors import (
+    IndexOutOfRange,
+    InvalidFraction,
     NewtonDivergence,
     RecordError,
     SingularPoint,
@@ -155,6 +157,16 @@ def test_pairing_examples():
     assert metabelian_pairing(7, 1) == 3
     assert metabelian_pairing(7, 2) == 1
     assert metabelian_pairing(7, 3) == 2
+
+
+@pytest.mark.parametrize("p, k, error", [(5, 0, IndexOutOfRange), (5, 3, IndexOutOfRange),
+                                         (1, 1, InvalidFraction), (4, 1, InvalidFraction)])
+def test_pairing_refuses_an_index_or_determinant_it_has_no_value_for(p, k, error):
+    # the pairing's values lie in 1..(p-1)/2: an index outside that range,
+    # or an even p or one below 3, is refused, not given a value outside it
+    # (0 for 5/0 and 1/1, 2 for 4/1)
+    with pytest.raises(error):
+        metabelian_pairing(p, k)
 
 
 def test_pairing_is_a_bijection():

@@ -88,57 +88,65 @@ def _jet_terms(x, y, z, w, slots):
 AT_0, IN_G = ([(0, 0)], [(0, 1), (1, 0)]), ([(0, 1), (1, 0)], [(0, 2), (1, 1), (2, 0)])
 
 
-def _pass_at_width(knot, b):
-    """knot_elements replayed step by step with packed digits of b bits,
-    both its stages: the metabelian stage of the knot's p, in (val, du),
-    and the knot's own steps, in (val, g, g^2); not the identity of
-    checked_elements, which packs at the width of its own list bound on
-    every call.  Returns (operands, bounds).  operands maps each step to
-    the coefficients, decoded at width b, of every int it multiplies,
-    divides or weights: unfolded ints (the images W and W x^(-2 sigma),
-    the dividends of C W C and their quotients, in either stage) decoded
-    whole, and each decode checked to give back its int, the others mod
-    t^p - 1, as the folds that follow their products read them; the
-    longitude's operands keep the factor t^m of W, as knot_elements leaves
-    it, which moves their coefficients and not their norms.  bounds maps
-    each step to a bound on the magnitude of the coefficients it forms, so
-    that while a bound is below 2^(b - 1), every coefficient fits its
-    signed digit and no carry crosses into the next:
-    - a sum of products xy of folded elements, each term by the L1 form
-      |(xy)_e| <= ||x||_inf ||y||_1 (or with x and y swapped, the lesser),
-      and a sum of terms by the sum of their bounds;
-    - the Fox jets, sums of the Fox terms t_a by exponent sum (Fox's
-      product rule (I - Phi(y)) replayed here on the terms of
-      ``exact._fox_terms``, Phi(w) added) weighted by
-      (-1)^a (1, a, a(a-1)/2), by sum |weight| ||t_a||_inf;
-    - phi_u's closed form, which sums four shifts of phi_u and
-      p t^((p+3)/2), by 4 ||phi_u||_inf + p;
-    - an int decoded whole, by its largest coefficient."""
-    p = knot.p
-    decoded = {}
+class _Replay:
+    """The steps of one stage of knot_elements replayed with packed digits
+    of b bits, mod t^p - 1.  operands maps each step to the coefficients,
+    decoded at width b, of every int it multiplies, divides or weights:
+    unfolded ints decoded whole, and each decode checked to give back its
+    int, the others mod t^p - 1, as the folds that follow their products
+    read them.  bounds maps each step to a bound on the magnitude of the
+    coefficients it forms, so that while a bound is below 2^(b - 1),
+    every coefficient fits its signed digit and no carry crosses into the
+    next."""
 
-    def dec(x, n=p):
-        if (x, n) not in decoded:
-            decoded[x, n] = _decode(x, n, b)
-        return decoded[x, n]
+    def __init__(self, p, b):
+        self.p, self.b, self.operands, self.bounds, self._decoded = p, b, {}, {}, {}
 
-    def whole(jets):  # unfolded ints of degree below p + 2
-        digits = [dec(x, p + 2) for jet in jets for x in jet]
-        assert [sum(c << b * e for e, c in enumerate(ds)) for ds in digits] == [
+    def dec(self, x, n=None):
+        key = x, n or self.p
+        if key not in self._decoded:
+            self._decoded[key] = _decode(x, key[1], self.b)
+        return self._decoded[key]
+
+    def fold(self, x):
+        return exact._fold(x, self.b * self.p)
+
+    def sums(self, name, step):
+        """A step of sums of products xy of folded elements, each sum given
+        as its (x, y) pairs: each term bounded by the L1 form
+        |(xy)_e| <= ||x||_inf ||y||_1 (or with x and y swapped, the
+        lesser), and a sum by the sum of its terms' bounds."""
+        def term_bound(x, y):
+            (x_inf, x_l1), (y_inf, y_l1) = ((max(map(abs, c)), sum(map(abs, c)))
+                                            for c in (self.dec(x), self.dec(y)))
+            return min(x_inf * y_l1, x_l1 * y_inf)
+
+        self.bounds[name] = max(sum(term_bound(x, y) for x, y in pairs) for pairs in step)
+        self.operands[name] = [(self.dec(x), self.dec(y)) for pairs in step for x, y in pairs]
+
+    def whole(self, name, jets):
+        """A step of unfolded ints of degree below p + 2, each bounded by
+        its largest coefficient."""
+        digits = [self.dec(x, self.p + 2) for jet in jets for x in jet]
+        assert [sum(c << self.b * e for e, c in enumerate(ds)) for ds in digits] == [
             x for jet in jets for x in jet]
-        return digits
+        self.operands[name] = digits
+        self.bounds[name] = max(max(map(abs, ds)) for ds in digits)
 
-    def fold(x):
-        return exact._fold(x, b * p)
+    def put(self, name, xs, bound):
+        """A step whose bound is given, on the folded elements xs."""
+        self.operands[name] = [self.dec(x) for x in xs]
+        self.bounds[name] = bound
 
-    def term_bound(x, y):
-        (x_inf, x_l1), (y_inf, y_l1) = ((max(map(abs, c)), sum(map(abs, c))) for c in (dec(x), dec(y)))
-        return min(x_inf * y_l1, x_l1 * y_inf)
 
-    def u(x):  # u x = (x << B) + (x >> B) - 2x
-        return (x << b) + (x >> b) - (x << 1)
-
-    # the metabelian stage: W = (XY)^m at g = 0, C W C / c and L = rho(<-w) W
+def _stage_at_width(p, b):
+    """exact._metabelian replayed at width b: W = (XY)^m at g = 0, the
+    dividends of C W C and their quotients k and rho(<-w)_12 in (val, du),
+    L = rho(<-w) W and phi_u's closed form, which sums four shifts of phi_u
+    and p t^((p+3)/2), bounded by 4 ||phi_u||_inf + p.  Returns the val
+    slots of k, rho(<-w)_12 and rho(<-w)_21 that every knot of p reads, and
+    the replay."""
+    replay = _Replay(p, b)
     tu, d = (1 << 2 * b) - (1 << b + 1) + 1, (1 << 2 * b) + (1 << b + 1) + 1
     w0 = exact._image_at_0("xy" * (p // 2), b)
     (p0, pd), (q0, qd), _, (r0, rd) = w0
@@ -147,19 +155,47 @@ def _pass_at_width(knot, b):
                   for e0, ed, f0, fd in ((-2 * q0 - m0, -2 * qd - md, 0, 0), (q0, qd, m0, md))]
     k0, r12_0 = exact._swap_at_0(w0, b)
     assert [(x0 * d, xd * d + (x0 << b)) for x0, xd in (k0, r12_0)] == dividends0
-    r10_0 = [fold(x << b * (p - 1)) for x in (r12_0[0] * tu, r12_0[1] * tu + (r12_0[0] << b))]
+    r10_0 = [replay.fold(x << b * (p - 1)) for x in (r12_0[0] * tu, r12_0[1] * tu + (r12_0[0] << b))]
     rows0 = ([x + y for x, y in zip(w0[0], k0)], r12_0), (r10_0, [x - y for x, y in zip(w0[3], k0)])
     cols0 = w0[::2], w0[1::2]
-    phi_d = fold((w0[0][1] + 2 * w0[1][1]) << b * ((p + 1) // 2))
+    phi_d = replay.fold((w0[0][1] + 2 * w0[1][1]) << b * ((p + 1) // 2))
+    replay.whole("(XY)^m", w0)
+    replay.whole("metabelian C W C dividends", dividends0)
+    replay.whole("metabelian C W C quotients", (k0, r12_0))
+    replay.sums("metabelian L slots", [pairs for x, z in rows0 for y, v in cols0
+                                       for pairs in _jet_terms(x, y, z, v, AT_0[:1])]
+                + [[pair for (x, z), (y, v) in zip(rows0, cols0)
+                    for pair in _jet_terms(x, y, z, v, AT_0[1:])[0]]])
+    replay.put("phi_u closed form", [phi_d], 4 * max(map(abs, replay.dec(phi_d))) + p)
+    return (k0[0], r12_0[0], r10_0[0]), replay
 
-    # the knot's own steps
+
+def _pass_at_width(knot, b, values):
+    """The knot's own steps of knot_elements replayed at width b, in
+    (val, g, g^2), reading values, the val slots of C W C / c that
+    ``_stage_at_width`` returns for the knot's p; not the identity of
+    checked_elements, which packs at the width of its own list bound on
+    every call.  The images W and W x^(-2 sigma), the g and g^2 slots of
+    the dividends of C W C and the quotients are decoded whole; the
+    longitude's operands keep the factor t^m of W, as knot_elements
+    leaves it, which moves their coefficients and not their norms.  The
+    Fox jets, sums of the Fox terms t_a by exponent sum (Fox's product
+    rule (I - Phi(y)) replayed here on the terms of ``exact._fox_terms``,
+    Phi(w) added) weighted by (-1)^a (1, a, a(a-1)/2), are bounded by
+    sum |weight| ||t_a||_inf.  Returns the replay."""
+    p, replay = knot.p, _Replay(knot.p, b)
+    fold = replay.fold
+
+    def u(x):  # u x = (x << B) + (x >> B) - 2x
+        return (x << b) + (x >> b) - (x << 1)
+
     tail = [("x", -1 if knot.sigma > 0 else 1)] * abs(2 * knot.sigma)
     w, v = exact._image(knot.word.letters, b, tail)
     dividends = exact._dividends(w, b)
-    k, r12 = exact._divide(dividends, b, p, knot.label)
+    k, r12 = exact._divide(values, dividends, b, p, knot.label)
     r00, r11 = [x + y for x, y in zip(w[0], k)], [x - y for x, y in zip(w[3], k)]
     v00, v01, v10, v11 = v
-    r10 = [fold(x << b * (p - 1)) for x in exact._tv(r12, b)]
+    r10 = [values[2], *(fold(x << b * (p - 1)) for x in exact._tv(r12, b))]
     l00, l11 = exact._dot(r00, v00, r12, v10, fold), exact._dot(r10, v01, r11, v11, fold)
     l01 = exact._dot(r00, v01, r12, v11, fold, False)
     l10 = exact._dot(r10, v00, r11, v10, fold, False)
@@ -172,48 +208,44 @@ def _pass_at_width(knot, b):
     terms = {a: [fold(x << b * (p - 1)) for x in term] for a, term in fox.items()}
     a, bb, c, dd = ([fold(x << b * (p - 1)) for x in jet] for jet in exact._fox_jets(knot.word, b, one))
 
-    sums = {  # each step's folded sums of products, each sum as its (x, y) pairs
-        "metabelian L slots": [pairs for x, z in rows0 for y, v_ in cols0
-                               for pairs in _jet_terms(x, y, z, v_, AT_0[:1])]
-                              + [[pair for (x, z), (y, v_) in zip(rows0, cols0)
-                                  for pair in _jet_terms(x, y, z, v_, AT_0[1:])[0]]],
-        "L slots": (_jet_terms(r00, v00, r12, v10, IN_G) + _jet_terms(r10, v01, r11, v11, IN_G)
-                    + _jet_terms(r00, v01, r12, v11, IN_G[:1]) + _jet_terms(r10, v00, r11, v10, IN_G[:1])),
-        "D": [[(l01, l10), (l00[0], l11[0])]],
-        "Wada's numerator": [
-            [(a[0], dd[0]), (bb[0], c[0])],
-            [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
-            [(a[0], dd[2]), (a[1], dd[1]), (a[2], dd[0]), (bb[0], c[2]), (bb[1], c[1]), (bb[2], c[0])]],
-    }
-    bounds = {name: max(sum(term_bound(x, y) for x, y in pairs) for pairs in step)
-              for name, step in sums.items()}
-    operands = {name: [(dec(x), dec(y)) for pairs in step for x, y in pairs]
-                for name, step in sums.items()}
+    replay.sums("L slots", _jet_terms(r00, v00, r12, v10, IN_G) + _jet_terms(r10, v01, r11, v11, IN_G)
+                + _jet_terms(r00, v01, r12, v11, IN_G[:1]) + _jet_terms(r10, v00, r11, v10, IN_G[:1]))
+    replay.sums("D", [[(l01, l10), (l00[0], l11[0])]])
+    replay.sums("Wada's numerator", [
+        [(a[0], dd[0]), (bb[0], c[0])],
+        [(a[0], dd[1]), (a[1], dd[0]), (bb[0], c[1]), (bb[1], c[0])],
+        [(a[0], dd[2]), (a[1], dd[1]), (a[2], dd[0]), (bb[0], c[2]), (bb[1], c[1]), (bb[2], c[0])]])
     weights = [[(-1) ** (a % 2) * m for m in (1, a, a * (a - 1) // 2)] for a in terms]
-    bounds["Fox terms to jets"] = max(
-        sum(abs(weight[i]) * max(map(abs, dec(term[slot]))) for weight, term in zip(weights, terms.values()))
-        for i in range(3) for slot in range(4))
-    operands["Fox terms to jets"] = [dec(x) for term in terms.values() for x in term]
-    bounds["phi_u closed form"] = 4 * max(map(abs, dec(phi_d))) + p
-    operands["phi_u closed form"] = [dec(phi_d)]
-    for name, jets in (("(XY)^m", w0), ("metabelian C W C dividends", dividends0),
-                       ("metabelian C W C quotients", (k0, r12_0)),
-                       ("W and W x^(-2 sigma)", w + v), ("C W C dividends", dividends),
-                       ("C W C quotients", (k, r12))):
-        operands[name] = whole(jets)
-        bounds[name] = max(max(map(abs, ds)) for ds in operands[name])
-    return operands, bounds
+    replay.put("Fox terms to jets", [x for term in terms.values() for x in term], max(
+        sum(abs(weight[i]) * max(map(abs, replay.dec(term[slot])))
+            for weight, term in zip(weights, terms.values()))
+        for i in range(3) for slot in range(4)))
+    replay.whole("W and W x^(-2 sigma)", w + v)
+    replay.whole("C W C dividends", dividends)
+    replay.whole("C W C quotients", (k, r12))
+    return replay
+
+
+def _replays(fractions, b):
+    """The replays at width b of the stage of each p of fractions, grouped
+    by p, once per p, each followed by those of the knots of that p, as
+    (name, replay) pairs: p for a stage, p/q for a knot."""
+    for p, group in itertools.groupby(fractions, key=lambda f: f[0]):
+        values, stage = _stage_at_width(p, b)
+        yield f"{p}", stage
+        for _, q in group:
+            yield f"{p}/{q}", _pass_at_width(normalize_two_bridge(p, q), b, values)
 
 
 def _check_headroom(p, q):
-    """The bound of every step of the exact pass at p/q below 2^(B - 1),
-    B the knot's digit width; the headroom of each is printed."""
-    knot, b = normalize_two_bridge(p, q), exact._digit_bits(p)
-    _, bounds = _pass_at_width(knot, b)
-    for name, bound in bounds.items():
-        print(f"{p}/{q} {name}: coefficients below 2^{bound.bit_length()}, headroom "
-              f"{b - 1 - bound.bit_length()} bits against 2^{b - 1}")
-        assert bound < 1 << (b - 1), name
+    """The bound of every step of the exact pass at p/q, both stages, below
+    2^(B - 1), B the knot's digit width; the headroom of each is printed."""
+    b = exact._digit_bits(p)
+    for name, replay in _replays([(p, q)], b):
+        for step, bound in replay.bounds.items():
+            print(f"{name} {step}: coefficients below 2^{bound.bit_length()}, headroom "
+                  f"{b - 1 - bound.bit_length()} bits against 2^{b - 1}")
+            assert bound < 1 << (b - 1), step
 
 
 def test_intermediate_digit_headroom_at_1001_375():
@@ -269,23 +301,22 @@ def test_ring_holds_each_guard_across_a_patched_width(monkeypatch):
 
 
 def test_narrow_digits_hold_through_p_31(monkeypatch, at_64_bits):
-    # the 32-bit digits of every knot with p <= 31, proven knot by knot
-    # over its 106 fractions: the pass at 32 bits decodes every operand
-    # to the coefficients it has at 64 bits, every step's bound is below
-    # 2^31, both elements are within the 16-bit guard, and knot_elements
-    # gives the same elements at both widths, bit for bit; the first
-    # knots past the range, p = 33, take 40-bit digits, through p = 131,
-    # and the knots past p = 131 64-bit digits
+    # the 32-bit digits of every knot with p <= 31, proven over its 106
+    # fractions, the stage of each p once and each knot's own steps: the
+    # pass at 32 bits decodes every operand to the coefficients it has at
+    # 64 bits, every step's bound is below 2^31, both elements are within
+    # the 16-bit guard, and knot_elements gives the same elements at both
+    # widths, bit for bit; the first knots past the range, p = 33, take
+    # 40-bit digits, through p = 131, and the knots past p = 131 64-bit
+    # digits
     assert len(NARROW) == 106
-    worst, element_bits, narrow = {}, 0, []
-    for p, q in NARROW:
-        knot = normalize_two_bridge(p, q)
-        operands, bounds = _pass_at_width(knot, 32)
-        assert operands == _pass_at_width(knot, 64)[0], (p, q)
-        for name, bound in bounds.items():
-            worst[name] = max(worst.get(name, 0), bound.bit_length())
-        narrow.append(exact.knot_elements(knot))
-        element_bits = max(element_bits, *(max(map(abs, c)).bit_length() for c in narrow[-1]))
+    worst = {}
+    for (name, replay), (_, wide) in zip(_replays(NARROW, 32), _replays(NARROW, 64)):
+        assert replay.operands == wide.operands, name
+        for step, bound in replay.bounds.items():
+            worst[step] = max(worst.get(step, 0), bound.bit_length())
+    narrow = [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in NARROW]
+    element_bits = max(max(map(abs, c)).bit_length() for elements in narrow for c in elements)
     print(f"p <= 31: element coefficients below 2^{element_bits}; steps below "
           + ", ".join(f"{name} 2^{bits}" for name, bits in worst.items()))
     assert max(worst.values()) <= 31
@@ -306,22 +337,21 @@ def test_narrow_digits_hold_through_p_31(monkeypatch, at_64_bits):
 
 
 def _check_40_bit_digits(fractions, replay_at_64):
-    """The 40-bit digits of each knot of fractions, 33 <= p <= 131, proven
-    knot by knot: every step's bound at 40 bits is below 2^39, and both
-    elements are below 2^20, the guard; with replay_at_64, the pass at 40
-    bits also decodes every operand to the coefficients it has at 64
-    bits.  Returns the elements; the worst bound and the largest element
-    are printed."""
-    worst, element_bits, elements = (0, None), 0, []
-    for p, q in fractions:
-        knot = normalize_two_bridge(p, q)
-        assert exact._digit_bits(p) == 40, p
-        operands, bounds = _pass_at_width(knot, 40)
-        if replay_at_64:
-            assert operands == _pass_at_width(knot, 64)[0], (p, q)
-        worst = max(worst, *((bound.bit_length(), f"{p}/{q} {name}") for name, bound in bounds.items()))
-        elements.append(exact.knot_elements(knot))
-        element_bits = max(element_bits, *(max(map(abs, c)).bit_length() for c in elements[-1]))
+    """The 40-bit digits of each knot of fractions, 33 <= p <= 131 grouped
+    by p, proven over the stage of each p once and each knot's own steps:
+    every step's bound at 40 bits is below 2^39, and both elements are
+    below 2^20, the guard; with replay_at_64, the pass at 40 bits also
+    decodes every operand to the coefficients it has at 64 bits.  Returns
+    the elements; the worst bound and the largest element are printed."""
+    assert {exact._digit_bits(p) for p, _ in fractions} == {40}
+    worst = (0, None)
+    wide = _replays(fractions, 64) if replay_at_64 else itertools.repeat((None, None))
+    for (name, replay), (_, other) in zip(_replays(fractions, 40), wide):
+        if other is not None:
+            assert replay.operands == other.operands, name
+        worst = max(worst, *((bound.bit_length(), f"{name} {step}") for step, bound in replay.bounds.items()))
+    elements = [exact.knot_elements(normalize_two_bridge(p, q)) for p, q in fractions]
+    element_bits = max(max(map(abs, c)).bit_length() for e in elements for c in e)
     print(f"40-bit digits: steps below 2^{worst[0]} ({worst[1]}), element coefficients "
           f"below 2^{element_bits}")
     assert worst[0] <= 39
@@ -534,16 +564,19 @@ def test_tail_off_in_its_du_slot_fails_tr_l_at_du(patch_exact):
         "RecordError: tr L at du fails in Z[t]/(t^7 - 1) for b(7,3)"] * 3
 
 
-def test_value_slots_must_be_those_of_the_metabelian_stage(monkeypatch):
+def test_value_slots_must_be_those_of_the_metabelian_stage(monkeypatch, patch_exact):
     # the checks of the metabelian stage test a knot's own values only
-    # where the knot's value slots are the stage's, so each knot's are
-    # compared with them: 7/3 with one letter's generator swapped, whose W
-    # at g = 0 is no longer (XY)^3, fails the comparison of W, and the
-    # knot's own dividends skewed so that its rho(<-w) reads W (0 and
-    # t c W12, as W21 = v W12) fail the comparison of C W C / c, each
-    # before any check of the knot's own; a flipped sign is no control, as
-    # at g = 0 each scaled letter is one involution whatever its sign: it
-    # passes the comparison and fails phi at g^1
+    # where the knot's value slots are the stage's, so each knot's W and
+    # W x^(-2 sigma) are compared with them: 7/3 with one letter's
+    # generator swapped, whose W at g = 0 is no longer (XY)^3, fails the
+    # comparison before any check of the knot's own; a flipped sign is no
+    # control, as at g = 0 each scaled letter is one involution whatever
+    # its sign: it passes the comparison and fails phi at g^1.  The knot
+    # reads the value slots of C W C / c from the stage, whose checks read
+    # them: a stage quotient off by one fails L = I at g^0; and the knot's
+    # own g slots are checked by the knot: its first dividend's g slot
+    # skewed by (t + 1)^2, so that the division stays exact, fails tr L at
+    # g^1
     knot = normalize_two_bridge(7, 3)
     letters = list(knot.word.letters)
     swapped = knot._replace(word=Word([("y", 1)] + letters[1:]))
@@ -553,13 +586,23 @@ def test_value_slots_must_be_those_of_the_metabelian_stage(monkeypatch):
     with pytest.raises(RecordError, match=r"^phi at g\^1 fails"):
         exact.knot_elements(flipped)
 
+    swap, dividends = exact._swap_at_0, exact._dividends
+
+    def off(w, b):
+        (k0, kd), r12 = swap(w, b)
+        return [(k0 + 1, kd), r12]
+
+    patch_exact("_swap_at_0", off)
+    with pytest.raises(RecordError, match=r"^L = I at g\^0 fails in Z\[t\]/\(t\^7 - 1\) for b\(7,3\)$"):
+        exact.knot_elements(knot)
+    patch_exact("_swap_at_0", swap)
+
     def skewed(image, b):
-        d = (1 << 2 * b) + (1 << b + 1) + 1
-        q0, qs, qss = image[1]
-        return [(0, 0, 0), (d * q0, d * (qs - 4 * q0), d * (qss - 4 * qs) + (q0 << b + 4))]
+        (ks, kss), r12 = dividends(image, b)
+        return [(ks + (1 << 2 * b) + (1 << b + 1) + 1, kss), r12]
 
     monkeypatch.setattr(exact, "_dividends", skewed)
-    with pytest.raises(RecordError, match=r"^C W C / c at g\^0 is not that of \(XY\)\^m for b\(7,3\)$"):
+    with pytest.raises(RecordError, match=r"^tr L at g\^1 fails in Z\[t\]/\(t\^7 - 1\) for b\(7,3\)$"):
         exact.knot_elements(knot)
 
 
@@ -649,10 +692,12 @@ def test_c_conjugates_each_scaled_letter_to_its_swap():
 def test_w21_is_v_w12_on_the_census():
     # the packed form of W21 = v W12, which the conjugation reads: t W21 is
     # t v W12, bit for bit, on the 68 census fractions p <= 25, at their
-    # own 32-bit digits and at 64 bits
+    # own 32-bit digits and at 64 bits: its value slot, t u W12 (the
+    # stage's, formed here), and its g and g^2 slots, those of exact._tv
     for (p, q), b in itertools.product(CENSUS_25, (exact._digit_bits(25), 64)):
         w, _ = exact._image(normalize_two_bridge(p, q).word.letters, b)
-        assert tuple(x << b for x in w[2]) == exact._tv(w[1], b), (p, q)
+        assert w[2][0] << b == w[1][0] * ((1 << 2 * b) - (1 << b + 1) + 1), (p, q)
+        assert tuple(x << b for x in w[2][1:]) == exact._tv(w[1], b), (p, q)
 
 
 def _relator_fox_jets(relator, b, one):
