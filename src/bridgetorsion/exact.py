@@ -176,11 +176,12 @@ def _dividends(image, b):
 
 
 def _divide(values, jets, b, p, label):
-    """Yields the jets (values, g, g^2) of the quotients by t c of the g and
-    g^2 slots of the dividends, jets; c = (s - 1)^2 - u s = (4 + u)(1 - 4g)
-    + 16g^2 has the homogenized jet ((t + 1)^2, -4 (t + 1)^2, 16 t), so each
-    slot is an exact division of an unfolded packed int by (t + 1)^2 that
-    reads the value slot's.  RecordError unless every remainder is 0."""
+    """Yields the quotients by t c as jets (val, g, g^2): their val slots
+    are values, the stage's, and their g and g^2 slots come from those of
+    the dividends, jets.  c = (s - 1)^2 - u s = (4 + u)(1 - 4g) + 16g^2 has
+    the homogenized jet ((t + 1)^2, -4 (t + 1)^2, 16 t), so each slot is an
+    exact division of an unfolded packed int by (t + 1)^2.  RecordError
+    unless every remainder is 0."""
     d = (1 << 2 * b) + (1 << b + 1) + 1  # (t + 1)^2
     for x0, (ys, yss) in zip(values, jets):
         xs, rs = divmod(ys, d)
