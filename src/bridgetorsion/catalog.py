@@ -1,6 +1,7 @@
-"""Batch catalogs and the per-knot result cache, keyed by a fingerprint of
-the package source.  The package loads this module on first use, so a run
-that only computes or compares never compiles it."""
+"""Batch catalogs and the result cache, one file of entries per
+determinant, keyed by a fingerprint of the package source.  The package
+loads this module on first use, so a run that only computes or compares
+never compiles it."""
 
 import csv
 import gc
@@ -53,9 +54,9 @@ def default_cache_dir():
     return os.environ.get("TORSION_CACHE_DIR") or ".torsion_cache"
 
 
-def _entry_dir(cache_dir):
-    """The directory of this fingerprint's entries under the cache."""
-    return os.path.join(cache_dir or default_cache_dir(), fingerprint()[:16])
+def _entry_path(cache_dir, p):
+    """The file of this fingerprint's entries of determinant p."""
+    return os.path.join(cache_dir or default_cache_dir(), fingerprint()[:16], f"{p}.json")
 
 
 def _atomic_write(path, data):
@@ -74,36 +75,44 @@ def _atomic_write(path, data):
         raise
 
 
-def _cached_elements(path, knot):
-    """The knot's elements from the entry at path, or None where there is
-    none or it does not parse (nesting too deep for the decoder included)
-    or fails ``checked_elements``."""
+def _read_entries(path):
+    """The JSON object of the p file at path, or an empty one where there
+    is no file or it does not parse (nesting too deep for the decoder
+    included) or holds no object."""
     try:
         with open(path, "rb") as f:
-            return checked_elements(knot, json.loads(f.read().decode()))
-    except (FileNotFoundError, ValueError, RecursionError, RecordError):
-        return None
+            entries = json.loads(f.read().decode())
+    except (FileNotFoundError, ValueError, RecursionError):
+        return {}
+    return entries if type(entries) is dict else {}
 
 
-def cached_invariant_report(knot, cache_dir=None):
-    """Per-knot report, from the knot's elements held in the directory
-    cache when the code fingerprint matches; returns (report, hit, records).
-    An entry is the two coefficient lists of ``knot_elements``, and a hit
-    is one that passes ``checked_elements`` and whose records, read by
-    ``invariant_records``, all hold: elements that vanish at a root read
-    pass the identity as 0 = 0 and fail their readout.  On a miss
-    ``knot_pass`` gives the elements, or the failed pass's RecordError,
-    and the entry is written only where every record holds."""
-    path = os.path.join(_entry_dir(cache_dir), f"{knot.p}_{knot.q}.json")
-    elements = _cached_elements(path, knot)
-    if elements is not None:
+def cached_invariant_report(knot, entries):
+    """Per-knot report, from the knot's elements held in entries, the
+    run's entries of knot.p, which map each normalized q (as a string) to
+    that knot's elements; returns (report, hit, records) and opens no
+    file.  An entry is the two coefficient lists of ``knot_elements``, and
+    a hit is one that passes ``checked_elements`` and whose records, read
+    by ``invariant_records``, all hold: elements that vanish at a root
+    read pass the identity as 0 = 0 and fail their readout.  On a miss
+    ``knot_pass`` gives the elements, or the failed pass's RecordError;
+    they replace the entry where every record holds, and the entry is
+    dropped where one fails."""
+    key = str(knot.q)
+    try:
+        elements = checked_elements(knot, entries[key])
+    except (KeyError, RecordError):
+        pass
+    else:
         records = invariant_records(knot, elements)
         if all(r.ok for r in records):
             return knot_report(knot, records), True, records
     elements = knot_pass(knot)
     records = invariant_records(knot, elements)
     if all(r.ok for r in records):
-        _atomic_write(path, serialize_report(elements))
+        entries[key] = elements
+    else:
+        entries.pop(key, None)
     return knot_report(knot, records), False, records
 
 
@@ -149,46 +158,61 @@ def read_catalog(path):
 def run_catalog(input_path, out_path=None, cache_dir=None):
     """Compute every catalog row, compare same-determinant pairs, and write
     serialize_report of the returned report to out_path; per-row failures
-    are recorded, not fatal."""
-    entries = []
+    are recorded, not fatal.  The cache file of each determinant is read
+    once, before the lookups, and written once, after them, where they
+    changed its entries; the rows do no file work."""
+    knots = []
     errors = []
-    # No row's time depends on its place in the file.  The entry directory
-    # is made before the first row, not by the first miss, where a catalog
-    # has a row to look up.  The rows make no reference cycles (a failed
-    # pass's error comes without its traceback), so the cyclic collector
-    # has nothing to free while they run; paused, it no longer scans the
-    # growing list of reports inside whichever row its allocation count
-    # happens to trip, and runs once after the last.
-    rows = read_catalog(input_path)
-    if any(p is not None for _, p, _, _ in rows):
-        os.makedirs(_entry_dir(cache_dir), exist_ok=True)
+    for row_no, p, q, label in read_catalog(input_path):
+        if p is None:
+            errors.append({"row": row_no, "error": label})
+            continue
+        try:
+            knots.append((label, normalize_two_bridge(p, q)))
+        except TorsionError as exc:
+            errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
+    cached = {p: _read_entries(_entry_path(cache_dir, p))
+              for p in dict.fromkeys(knot.p for _, knot in knots)}
+    changed = set()
+    results = []
+    # No row's time depends on its place in the file.  The rows open no
+    # file, and they make no reference cycles (a failed pass's error comes
+    # without its traceback), so the cyclic collector has nothing to free
+    # while they run; paused, it no longer scans the growing list of
+    # reports inside whichever row its allocation count happens to trip,
+    # and runs once after the last.  The files are written in the finally
+    # so that a row that raises keeps the entries computed before it.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        for row_no, p, q, label in rows:
-            if p is None:
-                errors.append({"row": row_no, "error": label})
-                continue
-            try:
-                knot = normalize_two_bridge(p, q)
-            except TorsionError as exc:
-                errors.append({"row": row_no, "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            report, _, records = cached_invariant_report(knot, cache_dir)
-            entries.append((label, knot, report, tau_multiset(records)))
+        for label, knot in knots:
+            held, key = cached[knot.p], str(knot.q)
+            before = held.get(key)
+            report, _, records = cached_invariant_report(knot, held)
+            if held.get(key) is not before:  # a lookup stores or drops its own entry only
+                changed.add(knot.p)
+            results.append((label, knot, report, tau_multiset(records)))
     finally:
         if enabled:
             gc.enable()
+        for p in changed:
+            _atomic_write(_entry_path(cache_dir, p), serialize_report(cached[p]))
 
+    # each row meets the later rows of its p, in row order
+    later = {}
+    for _, knot, _, taus in results:
+        later.setdefault(knot.p, []).append((knot, taus))
     verdicts = []
-    for (_, a, _, taus_a), (_, b, _, taus_b) in itertools.combinations(entries, 2):
-        if a.p == b.p and (a.p, a.q) != (b.p, b.q):
-            verdicts.append(compare_knots(a, b, taus=(taus_a, taus_b)))
+    for _, a, _, taus_a in results:
+        rest = later[a.p]
+        del rest[0]  # the row itself
+        verdicts.extend(compare_knots(a, b, taus=(taus_a, taus_b))
+                        for b, taus_b in rest if b.q != a.q)
 
     report = {
         "config": fingerprint(),
-        "knots": [knot_rep for _, _, knot_rep, _ in entries],
-        "labels": [label for label, _, _, _ in entries],
+        "knots": [knot_rep for _, _, knot_rep, _ in results],
+        "labels": [label for label, _, _, _ in results],
         "verdicts": [verdict_to_dict(v) for v in verdicts],
         "errors": errors,
     }

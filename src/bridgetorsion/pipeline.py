@@ -1,10 +1,11 @@
 """End-to-end assembly of the torsion invariant multiset from P(1) and F,
 read off the knot's exact elements (``exact``) at the roots of unity
 (``read``), knot comparison and the report encoding.  The batch catalog
-and the per-knot result cache live in ``catalog``, which loads on first
-use; ``cached_invariant_report``, ``read_catalog`` and ``run_catalog``
-stay readable here, from that module, because the benchmark's tracer
-(``perfbench/measure.py`` ``TARGETS``) names them under ``pipeline``."""
+and the result cache, one file per determinant, live in ``catalog``,
+which loads on first use; ``cached_invariant_report``, ``read_catalog``
+and ``run_catalog`` stay readable here, from that module, because the
+benchmark's tracer (``perfbench/measure.py`` ``TARGETS``) names them
+under ``pipeline``."""
 
 import json
 import math

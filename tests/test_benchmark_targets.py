@@ -51,15 +51,16 @@ def test_pipeline_serves_exactly_the_targets_it_does_not_define():
     assert pipeline._CATALOG == served
 
 
-def test_extra_readers_read_real_results(tmp_path):
+def test_extra_readers_read_real_results():
     # "hits" reads int(result[1]) of cached_invariant_report: 0 on a miss,
-    # 1 on a hit; "bytes" reads len of serialize_report's result
+    # 1 on a hit from the entries the miss stored; "bytes" reads len of
+    # serialize_report's result
     extra = _measure()._EXTRA
     knot = normalize_two_bridge(5, 3)
-    cache = str(tmp_path / "cache")
-    miss = cached_invariant_report(knot, cache)
+    entries = {}
+    miss = cached_invariant_report(knot, entries)
     assert extra["hits"](miss) == 0
-    assert extra["hits"](cached_invariant_report(knot, cache)) == 1
+    assert extra["hits"](cached_invariant_report(knot, entries)) == 1
     assert extra["bytes"](serialize_report(knot_report(knot, miss[2]))) > 0
 
 

@@ -1,12 +1,15 @@
+import builtins
 import gc
 import hashlib
 import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import mpmath
 import pytest
@@ -314,25 +317,47 @@ def test_compare_distinct_same_determinant():
 
 
 def _entry_path(cache, knot):
-    return os.path.join(cache, fingerprint()[:16], f"{knot.p}_{knot.q}.json")
+    """The cache file of the knot's determinant."""
+    return os.path.join(cache, fingerprint()[:16], f"{knot.p}.json")
 
 
-def test_cache_bit_for_bit(tmp_path):
-    # the entry is the encoding of the knot's two coefficient lists; a
-    # miss returns the records it computed, and a hit those read off the
-    # entry, equal in full, diagnostics and cross-checks included
+def _lookup(knot, cache, tmp_path, monkeypatch):
+    """What cached_invariant_report returns in a catalog run over the one
+    row knot, which reads the file of knot.p from cache before the lookup
+    and writes it after, where the lookup changed its entries."""
+    results = []
+    lookup = catalog.cached_invariant_report
+
+    def spy(knot, entries):
+        results.append(lookup(knot, entries))
+        return results[-1]
+
+    csv_path = tmp_path / "lookup.csv"
+    csv_path.write_text(f"{knot.p},{knot.q}\n")
+    with monkeypatch.context() as m:
+        m.setattr(catalog, "cached_invariant_report", spy)
+        run_catalog(str(csv_path), None, cache)
+    (result,) = results
+    return result
+
+
+def test_cache_bit_for_bit(tmp_path, monkeypatch):
+    # the entry is the encoding of the knot's two coefficient lists, under
+    # its q in the file of its p; a miss returns the records it computed,
+    # and a hit those read off the entry, equal in full, diagnostics and
+    # cross-checks included
     knot = normalize_two_bridge(5, 3)
     cache = str(tmp_path / "cache")
-    report1, hit1, records1 = cached_invariant_report(knot, cache)
+    report1, hit1, records1 = _lookup(knot, cache, tmp_path, monkeypatch)
     assert not hit1
     with open(_entry_path(cache, knot), "rb") as f:
         entry = f.read()
-    assert entry == serialize_report(exact.knot_elements(knot))
-    assert json.loads(entry) == exact.knot_elements(knot)
+    assert entry == serialize_report({"3": exact.knot_elements(knot)})
+    assert json.loads(entry) == {"3": exact.knot_elements(knot)}
     computed = compute_invariants(knot)
     assert records1 == computed
     assert report1 == knot_report(knot, computed)
-    report2, hit2, records2 = cached_invariant_report(knot, cache)
+    report2, hit2, records2 = _lookup(knot, cache, tmp_path, monkeypatch)
     assert hit2
     assert report2 == report1
     assert records2 == computed
@@ -378,11 +403,18 @@ def _replaced(c, e, x):
     return c[:e] + [x] + c[e + 1:]
 
 
+def _whole_file(damaged):
+    """damaged written as the whole file of the knot's p, not as its entry."""
+    return "file", damaged
+
+
 @pytest.mark.parametrize(
     "damaged",
     [
-        lambda knot: serialize_report(exact.knot_elements(knot))[:40],
-        b"[" * 100000,
+        _whole_file(lambda knot: serialize_report({"3": exact.knot_elements(knot)})[:40]),
+        _whole_file(b"[" * 100000),
+        # the entry of the knot as the whole file: a list, not an object
+        _whole_file(lambda knot: serialize_report(exact.knot_elements(knot))),
         b"{}",
         lambda knot: serialize_report(exact.knot_elements(normalize_two_bridge(7, 1))),
         _coeffs(lambda n2, d: [_replaced(n2, 1, True), d]),
@@ -415,32 +447,38 @@ def _replaced(c, e, x):
         _edited(lambda report, rec: rec.update(
             tau=rec["tau"] * 1.5, oracle=rec["tau"] * 1.5, absError=0.0)),
     ],
-    ids=["truncated", "nested", "empty", "other-knot", "wrong-type", "float", "three-lists",
+    ids=["truncated", "nested", "list", "empty", "other-knot", "wrong-type", "float", "three-lists",
          "short-list", "asymmetric", "doubled", "guard", "vanishing", "constant",
          "partial-record", "no-records", "determinant", "extra-key", "extra-record-key",
          "second-entry", "abs-error", "tau", "kprime", "oracle", "tau-and-oracle"],
 )
-def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
-    # an entry that does not parse, or whose elements fail checked_elements
-    # (two lists of p ints within the digit guard, each symmetric, with
-    # the paper's identity holding) or any record's readout, is a miss:
-    # the elements are computed again and the entry rewritten, and a
-    # catalog over that entry runs
+def test_damaged_cache_entry_is_recomputed(tmp_path, monkeypatch, damaged):
+    # a file that does not parse or holds no object counts as empty, and
+    # an entry whose elements fail checked_elements (two lists of p ints
+    # within the digit guard, each symmetric, with the paper's identity
+    # holding) or any record's readout is a miss: the elements are
+    # computed again and the file rewritten, and a catalog over that file
+    # runs
     knot = normalize_two_bridge(7, 3)
+    whole = type(damaged) is tuple
+    if whole:
+        damaged = damaged[1]
     if callable(damaged):
         damaged = damaged(knot)
+    if not whole:
+        damaged = b'{"3": ' + damaged + b"}"
     cache = str(tmp_path / "cache")
     path = _entry_path(cache, knot)
     os.makedirs(os.path.dirname(path))
     with open(path, "wb") as f:
         f.write(damaged)
-    report, hit, records = cached_invariant_report(knot, cache)
+    report, hit, records = _lookup(knot, cache, tmp_path, monkeypatch)
     assert not hit
     computed = compute_invariants(knot)
     assert records == computed
     assert serialize_report(report) == serialize_report(knot_report(knot, computed))
     with open(path, "rb") as f:
-        assert f.read() == serialize_report(exact.knot_elements(knot))
+        assert f.read() == serialize_report({"3": exact.knot_elements(knot)})
     with open(path, "wb") as f:
         f.write(damaged)
     csv_path = tmp_path / "knots.csv"
@@ -449,7 +487,7 @@ def test_damaged_cache_entry_is_recomputed(tmp_path, damaged):
     assert catalog["knots"] == [report]
 
 
-def test_hit_proves_tau_not_the_scale(tmp_path):
+def test_hit_proves_tau_not_the_scale(tmp_path, monkeypatch):
     # the identity n2^2 u_k u_kr = D holds mod N = 1 + t + ... + t^(p-1):
     # 3 n2 with 9 D is a hit with every tau of a fresh run, P(1)^2 times 9
     # and F over 9; D + 1000 N is a hit with a fresh run's floats and
@@ -463,8 +501,8 @@ def test_hit_proves_tau_not_the_scale(tmp_path):
 
     def hit_records(coeffs):
         with open(path, "wb") as f:
-            f.write(serialize_report(coeffs))
-        _, hit, records = cached_invariant_report(knot, cache)
+            f.write(serialize_report({str(knot.q): coeffs}))
+        _, hit, records = _lookup(knot, cache, tmp_path, monkeypatch)
         assert hit
         return records
 
@@ -606,27 +644,63 @@ def test_catalog_sorts_each_row_once(tmp_path, monkeypatch):
         assert v == pipeline.verdict_to_dict(compare_knots(a, b))
 
 
+def _spy_file_calls(monkeypatch):
+    """(name, inside, path) of each open, os.makedirs, os.replace and
+    tempfile.mkstemp call made from now on: inside tells whether a
+    cached_invariant_report call that run_catalog makes was running, and
+    path is the file or directory made, opened or renamed to."""
+    calls, inside = [], []
+
+    def spying(name, call, where):
+        def spy(*args, **kwargs):
+            calls.append((name, bool(inside), str(where(*args, **kwargs))))
+            return call(*args, **kwargs)
+        return spy
+
+    for owner, name, where in ((builtins, "open", lambda path, *_, **__: path),
+                               (os, "makedirs", lambda path, *_, **__: path),
+                               (os, "replace", lambda src, dst, *_, **__: dst),
+                               (tempfile, "mkstemp", lambda *_, dir=None, **__: dir)):
+        monkeypatch.setattr(owner, name, spying(name, getattr(owner, name), where))
+    lookup = catalog.cached_invariant_report
+
+    def spy(knot, entries):
+        inside.append(knot)
+        try:
+            return lookup(knot, entries)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(catalog, "cached_invariant_report", spy)
+    return calls
+
+
 def test_catalog_rows_share_no_setup(tmp_path, monkeypatch):
-    # every lookup finds the entry directory made and the cyclic collector
-    # paused; the collector's state is restored after the rows, also when
-    # one raises, and a catalog with no row to look up makes no directory
+    # no lookup opens, makes, renames or creates a file, cold or warm, and
+    # every lookup finds the cyclic collector paused; the collector's
+    # state is restored after the rows, also when one raises, whose run
+    # still writes the entries computed before that row; and a catalog
+    # with no row to look up makes no directory
+    calls = _spy_file_calls(monkeypatch)
     seen = []
     lookup = catalog.cached_invariant_report
 
-    def spy(knot, cache_dir=None):
-        seen.append((os.path.isdir(os.path.dirname(_entry_path(cache_dir, knot))),
-                     gc.isenabled()))
+    def spy(knot, entries):
+        seen.append(gc.isenabled())
         if knot.p == 9:
             raise RuntimeError("stop")
-        return lookup(knot, cache_dir)
+        return lookup(knot, entries)
 
     monkeypatch.setattr(catalog, "cached_invariant_report", spy)
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text("7,3\nx,1\n5,3\n")
     cache = str(tmp_path / "cache")
     assert gc.isenabled()
-    run_catalog(str(csv_path), None, cache)
-    assert seen == [(True, False)] * 2 and gc.isenabled()
+    for _ in range(2):
+        run_catalog(str(csv_path), None, cache)
+    assert seen == [False] * 4 and gc.isenabled()
+    assert {name for name, _, _ in calls} == {"open", "makedirs", "replace", "mkstemp"}
+    assert [call for call in calls if call[1]] == []
     csv_path.write_text("5,1\n9,2\n")
     for enabled in (True, False):
         (gc.enable if enabled else gc.disable)()
@@ -636,11 +710,78 @@ def test_catalog_rows_share_no_setup(tmp_path, monkeypatch):
             assert gc.isenabled() == enabled
         finally:
             gc.enable()
+    with open(_entry_path(cache, normalize_two_bridge(5, 1)), "rb") as f:
+        assert sorted(json.loads(f.read())) == ["1", "3"]
 
     for text in ("", "p,q\nx,y\n"):
         csv_path.write_text(text)
         run_catalog(str(csv_path), None, str(tmp_path / "unused"))
         assert not os.path.exists(tmp_path / "unused")
+
+
+def _read_json(path):
+    with open(path, "rb") as f:
+        return json.loads(f.read())
+
+
+def test_catalog_keeps_one_file_per_determinant(tmp_path, monkeypatch):
+    # a cold run over three determinants with a cacheable knot reads each
+    # p file once and writes one file per such p, and none for p = 11,
+    # whose every knot fails; a warm run reads each file once and writes
+    # none; a run that adds one q keeps the file's other entries
+    knot_pass = catalog.knot_pass
+    monkeypatch.setattr(catalog, "knot_pass", lambda knot: (
+        RecordError("stop") if knot.p == 11 else knot_pass(knot)))
+    calls = _spy_file_calls(monkeypatch)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n5,3\n11,3\n7,5\nx,1\n9,2\n7,3\n4,1\n")
+    cache = str(tmp_path / "cache")
+    files = os.path.join(cache, fingerprint()[:16])
+    keys = {"5.json": ["3"], "7.json": ["3", "5"], "9.json": ["7"]}  # 9/2 is 9/7
+    for run in ("cold", "warm"):
+        calls.clear()
+        run_catalog(str(csv_path), None, cache)
+        opened = [os.path.basename(path) for name, _, path in calls
+                  if name == "open" and os.path.dirname(path) == files]
+        assert opened == ["7.json", "5.json", "11.json", "9.json"], run
+        written = [os.path.basename(path) for name, _, path in calls if name == "replace"]
+        assert sorted(written) == (sorted(keys) if run == "cold" else []), run
+        assert {name: sorted(_read_json(os.path.join(files, name)))
+                for name in os.listdir(files)} == keys, run
+    held = _read_json(os.path.join(files, "7.json"))
+    csv_path.write_text("7,1\n")
+    run_catalog(str(csv_path), None, cache)
+    added = {"1": exact.knot_elements(normalize_two_bridge(7, 1))}
+    assert _read_json(os.path.join(files, "7.json")) == {**held, **added}
+
+
+def test_catalog_whose_knots_all_fail_writes_no_file(tmp_path, break_letter):
+    # nothing stored, nothing written: not even the entry directory is made
+    break_letter()
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,3\n5,3\n7,5\n")
+    report = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
+    assert len(report["knots"]) == 3
+    assert not os.path.exists(tmp_path / "cache")
+
+
+def test_catalog_verdicts_are_those_of_every_pair(tmp_path):
+    # each row meets only the later rows of its own p, and the verdicts
+    # are those of the scan over every pair of rows, in the same order,
+    # on a shuffled catalog with several p and repeated knots
+    fractions = [(p, q) for p in (5, 7, 9, 11, 13) for q in range(1, p) if math.gcd(p, q) == 1]
+    rows = [pq for pq in fractions for _ in range(2)][::3] + [(7, 3), (13, 5), (13, 5)]
+    random.Random(45).shuffle(rows)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("".join(f"{p},{q}\n" for p, q in rows))
+    report = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
+    knots = [normalize_two_bridge(p, q) for p, q in rows]
+    taus = [tau_multiset(compute_invariants(k)) for k in knots]
+    reference = [pipeline.verdict_to_dict(compare_knots(a, b, taus=(ta, tb)))
+                 for (a, ta), (b, tb) in itertools.combinations(zip(knots, taus), 2)
+                 if a.p == b.p and a.q != b.q]
+    assert len(reference) > 20
+    assert report["verdicts"] == reference
 
 
 def test_catalog_rows_make_no_reference_cycles(tmp_path, break_letter):
@@ -679,8 +820,8 @@ def _spy_hits(monkeypatch):
     hits = []
     lookup = catalog.cached_invariant_report
 
-    def spy(knot, cache_dir=None):
-        result = lookup(knot, cache_dir)
+    def spy(knot, entries):
+        result = lookup(knot, entries)
         hits.append(result[1])
         return result
 
@@ -723,10 +864,9 @@ def test_noncanonical_cache_entry_is_a_hit(tmp_path, monkeypatch):
     out_path = tmp_path / "report.json"
     cache = str(tmp_path / "cache")
     cold = run_catalog(str(csv_path), str(out_path), cache)
-    for entry in cold["knots"]:
-        knot = normalize_two_bridge(entry["knot"]["p"], entry["knot"]["q"])
-        with open(_entry_path(cache, knot), "wb") as f:
-            f.write(json.dumps(exact.knot_elements(knot), indent=1).encode())
+    knots = [normalize_two_bridge(kr["knot"]["p"], kr["knot"]["q"]) for kr in cold["knots"]]
+    with open(_entry_path(cache, knots[0]), "wb") as f:
+        f.write(json.dumps({str(k.q): exact.knot_elements(k) for k in knots}, indent=1).encode())
     hits = _spy_hits(monkeypatch)
     warm = run_catalog(str(csv_path), str(out_path), cache)
     assert hits == [True, True, True]
@@ -767,35 +907,38 @@ def test_hit_and_miss_read_the_elements_alike(tmp_path, monkeypatch):
     # a hit reads its records off the elements as a miss does: with read
     # giving every tau doubled, the warm hit has the miss's records; with
     # read giving NaN, the same entry is no hit, as its records fail, and
-    # the lookup gives a fresh run's error records and keeps the entry
+    # the lookup gives a fresh run's error records, opens no file, so the
+    # file keeps the entry, and drops the entry from the run's entries
     exact_read = pipeline.read
     monkeypatch.setattr(pipeline, "read", lambda elements: [
         r._replace(tau=2 * r.tau) for r in exact_read(elements)])
     knot = normalize_two_bridge(7, 3)
     cache = str(tmp_path / "cache")
-    miss = cached_invariant_report(knot, cache)
-    hit = cached_invariant_report(knot, cache)
+    miss = _lookup(knot, cache, tmp_path, monkeypatch)
+    hit = _lookup(knot, cache, tmp_path, monkeypatch)
     assert (miss[1], hit[1]) == (False, True)
     assert hit[0] == miss[0] == knot_report(knot, compute_invariants(knot))
     with open(_entry_path(cache, knot), "rb") as f:
         entry = f.read()
     _read_nan(monkeypatch)
-    report, hit, records = cached_invariant_report(knot, cache)
+    entries = json.loads(entry)
+    report, hit, records = cached_invariant_report(knot, entries)
     assert not hit
     assert all("not positive" in r.error for r in records)
     assert report == knot_report(knot, compute_invariants(knot))
     with open(_entry_path(cache, knot), "rb") as f:
         assert f.read() == entry
+    assert entries == {}
 
 
-def test_failed_exact_pass_is_not_cached(tmp_path, break_letter):
+def test_failed_exact_pass_is_not_cached(tmp_path, monkeypatch, break_letter):
     # a knot whose exact pass fails writes no entry: every lookup is a
     # miss with every record failed
     break_letter()
     knot = normalize_two_bridge(7, 3)
     cache = str(tmp_path / "cache")
     for _ in range(2):
-        report, hit, records = cached_invariant_report(knot, cache)
+        report, hit, records = _lookup(knot, cache, tmp_path, monkeypatch)
         assert not hit and not any(r.ok for r in records)
         assert report == knot_report(knot, compute_invariants(knot))
         assert not os.path.exists(_entry_path(cache, knot))
@@ -1028,19 +1171,24 @@ def test_extended_precision_leaves_global_mpmath_alone():
     assert abs(root ** 2 - 2) < mpmath.mpf(10) ** -28
 
 
-def test_env_cache_dir(tmp_path, monkeypatch):
+def test_env_cache_dir(tmp_path, tmp_path_factory, monkeypatch):
     monkeypatch.setenv("TORSION_CACHE_DIR", str(tmp_path / "envcache"))
-    knot = normalize_two_bridge(3, 1)
-    _, hit, _ = cached_invariant_report(knot)
+    csv_path = tmp_path_factory.mktemp("csv") / "knots.csv"
+    csv_path.write_text("3,1\n")
+    hits = _spy_hits(monkeypatch)
+    run_catalog(str(csv_path))
+    hit = hits.pop()
     assert not hit
     assert os.path.isdir(str(tmp_path / "envcache"))
-    _, hit, _ = cached_invariant_report(knot)
+    run_catalog(str(csv_path))
+    hit = hits.pop()
     assert hit
 
     # an empty value counts as unset: the cache goes to .torsion_cache, not
     # to the working directory itself
     monkeypatch.setenv("TORSION_CACHE_DIR", "")
     monkeypatch.chdir(tmp_path)
-    _, hit, _ = cached_invariant_report(knot)
+    run_catalog(str(csv_path))
+    hit = hits.pop()
     assert not hit
     assert sorted(os.listdir(tmp_path)) == [".torsion_cache", "envcache"]
