@@ -206,8 +206,7 @@ def run_catalog(input_path, out_path=None, cache_dir=None):
     for _, a, _, taus_a in results:
         rest = later[a.p]
         del rest[0]  # the row itself
-        verdicts.extend(compare_knots(a, b, taus=(taus_a, taus_b))
-                        for b, taus_b in rest if b.q != a.q)
+        verdicts.extend(compare_knots(a, b, taus_a, taus_b) for b, taus_b in rest if b.q != a.q)
 
     report = {
         "config": fingerprint(),

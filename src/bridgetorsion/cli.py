@@ -17,6 +17,7 @@ from .pipeline import (
     knot_report,
     parse_fraction,
     serialize_report,
+    tau_multiset,
     verdict_to_dict,
 )
 from .words import normalize_two_bridge
@@ -97,7 +98,7 @@ def _cmd_invariants(args):
 def _cmd_compare(args):
     a = normalize_two_bridge(*parse_fraction(args.fraction_a))
     b = normalize_two_bridge(*parse_fraction(args.fraction_b))
-    verdict = compare_knots(a, b)
+    verdict = compare_knots(a, b, *(tau_multiset(compute_invariants(k)) for k in (a, b)))
     if args.json:
         sys.stdout.write(
             serialize_report(verdict_to_dict(verdict)).decode() + "\n"

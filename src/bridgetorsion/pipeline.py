@@ -1,11 +1,11 @@
 """End-to-end assembly of the torsion invariant multiset from P(1) and F,
 read off the knot's exact elements (``exact``) at the roots of unity
-(``read``), knot comparison and the report encoding.  The batch catalog
-and the result cache, one file per determinant, live in ``catalog``,
-which loads on first use; ``cached_invariant_report``, ``read_catalog``
-and ``run_catalog`` stay readable here, from that module, because the
-benchmark's tracer (``perfbench/measure.py`` ``TARGETS``) names them
-under ``pipeline``."""
+(``read``), the verdict on two knots from the tau multisets their caller
+holds, and the report encoding.  The batch catalog and the result cache,
+one file per determinant, live in ``catalog``, which loads on first use;
+``cached_invariant_report``, ``read_catalog`` and ``run_catalog`` stay
+readable here, from that module, because the benchmark's tracer
+(``perfbench/measure.py`` ``TARGETS``) names them under ``pipeline``."""
 
 import json
 import math
@@ -219,15 +219,12 @@ def format_deviation(value, spec):
     return "n/a" if value is None else format(value, spec)
 
 
-def compare_knots(a, b, *, taus=None):
-    """Verdict per the torsion multisets, with the arithmetic congruence
-    q' = +/- q^{+/-1} mod p reported as independent confirmation.  Any error
-    record on either side makes the verdict "undetermined", with no
-    deviation.  ``taus`` is the pair of ``tau_multiset``s of the two sides
-    where the caller holds them; otherwise both knots are computed."""
-    if taus is None:
-        taus = tau_multiset(compute_invariants(a)), tau_multiset(compute_invariants(b))
-    taus_a, taus_b = taus
+def compare_knots(a, b, taus_a, taus_b):
+    """Verdict on knots a and b from their ``tau_multiset``s, which the
+    caller holds (a verdict computes no knot), with the arithmetic
+    congruence q' = +/- q^{+/-1} mod p reported as independent
+    confirmation.  A side with an error record, whose multiset is None,
+    makes the verdict "undetermined", with no deviation."""
     det_match = a.p == b.p
     congruence = det_match and fractions_mirror_equivalent(a.p, a.q, b.q)
     if taus_a is None or taus_b is None:

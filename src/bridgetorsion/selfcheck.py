@@ -214,8 +214,7 @@ class AcceptanceSuite:
     def criterion_9(self):
         v1, v2 = (
             compare_knots(normalize_two_bridge(p, q), normalize_two_bridge(p, r),
-                          taus=(tau_multiset(self.records(p, q)),
-                                tau_multiset(self.records(p, r))))
+                          tau_multiset(self.records(p, q)), tau_multiset(self.records(p, r)))
             for p, q, r in ((7, 3, 5), (11, 3, 5))
         )
         ok = (

@@ -1,6 +1,6 @@
 import pytest
 
-from bridgetorsion import exact
+from bridgetorsion import exact, pipeline
 
 
 @pytest.fixture
@@ -20,6 +20,21 @@ def break_letter(monkeypatch):
         monkeypatch.setattr(exact, "_product", broken)
 
     return apply
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The (p, q) of each exact pass the value path runs from now on: every
+    record, verdict side and cache miss reaches exact.knot_elements through
+    pipeline.knot_pass, which reads it from pipeline's namespace."""
+    calls = []
+
+    def spy(knot):
+        calls.append((knot.p, knot.q))
+        return exact.knot_elements(knot)
+
+    monkeypatch.setattr(pipeline, "knot_elements", spy)
+    return calls
 
 
 def clearing_caches(monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -77,6 +79,14 @@ def test_compare(capsys):
     code, out, _ = run_cli(capsys, ["compare", "11/3", "11/5"])
     assert code == 0
     assert "distinct" in out
+
+
+def test_compare_runs_one_exact_pass_per_side(capsys, passes):
+    # the command computes each side and hands compare_knots their two
+    # multisets, so the verdict itself runs no pass
+    code, out, _ = run_cli(capsys, ["compare", "7/3", "7/5"])
+    assert code == 0 and "equivalent-up-to-mirror" in out
+    assert passes == [(7, 3), (7, 5)]
 
 
 def test_compare_equivalent_fractions_of_one_knot(capsys):
@@ -261,3 +271,34 @@ def test_catalog_prints_each_same_determinant_verdict(tmp_path, capsys, break_le
         assert lines[:2] == ["computed 4 knots, 0 bad rows, 0 record errors",
                              "  b(7,3) vs b(7,5): equivalent-up-to-mirror (dev 0.00e+00)"]
         assert lines[2].startswith("  b(11,3) vs b(11,5): distinct (dev ")
+
+
+def _readme_command_lines():
+    """The (arguments, comment) of each bridgetorsion line of README's
+    "Command line" block, in order."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        args = shlex.split(command)
+        assert args[0] == "bridgetorsion", line
+        lines.append((args[1:], comment.strip()))
+    return lines
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # each line of the README's command block exits 0, in a fresh working
+    # directory with a small knots.csv for its catalog line, and each
+    # compare line prints the verdict its comment names
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "knots.csv").write_text("p,q\n5,3\n7,3\n7,5\n")
+    lines = _readme_command_lines()
+    assert [args[0] for args, _ in lines] == ["invariants", "invariants", "compare", "compare",
+                                              "oracle", "oracle", "catalog", "selftest"]
+    for args, comment in lines:
+        code, out, err = run_cli(capsys, args)
+        assert code == 0, (args, out, err)
+        if args[0] == "compare":
+            assert out.splitlines()[0].endswith(f": {comment}"), (args, out)
+    assert (tmp_path / "report.json").is_file()

@@ -66,6 +66,24 @@ def test_spot_check_at_1001_375():
     assert coefficient_bits < guard
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("p, q", [(4001, 1), (8009, 3061)])
+def test_spot_check_at_large_p(p, q):
+    # no error record, every tau within a rounding of the 50-digit lens
+    # value, and so is each record's oracle, lens_torsion_magnitude
+    records = compute_invariants(normalize_two_bridge(p, q))
+    assert [r.error for r in records if not r.ok] == []
+    worst_tau = worst_oracle = 0.0
+    for rec in records:
+        want = _lens_50(p, q, rec.k)
+        worst_tau = max(worst_tau, float(abs(rec.tau - want) / want))
+        worst_oracle = max(worst_oracle, float(abs(rec.cross_check - want) / want))
+    print(f"{p}/{q}: largest relative error of tau {worst_tau:.2e}, "
+          f"of the oracle {worst_oracle:.2e}")
+    assert worst_tau <= 1e-15
+    assert worst_oracle <= 2e-15
+
+
 def _decode(x, n, b):
     """The n balanced b-bit digits of x mod 2^(bn) - 1, each in
     [-2^(b-1), 2^(b-1)), at the width b given, whatever the width of the
@@ -999,7 +1017,7 @@ def test_broken_letter_image_errors_every_record(break_letter, scale, message):
     assert len(records) == (p - 1) // 2
     assert all(not r.ok and message in r.error for r in records)
     taus = tau_multiset(records), tau_multiset(compute_invariants(b))
-    assert compare_knots(a, b, taus=taus).verdict == "undetermined"
+    assert compare_knots(a, b, *taus).verdict == "undetermined"
 
 
 def test_readout_margin_below_the_bound_is_an_error(monkeypatch):

@@ -8,20 +8,20 @@ from bridgetorsion import exact, pipeline
 from bridgetorsion.alexander import wada_twisted_alexander
 from bridgetorsion.curve import RileyPoint
 from bridgetorsion.oracles import LensSpace
-from bridgetorsion.pipeline import compare_knots, compute_invariants
+from bridgetorsion.pipeline import compare_knots, compute_invariants, tau_multiset
 from bridgetorsion.reps import metabelian_pair, metabelian_rep
 from bridgetorsion.selfcheck import CriterionResult
 from bridgetorsion.words import normalize_two_bridge
 
 
 def _instances():
-    knot = normalize_two_bridge(7, 3)
+    knot, other = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
     return [
         knot,
         LensSpace.of(7, 3),
         pipeline.read(exact.knot_elements(knot))[0],
         compute_invariants(knot)[0],
-        compare_knots(knot, normalize_two_bridge(7, 5)),
+        compare_knots(knot, other, *(tau_multiset(compute_invariants(k)) for k in (knot, other))),
         metabelian_pair(7, 1),
         RileyPoint(-1.0, -0.75 + 0j, 0.0),
         wada_twisted_alexander(knot, metabelian_rep(7, 1)),

@@ -59,6 +59,23 @@ def test_lens_torsion_matches_mpmath():
                 assert abs(got - want) <= 1e-13 * want, (p, q, k)
 
 
+@pytest.mark.parametrize("p, q", [(2001, 731), (4001, 1529)])
+def test_lens_torsion_stays_accurate_near_pi(p, q):
+    # k r mod p reaches p - 1, where a sine's rounded argument near pi
+    # loses relative accuracy (7.1e-14 at 2001/731 and 2.2e-13 at
+    # 4001/1529 unreduced); entered as min(m, p - m), every k is within a
+    # few units in the last place of the 50-digit value
+    lens = LensSpace.of(p, q)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in range(1, (p - 1) // 2 + 1):
+            s = mpmath.sin(mpmath.pi * k / p) * mpmath.sin(mpmath.pi * (k * lens.r % p) / p)
+            want = 1 / (16 * s * s)
+            worst = max(worst, float(abs(lens_torsion_magnitude(lens, k) - want) / want))
+    print(f"L({p},{q}) oracle: largest relative error {worst:.2e}")
+    assert worst <= 2e-15
+
+
 def test_lens_symmetries():
     # invariance under q -> q^{-1} mod p and under k -> p - k
     for p, q in ((7, 3), (11, 5), (13, 9), (15, 11)):

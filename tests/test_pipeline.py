@@ -275,22 +275,27 @@ def test_mirror_input_normalizes_to_same_records():
 # -- comparison -------------------------------------------------------------------
 
 
+def _verdict(a, b):
+    """compare_knots on the tau multisets of both knots, computed here."""
+    return compare_knots(a, b, *(tau_multiset(compute_invariants(k)) for k in (a, b)))
+
+
 def test_compare_same_knot():
     a = normalize_two_bridge(5, 3)
-    v = compare_knots(a, a)
+    v = _verdict(a, a)
     assert v.verdict == "equivalent-up-to-mirror"
     assert v.max_multiset_deviation <= 1e-12
 
 
 def test_compare_equivalent_pair():
-    v = compare_knots(normalize_two_bridge(7, 3), normalize_two_bridge(7, 5))
+    v = _verdict(normalize_two_bridge(7, 3), normalize_two_bridge(7, 5))
     assert v.verdict == "equivalent-up-to-mirror"
     assert v.congruence_match
     assert v.max_multiset_deviation <= 1e-6
 
 
 def test_compare_different_determinants():
-    v = compare_knots(normalize_two_bridge(3, 1), normalize_two_bridge(5, 3))
+    v = _verdict(normalize_two_bridge(3, 1), normalize_two_bridge(5, 3))
     assert v.verdict == "distinct"
     assert not v.determinants_match
     assert v.max_multiset_deviation == float("inf")
@@ -307,7 +312,7 @@ def test_census_classes_are_the_mirror_classes():
 
 
 def test_compare_distinct_same_determinant():
-    v = compare_knots(normalize_two_bridge(11, 3), normalize_two_bridge(11, 5))
+    v = _verdict(normalize_two_bridge(11, 3), normalize_two_bridge(11, 5))
     assert v.verdict == "distinct"
     assert not v.congruence_match
     assert v.max_multiset_deviation > 1e-3
@@ -641,7 +646,34 @@ def test_catalog_sorts_each_row_once(tmp_path, monkeypatch):
     monkeypatch.undo()
     for v in report["verdicts"]:
         a, b = (normalize_two_bridge(*pq) for pq in v["knots"])
-        assert v == pipeline.verdict_to_dict(compare_knots(a, b))
+        assert v == pipeline.verdict_to_dict(_verdict(a, b))
+
+
+def test_catalog_runs_one_exact_pass_per_miss_and_none_per_verdict(tmp_path, monkeypatch,
+                                                                   passes):
+    # cold, the four distinct knots miss and the repeated 7/3 hits the
+    # entry its first row stored; warm, every row hits.  The passes are
+    # the misses', so the 5 verdicts of each run, which read the rows'
+    # multisets, run none
+    hits = _spy_hits(monkeypatch)
+    csv_path = tmp_path / "knots.csv"
+    csv_path.write_text("7,1\n7,3\n7,5\n5,3\n7,3\n")
+    for _ in range(2):
+        assert len(run_catalog(str(csv_path), None, str(tmp_path / "cache"))["verdicts"]) == 5
+    assert hits == [False] * 4 + [True] * 6
+    assert passes == [(7, 1), (7, 3), (7, 5), (5, 3)]
+
+
+def test_compare_knots_runs_no_exact_pass(passes):
+    # a verdict reads the multisets its caller holds, whatever they are
+    a, b, c = (normalize_two_bridge(*pq) for pq in ((7, 3), (7, 5), (9, 2)))
+    taus = {k: tau_multiset(compute_invariants(k)) for k in (a, b, c)}
+    del passes[:]
+    verdicts = [compare_knots(x, y, taus[x], taus[y]) for x, y in ((a, b), (a, c), (b, b))]
+    assert compare_knots(a, b, None, taus[b]).verdict == "undetermined"
+    assert [v.verdict for v in verdicts] == ["equivalent-up-to-mirror", "distinct",
+                                             "equivalent-up-to-mirror"]
+    assert passes == []
 
 
 def _spy_file_calls(monkeypatch):
@@ -777,7 +809,7 @@ def test_catalog_verdicts_are_those_of_every_pair(tmp_path):
     report = run_catalog(str(csv_path), None, str(tmp_path / "cache"))
     knots = [normalize_two_bridge(p, q) for p, q in rows]
     taus = [tau_multiset(compute_invariants(k)) for k in knots]
-    reference = [pipeline.verdict_to_dict(compare_knots(a, b, taus=(ta, tb)))
+    reference = [pipeline.verdict_to_dict(compare_knots(a, b, ta, tb))
                  for (a, ta), (b, tb) in itertools.combinations(zip(knots, taus), 2)
                  if a.p == b.p and a.q != b.q]
     assert len(reference) > 20
@@ -1017,10 +1049,8 @@ def test_partial_results_on_record_errors(break_letter):
     assert tau_multiset(records) is None
     report = knot_report(normalize_two_bridge(5, 3), records)
     assert all(r["tau"] is None and r["error"] for r in report["records"])
-    v = compare_knots(
-        normalize_two_bridge(5, 3), normalize_two_bridge(5, 3),
-        taus=(tau_multiset(records), tau_multiset(records)),
-    )
+    v = compare_knots(normalize_two_bridge(5, 3), normalize_two_bridge(5, 3),
+                      tau_multiset(records), tau_multiset(records))
     assert v.verdict == "undetermined"
     assert v.max_multiset_deviation is None
 
@@ -1130,8 +1160,8 @@ def test_value_path_builds_no_relator(tmp_path, monkeypatch):
     census = [(p, q) for p in range(3, 26, 2) for q in range(1, p) if math.gcd(p, q) == 1]
     for p, q in census:
         assert all(r.ok for r in compute_invariants(normalize_two_bridge(p, q))), (p, q)
-    assert compare_knots(normalize_two_bridge(7, 3),
-                         normalize_two_bridge(7, 5)).verdict == "equivalent-up-to-mirror"
+    assert _verdict(normalize_two_bridge(7, 3),
+                    normalize_two_bridge(7, 5)).verdict == "equivalent-up-to-mirror"
     csv_path = tmp_path / "knots.csv"
     csv_path.write_text("p,q\n5,3\n7,3\n7,5\n9,2\n")
     hits = _spy_hits(monkeypatch)

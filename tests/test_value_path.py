@@ -177,10 +177,9 @@ UNLOADED = ("dataclasses", "inspect", "typing", "hashlib", "pathlib", "tempfile"
 _DIET = """
 import sys
 import bridgetorsion
-from bridgetorsion import compare_knots, compute_invariants, normalize_two_bridge
+from bridgetorsion import compare_knots, compute_invariants, normalize_two_bridge, tau_multiset
 a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
-compute_invariants(a)
-compare_knots(a, b)
+compare_knots(a, b, tau_multiset(compute_invariants(a)), tau_multiset(compute_invariants(b)))
 print(" ".join(name for name in sys.argv[3:] if name in sys.modules))
 bridgetorsion.catalog.run_catalog(sys.argv[1], None, sys.argv[2])
 print("hashlib" in sys.modules or "_hashlib" in sys.modules, "tempfile" in sys.modules,
@@ -226,10 +225,9 @@ sys.addaudithook(hook)
 import bridgetorsion
 from bridgetorsion import *
 report()
-from bridgetorsion import cli, compare_knots, compute_invariants, normalize_two_bridge
+from bridgetorsion import cli, compare_knots, compute_invariants, normalize_two_bridge, tau_multiset
 a, b = normalize_two_bridge(7, 3), normalize_two_bridge(7, 5)
-compute_invariants(a)
-compare_knots(a, b)
+compare_knots(a, b, tau_multiset(compute_invariants(a)), tau_multiset(compute_invariants(b)))
 assert cli.main(["invariants", "7/3", "--json"]) == 0
 assert cli.main(["compare", "7/3", "7/5", "--json"]) == 0
 report()
