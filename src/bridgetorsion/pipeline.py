@@ -1,7 +1,9 @@
 """End-to-end assembly of the torsion invariant multiset from P(1) and F,
 read off the knot's exact elements (``exact``) at the roots of unity
-(``read``), the verdict on two knots from the tau multisets their caller
-holds, and the report encoding.  The batch catalog and the result cache,
+(``read``: every index of a prime p from one big-int product, by Rader's
+reindexing, and of a composite p by one dot product per index), the
+verdict on two knots from the tau multisets their caller holds, and the
+report encoding.  The batch catalog and the result cache,
 one file per determinant, live in ``catalog``, which loads on first use;
 ``cached_invariant_report``, ``read_catalog`` and ``run_catalog`` stay
 readable here, from that module, because the benchmark's tracer
@@ -51,7 +53,6 @@ def _atan_inv(x, one):
     return total
 
 
-@lru_cache(maxsize=None)
 def _cosines(p):
     """round(2^READOUT_BITS cos(2 pi j / p)) for j = 0..p-1, from integers
     only, each within one unit.  It works with G guard bits: pi by Machin's
@@ -76,6 +77,80 @@ def _cosines(p):
     return table
 
 
+#: The cosine table of a composite p, which its loop reads, kept per p; a
+#: prime p keeps only its Rader plan (``_rader``).
+_loop_cosines = lru_cache(maxsize=None)(_cosines)
+
+
+def _dot_sums(packed):
+    """sum_e packed_e round(2^READOUT_BITS cos(2 pi e k'/p)) for k' = 1..(p-1)/2,
+    p = 2 len(packed) - 1, one dot product each."""
+    half = len(packed)
+    p = 2 * half - 1
+    table = _loop_cosines(p)
+    return [sum(map(operator.mul, packed, [table[i % p] for i in range(0, kprime * half, kprime)]))
+            for kprime in range(1, half)]
+
+
+def _generator(p):
+    """The least g whose powers g^j, j < m = (p - 1)/2, with their negatives
+    run through every unit mod the prime p, which is all that Rader's
+    reindexing needs of g: a primitive root does, and when m is odd so
+    does its square."""
+    m = (p - 1) // 2
+    return next(g for g in range(2, p) if len({min(x, p - x) for x in
+                                               (pow(g, j, p) for j in range(m))}) == m)
+
+
+def _ones(count, nbytes):
+    """sum_j 2^(8 nbytes j) over j < count: a 1 in each lane of nbytes bytes."""
+    return int.from_bytes(b"\1".ljust(nbytes, b"\0") * count, "little")
+
+
+def _kronecker(values, nbytes):
+    """sum_j v_j 2^(8 nbytes j), for ints |v_j| < 2^(8 nbytes - 1): each lane
+    written offset by 2^(8 nbytes - 1), and the offsets taken back at once."""
+    offset = 1 << (8 * nbytes - 1)
+    lanes = b"".join((v + offset).to_bytes(nbytes, "little") for v in values)
+    return int.from_bytes(lanes, "little") - _ones(len(values), nbytes) * offset
+
+
+@lru_cache(maxsize=None)
+def _rader(p, nbytes):
+    """None for composite p.  For prime p, Rader's plan of its readout in
+    lanes of nbytes bytes, for g = ``_generator(p)`` and m = (p - 1)/2: the
+    k' = +-g^j for j < m, in 1..m, and the cosines round(2^READOUT_BITS
+    cos(2 pi g^j/p)) packed into those lanes.  The table itself is not
+    kept."""
+    if any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+        return None
+    g, table = _generator(p), _cosines(p)
+    powers = [pow(g, j, p) for j in range((p - 1) // 2)]
+    return tuple(min(x, p - x) for x in powers), _kronecker([table[x] for x in powers], nbytes)
+
+
+def _rader_sums(packed, plan, nbytes):
+    """The sums of ``_dot_sums`` for prime p, from its ``_rader`` plan, by one
+    product.  Lane a of the packed values holds e = +-g^-a, which is k' at
+    index -a of the plan, as g^m = +-1.  With k' = +-g^b, cos(2 pi e k'/p)
+    is the cosine of lane b - a mod m, so the sum at k' is lane b plus lane
+    b + m of the product, and 2^(8 nbytes m) = 1 mod 2^(8 nbytes m) - 1
+    adds them.  The e = 0 term, packed_0 2^READOUT_BITS, enters every
+    lane, with the offset 2^(8 nbytes - 1); a sum below that offset less 1
+    in magnitude leaves each lane in [0, 2^(8 nbytes) - 1), so the
+    residue, whose bytes are the offset sums, is below the modulus."""
+    kprimes, cosines = plan
+    bits, offset = 8 * nbytes * len(kprimes), 1 << (8 * nbytes - 1)
+    modulus = (1 << bits) - 1
+    product = _kronecker([packed[e] for e in kprimes[:1] + kprimes[:0:-1]], nbytes) * cosines
+    common = _ones(len(kprimes), nbytes) * ((packed[0] << READOUT_BITS) + offset)
+    lanes = (((product & modulus) + (product >> bits) + common) % modulus).to_bytes(bits // 8, "little")
+    sums = [0] * len(kprimes)
+    for kprime, at in zip(kprimes, range(0, bits // 8, nbytes)):
+        sums[kprime - 1] = int.from_bytes(lanes[at:at + nbytes], "little") - offset
+    return sums
+
+
 class Reading(namedtuple("Reading", "p1_squared f_value tau margin_bits")):
     """A record's floats, read off at t = zeta^{k'}, and the least margin of
     its two readouts in bits."""
@@ -88,15 +163,19 @@ def read(elements):
     tau = P(1)^2 F from the knot's elements [n_ss(t^2), D], each the
     correctly rounded quotient of integer readouts.  The elements are
     real, so at t = zeta^k' an element is sum c_e cos(2 pi e k'/p), an
-    integer dot product with cosines in READOUT_BITS fixed point.  Each
-    cosine is within one unit, so the sum is within L1 = sum |c_e| units,
-    of bit length l; the margin is log2 of the sum over L1, and an index
-    whose margin is below MIN_MARGIN_BITS gets its RecordError in place
-    of a Reading.  The two elements share one dot product per index,
-    their coefficients packed as c + c' 2^K with K = READOUT_BITS +
-    max l + 1.  No cosine exceeds 2^READOUT_BITS, so each sum has
-    magnitude at most L1 2^READOUT_BITS < 2^(K - 1), and the balanced
-    residue mod 2^K splits the packed sum into the two exactly."""
+    integer sum with cosines in READOUT_BITS fixed point.  Each cosine is
+    within one unit, so the sum is within L1 = sum |c_e| units, of bit
+    length l; the margin is log2 of the sum over L1, and an index whose
+    margin is below MIN_MARGIN_BITS gets its RecordError in place of a
+    Reading.  The two elements share one sum per index, their
+    coefficients packed as c + c' 2^K with K = READOUT_BITS + max l + 1.
+    No cosine exceeds 2^READOUT_BITS, so each sum has magnitude at most L1
+    2^READOUT_BITS < 2^(K - 1), and the balanced residue mod 2^K splits
+    the packed sum into the two exactly.  A composite p takes one dot
+    product per index (``_dot_sums``).  A prime p takes every index from
+    one product (``_rader_sums``), the same integers: with both sums at
+    most 2^(K - 1) - 1 in magnitude, a packed sum is below 2^(2K - 1) - 1,
+    so lanes of W = 2K bits, rounded up to whole bytes, hold it."""
     n_bits, d_bits = (sum(map(abs, c)).bit_length() for c in elements)  # of L1
     p = len(elements[0])
     half = (p + 1) // 2
@@ -104,11 +183,12 @@ def read(elements):
     lane, mask = 1 << (width - 1), (1 << width) - 1
     packed = [(x + (y << width)) << (e > 0)  # c_-e = c_e: twice for e > 0
               for e, x, y in zip(range(half), *elements)]
-    table, readings, least = _cosines(p), [], MIN_MARGIN_BITS
+    nbytes = (2 * width + 7) // 8  # W
+    plan = _rader(p, nbytes)
+    sums = _dot_sums(packed) if plan is None else _rader_sums(packed, plan, nbytes)
+    readings, least = [], MIN_MARGIN_BITS
     p_unit, f_unit = 1 << (2 * READOUT_BITS + 4), 1 << (READOUT_BITS + 4)
-    for kprime in range(1, half):
-        cos = [table[i % p] for i in range(0, kprime * half, kprime)]  # cos(2 pi e k'/p)
-        total = sum(map(operator.mul, packed, cos))
+    for kprime, total in enumerate(sums, 1):
         n_t = ((total + lane) & mask) - lane
         d_t = (total - n_t) >> width
         margin = min(READOUT_BITS, abs(n_t).bit_length() - 1 - n_bits,

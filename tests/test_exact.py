@@ -872,7 +872,7 @@ def _peak(p, kprime, sign, rng):
     return [sign * c for c in _symmetric(head)]
 
 
-@pytest.mark.parametrize("p", [3, 7, 25, 101])
+@pytest.mark.parametrize("p", [3, 7, 25, 101, 131])
 def test_packed_readout_splits_exactly_at_its_bound(p):
     # read packs the two elements [n2, D] into one int per coefficient, in
     # lanes of READOUT_BITS + max l + 1 bits; at every k' each lane must
@@ -882,7 +882,9 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
     # reach the bound L1 2^READOUT_BITS to within a factor below 2, with
     # either sign, in either lane; the wide elements have coefficients of
     # both signs up to 2^31 - 1, and the flat one sums to about 0, so its
-    # margin fails at every index
+    # margin fails at every index.  A prime p reads its packed sums off
+    # one product in lanes of 2K bits rounded up to whole bytes, and the
+    # peaks reach that bound too: a lane one byte narrower would wrap
     rng, top, half = random.Random(p), 2 ** 31 - 1, (p + 1) // 2
     table = pipeline._cosines(p)
     peaks = [_peak(p, rng.randrange(1, half), sign, rng) for sign in (1, -1)]
@@ -890,13 +892,16 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
     flat = [top] * p
     pairs = list(itertools.permutations(peaks)) + [(wide[0], peaks[1]), (peaks[0], wide[1]),
                                                    (peaks[0], flat), (flat, wide[0])]
-    setters = set()
+    setters, wraps = set(), False
     for pair in pairs:
         readings = pipeline.read(list(pair))
         assert len(readings) == half - 1
         bits = [sum(map(abs, c)).bit_length() for c in pair]  # of each L1
+        width = pipeline.READOUT_BITS + max(bits) + 1  # K
+        narrower = 8 * ((2 * width + 7) // 8) - 8
         for kprime, reading in enumerate(readings, 1):
             sums = [_readout(c, kprime, table) for c in pair]
+            wraps |= abs(sums[0] + (sums[1] << width)) >= 1 << (narrower - 1)
             margins = [abs(total).bit_length() - 1 - l for total, l in zip(sums, bits)]
             margin = min([pipeline.READOUT_BITS] + margins)
             if margin < pipeline.MIN_MARGIN_BITS:
@@ -909,11 +914,90 @@ def test_packed_readout_splits_exactly_at_its_bound(p):
             assert reading == pipeline.Reading(n * n / (1 << (2 * r + 4)), (1 << (r + 4)) / d,
                                                n * n / (d << r), margin), (p, kprime)
     assert setters == {0, 1}, p
+    assert wraps, p
     # the peaks reach 2^(READOUT_BITS + l - 1), where a lane one bit narrower wraps
     for c in peaks:
         bits = sum(map(abs, c)).bit_length()
         peak = max(abs(_readout(c, kprime, table)) for kprime in range(1, half))
         assert peak >> (pipeline.READOUT_BITS + bits - 1)
+
+
+def _spy_prime_route(monkeypatch):
+    """The (packed, sums) of each call read makes to its prime route, in order."""
+    calls, route = [], pipeline._rader_sums
+
+    def spy(packed, plan, nbytes):
+        calls.append((packed, route(packed, plan, nbytes)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pipeline, "_rader_sums", spy)
+    return calls
+
+
+def _written_out_sums(elements):
+    """The packed sums n + d 2^K of read at k' = 1..(p-1)/2, from the
+    written-out readout of each element."""
+    p, table = len(elements[0]), pipeline._cosines(len(elements[0]))
+    width = pipeline.READOUT_BITS + max(sum(map(abs, c)).bit_length() for c in elements) + 1
+    n2, d = elements
+    return [_readout(n2, k, table) + (_readout(d, k, table) << width) for k in range(1, (p + 1) // 2)]
+
+
+def test_prime_route_gives_the_written_out_sums(monkeypatch):
+    # every normalized fraction of prime p <= 61 (3/1 has one index, m =
+    # 1), 101/31 and 131/1 take Rader's route, and its integer sums are
+    # the written-out ones; the composite p of the census take the loop
+    calls = _spy_prime_route(monkeypatch)
+    primes = [p for p in range(3, 62, 2) if all(p % d for d in range(3, p, 2))]
+    fractions = [(p, q) for p in primes for q in range(1, p, 2)] + [(101, 31), (131, 1)]
+    assert len(fractions) == 243 and primes[:2] == [3, 5] and 61 in primes
+    for p, q in fractions:
+        elements = exact.knot_elements(normalize_two_bridge(p, q))
+        pipeline.read(elements)
+        (_, sums), = calls
+        assert sums == _written_out_sums(elements), (p, q)
+        calls.clear()
+    for p, q in CENSUS_25:
+        if p in (9, 15, 21, 25):
+            pipeline.read(exact.knot_elements(normalize_two_bridge(p, q)))
+    assert calls == []
+
+
+def test_prime_route_needs_a_generator(monkeypatch):
+    # with g^2 in place of the generator g the lanes read the wrong
+    # cosines.  Rader's indices need g to generate the units mod +-1 only,
+    # which the square of a primitive root does when p = 3 mod 4, as -1 is
+    # then no square; so the control is taken at 101 = 1 mod 4, where the
+    # +-g^2j reach only the squares, half of the units
+    calls = _spy_prime_route(monkeypatch)
+    root = pipeline._generator
+    assert root(101) == 2 and sorted(pow(2, j, 101) for j in range(100)) == list(range(1, 101))
+    elements = exact.knot_elements(normalize_two_bridge(101, 31))
+    want = _written_out_sums(elements)
+    pipeline._rader.cache_clear()
+    monkeypatch.setattr(pipeline, "_generator", lambda p: pow(root(p), 2, p))
+    try:
+        pipeline.read(elements)
+    finally:
+        pipeline._rader.cache_clear()
+    (_, sums), = calls
+    assert sums != want
+    monkeypatch.setattr(pipeline, "_generator", root)
+    pipeline.read(elements)
+    assert calls[1][1] == want
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, q", [(1999, 731), (1999, 1)])
+def test_both_routes_give_the_same_sums_at_1999(monkeypatch, p, q):
+    # the loop and Rader's product agree bit for bit on every packed sum
+    calls = _spy_prime_route(monkeypatch)
+    pipeline.read(exact.knot_elements(normalize_two_bridge(p, q)))
+    (packed, sums), = calls
+    try:
+        assert sums == pipeline._dot_sums(packed)
+    finally:
+        pipeline._loop_cosines.cache_clear()
 
 
 def _pack(digits):
